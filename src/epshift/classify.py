@@ -27,7 +27,9 @@ from .errors import (
 from .sequences import (
     EPSeq,
     PeriodicSeq,
-    _reanchor,
+    _scan,
+    _symbols,
+    _tiled,
     anomaly_size,
     canonical,
     least_period,
@@ -88,10 +90,6 @@ def conjugate_ep(x: EPSeq, y: EPSeq) -> bool:
     return n == least_period(y) and (anomaly_size(x) - anomaly_size(y)) % n == 0
 
 
-def _buffer(x: EPSeq, lo: int, hi: int) -> list[int]:
-    return [x.symbol_id_at(k) for k in range(lo, hi + 1)]
-
-
 @lru_cache(maxsize=None)
 def _code_image(code: SlidingBlockCode, x: EPSeq) -> Union[PeriodicSeq, EPSeq]:
     """Exact image of x under the code, classified as periodic or not.
@@ -102,31 +100,23 @@ def _code_image(code: SlidingBlockCode, x: EPSeq) -> Union[PeriodicSeq, EPSeq]:
     if x.alphabet != code.source_alphabet:
         raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
     mm, aa = code.memory, code.anticipation
+    blen = code.block_length
     n = least_period(x)
     vl = len(x.anomaly)
-    w = x.period_word.symbols
-    per_img = tuple(
-        code.out(tuple(w[(i + d) % n] for d in range(-mm, aa + 1))) for i in range(n)
-    )
+    wbuf = _tiled(x.period_word.symbols, -mm, n + blen - 1)
+    per_img = tuple(code.out(wbuf[i:i + blen]) for i in range(n))
     root, _ = primitive_root(Word(per_img, code.target_alphabet))
-    n_img = len(root)
 
+    # The image is root-periodic left of -aa and, at phase |v|, right of
+    # |v| + mm; the buffer covers both guards with a 2N margin.
     lo = -aa - 1 - 2 * n
     hi = vl + mm + 2 * n
-    buf = _buffer(x, lo - mm, hi + aa)
-
-    def sym(i: int) -> int:
-        if lo <= i <= hi:
-            base = i - (lo - mm)
-            return code.out(tuple(buf[base - mm:base + aa + 1]))
-        if i < lo:
-            return per_img[i % n]
-        return per_img[(i - vl) % n]
-
-    if all(sym(i) == per_img[i % n] for i in range(lo, hi + 1)):
+    xbuf = _symbols(x, lo - mm, hi + aa + 1)
+    img = tuple(code.out(xbuf[i:i + blen]) for i in range(hi - lo + 1))
+    scan = _scan(img, lo, root, vl)
+    if scan is None:
         return PeriodicSeq(root, 0)
-    res, _ = _reanchor(sym, n_img, -aa - 1, vl + mm, code.target_alphabet)
-    return res
+    return scan.anchor(0)
 
 
 def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
@@ -143,11 +133,10 @@ def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
 
 def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSeq:
     """Image of a periodic sequence under the code (always periodic)."""
-    mm, aa = code.memory, code.anticipation
+    blen = code.block_length
     n = p.least_period
-    img = tuple(
-        code.out(tuple(p.symbol_id_at(i + d) for d in range(-mm, aa + 1))) for i in range(n)
-    )
+    wbuf = _tiled(p.period_word.symbols, p.phase - code.memory, n + blen - 1)
+    img = tuple(code.out(wbuf[i:i + blen]) for i in range(n))
     root, _ = primitive_root(Word(img, code.target_alphabet))
     return PeriodicSeq(root, 0)
 
@@ -157,11 +146,9 @@ def image_window(code: SlidingBlockCode, x: EPSeq, i: int, j: int) -> Word:
     the whole image."""
     if i > j:
         raise ValueError(f"window requires i <= j, got {i} > {j}")
-    mm, aa = code.memory, code.anticipation
-    buf = _buffer(x, i - mm, j + aa)
-    out = tuple(
-        code.out(tuple(buf[k:k + mm + aa + 1])) for k in range(j - i + 1)
-    )
+    blen = code.block_length
+    buf = _symbols(x, i - code.memory, j + code.anticipation + 1)
+    out = tuple(code.out(buf[k:k + blen]) for k in range(j - i + 1))
     return Word(out, code.target_alphabet)
 
 
@@ -173,13 +160,12 @@ def _build_block_map(src: EPSeq, dst: EPSeq, k: int) -> Optional[SlidingBlockCod
     blen = 2 * k + 1
     lo = -blen - n
     hi = len(src.anomaly) + n
-    buf = _buffer(src, lo, hi + blen - 1)
+    buf = _symbols(src, lo, hi + blen)
+    dbuf = _symbols(dst, lo + k, hi + k + 1)
     table: dict[tuple[int, ...], int] = {}
-    for s in range(lo, hi + 1):
-        base = s - lo
-        block = tuple(buf[base:base + blen])
-        out = dst.symbol_id_at(s + k)
-        if table.setdefault(block, out) != out:
+    for base in range(hi - lo + 1):
+        out = dbuf[base]
+        if table.setdefault(buf[base:base + blen], out) != out:
             return None
     entries = tuple(sorted(table.items()))
     return SlidingBlockCode(k, k, entries, src.alphabet, dst.alphabet)
@@ -201,10 +187,10 @@ def composition_shift_offset(
         inv.out(tuple(syms[t:t + blen_i])) for t in range(2 * h + 1)
     )
     span = reach + least_period(x)
-    xbuf = _buffer(x, -h - span, h + span)
+    xbuf = _symbols(x, -h - span, h + span + 1)
     for t in range(-span, span + 1):
         base = t + span
-        if all(psi[i] == xbuf[base + i] for i in range(2 * h + 1)):
+        if xbuf[base:base + 2 * h + 1] == psi:
             return t
     return None
 
@@ -247,10 +233,10 @@ def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBloc
     fwd = build(cx, cy)
     inv = build(cy, cx)
     img = apply_code(fwd, x)
-    if not similar(img, cy):
+    if canonical(img) != cy:
         raise InternalMismatch("forward witness image is not similar to the target")
     img_back = apply_code(inv, y)
-    if not similar(img_back, cx):
+    if canonical(img_back) != cx:
         raise InternalMismatch("inverse witness image is not similar to the source")
     if composition_shift_offset(fwd, inv, x) is None:
         raise InternalMismatch("witness composition does not act as a shift")
@@ -470,10 +456,10 @@ def verify_flow_witness(
         log.append("endpoints have different invariants")
         return False
     try:
-        if not similar(apply_code(wit.final_forward, end_x), canonical(end_y)):
+        if not similar(apply_code(wit.final_forward, end_x), end_y):
             log.append("final forward code does not map endpoint x onto endpoint y")
             return False
-        if not similar(apply_code(wit.final_inverse, end_y), canonical(end_x)):
+        if not similar(apply_code(wit.final_inverse, end_y), end_x):
             log.append("final inverse code does not map endpoint y onto endpoint x")
             return False
         if composition_shift_offset(wit.final_forward, wit.final_inverse, end_x) is None:

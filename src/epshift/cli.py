@@ -23,6 +23,7 @@ from .errors import (
     InputTooLarge,
     InvalidSpec,
     MalformedCell,
+    MalformedInput,
     NonPositive,
     NotCoprime,
     SymbolAbsent,
@@ -50,6 +51,7 @@ USAGE_ERRORS = (
     UnknownSymbol,
     EmptyWord,
     MalformedCell,
+    MalformedInput,
     WrongAlphabet,
     SymbolAbsent,
     ValueError,
@@ -202,10 +204,10 @@ def cmd_classify(args) -> int:
 
 def _check_conjugacy_pair(x, y, fwd, inv, trail: list[str]) -> bool:
     try:
-        if not similar(classify.apply_code(fwd, x), canonical(y)):
+        if not similar(classify.apply_code(fwd, x), y):
             trail.append("forward image not similar to target")
             return False
-        if not similar(classify.apply_code(inv, y), canonical(x)):
+        if not similar(classify.apply_code(inv, y), x):
             trail.append("inverse image not similar to source")
             return False
         if classify.composition_shift_offset(fwd, inv, x) is None:

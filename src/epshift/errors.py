@@ -79,3 +79,8 @@ class SymbolAbsent(EpshiftError):
 class PostconditionFailed(EpshiftError):
     """A raise-period / raise-anomaly construction failed its verified
     postcondition."""
+
+
+class MalformedInput(EpshiftError):
+    """A JSON value does not match the schema of its declared format: a
+    required key is missing or has the wrong type."""

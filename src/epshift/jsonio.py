@@ -2,7 +2,8 @@
 
 All emitters are deterministic (sorted code tables, explicit alphabets) so
 witnesses serialize reproducibly, and parse(emit(v)) == v for every value
-the library produces.
+the library produces.  A value whose format tag is right but whose keys
+are missing or of the wrong type raises MalformedInput.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .classify import (
     FlowWitness,
     SlidingBlockCode,
 )
+from .errors import MalformedInput
 from .sequences import EPSeq, PeriodicSeq, make_ep
 from .words import Alphabet, Word, primitive_root, word
 
@@ -35,6 +37,25 @@ def _expect(obj: Any, fmt: str) -> dict:
     return obj
 
 
+def _field(d: dict, key: str, fmt: str, kind: type = object) -> Any:
+    """d[key], which must be present and an instance of `kind`."""
+    if key not in d:
+        raise MalformedInput(f"{fmt} value has no {key!r} key")
+    value = d[key]
+    if not isinstance(value, kind):
+        raise MalformedInput(
+            f"{fmt} key {key!r} must be a {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _alphabet(d: dict, key: str, fmt: str) -> Alphabet:
+    labels = _field(d, key, fmt, list)
+    if not all(isinstance(lbl, str) for lbl in labels):
+        raise MalformedInput(f"{fmt} key {key!r} must be a list of strings")
+    return Alphabet(tuple(labels))
+
+
 def emit_epseq(x: EPSeq) -> dict:
     return {
         "format": EPSEQ_FORMAT,
@@ -46,8 +67,10 @@ def emit_epseq(x: EPSeq) -> dict:
 
 def parse_epseq(obj: Any) -> EPSeq:
     d = _expect(obj, EPSEQ_FORMAT)
-    alphabet = Alphabet(tuple(d["alphabet"]))
-    return make_ep(word(d["period"], alphabet), word(d["anomaly"], alphabet))
+    alphabet = _alphabet(d, "alphabet", EPSEQ_FORMAT)
+    period = _field(d, "period", EPSEQ_FORMAT, str)
+    anomaly = _field(d, "anomaly", EPSEQ_FORMAT, str)
+    return make_ep(word(period, alphabet), word(anomaly, alphabet))
 
 
 def emit_perseq(p: PeriodicSeq) -> dict:
@@ -61,20 +84,20 @@ def emit_perseq(p: PeriodicSeq) -> dict:
 
 def parse_perseq(obj: Any) -> PeriodicSeq:
     d = _expect(obj, PERSEQ_FORMAT)
+    text = _field(d, "period", PERSEQ_FORMAT, str)
     if "alphabet" in d:
-        alphabet = Alphabet(tuple(d["alphabet"]))
+        alphabet = _alphabet(d, "alphabet", PERSEQ_FORMAT)
     else:
         # infer from the period text, in order of first occurrence
         seen: list[str] = []
-        text = d["period"]
         labels = text[1:-1].split(",") if text.startswith("[") else list(text)
         for lbl in labels:
             if lbl not in seen:
                 seen.append(lbl)
         alphabet = Alphabet(tuple(seen))
-    w = word(d["period"], alphabet)
+    w = word(text, alphabet)
     root, _ = primitive_root(w)
-    return PeriodicSeq(root, int(d["phase"]) % len(root))
+    return PeriodicSeq(root, _field(d, "phase", PERSEQ_FORMAT, int) % len(root))
 
 
 def emit_code(c: SlidingBlockCode) -> dict:
@@ -95,12 +118,16 @@ def emit_code(c: SlidingBlockCode) -> dict:
 
 def parse_code(obj: Any) -> SlidingBlockCode:
     d = _expect(obj, CODE_FORMAT)
-    src = Alphabet(tuple(d["source_alphabet"]))
-    dst = Alphabet(tuple(d["target_alphabet"]))
-    entries = tuple(
-        sorted((word(block, src).symbols, dst.index(out)) for block, out in d["table"])
-    )
-    return SlidingBlockCode(int(d["memory"]), int(d["anticipation"]), entries, src, dst)
+    src = _alphabet(d, "source_alphabet", CODE_FORMAT)
+    dst = _alphabet(d, "target_alphabet", CODE_FORMAT)
+    table = _field(d, "table", CODE_FORMAT, list)
+    if not all(isinstance(row, list) and len(row) == 2
+               and all(isinstance(cell, str) for cell in row) for row in table):
+        raise MalformedInput(f"{CODE_FORMAT} table rows must be [block, symbol] string pairs")
+    entries = tuple(sorted((word(block, src).symbols, dst.index(out)) for block, out in table))
+    memory = _field(d, "memory", CODE_FORMAT, int)
+    anticipation = _field(d, "anticipation", CODE_FORMAT, int)
+    return SlidingBlockCode(memory, anticipation, entries, src, dst)
 
 
 def emit_conjugacy(fwd: SlidingBlockCode, inv: SlidingBlockCode) -> dict:
@@ -113,7 +140,8 @@ def emit_conjugacy(fwd: SlidingBlockCode, inv: SlidingBlockCode) -> dict:
 
 def parse_conjugacy(obj: Any) -> tuple[SlidingBlockCode, SlidingBlockCode]:
     d = _expect(obj, CONJUGACY_FORMAT)
-    return parse_code(d["forward"]), parse_code(d["inverse"])
+    return (parse_code(_field(d, "forward", CONJUGACY_FORMAT)),
+            parse_code(_field(d, "inverse", CONJUGACY_FORMAT)))
 
 
 def _emit_move(m: FlowMove) -> dict:
@@ -130,11 +158,16 @@ def _emit_move(m: FlowMove) -> dict:
 
 
 def _parse_move(obj: Any) -> FlowMove:
-    kind = obj.get("kind")
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"a flow move must be a JSON object, got {type(obj).__name__}")
+    kind = _field(obj, "kind", "flow move")
+    what = f"{kind} move"
     if kind == "conjugacy":
-        return ConjugacyMove(parse_code(obj["code"]), parse_epseq(obj["result"]))
+        return ConjugacyMove(parse_code(_field(obj, "code", what)),
+                             parse_epseq(_field(obj, "result", what)))
     if kind == "expand":
-        return ExpandMove(obj["symbol"], obj["fresh"], parse_epseq(obj["result"]))
+        return ExpandMove(_field(obj, "symbol", what, str), _field(obj, "fresh", what, str),
+                          parse_epseq(_field(obj, "result", what)))
     raise ValueError(f"unknown move kind {kind!r}")
 
 
@@ -151,8 +184,8 @@ def emit_flow_witness(w: FlowWitness) -> dict:
 def parse_flow_witness(obj: Any) -> FlowWitness:
     d = _expect(obj, FLOW_FORMAT)
     return FlowWitness(
-        tuple(_parse_move(m) for m in d["chain_x"]),
-        tuple(_parse_move(m) for m in d["chain_y"]),
-        parse_code(d["final_forward"]),
-        parse_code(d["final_inverse"]),
+        tuple(_parse_move(m) for m in _field(d, "chain_x", FLOW_FORMAT, list)),
+        tuple(_parse_move(m) for m in _field(d, "chain_y", FLOW_FORMAT, list)),
+        parse_code(_field(d, "final_forward", FLOW_FORMAT)),
+        parse_code(_field(d, "final_inverse", FLOW_FORMAT)),
     )

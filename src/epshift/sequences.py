@@ -17,20 +17,31 @@ a full copy of ``w`` (such a copy belongs to the right tail).  Under this
 normalization two EPSeq values are structurally equal iff they denote the
 same bi-infinite sequence, so ``==`` is sequence equality.
 
+Normal forms come from one linear-time kernel, :func:`_scan`.  It reads a
+symbol buffer sliced once from the period word and the anomaly, finds d,
+the first index where the sequence departs from its left tail, and the
+last index where it departs from its right tail read backwards; these two
+indices give the leftmost minimal anomaly window.  ``anomaly_size``,
+``canonical``, ``shift``, ``remove_window`` and code images in
+:mod:`epshift.classify` all go through it.  The brute-force window search
+(``anomaly_windows``) stays as the independent oracle that
+:mod:`epshift.verify` and the tests hold the kernel to.
+
 One representational limit is inherent to the anchoring: a sequence whose
 leftmost deviation from its periodic tail sits at a negative index has no
-anchored form at all.  Operations that produce shifted sequences (``shift``,
-and code application in :mod:`epshift.classify`) therefore return the exact
-result whenever it is representable and otherwise the representable sequence
-nearest to the requested one (differing from it by a shift); similarity-level
-contracts are unaffected.  Everything here is immutable and pure.
+anchored form at all.  The t-fold shift of a sequence has one iff t <= d,
+so operations that produce shifted sequences (``shift``, and code
+application in :mod:`epshift.classify`) return the exact result whenever
+it is representable and otherwise the shift by d, the representable
+sequence nearest to the requested one; similarity-level contracts are
+unaffected.  Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Union
+from operator import ne
+from typing import NamedTuple, Optional, Union
 
 from .errors import DegeneratePeriodic, InternalMismatch
 from .words import Alphabet, Word, is_primitive, primitive_root, require_same_alphabet
@@ -101,9 +112,9 @@ class EPSeq:
             raise ValueError("period word and anomaly must be non-empty")
         if not is_primitive(self.period_word):
             raise ValueError("period word must be primitive (use make_ep to normalize)")
-        n = len(self.period_word)
         v = self.anomaly.symbols
         w = self.period_word.symbols
+        n = len(w)
         if len(v) % n == 0 and v == w * (len(v) // n):
             raise DegeneratePeriodic(
                 "anomaly is a power of the period word; the sequence would be periodic"
@@ -151,6 +162,93 @@ def make_ep(w: Word, v: Word) -> EPSeq:
     return EPSeq(root, Word(vs, w.alphabet))
 
 
+def _tiled(w: tuple[int, ...], start: int, size: int) -> tuple[int, ...]:
+    """The symbols w[(start + i) mod |w|] for 0 <= i < size."""
+    if size <= 0:
+        return ()
+    o = start % len(w)
+    return ((w[o:] + w[:o]) * (size // len(w) + 1))[:size]
+
+
+def _symbols(x: EPSeq, lo: int, hi: int) -> tuple[int, ...]:
+    """x_lo ... x_{hi-1} as one tuple, sliced from the period word and the
+    anomaly."""
+    w, v = x.period_word.symbols, x.anomaly.symbols
+    vl = len(v)
+    right = max(lo, vl)
+    return (_tiled(w, lo, min(0, hi) - lo)
+            + v[max(0, lo):max(0, min(vl, hi))]
+            + _tiled(w, right - vl, hi - right))
+
+
+class _Scan(NamedTuple):
+    """The kernel's reading of a sequence y, materialized as
+    buf = y_lo, y_lo+1, ...; see :func:`_scan`."""
+
+    buf: tuple[int, ...]
+    lo: int
+    period: Word
+    defect: int
+    window: AnomalyWindow
+
+    def anchor(self, prefer: int) -> EPSeq:
+        """The anchored form of y shifted by t = min(prefer, defect): the
+        shift nearest `prefer` that has one, exact when prefer <= defect.
+
+        Its period word is the left-tail word rotated by t and its anomaly is
+        y_t ... y_{t+L-1}, where L is the shortest length congruent to the
+        minimal window's length mod N that reaches the window's end.
+        """
+        w = self.period.symbols
+        n = len(w)
+        t = min(prefer, self.defect)
+        length = self.window.length + n * -(-max(0, self.window.start - t) // n)
+        o = t % n
+        at = t - self.lo
+        return EPSeq(Word(w[o:] + w[:o], self.period.alphabet),
+                     Word(self.buf[at:at + length], self.period.alphabet))
+
+
+def _scan(buf: tuple[int, ...], lo: int, period: Word, delta: int) -> Optional[_Scan]:
+    """The normal-form kernel, linear in len(buf).
+
+    `buf` holds y_lo, y_lo+1, ... of a sequence y with left tail
+    y_i = w[i mod N] and right tail y_i = w[(i - delta) mod N], where w is
+    the primitive word `period` and N = |w|; its first N entries must lie in
+    the left tail and its last N in the right tail.
+
+    Let d be the first index where y departs from its left tail and e the
+    last where it departs from its right tail read backwards.  Deleting
+    [s, s+L) leaves the left tail's periodic extension iff s <= d,
+    s + L > e and L ≡ delta (mod N).  So the leftmost minimal anomaly
+    window has the least length L ≡ delta (mod N) with L >= max(1, e + 1 - d),
+    and it starts at e + 1 - L.  Returns None when y is periodic.
+
+    Both indices come from one comparison of y with itself N places on:
+    d is the first i with y_i != y_{i-N} and e the last with y_i != y_{i+N}.
+    """
+    n = len(period)
+    diffs = list(map(ne, buf[n:], buf[:-n]))
+    if True not in diffs:
+        return None
+    d = lo + n + diffs.index(True)
+    e = lo + len(diffs) - 1 - diffs[::-1].index(True)
+    need = max(1, e + 1 - d)
+    length = need + (delta - need) % n
+    return _Scan(buf, lo, period, d, AnomalyWindow(e + 1 - length, length))
+
+
+def _normal_form(x: EPSeq, prefer: int = 0) -> _Scan:
+    """The kernel run over the buffer w*k + v + w*2, where the k >= 2 copies
+    of w reach far enough left to anchor any shift of x by t >= prefer."""
+    w, v = x.period_word.symbols, x.anomaly.symbols
+    k = 2 - min(prefer, 0) // len(w)
+    scan = _scan(w * k + v + w * 2, -k * len(w), x.period_word, len(v))
+    if scan is None:
+        raise InternalMismatch("the scan found no defect; the sequence would be periodic")
+    return scan
+
+
 def symbol_at(x: EPSeq, k: int) -> str:
     """The symbol label of the sequence at index k."""
     return x.alphabet.labels[x.symbol_id_at(k)]
@@ -160,7 +258,7 @@ def window(x: EPSeq, i: int, j: int) -> Word:
     """The word x_i x_{i+1} ... x_j (inclusive)."""
     if i > j:
         raise ValueError(f"window requires i <= j, got {i} > {j}")
-    return Word(tuple(x.symbol_id_at(k) for k in range(i, j + 1)), x.alphabet)
+    return Word(_symbols(x, i, j + 1), x.alphabet)
 
 
 def least_period(x: EPSeq) -> int:
@@ -210,16 +308,16 @@ def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
         return PeriodicSeq(x.period_word, 0)
     n = len(x.period_word)
     vl = len(x.anomaly)
+    lo = min(0, s) - 2 * n
+    buf = _symbols(x, lo, max(s + length, vl) + 2 * n)
+    cut = s - lo
+    scan = _scan(buf[:cut] + buf[cut + length:], lo, x.period_word, vl - length)
+    if scan is None:
+        raise InternalMismatch("the scan and the removal check disagree on periodicity")
+    return scan.anchor(0)
 
-    def sym(k: int) -> int:
-        return x.symbol_id_at(k if k < s else k + length)
 
-    res, _ = _reanchor(sym, n, min(0, s) - 1, max(s, vl - length), x.alphabet)
-    return res
-
-
-@lru_cache(maxsize=None)
-def _windows_cached(x: EPSeq, extra_start: int, extra_len: int) -> tuple[AnomalyWindow, ...]:
+def _window_search(x: EPSeq, extra_start: int, extra_len: int) -> list[AnomalyWindow]:
     n = len(x.period_word)
     vl = len(x.anomaly)
     found = []
@@ -230,7 +328,7 @@ def _windows_cached(x: EPSeq, extra_start: int, extra_len: int) -> tuple[Anomaly
                 found.append(AnomalyWindow(s, length))
         length += n
     found.sort(key=lambda a: (a.length, a.start))
-    return tuple(found)
+    return found
 
 
 def anomaly_windows(x: EPSeq) -> list[AnomalyWindow]:
@@ -238,16 +336,20 @@ def anomaly_windows(x: EPSeq) -> list[AnomalyWindow]:
     0 < L <= |anomaly| congruent to |anomaly| mod N and starts in
     [-L-2N, |anomaly|+2N].  Sorted by (length, start); never empty since
     [0, |anomaly|) always qualifies.
+
+    This is the brute-force search, quadratic in the sizes; it is the
+    oracle for the kernel, which finds the first window directly.
     """
-    wins = _windows_cached(x, 0, 0)
+    wins = _window_search(x, 0, 0)
     if not wins:
         raise InternalMismatch("anomaly window search found nothing; bug")
-    return list(wins)
+    return wins
 
 
 def anomaly_size(x: EPSeq) -> int:
-    """Minimum length over all anomaly windows (brute-force search)."""
-    return anomaly_windows(x)[0].length
+    """Length of the leftmost minimal anomaly window, found by the linear
+    scan."""
+    return _normal_form(x).window.length
 
 
 def remove_anomaly(x: EPSeq) -> PeriodicSeq:
@@ -259,7 +361,6 @@ def remove_anomaly(x: EPSeq) -> PeriodicSeq:
     return res
 
 
-@lru_cache(maxsize=None)
 def canonical(x: EPSeq) -> EPSeq:
     """Deterministic representative of the similarity class of x.
 
@@ -267,11 +368,8 @@ def canonical(x: EPSeq) -> EPSeq:
     result's stored anomaly has length anomaly_size(x).  Idempotent, and
     invariant under shift.
     """
-    best = anomaly_windows(x)[0]
-    n = len(x.period_word)
-    w_star = window(x, best.start - n, best.start - 1)
-    v_star = window(x, best.start, best.start + best.length - 1)
-    return make_ep(w_star, v_star)
+    scan = _normal_form(x)
+    return scan.anchor(scan.window.start)
 
 
 def similar(x: EPSeq, y: EPSeq) -> bool:
@@ -284,17 +382,11 @@ def shift(x: EPSeq, k: int) -> EPSeq:
     """A representation of the k-fold shift of x (positive k moves the
     viewing window right: result_i = x_{i+k}).
 
-    Exact whenever the shifted sequence is anchored-representable (always
-    for k <= 0); otherwise the nearest representable shift is returned.
+    Exact whenever the shifted sequence is anchored-representable, that is
+    for k <= first_defect(x); otherwise the shift by first_defect(x), the
+    nearest representable one, is returned.
     """
-    n = len(x.period_word)
-    vl = len(x.anomaly)
-
-    def sym(i: int) -> int:
-        return x.symbol_id_at(i + k)
-
-    res, _ = _reanchor(sym, n, -k - 1, vl - k, x.alphabet)
-    return res
+    return _normal_form(x, k).anchor(k)
 
 
 def enumerate_blocks(x: EPSeq, n: int) -> set[Word]:
@@ -310,66 +402,10 @@ def enumerate_blocks(x: EPSeq, n: int) -> set[Word]:
 def first_defect(x: EPSeq) -> int:
     """Smallest index k >= 0 where x differs from the extension of its left
     periodic tail.  Exists for every (non-degenerate) EPSeq."""
-    w = x.period_word.symbols
-    n = len(w)
-    for k in range(len(x.anomaly) + n):
-        if x.symbol_id_at(k) != w[k % n]:
-            return k
-    raise InternalMismatch("no defect found; sequence would be periodic")
-
-
-def _reanchor(
-    sym: Callable[[int], int],
-    n: int,
-    guard_lo: int,
-    guard_hi: int,
-    alphabet: Alphabet,
-    prefer: int = 0,
-) -> tuple[EPSeq, int]:
-    """Find an anchored representation of the sequence given by `sym`.
-
-    Preconditions: the sequence is not periodic; sym(k) == sym(k - n) for
-    all k <= guard_lo and sym(k) == sym(k + n) for all k >= guard_hi, where
-    n is the least period of the tails.
-
-    Returns (EPSeq, t) where the EPSeq denotes the t-fold shift of the
-    sequence, with t the representable value nearest `prefer` (ties toward
-    larger t).  Exact (t == prefer) whenever a representation of the
-    requested sequence exists.
-    """
-    span = (guard_hi - guard_lo) + 4 * n + 8
-    for delta in range(span + 1):
-        candidates = (prefer,) if delta == 0 else (prefer + delta, prefer - delta)
-        for t in candidates:
-            res = _try_anchor(sym, n, guard_lo, guard_hi, alphabet, t)
-            if res is not None:
-                return res, t
-    raise InternalMismatch("no anchored representation found near the requested shift")
-
-
-def _try_anchor(sym, n, guard_lo, guard_hi, alphabet, t):
-    wsyms = tuple(sym(t + k) for k in range(-n, 0))
-    # Left purity: the whole ray below 0 must extend wsyms periodically.
-    # Below guard_lo the ray is n-periodic, so a 2n margin is exact.
-    for k in range(guard_lo - t - 2 * n, 0):
-        if sym(t + k) != wsyms[k % n]:
-            return None
-    # Resumption: smallest L >= 1 from which the ray continues wsyms at
-    # offset 0.  Checking through guard_hi plus a 2n margin is exact.
-    hi_base = guard_hi - t
-    for L in range(1, max(1, hi_base) + 2 * n + 1):
-        ok = True
-        for k in range(L, max(L, hi_base) + 2 * n + 1):
-            if sym(t + k) != wsyms[(k - L) % n]:
-                ok = False
-                break
-        if ok:
-            vsyms = tuple(sym(t + k) for k in range(L))
-            return make_ep(Word(wsyms, alphabet), Word(vsyms, alphabet))
-    return None
+    return _normal_form(x).defect
 
 
 def extended_anomaly_windows(x: EPSeq, extra_start: int, extra_len: int) -> list[AnomalyWindow]:
     """Window search with enlarged bounds; used to property-test that the
     standard bounds never miss a window shorter than anomaly_size(x)."""
-    return list(_windows_cached(x, extra_start, extra_len))
+    return _window_search(x, extra_start, extra_len)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 from .bezout import restricted_bezout
@@ -139,7 +140,7 @@ def cell_zeros_Sprime(spec: SturmianSpec, n: int) -> int:
 
 
 def _cell(zeros: int) -> Word:
-    return word("1" + "0" * zeros)
+    return Word((1,) + (0,) * zeros, BINARY)  # BINARY ids: "0" is 0, "1" is 1
 
 
 @dataclass(frozen=True)
@@ -166,11 +167,13 @@ def cell_series(spec: SturmianSpec, n_lo: int, n_hi: int) -> CellSeries:
     return CellSeries(n_lo, tuple(_cell(zeros(spec, n)) for n in range(n_lo, n_hi + 1)))
 
 
+def _join(cells) -> Word:
+    """The concatenation of binary cells, built in one pass."""
+    return Word(tuple(chain.from_iterable(c.symbols for c in cells)), BINARY)
+
+
 def expand_cells(cs: CellSeries) -> Word:
-    out = word("")
-    for c in cs.cells:
-        out = out + c
-    return out
+    return _join(cs.cells)
 
 
 def chain_zero_counts(cs: CellSeries, n: int) -> Counter:
@@ -219,10 +222,7 @@ def cutting_sequence(spec: SturmianSpec, n_lo: int, n_hi: int) -> Word:
 
 
 def _beam_word(cs: CellSeries, n_from: int, n_to: int) -> Word:
-    out = word("")
-    for n in range(n_from, n_to + 1):
-        out = out + cs.cell(n)
-    return out
+    return _join(cs.cell(n) for n in range(n_from, n_to + 1))
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 """Exhaustive small-instance verification of the classification theorems.
 
 Every check pits an operation against an independent route: the Bézout
-solver against an exhaustive range scan, the anomaly-size formula against
-the brute-force window search, the generators against the cutting-sequence
-construction, and every witness against a replayer.  Failures are recorded
-as re-parseable counterexamples; an empty failure list is a pass.
+solver against an exhaustive range scan, the anomaly-size formula and the
+linear normal-form scan behind ``anomaly_size`` and ``canonical`` against
+the brute-force window search (criteria 2 and 4), the generators against
+the cutting-sequence construction, and every witness against a replayer.
+Failures are recorded as re-parseable counterexamples; an empty failure
+list is a pass.
 
 The default bounds reproduce the acceptance suite, so `epshift verify`
 with no flags is the acceptance run.
@@ -32,6 +34,7 @@ from .sequences import (
     remove_anomaly,
     remove_window,
     similar,
+    window,
 )
 from .sturmian import (
     Frequency,
@@ -217,8 +220,8 @@ def _skew(q: int, p: int, stype: str, m: int = 0) -> EPSeq:
 
 def check_anomaly_size_formula(max_sum: int = 25) -> TheoremCheck:
     """Criterion 2: generated skew sequences have least period p+q and the
-    anomaly size a+b (type S) or p+q-(a+b) (type S'), where anomaly_size is
-    the independent brute-force window search."""
+    anomaly size a+b (type S) or p+q-(a+b) (type S'), by the linear scan of
+    anomaly_size and by the independent brute-force window search."""
 
     def body(failures: list[dict]) -> int:
         checked = 0
@@ -229,6 +232,7 @@ def check_anomaly_size_formula(max_sum: int = 25) -> TheoremCheck:
                 try:
                     x = _skew(q, p, stype)
                     n, a = least_period(x), anomaly_size(x)
+                    searched = anomaly_windows(x)[0].length
                 except EpshiftError as e:
                     failures.append({"q": q, "p": p, "type": stype, "error": str(e)})
                     continue
@@ -236,6 +240,11 @@ def check_anomaly_size_formula(max_sum: int = 25) -> TheoremCheck:
                     failures.append(
                         {"q": q, "p": p, "type": stype,
                          "expected": [p + q, expected], "got": [n, a]}
+                    )
+                elif searched != a:
+                    failures.append(
+                        {"q": q, "p": p, "type": stype, "reason": "scan and search differ",
+                         "scan": a, "search": searched}
                     )
         return checked
 
@@ -275,8 +284,9 @@ def family_instances(bounds: VerifyBounds, seed: int) -> list[EPSeq]:
 
 def check_window_lemmas(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
     """Criterion 4: all anomaly-window removals of one sequence are
-    pointwise-equal periodic sequences, and all window lengths are
-    congruent mod the least period."""
+    pointwise-equal periodic sequences, all window lengths are congruent
+    mod the least period, and canonical re-anchors at the leftmost minimal
+    window of the brute-force search."""
 
     def body(failures: list[dict]) -> int:
         fam = family_instances(bounds, seed)
@@ -297,6 +307,14 @@ def check_window_lemmas(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
             base = removals[0]
             if not all(base.same_sequence(r) for r in removals[1:]):
                 failures.append({"instance": entry, "reason": "removals differ pointwise"})
+                continue
+            best = wins[0]
+            searched = make_ep(window(x, best.start - n, best.start - 1),
+                               window(x, best.start, best.start + best.length - 1))
+            if canonical(x) != searched:
+                failures.append(
+                    {"instance": entry, "reason": "canonical is not at the leftmost minimal window"}
+                )
         return len(fam)
 
     return _timed(
@@ -311,9 +329,9 @@ def _witness_verifies(x: EPSeq, y: EPSeq) -> Optional[str]:
     """Build a conjugacy witness for (x, y) and check it independently;
     returns a failure reason or None."""
     fwd, inv = classify.conjugacy_witness(x, y)
-    if not similar(classify.apply_code(fwd, x), canonical(y)):
+    if not similar(classify.apply_code(fwd, x), y):
         return "forward image not similar to target"
-    if not similar(classify.apply_code(inv, y), canonical(x)):
+    if not similar(classify.apply_code(inv, y), x):
         return "inverse image not similar to source"
     if classify.composition_shift_offset(fwd, inv, x) is None:
         return "composition is not a shift"

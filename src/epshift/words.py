@@ -78,10 +78,11 @@ class Word:
     alphabet: Alphabet
 
     def __post_init__(self) -> None:
-        n = len(self.alphabet)
-        for s in self.symbols:
-            if not 0 <= s < n:
-                raise UnknownSymbol(f"symbol id {s} out of range for {self.alphabet.labels}")
+        n = len(self.alphabet.labels)
+        syms = self.symbols
+        if syms and not (0 <= min(syms) and max(syms) < n):
+            bad = next(s for s in syms if not 0 <= s < n)
+            raise UnknownSymbol(f"symbol id {bad} out of range for {self.alphabet.labels}")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -144,13 +145,14 @@ def rotate(w: Word, k: int) -> Word:
 
 def primitive_root(w: Word) -> tuple[Word, int]:
     """The unique (u, k) with w = u^k, u primitive and k maximal."""
-    n = len(w)
+    syms = w.symbols
+    n = len(syms)
     if n == 0:
         raise EmptyWord("the empty word has no primitive root")
-    for d in range(1, n + 1):
-        if n % d == 0 and w.symbols[:d] * (n // d) == w.symbols:
-            return Word(w.symbols[:d], w.alphabet), n // d
-    raise AssertionError("unreachable: w is always w^1")
+    for d in range(1, n // 2 + 1):
+        if n % d == 0 and syms[:d] * (n // d) == syms:
+            return Word(syms[:d], w.alphabet), n // d
+    return w, 1
 
 
 def is_primitive(w: Word) -> bool:

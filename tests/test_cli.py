@@ -142,6 +142,18 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and "error" in obj
 
 
+def test_malformed_epseq_exits_2(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    for obj in (
+        {"format": "epseq/1"},
+        {"format": "epseq/1", "alphabet": "01", "period": "0", "anomaly": "1"},
+        {"format": "epseq/1", "alphabet": ["0", "1"], "period": 0, "anomaly": "1"},
+    ):
+        f.write_text(json.dumps(obj))
+        code, out = run(capsys, "ep", "anomaly-size", str(f))
+        assert code == 2 and out["error"]["kind"] == "MalformedInput", obj
+
+
 def test_verify_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("SUBSHIFT_SEED", "3")
     code = main(["verify", "--max-period-sum", "2"])

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from epshift import jsonio
+from epshift.errors import MalformedInput
 from epshift.classify import conjugacy_witness, flow_witness, identity_code
 from epshift.sequences import PeriodicSeq, make_ep, remove_anomaly
 from epshift.sturmian import Frequency, SturmianSpec, TYPE_S, TYPE_SPRIME, skew_sturmian
@@ -83,3 +84,23 @@ def test_format_tag_is_checked():
         jsonio.parse_epseq({"format": "epseq/2", "alphabet": ["0"], "period": "0", "anomaly": "0"})
     with pytest.raises(ValueError):
         jsonio.parse_perseq(["not", "an", "object"])
+
+
+def test_missing_keys_and_wrong_types_raise_malformed_input():
+    bad = [
+        (jsonio.parse_epseq, {"format": "epseq/1"}),
+        (jsonio.parse_epseq, {"format": "epseq/1", "alphabet": "01", "period": "0", "anomaly": "1"}),
+        (jsonio.parse_epseq, {"format": "epseq/1", "alphabet": [0, 1], "period": "0", "anomaly": "1"}),
+        (jsonio.parse_epseq, {"format": "epseq/1", "alphabet": ["0", "1"], "period": "0", "anomaly": 1}),
+        (jsonio.parse_perseq, {"format": "perseq/1", "alphabet": ["0"]}),
+        (jsonio.parse_code, {"format": "sbc/1", "memory": 0, "anticipation": 0}),
+        (jsonio.parse_code, {"format": "sbc/1", "memory": 0, "anticipation": 0,
+                             "source_alphabet": ["0"], "target_alphabet": ["0"], "table": [[0, "0"]]}),
+        (jsonio.parse_code, {"format": "sbc/1", "memory": None, "anticipation": 0,
+                             "source_alphabet": ["0"], "target_alphabet": ["0"], "table": []}),
+        (jsonio.parse_conjugacy, {"format": "conjugacy/1"}),
+        (jsonio.parse_flow_witness, {"format": "flowwitness/1", "chain_x": [], "chain_y": [{}]}),
+    ]
+    for parse, obj in bad:
+        with pytest.raises(MalformedInput):
+            parse(obj)

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epshift.errors import DegeneratePeriodic, IncompatibleAlphabets
 from epshift.sequences import (
+    _normal_form,
     AnomalyWindow,
     EPSeq,
     PeriodicSeq,
@@ -309,3 +310,58 @@ def test_equal_iff_pointwise_equal(wbits, vbits):
     z = shift(x, -least_period(x))
     assert z == make_ep(x.period_word, x.period_word + x.anomaly)
     assert z != x
+
+
+# --- the linear kernel against the brute-force oracle -------------------------
+
+# (alphabet size, period word, anomaly) over 2 or 3 letters
+ep_parts = st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.integers(0, k - 1), min_size=1, max_size=12),
+    st.lists(st.integers(0, k - 1), min_size=1, max_size=30),
+))
+
+
+def ep_from(parts):
+    k, wsyms, vsyms = parts
+    alphabet = Alphabet(("a", "b", "c")[:k])
+    try:
+        return make_ep(Word(tuple(wsyms), alphabet), Word(tuple(vsyms), alphabet))
+    except DegeneratePeriodic:
+        assume(False)
+
+
+def brute_first_defect(x):
+    w = x.period_word.symbols
+    return next(k for k in range(len(x.anomaly) + len(w)) if x.symbol_id_at(k) != w[k % len(w)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ep_parts)
+def test_kernel_window_is_first_brute_force_window(parts):
+    x = ep_from(parts)
+    assert _normal_form(x).window == anomaly_windows(x)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ep_parts)
+def test_canonical_is_brute_force_leftmost_minimal_window(parts):
+    x = ep_from(parts)
+    best = anomaly_windows(x)[0]
+    n = least_period(x)
+    expected = make_ep(window(x, best.start - n, best.start - 1),
+                       window(x, best.start, best.start + best.length - 1))
+    assert canonical(x) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ep_parts, st.data())
+def test_shift_exact_up_to_first_defect_property(parts, data):
+    x = ep_from(parts)
+    n, vl = least_period(x), len(x.anomaly)
+    d = brute_first_defect(x)
+    k = data.draw(st.integers(-(2 * n + vl), d), label="k")
+    y = shift(x, k)
+    # beyond this range both sides are periodic with the same period
+    span = range(min(0, -k) - 2 * n, max(len(y.anomaly), vl - k) + 2 * n)
+    assert [y.symbol_id_at(i) for i in span] == [x.symbol_id_at(i + k) for i in span]
