@@ -14,16 +14,13 @@ from .classify import (
     SlidingBlockCode,
     apply_code,
     apply_code_to_periodic,
+    check_conjugacy,
     composition_shift_offset,
     conjugacy_witness,
     conjugate_ep,
-    contract_symbol,
     expand_symbol,
     flow_witness,
     identity_code,
-    image_window,
-    raise_anomaly,
-    raise_period,
     skew_conjugacy_class,
     verify_flow_witness,
 )

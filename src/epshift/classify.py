@@ -43,9 +43,11 @@ from .words import Alphabet, Word, primitive_root
 class SlidingBlockCode:
     """A block map with the given memory and anticipation.
 
-    `entries` is a sorted tuple of ((block symbol ids), output symbol id)
-    pairs and must be total on the allowed-block set of any sequence the
-    code is applied to.
+    `entries` is a non-empty sorted tuple of ((block symbol ids), output
+    symbol id) pairs and must be total on the allowed-block set of any
+    sequence the code is applied to.  Being non-empty, it holds blocks
+    of the declared window length, so a parsed code is at least as long
+    as the window an application reads.
     """
 
     memory: int
@@ -57,6 +59,8 @@ class SlidingBlockCode:
     def __post_init__(self) -> None:
         if self.memory < 0 or self.anticipation < 0:
             raise ValueError("memory and anticipation must be non-negative")
+        if not self.entries:
+            raise ValueError("code table is empty")
         n = self.block_length
         seen = {}
         for block, out in self.entries:
@@ -90,12 +94,13 @@ def conjugate_ep(x: EPSeq, y: EPSeq) -> bool:
     return n == least_period(y) and (anomaly_size(x) - anomaly_size(y)) % n == 0
 
 
-@lru_cache(maxsize=None)
-def _code_image(code: SlidingBlockCode, x: EPSeq) -> Union[PeriodicSeq, EPSeq]:
-    """Exact image of x under the code, classified as periodic or not.
+def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
+    """The image sequence of x under the code, reconstructed as an EPSeq.
 
     The image's periodic part is the code applied to the periodic orbit of
-    x; its least period divides N and fixes the re-anchoring grid.
+    x; its least period divides N and fixes the re-anchoring grid.  Raises
+    DegenerateImage if the image is periodic (in which case the code
+    cannot be a conjugacy witness for x).
     """
     if x.alphabet != code.source_alphabet:
         raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
@@ -115,20 +120,8 @@ def _code_image(code: SlidingBlockCode, x: EPSeq) -> Union[PeriodicSeq, EPSeq]:
     img = tuple(code.out(xbuf[i:i + blen]) for i in range(hi - lo + 1))
     scan = _scan(img, lo, root, vl)
     if scan is None:
-        return PeriodicSeq(root, 0)
-    return scan.anchor(0)
-
-
-def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
-    """The image sequence of x under the code, reconstructed as an EPSeq.
-
-    Raises DegenerateImage if the image is periodic (in which case the code
-    cannot be a conjugacy witness for x).
-    """
-    res = _code_image(code, x)
-    if isinstance(res, PeriodicSeq):
         raise DegenerateImage("image of the sequence under the code is periodic")
-    return res
+    return scan.anchor(0)
 
 
 def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSeq:
@@ -139,17 +132,6 @@ def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSe
     img = tuple(code.out(wbuf[i:i + blen]) for i in range(n))
     root, _ = primitive_root(Word(img, code.target_alphabet))
     return PeriodicSeq(root, 0)
-
-
-def image_window(code: SlidingBlockCode, x: EPSeq, i: int, j: int) -> Word:
-    """The word (image of x)_i ... (image of x)_j without reconstructing
-    the whole image."""
-    if i > j:
-        raise ValueError(f"window requires i <= j, got {i} > {j}")
-    blen = code.block_length
-    buf = _symbols(x, i - code.memory, j + code.anticipation + 1)
-    out = tuple(code.out(buf[k:k + blen]) for k in range(j - i + 1))
-    return Word(out, code.target_alphabet)
 
 
 def _build_block_map(src: EPSeq, dst: EPSeq, k: int) -> Optional[SlidingBlockCode]:
@@ -172,20 +154,17 @@ def _build_block_map(src: EPSeq, dst: EPSeq, k: int) -> Optional[SlidingBlockCod
 
 
 def composition_shift_offset(
-    fwd: SlidingBlockCode, inv: SlidingBlockCode, x: EPSeq, half_len: Optional[int] = None
+    fwd: SlidingBlockCode, inv: SlidingBlockCode, x: EPSeq
 ) -> Optional[int]:
     """If inv∘fwd acts on x as some power of the shift over the test window
-    [-H, H], return that power; otherwise None."""
-    if half_len is None:
-        half_len = 3 * least_period(x) + len(x.anomaly)
-    h = half_len
+    [-H, H], H = 3N + |v|, return that power; otherwise None."""
+    h = 3 * least_period(x) + len(x.anomaly)
     reach = fwd.memory + fwd.anticipation + inv.memory + inv.anticipation
-    mid = image_window(fwd, x, -h - inv.memory, h + inv.anticipation)
-    blen_i = inv.memory + inv.anticipation + 1
-    syms = mid.symbols
-    psi = tuple(
-        inv.out(tuple(syms[t:t + blen_i])) for t in range(2 * h + 1)
-    )
+    blen_f, blen_i = fwd.block_length, inv.block_length
+    # mid = the forward image over [-H - inv.memory, H + inv.anticipation]
+    buf = _symbols(x, -h - inv.memory - fwd.memory, h + inv.anticipation + fwd.anticipation + 1)
+    mid = tuple(fwd.out(buf[k:k + blen_f]) for k in range(2 * h + blen_i))
+    psi = tuple(inv.out(mid[t:t + blen_i]) for t in range(2 * h + 1))
     span = reach + least_period(x)
     xbuf = _symbols(x, -h - span, h + span + 1)
     for t in range(-span, span + 1):
@@ -232,15 +211,31 @@ def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBloc
 
     fwd = build(cx, cy)
     inv = build(cy, cx)
-    img = apply_code(fwd, x)
-    if canonical(img) != cy:
-        raise InternalMismatch("forward witness image is not similar to the target")
-    img_back = apply_code(inv, y)
-    if canonical(img_back) != cx:
-        raise InternalMismatch("inverse witness image is not similar to the source")
-    if composition_shift_offset(fwd, inv, x) is None:
-        raise InternalMismatch("witness composition does not act as a shift")
+    trail: list[str] = []
+    if not check_conjugacy(x, y, fwd, inv, trail):
+        raise InternalMismatch(f"built witness fails its check: {trail[0]}")
     return fwd, inv
+
+
+def check_conjugacy(
+    x: EPSeq, y: EPSeq, fwd: SlidingBlockCode, inv: SlidingBlockCode, trail: list[str]
+) -> bool:
+    """Check that (fwd, inv) witnesses the conjugacy of the subshifts of x
+    and y: fwd maps x onto a shift of y, inv maps y onto a shift of x, and
+    inv∘fwd acts on x as a shift.  Returns False (appending the reason to
+    `trail`) instead of raising."""
+    try:
+        if not similar(apply_code(fwd, x), y):
+            trail.append("forward image not similar to target")
+        elif not similar(apply_code(inv, y), x):
+            trail.append("inverse image not similar to source")
+        elif composition_shift_offset(fwd, inv, x) is None:
+            trail.append("composition is not a shift")
+        else:
+            return True
+    except EpshiftError as e:
+        trail.append(f"replay error: {e}")
+    return False
 
 
 def expand_symbol(x: EPSeq, label: str) -> tuple[EPSeq, str]:
@@ -267,18 +262,6 @@ def expand_symbol(x: EPSeq, label: str) -> tuple[EPSeq, str]:
         EPSeq(Word(subst(x.period_word.symbols), bigger), Word(subst(x.anomaly.symbols), bigger)),
         fresh_label,
     )
-
-
-def contract_symbol(x: EPSeq, fresh_label: str) -> EPSeq:
-    """Inverse of expand_symbol: delete every occurrence of the fresh symbol
-    and drop it from the alphabet (it must be the last symbol)."""
-    f = x.alphabet.index(fresh_label)
-    if f != len(x.alphabet) - 1:
-        raise ValueError("can only contract the most recently minted symbol")
-    smaller = Alphabet(x.alphabet.labels[:-1])
-    strip = lambda syms: tuple(t for t in syms if t != f)
-    return EPSeq(Word(strip(x.period_word.symbols), smaller),
-                 Word(strip(x.anomaly.symbols), smaller))
 
 
 @dataclass(frozen=True)
@@ -364,18 +347,6 @@ def _raise_anomaly_moves(x: EPSeq) -> tuple[tuple[FlowMove, ...], EPSeq]:
     return moves, z1
 
 
-def raise_period(x: EPSeq) -> EPSeq:
-    """A flow-equivalent sequence with least period N+1 and anomaly size
-    a(x); the postconditions are re-verified by the window search."""
-    return _raise_period_moves(x)[1]
-
-
-def raise_anomaly(x: EPSeq) -> EPSeq:
-    """A flow-equivalent sequence with least period N and anomaly size
-    a(x)+1; the postconditions are re-verified by the window search."""
-    return _raise_anomaly_moves(x)[1]
-
-
 @dataclass(frozen=True)
 class FlowWitness:
     """Two chains of flow moves whose endpoints are conjugate, plus the
@@ -426,6 +397,11 @@ def verify_flow_witness(
             tag = f"{name}[{idx}]"
             try:
                 if isinstance(move, ConjugacyMove):
+                    # a factor map onto a sequence with other invariants
+                    # is no conjugacy, however similar its image
+                    if not conjugate_ep(cur, move.result):
+                        log.append(f"{tag}: conjugacy move changes the invariants")
+                        return None
                     img = apply_code(move.code, cur)
                     if not similar(img, move.result):
                         log.append(f"{tag}: conjugacy image not similar to recorded result")
@@ -451,24 +427,10 @@ def verify_flow_witness(
     end_y = replay(y, wit.chain_y, "chain_y")
     if end_x is None or end_y is None:
         return False
-    n = least_period(end_x)
-    if n != least_period(end_y) or (anomaly_size(end_x) - anomaly_size(end_y)) % n != 0:
+    if not conjugate_ep(end_x, end_y):
         log.append("endpoints have different invariants")
         return False
-    try:
-        if not similar(apply_code(wit.final_forward, end_x), end_y):
-            log.append("final forward code does not map endpoint x onto endpoint y")
-            return False
-        if not similar(apply_code(wit.final_inverse, end_y), end_x):
-            log.append("final inverse code does not map endpoint y onto endpoint x")
-            return False
-        if composition_shift_offset(wit.final_forward, wit.final_inverse, end_x) is None:
-            log.append("final codes are not mutually inverse on the test window")
-            return False
-    except EpshiftError as e:
-        log.append(f"final conjugacy replay error: {e}")
-        return False
-    return True
+    return check_conjugacy(end_x, end_y, wit.final_forward, wit.final_inverse, log)
 
 
 def skew_conjugacy_class(spec: SturmianSpec) -> set[SturmianSpec]:

@@ -194,29 +194,12 @@ def cmd_classify(args) -> int:
             valid = classify.verify_flow_witness(x, y, wit, trail)
         elif fmt == jsonio.CONJUGACY_FORMAT:
             fwd, inv = jsonio.parse_conjugacy(raw)
-            valid = _check_conjugacy_pair(x, y, fwd, inv, trail)
+            valid = classify.check_conjugacy(x, y, fwd, inv, trail)
         else:
             raise ValueError(f"unrecognized witness format {fmt!r}")
         _emit({"valid": valid, "trail": trail})
         return 0 if valid else 1
     raise ValueError(f"unknown classify subcommand {args.classify_cmd!r}")
-
-
-def _check_conjugacy_pair(x, y, fwd, inv, trail: list[str]) -> bool:
-    try:
-        if not similar(classify.apply_code(fwd, x), y):
-            trail.append("forward image not similar to target")
-            return False
-        if not similar(classify.apply_code(inv, y), x):
-            trail.append("inverse image not similar to source")
-            return False
-        if classify.composition_shift_offset(fwd, inv, x) is None:
-            trail.append("composition is not a shift")
-            return False
-    except EpshiftError as e:
-        trail.append(f"replay error: {e}")
-        return False
-    return True
 
 
 def cmd_verify(args) -> int:

@@ -4,7 +4,9 @@ Every check pits an operation against an independent route: the Bézout
 solver against an exhaustive range scan, the anomaly-size formula and the
 linear normal-form scan behind ``anomaly_size`` and ``canonical`` against
 the brute-force window search (criteria 2 and 4), the generators against
-the cutting-sequence construction, and every witness against a replayer.
+the cutting-sequence construction, and every witness against a replayer:
+``classify.check_conjugacy``, which ``conjugacy_witness`` runs on each
+witness it builds, and ``classify.verify_flow_witness``.
 Failures are recorded as re-parseable counterexamples; an empty failure
 list is a pass.
 
@@ -326,15 +328,11 @@ def check_window_lemmas(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
 
 
 def _witness_verifies(x: EPSeq, y: EPSeq) -> Optional[str]:
-    """Build a conjugacy witness for (x, y) and check it independently;
-    returns a failure reason or None."""
-    fwd, inv = classify.conjugacy_witness(x, y)
-    if not similar(classify.apply_code(fwd, x), y):
-        return "forward image not similar to target"
-    if not similar(classify.apply_code(inv, y), x):
-        return "inverse image not similar to source"
-    if classify.composition_shift_offset(fwd, inv, x) is None:
-        return "composition is not a shift"
+    """Build a conjugacy witness for (x, y), which `conjugacy_witness`
+    checks with `classify.check_conjugacy` (raising InternalMismatch on a
+    failure), and check that the forward code carries the periodic orbit
+    of x onto that of y; returns a failure reason or None."""
+    fwd, _ = classify.conjugacy_witness(x, y)
     img_per = classify.apply_code_to_periodic(fwd, remove_anomaly(x))
     target_per = remove_anomaly(y)
     n = target_per.least_period

@@ -1,6 +1,9 @@
 import pytest
 
 from epshift import verify
+from epshift.classify import ConjugacyMove, FlowWitness, SlidingBlockCode, apply_code, identity_code
+from epshift.sequences import make_ep
+from epshift.words import BINARY, word
 
 
 @pytest.fixture(scope="session")
@@ -12,3 +15,16 @@ def small_family():
 @pytest.fixture(scope="session")
 def random_family():
     return verify.random_instances(200, seed=0)
+
+
+@pytest.fixture
+def forged_factor_witness():
+    """(x, y, witness): a flow witness whose only move is a non-invertible
+    2-block code.  It outputs 1 only on the block 11, so it maps x with
+    period 01 (N=2) onto y = its image, of least period 1."""
+    x = make_ep(word("01"), word("11"))
+    code = SlidingBlockCode(
+        0, 1, tuple(((a, b), int(a == b == 1)) for a in (0, 1) for b in (0, 1)), BINARY, BINARY)
+    y = apply_code(code, x)
+    ident = identity_code(BINARY)
+    return x, y, FlowWitness((ConjugacyMove(code, y),), (), ident, ident)

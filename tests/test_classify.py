@@ -1,26 +1,28 @@
 import pytest
 
+from epshift import classify
 from epshift.classify import (
     ConjugacyMove,
     ExpandMove,
     FlowWitness,
     SlidingBlockCode,
+    _raise_anomaly_moves,
+    _raise_period_moves,
     apply_code,
     apply_code_to_periodic,
+    check_conjugacy,
     composition_shift_offset,
     conjugacy_witness,
     conjugate_ep,
-    contract_symbol,
     expand_symbol,
     flow_witness,
     identity_code,
-    raise_anomaly,
-    raise_period,
     skew_conjugacy_class,
     verify_flow_witness,
 )
 from epshift.errors import (
     DegenerateImage,
+    InternalMismatch,
     MissingBlock,
     NotConjugate,
     SymbolAbsent,
@@ -123,6 +125,39 @@ def test_witness_requires_matching_invariants():
         conjugacy_witness(skew(TYPE_S, 1, 2), skew(TYPE_S, 2, 1))
 
 
+def test_check_conjugacy_rejects_each_sabotage(monkeypatch):
+    x, y = skew(TYPE_S, 1, 2), skew(TYPE_SPRIME, 2, 1)
+    fwd, inv = conjugacy_witness(x, y)
+    assert check_conjugacy(x, y, fwd, inv, [])
+    ident = identity_code(BINARY)
+    # the identity maps each sequence to itself, not onto a shift of the other
+    for f, i, reason in (
+        (ident, inv, "forward image not similar to target"),
+        (fwd, ident, "inverse image not similar to source"),
+    ):
+        trail = []
+        assert not check_conjugacy(x, y, f, i, trail)
+        assert trail == [reason]
+    # codes commute with the shift, so inv∘fwd acts as a shift whenever both
+    # images are similar; only a failed shift search reaches the third reason
+    monkeypatch.setattr(classify, "composition_shift_offset", lambda f, i, s: None)
+    trail = []
+    assert not check_conjugacy(x, y, fwd, inv, trail)
+    assert trail == ["composition is not a shift"]
+
+
+def test_conjugacy_witness_raises_when_its_check_fails(monkeypatch):
+    x, y = skew(TYPE_S, 1, 2), skew(TYPE_SPRIME, 2, 1)
+
+    def failing_check(x, y, fwd, inv, trail):
+        trail.append("composition is not a shift")
+        return False
+
+    monkeypatch.setattr(classify, "check_conjugacy", failing_check)
+    with pytest.raises(InternalMismatch, match="composition is not a shift"):
+        conjugacy_witness(x, y)
+
+
 def test_witness_preserves_periodic_orbit():
     x, y = skew(TYPE_S, 1, 2), skew(TYPE_SPRIME, 2, 1)
     fwd, _ = conjugacy_witness(x, y)
@@ -207,9 +242,6 @@ def test_expand_symbol_examples():
     assert y.period_word.labels() == ("1", "0", fresh_y)
     assert y.anomaly.labels() == ("1",)
 
-    assert contract_symbol(x, fresh) == ep("0", "11")
-    assert contract_symbol(y, fresh_y) == ep("10", "1")
-
 
 def test_expand_symbol_absent():
     with pytest.raises(SymbolAbsent):
@@ -230,23 +262,23 @@ def test_expand_period_length_growth():
 # --- raises ------------------------------------------------------------------
 
 def test_raise_period_examples():
-    y = raise_period(ep("0", "11"))
+    y = _raise_period_moves(ep("0", "11"))[1]
     assert (least_period(y), anomaly_size(y)) == (2, 2)
-    z = raise_period(skew(TYPE_S, 1, 1))
+    z = _raise_period_moves(skew(TYPE_S, 1, 1))[1]
     assert (least_period(z), anomaly_size(z)) == (3, 1)
     for x in (ep("0", "1"), ep("110", "1"), skew(TYPE_SPRIME, 1, 2)):
-        assert least_period(raise_period(x)) == least_period(x) + 1
-        assert anomaly_size(raise_period(x)) == anomaly_size(x)
+        assert least_period(_raise_period_moves(x)[1]) == least_period(x) + 1
+        assert anomaly_size(_raise_period_moves(x)[1]) == anomaly_size(x)
 
 
 def test_raise_anomaly_examples():
-    y = raise_anomaly(ep("0", "1"))
+    y = _raise_anomaly_moves(ep("0", "1"))[1]
     assert (least_period(y), anomaly_size(y)) == (1, 2)
-    z = raise_anomaly(skew(TYPE_S, 1, 2))
+    z = _raise_anomaly_moves(skew(TYPE_S, 1, 2))[1]
     assert (least_period(z), anomaly_size(z)) == (3, 2)
     for x in (ep("0", "11"), ep("10", "1")):
-        assert least_period(raise_anomaly(x)) == least_period(x)
-        assert anomaly_size(raise_anomaly(x)) == anomaly_size(x) + 1
+        assert least_period(_raise_anomaly_moves(x)[1]) == least_period(x)
+        assert anomaly_size(_raise_anomaly_moves(x)[1]) == anomaly_size(x) + 1
 
 
 # --- flow witnesses ----------------------------------------------------------
@@ -301,6 +333,14 @@ def test_flow_witness_rejects_non_inverse_final_codes():
     trail = []
     assert not verify_flow_witness(x, y, sabotage, trail)
     assert any("inverse" in t or "mutually" in t for t in trail)
+
+
+def test_flow_witness_rejects_factor_map_move(forged_factor_witness):
+    x, y, forged = forged_factor_witness
+    assert y == ep("0", "11") and least_period(y) == 1
+    trail = []
+    assert not verify_flow_witness(x, y, forged, trail)
+    assert trail == ["chain_x[0]: conjugacy move changes the invariants"]
 
 
 def test_flow_witness_random_pairs_verify():

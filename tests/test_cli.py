@@ -1,12 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from epshift import jsonio
+from epshift.classify import identity_code
 from epshift.cli import main
 from epshift.sequences import make_ep, shift
 from epshift.verify import VerifyReport
-from epshift.words import word
+from epshift.words import BINARY, word
 
 
 def run(capsys, *argv):
@@ -127,7 +129,7 @@ def test_classify_flow_round_trip(tmp_path, capsys):
     assert code == 0 and obj["valid"] is True
 
     # tamper with the recorded witness: drop the last move of chain_y
-    raw = json.loads(open(wfile).read())
+    raw = json.loads(Path(wfile).read_text())
     if raw["chain_y"]:
         raw["chain_y"] = raw["chain_y"][:-1]
     else:
@@ -135,6 +137,25 @@ def test_classify_flow_round_trip(tmp_path, capsys):
     (tmp_path / "bad.json").write_text(json.dumps(raw))
     code, obj = run(capsys, "classify", "check-witness", a, b, str(tmp_path / "bad.json"))
     assert code == 1 and obj["valid"] is False
+
+
+def test_check_witness_rejects_factor_map_flow_witness(tmp_path, capsys, forged_factor_witness):
+    x, y, forged = forged_factor_witness
+    a = write_ep(tmp_path / "a.json", x)
+    b = write_ep(tmp_path / "b.json", y)
+    (tmp_path / "fw.json").write_text(json.dumps(jsonio.emit_flow_witness(forged)))
+    code, obj = run(capsys, "classify", "check-witness", a, b, str(tmp_path / "fw.json"))
+    assert code == 1 and obj["valid"] is False and obj["trail"]
+
+
+def test_check_witness_rejects_empty_code_table(tmp_path, capsys):
+    a = write_ep(tmp_path / "a.json", make_ep(word("0"), word("11")))
+    ident = jsonio.emit_code(identity_code(BINARY))
+    empty = dict(ident, memory=10**7, table=[])
+    (tmp_path / "w.json").write_text(json.dumps(
+        {"format": "conjugacy/1", "forward": empty, "inverse": ident}))
+    code, obj = run(capsys, "classify", "check-witness", a, a, str(tmp_path / "w.json"))
+    assert code == 2 and obj["error"]["kind"] == "ValueError"
 
 
 def test_missing_file_exits_2(capsys):

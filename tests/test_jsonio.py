@@ -26,9 +26,9 @@ def test_epseq_round_trip():
 
 
 def test_epseq_round_trip_with_minted_symbols():
-    from epshift.classify import raise_period
+    from epshift.classify import expand_symbol
 
-    x = raise_period(ep("0", "11"))
+    x, _ = expand_symbol(ep("0", "11"), "1")
     assert jsonio.parse_epseq(jsonio.emit_epseq(x)) == x
 
 
@@ -77,6 +77,14 @@ def test_multichar_labels_use_bracket_syntax():
     obj = jsonio.emit_epseq(x)
     assert obj["anomaly"] == "[1,x0']"
     assert jsonio.parse_epseq(obj) == x
+
+
+def test_code_with_empty_table_is_rejected():
+    # an empty table would let the declared memory size the replay buffer
+    obj = {"format": "sbc/1", "memory": 10**7, "anticipation": 0,
+           "source_alphabet": ["0", "1"], "target_alphabet": ["0", "1"], "table": []}
+    with pytest.raises(ValueError, match="empty"):
+        jsonio.parse_code(obj)
 
 
 def test_format_tag_is_checked():
