@@ -6,7 +6,7 @@ checkable witnesses for conjugacy and flow equivalence, and generators for
 skew Sturmian sequences of rational frequency.  All arithmetic is exact.
 """
 
-from .bezout import BezoutPair, restricted_bezout, swapped_pair
+from .bezout import BezoutPair, restricted_bezout
 from .classify import (
     ConjugacyMove,
     ExpandMove,
@@ -15,7 +15,6 @@ from .classify import (
     apply_code,
     apply_code_to_periodic,
     check_conjugacy,
-    composition_shift_offset,
     conjugacy_witness,
     conjugate_ep,
     expand_symbol,
@@ -32,15 +31,12 @@ from .sequences import (
     anomaly_size,
     anomaly_windows,
     canonical,
-    enumerate_blocks,
-    first_defect,
     least_period,
     make_ep,
     remove_anomaly,
     remove_window,
     shift,
     similar,
-    symbol_at,
     window,
 )
 from .sturmian import (
@@ -62,7 +58,6 @@ from .words import (
     BINARY,
     Alphabet,
     Word,
-    count_symbol,
     is_balanced_chains,
     is_primitive,
     primitive_root,

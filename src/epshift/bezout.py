@@ -63,9 +63,3 @@ def _egcd(q: int, p: int) -> tuple[int, int]:
         old_x, x = x, old_x - k * x
         old_y, y = y, old_y - k * y
     return old_x, old_y
-
-
-def swapped_pair(bp: BezoutPair) -> BezoutPair:
-    """The restricted Bézout coefficients for the swapped inputs (p, q):
-    (a', b') = (p - b, q - a).  An involution."""
-    return BezoutPair(q=bp.p, p=bp.q, a=bp.p - bp.b, b=bp.q - bp.a)

@@ -42,7 +42,8 @@ def _field(d: dict, key: str, fmt: str, kind: type = object) -> Any:
     if key not in d:
         raise MalformedInput(f"{fmt} value has no {key!r} key")
     value = d[key]
-    if not isinstance(value, kind):
+    # bool subclasses int, but a JSON true or false is not a number
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise MalformedInput(
             f"{fmt} key {key!r} must be a {kind.__name__}, got {type(value).__name__}"
         )

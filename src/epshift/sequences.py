@@ -68,9 +68,6 @@ class PeriodicSeq:
         n = len(self.period_word)
         return self.period_word.symbols[(k + self.phase) % n]
 
-    def symbol_at(self, k: int) -> str:
-        return self.period_word.alphabet.labels[self.symbol_id_at(k)]
-
     def window(self, i: int, j: int) -> Word:
         if i > j:
             raise ValueError(f"window requires i <= j, got {i} > {j}")
@@ -249,11 +246,6 @@ def _normal_form(x: EPSeq, prefer: int = 0) -> _Scan:
     return scan
 
 
-def symbol_at(x: EPSeq, k: int) -> str:
-    """The symbol label of the sequence at index k."""
-    return x.alphabet.labels[x.symbol_id_at(k)]
-
-
 def window(x: EPSeq, i: int, j: int) -> Word:
     """The word x_i x_{i+1} ... x_j (inclusive)."""
     if i > j:
@@ -383,29 +375,7 @@ def shift(x: EPSeq, k: int) -> EPSeq:
     viewing window right: result_i = x_{i+k}).
 
     Exact whenever the shifted sequence is anchored-representable, that is
-    for k <= first_defect(x); otherwise the shift by first_defect(x), the
-    nearest representable one, is returned.
+    for k <= d, the first index where x departs from its left tail;
+    otherwise the shift by d, the nearest representable one, is returned.
     """
     return _normal_form(x, k).anchor(k)
-
-
-def enumerate_blocks(x: EPSeq, n: int) -> set[Word]:
-    """All length-n words allowed in the subshift generated by x: every
-    window overlapping the anomaly plus all blocks of the periodic part."""
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    N = len(x.period_word)
-    vl = len(x.anomaly)
-    return {window(x, s, s + n - 1) for s in range(-n - N, vl + N + 1)}
-
-
-def first_defect(x: EPSeq) -> int:
-    """Smallest index k >= 0 where x differs from the extension of its left
-    periodic tail.  Exists for every (non-degenerate) EPSeq."""
-    return _normal_form(x).defect
-
-
-def extended_anomaly_windows(x: EPSeq, extra_start: int, extra_len: int) -> list[AnomalyWindow]:
-    """Window search with enlarged bounds; used to property-test that the
-    standard bounds never miss a window shorter than anomaly_size(x)."""
-    return _window_search(x, extra_start, extra_len)

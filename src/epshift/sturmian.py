@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from math import gcd
 
@@ -225,7 +224,6 @@ def _beam_word(cs: CellSeries, n_from: int, n_to: int) -> Word:
     return _join(cs.cell(n) for n in range(n_from, n_to + 1))
 
 
-@lru_cache(maxsize=None)
 def skew_sturmian(spec: SturmianSpec) -> EPSeq:
     """The eventually periodic sequence generated by the spec, as an EPSeq
     equal to the cell-series expansion up to similarity.

@@ -1,12 +1,14 @@
 """Exhaustive small-instance verification of the classification theorems.
 
 Every check pits an operation against an independent route: the Bézout
-solver against an exhaustive range scan, the anomaly-size formula and the
-linear normal-form scan behind ``anomaly_size`` and ``canonical`` against
-the brute-force window search (criteria 2 and 4), the generators against
-the cutting-sequence construction, and every witness against a replayer:
-``classify.check_conjugacy``, which ``conjugacy_witness`` runs on each
-witness it builds, and ``classify.verify_flow_witness``.
+solver against an exhaustive range scan and against itself on swapped
+inputs (criterion 1), the anomaly-size formula and the linear normal-form
+scan behind ``anomaly_size`` and ``canonical`` against the brute-force
+window search (criteria 2 and 4), the generators against the
+cutting-sequence construction, and every witness against a replayer:
+``classify.check_conjugacy``, which accepts a code pair when each code's
+image is similar to the other sequence and which ``conjugacy_witness``
+runs on each witness it builds, and ``classify.verify_flow_witness``.
 Failures are recorded as re-parseable counterexamples; an empty failure
 list is a pass.
 
@@ -194,8 +196,9 @@ def _timed(tag: str, bounds: dict, body: Callable[[list[dict]], int]) -> Theorem
 
 
 def check_bezout_oracle(max_sum: int = 200) -> TheoremCheck:
-    """Criterion 1: restricted Bézout vs exhaustive scan, uniqueness, and
-    coprimality of a+b with p+q."""
+    """Criterion 1: restricted Bézout vs exhaustive scan, uniqueness,
+    coprimality of a+b with p+q, and the swapped-input involution: the
+    coefficients for (p, q) are (a', b') = (p - b, q - a)."""
 
     def body(failures: list[dict]) -> int:
         checked = 0
@@ -207,10 +210,14 @@ def check_bezout_oracle(max_sum: int = 200) -> TheoremCheck:
                 if num % q == 0 and 0 < num // q <= p:
                     sols.append((a, num // q))
             bp = restricted_bezout(q, p)
+            sw = restricted_bezout(p, q)
             if sols != [(bp.a, bp.b)]:
                 failures.append({"q": q, "p": p, "oracle": sols, "got": [bp.a, bp.b]})
             elif gcd(bp.a + bp.b, p + q) != 1:
                 failures.append({"q": q, "p": p, "reason": "gcd(a+b, p+q) != 1"})
+            elif (sw.a, sw.b) != (p - bp.b, q - bp.a):
+                failures.append({"q": q, "p": p, "reason": "swapped inputs do not give "
+                                 "(p - b, q - a)", "got": [sw.a, sw.b]})
         return checked
 
     return _timed("bezout-oracle", {"max_period_sum": max_sum}, body)

@@ -22,13 +22,22 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Alphabet:
-    """An ordered tuple of pairwise-distinct symbol labels."""
+    """An ordered tuple of pairwise-distinct symbol labels.
+
+    A label is a non-empty string without '[', ']' or ',', the characters
+    of the bracketed word literal, so every word literal parses back to
+    the word it was written from.
+    """
 
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.labels:
             raise ValueError("alphabet must be non-empty")
+        for lbl in self.labels:
+            if not isinstance(lbl, str) or not lbl or any(c in lbl for c in "[],"):
+                raise ValueError(f"symbol label {lbl!r} is not a non-empty string "
+                                 "without '[', ']' or ','")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate labels in alphabet: {self.labels}")
 
@@ -160,12 +169,6 @@ def is_primitive(w: Word) -> bool:
     if len(w) == 0:
         raise EmptyWord("the empty word is not classified")
     return primitive_root(w)[1] == 1
-
-
-def count_symbol(w: Word, label: str) -> int:
-    """Number of occurrences of the symbol with the given label in w."""
-    s = w.alphabet.index(label)
-    return w.symbols.count(s)
 
 
 def _cell_zero_count(cell: Word) -> int:

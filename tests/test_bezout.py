@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epshift.bezout import BezoutPair, restricted_bezout, swapped_pair
+from epshift.bezout import BezoutPair, restricted_bezout
 from epshift.errors import InputTooLarge, NonPositive, NotCoprime
 
 
@@ -19,9 +19,10 @@ def test_spec_examples():
 
 
 def test_swapped_pair_examples():
-    assert swapped_pair(restricted_bezout(2, 5)) == BezoutPair(q=5, p=2, a=2, b=1)
-    assert swapped_pair(restricted_bezout(1, 1)) == BezoutPair(q=1, p=1, a=0, b=1)
-    assert swapped_pair(restricted_bezout(3, 5)) == BezoutPair(q=5, p=3, a=3, b=2)
+    # the coefficients for the swapped inputs (p, q) are (p - b, q - a)
+    assert restricted_bezout(5, 2) == BezoutPair(q=5, p=2, a=2, b=1)
+    assert restricted_bezout(1, 1) == BezoutPair(q=1, p=1, a=0, b=1)
+    assert restricted_bezout(5, 3) == BezoutPair(q=5, p=3, a=3, b=2)
 
 
 def test_swapped_pair_is_involution():
@@ -29,8 +30,8 @@ def test_swapped_pair_is_involution():
         for q in range(1, s):
             p = s - q
             if gcd(p, q) == 1:
-                bp = restricted_bezout(q, p)
-                assert swapped_pair(swapped_pair(bp)) == bp
+                bp, sw = restricted_bezout(q, p), restricted_bezout(p, q)
+                assert (sw.a, sw.b) == (p - bp.b, q - bp.a)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

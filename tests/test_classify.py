@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from epshift import classify
 from epshift.classify import (
@@ -11,7 +15,6 @@ from epshift.classify import (
     apply_code,
     apply_code_to_periodic,
     check_conjugacy,
-    composition_shift_offset,
     conjugacy_witness,
     conjugate_ep,
     expand_symbol,
@@ -22,6 +25,8 @@ from epshift.classify import (
 )
 from epshift.errors import (
     DegenerateImage,
+    DegeneratePeriodic,
+    EpshiftError,
     InternalMismatch,
     MissingBlock,
     NotConjugate,
@@ -44,7 +49,7 @@ from epshift.sturmian import (
     skew_sturmian,
     symbol_reverse,
 )
-from epshift.words import Alphabet, BINARY, rotate, word
+from epshift.words import Alphabet, BINARY, Word, rotate, word
 
 
 def ep(w, v):
@@ -96,7 +101,7 @@ def test_identity_witness():
     fwd, inv = conjugacy_witness(x, x)
     assert fwd.memory == fwd.anticipation == 0
     assert apply_code(fwd, x) == x
-    assert composition_shift_offset(fwd, inv, x) == 0
+    assert check_conjugacy(x, x, fwd, inv, [])
 
 
 def test_witness_between_reciprocal_types():
@@ -107,7 +112,7 @@ def test_witness_between_reciprocal_types():
     # the one-block symbol swap is also a witness here
     sw = swap_code()
     assert similar(apply_code(sw, x), y)
-    assert composition_shift_offset(sw, sw, x) == 0
+    assert check_conjugacy(x, y, sw, sw, [])
 
 
 def test_witness_across_disjoint_alphabets():
@@ -125,7 +130,7 @@ def test_witness_requires_matching_invariants():
         conjugacy_witness(skew(TYPE_S, 1, 2), skew(TYPE_S, 2, 1))
 
 
-def test_check_conjugacy_rejects_each_sabotage(monkeypatch):
+def test_check_conjugacy_rejects_each_sabotage():
     x, y = skew(TYPE_S, 1, 2), skew(TYPE_SPRIME, 2, 1)
     fwd, inv = conjugacy_witness(x, y)
     assert check_conjugacy(x, y, fwd, inv, [])
@@ -138,24 +143,124 @@ def test_check_conjugacy_rejects_each_sabotage(monkeypatch):
         trail = []
         assert not check_conjugacy(x, y, f, i, trail)
         assert trail == [reason]
-    # codes commute with the shift, so inv∘fwd acts as a shift whenever both
-    # images are similar; only a failed shift search reaches the third reason
-    monkeypatch.setattr(classify, "composition_shift_offset", lambda f, i, s: None)
-    trail = []
-    assert not check_conjugacy(x, y, fwd, inv, trail)
-    assert trail == ["composition is not a shift"]
 
 
 def test_conjugacy_witness_raises_when_its_check_fails(monkeypatch):
     x, y = skew(TYPE_S, 1, 2), skew(TYPE_SPRIME, 2, 1)
 
     def failing_check(x, y, fwd, inv, trail):
-        trail.append("composition is not a shift")
+        trail.append("inverse image not similar to source")
         return False
 
     monkeypatch.setattr(classify, "check_conjugacy", failing_check)
-    with pytest.raises(InternalMismatch, match="composition is not a shift"):
+    with pytest.raises(InternalMismatch, match="inverse image not similar to source"):
         conjugacy_witness(x, y)
+
+
+# --- the two-image check against the three-part check ------------------------
+
+def _composition_offset(fwd, inv, x):
+    """The third test of the three-part check, written pointwise: the t in
+    [-span, span] with inv(fwd(x))_i = x_{i+t} for |i| <= 3N + |v|, or
+    None."""
+    n = least_period(x)
+    h = 3 * n + len(x.anomaly)
+    span = fwd.memory + fwd.anticipation + inv.memory + inv.anticipation + n
+    mid = {
+        j: fwd.out(tuple(x.symbol_id_at(k)
+                         for k in range(j - fwd.memory, j + fwd.anticipation + 1)))
+        for j in range(-h - inv.memory, h + inv.anticipation + 1)
+    }
+    psi = [inv.out(tuple(mid[j] for j in range(i - inv.memory, i + inv.anticipation + 1)))
+           for i in range(-h, h + 1)]
+    for t in range(-span, span + 1):
+        if all(psi[i + h] == x.symbol_id_at(i + t) for i in range(-h, h + 1)):
+            return t
+    return None
+
+
+def _three_part_check(x, y, fwd, inv):
+    """The three-part check: the reason it rejects the pair, or None."""
+    try:
+        if not similar(apply_code(fwd, x), y):
+            return "forward image not similar to target"
+        if not similar(apply_code(inv, y), x):
+            return "inverse image not similar to source"
+        if _composition_offset(fwd, inv, x) is None:
+            return "composition is not a shift"
+    except EpshiftError as e:
+        return f"replay error: {e}"
+    return None
+
+
+@st.composite
+def conjugacy_cases(draw):
+    """(x, y, fwd, inv) over 2 or 3 letters with random total codes of
+    memory <= 1 and anticipation <= 2.  y is a random sequence, the forward
+    image of x, or that image with inv replaced by a built witness code."""
+    k = draw(st.integers(2, 3))
+    alphabet = Alphabet(("a", "b", "c")[:k])
+
+    def seq():
+        w = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4))
+        v = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=6))
+        try:
+            return make_ep(Word(tuple(w), alphabet), Word(tuple(v), alphabet))
+        except DegeneratePeriodic:
+            assume(False)
+
+    def code():
+        m, a = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+        blocks = list(itertools.product(range(k), repeat=m + a + 1))
+        outs = draw(st.lists(st.integers(0, k - 1), min_size=len(blocks), max_size=len(blocks)))
+        return SlidingBlockCode(m, a, tuple(zip(blocks, outs)), alphabet, alphabet)
+
+    x, fwd, inv = seq(), code(), code()
+    mode = draw(st.sampled_from(["random", "image", "witness"]))
+    if mode == "random":
+        return x, seq(), fwd, inv
+    try:
+        y = apply_code(fwd, x)
+    except DegenerateImage:
+        return x, seq(), fwd, inv
+    if mode == "witness" and conjugate_ep(x, y):
+        inv = conjugacy_witness(y, x)[0]
+    return x, y, fwd, inv
+
+
+def _witnessed(x, y):
+    return (x, y, *conjugacy_witness(x, y))
+
+
+ABC = Alphabet(("a", "b", "c"))
+WITNESSED = [
+    _witnessed(skew(TYPE_S, 1, 2), skew(TYPE_SPRIME, 2, 1)),
+    _witnessed(ep("0", "1"), ep("0", "111")),
+    _witnessed(ep("01", "1"), ep("01", "111")),
+    _witnessed(make_ep(word("ab", ABC), word("cc", ABC)),
+               make_ep(word("ba", ABC), word("bcca", ABC))),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(conjugacy_cases())
+@example(WITNESSED[0])
+@example(WITNESSED[1])
+@example(WITNESSED[2])
+@example(WITNESSED[3])
+def test_check_conjugacy_matches_three_part_check(case):
+    x, y, fwd, inv = case
+    reason = _three_part_check(x, y, fwd, inv)
+    trail = []
+    assert check_conjugacy(x, y, fwd, inv, trail) == (reason is None)
+    assert trail == ([] if reason is None else [reason])
+
+
+def test_witnessed_examples_reach_the_shift_search():
+    for x, y, fwd, inv in WITNESSED:
+        assert x != y
+        assert similar(apply_code(fwd, x), y) and similar(apply_code(inv, y), x)
+        assert _composition_offset(fwd, inv, x) is not None
 
 
 def test_witness_preserves_periodic_orbit():
@@ -216,7 +321,7 @@ def test_witness_with_anomaly_lengths_differing_by_periods():
         fwd, inv = conjugacy_witness(x, y)
         assert similar(apply_code(fwd, x), y)
         assert similar(apply_code(inv, y), x)
-        assert composition_shift_offset(fwd, inv, x) is not None
+        assert check_conjugacy(x, y, fwd, inv, [])
 
 
 def test_apply_code_missing_block():

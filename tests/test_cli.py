@@ -175,6 +175,15 @@ def test_malformed_epseq_exits_2(tmp_path, capsys):
         assert code == 2 and out["error"]["kind"] == "MalformedInput", obj
 
 
+def test_labels_that_break_word_literals_exit_2(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    for alphabet, period, anomaly in ((["a,b", "a", "b"], "[a,b]", "[a]"), (["[", "]"], "[", "]")):
+        f.write_text(json.dumps(
+            {"format": "epseq/1", "alphabet": alphabet, "period": period, "anomaly": anomaly}))
+        code, out = run(capsys, "ep", "anomaly-size", str(f))
+        assert code == 2 and out["error"]["kind"] == "ValueError", alphabet
+
+
 def test_verify_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("SUBSHIFT_SEED", "3")
     code = main(["verify", "--max-period-sum", "2"])

@@ -79,6 +79,15 @@ def test_multichar_labels_use_bracket_syntax():
     assert jsonio.parse_epseq(obj) == x
 
 
+def test_labels_that_break_word_literals_are_rejected():
+    # with "a,b" a label, the period word "[a,b]" of one symbol would parse
+    # back as the two symbols a and b (least period 2 instead of 1)
+    for alphabet, period in ((["a,b", "a", "b"], "[a,b]"), (["[", "]"], "[]")):
+        obj = {"format": "epseq/1", "alphabet": alphabet, "period": period, "anomaly": "[a]"}
+        with pytest.raises(ValueError, match="label"):
+            jsonio.parse_epseq(obj)
+
+
 def test_code_with_empty_table_is_rejected():
     # an empty table would let the declared memory size the replay buffer
     obj = {"format": "sbc/1", "memory": 10**7, "anticipation": 0,
@@ -106,6 +115,14 @@ def test_missing_keys_and_wrong_types_raise_malformed_input():
                              "source_alphabet": ["0"], "target_alphabet": ["0"], "table": [[0, "0"]]}),
         (jsonio.parse_code, {"format": "sbc/1", "memory": None, "anticipation": 0,
                              "source_alphabet": ["0"], "target_alphabet": ["0"], "table": []}),
+        (jsonio.parse_code, {"format": "sbc/1", "memory": True, "anticipation": 0,
+                             "source_alphabet": ["0"], "target_alphabet": ["0"],
+                             "table": [["00", "0"]]}),
+        (jsonio.parse_code, {"format": "sbc/1", "memory": 0, "anticipation": False,
+                             "source_alphabet": ["0"], "target_alphabet": ["0"],
+                             "table": [["0", "0"]]}),
+        (jsonio.parse_perseq, {"format": "perseq/1", "alphabet": ["0", "1"],
+                               "period": "01", "phase": True}),
         (jsonio.parse_conjugacy, {"format": "conjugacy/1"}),
         (jsonio.parse_flow_witness, {"format": "flowwitness/1", "chain_x": [], "chain_y": [{}]}),
     ]

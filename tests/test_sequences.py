@@ -5,22 +5,19 @@ from hypothesis import strategies as st
 from epshift.errors import DegeneratePeriodic, IncompatibleAlphabets
 from epshift.sequences import (
     _normal_form,
+    _window_search,
     AnomalyWindow,
     EPSeq,
     PeriodicSeq,
     anomaly_size,
     anomaly_windows,
     canonical,
-    enumerate_blocks,
-    extended_anomaly_windows,
-    first_defect,
     least_period,
     make_ep,
     remove_anomaly,
     remove_window,
     shift,
     similar,
-    symbol_at,
     window,
 )
 from epshift.words import Alphabet, BINARY, Word, word
@@ -56,9 +53,7 @@ def test_make_ep_rejects_mixed_alphabets():
 
 def test_symbol_at_examples():
     x = ep("110", "1")
-    assert symbol_at(x, -1) == "0"
-    assert symbol_at(x, 0) == "1"
-    assert symbol_at(x, 1) == "1"
+    assert [x.symbol_id_at(k) for k in (-1, 0, 1)] == list(word("011").symbols)
 
 
 def test_window_examples():
@@ -77,17 +72,17 @@ def test_shift_identity_and_negative_exactness():
     for k in range(-6, 1):
         y = shift(x, k)
         for i in range(-10, 10):
-            assert symbol_at(y, i) == symbol_at(x, i + k)
+            assert y.symbol_id_at(i) == x.symbol_id_at(i + k)
 
 
 def test_shift_exact_up_to_first_defect():
     x = ep("01", "01011")
-    d = first_defect(x)
+    d = _normal_form(x).defect
     assert d == 4
     for k in range(0, d + 1):
         y = shift(x, k)
         for i in range(-10, 12):
-            assert symbol_at(y, i) == symbol_at(x, i + k)
+            assert y.symbol_id_at(i) == x.symbol_id_at(i + k)
 
 
 def test_shift_round_trip_when_representable():
@@ -101,7 +96,7 @@ def test_shift_by_minus_period_absorbs_one_period():
     y = shift(x, -3)
     assert y == EPSeq(word("110"), word("1101"))
     for i in range(-8, 8):
-        assert symbol_at(y, i) == symbol_at(x, i - 3)
+        assert y.symbol_id_at(i) == x.symbol_id_at(i - 3)
 
 
 def test_shift_always_yields_similar_sequence(small_family):
@@ -132,7 +127,7 @@ def test_remove_window_examples():
     r3 = remove_window(ep("110", "1"), AnomalyWindow(0, 1))
     assert isinstance(r3, PeriodicSeq) and r3.period_word.text == "110"
     # phase aligned with the left tail
-    assert r3.symbol_at(-1) == symbol_at(ep("110", "1"), -1)
+    assert r3.symbol_id_at(-1) == ep("110", "1").symbol_id_at(-1)
 
 
 def test_anomaly_windows_examples():
@@ -179,7 +174,7 @@ def test_extended_search_never_finds_shorter_windows(small_family, random_family
     for x in list(small_family[::41]) + list(random_family[::17]):
         n = least_period(x)
         base = anomaly_size(x)
-        wide = extended_anomaly_windows(x, 2 * n, 2 * n)
+        wide = _window_search(x, 2 * n, 2 * n)
         assert min(w.length for w in wide) == base
 
 
@@ -227,7 +222,7 @@ def _similar_oracle(x, y):
     vl = max(len(x.anomaly), len(y.anomaly))
     reach = 4 * n + vl
     for k in range(-(2 * n + vl), 2 * n + vl + 1):
-        if all(symbol_at(x, i + k) == symbol_at(y, i) for i in range(-reach, reach + 1)):
+        if all(x.symbol_id_at(i + k) == y.symbol_id_at(i) for i in range(-reach, reach + 1)):
             return True
     return False
 
@@ -265,15 +260,6 @@ def test_similar_requires_same_alphabet():
     y = make_ep(word("a", other), word("b", other))
     with pytest.raises(IncompatibleAlphabets):
         similar(ep("0", "1"), y)
-
-
-# --- blocks ------------------------------------------------------------------
-
-def test_enumerate_blocks_examples():
-    texts = lambda s: {w.text for w in s}
-    assert texts(enumerate_blocks(ep("0", "1"), 1)) == {"0", "1"}
-    assert texts(enumerate_blocks(ep("0", "1"), 2)) == {"00", "01", "10"}
-    assert texts(enumerate_blocks(ep("10", "1"), 2)) == {"10", "01", "11"}
 
 
 # --- lemma-level properties on the quantified family -------------------------

@@ -19,7 +19,7 @@ from epshift.sturmian import (
     skew_sturmian,
     symbol_reverse,
 )
-from epshift.words import count_symbol, word
+from epshift.words import word
 
 
 def spec_S(q, p, m=0):
@@ -70,8 +70,8 @@ def test_cutting_sequence_zero_ratio():
     # whole periods away from the anomaly carry exactly q zeros per p cells
     for q, p in ((1, 2), (2, 3), (3, 5)):
         w = cutting_sequence(spec_S(q, p), 1, 3 * p)
-        assert count_symbol(w, "0") == 3 * q
-        assert count_symbol(w, "1") == 3 * p
+        assert w.symbols.count(0) == 3 * q
+        assert w.symbols.count(1) == 3 * p
 
 
 def test_skew_sturmian_examples():
@@ -148,5 +148,5 @@ def test_period_word_symbol_counts():
         for mk in (spec_S, spec_Sp):
             x = skew_sturmian(mk(q, p, m))
             assert least_period(x) == p + q
-            assert count_symbol(x.period_word, "0") == q
-            assert count_symbol(x.period_word, "1") == p
+            assert x.period_word.symbols.count(0) == q
+            assert x.period_word.symbols.count(1) == p

@@ -9,7 +9,6 @@ from epshift.words import (
     BINARY,
     Alphabet,
     Word,
-    count_symbol,
     is_balanced_chains,
     is_primitive,
     primitive_root,
@@ -76,14 +75,6 @@ def test_doubling_occurrence_characterizes_primitivity():
             assert (occurrences == 2) == is_primitive(Word(bits, BINARY))
 
 
-def test_count_symbol_examples():
-    assert count_symbol(word("10100"), "0") == 3
-    assert count_symbol(word(""), "0") == 0
-    assert count_symbol(word("110"), "1") == 2
-    with pytest.raises(UnknownSymbol):
-        count_symbol(word("110"), "2")
-
-
 def test_balanced_chains_examples():
     assert is_balanced_chains([word("10"), word("1"), word("10")])
     assert not is_balanced_chains([word("100"), word("1")])
@@ -109,9 +100,15 @@ def test_word_literals_round_trip():
 def test_alphabet_validation_and_minting():
     with pytest.raises(ValueError):
         Alphabet(("0", "0"))
+    # "[a,b]" over ("a,b", "a", "b") would read back as two symbols, and a
+    # word over ("[", "]") would read back as a bracketed literal
+    for labels in (("a,b", "a", "b"), ("[", "]"), ("a]",), ("",), (0, 1), ("a", None)):
+        with pytest.raises(ValueError, match="label"):
+            Alphabet(labels)
     a = BINARY
     assert a.mint_label() == "x0'"
     b = a.extend("x0'")
     assert b.mint_label() == "x1'"
     with pytest.raises(UnknownSymbol):
         word("2")
+
