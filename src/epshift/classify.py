@@ -102,15 +102,11 @@ def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
     DegenerateImage if the image is periodic (in which case the code
     cannot be a conjugacy witness for x).
     """
-    if x.alphabet != code.source_alphabet:
-        raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
+    root = apply_code_to_periodic(code, PeriodicSeq(x.period_word, 0)).period_word
     mm, aa = code.memory, code.anticipation
     blen = code.block_length
     n = least_period(x)
     vl = len(x.anomaly)
-    wbuf = _tiled(x.period_word.symbols, -mm, n + blen - 1)
-    per_img = tuple(code.out(wbuf[i:i + blen]) for i in range(n))
-    root, _ = primitive_root(Word(per_img, code.target_alphabet))
 
     # The image is root-periodic left of -aa and, at phase |v|, right of
     # |v| + mm; the buffer covers both guards with a 2N margin.
@@ -126,6 +122,8 @@ def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
 
 def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSeq:
     """Image of a periodic sequence under the code (always periodic)."""
+    if p.period_word.alphabet != code.source_alphabet:
+        raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
     blen = code.block_length
     n = p.least_period
     wbuf = _tiled(p.period_word.symbols, p.phase - code.memory, n + blen - 1)
@@ -153,16 +151,31 @@ def _build_block_map(src: EPSeq, dst: EPSeq, k: int) -> Optional[SlidingBlockCod
     return SlidingBlockCode(k, k, entries, src.alphabet, dst.alphabet)
 
 
-def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBlockCode]:
-    """A (forward, inverse) pair of sliding block codes witnessing the
-    conjugacy of the subshifts of x and y.
+def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
+    """A block map sending the canonical sequence src onto the canonical
+    sequence dst, aligned at their anomaly anchors.
 
-    Built by aligning the canonical forms at their anomaly anchors and
-    reading the aligned target symbol; the window radius starts at the
-    longer anomaly length and grows by N on a table conflict, up to
-    |u| + |v| + 4N (exceeding the cap would contradict the existence
-    theorem, so it raises WindowExhausted).
+    The window radius starts at the longer anomaly length and grows by N
+    on a table conflict, up to |u| + |v| + 4N (exceeding the cap would
+    contradict the existence theorem, so it raises WindowExhausted).
     """
+    n = least_period(src)
+    lu, lv = len(src.anomaly), len(dst.anomaly)
+    cap = lu + lv + 4 * n
+    k = max(lu, lv)
+    while k <= cap:
+        code = _build_block_map(src, dst, k)
+        if code is not None:
+            return code
+        k += n
+    raise WindowExhausted(
+        f"no consistent block map with radius <= {cap}; this contradicts "
+        "the existence theorem and indicates a bug"
+    )
+
+
+def _build_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBlockCode]:
+    """The (forward, inverse) code pair of `conjugacy_witness`, unchecked."""
     if not conjugate_ep(x, y):
         raise NotConjugate(
             f"invariants differ: (N={least_period(x)}, a={anomaly_size(x)}) vs "
@@ -172,24 +185,15 @@ def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBloc
         code = identity_code(x.alphabet)
         return code, code
     cx, cy = canonical(x), canonical(y)
-    n = least_period(cx)
-    lu, lv = len(cx.anomaly), len(cy.anomaly)
-    cap = lu + lv + 4 * n
+    return _witness_code(cx, cy), _witness_code(cy, cx)
 
-    def build(src, dst):
-        k = max(lu, lv)
-        while k <= cap:
-            code = _build_block_map(src, dst, k)
-            if code is not None:
-                return code
-            k += n
-        raise WindowExhausted(
-            f"no consistent block map with radius <= {cap}; this contradicts "
-            "the existence theorem and indicates a bug"
-        )
 
-    fwd = build(cx, cy)
-    inv = build(cy, cx)
+def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBlockCode]:
+    """A (forward, inverse) pair of sliding block codes witnessing the
+    conjugacy of the subshifts of x and y, each read off the aligned
+    canonical forms by `_witness_code` and checked by `check_conjugacy`
+    (a failure raises InternalMismatch)."""
+    fwd, inv = _build_witness(x, y)
     trail: list[str] = []
     if not check_conjugacy(x, y, fwd, inv, trail):
         raise InternalMismatch(f"built witness fails its check: {trail[0]}")
@@ -274,63 +278,41 @@ class ExpandMove:
 FlowMove = Union[ConjugacyMove, ExpandMove]
 
 
-@lru_cache(maxsize=None)
-def _raise_period_moves(x: EPSeq) -> tuple[tuple[FlowMove, ...], EPSeq]:
+@lru_cache(maxsize=4096)
+def _raise_moves(x: EPSeq, in_period: bool) -> tuple[tuple[FlowMove, ...], EPSeq]:
     """Flow moves from x to a sequence with least period N+1 and unchanged
-    anomaly size: replace the last letter of the period word with a fresh
-    symbol everywhere the period word occurs (a conjugacy), then expand
-    that fresh symbol (one occurrence per period, none in the anomaly)."""
+    anomaly size (in_period) or with unchanged least period and anomaly
+    size a(x)+1: replace the last letter of the period word (or of the
+    minimal anomaly) with a fresh symbol, a conjugacy, then expand that
+    fresh symbol, which occurs once per period and not in the anomaly (or
+    only in the anomaly).  The move carries the forward code alone; flow
+    replay checks it."""
     c = canonical(x)
-    n = least_period(c)
-    size = len(c.anomaly)
+    n, size = least_period(c), len(c.anomaly)
     primed_label = c.alphabet.mint_label()
     bigger = c.alphabet.extend(primed_label)
-    bp = bigger.index(primed_label)
-    w1 = Word(c.period_word.symbols[:-1] + (bp,), bigger)
-    x_a = EPSeq(w1, Word(c.anomaly.symbols, bigger))
-    if not conjugate_ep(c, x_a):
+    mark = (bigger.index(primed_label),)
+    w, u = c.period_word.symbols, c.anomaly.symbols
+    if in_period:
+        w = w[:-1] + mark
+    else:
+        u = u[:-1] + mark
+    primed = EPSeq(Word(w, bigger), Word(u, bigger))
+    part = "period" if in_period else "anomaly"
+    if not conjugate_ep(c, primed):
         raise PostconditionFailed(
-            f"period-tail replacement changed the invariants: "
-            f"(N={least_period(x_a)}, a={anomaly_size(x_a)}), expected (N={n}, a={size})"
+            f"{part}-tail replacement changed the invariants: "
+            f"(N={least_period(primed)}, a={anomaly_size(primed)}), expected (N={n}, a={size})"
         )
-    code, _ = conjugacy_witness(x, x_a)
-    y1, fresh = expand_symbol(x_a, primed_label)
-    if least_period(y1) != n + 1 or anomaly_size(y1) != anomaly_size(x):
+    code = _witness_code(c, canonical(primed))
+    y, fresh = expand_symbol(primed, primed_label)
+    want = (n + 1, size) if in_period else (n, size + 1)
+    if (least_period(y), anomaly_size(y)) != want:
         raise PostconditionFailed(
-            f"raise_period postcondition: got (N={least_period(y1)}, a={anomaly_size(y1)}), "
-            f"expected (N={n + 1}, a={anomaly_size(x)})"
+            f"raise_{part} postcondition: got (N={least_period(y)}, a={anomaly_size(y)}), "
+            f"expected (N={want[0]}, a={want[1]})"
         )
-    moves = (ConjugacyMove(code, x_a), ExpandMove(primed_label, fresh, y1))
-    return moves, y1
-
-
-@lru_cache(maxsize=None)
-def _raise_anomaly_moves(x: EPSeq) -> tuple[tuple[FlowMove, ...], EPSeq]:
-    """Flow moves from x to a sequence with unchanged least period and
-    anomaly size a(x)+1: replace the last letter of the minimal anomaly
-    with a fresh symbol (a conjugacy), then expand that fresh symbol (it
-    occurs only in the anomaly)."""
-    c = canonical(x)
-    n = least_period(c)
-    primed_label = c.alphabet.mint_label()
-    bigger = c.alphabet.extend(primed_label)
-    ap = bigger.index(primed_label)
-    u1 = Word(c.anomaly.symbols[:-1] + (ap,), bigger)
-    x_b = EPSeq(Word(c.period_word.symbols, bigger), u1)
-    if not conjugate_ep(c, x_b):
-        raise PostconditionFailed(
-            f"anomaly-tail replacement changed the invariants: "
-            f"(N={least_period(x_b)}, a={anomaly_size(x_b)})"
-        )
-    code, _ = conjugacy_witness(x, x_b)
-    z1, fresh = expand_symbol(x_b, primed_label)
-    if least_period(z1) != n or anomaly_size(z1) != anomaly_size(x) + 1:
-        raise PostconditionFailed(
-            f"raise_anomaly postcondition: got (N={least_period(z1)}, a={anomaly_size(z1)}), "
-            f"expected (N={n}, a={anomaly_size(x) + 1})"
-        )
-    moves = (ConjugacyMove(code, x_b), ExpandMove(primed_label, fresh, z1))
-    return moves, z1
+    return (ConjugacyMove(code, primed), ExpandMove(primed_label, fresh, y)), y
 
 
 @dataclass(frozen=True)
@@ -347,7 +329,9 @@ class FlowWitness:
 def flow_witness(x: EPSeq, y: EPSeq) -> FlowWitness:
     """A checkable certificate that the subshifts of x and y are flow
     equivalent: raise periods to max(M, M'), then anomaly sizes to
-    max(a(x), a(y)); the equalized endpoints are conjugate."""
+    max(a(x), a(y)); the equalized endpoints are conjugate.  The witness
+    is checked once, by `verify_flow_witness` (a failure raises
+    InternalMismatch)."""
     target_n = max(least_period(x), least_period(y))
     target_a = max(anomaly_size(x), anomaly_size(y))
 
@@ -355,17 +339,20 @@ def flow_witness(x: EPSeq, y: EPSeq) -> FlowWitness:
         moves: list[FlowMove] = []
         cur = start
         while least_period(cur) < target_n:
-            mv, cur = _raise_period_moves(cur)
+            mv, cur = _raise_moves(cur, True)
             moves.extend(mv)
         while anomaly_size(cur) < target_a:
-            mv, cur = _raise_anomaly_moves(cur)
+            mv, cur = _raise_moves(cur, False)
             moves.extend(mv)
         return tuple(moves), cur
 
     chain_x, end_x = chain(x)
     chain_y, end_y = chain(y)
-    fwd, inv = conjugacy_witness(end_x, end_y)
-    return FlowWitness(chain_x, chain_y, fwd, inv)
+    wit = FlowWitness(chain_x, chain_y, *_build_witness(end_x, end_y))
+    trail: list[str] = []
+    if not verify_flow_witness(x, y, wit, trail):
+        raise InternalMismatch(f"built flow witness fails its replay: {trail[0]}")
+    return wit
 
 
 def verify_flow_witness(

@@ -69,9 +69,18 @@ def _fail(kind: str, message: str, code: int) -> int:
     return code
 
 
-def _load_epseq(path: str) -> EPSeq:
+def _read_json(path: str):
+    """The JSON value in the file; nesting too deep to decode is
+    MalformedInput rather than a RecursionError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return jsonio.parse_epseq(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise MalformedInput(f"{path}: JSON nested too deeply to decode") from None
+
+
+def _load_epseq(path: str) -> EPSeq:
+    return jsonio.parse_epseq(_read_json(path))
 
 
 def _pretty_ep(x: EPSeq) -> str:
@@ -185,8 +194,7 @@ def cmd_classify(args) -> int:
         return 0
     if args.classify_cmd == "check-witness":
         x, y = _load_epseq(args.a), _load_epseq(args.b)
-        with open(args.witness_file, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = _read_json(args.witness_file)
         trail: list[str] = []
         fmt = raw.get("format") if isinstance(raw, dict) else None
         if fmt == jsonio.FLOW_FORMAT:

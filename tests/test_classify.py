@@ -10,8 +10,7 @@ from epshift.classify import (
     ExpandMove,
     FlowWitness,
     SlidingBlockCode,
-    _raise_anomaly_moves,
-    _raise_period_moves,
+    _raise_moves,
     apply_code,
     apply_code_to_periodic,
     check_conjugacy,
@@ -27,12 +26,14 @@ from epshift.errors import (
     DegenerateImage,
     DegeneratePeriodic,
     EpshiftError,
+    IncompatibleAlphabets,
     InternalMismatch,
     MissingBlock,
     NotConjugate,
     SymbolAbsent,
 )
 from epshift.sequences import (
+    PeriodicSeq,
     anomaly_size,
     canonical,
     least_period,
@@ -283,6 +284,15 @@ def test_apply_identity_and_swap():
     assert apply_code(swap_code(), x) == symbol_reverse(x)
 
 
+def test_codes_reject_sequences_over_another_alphabet():
+    ab = Alphabet(("a", "b"))
+    code = identity_code(BINARY)
+    with pytest.raises(IncompatibleAlphabets):
+        apply_code_to_periodic(code, PeriodicSeq(Word((0, 1), ab), 0))
+    with pytest.raises(IncompatibleAlphabets):
+        apply_code(code, make_ep(Word((0,), ab), Word((1,), ab)))
+
+
 def test_apply_shift_by_one_code():
     for x in (ep("0", "1"), ep("01", "1"), ep("110", "1"), ep("01", "0011")):
         assert apply_code(shift_by_one_code(), x) == shift(x, 1)
@@ -367,23 +377,23 @@ def test_expand_period_length_growth():
 # --- raises ------------------------------------------------------------------
 
 def test_raise_period_examples():
-    y = _raise_period_moves(ep("0", "11"))[1]
+    y = _raise_moves(ep("0", "11"), True)[1]
     assert (least_period(y), anomaly_size(y)) == (2, 2)
-    z = _raise_period_moves(skew(TYPE_S, 1, 1))[1]
+    z = _raise_moves(skew(TYPE_S, 1, 1), True)[1]
     assert (least_period(z), anomaly_size(z)) == (3, 1)
     for x in (ep("0", "1"), ep("110", "1"), skew(TYPE_SPRIME, 1, 2)):
-        assert least_period(_raise_period_moves(x)[1]) == least_period(x) + 1
-        assert anomaly_size(_raise_period_moves(x)[1]) == anomaly_size(x)
+        assert least_period(_raise_moves(x, True)[1]) == least_period(x) + 1
+        assert anomaly_size(_raise_moves(x, True)[1]) == anomaly_size(x)
 
 
 def test_raise_anomaly_examples():
-    y = _raise_anomaly_moves(ep("0", "1"))[1]
+    y = _raise_moves(ep("0", "1"), False)[1]
     assert (least_period(y), anomaly_size(y)) == (1, 2)
-    z = _raise_anomaly_moves(skew(TYPE_S, 1, 2))[1]
+    z = _raise_moves(skew(TYPE_S, 1, 2), False)[1]
     assert (least_period(z), anomaly_size(z)) == (3, 2)
     for x in (ep("0", "11"), ep("10", "1")):
-        assert least_period(_raise_anomaly_moves(x)[1]) == least_period(x)
-        assert anomaly_size(_raise_anomaly_moves(x)[1]) == anomaly_size(x) + 1
+        assert least_period(_raise_moves(x, False)[1]) == least_period(x)
+        assert anomaly_size(_raise_moves(x, False)[1]) == anomaly_size(x) + 1
 
 
 # --- flow witnesses ----------------------------------------------------------
@@ -446,6 +456,19 @@ def test_flow_witness_rejects_factor_map_move(forged_factor_witness):
     trail = []
     assert not verify_flow_witness(x, y, forged, trail)
     assert trail == ["chain_x[0]: conjugacy move changes the invariants"]
+
+
+def test_flow_witness_raises_when_its_replay_fails(monkeypatch):
+    # pins that verify criterion 7 replays every flow witness it builds
+    x, y = skew(TYPE_S, 1, 1), ep("0", "1")
+
+    def failing_replay(x, y, wit, trail=None):
+        trail.append("chain_y[0]: conjugacy image not similar to recorded result")
+        return False
+
+    monkeypatch.setattr(classify, "verify_flow_witness", failing_replay)
+    with pytest.raises(InternalMismatch, match="conjugacy image not similar"):
+        flow_witness(x, y)
 
 
 def test_flow_witness_random_pairs_verify():

@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epshift import jsonio
 from epshift.classify import identity_code
@@ -165,14 +169,15 @@ def test_missing_file_exits_2(capsys):
 
 def test_malformed_epseq_exits_2(tmp_path, capsys):
     f = tmp_path / "bad.json"
-    for obj in (
-        {"format": "epseq/1"},
-        {"format": "epseq/1", "alphabet": "01", "period": "0", "anomaly": "1"},
-        {"format": "epseq/1", "alphabet": ["0", "1"], "period": 0, "anomaly": "1"},
+    for text in (
+        json.dumps({"format": "epseq/1"}),
+        json.dumps({"format": "epseq/1", "alphabet": "01", "period": "0", "anomaly": "1"}),
+        json.dumps({"format": "epseq/1", "alphabet": ["0", "1"], "period": 0, "anomaly": "1"}),
+        "[" * 200000 + "]" * 200000,  # too deep for the decoder
     ):
-        f.write_text(json.dumps(obj))
+        f.write_text(text)
         code, out = run(capsys, "ep", "anomaly-size", str(f))
-        assert code == 2 and out["error"]["kind"] == "MalformedInput", obj
+        assert code == 2 and out["error"]["kind"] == "MalformedInput", text[:80]
 
 
 def test_labels_that_break_word_literals_exit_2(tmp_path, capsys):
@@ -182,6 +187,41 @@ def test_labels_that_break_word_literals_exit_2(tmp_path, capsys):
             {"format": "epseq/1", "alphabet": alphabet, "period": period, "anomaly": anomaly}))
         code, out = run(capsys, "ep", "anomaly-size", str(f))
         assert code == 2 and out["error"]["kind"] == "ValueError", alphabet
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# objects with a known format tag and keys of the known schemas, so the
+# parsers get past the tag check
+SCHEMA_KEYS = ("alphabet", "period", "anomaly", "memory", "anticipation", "source_alphabet",
+               "target_alphabet", "table", "forward", "inverse", "chain_x", "chain_y",
+               "final_forward", "final_inverse")
+TAGGED = st.builds(
+    lambda fmt, rest: {**rest, "format": fmt},
+    st.sampled_from(["epseq/1", "sbc/1", "conjugacy/1", "flowwitness/1"]),
+    st.dictionaries(st.sampled_from(SCHEMA_KEYS), JSON_VALUES, max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given((JSON_VALUES | TAGGED).map(json.dumps))
+@example("[" * 200000 + "]" * 200000)
+def test_any_json_input_gives_one_json_value(tmp_path_factory, text):
+    d = tmp_path_factory.mktemp("json")
+    hostile = d / "hostile.json"
+    hostile.write_text(text)
+    a = write_ep(d / "a.json", make_ep(word("10"), word("1")))
+    for argv in (["ep", "anomaly-size", str(hostile)],
+                 ["classify", "check-witness", a, a, str(hostile)]):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        json.loads(out.getvalue())  # exactly one JSON value, or this raises
 
 
 def test_verify_seed_from_environment(capsys, monkeypatch):
