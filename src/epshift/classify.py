@@ -103,10 +103,8 @@ def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
     cannot be a conjugacy witness for x).
     """
     root = apply_code_to_periodic(code, PeriodicSeq(x.period_word, 0)).period_word
-    mm, aa = code.memory, code.anticipation
-    blen = code.block_length
-    n = least_period(x)
-    vl = len(x.anomaly)
+    mm, aa, blen = code.memory, code.anticipation, code.block_length
+    n, vl = least_period(x), len(x.anomaly)
 
     # The image is root-periodic left of -aa and, at phase |v|, right of
     # |v| + mm; the buffer covers both guards with a 2N margin.
@@ -132,46 +130,56 @@ def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSe
     return PeriodicSeq(root, 0)
 
 
-def _build_block_map(src: EPSeq, dst: EPSeq, k: int) -> Optional[SlidingBlockCode]:
-    """Block map of window radius k sending the anchored src sequence onto
-    the anchored dst sequence position-by-position; None if two occurrences
-    of one block would demand different outputs."""
-    n = least_period(src)
-    blen = 2 * k + 1
-    lo = -blen - n
-    hi = len(src.anomaly) + n
-    buf = _symbols(src, lo, hi + blen)
-    dbuf = _symbols(dst, lo + k, hi + k + 1)
+def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu: int,
+                     lv: int, k: int) -> tuple[dict, Optional[tuple[int, int]]]:
+    """Probe radius k: map each radius-k block of src to the first centre
+    it occurs at (s and d hold src and dst from index lo on); return the
+    table and None, or the two centres of the first block that needs two
+    dst symbols.
+
+    It reads the centres [-k-1-N, max(|u|+k, |v|) + N], u and v the
+    anomalies of src and dst.  Left of -k and from max(|u|+k, |v|) on,
+    block and dst symbol lie in the tails, so the pair is N-periodic in
+    the centre; the range holds N + 1 centres of each periodic stretch,
+    so consistency on it is consistency on all of Z.
+    """
     table: dict[tuple[int, ...], int] = {}
-    for base in range(hi - lo + 1):
-        out = dbuf[base]
-        if table.setdefault(buf[base:base + blen], out) != out:
-            return None
-    entries = tuple(sorted(table.items()))
-    return SlidingBlockCode(k, k, entries, src.alphabet, dst.alphabet)
+    for c in range(-k - 1 - n - lo, max(lu + k, lv) + n + 1 - lo):
+        first = table.setdefault(s[c - k:c + k + 1], c)
+        if d[first] != d[c]:
+            return table, (first, c)
+    return table, None
 
 
 def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
-    """A block map sending the canonical sequence src onto the canonical
-    sequence dst, aligned at their anomaly anchors.
+    """The block map of least radius sending the canonical sequence src
+    onto the canonical sequence dst, aligned at their anomaly anchors.
 
-    The window radius starts at the longer anomaly length and grows by N
-    on a table conflict, up to |u| + |v| + 4N (exceeding the cap would
-    contradict the existence theorem, so it raises WindowExhausted).
+    A radius-(k+1) block holds the radius-k block, so consistency is
+    monotone in k.  A failed probe names centres i, j with equal radius-k
+    blocks and dst_i != dst_j; a consistent radius separates the two
+    blocks, so it is at least the least r with src_{i±r} != src_{j±r}.
+    Jumping to r after each failure, from k = 0, stops on the least
+    radius.  Radius |u| + |v| + 4N always suffices, so needing more
+    raises WindowExhausted (it would contradict the existence theorem).
     """
     n = least_period(src)
     lu, lv = len(src.anomaly), len(dst.anomaly)
     cap = lu + lv + 4 * n
-    k = max(lu, lv)
-    while k <= cap:
-        code = _build_block_map(src, dst, k)
-        if code is not None:
-            return code
-        k += n
-    raise WindowExhausted(
-        f"no consistent block map with radius <= {cap}; this contradicts "
-        "the existence theorem and indicates a bug"
-    )
+    # one slice of each sequence serves every probe and every jump
+    lo, hi = -2 * cap - 1 - n, max(lu + cap, lv) + n + 1
+    s, d = _symbols(src, lo, hi + cap), _symbols(dst, lo, hi)
+    k: Optional[int] = 0
+    while k is not None:
+        table, clash = _build_block_map(s, d, lo, n, lu, lv, k)
+        if clash is None:
+            entries = tuple(sorted((block, d[c]) for block, c in table.items()))
+            return SlidingBlockCode(k, k, entries, src.alphabet, dst.alphabet)
+        i, j = clash
+        k = next((r for r in range(k + 1, cap + 1)
+                  if s[i - r] != s[j - r] or s[i + r] != s[j + r]), None)
+    raise WindowExhausted(f"no consistent block map with radius <= {cap}; this "
+                          "contradicts the existence theorem and indicates a bug")
 
 
 def _build_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBlockCode]:
@@ -241,12 +249,7 @@ def expand_symbol(x: EPSeq, label: str) -> tuple[EPSeq, str]:
     f = bigger.index(fresh_label)
 
     def subst(syms: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        for t in syms:
-            out.append(t)
-            if t == s:
-                out.append(f)
-        return tuple(out)
+        return tuple(u for t in syms for u in ((t, f) if t == s else (t,)))
 
     return (
         EPSeq(Word(subst(x.period_word.symbols), bigger), Word(subst(x.anomaly.symbols), bigger)),
@@ -332,22 +335,20 @@ def flow_witness(x: EPSeq, y: EPSeq) -> FlowWitness:
     max(a(x), a(y)); the equalized endpoints are conjugate.  The witness
     is checked once, by `verify_flow_witness` (a failure raises
     InternalMismatch)."""
-    target_n = max(least_period(x), least_period(y))
-    target_a = max(anomaly_size(x), anomaly_size(y))
+    (nx, ax), (ny, ay) = (least_period(x), anomaly_size(x)), (least_period(y), anomaly_size(y))
 
-    def chain(start: EPSeq) -> tuple[tuple[FlowMove, ...], EPSeq]:
+    def chain(start: EPSeq, n: int, a: int) -> tuple[tuple[FlowMove, ...], EPSeq]:
+        # each raise moves one invariant by one, as _raise_moves asserts
         moves: list[FlowMove] = []
         cur = start
-        while least_period(cur) < target_n:
-            mv, cur = _raise_moves(cur, True)
-            moves.extend(mv)
-        while anomaly_size(cur) < target_a:
-            mv, cur = _raise_moves(cur, False)
-            moves.extend(mv)
+        for in_period, steps in ((True, max(nx, ny) - n), (False, max(ax, ay) - a)):
+            for _ in range(steps):
+                mv, cur = _raise_moves(cur, in_period)
+                moves.extend(mv)
         return tuple(moves), cur
 
-    chain_x, end_x = chain(x)
-    chain_y, end_y = chain(y)
+    chain_x, end_x = chain(x, nx, ax)
+    chain_y, end_y = chain(y, ny, ay)
     wit = FlowWitness(chain_x, chain_y, *_build_witness(end_x, end_y))
     trail: list[str] = []
     if not verify_flow_witness(x, y, wit, trail):

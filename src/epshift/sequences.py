@@ -68,12 +68,6 @@ class PeriodicSeq:
         n = len(self.period_word)
         return self.period_word.symbols[(k + self.phase) % n]
 
-    def window(self, i: int, j: int) -> Word:
-        if i > j:
-            raise ValueError(f"window requires i <= j, got {i} > {j}")
-        return Word(tuple(self.symbol_id_at(k) for k in range(i, j + 1)),
-                    self.period_word.alphabet)
-
     def same_sequence(self, other: PeriodicSeq) -> bool:
         """Pointwise equality as bi-infinite sequences."""
         if self.period_word.alphabet != other.period_word.alphabet:
@@ -159,6 +153,14 @@ def make_ep(w: Word, v: Word) -> EPSeq:
     return EPSeq(root, Word(vs, w.alphabet))
 
 
+def _trusted_ep(period: Word, anomaly: Word) -> EPSeq:
+    """An EPSeq without re-validation, for `_Scan.anchor`'s normalized results."""
+    x = object.__new__(EPSeq)
+    object.__setattr__(x, "period_word", period)
+    object.__setattr__(x, "anomaly", anomaly)
+    return x
+
+
 def _tiled(w: tuple[int, ...], start: int, size: int) -> tuple[int, ...]:
     """The symbols w[(start + i) mod |w|] for 0 <= i < size."""
     if size <= 0:
@@ -202,8 +204,8 @@ class _Scan(NamedTuple):
         length = self.window.length + n * -(-max(0, self.window.start - t) // n)
         o = t % n
         at = t - self.lo
-        return EPSeq(Word(w[o:] + w[:o], self.period.alphabet),
-                     Word(self.buf[at:at + length], self.period.alphabet))
+        return _trusted_ep(Word(w[o:] + w[:o], self.period.alphabet),
+                           Word(self.buf[at:at + length], self.period.alphabet))
 
 
 def _scan(buf: tuple[int, ...], lo: int, period: Word, delta: int) -> Optional[_Scan]:
@@ -289,24 +291,20 @@ def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
     """Delete the window from the sequence: y_k = x_k for k < start and
     y_k = x_{k+length} for k >= start.
 
-    The periodic-or-not classification is exact.  A periodic result is the
-    extension of the left tail, hence PeriodicSeq(period_word, 0).  A
-    non-periodic result is re-anchored (see module docstring).
+    The periodic-or-not classification is exact: the kernel finds no defect
+    iff the result is periodic, and then it is the extension of the left
+    tail, PeriodicSeq(period_word, 0).  A non-periodic result is
+    re-anchored (see module docstring).
     """
     if win.length < 1:
         raise ValueError("window length must be >= 1")
     s, length = win.start, win.length
-    if _removal_is_periodic(x, s, length):
-        return PeriodicSeq(x.period_word, 0)
-    n = len(x.period_word)
-    vl = len(x.anomaly)
+    n, vl = len(x.period_word), len(x.anomaly)
     lo = min(0, s) - 2 * n
     buf = _symbols(x, lo, max(s + length, vl) + 2 * n)
     cut = s - lo
     scan = _scan(buf[:cut] + buf[cut + length:], lo, x.period_word, vl - length)
-    if scan is None:
-        raise InternalMismatch("the scan and the removal check disagree on periodicity")
-    return scan.anchor(0)
+    return PeriodicSeq(x.period_word, 0) if scan is None else scan.anchor(0)
 
 
 def _window_search(x: EPSeq, extra_start: int, extra_len: int) -> list[AnomalyWindow]:
@@ -346,11 +344,9 @@ def anomaly_size(x: EPSeq) -> int:
 
 def remove_anomaly(x: EPSeq) -> PeriodicSeq:
     """The periodic sequence obtained by deleting an anomaly window; the
-    result is pointwise independent of which window is deleted."""
-    res = remove_window(x, AnomalyWindow(0, len(x.anomaly)))
-    if not isinstance(res, PeriodicSeq):
-        raise InternalMismatch("removing the stored anomaly must yield a periodic sequence")
-    return res
+    result is pointwise independent of which window is deleted.  Deleting
+    the stored anomaly leaves the period word at phase 0 by definition."""
+    return PeriodicSeq(x.period_word, 0)
 
 
 def canonical(x: EPSeq) -> EPSeq:

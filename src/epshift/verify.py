@@ -336,18 +336,20 @@ def check_window_lemmas(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
     )
 
 
-def _witness_verifies(x: EPSeq, y: EPSeq) -> Optional[str]:
+def _witness_verifies(x: EPSeq, y: EPSeq, one_block: bool = False) -> Optional[str]:
     """Build a conjugacy witness for (x, y), which `conjugacy_witness`
     checks with `classify.check_conjugacy` (raising InternalMismatch on a
-    failure), and check that the forward code carries the periodic orbit
-    of x onto that of y; returns a failure reason or None."""
-    fwd, _ = classify.conjugacy_witness(x, y)
-    img_per = classify.apply_code_to_periodic(fwd, remove_anomaly(x))
-    target_per = remove_anomaly(y)
-    n = target_per.least_period
-    if img_per.least_period != n:
+    failure), and check that its codes are 1-block codes if `one_block` and
+    that fwd carries the periodic orbit of x onto that of y; returns a
+    failure reason or None."""
+    fwd, inv = classify.conjugacy_witness(x, y)
+    if one_block and (fwd.block_length, inv.block_length) != (1, 1):
+        return "witness is not a 1-block code in both directions"
+    img = classify.apply_code_to_periodic(fwd, remove_anomaly(x)).period_word
+    target = remove_anomaly(y).period_word
+    if len(img) != len(target):
         return "periodic orbit least period not preserved"
-    if not any(rotate(target_per.period_word, r) == img_per.period_word for r in range(n)):
+    if not any(rotate(target, r) == img for r in range(len(target))):
         return "periodic orbit not mapped onto the target orbit"
     return None
 
@@ -355,8 +357,9 @@ def _witness_verifies(x: EPSeq, y: EPSeq) -> Optional[str]:
 def check_conjugacy_witnesses(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
     """Criterion 5: whenever the invariants say conjugate, a witness exists
     and verifies.  Instances are grouped by invariant class and each member
-    is paired with its class representative; all conjugate skew pairs with
-    p+q <= conj_skew_sum are checked as well."""
+    is paired with its class representative.  All conjugate skew pairs with
+    p+q <= conj_skew_sum are checked as well, and their witnesses must be
+    1-block codes, as the symbol swap is (Lind and Marcus 1995, §1.5)."""
 
     def body(failures: list[dict]) -> int:
         checked = 0
@@ -381,7 +384,7 @@ def check_conjugacy_witnesses(bounds: VerifyBounds, seed: int = 0) -> TheoremChe
             x = _skew(q, p, TYPE_S)
             y = _skew(p, q, TYPE_SPRIME)
             try:
-                reason = _witness_verifies(x, y)
+                reason = _witness_verifies(x, y, one_block=True)
             except EpshiftError as e:
                 reason = f"witness construction failed: {e}"
             if reason:

@@ -1,16 +1,18 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from epshift import classify
+from epshift import classify, jsonio
 from epshift.classify import (
     ConjugacyMove,
     ExpandMove,
     FlowWitness,
     SlidingBlockCode,
     _raise_moves,
+    _witness_code,
     apply_code,
     apply_code_to_periodic,
     check_conjugacy,
@@ -274,6 +276,85 @@ def test_witness_preserves_periodic_orbit():
         rotate(target.period_word, k) == img.period_word
         for k in range(target.least_period)
     )
+
+
+# --- least radius -------------------------------------------------------------
+
+def _pointwise_consistent(src, dst, k):
+    """Whether one radius-k block map sends src onto dst position by
+    position, read from a window far wider than the anomalies need."""
+    h = k + 4 * least_period(src) + len(src.anomaly) + len(dst.anomaly) + 8
+    table = {}
+    for i in range(-h, h + 1):
+        block = tuple(src.symbol_id_at(j) for j in range(i - k, i + k + 1))
+        out = dst.symbol_id_at(i)
+        if table.setdefault(block, out) != out:
+            return False
+    return True
+
+
+@st.composite
+def conjugate_canonical_pairs(draw):
+    """Canonical (x, y) with equal least period and congruent anomaly
+    sizes; y is over a binary or a three-letter alphabet."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 3))
+    other = BINARY if k == 2 else ABC
+
+    def seq(alphabet, letters):
+        w = draw(st.lists(st.integers(0, letters - 1), min_size=n, max_size=n))
+        v = draw(st.lists(st.integers(0, letters - 1), min_size=1, max_size=8))
+        try:
+            return make_ep(Word(tuple(w), alphabet), Word(tuple(v), alphabet))
+        except DegeneratePeriodic:
+            assume(False)
+
+    x, y = seq(BINARY, 2), seq(other, k)
+    assume(conjugate_ep(x, y))
+    return canonical(x), canonical(y)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(conjugate_canonical_pairs())
+@example((canonical(ep("0", "000001")), canonical(ep("0", "001001"))))
+def test_witness_code_has_the_least_consistent_radius(pair):
+    x, y = pair
+    least = next(k for k in itertools.count() if _pointwise_consistent(x, y, k))
+    code = _witness_code(x, y)
+    assert code.memory == code.anticipation == least
+    assert code.memory == 0 or not _pointwise_consistent(x, y, code.memory - 1)
+    k = code.memory
+    for i in range(-3 * least_period(x) - k, len(x.anomaly) + len(y.anomaly) + 3 * k + 8):
+        block = tuple(x.symbol_id_at(j) for j in range(i - k, i + k + 1))
+        assert code.out(block) == y.symbol_id_at(i)
+
+
+def test_narrow_buffer_counterexample_needs_radius_three():
+    x, y = ep("0", "000001"), ep("0", "001001")
+    cx, cy = canonical(x), canonical(y)
+    assert (cx.anomaly.text, cy.anomaly.text) == ("1", "1001")
+    # radius 0 read only at the centres [-1-N, |u|+N] finds no conflict,
+    # because cy's anomaly reaches past |u|+N; the table is the identity
+    n, lu = least_period(cx), len(cx.anomaly)
+    table = {}
+    for c in range(-1 - n, lu + n + 1):
+        out = cy.symbol_id_at(c)
+        assert table.setdefault((cx.symbol_id_at(c),), out) == out
+    narrow = SlidingBlockCode(0, 0, tuple(sorted(table.items())), BINARY, BINARY)
+    assert narrow == identity_code(BINARY)
+    trail = []
+    assert not check_conjugacy(x, y, narrow, narrow, trail)
+    assert trail == ["forward image not similar to target"]
+    fwd, inv = conjugacy_witness(x, y)
+    assert (fwd.memory, fwd.anticipation, inv.memory, inv.anticipation) == (3, 3, 3, 3)
+
+
+def test_reciprocal_skew_witness_is_the_symbol_swap_at_large_n():
+    # S(q/p) and S'(p/q) with p + q = 1600; the swap's JSON is a few hundred bytes
+    x, y = skew(TYPE_S, 799, 801), skew(TYPE_SPRIME, 801, 799)
+    fwd, inv = conjugacy_witness(x, y)
+    assert fwd == inv == swap_code()
+    assert len(json.dumps(jsonio.emit_conjugacy(fwd, inv))) < 1024
 
 
 # --- code application --------------------------------------------------------

@@ -11,6 +11,7 @@ from epshift import jsonio
 from epshift.classify import identity_code
 from epshift.cli import main
 from epshift.sequences import make_ep, shift
+from epshift.sturmian import Frequency, SturmianSpec, TYPE_S, TYPE_SPRIME, skew_sturmian
 from epshift.verify import VerifyReport
 from epshift.words import BINARY, word
 
@@ -112,6 +113,19 @@ def test_classify_conjugate_and_check_witness(tmp_path, capsys):
     c = write_ep(tmp_path / "c.json", make_ep(word("01"), word("1")))
     code, obj = run(capsys, "classify", "check-witness", a, c, wfile)
     assert code == 1 and obj["valid"] is False and obj["trail"]
+
+
+def test_check_witness_accepts_a_radius_one_witness_file(tmp_path, capsys):
+    # emitted for S(1/2), S'(2/1) when the radius search started at the
+    # anomaly length; the least radius is 0, but this witness stays valid
+    fixture = Path(__file__).parent / "data" / "conjugacy_S1-2_Sprime2-1.json"
+    raw = json.loads(fixture.read_text())
+    assert raw["format"] == "conjugacy/1" and raw["forward"]["memory"] == 1
+    x = skew_sturmian(SturmianSpec(Frequency.rational(1, 2), TYPE_S))
+    y = skew_sturmian(SturmianSpec(Frequency.rational(2, 1), TYPE_SPRIME))
+    a, b = write_ep(tmp_path / "a.json", x), write_ep(tmp_path / "b.json", y)
+    code, obj = run(capsys, "classify", "check-witness", a, b, str(fixture))
+    assert code == 0 and obj == {"valid": True, "trail": []}
 
 
 def test_classify_conjugate_false(tmp_path, capsys):

@@ -1,4 +1,6 @@
-from epshift.verify import TheoremCheck, VerifyBounds, VerifyReport, coprime_pairs
+from epshift.sequences import make_ep
+from epshift.verify import TheoremCheck, VerifyBounds, VerifyReport, _witness_verifies, coprime_pairs
+from epshift.words import word
 
 
 def test_status_tracks_failures_exactly():
@@ -28,3 +30,11 @@ def test_bounds_capping():
 def test_coprime_pairs_small():
     assert sorted(coprime_pairs(3)) == [(1, 1), (1, 2), (2, 1)]
     assert all(q + p <= 6 for q, p in coprime_pairs(6))
+
+
+def test_one_block_check_rejects_a_wider_witness():
+    # conjugate, but the least radius of a witness between these is 3
+    x, y = make_ep(word("0"), word("000001")), make_ep(word("0"), word("001001"))
+    assert _witness_verifies(x, y) is None
+    assert _witness_verifies(x, y, one_block=True) == (
+        "witness is not a 1-block code in both directions")
