@@ -264,7 +264,6 @@ class ConjugacyMove:
 
     code: SlidingBlockCode
     result: EPSeq
-    kind: str = "conjugacy"
 
 
 @dataclass(frozen=True)
@@ -275,7 +274,6 @@ class ExpandMove:
     symbol: str
     fresh: str
     result: EPSeq
-    kind: str = "expand"
 
 
 FlowMove = Union[ConjugacyMove, ExpandMove]

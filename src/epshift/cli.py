@@ -15,21 +15,7 @@ from typing import Optional
 
 from . import classify, jsonio, verify
 from .bezout import restricted_bezout
-from .errors import (
-    DegeneratePeriodic,
-    EmptyWord,
-    EpshiftError,
-    IncompatibleAlphabets,
-    InputTooLarge,
-    InvalidSpec,
-    MalformedCell,
-    MalformedInput,
-    NonPositive,
-    NotCoprime,
-    SymbolAbsent,
-    UnknownSymbol,
-    WrongAlphabet,
-)
+from .errors import EpshiftError, InputError, InvalidSpec, MalformedInput
 from .sequences import EPSeq, PeriodicSeq, anomaly_size, canonical, least_period, remove_anomaly, similar
 from .sturmian import (
     Frequency,
@@ -39,22 +25,6 @@ from .sturmian import (
     cell_series,
     expand_cells,
     skew_sturmian,
-)
-
-USAGE_ERRORS = (
-    NotCoprime,
-    NonPositive,
-    InputTooLarge,
-    InvalidSpec,
-    DegeneratePeriodic,
-    IncompatibleAlphabets,
-    UnknownSymbol,
-    EmptyWord,
-    MalformedCell,
-    MalformedInput,
-    WrongAlphabet,
-    SymbolAbsent,
-    ValueError,
 )
 
 
@@ -282,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the theorem-verification suite")
     p_ver.add_argument("--max-period-sum", type=int, default=None,
-                       help="cap every p+q bound at this value")
+                       help="lower every p+q bound above this value to it")
     p_ver.add_argument("--seed", type=int, default=None,
                        help="random-instance seed (default: SUBSHIFT_SEED or 0)")
     p_ver.set_defaults(func=cmd_verify)
@@ -294,9 +264,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as e:
-        return _fail(type(e).__name__, str(e), 2)
-    except (OSError, json.JSONDecodeError) as e:
+    except (InputError, ValueError, OSError) as e:  # JSONDecodeError is a ValueError
         return _fail(type(e).__name__, str(e), 2)
     except EpshiftError as e:
         return _fail(type(e).__name__, str(e), 1)

@@ -1,8 +1,9 @@
 """Exception hierarchy for the epshift package.
 
-Errors are split into input problems (bad arguments, malformed data) and
-internal failures (a verified construction did not behave as the theory
-says it must; these always indicate a bug, never bad input).
+Errors are split into input problems (InputError: bad arguments, malformed
+data) and internal failures (a verified construction did not behave as the
+theory says it must; these always indicate a bug, never bad input).  The
+CLI exits 2 on an InputError and 1 on any other EpshiftError.
 """
 
 
@@ -10,44 +11,48 @@ class EpshiftError(Exception):
     """Base class for all epshift errors."""
 
 
-class EmptyWord(EpshiftError):
+class InputError(EpshiftError):
+    """Base class for errors caused by the input rather than by epshift."""
+
+
+class EmptyWord(InputError):
     """An operation that needs a non-empty word received an empty one."""
 
 
-class UnknownSymbol(EpshiftError):
+class UnknownSymbol(InputError):
     """A symbol label is not part of the relevant alphabet."""
 
 
-class IncompatibleAlphabets(EpshiftError):
+class IncompatibleAlphabets(InputError):
     """Two words/sequences over different alphabets were combined."""
 
 
-class MalformedCell(EpshiftError):
+class MalformedCell(InputError):
     """A cell must be a '1' followed by zero or more '0' symbols."""
 
 
-class WrongAlphabet(EpshiftError):
+class WrongAlphabet(InputError):
     """Operation requires the two-symbol alphabet {0,1}."""
 
 
-class DegeneratePeriodic(EpshiftError):
+class DegeneratePeriodic(InputError):
     """The proposed anomaly is a power of the period word, so the
     sequence would be periodic rather than eventually periodic."""
 
 
-class NotCoprime(EpshiftError):
+class NotCoprime(InputError):
     """gcd(p, q) != 1."""
 
 
-class NonPositive(EpshiftError):
+class NonPositive(InputError):
     """An argument that must be a positive integer is not."""
 
 
-class InputTooLarge(EpshiftError):
+class InputTooLarge(InputError):
     """p + q exceeds the supported bound (10**6)."""
 
 
-class InvalidSpec(EpshiftError):
+class InvalidSpec(InputError):
     """Invalid frequency/type combination for a Sturmian spec."""
 
 
@@ -72,7 +77,7 @@ class DegenerateImage(EpshiftError):
     code cannot be a conjugacy witness for it."""
 
 
-class SymbolAbsent(EpshiftError):
+class SymbolAbsent(InputError):
     """Symbol expansion requested for a symbol that does not occur."""
 
 
@@ -81,6 +86,6 @@ class PostconditionFailed(EpshiftError):
     postcondition."""
 
 
-class MalformedInput(EpshiftError):
+class MalformedInput(InputError):
     """A JSON value does not match the schema of its declared format: a
     required key is missing or has the wrong type."""

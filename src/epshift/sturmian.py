@@ -5,7 +5,9 @@ Sequences are generated through their cell-series: a cell is a word
 the arithmetic progression G = {m + k*p/q} falling in an interval attached
 to n.  The two interval conventions (type S and type S') differ exactly in
 which endpoints are open or closed, so all membership tests are done in
-scaled integer arithmetic; no floating point is used anywhere.
+scaled integer arithmetic; no floating point is used anywhere.  Both
+types read their period block and anomaly block straight off the cells,
+at lengths given by the restricted Bézout pair; nothing is searched for.
 
 The cutting-sequence construction (a line of slope p/q crossing an integer
 lattice) provides an independent second route to the same sequences and is
@@ -220,19 +222,18 @@ def cutting_sequence(spec: SturmianSpec, n_lo: int, n_hi: int) -> Word:
     return word("".join(out))
 
 
-def _beam_word(cs: CellSeries, n_from: int, n_to: int) -> Word:
-    return _join(cs.cell(n) for n in range(n_from, n_to + 1))
-
-
 def skew_sturmian(spec: SturmianSpec) -> EPSeq:
     """The eventually periodic sequence generated by the spec, as an EPSeq
     equal to the cell-series expansion up to similarity.
 
-    Type S takes the anomaly to be the b-cell block B_m .. B_{m+b-1} where
-    (a, b) are the restricted Bézout coefficients of (q, p); type S' finds
-    the anomaly block by searching for the first realignment of the right
-    beam with the left one.  Both constructions are verified against the
-    generated cells and fail loudly on mismatch.
+    Let (a, b) be the restricted Bézout coefficients of (q, p).  The period
+    block is B_{m-p} .. B_{m-1} and the anomaly block is the j cells
+    B_m .. B_{m+j-1}: j = b for type S, and for type S' j = p - b, the
+    cells that complete the type-S anomaly to one period (j = 1 when
+    p = 1, where p - b = 0).  Every cell of both beams in a window of
+    more than two periods on each side must repeat the period block, which
+    must hold q zeros and p ones, and the anomaly length must be a + b (S)
+    or p + q - (a + b) (S'); any failure raises InternalMismatch.
     """
     if spec.freq.kind == "infinity":
         return make_ep(word("0"), word("1"))
@@ -241,43 +242,28 @@ def skew_sturmian(spec: SturmianSpec) -> EPSeq:
     q, p = spec.freq.q, spec.freq.p
     m = spec.m
     bz = restricted_bezout(q, p)
-    guard = 2 * (p + 1) + bz.b
     if spec.stype == TYPE_S:
-        cs = cell_series(spec, m - guard, m + guard)
-        _check_beam_periodic(cs, m, p, spec)
-        j = bz.b
+        j, size = bz.b, bz.a + bz.b
     else:
-        guard = 4 * p + 4
-        cs = cell_series(spec, m - guard, m + guard)
-        _check_beam_periodic(cs, m, p, spec)
-        j = _find_realignment(cs, m, p)
-    left = tuple(cs.cell(n).symbols for n in range(m - p, m))
-    for r in range(2 * p):
-        if cs.cell(m + j + r).symbols != left[r % p]:
+        # p = 1: the anomaly is the one cell B_m, a 1 and q + 1 zeros
+        j, size = (p - bz.b, p + q - (bz.a + bz.b)) if p > 1 else (1, q + 2)
+    cs = cell_series(spec, m - 2 * (p + 1) - j, m + j + 2 * p - 1)
+    k = m - cs.n_lo  # B_m is cs.cells[k]
+    period = cs.cells[k - p:k]
+    for i, c in enumerate(cs.cells):
+        if k <= i < k + j:
+            continue
+        if c.symbols != period[(i - k if i < k else i - k - j) % p].symbols:
             raise InternalMismatch(
-                f"right beam of {spec} does not repeat the period block at offset {j}"
+                f"cell B_{cs.n_lo + i} of {spec} does not repeat the period block"
             )
-    w = _beam_word(cs, m - p, m - 1)
-    v = _beam_word(cs, m, m + j - 1)
+    w = _join(period)
+    v = _join(cs.cells[k:k + j])
     if len(w) != p + q or sum(1 for s in w.symbols if s == 0) != q:
         raise InternalMismatch(f"period block of {spec} has wrong symbol counts")
-    if spec.stype == TYPE_S and len(v) != bz.a + bz.b:
-        raise InternalMismatch(f"type-S anomaly block of {spec} has length {len(v)}")
+    if len(v) != size:
+        raise InternalMismatch(f"anomaly block of {spec} has length {len(v)}, not {size}")
     return make_ep(w, v)
-
-
-def _check_beam_periodic(cs: CellSeries, m: int, p: int, spec: SturmianSpec) -> None:
-    for n in range(cs.n_lo + p, m):
-        if cs.cell(n).symbols != cs.cell(n - p).symbols:
-            raise InternalMismatch(f"left beam of {spec} is not p-periodic at cell {n}")
-
-
-def _find_realignment(cs: CellSeries, m: int, p: int) -> int:
-    left = tuple(cs.cell(n).symbols for n in range(m - p, m))
-    for j in range(1, 2 * p + 3):
-        if all(cs.cell(m + j + r).symbols == left[r] for r in range(p)):
-            return j
-    raise InternalMismatch("no realignment of the right beam found")
 
 
 def symbol_reverse(x: EPSeq) -> EPSeq:

@@ -134,19 +134,15 @@ class VerifyBounds:
     reciprocal_sum: int = 20
 
     def capped(self, max_period_sum: Optional[int]) -> "VerifyBounds":
+        """These bounds with every p+q bound above max_period_sum lowered
+        to it."""
         if max_period_sum is None:
             return self
-        b = max_period_sum
-        return replace(
-            self,
-            bezout_sum=b,
-            formula_sum=b,
-            conj_skew_sum=b,
-            corollary_sum=b,
-            flow_sum=b,
-            crossval_sum=b,
-            reciprocal_sum=b,
-        )
+        return replace(self, **{
+            f: min(getattr(self, f), max_period_sum)
+            for f in ("bezout_sum", "formula_sum", "conj_skew_sum", "corollary_sum",
+                      "flow_sum", "crossval_sum", "reciprocal_sum")
+        })
 
 
 def coprime_pairs(max_sum: int) -> Iterator[tuple[int, int]]:
@@ -185,9 +181,9 @@ def random_ep(rng: random.Random, wmax: int = 7, vmax: int = 10) -> EPSeq:
             continue
 
 
-def random_instances(count: int, seed: int, wmax: int = 7, vmax: int = 10) -> list[EPSeq]:
+def random_instances(count: int, seed: int) -> list[EPSeq]:
     rng = random.Random(seed)
-    return [random_ep(rng, wmax, vmax) for _ in range(count)]
+    return [random_ep(rng) for _ in range(count)]
 
 
 def _timed(tag: str, bounds: dict, body: Callable[[list[dict]], int]) -> TheoremCheck:
@@ -197,7 +193,7 @@ def _timed(tag: str, bounds: dict, body: Callable[[list[dict]], int]) -> Theorem
     return TheoremCheck(tag, bounds, checked, failures, time.perf_counter() - t0)
 
 
-def check_bezout_oracle(max_sum: int = 200) -> TheoremCheck:
+def check_bezout_oracle(max_sum: int) -> TheoremCheck:
     """Criterion 1: restricted Bézout vs exhaustive scan, uniqueness,
     coprimality of a+b with p+q, and the swapped-input involution: the
     coefficients for (p, q) are (a', b') = (p - b, q - a)."""
@@ -229,7 +225,7 @@ def _skew(q: int, p: int, stype: str, m: int = 0) -> EPSeq:
     return skew_sturmian(SturmianSpec(Frequency.rational(q, p), stype, m))
 
 
-def check_anomaly_size_formula(max_sum: int = 25) -> TheoremCheck:
+def check_anomaly_size_formula(max_sum: int) -> TheoremCheck:
     """Criterion 2: generated skew sequences have least period p+q and the
     anomaly size a+b (type S) or p+q-(a+b) (type S'), by the linear scan of
     anomaly_size and by the independent brute-force window search."""
@@ -408,7 +404,7 @@ def _all_specs(max_sum: int) -> list[SturmianSpec]:
     return specs
 
 
-def check_conjugacy_classes(max_sum: int = 20) -> TheoremCheck:
+def check_conjugacy_classes(max_sum: int) -> TheoremCheck:
     """Criterion 6: over all specs with p+q <= max_sum plus the Infinity/S
     and Zero/S' cases, the invariant-level conjugacy relation partitions
     the specs exactly into the pairs {spec, inverse-frequency-opposite-type}."""
@@ -474,7 +470,7 @@ def check_flow_witnesses(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
     )
 
 
-def check_generator_crossval(max_sum: int = 25, ms: tuple[int, ...] = (-1, 0, 2)) -> TheoremCheck:
+def check_generator_crossval(max_sum: int, ms: tuple[int, ...]) -> TheoremCheck:
     """Criterion 8: the cutting sequence agrees with the cell-series
     expansion up to one alignment offset, cell windows are balanced, and
     exactly one p-chain in an anomaly-centred window has q-1 zeros."""
@@ -523,7 +519,7 @@ def _crossval_one(spec: SturmianSpec, q: int, p: int, m: int) -> Optional[str]:
     return "cutting sequence does not occur at the cell-aligned offset"
 
 
-def check_reciprocals(max_sum: int = 20) -> TheoremCheck:
+def check_reciprocals(max_sum: int) -> TheoremCheck:
     """Criterion 9: symbol reversal carries S(q/p) onto a sequence similar
     to S'(p/q)."""
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epshift import jsonio
+from epshift import cli, errors, jsonio
 from epshift.classify import identity_code
 from epshift.cli import main
 from epshift.sequences import make_ep, shift
@@ -262,3 +262,26 @@ def test_verify_small_bounds(capsys):
     assert report.to_obj() == VerifyReport.from_obj(report.to_obj()).to_obj()
     # one progress line per check on stderr
     assert len([l for l in captured.err.splitlines() if l.strip()]) == 9
+
+
+EXIT_CODES = {
+    "EpshiftError": 1, "InputError": 2,
+    "NotCoprime": 2, "NonPositive": 2, "InputTooLarge": 2, "InvalidSpec": 2,
+    "DegeneratePeriodic": 2, "IncompatibleAlphabets": 2, "UnknownSymbol": 2,
+    "EmptyWord": 2, "MalformedCell": 2, "MalformedInput": 2, "WrongAlphabet": 2,
+    "SymbolAbsent": 2,
+    "InternalMismatch": 1, "NotConjugate": 1, "WindowExhausted": 1, "MissingBlock": 1,
+    "DegenerateImage": 1, "PostconditionFailed": 1,
+}
+
+
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys):
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.EpshiftError)}
+    assert set(classes) == set(EXIT_CODES)
+    for name, cls in classes.items():
+        def raising(args, cls=cls):
+            raise cls("boom")
+        monkeypatch.setattr(cli, "cmd_bezout", raising)
+        code, obj = run(capsys, "bezout", "1", "1")
+        assert (code, obj["error"]["kind"]) == (EXIT_CODES[name], name)

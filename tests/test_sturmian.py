@@ -19,6 +19,7 @@ from epshift.sturmian import (
     skew_sturmian,
     symbol_reverse,
 )
+from epshift.verify import coprime_pairs
 from epshift.words import word
 
 
@@ -150,3 +151,38 @@ def test_period_word_symbol_counts():
             assert least_period(x) == p + q
             assert x.period_word.symbols.count(0) == q
             assert x.period_word.symbols.count(1) == p
+
+
+def _realignment_offset(spec, p):
+    """The first j >= 1 at which the cells B_{m+j} .. B_{m+j+p-1} repeat the
+    period block B_{m-p} .. B_{m-1}, found by search (the oracle for the
+    anomaly length j that skew_sturmian takes from the Bézout pair)."""
+    cs = cell_series(spec, spec.m - p, spec.m + 3 * p + 1)
+    period = cs.cells[:p]
+    for j in range(1, 2 * p + 3):
+        if cs.cells[p + j:2 * p + j] == period:
+            return j
+    raise AssertionError(f"no realignment of the right beam of {spec}")
+
+
+def _skew_by_realignment(spec):
+    p, m = spec.freq.p, spec.m
+    j = _realignment_offset(spec, p)
+    return make_ep(expand_cells(cell_series(spec, m - p, m - 1)),
+                   expand_cells(cell_series(spec, m, m + j - 1)))
+
+
+@pytest.mark.parametrize("stype", [TYPE_S, TYPE_SPRIME])
+def test_skew_sturmian_matches_the_realignment_search(stype):
+    for q, p in coprime_pairs(40):
+        for m in (-3, 0, 2):
+            spec = SturmianSpec(Frequency.rational(q, p), stype, m)
+            assert skew_sturmian(spec) == _skew_by_realignment(spec), spec
+
+
+def test_skew_sturmian_matches_the_realignment_search_at_n1600():
+    spec = spec_Sp(799, 801)
+    x = skew_sturmian(spec)
+    assert x == _skew_by_realignment(spec)
+    # restricted Bézout pair of (799, 801): a = 399, b = 400
+    assert least_period(x) == 1600 and anomaly_size(x) == 1600 - (399 + 400)

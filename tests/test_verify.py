@@ -25,6 +25,9 @@ def test_bounds_capping():
     assert b.bezout_sum == b.formula_sum == b.flow_sum == 5
     assert b.family_w == 4  # family bounds are not period sums
     assert VerifyBounds().capped(None) == VerifyBounds()
+    assert VerifyBounds().capped(14).flow_sum == 12  # a cap never raises a bound
+    assert VerifyBounds().capped(14).conj_skew_sum == 14
+    assert VerifyBounds().capped(1000) == VerifyBounds()
 
 
 def test_coprime_pairs_small():
