@@ -46,8 +46,7 @@ from .sturmian import (
     TYPE_S,
     TYPE_SPRIME,
     cell_series,
-    cell_zeros_S,
-    cell_zeros_Sprime,
+    cell_zeros,
     chain_zero_counts,
     cutting_sequence,
     expand_cells,

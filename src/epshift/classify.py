@@ -102,7 +102,7 @@ def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
     DegenerateImage if the image is periodic (in which case the code
     cannot be a conjugacy witness for x).
     """
-    root = apply_code_to_periodic(code, PeriodicSeq(x.period_word, 0)).period_word
+    root = apply_code_to_periodic(code, PeriodicSeq(x.period_word)).period_word
     mm, aa, blen = code.memory, code.anticipation, code.block_length
     n, vl = least_period(x), len(x.anomaly)
 
@@ -124,10 +124,10 @@ def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSe
         raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
     blen = code.block_length
     n = p.least_period
-    wbuf = _tiled(p.period_word.symbols, p.phase - code.memory, n + blen - 1)
+    wbuf = _tiled(p.period_word.symbols, -code.memory, n + blen - 1)
     img = tuple(code.out(wbuf[i:i + blen]) for i in range(n))
     root, _ = primitive_root(Word(img, code.target_alphabet))
-    return PeriodicSeq(root, 0)
+    return PeriodicSeq(root)
 
 
 def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu: int,

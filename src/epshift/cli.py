@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every subcommand writes one JSON value to stdout and diagnostics to stderr.
-Exit codes: 0 success, 1 property failure (a verification that ran and
-failed), 2 usage or input errors.
+Every subcommand writes one JSON value to stdout and diagnostics to stderr;
+so does a command line that does not parse.  Exit codes: 0 success, 1
+property failure (a verification that ran and failed), 2 usage or input
+errors.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _pretty_ep(x: EPSeq) -> str:
 
 def _pretty_per(p: PeriodicSeq) -> str:
     w = p.period_word.text
-    return f"…{w} {w} {w}… (phase {p.phase})"
+    return f"…{w} {w} {w}… (phase 0)"
 
 
 def _parse_freq(text: str) -> Frequency:
@@ -104,27 +105,22 @@ def cmd_sturmian_gen(args) -> int:
 
 def cmd_ep(args) -> int:
     x = _load_epseq(args.file)
+    if args.ep_cmd == "similar":
+        _emit({"similar": similar(x, _load_epseq(args.other))})
+        return 0
+    shown, pretty = x, _pretty_ep
     if args.ep_cmd == "anomaly-size":
         obj = {"anomaly_size": anomaly_size(x), "least_period": least_period(x)}
     elif args.ep_cmd == "least-period":
         obj = {"least_period": least_period(x)}
     elif args.ep_cmd == "canonical":
-        c = canonical(x)
-        obj = jsonio.emit_epseq(c)
-        if args.pretty:
-            obj["pretty"] = _pretty_ep(c)
-    elif args.ep_cmd == "remove-anomaly":
-        p = remove_anomaly(x)
-        obj = jsonio.emit_perseq(p)
-        if args.pretty:
-            obj["pretty"] = _pretty_per(p)
-    elif args.ep_cmd == "similar":
-        y = _load_epseq(args.other)
-        obj = {"similar": similar(x, y)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown ep subcommand {args.ep_cmd!r}")
-    if args.pretty and "pretty" not in obj and args.ep_cmd in ("anomaly-size", "least-period"):
-        obj["pretty"] = _pretty_ep(x)
+        shown = canonical(x)
+        obj = jsonio.emit_epseq(shown)
+    else:  # remove-anomaly, whose result is periodic
+        shown, pretty = remove_anomaly(x), _pretty_per
+        obj = jsonio.emit_perseq(shown)
+    if args.pretty:
+        obj["pretty"] = pretty(shown)
     _emit(obj)
     return 0
 
@@ -195,8 +191,16 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as an InputError, so that main prints it as JSON."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epshift",
         description="Eventually periodic subshifts: invariants, witnesses, skew Sturmian generators.",
     )
@@ -229,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = ep_sub.add_parser("similar")
     q.add_argument("file")
     q.add_argument("other")
-    q.add_argument("--pretty", action="store_true")
     q.set_defaults(func=cmd_ep)
 
     p_cl = sub.add_parser("classify", help="conjugacy and flow equivalence")
@@ -260,9 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ValueError, OSError) as e:  # JSONDecodeError is a ValueError
         return _fail(type(e).__name__, str(e), 2)

@@ -2,8 +2,10 @@
 
 All emitters are deterministic (sorted code tables, explicit alphabets) so
 witnesses serialize reproducibly, and parse(emit(v)) == v for every value
-the library produces.  A value whose format tag is right but whose keys
-are missing or of the wrong type raises MalformedInput.
+the library produces in a format that has a parser.  ``perseq/1`` is
+output only: it writes a PeriodicSeq with ``"phase": 0``, the value's one
+normal form.  A value whose format tag is right but whose keys are missing
+or of the wrong type raises MalformedInput.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .classify import (
 )
 from .errors import MalformedInput
 from .sequences import EPSeq, PeriodicSeq, make_ep
-from .words import Alphabet, Word, primitive_root, word
+from .words import Alphabet, Word, word
 
 EPSEQ_FORMAT = "epseq/1"
 PERSEQ_FORMAT = "perseq/1"
@@ -79,26 +81,8 @@ def emit_perseq(p: PeriodicSeq) -> dict:
         "format": PERSEQ_FORMAT,
         "alphabet": list(p.period_word.alphabet.labels),
         "period": p.period_word.text,
-        "phase": p.phase,
+        "phase": 0,
     }
-
-
-def parse_perseq(obj: Any) -> PeriodicSeq:
-    d = _expect(obj, PERSEQ_FORMAT)
-    text = _field(d, "period", PERSEQ_FORMAT, str)
-    if "alphabet" in d:
-        alphabet = _alphabet(d, "alphabet", PERSEQ_FORMAT)
-    else:
-        # infer from the period text, in order of first occurrence
-        seen: list[str] = []
-        labels = text[1:-1].split(",") if text.startswith("[") else list(text)
-        for lbl in labels:
-            if lbl not in seen:
-                seen.append(lbl)
-        alphabet = Alphabet(tuple(seen))
-    w = word(text, alphabet)
-    root, _ = primitive_root(w)
-    return PeriodicSeq(root, _field(d, "phase", PERSEQ_FORMAT, int) % len(root))
 
 
 def emit_code(c: SlidingBlockCode) -> dict:

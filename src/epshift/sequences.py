@@ -49,33 +49,24 @@ from .words import Alphabet, Word, is_primitive, primitive_root, require_same_al
 
 @dataclass(frozen=True)
 class PeriodicSeq:
-    """A periodic bi-infinite sequence: value at k is period_word[(k + phase) mod N]."""
+    """The periodic bi-infinite sequence k -> period_word[k mod N].
+
+    The period word is primitive, so two values are structurally equal iff
+    they denote the same sequence: ``==`` is sequence equality.
+    """
 
     period_word: Word
-    phase: int
 
     def __post_init__(self) -> None:
         if not is_primitive(self.period_word):
             raise ValueError("period word of a PeriodicSeq must be primitive")
-        if not 0 <= self.phase < len(self.period_word):
-            raise ValueError(f"phase {self.phase} out of range [0, {len(self.period_word)})")
 
     @property
     def least_period(self) -> int:
         return len(self.period_word)
 
     def symbol_id_at(self, k: int) -> int:
-        n = len(self.period_word)
-        return self.period_word.symbols[(k + self.phase) % n]
-
-    def same_sequence(self, other: PeriodicSeq) -> bool:
-        """Pointwise equality as bi-infinite sequences."""
-        if self.period_word.alphabet != other.period_word.alphabet:
-            return False
-        n = self.least_period
-        if n != other.least_period:
-            return False
-        return all(self.symbol_id_at(k) == other.symbol_id_at(k) for k in range(n))
+        return self.period_word.symbols[k % len(self.period_word)]
 
 
 @dataclass(frozen=True)
@@ -293,7 +284,7 @@ def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
 
     The periodic-or-not classification is exact: the kernel finds no defect
     iff the result is periodic, and then it is the extension of the left
-    tail, PeriodicSeq(period_word, 0).  A non-periodic result is
+    tail, PeriodicSeq(period_word).  A non-periodic result is
     re-anchored (see module docstring).
     """
     if win.length < 1:
@@ -304,7 +295,7 @@ def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
     buf = _symbols(x, lo, max(s + length, vl) + 2 * n)
     cut = s - lo
     scan = _scan(buf[:cut] + buf[cut + length:], lo, x.period_word, vl - length)
-    return PeriodicSeq(x.period_word, 0) if scan is None else scan.anchor(0)
+    return PeriodicSeq(x.period_word) if scan is None else scan.anchor(0)
 
 
 def _window_search(x: EPSeq, extra_start: int, extra_len: int) -> list[AnomalyWindow]:
@@ -345,8 +336,8 @@ def anomaly_size(x: EPSeq) -> int:
 def remove_anomaly(x: EPSeq) -> PeriodicSeq:
     """The periodic sequence obtained by deleting an anomaly window; the
     result is pointwise independent of which window is deleted.  Deleting
-    the stored anomaly leaves the period word at phase 0 by definition."""
-    return PeriodicSeq(x.period_word, 0)
+    the stored anomaly leaves k -> w[k mod N] by definition."""
+    return PeriodicSeq(x.period_word)
 
 
 def canonical(x: EPSeq) -> EPSeq:

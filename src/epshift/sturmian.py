@@ -110,34 +110,15 @@ def _require_rational(spec: SturmianSpec) -> tuple[int, int]:
     return spec.freq.q, spec.freq.p
 
 
-def cell_zeros_S(spec: SturmianSpec, n: int) -> int:
-    """Zeros in cell B_n of S(m, q/p): points of G = {m + k p/q} in
-    (n, n+1], (m, m+1) or [n, n+1) according as n < m, n = m, n > m."""
-    if spec.stype != TYPE_S:
-        raise InvalidSpec("cell_zeros_S needs a type-S spec")
+def cell_zeros(spec: SturmianSpec, n: int) -> int:
+    """Zeros in cell B_n: the points of G = {m + k p/q} in the cell's
+    interval.  For S(m, q/p) it is (n, n+1], (m, m+1) or [n, n+1) according
+    as n < m, n = m, n > m; S'(m, q/p) flips every endpoint, giving [n, n+1),
+    [m, m+1] or (n, n+1]."""
     q, p = _require_rational(spec)
-    a = q * (n - spec.m)
-    b = q * (n - spec.m + 1)
-    if n < spec.m:
-        return _count_multiples(p, a, b, True, False)
-    if n == spec.m:
-        return _count_multiples(p, a, b, True, True)
-    return _count_multiples(p, a, b, False, True)
-
-
-def cell_zeros_Sprime(spec: SturmianSpec, n: int) -> int:
-    """Zeros in cell B_n of S'(m, q/p): points of G in [n, n+1), [m, m+1]
-    or (n, n+1] according as n < m, n = m, n > m."""
-    if spec.stype != TYPE_SPRIME:
-        raise InvalidSpec("cell_zeros_Sprime needs a type-S' spec")
-    q, p = _require_rational(spec)
-    a = q * (n - spec.m)
-    b = q * (n - spec.m + 1)
-    if n < spec.m:
-        return _count_multiples(p, a, b, False, True)
-    if n == spec.m:
-        return _count_multiples(p, a, b, False, False)
-    return _count_multiples(p, a, b, True, False)
+    is_s, m = spec.stype == TYPE_S, spec.m
+    return _count_multiples(p, q * (n - m), q * (n - m + 1),
+                            (n <= m) == is_s, (n >= m) == is_s)
 
 
 def _cell(zeros: int) -> Word:
@@ -164,8 +145,7 @@ class CellSeries:
 def cell_series(spec: SturmianSpec, n_lo: int, n_hi: int) -> CellSeries:
     if n_lo > n_hi:
         raise ValueError(f"need n_lo <= n_hi, got {n_lo} > {n_hi}")
-    zeros = cell_zeros_S if spec.stype == TYPE_S else cell_zeros_Sprime
-    return CellSeries(n_lo, tuple(_cell(zeros(spec, n)) for n in range(n_lo, n_hi + 1)))
+    return CellSeries(n_lo, tuple(_cell(cell_zeros(spec, n)) for n in range(n_lo, n_hi + 1)))
 
 
 def _join(cells) -> Word:

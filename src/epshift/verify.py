@@ -311,8 +311,7 @@ def check_window_lemmas(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
             if not all(isinstance(r, PeriodicSeq) for r in removals):
                 failures.append({"instance": entry, "reason": "removal not periodic"})
                 continue
-            base = removals[0]
-            if not all(base.same_sequence(r) for r in removals[1:]):
+            if any(r != removals[0] for r in removals[1:]):
                 failures.append({"instance": entry, "reason": "removals differ pointwise"})
                 continue
             best = wins[0]

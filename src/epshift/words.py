@@ -96,17 +96,9 @@ class Word:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Word(self.symbols[i], self.alphabet)
-        return self.symbols[i]
-
     def __add__(self, other: Word) -> Word:
         require_same_alphabet(self, other)
         return Word(self.symbols + other.symbols, self.alphabet)
-
-    def __mul__(self, k: int) -> Word:
-        return Word(self.symbols * k, self.alphabet)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.alphabet.labels[s] for s in self.symbols)

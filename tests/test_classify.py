@@ -369,7 +369,7 @@ def test_codes_reject_sequences_over_another_alphabet():
     ab = Alphabet(("a", "b"))
     code = identity_code(BINARY)
     with pytest.raises(IncompatibleAlphabets):
-        apply_code_to_periodic(code, PeriodicSeq(Word((0, 1), ab), 0))
+        apply_code_to_periodic(code, PeriodicSeq(Word((0, 1), ab)))
     with pytest.raises(IncompatibleAlphabets):
         apply_code(code, make_ep(Word((0,), ab), Word((1,), ab)))
 

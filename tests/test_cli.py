@@ -99,6 +99,34 @@ def test_ep_pretty_flag(tmp_path, capsys):
     assert "[1]" in obj["pretty"] and "110" in obj["pretty"]
 
 
+def test_every_pretty_flag_adds_a_pretty_key(tmp_path, capsys):
+    f = write_ep(tmp_path / "x.json", make_ep(word("110"), word("1")))
+    commands = [["bezout", "2", "3"], ["sturmian", "gen", "--freq", "2/3", "--type", "S"],
+                ["ep", "similar", f, f], ["classify", "conjugate", f, f]]
+    commands += [["ep", name, f] for name in ("anomaly-size", "least-period", "canonical",
+                                              "remove-anomaly")]
+    accepting = 0
+    for argv in commands:
+        code, obj = run(capsys, *argv, "--pretty")
+        if code == 2:  # the subcommand has no --pretty flag
+            assert "unrecognized arguments: --pretty" in obj["error"]["message"], argv
+        else:
+            assert code == 0 and "pretty" in obj, argv
+            accepting += 1
+    assert accepting == 5
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nosuch"], ["bezout", "2"], ["bezout", "x", "3"],
+    ["verify", "--max-period-sum", "abc"], ["ep", "similar", "a", "b", "--bogus"],
+])
+def test_usage_errors_print_one_json_value(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and "error" in json.loads(captured.out)
+    assert captured.err.startswith("usage: epshift")
+
+
 def test_classify_conjugate_and_check_witness(tmp_path, capsys):
     a = write_ep(tmp_path / "a.json", make_ep(word("0"), word("11")))
     b = write_ep(tmp_path / "b.json", make_ep(word("1"), word("00")))

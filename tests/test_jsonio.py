@@ -5,7 +5,7 @@ import pytest
 from epshift import jsonio
 from epshift.errors import MalformedInput
 from epshift.classify import conjugacy_witness, flow_witness, identity_code
-from epshift.sequences import PeriodicSeq, make_ep, remove_anomaly
+from epshift.sequences import make_ep, remove_anomaly
 from epshift.sturmian import Frequency, SturmianSpec, TYPE_S, TYPE_SPRIME, skew_sturmian
 from epshift.words import Alphabet, word
 
@@ -38,21 +38,10 @@ def test_epseq_spec_shape():
                    "period": "110", "anomaly": "1"}
 
 
-def test_perseq_round_trip():
-    p = remove_anomaly(ep("110", "1"))
-    obj = jsonio.emit_perseq(p)
-    assert obj["format"] == "perseq/1"
-    assert jsonio.parse_perseq(obj) == p
-    # the alphabet key may be omitted; it is then inferred from the period
-    bare = {"format": "perseq/1", "period": "110", "phase": 2}
-    q = jsonio.parse_perseq(bare)
-    assert isinstance(q, PeriodicSeq) and q.phase == 2
-
-
-def test_perseq_normalizes_on_parse():
-    obj = {"format": "perseq/1", "alphabet": ["0", "1"], "period": "0101", "phase": 3}
-    p = jsonio.parse_perseq(obj)
-    assert p.period_word.text == "01" and p.phase == 1
+def test_perseq_emit_shape():
+    obj = jsonio.emit_perseq(remove_anomaly(ep("110", "1")))
+    assert obj == {"format": "perseq/1", "alphabet": ["0", "1"],
+                   "period": "110", "phase": 0}
 
 
 def test_code_round_trip():
@@ -100,7 +89,7 @@ def test_format_tag_is_checked():
     with pytest.raises(ValueError):
         jsonio.parse_epseq({"format": "epseq/2", "alphabet": ["0"], "period": "0", "anomaly": "0"})
     with pytest.raises(ValueError):
-        jsonio.parse_perseq(["not", "an", "object"])
+        jsonio.parse_epseq(["not", "an", "object"])
 
 
 def test_missing_keys_and_wrong_types_raise_malformed_input():
@@ -109,7 +98,6 @@ def test_missing_keys_and_wrong_types_raise_malformed_input():
         (jsonio.parse_epseq, {"format": "epseq/1", "alphabet": "01", "period": "0", "anomaly": "1"}),
         (jsonio.parse_epseq, {"format": "epseq/1", "alphabet": [0, 1], "period": "0", "anomaly": "1"}),
         (jsonio.parse_epseq, {"format": "epseq/1", "alphabet": ["0", "1"], "period": "0", "anomaly": 1}),
-        (jsonio.parse_perseq, {"format": "perseq/1", "alphabet": ["0"]}),
         (jsonio.parse_code, {"format": "sbc/1", "memory": 0, "anticipation": 0}),
         (jsonio.parse_code, {"format": "sbc/1", "memory": 0, "anticipation": 0,
                              "source_alphabet": ["0"], "target_alphabet": ["0"], "table": [[0, "0"]]}),
@@ -121,8 +109,6 @@ def test_missing_keys_and_wrong_types_raise_malformed_input():
         (jsonio.parse_code, {"format": "sbc/1", "memory": 0, "anticipation": False,
                              "source_alphabet": ["0"], "target_alphabet": ["0"],
                              "table": [["0", "0"]]}),
-        (jsonio.parse_perseq, {"format": "perseq/1", "alphabet": ["0", "1"],
-                               "period": "01", "phase": True}),
         (jsonio.parse_conjugacy, {"format": "conjugacy/1"}),
         (jsonio.parse_flow_witness, {"format": "flowwitness/1", "chain_x": [], "chain_y": [{}]}),
     ]

@@ -20,7 +20,7 @@ from epshift.sequences import (
     similar,
     window,
 )
-from epshift.words import Alphabet, BINARY, Word, word
+from epshift.words import Alphabet, BINARY, Word, is_primitive, rotate, word
 
 
 def ep(w, v):
@@ -119,14 +119,14 @@ def test_shift_preserves_invariants(small_family):
 
 def test_remove_window_examples():
     r = remove_window(ep("0", "01"), AnomalyWindow(1, 1))
-    assert isinstance(r, PeriodicSeq) and r.period_word.text == "0" and r.phase == 0
+    assert r == PeriodicSeq(word("0"))
 
     r2 = remove_window(ep("0", "11"), AnomalyWindow(0, 1))
     assert r2 == ep("0", "1")
 
     r3 = remove_window(ep("110", "1"), AnomalyWindow(0, 1))
     assert isinstance(r3, PeriodicSeq) and r3.period_word.text == "110"
-    # phase aligned with the left tail
+    # aligned with the left tail
     assert r3.symbol_id_at(-1) == ep("110", "1").symbol_id_at(-1)
 
 
@@ -151,10 +151,10 @@ def test_least_period_examples():
 
 def test_remove_anomaly_examples():
     r = remove_anomaly(ep("0", "11"))
-    assert r.period_word.text == "0" and r.phase == 0
+    assert r.period_word.text == "0"
     x = ep("0", "01")
     removals = [remove_window(x, w) for w in anomaly_windows(x)]
-    assert all(removals[0].same_sequence(r) for r in removals)
+    assert all(r == removals[0] for r in removals)
 
 
 def test_classification_is_exact_inside_search_range(small_family):
@@ -272,8 +272,7 @@ def test_window_lengths_congruent_and_removals_equal(small_family, random_family
         assert all((w.length - len(x.anomaly)) % n == 0 for w in wins)
         removals = [remove_window(x, w) for w in wins]
         assert all(isinstance(r, PeriodicSeq) for r in removals)
-        first = removals[0]
-        assert all(first.same_sequence(r) for r in removals[1:])
+        assert all(r == removals[0] for r in removals[1:])
 
 
 # --- structural equality is sequence equality --------------------------------
@@ -296,6 +295,20 @@ def test_equal_iff_pointwise_equal(wbits, vbits):
     z = shift(x, -least_period(x))
     assert z == make_ep(x.period_word, x.period_word + x.anomaly)
     assert z != x
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=9))))
+def test_periodic_equal_iff_pointwise_equal(parts):
+    k, syms = parts
+    w = Word(tuple(syms), Alphabet(("a", "b", "c")[:k]))
+    assume(is_primitive(w))
+    p, n = PeriodicSeq(w), len(w)
+    for r in range(-n, 2 * n + 1):
+        q = PeriodicSeq(rotate(w, r % n))
+        pointwise = all(q.symbol_id_at(i) == p.symbol_id_at(i) for i in range(n))
+        assert (q == p) == pointwise == (r % n == 0)
 
 
 # --- the linear kernel against the brute-force oracle -------------------------

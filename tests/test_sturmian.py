@@ -1,4 +1,6 @@
 from collections import Counter
+from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
@@ -11,8 +13,7 @@ from epshift.sturmian import (
     TYPE_S,
     TYPE_SPRIME,
     cell_series,
-    cell_zeros_S,
-    cell_zeros_Sprime,
+    cell_zeros,
     chain_zero_counts,
     cutting_sequence,
     expand_cells,
@@ -32,15 +33,43 @@ def spec_Sp(q, p, m=0):
 
 
 def test_cell_zeros_S_examples():
-    assert cell_zeros_S(spec_S(1, 1), 0) == 0
-    assert cell_zeros_S(spec_S(1, 1), -1) == 1
-    assert cell_zeros_S(spec_S(1, 2), -2) == 0
+    assert cell_zeros(spec_S(1, 1), 0) == 0
+    assert cell_zeros(spec_S(1, 1), -1) == 1
+    assert cell_zeros(spec_S(1, 2), -2) == 0
 
 
 def test_cell_zeros_Sprime_examples():
-    assert cell_zeros_Sprime(spec_Sp(1, 1), 0) == 2
-    assert cell_zeros_Sprime(spec_Sp(1, 1), -1) == 1
-    assert cell_zeros_Sprime(spec_Sp(1, 1), 1) == 1
+    assert cell_zeros(spec_Sp(1, 1), 0) == 2
+    assert cell_zeros(spec_Sp(1, 1), -1) == 1
+    assert cell_zeros(spec_Sp(1, 1), 1) == 1
+
+
+# (type, sign of n - m) -> whether the cell's interval is closed at n, at n+1
+CELL_ENDPOINTS = {
+    (TYPE_S, -1): (False, True), (TYPE_S, 0): (False, False), (TYPE_S, 1): (True, False),
+    (TYPE_SPRIME, -1): (True, False), (TYPE_SPRIME, 0): (True, True),
+    (TYPE_SPRIME, 1): (False, True),
+}
+
+
+def brute_cell_zeros(spec, n):
+    """Points m + k p/q of the cell's interval, counted one by one."""
+    q, p, m = spec.freq.q, spec.freq.p, spec.m
+    closed_lo, closed_hi = CELL_ENDPOINTS[spec.stype, (n > m) - (n < m)]
+    count = 0
+    for k in range(floor(Fraction((n - m) * q, p)) - 1, ceil(Fraction((n - m + 1) * q, p)) + 2):
+        x = m + k * Fraction(p, q)
+        if (n < x or closed_lo and x == n) and (x < n + 1 or closed_hi and x == n + 1):
+            count += 1
+    return count
+
+
+def test_cell_zeros_matches_brute_force_count():
+    for q, p in coprime_pairs(20):
+        for m in (-2, 0, 3):
+            for spec in (spec_S(q, p, m), spec_Sp(q, p, m)):
+                for n in range(m - 2 * p - 2, m + 2 * p + 3):
+                    assert cell_zeros(spec, n) == brute_cell_zeros(spec, n), (spec, n)
 
 
 def test_cell_series_examples():
