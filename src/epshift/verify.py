@@ -6,13 +6,12 @@ inputs (criterion 1), the anomaly-size formula and the linear normal-form
 scan behind ``anomaly_size`` and ``canonical`` against the brute-force
 window search (criteria 2 and 4), the generators against the
 cutting-sequence construction, and every witness against a replayer,
-once: ``classify.check_conjugacy``, which accepts a code pair when each
-code's image is similar to the other sequence and which
-``conjugacy_witness`` runs on each witness it builds, and
-``classify.verify_flow_witness``, which ``flow_witness`` runs on each flow
-witness it builds (its chain moves carry forward codes only).  Failures
-are recorded as re-parseable counterexamples; an empty failure list is a
-pass.
+once: ``classify.check_conjugacy`` (each code's image is similar to the
+other sequence) on each witness ``conjugacy_witness`` builds, and
+``classify.verify_flow_witness`` on each flow witness ``flow_witness``
+builds; its chain moves carry forward codes only, and it replays each
+distinct (sequence, move) pair once.  Failures are recorded as
+re-parseable counterexamples; an empty failure list is a pass.
 
 The default bounds reproduce the acceptance suite, so `epshift verify`
 with no flags is the acceptance run.
@@ -439,8 +438,8 @@ def check_flow_witnesses(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
     """Criterion 7: flow witnesses construct and replay for every pair of
     skew specs with p+q <= flow_sum (plus the two limit specs) and for
     seeded random EPSeq pairs.  `flow_witness` replays each witness it
-    builds with `verify_flow_witness` and raises InternalMismatch when
-    the replay fails, so building is checking."""
+    builds and raises InternalMismatch when the replay fails, so building
+    is checking; a move shared by many witnesses is replayed only once."""
 
     def body(failures: list[dict]) -> int:
         specs = _all_specs(bounds.flow_sum)

@@ -11,7 +11,9 @@ from epshift.classify import (
     ExpandMove,
     FlowWitness,
     SlidingBlockCode,
+    _image_similar,
     _raise_moves,
+    _replay_move,
     _witness_code,
     apply_code,
     apply_code_to_periodic,
@@ -257,6 +259,30 @@ def test_check_conjugacy_matches_three_part_check(case):
     trail = []
     assert check_conjugacy(x, y, fwd, inv, trail) == (reason is None)
     assert trail == ([] if reason is None else [reason])
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the EpshiftError it raises."""
+    try:
+        return f(*args)
+    except EpshiftError as e:
+        return type(e), str(e)
+
+
+OTHER_ALPHABET = ep("01", "1")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(conjugacy_cases())
+@example(WITNESSED[3])
+def test_image_similar_matches_similar_of_apply_code(case):
+    # the one-scan image test against the two-scan route it replaces,
+    # errors included; OTHER_ALPHABET trips each alphabet check
+    x, y, fwd, inv = case
+    for code, s, t in ((fwd, x, y), (inv, y, x), (inv, x, y),
+                       (fwd, x, OTHER_ALPHABET), (fwd, OTHER_ALPHABET, x)):
+        assert (_outcome(_image_similar, code, s, t)
+                == _outcome(lambda: similar(apply_code(code, s), t)))
 
 
 def test_witnessed_examples_reach_the_shift_search():
@@ -537,6 +563,54 @@ def test_flow_witness_rejects_factor_map_move(forged_factor_witness):
     trail = []
     assert not verify_flow_witness(x, y, forged, trail)
     assert trail == ["chain_x[0]: conjugacy move changes the invariants"]
+
+
+def _tampered_witnesses(forged_factor_witness):
+    """A built flow witness (x, y, w), and (x, y, witness, trail) for copies
+    of w with one move changed and for the forged factor-map witness, each
+    with the one-line trail of its replay."""
+    x, y = skew(TYPE_S, 1, 1), ep("0", "1")
+    w = flow_witness(x, y)
+    conj, expand = w.chain_y
+    big = conj.result.alphabet
+    other_code = SlidingBlockCode(0, 0, (((0,), 2), ((1,), 0)), BINARY, big)
+    short_code = SlidingBlockCode(0, 0, (((0,), 2),), BINARY, big)
+    other_result = make_ep(Word((2,), big), Word((0,), big))
+
+    def with_chain_y(*moves):
+        return x, y, FlowWitness(w.chain_x, moves, w.final_forward, w.final_inverse)
+
+    return (x, y, w), [
+        (*with_chain_y(ConjugacyMove(other_code, conj.result), expand),
+         "chain_y[0]: conjugacy image not similar to recorded result"),
+        (*with_chain_y(ConjugacyMove(short_code, conj.result), expand),
+         "chain_y[0]: replay error: block (1,) not in code table"),
+        (*with_chain_y(ConjugacyMove(conj.code, other_result), expand),
+         "chain_y[0]: conjugacy image not similar to recorded result"),
+        (*with_chain_y(conj, ExpandMove(expand.symbol, "x2'", expand.result)),
+         "chain_y[1]: expansion does not reproduce recorded result"),
+        (*forged_factor_witness, "chain_x[0]: conjugacy move changes the invariants"),
+    ]
+
+
+def test_replay_memo_never_answers_for_a_tampered_move(forged_factor_witness):
+    (x, y, genuine), tampered = _tampered_witnesses(forged_factor_witness)
+    for bx, by, bad, want in tampered:
+        assert verify_flow_witness(x, y, genuine)      # the genuine moves are memoized
+        warm = []
+        assert not verify_flow_witness(bx, by, bad, warm)
+        _replay_move.cache_clear()
+        cold = []
+        assert not verify_flow_witness(bx, by, bad, cold)
+        assert warm == cold == [want]
+    # a replay error is not memoized
+    bx, by, bad, _ = tampered[1]
+    before = _replay_move.cache_info()
+    assert not verify_flow_witness(bx, by, bad, [])
+    after = _replay_move.cache_info()
+    assert after.currsize == before.currsize and after.misses == before.misses + 1
+    # and the memo, now holding the tampered moves, still accepts the genuine one
+    assert verify_flow_witness(x, y, genuine)
 
 
 def test_flow_witness_raises_when_its_replay_fails(monkeypatch):

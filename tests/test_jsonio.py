@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epshift import jsonio
-from epshift.errors import MalformedInput
+from epshift.errors import InputError, MalformedInput
 from epshift.classify import conjugacy_witness, flow_witness, identity_code
 from epshift.sequences import make_ep, remove_anomaly
 from epshift.sturmian import Frequency, SturmianSpec, TYPE_S, TYPE_SPRIME, skew_sturmian
@@ -115,3 +117,75 @@ def test_missing_keys_and_wrong_types_raise_malformed_input():
     for parse, obj in bad:
         with pytest.raises(MalformedInput):
             parse(obj)
+
+
+# --- hostile JSON values -------------------------------------------------------
+
+FORMATS = ("epseq/1", "sbc/1", "conjugacy/1", "flowwitness/1")
+KEYS = ("format", "alphabet", "period", "anomaly", "memory", "anticipation", "source_alphabet",
+        "target_alphabet", "table", "forward", "inverse", "chain_x", "chain_y", "final_forward",
+        "final_inverse", "kind", "code", "result", "symbol", "fresh")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text("01ab[],x'", max_size=5) | st.sampled_from(FORMATS + ("conjugacy", "expand")),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4), inner,
+                                     max_size=6)),
+    max_leaves=12,
+)
+TAGGED = st.builds(lambda fmt, rest: {**rest, "format": fmt}, st.sampled_from(FORMATS),
+                   st.dictionaries(st.sampled_from(KEYS), JSON_VALUES, max_size=6))
+_fw = flow_witness(skew(TYPE_S, 1, 1), ep("0", "1"))
+VALID = (jsonio.emit_epseq(ep("01", "1")), jsonio.emit_code(_fw.chain_y[0].code),
+         jsonio.emit_conjugacy(*conjugacy_witness(skew(TYPE_S, 1, 2), skew(TYPE_SPRIME, 2, 1))),
+         jsonio.emit_flow_witness(_fw))
+
+
+DELETE = object()
+
+
+def _nodes(obj, path=()):
+    """The path of every node of a JSON value, the root's () first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield from _nodes(v, path + (k,))
+
+
+def _changed(obj, path, new):
+    """obj with the node at `path` replaced by `new`, or deleted if new is DELETE."""
+    if not path:
+        return new
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    if len(path) == 1 and new is DELETE:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = _changed(obj[path[0]], path[1:], new)
+    return copy
+
+
+NODES = [(v, p) for v in VALID for p in _nodes(v) if p]
+
+
+def _parses_or_raises_an_input_error(obj):
+    for parse in (jsonio.parse_epseq, jsonio.parse_code, jsonio.parse_conjugacy,
+                  jsonio.parse_flow_witness):
+        try:
+            parse(obj)
+        except (InputError, ValueError):
+            pass
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(JSON_VALUES | TAGGED)
+def test_any_json_value_parses_or_raises_an_input_error(obj):
+    _parses_or_raises_an_input_error(obj)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_an_emitted_value_with_one_node_changed_parses_or_raises_an_input_error(new):
+    # each node of each valid value in turn, deleted or replaced by `new`
+    for value, path in NODES:
+        for repl in (DELETE, new):
+            _parses_or_raises_an_input_error(_changed(value, path, repl))
