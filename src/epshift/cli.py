@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional
 
-from . import classify, jsonio, verify
+from . import classify, jsonio
 from .bezout import restricted_bezout
 from .errors import EpshiftError, InputError, InvalidSpec, MalformedInput
 from .sequences import EPSeq, PeriodicSeq, anomaly_size, canonical, least_period, remove_anomaly, similar
@@ -177,6 +177,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # imported here: no other command needs it
+
     seed = args.seed if args.seed is not None else int(os.environ.get("SUBSHIFT_SEED", "0"))
     bounds = verify.VerifyBounds().capped(args.max_period_sum)
 

@@ -49,7 +49,8 @@ class NonPositive(InputError):
 
 
 class InputTooLarge(InputError):
-    """p + q exceeds the supported bound (10**6)."""
+    """p + q exceeds the supported bound (10**6), or a cell window the
+    supported number of symbols (16 * 10**6)."""
 
 
 class InvalidSpec(InputError):

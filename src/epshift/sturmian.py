@@ -5,9 +5,12 @@ Sequences are generated through their cell-series: a cell is a word
 the arithmetic progression G = {m + k*p/q} falling in an interval attached
 to n.  The two interval conventions (type S and type S') differ exactly in
 which endpoints are open or closed, so all membership tests are done in
-scaled integer arithmetic; no floating point is used anywhere.  Both
-types read their period block and anomaly block straight off the cells,
-at lengths given by the restricted Bézout pair; nothing is searched for.
+scaled integer arithmetic; no floating point is used anywhere.  The zero
+counts of a whole window are the differences of one list of floors, so a
+window costs one pass over plain ints.  Both types read their period block
+and anomaly block straight off those counts, at lengths given by the
+restricted Bézout pair; nothing is searched for, and only those two blocks
+are expanded into symbols.
 
 The cutting-sequence construction (a line of slope p/q crossing an integer
 lattice) provides an independent second route to the same sequences and is
@@ -20,14 +23,20 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
+from operator import sub
 
-from .bezout import restricted_bezout
-from .errors import InternalMismatch, InvalidSpec, WrongAlphabet
+from .bezout import SUM_LIMIT, restricted_bezout
+from .errors import InputTooLarge, InternalMismatch, InvalidSpec, WrongAlphabet
 from .sequences import EPSeq, make_ep
 from .words import BINARY, Word, word
 
 TYPE_S = "S"
 TYPE_SPRIME = "Sprime"
+
+# cell_series refuses a window of C cells when C (p + q) / p, its length in
+# symbols up to two, exceeds this.  The CLI's default window of 4p + 9 cells
+# spans at most 13 (p + q), so every frequency with p + q <= SUM_LIMIT fits.
+SYMBOL_LIMIT = 16 * SUM_LIMIT
 
 
 @dataclass(frozen=True)
@@ -121,8 +130,31 @@ def cell_zeros(spec: SturmianSpec, n: int) -> int:
                             (n <= m) == is_s, (n >= m) == is_s)
 
 
+def _zero_counts(spec: SturmianSpec, n_lo: int, n_hi: int) -> list[int]:
+    """[cell_zeros(spec, n) for n in n_lo..n_hi], from one list of floors.
+
+    The zeros of B_n are H(n+1) - H(n) with H(t) = floor((q(t-m) - e_t)/p),
+    where e_t is [t > m] for type S and [t <= m] for type S'.  H(t) is the
+    largest k with k p < q(t - m) if e_t = 1, or k p <= q(t - m) if e_t = 0,
+    so a point of G at t falls in B_t if e_t = 1 and in B_{t-1} if e_t = 0.
+    """
+    q, p = _require_rational(spec)
+    m = spec.m
+    e_left, e_right = (0, 1) if spec.stype == TYPE_S else (1, 0)  # e_t for t <= m, t > m
+    mid = min(max(m + 1, n_lo), n_hi + 2)  # the first t > m, clamped to the window
+    h = [x // p for x in range(q * (n_lo - m) - e_left, q * (mid - m) - e_left, q)]
+    h += [x // p for x in range(q * (mid - m) - e_right, q * (n_hi + 2 - m) - e_right, q)]
+    return list(map(sub, h[1:], h))
+
+
 def _cell(zeros: int) -> Word:
     return Word((1,) + (0,) * zeros, BINARY)  # BINARY ids: "0" is 0, "1" is 1
+
+
+def _expand(counts: list[int]) -> Word:
+    """The concatenation of the cells with these zero counts."""
+    cells = {z: (1,) + (0,) * z for z in set(counts)}
+    return Word(tuple(chain.from_iterable(map(cells.__getitem__, counts))), BINARY)
 
 
 @dataclass(frozen=True)
@@ -143,18 +175,21 @@ class CellSeries:
 
 
 def cell_series(spec: SturmianSpec, n_lo: int, n_hi: int) -> CellSeries:
+    """The cells B_n_lo .. B_n_hi.  Raises InputTooLarge, before any cell is
+    built, when p + q exceeds SUM_LIMIT or the window SYMBOL_LIMIT."""
+    q, p = _require_rational(spec)
     if n_lo > n_hi:
         raise ValueError(f"need n_lo <= n_hi, got {n_lo} > {n_hi}")
-    return CellSeries(n_lo, tuple(_cell(cell_zeros(spec, n)) for n in range(n_lo, n_hi + 1)))
-
-
-def _join(cells) -> Word:
-    """The concatenation of binary cells, built in one pass."""
-    return Word(tuple(chain.from_iterable(c.symbols for c in cells)), BINARY)
+    if p + q > SUM_LIMIT:
+        raise InputTooLarge(f"p + q = {p + q} exceeds the supported bound {SUM_LIMIT}")
+    if (n_hi - n_lo + 1) * (p + q) > SYMBOL_LIMIT * p:
+        raise InputTooLarge(f"{n_hi - n_lo + 1} cells of frequency {q}/{p} exceed "
+                            f"the supported window of {SYMBOL_LIMIT} symbols")
+    return CellSeries(n_lo, tuple(map(_cell, _zero_counts(spec, n_lo, n_hi))))
 
 
 def expand_cells(cs: CellSeries) -> Word:
-    return _join(cs.cells)
+    return Word(tuple(chain.from_iterable(c.symbols for c in cs.cells)), BINARY)
 
 
 def chain_zero_counts(cs: CellSeries, n: int) -> Counter:
@@ -210,10 +245,11 @@ def skew_sturmian(spec: SturmianSpec) -> EPSeq:
     block is B_{m-p} .. B_{m-1} and the anomaly block is the j cells
     B_m .. B_{m+j-1}: j = b for type S, and for type S' j = p - b, the
     cells that complete the type-S anomaly to one period (j = 1 when
-    p = 1, where p - b = 0).  Every cell of both beams in a window of
-    more than two periods on each side must repeat the period block, which
-    must hold q zeros and p ones, and the anomaly length must be a + b (S)
-    or p + q - (a + b) (S'); any failure raises InternalMismatch.
+    p = 1, where p - b = 0).  The zero counts of a window of at least two
+    periods on each side are read as ints in one pass.  Every cell of both
+    beams must repeat the period block, which must hold q zeros and p ones,
+    and the anomaly length must be a + b (S) or p + q - (a + b) (S'); any
+    failure raises InternalMismatch.  Only the two blocks become symbols.
     """
     if spec.freq.kind == "infinity":
         return make_ep(word("0"), word("1"))
@@ -227,19 +263,20 @@ def skew_sturmian(spec: SturmianSpec) -> EPSeq:
     else:
         # p = 1: the anomaly is the one cell B_m, a 1 and q + 1 zeros
         j, size = (p - bz.b, p + q - (bz.a + bz.b)) if p > 1 else (1, q + 2)
-    cs = cell_series(spec, m - 2 * (p + 1) - j, m + j + 2 * p - 1)
-    k = m - cs.n_lo  # B_m is cs.cells[k]
-    period = cs.cells[k - p:k]
-    for i, c in enumerate(cs.cells):
-        if k <= i < k + j:
-            continue
-        if c.symbols != period[(i - k if i < k else i - k - j) % p].symbols:
-            raise InternalMismatch(
-                f"cell B_{cs.n_lo + i} of {spec} does not repeat the period block"
-            )
-    w = _join(period)
-    v = _join(cs.cells[k:k + j])
-    if len(w) != p + q or sum(1 for s in w.symbols if s == 0) != q:
+    n_lo = m - 2 * (p + 1) - j  # the left beam is the 2p + 2 + j cells before B_m, the right 2p
+    zeros = _zero_counts(spec, n_lo, m + j + 2 * p - 1)
+    k = m - n_lo  # B_m is zeros[k]
+    period = zeros[k - p:k]
+    beams = zeros[:k] + zeros[k + j:]
+    expected = (period * (k // p + 1))[-k:] + period * 2
+    if beams != expected:
+        i = next(i for i, (z, e) in enumerate(zip(beams, expected)) if z != e)
+        raise InternalMismatch(
+            f"cell B_{n_lo + (i if i < k else i + j)} of {spec} does not repeat the period block"
+        )
+    w = _expand(period)
+    v = _expand(zeros[k:k + j])
+    if len(w) != p + q or w.symbols.count(0) != q:
         raise InternalMismatch(f"period block of {spec} has wrong symbol counts")
     if len(v) != size:
         raise InternalMismatch(f"anomaly block of {spec} has length {len(v)}, not {size}")

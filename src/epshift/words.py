@@ -8,7 +8,6 @@ rather than a silent union.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -64,9 +63,8 @@ class Alphabet:
         taken = set(self.labels)
         n = 0
         for lbl in self.labels:
-            m = re.fullmatch(r"x(\d+)'", lbl)
-            if m:
-                n = max(n, int(m.group(1)) + 1)
+            if len(lbl) > 2 and lbl[0] == "x" and lbl[-1] == "'" and lbl[1:-1].isdecimal():
+                n = max(n, int(lbl[1:-1]) + 1)
         while f"x{n}'" in taken:
             n += 1
         return f"x{n}'"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epshift import cli, errors, jsonio
+from epshift import cli, errors, jsonio, sturmian
 from epshift.classify import identity_code
 from epshift.cli import main
 from epshift.sequences import make_ep, shift
@@ -67,6 +67,33 @@ def test_sturmian_gen_cells_and_symbols(capsys):
                         "--emit", "symbols", "--cells", "2")
     assert code == 0
     assert symbols == "101011010"
+
+
+class CellsBuilt(Exception):
+    """Raised in place of the window's zero counts: a cell was about to be built."""
+
+
+def _no_cells(*args):
+    raise CellsBuilt
+
+
+def test_sturmian_gen_refuses_too_large_windows_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(sturmian, "_zero_counts", _no_cells)
+    for argv in (["--freq", "1/1000000000000"], ["--freq", "1000000/1", "--cells", "1"],
+                 ["--freq", "1/1", "--cells", "1000000000"]):
+        for emit in ("cells", "symbols"):
+            code, obj = run(capsys, "sturmian", "gen", "--type", "S", "--emit", emit, *argv)
+            assert (code, obj["error"]["kind"]) == (2, "InputTooLarge"), argv
+
+
+def test_sturmian_gen_window_bound_admits_every_default_window(monkeypatch):
+    # the default window of 4p + 9 cells spans at most 13 (p + q) symbols,
+    # which is largest at p = 1 and longest in cells at q = 1
+    monkeypatch.setattr(sturmian, "_zero_counts", _no_cells)
+    for freq in ("1/999999", "999999/1", "499999/500001", "2/999997"):
+        for stype in ("S", "Sprime"):
+            with pytest.raises(CellsBuilt):
+                main(["sturmian", "gen", "--freq", freq, "--type", stype, "--emit", "cells"])
 
 
 def test_ep_subcommands(tmp_path, capsys):

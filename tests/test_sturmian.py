@@ -4,10 +4,13 @@ from math import ceil, floor
 
 import pytest
 
-from epshift.errors import InvalidSpec, WrongAlphabet
+from epshift import sturmian
+from epshift.bezout import restricted_bezout
+from epshift.errors import InternalMismatch, InvalidSpec, WrongAlphabet
 from epshift.sequences import anomaly_size, least_period, make_ep, similar
 from epshift.sturmian import (
     CellSeries,
+    _zero_counts,
     Frequency,
     SturmianSpec,
     TYPE_S,
@@ -215,3 +218,64 @@ def test_skew_sturmian_matches_the_realignment_search_at_n1600():
     assert x == _skew_by_realignment(spec)
     # restricted Bézout pair of (799, 801): a = 399, b = 400
     assert least_period(x) == 1600 and anomaly_size(x) == 1600 - (399 + 400)
+
+
+def test_zero_counts_equal_cell_zeros():
+    # windows left of, around, at and right of B_m, including single cells
+    for q, p in [*coprime_pairs(14), (1, 23), (23, 1)]:
+        for m in (-2, 0, 3):
+            for spec in (spec_S(q, p, m), spec_Sp(q, p, m)):
+                for n_lo, n_hi in ((m - 2 * p - 3, m + 2 * p + 3), (m - 5, m - 1), (m - 4, m),
+                                   (m, m), (m, m + 4), (m + 1, m + 6), (m - 9, m - 7)):
+                    assert _zero_counts(spec, n_lo, n_hi) == \
+                        [cell_zeros(spec, n) for n in range(n_lo, n_hi + 1)], (spec, n_lo, n_hi)
+
+
+def _cell_word(spec, n):
+    return word("1" + "0" * cell_zeros(spec, n))
+
+
+def _skew_by_cell_words(spec):
+    """make_ep of the p cells before B_m and the j anomaly cells, one Word per
+    cell from cell_zeros; j from the restricted Bézout pair as documented."""
+    q, p, m = spec.freq.q, spec.freq.p, spec.m
+    b = restricted_bezout(q, p).b
+    j = b if spec.stype == TYPE_S else max(p - b, 1)
+    period = CellSeries(m - p, tuple(_cell_word(spec, n) for n in range(m - p, m)))
+    anomaly = CellSeries(m, tuple(_cell_word(spec, n) for n in range(m, m + j)))
+    return make_ep(expand_cells(period), expand_cells(anomaly))
+
+
+@pytest.mark.parametrize("stype", [TYPE_S, TYPE_SPRIME])
+def test_skew_sturmian_matches_the_per_cell_word_route(stype):
+    for q, p in coprime_pairs(40):
+        for m in (-1, 0, 2):
+            spec = SturmianSpec(Frequency.rational(q, p), stype, m)
+            assert skew_sturmian(spec) == _skew_by_cell_words(spec), spec
+
+
+@pytest.mark.parametrize("corrupt", [0, -1, 7])
+def test_a_corrupt_beam_count_raises_internal_mismatch(monkeypatch, corrupt):
+    spec = spec_S(5, 7, 1)  # restricted Bézout pair (2, 3): j = 3 anomaly cells
+    n_lo, n_hi = 1 - 2 * 8 - 3, 1 + 3 + 2 * 7 - 1  # skew_sturmian's window
+    real = _zero_counts
+
+    def corrupted(spec, lo, hi):
+        assert (lo, hi) == (n_lo, n_hi)
+        zeros = real(spec, lo, hi)
+        zeros[corrupt] += 1
+        return zeros
+
+    monkeypatch.setattr(sturmian, "_zero_counts", corrupted)
+    bad = range(n_lo, n_hi + 1)[corrupt]
+    with pytest.raises(InternalMismatch, match=rf"cell B_{bad} of .* does not repeat"):
+        skew_sturmian(spec)
+
+
+def test_skew_sturmian_at_n6400():
+    for spec in (spec_S(1599, 4801), spec_Sp(4801, 1599)):
+        q, p = spec.freq.q, spec.freq.p
+        bz = restricted_bezout(q, p)
+        size = bz.a + bz.b if spec.stype == TYPE_S else p + q - (bz.a + bz.b)
+        x = skew_sturmian(spec)
+        assert least_period(x) == 6400 and anomaly_size(x) == size, spec

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,38 @@ def test_word_literals_round_trip():
     assert word(w.text, primed) == w
     assert word("[]", primed).symbols == ()
     assert word("110").text == "110"
+
+
+def _regex_mint_label(alphabet):
+    """mint_label as first written, with a regex scan of the labels."""
+    n = max([int(m.group(1)) + 1 for m in map(re.compile(r"x(\d+)'").fullmatch, alphabet.labels)
+             if m], default=0)
+    while f"x{n}'" in alphabet.labels:
+        n += 1
+    return f"x{n}'"
+
+
+MINT_LABELS = ["x'", "xa'", "x007'", "x\u0663'", "x0", "x1'", "y2'", "x12'3'", "x 4'", "x-1'",
+               "x\u00b2'", "x\u2165'", "x\uff19'", "X5'", "x3''", "0", "1"]
+
+
+LABEL_TEXT = (st.sampled_from(MINT_LABELS)
+              | st.from_regex(r"x[0-9\u0660-\u0669a]{0,3}'?", fullmatch=True)
+              | st.text(alphabet="x'0123456789\u0663a", min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LABEL_TEXT, min_size=1, max_size=6, unique=True))
+def test_mint_label_matches_the_regex_scan(labels):
+    a = Alphabet(tuple(labels))
+    assert a.mint_label() == _regex_mint_label(a)
+
+
+def test_mint_label_reads_decimal_counters_only():
+    for labels, fresh in ((("x'", "xa'"), "x0'"), (("x007'",), "x8'"), (("x\u0663'",), "x4'"),
+                          (("x\u00b2'", "x0'"), "x1'"), (("x1'", "x0"), "x2'")):
+        a = Alphabet(labels)
+        assert a.mint_label() == _regex_mint_label(a) == fresh, labels
 
 
 def test_alphabet_validation_and_minting():
