@@ -31,12 +31,14 @@ from .sequences import (
     _scan,
     _symbols,
     _tiled,
+    _trusted_ep,
+    _trusted_periodic,
     anomaly_size,
     canonical,
     least_period,
 )
 from .sturmian import SturmianSpec, TYPE_S, TYPE_SPRIME
-from .words import Alphabet, Word, primitive_root, require_same_alphabet
+from .words import Alphabet, Word, _trusted_word, primitive_root, require_same_alphabet
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,9 @@ class SlidingBlockCode:
     symbol id) pairs and must be total on the allowed-block set of any
     sequence the code is applied to.  Being non-empty, it holds blocks
     of the declared window length, so a parsed code is at least as long
-    as the window an application reads.
+    as the window an application reads.  Every block id is a symbol of
+    the source alphabet and every output one of the target alphabet, so
+    an image read from the table needs no further check.
     """
 
     memory: int
@@ -69,6 +73,11 @@ class SlidingBlockCode:
             if block in seen and seen[block] != out:
                 raise ValueError(f"block {block} mapped to two outputs")
             seen[block] = out
+        src, dst = self.source_alphabet.labels, self.target_alphabet.labels
+        if min(map(min, seen)) < 0 or max(map(max, seen)) >= len(src):
+            raise ValueError(f"a block holds a symbol id outside the source alphabet {src}")
+        if min(seen.values()) < 0 or max(seen.values()) >= len(dst):
+            raise ValueError(f"an output is a symbol id outside the target alphabet {dst}")
         object.__setattr__(self, "_lookup", seen)
 
     @property
@@ -80,6 +89,26 @@ class SlidingBlockCode:
             return self._lookup[block]  # type: ignore[attr-defined]
         except KeyError:
             raise MissingBlock(f"block {block} not in code table") from None
+
+    def read(self, buf: tuple[int, ...], count: int) -> tuple[int, ...]:
+        """The outputs on the blocks buf[i:i + block_length], 0 <= i < count,
+        looked up one block at a time."""
+        blen = self.block_length
+        blocks = map(buf.__getitem__, map(slice, range(count), range(blen, blen + count)))
+        try:
+            return tuple(map(self._lookup.__getitem__, blocks))  # type: ignore[attr-defined]
+        except KeyError as e:
+            raise MissingBlock(f"block {e.args[0]} not in code table") from None
+
+
+def _trusted_code(radius: int, lookup: dict[tuple[int, ...], int], source: Alphabet,
+                  target: Alphabet) -> SlidingBlockCode:
+    """A code of memory and anticipation `radius` without re-validation, for
+    a consistent table of blocks of that radius read off valid sequences."""
+    code = object.__new__(SlidingBlockCode)
+    code.__dict__.update(memory=radius, anticipation=radius, entries=tuple(sorted(lookup.items())),
+                         source_alphabet=source, target_alphabet=target, _lookup=lookup)
+    return code
 
 
 def identity_code(alphabet: Alphabet) -> SlidingBlockCode:
@@ -108,13 +137,12 @@ def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
 def _image_scan(code: SlidingBlockCode, x: EPSeq) -> _Scan:
     """The kernel's reading of the image of x under the code (see `apply_code`)."""
     root = _periodic_image(code, x.period_word)
-    mm, aa, blen = code.memory, code.anticipation, code.block_length
+    mm, aa = code.memory, code.anticipation
     n, vl = least_period(x), len(x.anomaly)
     # The image is root-periodic left of -aa and, at phase |v|, right of
     # |v| + mm; the buffer covers both guards with a 2N margin.
     lo, hi = -aa - 1 - 2 * n, vl + mm + 2 * n
-    xbuf = _symbols(x, lo - mm, hi + aa + 1)
-    img = tuple(code.out(xbuf[i:i + blen]) for i in range(hi - lo + 1))
+    img = code.read(_symbols(x, lo - mm, hi + aa + 1), hi - lo + 1)
     scan = _scan(img, lo, root, vl)
     if scan is None:
         raise DegenerateImage("image of the sequence under the code is periodic")
@@ -131,17 +159,15 @@ def _image_similar(code: SlidingBlockCode, x: EPSeq, y: EPSeq) -> bool:
 
 def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSeq:
     """Image of a periodic sequence under the code (always periodic)."""
-    return PeriodicSeq(_periodic_image(code, p.period_word))
+    return _trusted_periodic(_periodic_image(code, p.period_word))
 
 
 def _periodic_image(code: SlidingBlockCode, w: Word) -> Word:
     """The primitive root of the image of k -> w[k mod |w|] under the code."""
     if w.alphabet != code.source_alphabet:
         raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
-    blen = code.block_length
-    wbuf = _tiled(w.symbols, -code.memory, len(w) + blen - 1)
-    img = tuple(code.out(wbuf[i:i + blen]) for i in range(len(w)))
-    return primitive_root(Word(img, code.target_alphabet))[0]
+    img = code.read(_tiled(w.symbols, -code.memory, len(w) + code.block_length - 1), len(w))
+    return primitive_root(_trusted_word(img, code.target_alphabet))[0]
 
 
 def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu: int,
@@ -187,8 +213,8 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
     while k is not None:
         table, clash = _build_block_map(s, d, lo, n, lu, lv, k)
         if clash is None:
-            entries = tuple(sorted((block, d[c]) for block, c in table.items()))
-            return SlidingBlockCode(k, k, entries, src.alphabet, dst.alphabet)
+            lookup = {block: d[c] for block, c in table.items()}
+            return _trusted_code(k, lookup, src.alphabet, dst.alphabet)
         i, j = clash
         k = next((r for r in range(k + 1, cap + 1)
                   if s[i - r] != s[j - r] or s[i + r] != s[j + r]), None)
@@ -265,10 +291,10 @@ def expand_symbol(x: EPSeq, label: str) -> tuple[EPSeq, str]:
     def subst(syms: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(u for t in syms for u in ((t, f) if t == s else (t,)))
 
-    return (
-        EPSeq(Word(subst(x.period_word.symbols), bigger), Word(subst(x.anomaly.symbols), bigger)),
-        fresh_label,
-    )
+    # s -> s·f with f fresh is injective and no image starts with f, so a power
+    # or a trailing period copy in the image would be one in x: still normalized
+    period, anomaly = subst(x.period_word.symbols), subst(x.anomaly.symbols)
+    return _trusted_ep(_trusted_word(period, bigger), _trusted_word(anomaly, bigger)), fresh_label
 
 
 @dataclass(frozen=True)
@@ -312,7 +338,8 @@ def _raise_moves(x: EPSeq, in_period: bool) -> tuple[tuple[FlowMove, ...], EPSeq
         w = w[:-1] + mark
     else:
         u = u[:-1] + mark
-    primed = EPSeq(Word(w, bigger), Word(u, bigger))
+    # the mark occurs once and only where it was put, so the parts stay normalized
+    primed = _trusted_ep(_trusted_word(w, bigger), _trusted_word(u, bigger))
     part = "period" if in_period else "anomaly"
     if not conjugate_ep(c, primed):
         raise PostconditionFailed(

@@ -30,8 +30,8 @@ from .sturmian import (
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout)
-    sys.stdout.write("\n")
+    # json.dumps runs the C encoder; json.dump would stream through the Python one
+    sys.stdout.write(json.dumps(obj) + "\n")
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -97,7 +97,9 @@ def cmd_sturmian_gen(args) -> int:
     half = args.cells if args.cells is not None else 2 * (freq.p + 1) + 2
     cs = cell_series(spec, spec.m - half, spec.m + half)
     if args.emit == "cells":
-        _emit([c.text for c in cs.cells])
+        # cells with one zero count share one Word, so each text is made once
+        text = {id(c): c.text for c in {id(c): c for c in cs.cells}.values()}
+        _emit([text[id(c)] for c in cs.cells])
     else:
         _emit(expand_cells(cs).text)
     return 0

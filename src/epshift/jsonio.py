@@ -21,7 +21,7 @@ from .classify import (
 )
 from .errors import MalformedInput
 from .sequences import EPSeq, PeriodicSeq, make_ep
-from .words import Alphabet, Word, word
+from .words import Alphabet, _trusted_word, word
 
 EPSEQ_FORMAT = "epseq/1"
 PERSEQ_FORMAT = "perseq/1"
@@ -88,7 +88,7 @@ def emit_perseq(p: PeriodicSeq) -> dict:
 def emit_code(c: SlidingBlockCode) -> dict:
     src, dst = c.source_alphabet, c.target_alphabet
     rows = [
-        [Word(block, src).text, dst.labels[out]]
+        [_trusted_word(block, src).text, dst.labels[out]]
         for block, out in c.entries
     ]
     return {

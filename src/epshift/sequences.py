@@ -27,6 +27,21 @@ indices give the leftmost minimal anomaly window.  ``anomaly_size``,
 (``anomaly_windows``) stays as the independent oracle that
 :mod:`epshift.verify` and the tests hold the kernel to.
 
+Each value is scanned for its normal form at most once.  ``canonical(x)``
+keeps its result on x itself, in ``x.__dict__["_canonical"]``: the
+canonical EPSeq, or True when x is its own canonical form (every canonical
+result is marked so).  ``anomaly_size`` is the length of that form's
+anomaly, so invariants, similarity and witness building all reuse the one
+scan.  The memo is no dataclass field, so ``==``, ``hash``, ``repr`` and the
+JSON formats read only the period word and the anomaly; equal values have
+equal canonical forms, so a filled memo never tells two equal values apart.
+It lives and dies with its value, and no cache outside the values grows.
+
+Values built from parts that are already valid (a slice of a valid word, a
+primitive root, a scan's anchored form) skip their constructor's checks
+through the ``_trusted_*`` helpers; the public constructors check
+everything.
+
 One representational limit is inherent to the anchoring: a sequence whose
 leftmost deviation from its periodic tail sits at a negative index has no
 anchored form at all.  The t-fold shift of a sequence has one iff t <= d,
@@ -44,7 +59,14 @@ from operator import ne
 from typing import NamedTuple, Optional, Union
 
 from .errors import DegeneratePeriodic, InternalMismatch
-from .words import Alphabet, Word, is_primitive, primitive_root, require_same_alphabet
+from .words import (
+    Alphabet,
+    Word,
+    _trusted_word,
+    is_primitive,
+    primitive_root,
+    require_same_alphabet,
+)
 
 
 @dataclass(frozen=True)
@@ -67,6 +89,13 @@ class PeriodicSeq:
 
     def symbol_id_at(self, k: int) -> int:
         return self.period_word.symbols[k % len(self.period_word)]
+
+
+def _trusted_periodic(root: Word) -> PeriodicSeq:
+    """A PeriodicSeq without re-validation, for a word known to be primitive."""
+    p = object.__new__(PeriodicSeq)
+    p.__dict__["period_word"] = root
+    return p
 
 
 @dataclass(frozen=True)
@@ -141,14 +170,15 @@ def make_ep(w: Word, v: Word) -> EPSeq:
         )
     while len(vs) > n and vs[-n:] == root.symbols:
         vs = vs[:-n]
-    return EPSeq(root, Word(vs, w.alphabet))
+    return _trusted_ep(root, _trusted_word(vs, w.alphabet))
 
 
 def _trusted_ep(period: Word, anomaly: Word) -> EPSeq:
-    """An EPSeq without re-validation, for `_Scan.anchor`'s normalized results."""
+    """An EPSeq without re-validation, for parts already normalized."""
     x = object.__new__(EPSeq)
-    object.__setattr__(x, "period_word", period)
-    object.__setattr__(x, "anomaly", anomaly)
+    d = x.__dict__
+    d["period_word"] = period
+    d["anomaly"] = anomaly
     return x
 
 
@@ -195,8 +225,8 @@ class _Scan(NamedTuple):
         length = self.window.length + n * -(-max(0, self.window.start - t) // n)
         o = t % n
         at = t - self.lo
-        return _trusted_ep(Word(w[o:] + w[:o], self.period.alphabet),
-                           Word(self.buf[at:at + length], self.period.alphabet))
+        return _trusted_ep(_trusted_word(w[o:] + w[:o], self.period.alphabet),
+                           _trusted_word(self.buf[at:at + length], self.period.alphabet))
 
 
 def _scan(buf: tuple[int, ...], lo: int, period: Word, delta: int) -> Optional[_Scan]:
@@ -243,7 +273,7 @@ def window(x: EPSeq, i: int, j: int) -> Word:
     """The word x_i x_{i+1} ... x_j (inclusive)."""
     if i > j:
         raise ValueError(f"window requires i <= j, got {i} > {j}")
-    return Word(_symbols(x, i, j + 1), x.alphabet)
+    return _trusted_word(_symbols(x, i, j + 1), x.alphabet)
 
 
 def least_period(x: EPSeq) -> int:
@@ -295,7 +325,7 @@ def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
     buf = _symbols(x, lo, max(s + length, vl) + 2 * n)
     cut = s - lo
     scan = _scan(buf[:cut] + buf[cut + length:], lo, x.period_word, vl - length)
-    return PeriodicSeq(x.period_word) if scan is None else scan.anchor(0)
+    return _trusted_periodic(x.period_word) if scan is None else scan.anchor(0)
 
 
 def _window_search(x: EPSeq, extra_start: int, extra_len: int) -> list[AnomalyWindow]:
@@ -329,15 +359,15 @@ def anomaly_windows(x: EPSeq) -> list[AnomalyWindow]:
 
 def anomaly_size(x: EPSeq) -> int:
     """Length of the leftmost minimal anomaly window, found by the linear
-    scan."""
-    return _normal_form(x).window.length
+    scan: the anomaly of the canonical form."""
+    return len(canonical(x).anomaly)
 
 
 def remove_anomaly(x: EPSeq) -> PeriodicSeq:
     """The periodic sequence obtained by deleting an anomaly window; the
     result is pointwise independent of which window is deleted.  Deleting
     the stored anomaly leaves k -> w[k mod N] by definition."""
-    return PeriodicSeq(x.period_word)
+    return _trusted_periodic(x.period_word)
 
 
 def canonical(x: EPSeq) -> EPSeq:
@@ -345,10 +375,16 @@ def canonical(x: EPSeq) -> EPSeq:
 
     Re-anchors at the leftmost anomaly window of minimal length, so the
     result's stored anomaly has length anomaly_size(x).  Idempotent, and
-    invariant under shift.
+    invariant under shift.  Scans x once and keeps the result on x (see
+    the module docstring).
     """
-    scan = _normal_form(x)
-    return scan.anchor(scan.window.start)
+    memo = x.__dict__.get("_canonical")
+    if memo is None:
+        scan = _normal_form(x)
+        c = scan.anchor(scan.window.start)
+        c.__dict__["_canonical"] = True
+        memo = x.__dict__["_canonical"] = True if c == x else c
+    return x if memo is True else memo
 
 
 def similar(x: EPSeq, y: EPSeq) -> bool:

@@ -185,7 +185,9 @@ def cell_series(spec: SturmianSpec, n_lo: int, n_hi: int) -> CellSeries:
     if (n_hi - n_lo + 1) * (p + q) > SYMBOL_LIMIT * p:
         raise InputTooLarge(f"{n_hi - n_lo + 1} cells of frequency {q}/{p} exceed "
                             f"the supported window of {SYMBOL_LIMIT} symbols")
-    return CellSeries(n_lo, tuple(map(_cell, _zero_counts(spec, n_lo, n_hi))))
+    counts = _zero_counts(spec, n_lo, n_hi)
+    cells = {z: _cell(z) for z in set(counts)}  # one shared Word per zero count
+    return CellSeries(n_lo, tuple(map(cells.__getitem__, counts)))
 
 
 def expand_cells(cs: CellSeries) -> Word:

@@ -34,9 +34,7 @@ class Alphabet:
         if not self.labels:
             raise ValueError("alphabet must be non-empty")
         for lbl in self.labels:
-            if not isinstance(lbl, str) or not lbl or any(c in lbl for c in "[],"):
-                raise ValueError(f"symbol label {lbl!r} is not a non-empty string "
-                                 "without '[', ']' or ','")
+            _check_label(lbl)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate labels in alphabet: {self.labels}")
 
@@ -53,10 +51,14 @@ class Alphabet:
             raise UnknownSymbol(f"symbol {label!r} not in alphabet {self.labels}") from None
 
     def extend(self, label: str) -> Alphabet:
-        """New alphabet with `label` appended; existing ids are unchanged."""
+        """New alphabet with `label` appended; existing ids are unchanged.
+        Only the new label is checked: the others passed when `self` was built."""
         if label in self.labels:
             raise ValueError(f"label {label!r} already in alphabet")
-        return Alphabet(self.labels + (label,))
+        _check_label(label)
+        bigger = object.__new__(Alphabet)
+        bigger.__dict__["labels"] = self.labels + (label,)
+        return bigger
 
     def mint_label(self) -> str:
         """Deterministic fresh label (x0', x1', ... with a monotone counter)."""
@@ -72,6 +74,12 @@ class Alphabet:
     @property
     def single_char(self) -> bool:
         return all(len(lbl) == 1 for lbl in self.labels)
+
+
+def _check_label(lbl: object) -> None:
+    if not isinstance(lbl, str) or not lbl or any(c in lbl for c in "[],"):
+        raise ValueError(f"symbol label {lbl!r} is not a non-empty string "
+                         "without '[', ']' or ','")
 
 
 BINARY = Alphabet(("0", "1"))
@@ -112,6 +120,16 @@ class Word:
         return f"Word({self.text!r})"
 
 
+def _trusted_word(symbols: tuple[int, ...], alphabet: Alphabet) -> Word:
+    """A Word without re-validation, for symbols already known to be ids of
+    `alphabet` (sliced from a valid word, or read from a validated table)."""
+    w = object.__new__(Word)
+    d = w.__dict__
+    d["symbols"] = symbols
+    d["alphabet"] = alphabet
+    return w
+
+
 def require_same_alphabet(a, b) -> None:
     if a.alphabet != b.alphabet:
         raise IncompatibleAlphabets(
@@ -139,7 +157,7 @@ def rotate(w: Word, k: int) -> Word:
     if len(w) == 0:
         raise EmptyWord("cannot rotate the empty word")
     k %= len(w)
-    return Word(w.symbols[k:] + w.symbols[:k], w.alphabet)
+    return _trusted_word(w.symbols[k:] + w.symbols[:k], w.alphabet)
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:
@@ -150,7 +168,7 @@ def primitive_root(w: Word) -> tuple[Word, int]:
         raise EmptyWord("the empty word has no primitive root")
     for d in range(1, n // 2 + 1):
         if n % d == 0 and syms[:d] * (n // d) == syms:
-            return Word(syms[:d], w.alphabet), n // d
+            return _trusted_word(syms[:d], w.alphabet), n // d
     return w, 1
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -75,6 +76,22 @@ class CellsBuilt(Exception):
 
 def _no_cells(*args):
     raise CellsBuilt
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--freq", "1/999", "--type", "S", "--emit", "cells"),
+     "af69bfb8e6e72767f29ac5b93413bc16a609cbfaa2d94c7aad76a0d24ba966b0"),
+    (("--freq", "1/999", "--type", "S", "--emit", "symbols"),
+     "8e829d8334110558bbac6dd093f1f60e65376b5b18197b7ebe73d89ee3d50fba"),
+    (("--freq", "13/5", "--type", "Sprime", "--m", "2", "--cells", "40", "--emit", "cells"),
+     "67758b24d905b6767e9bd1f1dc7f70fcea4c807dedb081a81c9115f0a4034d5d"),
+    (("--freq", "13/5", "--type", "Sprime", "--m", "2", "--cells", "40", "--emit", "symbols"),
+     "b096b195cb8ec351eff4443e6158cc3ec170411ee9b00e9a97ab39f72d30cffd"),
+])
+def test_sturmian_gen_cells_and_symbols_output_is_pinned(capsys, argv, digest):
+    # the bytes per-cell words and the streaming JSON writer printed
+    assert main(["sturmian", "gen", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_sturmian_gen_refuses_too_large_windows_before_building(capsys, monkeypatch):

@@ -1,0 +1,229 @@
+"""The per-value canonical-form memo and the trusted internal constructors.
+
+`canonical` keeps its result on the value it scanned, and values built from
+parts that are already valid skip their constructor's checks.  These tests
+hold both to the public constructors and to a fresh scan.
+"""
+
+import json
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from epshift import jsonio, sequences
+from epshift.classify import (
+    ConjugacyMove,
+    SlidingBlockCode,
+    _build_witness,
+    _raise_moves,
+    _replay_move,
+    apply_code,
+    apply_code_to_periodic,
+    conjugacy_witness,
+    expand_symbol,
+    flow_witness,
+)
+from epshift.errors import (
+    DegenerateImage,
+    DegeneratePeriodic,
+    IncompatibleAlphabets,
+    UnknownSymbol,
+)
+from epshift.sequences import (
+    AnomalyWindow,
+    EPSeq,
+    PeriodicSeq,
+    _normal_form,
+    anomaly_size,
+    anomaly_windows,
+    canonical,
+    make_ep,
+    remove_anomaly,
+    remove_window,
+    shift,
+)
+from epshift.sturmian import Frequency, SturmianSpec, TYPE_S, TYPE_SPRIME, skew_sturmian
+from epshift.words import BINARY, Alphabet, Word, primitive_root, rotate, word
+
+LETTERS = ("a", "b", "c", "d")
+
+# (alphabet size, period word, anomaly) over 2 to 4 letters
+ep_parts = st.integers(2, 4).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.integers(0, k - 1), min_size=1, max_size=8),
+    st.lists(st.integers(0, k - 1), min_size=1, max_size=20),
+))
+
+
+def ep_from(parts):
+    """A new value on every call, so its memo starts empty."""
+    k, wsyms, vsyms = parts
+    alphabet = Alphabet(LETTERS[:k])
+    try:
+        return make_ep(Word(tuple(wsyms), alphabet), Word(tuple(vsyms), alphabet))
+    except DegeneratePeriodic:
+        assume(False)
+
+
+def rebuilt_alphabet(a):
+    return Alphabet(a.labels)
+
+
+def rebuilt(v):
+    """The value built again through the public constructors, which check
+    every part."""
+    if isinstance(v, Word):
+        return Word(v.symbols, rebuilt_alphabet(v.alphabet))
+    if isinstance(v, PeriodicSeq):
+        return PeriodicSeq(rebuilt(v.period_word))
+    return EPSeq(rebuilt(v.period_word), rebuilt(v.anomaly))
+
+
+def skew(q, p, stype):
+    return skew_sturmian(SturmianSpec(Frequency.rational(q, p), stype))
+
+
+# --- the memo ------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ep_parts)
+def test_memo_agrees_with_a_fresh_scan_and_is_invisible(parts):
+    x = ep_from(parts)
+    assert "_canonical" not in vars(x)
+    scan = _normal_form(x)
+    c = canonical(x)
+    assert c == scan.anchor(scan.window.start)
+    assert canonical(c) is c and canonical(x) is c
+    assert anomaly_size(x) == anomaly_windows(x)[0].length == len(c.anomaly)
+    # a value with a filled memo and an equal one without are interchangeable
+    for filled in (x, c):
+        bare = make_ep(filled.period_word, filled.anomaly)
+        assert "_canonical" in vars(filled) and "_canonical" not in vars(bare)
+        assert bare == filled and hash(bare) == hash(filled) and repr(bare) == repr(filled)
+        assert len({bare, filled}) == 1
+        assert json.dumps(jsonio.emit_epseq(bare)) == json.dumps(jsonio.emit_epseq(filled))
+        assert canonical(bare) == c
+
+
+def test_a_canonical_value_is_its_own_memo():
+    c = canonical(make_ep(word("01"), word("1")))
+    bare = make_ep(c.period_word, c.anomaly)
+    assert canonical(bare) is bare and canonical(c) is c
+    y = shift(bare, -2)
+    assert y != bare and canonical(y) == bare and canonical(canonical(y)) is canonical(y)
+
+
+def test_witnesses_scan_each_sequence_value_at_most_once(monkeypatch):
+    scanned = []
+
+    def counting(x, prefer=0):
+        scanned.append(x)
+        return _normal_form(x, prefer)
+
+    monkeypatch.setattr(sequences, "_normal_form", counting)
+    # the flow-move memos would answer for values of earlier tests
+    _raise_moves.cache_clear()
+    _replay_move.cache_clear()
+    pairs = [(skew(1, 2, TYPE_S), skew(2, 1, TYPE_SPRIME)),
+             (skew(3, 5, TYPE_S), skew(5, 3, TYPE_SPRIME))]
+    for x, y in pairs:
+        scanned.clear()
+        conjugacy_witness(x, y)
+        assert len(scanned) == len(set(scanned)) == 2
+    for x, y in [(skew(1, 1, TYPE_S), skew(2, 3, TYPE_S)),
+                 (skew(1, 2, TYPE_SPRIME), skew(3, 2, TYPE_S))]:
+        scanned.clear()
+        flow_witness(x, y)
+        assert scanned and len(scanned) == len(set(scanned)), scanned
+
+
+# --- trusted constructors ----------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ep_parts, st.data())
+def test_trusted_paths_build_only_valid_values(parts, data):
+    x = ep_from(parts)
+    n, vl = len(x.period_word), len(x.anomaly)
+    k = data.draw(st.integers(-2 * n - vl, vl + 2 * n), label="shift")
+    start = data.draw(st.integers(-2 * n, vl + n), label="start")
+    length = data.draw(st.integers(1, vl + n), label="length")
+    values = [x, canonical(x), shift(x, k), remove_window(x, AnomalyWindow(start, length)),
+              remove_anomaly(x), rotate(x.period_word, k), primitive_root(x.anomaly)[0]]
+    label = data.draw(st.sampled_from([x.alphabet.labels[s] for s in set(x.anomaly.symbols)]),
+                      label="expanded")
+    values.append(expand_symbol(x, label)[0])
+    for in_period in (True, False):
+        moves, end = _raise_moves(x, in_period)
+        values += [m.result for m in moves] + [end]
+    # a random total code with memory and anticipation at most one
+    mem, ant = data.draw(st.integers(0, 1), label="memory"), data.draw(st.integers(0, 1))
+    size = len(x.alphabet)
+    blocks = [()]
+    for _ in range(mem + ant + 1):
+        blocks = [b + (s,) for b in blocks for s in range(size)]
+    outs = data.draw(st.lists(st.integers(0, size - 1), min_size=len(blocks),
+                              max_size=len(blocks)), label="outputs")
+    code = SlidingBlockCode(mem, ant, tuple(zip(blocks, outs)), x.alphabet, x.alphabet)
+    values.append(apply_code_to_periodic(code, remove_anomaly(x)))
+    try:
+        values.append(apply_code(code, x))
+    except DegenerateImage:
+        pass
+    for v in values:
+        assert rebuilt(v) == v
+    fwd, inv = _build_witness(x, canonical(x))
+    codes = [fwd, inv] + [m.code for in_period in (True, False)
+                          for m in _raise_moves(x, in_period)[0] if isinstance(m, ConjugacyMove)]
+    for c in codes:
+        again = SlidingBlockCode(c.memory, c.anticipation, c.entries, rebuilt_alphabet(
+            c.source_alphabet), rebuilt_alphabet(c.target_alphabet))
+        assert again == c and again._lookup == c._lookup
+
+
+def test_public_constructors_reject_what_they_rejected():
+    abc = Alphabet(("a", "b", "c"))
+    for labels in ((), ("a", "a"), ("a,b",), ("[",), ("a]",), ("",), (0, 1), ("a", None)):
+        with pytest.raises(ValueError):
+            Alphabet(labels)
+    for label in ("a", "c", "", "x,", "[", "]", 3, None):
+        with pytest.raises(ValueError):
+            abc.extend(label)
+    assert abc.extend("d") == Alphabet(("a", "b", "c", "d"))
+    for syms in ((3,), (-1,), (0, 7)):
+        with pytest.raises(UnknownSymbol):
+            Word(syms, abc)
+    with pytest.raises(ValueError, match="primitive"):
+        PeriodicSeq(word("00"))
+    bad_eps = [((word("00"), word("1")), ValueError), ((word("0"), word("00")), DegeneratePeriodic),
+               ((word("01"), word("101")), ValueError), ((word("0"), Word((), BINARY)), ValueError),
+               ((Word((), BINARY), word("1")), ValueError),
+               ((word("0"), word("ab", abc)), IncompatibleAlphabets)]
+    for (w, v), err in bad_eps:
+        with pytest.raises(err):
+            EPSeq(w, v)
+    for w, v in (("0", "00"), ("01", "0101")):
+        with pytest.raises(DegeneratePeriodic):
+            make_ep(word(w), word(v))
+    with pytest.raises(ValueError):
+        make_ep(word("0"), Word((), BINARY))
+    with pytest.raises(IncompatibleAlphabets):
+        make_ep(word("0"), word("ab", abc))
+    ok = (((0,), 0), ((1,), 1))
+    for mem, ant, entries in ((-1, 0, ok), (0, 0, ()), (0, 1, ok), (0, 0, (((0,), 0), ((0,), 1)))):
+        with pytest.raises(ValueError):
+            SlidingBlockCode(mem, ant, entries, BINARY, BINARY)
+
+
+@pytest.mark.parametrize("entries", [(((0,), 5), ((1,), 0)), (((0,), -1), ((1,), 0))])
+def test_code_rejects_outputs_outside_the_target_alphabet(entries):
+    with pytest.raises(ValueError, match="target alphabet"):
+        SlidingBlockCode(0, 0, entries, BINARY, BINARY)
+
+
+@pytest.mark.parametrize("entries", [(((0,), 0), ((9,), 1)), (((-1,), 0), ((1,), 1)),
+                                     (((0, 2), 0), ((1, 1), 1))])
+def test_code_rejects_blocks_outside_the_source_alphabet(entries):
+    blen = len(entries[0][0])
+    with pytest.raises(ValueError, match="source alphabet"):
+        SlidingBlockCode(0, blen - 1, entries, BINARY, BINARY)

@@ -84,6 +84,22 @@ def test_cell_series_examples():
         ["10", "100", "10"]
 
 
+@pytest.mark.parametrize("spec, lo, hi, texts", [
+    (spec_S(2, 5), -6, 6, ["10", "1", "1", "10", "1", "10", "1", "1", "10", "1", "1", "10", "1"]),
+    (spec_Sp(3, 7, 1), -4, 8, ["10", "1", "10", "1", "1", "10", "1", "10", "1", "10", "1", "10",
+                               "1"]),
+    (spec_S(5, 2, -1), -3, 3, ["100", "1000", "100", "100", "1000", "100", "1000"]),
+])
+def test_cell_series_of_fixed_specs_is_unchanged(spec, lo, hi, texts):
+    # cells with one zero count are one shared Word, equal to the cell
+    # built on its own
+    cs = cell_series(spec, lo, hi)
+    assert [c.text for c in cs.cells] == texts
+    assert expand_cells(cs).text == "".join(texts)
+    assert list(cs.cells) == [word("1" + "0" * cell_zeros(spec, n)) for n in range(lo, hi + 1)]
+    assert len({id(c) for c in cs.cells}) == len(set(texts))
+
+
 def test_expand_cells():
     cs = CellSeries(0, (word("10"), word("1"), word("10")))
     assert expand_cells(cs).text == "10110"
