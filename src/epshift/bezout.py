@@ -9,16 +9,14 @@ preserved exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .errors import InputTooLarge, NonPositive, NotCoprime
+from .words import Value
 
 # Inputs are ordered (q, p): q is the frequency numerator downstream.
 SUM_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class BezoutPair:
+class BezoutPair(Value):
     q: int
     p: int
     a: int

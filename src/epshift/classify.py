@@ -9,7 +9,6 @@ that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -38,11 +37,10 @@ from .sequences import (
     least_period,
 )
 from .sturmian import SturmianSpec, TYPE_S, TYPE_SPRIME
-from .words import Alphabet, Word, _trusted_word, primitive_root, require_same_alphabet
+from .words import Alphabet, Value, Word, _trusted_word, primitive_root, require_same_alphabet
 
 
-@dataclass(frozen=True)
-class SlidingBlockCode:
+class SlidingBlockCode(Value):
     """A block map with the given memory and anticipation.
 
     `entries` is a non-empty sorted tuple of ((block symbol ids), output
@@ -297,8 +295,7 @@ def expand_symbol(x: EPSeq, label: str) -> tuple[EPSeq, str]:
     return _trusted_ep(_trusted_word(period, bigger), _trusted_word(anomaly, bigger)), fresh_label
 
 
-@dataclass(frozen=True)
-class ConjugacyMove:
+class ConjugacyMove(Value):
     """Move to a conjugate sequence; `code` applied to the current sequence
     yields a sequence similar to `result`."""
 
@@ -306,8 +303,7 @@ class ConjugacyMove:
     result: EPSeq
 
 
-@dataclass(frozen=True)
-class ExpandMove:
+class ExpandMove(Value):
     """Symbol expansion: `result` is the current sequence with every
     occurrence of `symbol` replaced by symbol·fresh."""
 
@@ -357,8 +353,7 @@ def _raise_moves(x: EPSeq, in_period: bool) -> tuple[tuple[FlowMove, ...], EPSeq
     return (ConjugacyMove(code, primed), ExpandMove(primed_label, fresh, y)), y
 
 
-@dataclass(frozen=True)
-class FlowWitness:
+class FlowWitness(Value):
     """Two chains of flow moves whose endpoints are conjugate, plus the
     final conjugacy witness pair linking them."""
 

@@ -32,9 +32,9 @@ keeps its result on x itself, in ``x.__dict__["_canonical"]``: the
 canonical EPSeq, or True when x is its own canonical form (every canonical
 result is marked so).  ``anomaly_size`` is the length of that form's
 anomaly, so invariants, similarity and witness building all reuse the one
-scan.  The memo is no dataclass field, so ``==``, ``hash``, ``repr`` and the
-JSON formats read only the period word and the anomaly; equal values have
-equal canonical forms, so a filled memo never tells two equal values apart.
+scan.  The memo is not a field, so ``==``, ``hash``, ``repr`` and the JSON
+formats read only the period word and the anomaly; equal values have equal
+canonical forms, so a filled memo never tells two equal values apart.
 It lives and dies with its value, and no cache outside the values grows.
 
 Values built from parts that are already valid (a slice of a valid word, a
@@ -54,13 +54,13 @@ unaffected.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ne
 from typing import NamedTuple, Optional, Union
 
 from .errors import DegeneratePeriodic, InternalMismatch
 from .words import (
     Alphabet,
+    Value,
     Word,
     _trusted_word,
     is_primitive,
@@ -69,8 +69,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class PeriodicSeq:
+class PeriodicSeq(Value):
     """The periodic bi-infinite sequence k -> period_word[k mod N].
 
     The period word is primitive, so two values are structurally equal iff
@@ -98,16 +97,14 @@ def _trusted_periodic(root: Word) -> PeriodicSeq:
     return p
 
 
-@dataclass(frozen=True)
-class AnomalyWindow:
+class AnomalyWindow(Value):
     """Index window [start, start+length) whose removal leaves a periodic sequence."""
 
     start: int
     length: int
 
 
-@dataclass(frozen=True)
-class EPSeq:
+class EPSeq(Value):
     """Anchored representation of an eventually periodic sequence.
 
     Construct through :func:`make_ep`, which normalizes arbitrary input;
@@ -176,9 +173,7 @@ def make_ep(w: Word, v: Word) -> EPSeq:
 def _trusted_ep(period: Word, anomaly: Word) -> EPSeq:
     """An EPSeq without re-validation, for parts already normalized."""
     x = object.__new__(EPSeq)
-    d = x.__dict__
-    d["period_word"] = period
-    d["anomaly"] = anomaly
+    x.__dict__.update(period_word=period, anomaly=anomaly)
     return x
 
 

@@ -20,7 +20,6 @@ used for cross-validation only.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
 from operator import sub
@@ -28,7 +27,7 @@ from operator import sub
 from .bezout import SUM_LIMIT, restricted_bezout
 from .errors import InputTooLarge, InternalMismatch, InvalidSpec, WrongAlphabet
 from .sequences import EPSeq, make_ep
-from .words import BINARY, Word, word
+from .words import BINARY, Value, Word, word
 
 TYPE_S = "S"
 TYPE_SPRIME = "Sprime"
@@ -39,8 +38,7 @@ TYPE_SPRIME = "Sprime"
 SYMBOL_LIMIT = 16 * SUM_LIMIT
 
 
-@dataclass(frozen=True)
-class Frequency:
+class Frequency(Value):
     """A nonnegative rational frequency q/p in lowest terms, or the two
     limit cases Zero and Infinity."""
 
@@ -84,8 +82,7 @@ class Frequency:
         return Frequency.zero() if self.kind == "infinity" else Frequency.infinity()
 
 
-@dataclass(frozen=True)
-class SturmianSpec:
+class SturmianSpec(Value):
     """A cell-series spec: frequency, type (S or S'), and lattice offset m.
 
     Zero frequency exists only for type S' and Infinity only for type S
@@ -157,12 +154,11 @@ def _expand(counts: list[int]) -> Word:
     return Word(tuple(chain.from_iterable(map(cells.__getitem__, counts))), BINARY)
 
 
-@dataclass(frozen=True)
-class CellSeries:
+class CellSeries(Value):
     """Cells B_n for n in [n_lo, n_lo + len(cells))."""
 
     n_lo: int
-    cells: tuple[Word, ...] = field(default_factory=tuple)
+    cells: tuple[Word, ...] = ()
 
     @property
     def n_hi(self) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Any, Callable, Iterator, Optional
 
@@ -53,13 +52,12 @@ from .sturmian import (
     skew_sturmian,
     symbol_reverse,
 )
-from .words import BINARY, Word, is_balanced_chains, rotate
+from .words import BINARY, Value, Word, is_balanced_chains, rotate
 
 REPORT_FORMAT = "verifyreport/1"
 
 
-@dataclass
-class TheoremCheck:
+class TheoremCheck(Value):
     """Result record for one verified statement."""
 
     tag: str
@@ -93,9 +91,8 @@ class TheoremCheck:
         )
 
 
-@dataclass
-class VerifyReport:
-    checks: list[TheoremCheck] = field(default_factory=list)
+class VerifyReport(Value):
+    checks: list[TheoremCheck]
 
     @property
     def ok(self) -> bool:
@@ -115,8 +112,7 @@ class VerifyReport:
         return VerifyReport([TheoremCheck.from_obj(c) for c in obj["checks"]])
 
 
-@dataclass(frozen=True)
-class VerifyBounds:
+class VerifyBounds(Value):
     """Quantification bounds; the defaults are the acceptance criteria."""
 
     bezout_sum: int = 200
@@ -137,11 +133,12 @@ class VerifyBounds:
         to it."""
         if max_period_sum is None:
             return self
-        return replace(self, **{
-            f: min(getattr(self, f), max_period_sum)
-            for f in ("bezout_sum", "formula_sum", "conj_skew_sum", "corollary_sum",
-                      "flow_sum", "crossval_sum", "reciprocal_sum")
-        })
+        if max_period_sum < 2:  # four checks would then check nothing
+            raise ValueError(f"max_period_sum {max_period_sum} is below 2, the least p + q")
+        capped = {f: min(getattr(self, f), max_period_sum)
+                  for f in ("bezout_sum", "formula_sum", "conj_skew_sum", "corollary_sum",
+                            "flow_sum", "crossval_sum", "reciprocal_sum")}
+        return VerifyBounds(**{f: capped.get(f, getattr(self, f)) for f in self._fields})
 
 
 def coprime_pairs(max_sum: int) -> Iterator[tuple[int, int]]:
@@ -539,7 +536,7 @@ def run_all(
     seed: int = 0,
     progress: Optional[Callable[[TheoremCheck], None]] = None,
 ) -> VerifyReport:
-    report = VerifyReport()
+    report = VerifyReport([])
     suites = (
         lambda: check_bezout_oracle(bounds.bezout_sum),
         lambda: check_anomaly_size_formula(bounds.formula_sum),

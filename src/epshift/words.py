@@ -8,8 +8,8 @@ rather than a silent union.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
 
 from .errors import (
     EmptyWord,
@@ -19,8 +19,57 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Value:
+    """Base of the frozen value classes: fields are annotations, defaults
+    class attributes.  Built by position or keyword, then checked by
+    ``__post_init__``; ``==`` (within one class), ``hash`` and ``repr``
+    (``Name(field=value, ...)``) read the fields; nothing can be set or
+    deleted.  Other attributes are memos no comparison sees: the hash, kept
+    on first use, and ``sequences.canonical``'s result.
+    """
+
+    _hash = None
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__.get(f, Value) for f in cls._fields}  # Value: no default
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest = [kwargs.pop(f, self._defaults[f]) for f in fields[len(args):]]
+            if kwargs or len(args) > len(fields) or Value in rest:
+                raise TypeError(f"{type(self).__name__} takes the fields {fields} once each")
+            args += tuple(rest)
+        for f, v in zip(fields, args):
+            object.__setattr__(self, f, v)  # a __dict__ write would slow every later read
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self is other or self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._key(self)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Alphabet(Value):
     """An ordered tuple of pairwise-distinct symbol labels.
 
     A label is a non-empty string without '[', ']' or ',', the characters
@@ -85,8 +134,7 @@ def _check_label(lbl: object) -> None:
 BINARY = Alphabet(("0", "1"))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A finite sequence of symbol ids over a fixed alphabet."""
 
     symbols: tuple[int, ...]

@@ -336,6 +336,14 @@ def test_verify_small_bounds(capsys):
     assert len([l for l in captured.err.splitlines() if l.strip()]) == 9
 
 
+@pytest.mark.parametrize("cap", ["1", "0", "-3"])
+def test_verify_rejects_a_cap_below_the_least_period_sum(capsys, cap):
+    # below p + q = 2 four checks would pass on zero instances
+    code, obj = run(capsys, "verify", f"--max-period-sum={cap}")
+    assert code == 2
+    assert obj["error"]["kind"] == "ValueError" and "below 2" in obj["error"]["message"]
+
+
 EXIT_CODES = {
     "EpshiftError": 1, "InputError": 2,
     "NotCoprime": 2, "NonPositive": 2, "InputTooLarge": 2, "InvalidSpec": 2,

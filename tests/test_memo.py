@@ -1,8 +1,9 @@
-"""The per-value canonical-form memo and the trusted internal constructors.
+"""The per-value memos and the trusted internal constructors.
 
-`canonical` keeps its result on the value it scanned, and values built from
-parts that are already valid skip their constructor's checks.  These tests
-hold both to the public constructors and to a fresh scan.
+`canonical` keeps its result on the value it scanned and `hash` keeps its
+result too, and values built from parts that are already valid skip their
+constructor's checks.  These tests hold all three to the public
+constructors and to a fresh scan.
 """
 
 import json
@@ -96,11 +97,14 @@ def test_memo_agrees_with_a_fresh_scan_and_is_invisible(parts):
     assert c == scan.anchor(scan.window.start)
     assert canonical(c) is c and canonical(x) is c
     assert anomaly_size(x) == anomaly_windows(x)[0].length == len(c.anomaly)
-    # a value with a filled memo and an equal one without are interchangeable
+    # a value with filled memos and an equal one without are interchangeable
+    memos = {"_canonical", "_hash"}
     for filled in (x, c):
+        hash(filled)
         bare = make_ep(filled.period_word, filled.anomaly)
-        assert "_canonical" in vars(filled) and "_canonical" not in vars(bare)
-        assert bare == filled and hash(bare) == hash(filled) and repr(bare) == repr(filled)
+        assert memos <= vars(filled).keys() and not memos & vars(bare).keys()
+        assert bare == filled and repr(bare) == repr(filled)
+        assert hash(bare) == hash(filled) and vars(bare)["_hash"] == vars(filled)["_hash"]
         assert len({bare, filled}) == 1
         assert json.dumps(jsonio.emit_epseq(bare)) == json.dumps(jsonio.emit_epseq(filled))
         assert canonical(bare) == c
