@@ -30,14 +30,12 @@ from .sequences import (
     _scan,
     _symbols,
     _tiled,
-    _trusted_ep,
-    _trusted_periodic,
     anomaly_size,
     canonical,
     least_period,
 )
 from .sturmian import SturmianSpec, TYPE_S, TYPE_SPRIME
-from .words import Alphabet, Value, Word, _trusted_word, primitive_root, require_same_alphabet
+from .words import Alphabet, Value, Word, primitive_root, require_same_alphabet
 
 
 class SlidingBlockCode(Value):
@@ -99,16 +97,6 @@ class SlidingBlockCode(Value):
             raise MissingBlock(f"block {e.args[0]} not in code table") from None
 
 
-def _trusted_code(radius: int, lookup: dict[tuple[int, ...], int], source: Alphabet,
-                  target: Alphabet) -> SlidingBlockCode:
-    """A code of memory and anticipation `radius` without re-validation, for
-    a consistent table of blocks of that radius read off valid sequences."""
-    code = object.__new__(SlidingBlockCode)
-    code.__dict__.update(memory=radius, anticipation=radius, entries=tuple(sorted(lookup.items())),
-                         source_alphabet=source, target_alphabet=target, _lookup=lookup)
-    return code
-
-
 def identity_code(alphabet: Alphabet) -> SlidingBlockCode:
     entries = tuple(((s,), s) for s in range(len(alphabet)))
     return SlidingBlockCode(0, 0, entries, alphabet, alphabet)
@@ -157,7 +145,7 @@ def _image_similar(code: SlidingBlockCode, x: EPSeq, y: EPSeq) -> bool:
 
 def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSeq:
     """Image of a periodic sequence under the code (always periodic)."""
-    return _trusted_periodic(_periodic_image(code, p.period_word))
+    return PeriodicSeq._trusted(_periodic_image(code, p.period_word))
 
 
 def _periodic_image(code: SlidingBlockCode, w: Word) -> Word:
@@ -165,7 +153,7 @@ def _periodic_image(code: SlidingBlockCode, w: Word) -> Word:
     if w.alphabet != code.source_alphabet:
         raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
     img = code.read(_tiled(w.symbols, -code.memory, len(w) + code.block_length - 1), len(w))
-    return primitive_root(_trusted_word(img, code.target_alphabet))[0]
+    return primitive_root(Word._trusted(img, code.target_alphabet))[0]
 
 
 def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu: int,
@@ -212,7 +200,8 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
         table, clash = _build_block_map(s, d, lo, n, lu, lv, k)
         if clash is None:
             lookup = {block: d[c] for block, c in table.items()}
-            return _trusted_code(k, lookup, src.alphabet, dst.alphabet)
+            return SlidingBlockCode._trusted(k, k, tuple(sorted(lookup.items())), src.alphabet,
+                                             dst.alphabet, _lookup=lookup)
         i, j = clash
         k = next((r for r in range(k + 1, cap + 1)
                   if s[i - r] != s[j - r] or s[i + r] != s[j + r]), None)
@@ -292,7 +281,8 @@ def expand_symbol(x: EPSeq, label: str) -> tuple[EPSeq, str]:
     # s -> s·f with f fresh is injective and no image starts with f, so a power
     # or a trailing period copy in the image would be one in x: still normalized
     period, anomaly = subst(x.period_word.symbols), subst(x.anomaly.symbols)
-    return _trusted_ep(_trusted_word(period, bigger), _trusted_word(anomaly, bigger)), fresh_label
+    y = EPSeq._trusted(Word._trusted(period, bigger), Word._trusted(anomaly, bigger))
+    return y, fresh_label
 
 
 class ConjugacyMove(Value):
@@ -335,7 +325,7 @@ def _raise_moves(x: EPSeq, in_period: bool) -> tuple[tuple[FlowMove, ...], EPSeq
     else:
         u = u[:-1] + mark
     # the mark occurs once and only where it was put, so the parts stay normalized
-    primed = _trusted_ep(_trusted_word(w, bigger), _trusted_word(u, bigger))
+    primed = EPSeq._trusted(Word._trusted(w, bigger), Word._trusted(u, bigger))
     part = "period" if in_period else "anomaly"
     if not conjugate_ep(c, primed):
         raise PostconditionFailed(

@@ -75,6 +75,13 @@ def _parse_freq(text: str) -> Frequency:
     raise InvalidSpec(f"frequency must be q/p, 0 or inf, got {text!r}")
 
 
+def _cell_count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a count of cells >= 0, got {n}")
+    return n
+
+
 def cmd_bezout(args) -> int:
     bp = restricted_bezout(args.q, args.p)
     _emit({"a": bp.a, "b": bp.b, "check": "b*q-a*p=1"})
@@ -97,9 +104,7 @@ def cmd_sturmian_gen(args) -> int:
     half = args.cells if args.cells is not None else 2 * (freq.p + 1) + 2
     cs = cell_series(spec, spec.m - half, spec.m + half)
     if args.emit == "cells":
-        # cells with one zero count share one Word, so each text is made once
-        text = {id(c): c.text for c in {id(c): c for c in cs.cells}.values()}
-        _emit([text[id(c)] for c in cs.cells])
+        _emit(["1" + "0" * z for z in cs.zeros])
     else:
         _emit(expand_cells(cs).text)
     return 0
@@ -221,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--freq", required=True, help="q/p, 0 or inf")
     p_gen.add_argument("--type", required=True, choices=["S", "Sprime"])
     p_gen.add_argument("--m", type=int, default=0, help="lattice offset (default 0)")
-    p_gen.add_argument("--cells", type=int, default=None,
+    p_gen.add_argument("--cells", type=_cell_count, default=None,
                        help="cells on each side of B_m for cells/symbols output")
     p_gen.add_argument("--emit", choices=["cells", "symbols", "epseq"], default="epseq")
     p_gen.add_argument("--pretty", action="store_true")

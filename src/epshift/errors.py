@@ -27,10 +27,6 @@ class IncompatibleAlphabets(InputError):
     """Two words/sequences over different alphabets were combined."""
 
 
-class MalformedCell(InputError):
-    """A cell must be a '1' followed by zero or more '0' symbols."""
-
-
 class WrongAlphabet(InputError):
     """Operation requires the two-symbol alphabet {0,1}."""
 

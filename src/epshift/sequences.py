@@ -28,19 +28,20 @@ indices give the leftmost minimal anomaly window.  ``anomaly_size``,
 :mod:`epshift.verify` and the tests hold the kernel to.
 
 Each value is scanned for its normal form at most once.  ``canonical(x)``
-keeps its result on x itself, in ``x.__dict__["_canonical"]``: the
-canonical EPSeq, or True when x is its own canonical form (every canonical
-result is marked so).  ``anomaly_size`` is the length of that form's
-anomaly, so invariants, similarity and witness building all reuse the one
-scan.  The memo is not a field, so ``==``, ``hash``, ``repr`` and the JSON
-formats read only the period word and the anomaly; equal values have equal
-canonical forms, so a filled memo never tells two equal values apart.
-It lives and dies with its value, and no cache outside the values grows.
+keeps its result on x itself, in the memo ``_canonical`` over the class
+default None: the canonical EPSeq, or True when x is its own canonical
+form (every canonical result is marked so).  ``anomaly_size`` is the
+length of that form's anomaly, so invariants, similarity and witness
+building all reuse the one scan.  The memo is not a field, so ``==``,
+``hash``, ``repr`` and the JSON formats read only the period word and the
+anomaly; equal values have equal canonical forms, so a filled memo never
+tells two equal values apart.  It lives and dies with its value, and no
+cache outside the values grows.
 
 Values built from parts that are already valid (a slice of a valid word, a
 primitive root, a scan's anchored form) skip their constructor's checks
-through the ``_trusted_*`` helpers; the public constructors check
-everything.
+through the one unchecked constructor, ``Value._trusted``, which sets
+fields and memos as the public constructors do; those check everything.
 
 One representational limit is inherent to the anchoring: a sequence whose
 leftmost deviation from its periodic tail sits at a negative index has no
@@ -62,7 +63,6 @@ from .words import (
     Alphabet,
     Value,
     Word,
-    _trusted_word,
     is_primitive,
     primitive_root,
     require_same_alphabet,
@@ -90,13 +90,6 @@ class PeriodicSeq(Value):
         return self.period_word.symbols[k % len(self.period_word)]
 
 
-def _trusted_periodic(root: Word) -> PeriodicSeq:
-    """A PeriodicSeq without re-validation, for a word known to be primitive."""
-    p = object.__new__(PeriodicSeq)
-    p.__dict__["period_word"] = root
-    return p
-
-
 class AnomalyWindow(Value):
     """Index window [start, start+length) whose removal leaves a periodic sequence."""
 
@@ -113,6 +106,7 @@ class EPSeq(Value):
 
     period_word: Word
     anomaly: Word
+    _canonical = None  # the memo of canonical(); not a field
 
     def __post_init__(self) -> None:
         require_same_alphabet(self.period_word, self.anomaly)
@@ -167,14 +161,7 @@ def make_ep(w: Word, v: Word) -> EPSeq:
         )
     while len(vs) > n and vs[-n:] == root.symbols:
         vs = vs[:-n]
-    return _trusted_ep(root, _trusted_word(vs, w.alphabet))
-
-
-def _trusted_ep(period: Word, anomaly: Word) -> EPSeq:
-    """An EPSeq without re-validation, for parts already normalized."""
-    x = object.__new__(EPSeq)
-    x.__dict__.update(period_word=period, anomaly=anomaly)
-    return x
+    return EPSeq._trusted(root, Word._trusted(vs, w.alphabet))
 
 
 def _tiled(w: tuple[int, ...], start: int, size: int) -> tuple[int, ...]:
@@ -220,8 +207,8 @@ class _Scan(NamedTuple):
         length = self.window.length + n * -(-max(0, self.window.start - t) // n)
         o = t % n
         at = t - self.lo
-        return _trusted_ep(_trusted_word(w[o:] + w[:o], self.period.alphabet),
-                           _trusted_word(self.buf[at:at + length], self.period.alphabet))
+        return EPSeq._trusted(Word._trusted(w[o:] + w[:o], self.period.alphabet),
+                              Word._trusted(self.buf[at:at + length], self.period.alphabet))
 
 
 def _scan(buf: tuple[int, ...], lo: int, period: Word, delta: int) -> Optional[_Scan]:
@@ -268,7 +255,7 @@ def window(x: EPSeq, i: int, j: int) -> Word:
     """The word x_i x_{i+1} ... x_j (inclusive)."""
     if i > j:
         raise ValueError(f"window requires i <= j, got {i} > {j}")
-    return _trusted_word(_symbols(x, i, j + 1), x.alphabet)
+    return Word._trusted(_symbols(x, i, j + 1), x.alphabet)
 
 
 def least_period(x: EPSeq) -> int:
@@ -320,7 +307,7 @@ def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
     buf = _symbols(x, lo, max(s + length, vl) + 2 * n)
     cut = s - lo
     scan = _scan(buf[:cut] + buf[cut + length:], lo, x.period_word, vl - length)
-    return _trusted_periodic(x.period_word) if scan is None else scan.anchor(0)
+    return PeriodicSeq._trusted(x.period_word) if scan is None else scan.anchor(0)
 
 
 def _window_search(x: EPSeq, extra_start: int, extra_len: int) -> list[AnomalyWindow]:
@@ -362,7 +349,7 @@ def remove_anomaly(x: EPSeq) -> PeriodicSeq:
     """The periodic sequence obtained by deleting an anomaly window; the
     result is pointwise independent of which window is deleted.  Deleting
     the stored anomaly leaves k -> w[k mod N] by definition."""
-    return _trusted_periodic(x.period_word)
+    return PeriodicSeq._trusted(x.period_word)
 
 
 def canonical(x: EPSeq) -> EPSeq:
@@ -373,12 +360,13 @@ def canonical(x: EPSeq) -> EPSeq:
     invariant under shift.  Scans x once and keeps the result on x (see
     the module docstring).
     """
-    memo = x.__dict__.get("_canonical")
+    memo = x._canonical
     if memo is None:
         scan = _normal_form(x)
         c = scan.anchor(scan.window.start)
-        c.__dict__["_canonical"] = True
-        memo = x.__dict__["_canonical"] = True if c == x else c
+        object.__setattr__(c, "_canonical", True)
+        memo = True if c == x else c
+        object.__setattr__(x, "_canonical", memo)
     return x if memo is True else memo
 
 

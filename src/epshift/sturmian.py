@@ -20,7 +20,8 @@ used for cross-validation only.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from collections.abc import Sequence
+from itertools import accumulate, chain
 from math import gcd
 from operator import sub
 
@@ -144,30 +145,18 @@ def _zero_counts(spec: SturmianSpec, n_lo: int, n_hi: int) -> list[int]:
     return list(map(sub, h[1:], h))
 
 
-def _cell(zeros: int) -> Word:
-    return Word((1,) + (0,) * zeros, BINARY)  # BINARY ids: "0" is 0, "1" is 1
-
-
-def _expand(counts: list[int]) -> Word:
+def _expand(counts: Sequence[int]) -> Word:
     """The concatenation of the cells with these zero counts."""
-    cells = {z: (1,) + (0,) * z for z in set(counts)}
+    cells = {z: (1,) + (0,) * z for z in set(counts)}  # BINARY ids: "0" is 0, "1" is 1
     return Word(tuple(chain.from_iterable(map(cells.__getitem__, counts))), BINARY)
 
 
 class CellSeries(Value):
-    """Cells B_n for n in [n_lo, n_lo + len(cells))."""
+    """Cells B_n for n in [n_lo, n_lo + len(zeros)), each held as its zero
+    count: B_n is "1" followed by zeros[n - n_lo] symbols "0"."""
 
     n_lo: int
-    cells: tuple[Word, ...] = ()
-
-    @property
-    def n_hi(self) -> int:
-        return self.n_lo + len(self.cells) - 1
-
-    def cell(self, n: int) -> Word:
-        if not self.n_lo <= n <= self.n_hi:
-            raise ValueError(f"cell index {n} outside [{self.n_lo}, {self.n_hi}]")
-        return self.cells[n - self.n_lo]
+    zeros: tuple[int, ...] = ()
 
 
 def cell_series(spec: SturmianSpec, n_lo: int, n_hi: int) -> CellSeries:
@@ -181,21 +170,19 @@ def cell_series(spec: SturmianSpec, n_lo: int, n_hi: int) -> CellSeries:
     if (n_hi - n_lo + 1) * (p + q) > SYMBOL_LIMIT * p:
         raise InputTooLarge(f"{n_hi - n_lo + 1} cells of frequency {q}/{p} exceed "
                             f"the supported window of {SYMBOL_LIMIT} symbols")
-    counts = _zero_counts(spec, n_lo, n_hi)
-    cells = {z: _cell(z) for z in set(counts)}  # one shared Word per zero count
-    return CellSeries(n_lo, tuple(map(cells.__getitem__, counts)))
+    return CellSeries(n_lo, tuple(_zero_counts(spec, n_lo, n_hi)))
 
 
 def expand_cells(cs: CellSeries) -> Word:
-    return Word(tuple(chain.from_iterable(c.symbols for c in cs.cells)), BINARY)
+    return _expand(cs.zeros)
 
 
 def chain_zero_counts(cs: CellSeries, n: int) -> Counter:
     """Multiset of zero counts over all contiguous n-cell chains."""
-    if not 1 <= n <= len(cs.cells):
-        raise ValueError(f"chain length {n} out of range [1, {len(cs.cells)}]")
-    zeros = [len(c) - 1 for c in cs.cells]
-    return Counter(sum(zeros[i:i + n]) for i in range(len(zeros) - n + 1))
+    if not 1 <= n <= len(cs.zeros):
+        raise ValueError(f"chain length {n} out of range [1, {len(cs.zeros)}]")
+    prefix = [0, *accumulate(cs.zeros)]
+    return Counter(map(sub, prefix[n:], prefix))
 
 
 def cutting_sequence(spec: SturmianSpec, n_lo: int, n_hi: int) -> Word:

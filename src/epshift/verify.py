@@ -489,7 +489,7 @@ def check_generator_crossval(max_sum: int, ms: tuple[int, ...]) -> TheoremCheck:
 def _crossval_one(spec: SturmianSpec, q: int, p: int, m: int) -> Optional[str]:
     half = 3 * (p + 1)
     cs = cell_series(spec, m - half, m + half)
-    if not is_balanced_chains(list(cs.cells)):
+    if not is_balanced_chains(cs.zeros):
         return "cell window is not balanced"
     # type S has a unique deficient p-chain (q-1 zeros); type S' a unique
     # surplus one (q+1 zeros); all other p-chains carry exactly q zeros
@@ -506,7 +506,7 @@ def _crossval_one(spec: SturmianSpec, q: int, p: int, m: int) -> Optional[str]:
     if abs(len(cut) - core_len) > 2:
         return f"cutting window length {len(cut)} vs expansion length {core_len}"
     pos = wide.find(cut)
-    boundary = len(wide_cs.cell(n_lo - 1))
+    boundary = wide_cs.zeros[0] + 1  # the length of the cell B_{n_lo - 1}
     while pos != -1:
         if abs(pos - boundary) <= 1:
             return None

@@ -8,15 +8,15 @@ rather than a silent union.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate
 from operator import attrgetter
 
-from .errors import (
-    EmptyWord,
-    IncompatibleAlphabets,
-    MalformedCell,
-    UnknownSymbol,
-)
+from .errors import EmptyWord, IncompatibleAlphabets, UnknownSymbol
+
+
+# bound once: the unchecked constructor runs on every internal result
+_new, _set = object.__new__, object.__setattr__
 
 
 class Value:
@@ -24,8 +24,14 @@ class Value:
     class attributes.  Built by position or keyword, then checked by
     ``__post_init__``; ``==`` (within one class), ``hash`` and ``repr``
     (``Name(field=value, ...)``) read the fields; nothing can be set or
-    deleted.  Other attributes are memos no comparison sees: the hash, kept
-    on first use, and ``sequences.canonical``'s result.
+    deleted.  Other attributes are memos no comparison sees: the hash and
+    ``sequences.canonical``'s result, kept on first use over a class
+    default of None, and a code's lookup table.  Like the fields, they are
+    set with ``object.__setattr__``: a write to the instance ``__dict__``
+    would move the attributes into a dict and slow every later read.
+
+    Internal results built from parts already known to be valid skip the
+    checks through the one unchecked constructor, :meth:`_trusted`.
     """
 
     _hash = None
@@ -43,8 +49,21 @@ class Value:
                 raise TypeError(f"{type(self).__name__} takes the fields {fields} once each")
             args += tuple(rest)
         for f, v in zip(fields, args):
-            object.__setattr__(self, f, v)  # a __dict__ write would slow every later read
+            _set(self, f, v)
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *fields, **memos):
+        """An instance of `cls` from valid fields, given in order, and memos
+        by name; ``__post_init__`` does not run."""
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+        self = _new(cls)
+        for f, v in zip(cls._fields, fields):
+            _set(self, f, v)
+        for f, v in memos.items():
+            _set(self, f, v)
+        return self
 
     def __post_init__(self) -> None:
         pass
@@ -56,7 +75,7 @@ class Value:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._key(self)))
+            _set(self, "_hash", hash(self._key(self)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -105,9 +124,7 @@ class Alphabet(Value):
         if label in self.labels:
             raise ValueError(f"label {label!r} already in alphabet")
         _check_label(label)
-        bigger = object.__new__(Alphabet)
-        bigger.__dict__["labels"] = self.labels + (label,)
-        return bigger
+        return Alphabet._trusted(self.labels + (label,))
 
     def mint_label(self) -> str:
         """Deterministic fresh label (x0', x1', ... with a monotone counter)."""
@@ -168,16 +185,6 @@ class Word(Value):
         return f"Word({self.text!r})"
 
 
-def _trusted_word(symbols: tuple[int, ...], alphabet: Alphabet) -> Word:
-    """A Word without re-validation, for symbols already known to be ids of
-    `alphabet` (sliced from a valid word, or read from a validated table)."""
-    w = object.__new__(Word)
-    d = w.__dict__
-    d["symbols"] = symbols
-    d["alphabet"] = alphabet
-    return w
-
-
 def require_same_alphabet(a, b) -> None:
     if a.alphabet != b.alphabet:
         raise IncompatibleAlphabets(
@@ -205,7 +212,7 @@ def rotate(w: Word, k: int) -> Word:
     if len(w) == 0:
         raise EmptyWord("cannot rotate the empty word")
     k %= len(w)
-    return _trusted_word(w.symbols[k:] + w.symbols[:k], w.alphabet)
+    return Word._trusted(w.symbols[k:] + w.symbols[:k], w.alphabet)
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:
@@ -216,7 +223,7 @@ def primitive_root(w: Word) -> tuple[Word, int]:
         raise EmptyWord("the empty word has no primitive root")
     for d in range(1, n // 2 + 1):
         if n % d == 0 and syms[:d] * (n // d) == syms:
-            return _trusted_word(syms[:d], w.alphabet), n // d
+            return Word._trusted(syms[:d], w.alphabet), n // d
     return w, 1
 
 
@@ -227,21 +234,10 @@ def is_primitive(w: Word) -> bool:
     return primitive_root(w)[1] == 1
 
 
-def _cell_zero_count(cell: Word) -> int:
-    one = cell.alphabet.index("1")
-    zero = cell.alphabet.index("0")
-    if len(cell) == 0 or cell.symbols[0] != one:
-        raise MalformedCell(f"cell must start with '1': {cell.text!r}")
-    for s in cell.symbols[1:]:
-        if s != zero:
-            raise MalformedCell(f"cell may only contain '0' after the first symbol: {cell.text!r}")
-    return len(cell) - 1
-
-
-def is_balanced_chains(cells: list[Word]) -> bool:
-    """Balance check at the cell level: for every chain length m, the zero
-    counts of all contiguous m-cell chains differ by at most one."""
-    zeros = [_cell_zero_count(c) for c in cells]
+def is_balanced_chains(zeros: Sequence[int]) -> bool:
+    """Balance check at the cell level, on the cells' zero counts: for every
+    chain length m, the zero counts of all contiguous m-cell chains differ
+    by at most one."""
     n = len(zeros)
     prefix = [0, *accumulate(zeros)]
     for m in range(1, n + 1):

@@ -70,6 +70,20 @@ def test_sturmian_gen_cells_and_symbols(capsys):
     assert symbols == "101011010"
 
 
+@pytest.mark.parametrize("emit", ["cells", "symbols"])
+def test_sturmian_gen_rejects_a_negative_cell_count(capsys, emit):
+    code = main(["sturmian", "gen", "--freq", "1/2", "--type", "S", "--emit", emit,
+                 "--cells", "-3"])
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert (code, err["kind"]) == (2, "InputError")
+    assert "--cells" in err["message"] and ">= 0" in err["message"]
+    assert captured.err.startswith("usage: epshift")
+    assert main(["sturmian", "gen", "--freq", "1/2", "--type", "S", "--emit", emit,
+                 "--cells", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == (["1"] if emit == "cells" else "1")
+
+
 class CellsBuilt(Exception):
     """Raised in place of the window's zero counts: a cell was about to be built."""
 
@@ -348,7 +362,7 @@ EXIT_CODES = {
     "EpshiftError": 1, "InputError": 2,
     "NotCoprime": 2, "NonPositive": 2, "InputTooLarge": 2, "InvalidSpec": 2,
     "DegeneratePeriodic": 2, "IncompatibleAlphabets": 2, "UnknownSymbol": 2,
-    "EmptyWord": 2, "MalformedCell": 2, "MalformedInput": 2, "WrongAlphabet": 2,
+    "EmptyWord": 2, "MalformedInput": 2, "WrongAlphabet": 2,
     "SymbolAbsent": 2,
     "InternalMismatch": 1, "NotConjugate": 1, "WindowExhausted": 1, "MissingBlock": 1,
     "DegenerateImage": 1, "PostconditionFailed": 1,

@@ -44,7 +44,16 @@ from epshift.sequences import (
     remove_window,
     shift,
 )
-from epshift.sturmian import Frequency, SturmianSpec, TYPE_S, TYPE_SPRIME, skew_sturmian
+from epshift.sturmian import (
+    CellSeries,
+    Frequency,
+    SturmianSpec,
+    TYPE_S,
+    TYPE_SPRIME,
+    cell_series,
+    expand_cells,
+    skew_sturmian,
+)
 from epshift.words import BINARY, Alphabet, Word, primitive_root, rotate, word
 
 LETTERS = ("a", "b", "c", "d")
@@ -73,7 +82,11 @@ def rebuilt_alphabet(a):
 
 def rebuilt(v):
     """The value built again through the public constructors, which check
-    every part."""
+    every part; a cell series from the cells of its expansion."""
+    if isinstance(v, Alphabet):
+        return rebuilt_alphabet(v)
+    if isinstance(v, CellSeries):
+        return CellSeries(v.n_lo, tuple(map(len, expand_cells(v).text.split("1")[1:])))
     if isinstance(v, Word):
         return Word(v.symbols, rebuilt_alphabet(v.alphabet))
     if isinstance(v, PeriodicSeq):
@@ -157,6 +170,12 @@ def test_trusted_paths_build_only_valid_values(parts, data):
     label = data.draw(st.sampled_from([x.alphabet.labels[s] for s in set(x.anomaly.symbols)]),
                       label="expanded")
     values.append(expand_symbol(x, label)[0])
+    values.append(x.alphabet.extend(x.alphabet.mint_label()))
+    q, p = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 5), (5, 2)]),
+                     label="frequency")
+    stype = data.draw(st.sampled_from([TYPE_S, TYPE_SPRIME]), label="type")
+    spec = SturmianSpec(Frequency.rational(q, p), stype, data.draw(st.integers(-3, 3), label="m"))
+    values.append(cell_series(spec, start, start + length - 1))
     for in_period in (True, False):
         moves, end = _raise_moves(x, in_period)
         values += [m.result for m in moves] + [end]
@@ -183,6 +202,30 @@ def test_trusted_paths_build_only_valid_values(parts, data):
         again = SlidingBlockCode(c.memory, c.anticipation, c.entries, rebuilt_alphabet(
             c.source_alphabet), rebuilt_alphabet(c.target_alphabet))
         assert again == c and again._lookup == c._lookup
+
+
+def test_trusted_takes_every_field_and_memos_no_comparison_sees():
+    for build in (lambda: Word._trusted((0, 1)),
+                  lambda: EPSeq._trusted(word("01"), word("1"), word("0")),
+                  lambda: Alphabet._trusted()):
+        with pytest.raises(TypeError):
+            build()
+    c = canonical(make_ep(word("01"), word("1")))
+    bare = make_ep(c.period_word, c.anomaly)
+    marked = EPSeq._trusted(c.period_word, c.anomaly, _canonical=True)
+    assert marked._fields == bare._fields == ("period_word", "anomaly")
+    assert marked == bare and hash(marked) == hash(bare) and repr(marked) == repr(bare)
+    assert json.dumps(jsonio.emit_epseq(marked)) == json.dumps(jsonio.emit_epseq(bare))
+    assert canonical(marked) is marked and bare._canonical is None
+    # a code with its lookup table as a memo equals the checked code
+    entries = (((0,), 1), ((1,), 0))
+    checked = SlidingBlockCode(0, 0, entries, BINARY, BINARY)
+    trusted = SlidingBlockCode._trusted(0, 0, entries, BINARY, BINARY, _lookup={(0,): 1, (1,): 0})
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked) and trusted._lookup == checked._lookup
+    assert jsonio.emit_code(trusted) == jsonio.emit_code(checked)
+    with pytest.raises(AttributeError):
+        trusted.memory = 1
 
 
 def test_public_constructors_reject_what_they_rejected():

@@ -75,13 +75,15 @@ def test_cell_zeros_matches_brute_force_count():
                     assert cell_zeros(spec, n) == brute_cell_zeros(spec, n), (spec, n)
 
 
+def cell_texts(cs):
+    return ["1" + "0" * z for z in cs.zeros]
+
+
 def test_cell_series_examples():
-    assert [c.text for c in cell_series(spec_S(1, 1), -2, 2).cells] == \
-        ["10", "10", "1", "10", "10"]
-    assert [c.text for c in cell_series(spec_S(1, 2), -4, 2).cells] == \
+    assert cell_texts(cell_series(spec_S(1, 1), -2, 2)) == ["10", "10", "1", "10", "10"]
+    assert cell_texts(cell_series(spec_S(1, 2), -4, 2)) == \
         ["1", "10", "1", "10", "1", "1", "10"]
-    assert [c.text for c in cell_series(spec_Sp(1, 1), -1, 1).cells] == \
-        ["10", "100", "10"]
+    assert cell_texts(cell_series(spec_Sp(1, 1), -1, 1)) == ["10", "100", "10"]
 
 
 @pytest.mark.parametrize("spec, lo, hi, texts", [
@@ -91,20 +93,17 @@ def test_cell_series_examples():
     (spec_S(5, 2, -1), -3, 3, ["100", "1000", "100", "100", "1000", "100", "1000"]),
 ])
 def test_cell_series_of_fixed_specs_is_unchanged(spec, lo, hi, texts):
-    # cells with one zero count are one shared Word, equal to the cell
-    # built on its own
     cs = cell_series(spec, lo, hi)
-    assert [c.text for c in cs.cells] == texts
+    assert cell_texts(cs) == texts
     assert expand_cells(cs).text == "".join(texts)
-    assert list(cs.cells) == [word("1" + "0" * cell_zeros(spec, n)) for n in range(lo, hi + 1)]
-    assert len({id(c) for c in cs.cells}) == len(set(texts))
+    assert cs == CellSeries(lo, tuple(cell_zeros(spec, n) for n in range(lo, hi + 1)))
 
 
 def test_expand_cells():
-    cs = CellSeries(0, (word("10"), word("1"), word("10")))
+    cs = CellSeries(0, (1, 0, 1))
     assert expand_cells(cs).text == "10110"
     assert expand_cells(CellSeries(0, ())).text == ""
-    assert expand_cells(CellSeries(5, (word("100"),))).text == "100"
+    assert expand_cells(CellSeries(5, (2,))).text == "100"
 
 
 def test_cutting_sequence_junction_patterns():
@@ -159,9 +158,16 @@ def test_chain_zero_counts_examples():
     counts = chain_zero_counts(cs2, 3)
     assert counts[1] == 1 and set(counts) == {1, 2}
 
-    assert len(chain_zero_counts(cs, len(cs.cells))) == 1
+    assert len(chain_zero_counts(cs, len(cs.zeros))) == 1
     with pytest.raises(ValueError):
         chain_zero_counts(cs, 8)
+    with pytest.raises(ValueError):
+        chain_zero_counts(cs, 0)
+
+    # every chain length, against the sum of each chain's own counts
+    for n in range(1, len(cs2.zeros) + 1):
+        assert chain_zero_counts(cs2, n) == Counter(
+            sum(cs2.zeros[i:i + n]) for i in range(len(cs2.zeros) - n + 1))
 
 
 def test_symbol_reverse():
@@ -187,7 +193,7 @@ def test_offset_translation_and_similarity():
         for stype, mk in ((TYPE_S, spec_S), (TYPE_SPRIME, spec_Sp)):
             base = cell_series(mk(q, p, 0), -6, 6)
             shifted = cell_series(mk(q, p, 3), -3, 9)
-            assert base.cells == shifted.cells
+            assert base.zeros == shifted.zeros
             assert skew_sturmian(mk(q, p, -2)) == skew_sturmian(mk(q, p, 0))
             assert similar(skew_sturmian(mk(q, p, 0)), skew_sturmian(mk(q, p, -2)))
 
@@ -206,9 +212,9 @@ def _realignment_offset(spec, p):
     period block B_{m-p} .. B_{m-1}, found by search (the oracle for the
     anomaly length j that skew_sturmian takes from the Bézout pair)."""
     cs = cell_series(spec, spec.m - p, spec.m + 3 * p + 1)
-    period = cs.cells[:p]
+    period = cs.zeros[:p]
     for j in range(1, 2 * p + 3):
-        if cs.cells[p + j:2 * p + j] == period:
+        if cs.zeros[p + j:2 * p + j] == period:
             return j
     raise AssertionError(f"no realignment of the right beam of {spec}")
 
@@ -247,19 +253,18 @@ def test_zero_counts_equal_cell_zeros():
                         [cell_zeros(spec, n) for n in range(n_lo, n_hi + 1)], (spec, n_lo, n_hi)
 
 
-def _cell_word(spec, n):
-    return word("1" + "0" * cell_zeros(spec, n))
+def _cell_words(spec, lo, hi):
+    """The cells B_lo .. B_hi as one word, written cell by cell from cell_zeros."""
+    return word("".join("1" + "0" * cell_zeros(spec, n) for n in range(lo, hi + 1)))
 
 
 def _skew_by_cell_words(spec):
-    """make_ep of the p cells before B_m and the j anomaly cells, one Word per
-    cell from cell_zeros; j from the restricted Bézout pair as documented."""
+    """make_ep of the p cells before B_m and the j anomaly cells, each cell
+    written from cell_zeros; j from the restricted Bézout pair as documented."""
     q, p, m = spec.freq.q, spec.freq.p, spec.m
     b = restricted_bezout(q, p).b
     j = b if spec.stype == TYPE_S else max(p - b, 1)
-    period = CellSeries(m - p, tuple(_cell_word(spec, n) for n in range(m - p, m)))
-    anomaly = CellSeries(m, tuple(_cell_word(spec, n) for n in range(m, m + j)))
-    return make_ep(expand_cells(period), expand_cells(anomaly))
+    return make_ep(_cell_words(spec, m - p, m - 1), _cell_words(spec, m, m + j - 1))
 
 
 @pytest.mark.parametrize("stype", [TYPE_S, TYPE_SPRIME])

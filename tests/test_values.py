@@ -67,7 +67,7 @@ def test_keyword_construction_and_defaults():
     zero = Frequency("zero")
     assert zero.q is None and zero.p is None and zero == Frequency.zero()
     assert SturmianSpec(Frequency.infinity(), TYPE_S).m == 0
-    assert CellSeries(4).cells == () and CellSeries(n_lo=4) == CellSeries(4, ())
+    assert CellSeries(4).zeros == () and CellSeries(n_lo=4) == CellSeries(4, ())
 
 
 @pytest.mark.parametrize("build", [
@@ -91,8 +91,8 @@ def test_repr_is_the_field_list():
     assert repr(Frequency.zero()) == "Frequency(kind='zero', q=None, p=None)"
     assert repr(SturmianSpec(Frequency.rational(1, 2), TYPE_S)) == (
         "SturmianSpec(freq=Frequency(kind='rational', q=1, p=2), stype='S', m=0)")
-    assert repr(CellSeries(3)) == "CellSeries(n_lo=3, cells=())"
-    assert repr(CellSeries(0, (word("10"),))) == "CellSeries(n_lo=0, cells=(Word('10'),))"
+    assert repr(CellSeries(3)) == "CellSeries(n_lo=3, zeros=())"
+    assert repr(CellSeries(0, (1, 0))) == "CellSeries(n_lo=0, zeros=(1, 0))"
     # classes with their own repr keep it
     assert repr(make_ep(word("01"), word("1"))) == "EPSeq(period='01', anomaly='1')"
 

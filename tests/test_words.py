@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epshift.errors import EmptyWord, MalformedCell, UnknownSymbol
+from epshift.errors import EmptyWord, UnknownSymbol
 from epshift.words import (
     BINARY,
     Alphabet,
@@ -77,16 +77,12 @@ def test_doubling_occurrence_characterizes_primitivity():
 
 
 def test_balanced_chains_examples():
-    assert is_balanced_chains([word("10"), word("1"), word("10")])
-    assert not is_balanced_chains([word("100"), word("1")])
-    assert is_balanced_chains([word("1")])
-
-
-def test_balanced_chains_rejects_malformed_cells():
-    with pytest.raises(MalformedCell):
-        is_balanced_chains([word("01")])
-    with pytest.raises(MalformedCell):
-        is_balanced_chains([word("101")])
+    # the zero counts of the cells 10 1 10, 100 1 and 1
+    assert is_balanced_chains([1, 0, 1])
+    assert not is_balanced_chains([2, 0])
+    assert is_balanced_chains((0,))
+    # single cells differ by at most one, but the 2-chains 1+1 and 0+0 by two
+    assert not is_balanced_chains([1, 1, 0, 0])
 
 
 def test_word_literals_round_trip():
