@@ -121,14 +121,22 @@ def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
 
 
 def _image_scan(code: SlidingBlockCode, x: EPSeq) -> _Scan:
-    """The kernel's reading of the image of x under the code (see `apply_code`)."""
+    """The kernel's reading of the image of x under the code (see `apply_code`).
+
+    The buffer is the image on [-aa-1-2N, |v|+mm+2N].  The block
+    x_{i-mm} ... x_{i+aa} lies in the left tail for i < -aa and in the
+    right tail for i >= |v| + mm, so there its image is that of the
+    periodic orbit, whose root `_periodic_image` reads once, at phase i
+    and i - |v| respectively.  The two guards of 2N + 1 symbols are tiled
+    from that root; the code reads only the |v| + mm + aa blocks between.
+    """
     root = _periodic_image(code, x.period_word)
     mm, aa = code.memory, code.anticipation
     n, vl = least_period(x), len(x.anomaly)
-    # The image is root-periodic left of -aa and, at phase |v|, right of
-    # |v| + mm; the buffer covers both guards with a 2N margin.
-    lo, hi = -aa - 1 - 2 * n, vl + mm + 2 * n
-    img = code.read(_symbols(x, lo - mm, hi + aa + 1), hi - lo + 1)
+    lo, r = -aa - 1 - 2 * n, root.symbols
+    img = (_tiled(r, lo, 2 * n + 1)
+           + code.read(_symbols(x, -aa - mm, vl + mm + aa), vl + mm + aa)
+           + _tiled(r, mm, 2 * n + 1))
     scan = _scan(img, lo, root, vl)
     if scan is None:
         raise DegenerateImage("image of the sequence under the code is periodic")
@@ -159,9 +167,10 @@ def _periodic_image(code: SlidingBlockCode, w: Word) -> Word:
 def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu: int,
                      lv: int, k: int) -> tuple[dict, Optional[tuple[int, int]]]:
     """Probe radius k: map each radius-k block of src to the first centre
-    it occurs at (s and d hold src and dst from index lo on); return the
-    table and None, or the two centres of the first block that needs two
-    dst symbols.
+    it occurs at; return the table and None, or the two centres of the
+    first block that needs two dst symbols.  Centres index s and d, which
+    hold src and dst from index lo on and must reach k symbols past every
+    centre read (see `_search_buffers`).
 
     It reads the centres [-k-1-N, max(|u|+k, |v|) + N], u and v the
     anomalies of src and dst.  Left of -k and from max(|u|+k, |v|) on,
@@ -177,6 +186,16 @@ def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu
     return table, None
 
 
+def _search_buffers(src: EPSeq, dst: EPSeq, reach: int) -> tuple[int, tuple, tuple]:
+    """(lo, s, d): src and dst sliced from index lo on, wide enough for
+    every probe of radius k <= reach and every jump test up to reach.  A
+    probe reads the src symbols within k of its centres and the dst
+    symbols at them; a jump reads src up to reach from two such centres."""
+    n, lu, lv = least_period(src), len(src.anomaly), len(dst.anomaly)
+    lo, hi = -2 * reach - 1 - n, max(lu + reach, lv) + n + 1
+    return lo, _symbols(src, lo, hi + reach), _symbols(dst, lo, hi)
+
+
 def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
     """The block map of least radius sending the canonical sequence src
     onto the canonical sequence dst, aligned at their anomaly anchors.
@@ -188,23 +207,30 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
     Jumping to r after each failure, from k = 0, stops on the least
     radius.  Radius |u| + |v| + 4N always suffices, so needing more
     raises WindowExhausted (it would contradict the existence theorem).
+
+    The sequences are read only as far as the radii tried need: the
+    buffers serve radii up to a reach, at first N, and double, up to
+    that cap, when a probe needs more.  A jump that finds no separating
+    r within the reach goes on to reach + 1, still a lower bound on the
+    least radius.
     """
     n = least_period(src)
     lu, lv = len(src.anomaly), len(dst.anomaly)
     cap = lu + lv + 4 * n
-    # one slice of each sequence serves every probe and every jump
-    lo, hi = -2 * cap - 1 - n, max(lu + cap, lv) + n + 1
-    s, d = _symbols(src, lo, hi + cap), _symbols(dst, lo, hi)
-    k: Optional[int] = 0
-    while k is not None:
+    reach, k = n, 0
+    lo, s, d = _search_buffers(src, dst, reach)
+    while k <= cap:
+        if k > reach:  # k = reach + 1 <= 2 * reach
+            reach = min(2 * reach, cap)
+            lo, s, d = _search_buffers(src, dst, reach)
         table, clash = _build_block_map(s, d, lo, n, lu, lv, k)
         if clash is None:
             lookup = {block: d[c] for block, c in table.items()}
             return SlidingBlockCode._trusted(k, k, tuple(sorted(lookup.items())), src.alphabet,
                                              dst.alphabet, _lookup=lookup)
         i, j = clash
-        k = next((r for r in range(k + 1, cap + 1)
-                  if s[i - r] != s[j - r] or s[i + r] != s[j + r]), None)
+        k = next((r for r in range(k + 1, reach + 1)
+                  if s[i - r] != s[j - r] or s[i + r] != s[j + r]), reach + 1)
     raise WindowExhausted(f"no consistent block map with radius <= {cap}; this "
                           "contradicts the existence theorem and indicates a bug")
 

@@ -69,10 +69,13 @@ def _parse_freq(text: str) -> Frequency:
         return Frequency.infinity()
     if text == "0":
         return Frequency.zero()
-    if "/" in text:
-        qs, ps = text.split("/", 1)
-        return Frequency.rational(int(qs), int(ps))
-    raise InvalidSpec(f"frequency must be q/p, 0 or inf, got {text!r}")
+    qs, _, ps = text.partition("/")
+    try:
+        q, p = int(qs), int(ps)
+    except ValueError:
+        raise InvalidSpec(f"--freq must be q/p with integers q and p, 0 or inf, "
+                          f"got {text!r}") from None
+    return Frequency.rational(q, p)
 
 
 def _cell_count(text: str) -> int:

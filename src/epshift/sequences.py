@@ -161,7 +161,7 @@ def make_ep(w: Word, v: Word) -> EPSeq:
         )
     while len(vs) > n and vs[-n:] == root.symbols:
         vs = vs[:-n]
-    return EPSeq._trusted(root, Word._trusted(vs, w.alphabet))
+    return EPSeq._trusted(root, v if vs is v.symbols else Word._trusted(vs, w.alphabet))
 
 
 def _tiled(w: tuple[int, ...], start: int, size: int) -> tuple[int, ...]:
@@ -207,7 +207,8 @@ class _Scan(NamedTuple):
         length = self.window.length + n * -(-max(0, self.window.start - t) // n)
         o = t % n
         at = t - self.lo
-        return EPSeq._trusted(Word._trusted(w[o:] + w[:o], self.period.alphabet),
+        period = Word._trusted(w[o:] + w[:o], self.period.alphabet) if o else self.period
+        return EPSeq._trusted(period,
                               Word._trusted(self.buf[at:at + length], self.period.alphabet))
 
 

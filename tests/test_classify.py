@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from epshift import classify, jsonio
+from epshift import classify, jsonio, verify
 from epshift.classify import (
     ConjugacyMove,
     ExpandMove,
@@ -375,6 +375,36 @@ def test_narrow_buffer_counterexample_needs_radius_three():
     assert (fwd.memory, fwd.anticipation, inv.memory, inv.anticipation) == (3, 3, 3, 3)
 
 
+def _mark_pair(q, p):
+    """The canonical source and target of the anomaly-mark code of S(q/p)."""
+    x = canonical(skew(TYPE_S, q, p))
+    (mark, _), _ = _raise_moves(x, False)
+    return x, canonical(mark.result)
+
+
+@pytest.mark.parametrize("pair, radius", [
+    (lambda: _mark_pair(19, 31), 49),
+    (lambda: (canonical(ep("0", "000001")), canonical(ep("0", "001001"))), 3),
+    (lambda: (canonical(ep("10", "11")), canonical(ep("10", "110011111111"))), 10),
+])
+def test_witness_search_grows_its_buffers_to_the_least_radius(monkeypatch, pair, radius):
+    x, y = pair()
+    reaches, search_buffers = [], classify._search_buffers
+
+    def recording(src, dst, reach):
+        reaches.append(reach)
+        return search_buffers(src, dst, reach)
+
+    monkeypatch.setattr(classify, "_search_buffers", recording)
+    code = _witness_code(x, y)
+    assert code.memory == code.anticipation == radius
+    assert _pointwise_consistent(x, y, radius) and not _pointwise_consistent(x, y, radius - 1)
+    # the buffers start at reach N and grow only when a probe needs more
+    n = least_period(x)
+    assert reaches[0] == n and reaches == sorted(set(reaches))
+    assert reaches[-1] >= radius and (len(reaches) > 1) == (radius > n)
+
+
 def test_reciprocal_skew_witness_is_the_symbol_swap_at_large_n():
     # S(q/p) and S'(p/q) with p + q = 1600; the swap's JSON is a few hundred bytes
     x, y = skew(TYPE_S, 799, 801), skew(TYPE_SPRIME, 801, 799)
@@ -451,6 +481,37 @@ def test_apply_code_degenerate_image():
     constant = SlidingBlockCode(0, 0, (((0,), 0), ((1,), 0)), BINARY, BINARY)
     with pytest.raises(DegenerateImage):
         apply_code(constant, ep("0", "1"))
+
+
+def _uneven_codes():
+    """Total binary codes whose memory differs from their anticipation: two
+    shifts, an XOR and an AND of the block's first and last symbols."""
+    outs = (lambda b: b[0], lambda b: b[-1], lambda b: b[0] ^ b[-1], lambda b: b[0] & b[-1])
+    return [SlidingBlockCode(mm, aa, tuple((b, out(b)) for b in _all_blocks(mm + aa + 1)),
+                             BINARY, BINARY)
+            for mm, aa in ((0, 1), (2, 0), (1, 3)) for out in outs]
+
+
+def test_image_buffer_matches_the_code_read_block_by_block():
+    # the image's tails are tiled from the image of one period; each must
+    # sit at its phase, so every block is read here from the source itself
+    for code in _uneven_codes():
+        mm, aa = code.memory, code.anticipation
+
+        def image(x, i):
+            return code.out(tuple(x.symbol_id_at(j) for j in range(i - mm, i + aa + 1)))
+
+        for x in verify.exhaustive_family(3, 5) + [ep("0100", "100")]:
+            n, vl = least_period(x), len(x.anomaly)
+            span = range(-3 * n - aa - 2, vl + mm + 3 * n + 2)
+            try:
+                scan = classify._image_scan(code, x)
+            except DegenerateImage:
+                assert all(image(x, i) == image(x, i + n) for i in span), (code, x)
+                continue
+            assert scan.buf == tuple(image(x, scan.lo + i) for i in range(len(scan.buf)))
+            y, t = apply_code(code, x), min(0, scan.defect)
+            assert all(y.symbol_id_at(i) == image(x, i + t) for i in span), (code, x)
 
 
 # --- symbol expansion --------------------------------------------------------

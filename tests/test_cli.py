@@ -59,6 +59,14 @@ def test_sturmian_gen_invalid_spec(capsys):
     assert obj["error"]["kind"] == "InvalidSpec"
 
 
+@pytest.mark.parametrize("freq", ["a/b", "1/2/3"])
+def test_sturmian_gen_malformed_freq_names_the_option_and_form(capsys, freq):
+    code, obj = run(capsys, "sturmian", "gen", "--freq", freq, "--type", "S")
+    assert (code, obj["error"]["kind"]) == (2, "InvalidSpec")
+    message = obj["error"]["message"]
+    assert "--freq" in message and "q/p" in message and repr(freq) in message
+
+
 def test_sturmian_gen_cells_and_symbols(capsys):
     code, cells = run(capsys, "sturmian", "gen", "--freq", "1/1", "--type", "S",
                       "--emit", "cells", "--cells", "2")
