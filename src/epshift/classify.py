@@ -332,41 +332,41 @@ FlowMove = Union[ConjugacyMove, ExpandMove]
 
 
 @lru_cache(maxsize=4096)
-def _raise_moves(x: EPSeq, in_period: bool) -> tuple[tuple[FlowMove, ...], EPSeq]:
-    """Flow moves from x to a sequence with least period N+1 and unchanged
-    anomaly size (in_period) or with unchanged least period and anomaly
-    size a(x)+1: replace the last letter of the period word (or of the
-    minimal anomaly) with a fresh symbol, a conjugacy, then expand that
-    fresh symbol, which occurs once per period and not in the anomaly (or
-    only in the anomaly).  The move carries the forward code alone; flow
-    replay checks it."""
+def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSeq]:
+    """Flow moves from x to a sequence with least period N+dn and anomaly
+    size a(x)+da.  One conjugacy puts a fresh mark on the last letter of
+    the period word (if dn > 0) and of the minimal anomaly (if da > 0);
+    it keeps (N, a), as the 1-block map erasing the marks sends each
+    deletable window of the marked sequence to one of x.  Expanding a symbol
+    found once per period and not in the anomaly raises N by one and mints
+    another such symbol, so the period mark and then each newest symbol are
+    expanded, dn times in all; the anomaly mark raises a da times likewise.
+    The conjugacy move carries the forward code alone; flow replay checks it."""
+    if not (dn or da):
+        return (), x
     c = canonical(x)
-    n, size = least_period(c), len(c.anomaly)
-    primed_label = c.alphabet.mint_label()
-    bigger = c.alphabet.extend(primed_label)
-    mark = (bigger.index(primed_label),)
-    w, u = c.period_word.symbols, c.anomaly.symbols
-    if in_period:
-        w = w[:-1] + mark
-    else:
-        u = u[:-1] + mark
-    # the mark occurs once and only where it was put, so the parts stay normalized
-    primed = EPSeq._trusted(Word._trusted(w, bigger), Word._trusted(u, bigger))
-    part = "period" if in_period else "anomaly"
+    n, a = least_period(c), len(c.anomaly)
+    parts, bigger, marks = [c.period_word.symbols, c.anomaly.symbols], c.alphabet, []
+    for i, steps in enumerate((dn, da)):
+        if steps:
+            marks.append((bigger.mint_label(), steps))
+            bigger = bigger.extend(marks[-1][0])
+            parts[i] = parts[i][:-1] + (len(bigger) - 1,)
+    # each mark occurs once and only where it was put, so the parts stay normalized
+    primed = EPSeq._trusted(*(Word._trusted(p, bigger) for p in parts))
     if not conjugate_ep(c, primed):
-        raise PostconditionFailed(
-            f"{part}-tail replacement changed the invariants: "
-            f"(N={least_period(primed)}, a={anomaly_size(primed)}), expected (N={n}, a={size})"
-        )
-    code = _witness_code(c, canonical(primed))
-    y, fresh = expand_symbol(primed, primed_label)
-    want = (n + 1, size) if in_period else (n, size + 1)
-    if (least_period(y), anomaly_size(y)) != want:
-        raise PostconditionFailed(
-            f"raise_{part} postcondition: got (N={least_period(y)}, a={anomaly_size(y)}), "
-            f"expected (N={want[0]}, a={want[1]})"
-        )
-    return (ConjugacyMove(code, primed), ExpandMove(primed_label, fresh, y)), y
+        raise PostconditionFailed(f"marking changed the invariants: (N={least_period(primed)}, "
+                                  f"a={anomaly_size(primed)}), expected (N={n}, a={a})")
+    y, moves = primed, [ConjugacyMove(_witness_code(c, canonical(primed)), primed)]
+    for label, steps in marks:
+        for _ in range(steps):
+            y, fresh = expand_symbol(y, label)
+            moves.append(ExpandMove(label, fresh, y))
+            label = fresh
+    if (least_period(y), anomaly_size(y)) != (n + dn, a + da):
+        raise PostconditionFailed(f"raise postcondition: got (N={least_period(y)}, "
+                                  f"a={anomaly_size(y)}), expected (N={n + dn}, a={a + da})")
+    return tuple(moves), y
 
 
 class FlowWitness(Value):
@@ -381,24 +381,14 @@ class FlowWitness(Value):
 
 def flow_witness(x: EPSeq, y: EPSeq) -> FlowWitness:
     """A checkable certificate that the subshifts of x and y are flow
-    equivalent: raise periods to max(M, M'), then anomaly sizes to
-    max(a(x), a(y)); the equalized endpoints are conjugate.  The witness
-    is checked once, by `verify_flow_witness` (a failure raises
-    InternalMismatch)."""
+    equivalent: one `_raise_moves` chain per side raises the least period
+    to max(M, M') and the anomaly size to max(a(x), a(y)); the equalized
+    endpoints are conjugate.  The witness is checked once, by
+    `verify_flow_witness` (a failure raises InternalMismatch)."""
     (nx, ax), (ny, ay) = (least_period(x), anomaly_size(x)), (least_period(y), anomaly_size(y))
-
-    def chain(start: EPSeq, n: int, a: int) -> tuple[tuple[FlowMove, ...], EPSeq]:
-        # each raise moves one invariant by one, as _raise_moves asserts
-        moves: list[FlowMove] = []
-        cur = start
-        for in_period, steps in ((True, max(nx, ny) - n), (False, max(ax, ay) - a)):
-            for _ in range(steps):
-                mv, cur = _raise_moves(cur, in_period)
-                moves.extend(mv)
-        return tuple(moves), cur
-
-    chain_x, end_x = chain(x, nx, ax)
-    chain_y, end_y = chain(y, ny, ay)
+    n, a = max(nx, ny), max(ax, ay)
+    chain_x, end_x = _raise_moves(x, n - nx, a - ax)
+    chain_y, end_y = _raise_moves(y, n - ny, a - ay)
     wit = FlowWitness(chain_x, chain_y, *_build_witness(end_x, end_y))
     trail: list[str] = []
     if not verify_flow_witness(x, y, wit, trail):

@@ -79,9 +79,13 @@ def _parse_freq(text: str) -> Frequency:
 
 
 def _cell_count(text: str) -> int:
-    n = int(text)
+    message = f"must be a count of cells >= 0, got {text}"
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
     if n < 0:
-        raise argparse.ArgumentTypeError(f"must be a count of cells >= 0, got {n}")
+        raise argparse.ArgumentTypeError(message)
     return n
 
 
@@ -189,7 +193,13 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify  # imported here: no other command needs it
 
-    seed = args.seed if args.seed is not None else int(os.environ.get("SUBSHIFT_SEED", "0"))
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("SUBSHIFT_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise InputError(f"SUBSHIFT_SEED must be an integer, got {text!r}") from None
     bounds = verify.VerifyBounds().capped(args.max_period_sum)
 
     def progress(chk):

@@ -7,7 +7,7 @@ import epshift
 def test_only_the_flow_move_builders_are_cached():
     # every other lru cache was deleted once its kernel became linear; an
     # unbounded cache grows for the life of the process.  The replay memo
-    # holds criterion 7's working set at the default bounds (5,156 moves).
+    # holds criterion 7's working set at the default bounds (3,190 moves).
     cached = {}
     for mod in pkgutil.iter_modules(epshift.__path__):
         if mod.name == "__main__":

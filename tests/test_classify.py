@@ -378,7 +378,7 @@ def test_narrow_buffer_counterexample_needs_radius_three():
 def _mark_pair(q, p):
     """The canonical source and target of the anomaly-mark code of S(q/p)."""
     x = canonical(skew(TYPE_S, q, p))
-    (mark, _), _ = _raise_moves(x, False)
+    (mark, _), _ = _raise_moves(x, 0, 1)
     return x, canonical(mark.result)
 
 
@@ -545,23 +545,68 @@ def test_expand_period_length_growth():
 # --- raises ------------------------------------------------------------------
 
 def test_raise_period_examples():
-    y = _raise_moves(ep("0", "11"), True)[1]
+    y = _raise_moves(ep("0", "11"), 1, 0)[1]
     assert (least_period(y), anomaly_size(y)) == (2, 2)
-    z = _raise_moves(skew(TYPE_S, 1, 1), True)[1]
+    z = _raise_moves(skew(TYPE_S, 1, 1), 1, 0)[1]
     assert (least_period(z), anomaly_size(z)) == (3, 1)
     for x in (ep("0", "1"), ep("110", "1"), skew(TYPE_SPRIME, 1, 2)):
-        assert least_period(_raise_moves(x, True)[1]) == least_period(x) + 1
-        assert anomaly_size(_raise_moves(x, True)[1]) == anomaly_size(x)
+        assert least_period(_raise_moves(x, 1, 0)[1]) == least_period(x) + 1
+        assert anomaly_size(_raise_moves(x, 1, 0)[1]) == anomaly_size(x)
 
 
 def test_raise_anomaly_examples():
-    y = _raise_moves(ep("0", "1"), False)[1]
+    y = _raise_moves(ep("0", "1"), 0, 1)[1]
     assert (least_period(y), anomaly_size(y)) == (1, 2)
-    z = _raise_moves(skew(TYPE_S, 1, 2), False)[1]
+    z = _raise_moves(skew(TYPE_S, 1, 2), 0, 1)[1]
     assert (least_period(z), anomaly_size(z)) == (3, 2)
     for x in (ep("0", "11"), ep("10", "1")):
-        assert least_period(_raise_moves(x, False)[1]) == least_period(x)
-        assert anomaly_size(_raise_moves(x, False)[1]) == anomaly_size(x) + 1
+        assert least_period(_raise_moves(x, 0, 1)[1]) == least_period(x)
+        assert anomaly_size(_raise_moves(x, 0, 1)[1]) == anomaly_size(x) + 1
+
+
+def _assert_one_mark_chain(chain, steps):
+    """The chain is empty when steps is 0, and otherwise one conjugacy
+    move, first, then `steps` expansions.  Each expansion expands a mark
+    the conjugacy put in, or the symbol the move before it minted, and
+    every mark starts one run of expansions."""
+    if steps == 0:
+        assert chain == ()
+        return
+    conj, *expands = chain
+    assert isinstance(conj, ConjugacyMove) and len(expands) == steps
+    assert all(isinstance(m, ExpandMove) for m in expands)
+    marks = set(conj.result.alphabet.labels) - set(conj.code.source_alphabet.labels)
+    starts, minted = [], None
+    for m in expands:
+        if m.symbol != minted:
+            starts.append(m.symbol)
+        minted = m.fresh
+    assert sorted(starts) == sorted(marks)
+
+
+@pytest.mark.parametrize("dn, da", [(0, 0), (2, 0), (0, 3), (1, 1), (1, 4), (3, 2), (2, 2)])
+def test_raise_moves_mark_once_then_expand_the_newest_symbol(dn, da):
+    for x in (ep("0", "11"), ep("110", "1"), ep("10", "1011"), skew(TYPE_S, 2, 3),
+              skew(TYPE_SPRIME, 3, 2)):
+        moves, y = _raise_moves(x, dn, da)
+        assert (least_period(y), anomaly_size(y)) == (least_period(x) + dn, anomaly_size(x) + da)
+        _assert_one_mark_chain(moves, dn + da)
+        end = x
+        for m in moves:
+            assert _replay_move(end, m) is None
+            end = m.result
+        assert end == y
+
+
+def test_flow_chains_are_one_mark_chains():
+    skews = [skew_sturmian(s) for s in verify._all_specs(8)]
+    fam = verify.exhaustive_family(3, 4)
+    for x, y in itertools.chain(itertools.combinations(skews, 2), zip(fam[::7], fam[3::5])):
+        (nx, ax), (ny, ay) = (least_period(x), anomaly_size(x)), (least_period(y), anomaly_size(y))
+        n, a = max(nx, ny), max(ax, ay)
+        w = flow_witness(x, y)
+        _assert_one_mark_chain(w.chain_x, n - nx + a - ax)
+        _assert_one_mark_chain(w.chain_y, n - ny + a - ay)
 
 
 # --- flow witnesses ----------------------------------------------------------

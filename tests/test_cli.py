@@ -87,6 +87,11 @@ def test_sturmian_gen_rejects_a_negative_cell_count(capsys, emit):
     assert (code, err["kind"]) == (2, "InputError")
     assert "--cells" in err["message"] and ">= 0" in err["message"]
     assert captured.err.startswith("usage: epshift")
+    code = main(["sturmian", "gen", "--freq", "1/1", "--type", "S", "--emit", emit,
+                 "--cells", "x"])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (code, err["kind"]) == (2, "InputError")
+    assert err["message"].endswith("argument --cells: must be a count of cells >= 0, got x")
     assert main(["sturmian", "gen", "--freq", "1/2", "--type", "S", "--emit", emit,
                  "--cells", "0"]) == 0
     assert json.loads(capsys.readouterr().out) == (["1"] if emit == "cells" else "1")
@@ -222,6 +227,27 @@ def test_check_witness_accepts_a_radius_one_witness_file(tmp_path, capsys):
     assert code == 0 and obj == {"valid": True, "trail": []}
 
 
+def test_check_witness_accepts_a_flow_witness_file_of_unit_raises(tmp_path, capsys):
+    # emitted for S(1/2), S(2/5) when every unit raise of N or a was its own
+    # mark conjugacy and expansion: 14 moves where one mark per chain needs 8
+    fixture = Path(__file__).parent / "data" / "flow_S1-2_S2-5.json"
+    raw = json.loads(fixture.read_text())
+    assert raw["format"] == "flowwitness/1"
+    assert (len(raw["chain_x"]), len(raw["chain_y"])) == (14, 0)
+    x = skew_sturmian(SturmianSpec(Frequency.rational(1, 2), TYPE_S))
+    y = skew_sturmian(SturmianSpec(Frequency.rational(2, 5), TYPE_S))
+    a, b = write_ep(tmp_path / "a.json", x), write_ep(tmp_path / "b.json", y)
+    code, obj = run(capsys, "classify", "check-witness", a, b, str(fixture))
+    assert code == 0 and obj == {"valid": True, "trail": []}
+
+    assert raw["chain_x"][1]["fresh"] == "x1'"
+    raw["chain_x"][1]["fresh"] = "x9'"
+    (tmp_path / "bad.json").write_text(json.dumps(raw))
+    code, obj = run(capsys, "classify", "check-witness", a, b, str(tmp_path / "bad.json"))
+    assert code == 1 and obj["valid"] is False
+    assert obj["trail"] == ["chain_x[1]: expansion does not reproduce recorded result"]
+
+
 def test_classify_conjugate_false(tmp_path, capsys):
     a = write_ep(tmp_path / "a.json", make_ep(word("0"), word("1")))
     b = write_ep(tmp_path / "b.json", make_ep(word("01"), word("1")))
@@ -339,6 +365,13 @@ def test_verify_seed_from_environment(capsys, monkeypatch):
     assert code == 0 and report.ok
     seeded = {c.tag: c.bounds.get("seed") for c in report.checks if "seed" in c.bounds}
     assert seeded and all(s == 3 for s in seeded.values())
+
+
+def test_verify_seed_from_environment_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SUBSHIFT_SEED", "abc")
+    code, obj = run(capsys, "verify", "--max-period-sum", "2")
+    assert (code, obj["error"]["kind"]) == (2, "InputError")
+    assert obj["error"]["message"] == "SUBSHIFT_SEED must be an integer, got 'abc'"
 
 
 def test_verify_small_bounds(capsys):

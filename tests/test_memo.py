@@ -176,8 +176,8 @@ def test_trusted_paths_build_only_valid_values(parts, data):
     stype = data.draw(st.sampled_from([TYPE_S, TYPE_SPRIME]), label="type")
     spec = SturmianSpec(Frequency.rational(q, p), stype, data.draw(st.integers(-3, 3), label="m"))
     values.append(cell_series(spec, start, start + length - 1))
-    for in_period in (True, False):
-        moves, end = _raise_moves(x, in_period)
+    for dn, da in ((1, 0), (0, 1)):
+        moves, end = _raise_moves(x, dn, da)
         values += [m.result for m in moves] + [end]
     # a random total code with memory and anticipation at most one
     mem, ant = data.draw(st.integers(0, 1), label="memory"), data.draw(st.integers(0, 1))
@@ -196,8 +196,8 @@ def test_trusted_paths_build_only_valid_values(parts, data):
     for v in values:
         assert rebuilt(v) == v
     fwd, inv = _build_witness(x, canonical(x))
-    codes = [fwd, inv] + [m.code for in_period in (True, False)
-                          for m in _raise_moves(x, in_period)[0] if isinstance(m, ConjugacyMove)]
+    codes = [fwd, inv] + [m.code for dn, da in ((1, 0), (0, 1))
+                          for m in _raise_moves(x, dn, da)[0] if isinstance(m, ConjugacyMove)]
     for c in codes:
         again = SlidingBlockCode(c.memory, c.anticipation, c.entries, rebuilt_alphabet(
             c.source_alphabet), rebuilt_alphabet(c.target_alphabet))
