@@ -24,7 +24,8 @@ last index where it departs from its right tail read backwards; these two
 indices give the leftmost minimal anomaly window.  ``anomaly_size``,
 ``canonical``, ``shift``, ``remove_window`` and code images in
 :mod:`epshift.classify` all go through it.  The brute-force window search
-(``anomaly_windows``) stays as the independent oracle that
+(``anomaly_windows``), which tries every window by slice compares and
+shares no code with the kernel, stays as the independent oracle that
 :mod:`epshift.verify` and the tests hold the kernel to.
 
 Each value is scanned for its normal form at most once.  ``canonical(x)``
@@ -193,11 +194,12 @@ class _Scan(NamedTuple):
     defect: int
     window: AnomalyWindow
 
-    def anchor(self, prefer: int) -> EPSeq:
-        """The anchored form of y shifted by t = min(prefer, defect): the
-        shift nearest `prefer` that has one, exact when prefer <= defect.
+    def anchored_symbols(self, prefer: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The period and anomaly symbols of the anchored form of y shifted
+        by t = min(prefer, defect): the shift nearest `prefer` that has one,
+        exact when prefer <= defect.
 
-        Its period word is the left-tail word rotated by t and its anomaly is
+        The period word is the left-tail word rotated by t and the anomaly is
         y_t ... y_{t+L-1}, where L is the shortest length congruent to the
         minimal window's length mod N that reaches the window's end.
         """
@@ -207,9 +209,14 @@ class _Scan(NamedTuple):
         length = self.window.length + n * -(-max(0, self.window.start - t) // n)
         o = t % n
         at = t - self.lo
-        period = Word._trusted(w[o:] + w[:o], self.period.alphabet) if o else self.period
-        return EPSeq._trusted(period,
-                              Word._trusted(self.buf[at:at + length], self.period.alphabet))
+        return w[o:] + w[:o] if o else w, self.buf[at:at + length]
+
+    def anchor(self, prefer: int) -> EPSeq:
+        """The anchored form whose symbols `anchored_symbols(prefer)` gives."""
+        period, anomaly = self.anchored_symbols(prefer)
+        a = self.period.alphabet
+        return EPSeq._trusted(self.period if period is self.period.symbols
+                              else Word._trusted(period, a), Word._trusted(anomaly, a))
 
 
 def _scan(buf: tuple[int, ...], lo: int, period: Word, delta: int) -> Optional[_Scan]:
@@ -263,34 +270,6 @@ def least_period(x: EPSeq) -> int:
     return len(x.period_word)
 
 
-def _removal_is_periodic(x: EPSeq, start: int, length: int) -> bool:
-    """Exact check: does deleting [start, start+length) leave the periodic
-    extension of the left tail?
-
-    The removed sequence y and the candidate z_k = w[k mod N] agree
-    automatically for k < min(0, start) and are both N-periodic for
-    k >= max(start, |v| - length); checking the finite range between (with a
-    2N margin to lock the phase) is therefore an exact decision.
-    """
-    w = x.period_word.symbols
-    v = x.anomaly.symbols
-    n = len(w)
-    vl = len(v)
-    lo = min(0, start) - n
-    hi = max(start, vl - length) + 2 * n
-    for k in range(lo, hi + 1):
-        j = k if k < start else k + length
-        if j < 0:
-            yk = w[j % n]
-        elif j < vl:
-            yk = v[j]
-        else:
-            yk = w[(j - vl) % n]
-        if yk != w[k % n]:
-            return False
-    return True
-
-
 def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
     """Delete the window from the sequence: y_k = x_k for k < start and
     y_k = x_{k+length} for k >= start.
@@ -312,16 +291,30 @@ def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
 
 
 def _window_search(x: EPSeq, extra_start: int, extra_len: int) -> list[AnomalyWindow]:
-    n = len(x.period_word)
-    vl = len(x.anomaly)
+    """The windows [s, s+L), L ≡ |v| (mod N) up to |v| + extra_len and s in
+    [-L-2N-extra_start, |v|+2N+extra_start], whose deletion leaves the left
+    tail's extension z_k = w[k mod N], in (length, start) order.
+
+    The removal y agrees with z for k < min(0, s) and both are N-periodic
+    from max(s, |v| - L) on, so comparing them on [min(0, s) - N,
+    max(s, |v| - L) + 2N] decides exactly.  As y_k is x_k before s and
+    x_{k+L} from s on, that is two slice compares of x, built once from
+    its definition w*k + v + w*r, with z = w*m, both read from -kN.
+    """
+    w, v = x.period_word.symbols, x.anomaly.symbols
+    n, vl = len(w), len(v)
+    lengths = range(vl % n or n, vl + extra_len + 1, n)
+    reach = -(-(extra_start + lengths[-1]) // n)
+    k = reach + 3  # the least lo is -L-3N-extra_start
+    xs = w * k + v + w * (reach + 5)  # the greatest index read is |v|+4N+extra_start+L
+    zs = w * (len(xs) // n + 1)
+    o = k * n  # the buffer index of position 0
     found = []
-    length = vl % n if vl % n else n
-    while length <= vl + extra_len:
+    for length in lengths:
         for s in range(-length - 2 * n - extra_start, vl + 2 * n + extra_start + 1):
-            if _removal_is_periodic(x, s, length):
+            lo, at, hi = min(0, s) - n + o, s + o, max(s, vl - length) + 2 * n + 1 + o
+            if xs[lo:at] == zs[lo:at] and xs[at + length:hi + length] == zs[at:hi]:
                 found.append(AnomalyWindow(s, length))
-        length += n
-    found.sort(key=lambda a: (a.length, a.start))
     return found
 
 
@@ -331,8 +324,10 @@ def anomaly_windows(x: EPSeq) -> list[AnomalyWindow]:
     [-L-2N, |anomaly|+2N].  Sorted by (length, start); never empty since
     [0, |anomaly|) always qualifies.
 
-    This is the brute-force search, quadratic in the sizes; it is the
-    oracle for the kernel, which finds the first window directly.
+    This is the brute-force search: it tries every candidate window, each
+    by two slice compares of x, built from its definition, against the
+    periodic extension, so it is quadratic in the sizes.  It is the oracle
+    for the kernel, which finds the first window directly.
     """
     wins = _window_search(x, 0, 0)
     if not wins:

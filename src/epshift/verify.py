@@ -13,6 +13,11 @@ builds; its chain moves carry forward codes only, and it replays each
 distinct (sequence, move) pair once.  Failures are recorded as
 re-parseable counterexamples; an empty failure list is a pass.
 
+A run builds the instance family of criteria 4 and 5 once: criterion 4
+builds it inside its own timing, criterion 5 reuses it with the canonical
+forms criterion 4 left on its values, and the run drops it before
+criterion 6.
+
 The default bounds reproduce the acceptance suite, so `epshift verify`
 with no flags is the acceptance run.
 """
@@ -52,7 +57,7 @@ from .sturmian import (
     skew_sturmian,
     symbol_reverse,
 )
-from .words import BINARY, Value, Word, is_balanced_chains, rotate
+from .words import BINARY, Value, Word, is_balanced_chains
 
 REPORT_FORMAT = "verifyreport/1"
 
@@ -285,38 +290,52 @@ def family_instances(bounds: VerifyBounds, seed: int) -> list[EPSeq]:
     return fam
 
 
-def check_window_lemmas(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
+def _family(bounds: VerifyBounds, seed: int, shared: Optional[list[EPSeq]]) -> list[EPSeq]:
+    """The instances of criteria 4 and 5: `family_instances`, or `shared`
+    when given, which the first criterion to read it fills (its timing pays
+    for the build) and the next one reuses, canonical memos and all."""
+    if shared is None:
+        return family_instances(bounds, seed)
+    if not shared:
+        shared.extend(family_instances(bounds, seed))
+    return shared
+
+
+def _window_lemma_failure(x: EPSeq) -> Optional[str]:
+    """Why the window lemmas fail on x, or None when they hold."""
+    n = least_period(x)
+    wins = anomaly_windows(x)
+    if not any(w.start == 0 and w.length == len(x.anomaly) for w in wins):
+        return "stored anomaly not found"
+    if any((w.length - len(x.anomaly)) % n != 0 for w in wins):
+        return "window length not congruent"
+    removals = [remove_window(x, w) for w in wins]
+    if not all(isinstance(r, PeriodicSeq) for r in removals):
+        return "removal not periodic"
+    if any(r != removals[0] for r in removals[1:]):
+        return "removals differ pointwise"
+    best = wins[0]
+    searched = make_ep(window(x, best.start - n, best.start - 1),
+                       window(x, best.start, best.start + best.length - 1))
+    if canonical(x) != searched:
+        return "canonical is not at the leftmost minimal window"
+    return None
+
+
+def check_window_lemmas(bounds: VerifyBounds, seed: int = 0,
+                        family: Optional[list[EPSeq]] = None) -> TheoremCheck:
     """Criterion 4: all anomaly-window removals of one sequence are
     pointwise-equal periodic sequences, all window lengths are congruent
     mod the least period, and canonical re-anchors at the leftmost minimal
-    window of the brute-force search."""
+    window of the brute-force search.  `family` is shared with criterion 5
+    as `_family` describes."""
 
     def body(failures: list[dict]) -> int:
-        fam = family_instances(bounds, seed)
+        fam = _family(bounds, seed, family)
         for x in fam:
-            n = least_period(x)
-            wins = anomaly_windows(x)
-            entry = jsonio.emit_epseq(x)
-            if not any(w.start == 0 and w.length == len(x.anomaly) for w in wins):
-                failures.append({"instance": entry, "reason": "stored anomaly not found"})
-                continue
-            if any((w.length - len(x.anomaly)) % n != 0 for w in wins):
-                failures.append({"instance": entry, "reason": "window length not congruent"})
-                continue
-            removals = [remove_window(x, w) for w in wins]
-            if not all(isinstance(r, PeriodicSeq) for r in removals):
-                failures.append({"instance": entry, "reason": "removal not periodic"})
-                continue
-            if any(r != removals[0] for r in removals[1:]):
-                failures.append({"instance": entry, "reason": "removals differ pointwise"})
-                continue
-            best = wins[0]
-            searched = make_ep(window(x, best.start - n, best.start - 1),
-                               window(x, best.start, best.start + best.length - 1))
-            if canonical(x) != searched:
-                failures.append(
-                    {"instance": entry, "reason": "canonical is not at the leftmost minimal window"}
-                )
+            reason = _window_lemma_failure(x)
+            if reason:
+                failures.append({"instance": jsonio.emit_epseq(x), "reason": reason})
         return len(fam)
 
     return _timed(
@@ -338,24 +357,28 @@ def _witness_verifies(x: EPSeq, y: EPSeq, one_block: bool = False) -> Optional[s
         return "witness is not a 1-block code in both directions"
     img = classify.apply_code_to_periodic(fwd, remove_anomaly(x)).period_word
     target = remove_anomaly(y).period_word
-    if len(img) != len(target):
+    n = len(target)
+    if len(img) != n:
         return "periodic orbit least period not preserved"
-    if not any(rotate(target, r) == img for r in range(len(target))):
+    twice, syms = target.symbols * 2, img.symbols
+    if img.alphabet != target.alphabet or not any(twice[r:r + n] == syms for r in range(n)):
         return "periodic orbit not mapped onto the target orbit"
     return None
 
 
-def check_conjugacy_witnesses(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
+def check_conjugacy_witnesses(bounds: VerifyBounds, seed: int = 0,
+                              family: Optional[list[EPSeq]] = None) -> TheoremCheck:
     """Criterion 5: whenever the invariants say conjugate, a witness exists
     and verifies.  Instances are grouped by invariant class and each member
     is paired with its class representative.  All conjugate skew pairs with
     p+q <= conj_skew_sum are checked as well, and their witnesses must be
-    1-block codes, as the symbol swap is (Lind and Marcus 1995, §1.5)."""
+    1-block codes, as the symbol swap is (Lind and Marcus 1995, §1.5).
+    `family` is shared with criterion 4 as `_family` describes."""
 
     def body(failures: list[dict]) -> int:
         checked = 0
         groups: dict[tuple[int, int], list[EPSeq]] = {}
-        for x in family_instances(bounds, seed):
+        for x in _family(bounds, seed, family):
             groups.setdefault((least_period(x), anomaly_size(x) % least_period(x)), []).append(x)
         for members in groups.values():
             rep = members[0]
@@ -531,25 +554,29 @@ def check_reciprocals(max_sum: int) -> TheoremCheck:
     return _timed("reciprocals", {"max_period_sum": max_sum}, body)
 
 
+def _checks(bounds: VerifyBounds, seed: int) -> Iterator[TheoremCheck]:
+    """The nine criteria in order, each run when its result is asked for.
+    Criteria 4 and 5 share one family, dropped before criterion 6 runs."""
+    yield check_bezout_oracle(bounds.bezout_sum)
+    yield check_anomaly_size_formula(bounds.formula_sum)
+    yield check_spot_values()
+    family: list[EPSeq] = []
+    yield check_window_lemmas(bounds, seed, family)
+    yield check_conjugacy_witnesses(bounds, seed, family)
+    del family
+    yield check_conjugacy_classes(bounds.corollary_sum)
+    yield check_flow_witnesses(bounds, seed)
+    yield check_generator_crossval(bounds.crossval_sum, bounds.crossval_ms)
+    yield check_reciprocals(bounds.reciprocal_sum)
+
+
 def run_all(
     bounds: VerifyBounds = VerifyBounds(),
     seed: int = 0,
     progress: Optional[Callable[[TheoremCheck], None]] = None,
 ) -> VerifyReport:
     report = VerifyReport([])
-    suites = (
-        lambda: check_bezout_oracle(bounds.bezout_sum),
-        lambda: check_anomaly_size_formula(bounds.formula_sum),
-        check_spot_values,
-        lambda: check_window_lemmas(bounds, seed),
-        lambda: check_conjugacy_witnesses(bounds, seed),
-        lambda: check_conjugacy_classes(bounds.corollary_sum),
-        lambda: check_flow_witnesses(bounds, seed),
-        lambda: check_generator_crossval(bounds.crossval_sum, bounds.crossval_ms),
-        lambda: check_reciprocals(bounds.reciprocal_sum),
-    )
-    for suite in suites:
-        chk = suite()
+    for chk in _checks(bounds, seed):
         report.checks.append(chk)
         if progress is not None:
             progress(chk)

@@ -97,6 +97,7 @@ class Alphabet(Value):
     """
 
     labels: tuple[str, ...]
+    _next = None  # the counter of mint_label(); a memo, not a field
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -124,17 +125,27 @@ class Alphabet(Value):
         if label in self.labels:
             raise ValueError(f"label {label!r} already in alphabet")
         _check_label(label)
+        nxt = self._next
+        if nxt is not None and label == f"x{nxt}'":  # the minted label: count on
+            return Alphabet._trusted(self.labels + (label,), _next=nxt + 1)
         return Alphabet._trusted(self.labels + (label,))
 
     def mint_label(self) -> str:
-        """Deterministic fresh label (x0', x1', ... with a monotone counter)."""
-        taken = set(self.labels)
-        n = 0
-        for lbl in self.labels:
-            if len(lbl) > 2 and lbl[0] == "x" and lbl[-1] == "'" and lbl[1:-1].isdecimal():
-                n = max(n, int(lbl[1:-1]) + 1)
-        while f"x{n}'" in taken:
-            n += 1
+        """Deterministic fresh label (x0', x1', ... with a monotone counter).
+
+        The first call scans the labels and keeps the counter on the
+        alphabet; `extend` with the minted label carries it on, so a chain
+        of mints and extensions scans the labels once, not once a label."""
+        n = self._next
+        if n is None:
+            taken = set(self.labels)
+            n = 0
+            for lbl in self.labels:
+                if len(lbl) > 2 and lbl[0] == "x" and lbl[-1] == "'" and lbl[1:-1].isdecimal():
+                    n = max(n, int(lbl[1:-1]) + 1)
+            while f"x{n}'" in taken:
+                n += 1
+            _set(self, "_next", n)
         return f"x{n}'"
 
     @property

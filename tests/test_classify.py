@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -283,6 +284,54 @@ def test_image_similar_matches_similar_of_apply_code(case):
                        (fwd, x, OTHER_ALPHABET), (fwd, OTHER_ALPHABET, x)):
         assert (_outcome(_image_similar, code, s, t)
                 == _outcome(lambda: similar(apply_code(code, s), t)))
+
+
+def _random_codes(rng, count):
+    """Total binary codes of block length 1 to 3, with random memory and
+    random outputs."""
+    codes = []
+    for _ in range(count):
+        blen = rng.randint(1, 3)
+        mm = rng.randrange(blen)
+        entries = tuple((b, rng.randrange(2)) for b in _all_blocks(blen))
+        codes.append(SlidingBlockCode(mm, blen - 1 - mm, entries, BINARY, BINARY))
+    return codes
+
+
+def test_image_similar_matches_similar_of_apply_code_on_random_codes():
+    # the in-place symbol comparison against the anchored image it replaces
+    rng = random.Random(16)
+    fam = verify.exhaustive_family(3, 4)
+    outcomes = set()
+    for code in _random_codes(rng, 12):
+        for x in fam:
+            targets = [x, fam[rng.randrange(len(fam))]]
+            try:
+                img = apply_code(code, x)
+                targets += [img, shift(img, -1)]
+            except DegenerateImage:
+                pass
+            for y in targets:
+                got = _outcome(_image_similar, code, x, y)
+                assert got == _outcome(lambda: similar(apply_code(code, x), y)), (code, x, y)
+                outcomes.add(got if isinstance(got, bool) else got[0])
+    assert outcomes == {True, False, DegenerateImage}
+
+
+def test_image_similar_raises_where_the_anchored_image_did():
+    ab = Alphabet(("a", "b"))
+    x, over_ab = ep("01", "1"), make_ep(Word((0, 1), ab), Word((1,), ab))
+    with pytest.raises(IncompatibleAlphabets):  # x is not over the code's source alphabet
+        _image_similar(identity_code(BINARY), over_ab, x)
+    with pytest.raises(IncompatibleAlphabets):  # the image is not over y's alphabet
+        _image_similar(identity_code(BINARY), x, over_ab)
+    relabel = SlidingBlockCode(0, 0, (((0,), 0), ((1,), 1)), BINARY, ab)
+    with pytest.raises(IncompatibleAlphabets):  # equal symbol ids, other labels
+        _image_similar(relabel, x, x)
+    assert _image_similar(relabel, x, over_ab)
+    constant = SlidingBlockCode(0, 0, (((0,), 0), ((1,), 0)), BINARY, BINARY)
+    with pytest.raises(DegenerateImage):
+        _image_similar(constant, x, x)
 
 
 def test_witnessed_examples_reach_the_shift_search():

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from epshift import verify
 from epshift.errors import DegeneratePeriodic, IncompatibleAlphabets
 from epshift.sequences import (
     _normal_form,
@@ -364,3 +367,47 @@ def test_shift_exact_up_to_first_defect_property(parts, data):
     # beyond this range both sides are periodic with the same period
     span = range(min(0, -k) - 2 * n, max(len(y.anomaly), vl - k) + 2 * n)
     assert [y.symbol_id_at(i) for i in span] == [x.symbol_id_at(i + k) for i in span]
+
+
+# --- the brute-force oracle against its per-symbol original ------------------
+
+def _symbolwise_window_search(x, extra_start, extra_len):
+    """_window_search as first written: each candidate window decided by
+    reading the removed sequence one symbol at a time."""
+
+    def removal_is_periodic(start, length):
+        w, v = x.period_word.symbols, x.anomaly.symbols
+        n, vl = len(w), len(v)
+        for k in range(min(0, start) - n, max(start, vl - length) + 2 * n + 1):
+            j = k if k < start else k + length
+            if j < 0:
+                yk = w[j % n]
+            elif j < vl:
+                yk = v[j]
+            else:
+                yk = w[(j - vl) % n]
+            if yk != w[k % n]:
+                return False
+        return True
+
+    n, vl = least_period(x), len(x.anomaly)
+    found = []
+    length = vl % n if vl % n else n
+    while length <= vl + extra_len:
+        for s in range(-length - 2 * n - extra_start, vl + 2 * n + extra_start + 1):
+            if removal_is_periodic(s, length):
+                found.append(AnomalyWindow(s, length))
+        length += n
+    found.sort(key=lambda a: (a.length, a.start))
+    return found
+
+
+SEARCH_EXTRAS = ((0, 0), (3, 5), (7, 1))
+
+
+def test_window_search_matches_the_symbolwise_search(small_family):
+    rng = random.Random(16)
+    instances = list(small_family) + [verify.random_ep(rng, wmax=9, vmax=14) for _ in range(500)]
+    for x in instances:
+        for es, el in SEARCH_EXTRAS:
+            assert _window_search(x, es, el) == _symbolwise_window_search(x, es, el), (x, es, el)

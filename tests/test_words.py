@@ -119,6 +119,22 @@ def test_mint_label_matches_the_regex_scan(labels):
     assert a.mint_label() == _regex_mint_label(a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LABEL_TEXT, min_size=1, max_size=6, unique=True),
+       st.lists(st.one_of(st.none(), LABEL_TEXT), max_size=6))
+def test_mint_label_counter_carried_by_extend_matches_the_regex_scan(labels, appended):
+    # None appends the minted label, which carries the counter on; any other
+    # label drops it, and the next mint scans again
+    a = Alphabet(tuple(labels))
+    for label in appended:
+        fresh = a.mint_label()
+        assert fresh == _regex_mint_label(a)
+        label = fresh if label is None else label
+        if label not in a:
+            a = a.extend(label)
+    assert a.mint_label() == _regex_mint_label(a)
+
+
 def test_mint_label_reads_decimal_counters_only():
     for labels, fresh in ((("x'", "xa'"), "x0'"), (("x007'",), "x8'"), (("x\u0663'",), "x4'"),
                           (("x\u00b2'", "x0'"), "x1'"), (("x1'", "x0"), "x2'")):
