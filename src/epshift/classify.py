@@ -301,7 +301,7 @@ def expand_symbol(x: EPSeq, label: str) -> tuple[EPSeq, str]:
         raise SymbolAbsent(f"symbol {label!r} does not occur in the sequence")
     fresh_label = x.alphabet.mint_label()
     bigger = x.alphabet.extend(fresh_label)
-    f = bigger.index(fresh_label)
+    f = len(bigger) - 1
 
     def subst(syms: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(u for t in syms for u in ((t, f) if t == s else (t,)))

@@ -13,10 +13,13 @@ builds; its chain moves carry forward codes only, and it replays each
 distinct (sequence, move) pair once.  Failures are recorded as
 re-parseable counterexamples; an empty failure list is a pass.
 
-A run builds the instance family of criteria 4 and 5 once: criterion 4
-builds it inside its own timing, criterion 5 reuses it with the canonical
-forms criterion 4 left on its values, and the run drops it before
-criterion 6.
+Each criterion is an instance stream and a check of one instance, which
+returns None or the failure record.  One runner, `_criterion`, counts the
+instances and times the loop that reads them, so what a generator sets up
+as it yields (the family build, the spec lists, the random pairs) counts
+in its criterion's seconds.  Criteria 4 and 5 share one family per run:
+criterion 4 builds it, criterion 5 reuses it with the canonical forms
+criterion 4 left on its values, and the run drops it before criterion 6.
 
 The default bounds reproduce the acceptance suite, so `epshift verify`
 with no flags is the acceptance run.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import random
 import time
 from math import gcd
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import classify, jsonio, sturmian
 from .bezout import restricted_bezout
@@ -187,10 +190,18 @@ def random_instances(count: int, seed: int) -> list[EPSeq]:
     return [random_ep(rng) for _ in range(count)]
 
 
-def _timed(tag: str, bounds: dict, body: Callable[[list[dict]], int]) -> TheoremCheck:
+def _criterion(tag: str, bounds: dict, instances: Iterable[Any],
+               check_one: Callable[[Any], Optional[dict]]) -> TheoremCheck:
+    """The check of one criterion: `check_one` maps each instance to None
+    or its failure record."""
     failures: list[dict] = []
+    checked = 0
     t0 = time.perf_counter()
-    checked = body(failures)
+    for inst in instances:
+        checked += 1
+        record = check_one(inst)
+        if record is not None:
+            failures.append(record)
     return TheoremCheck(tag, bounds, checked, failures, time.perf_counter() - t0)
 
 
@@ -199,27 +210,25 @@ def check_bezout_oracle(max_sum: int) -> TheoremCheck:
     coprimality of a+b with p+q, and the swapped-input involution: the
     coefficients for (p, q) are (a', b') = (p - b, q - a)."""
 
-    def body(failures: list[dict]) -> int:
-        checked = 0
-        for q, p in coprime_pairs(max_sum):
-            checked += 1
-            sols = []
-            for a in range(q):
-                num = 1 + a * p
-                if num % q == 0 and 0 < num // q <= p:
-                    sols.append((a, num // q))
-            bp = restricted_bezout(q, p)
-            sw = restricted_bezout(p, q)
-            if sols != [(bp.a, bp.b)]:
-                failures.append({"q": q, "p": p, "oracle": sols, "got": [bp.a, bp.b]})
-            elif gcd(bp.a + bp.b, p + q) != 1:
-                failures.append({"q": q, "p": p, "reason": "gcd(a+b, p+q) != 1"})
-            elif (sw.a, sw.b) != (p - bp.b, q - bp.a):
-                failures.append({"q": q, "p": p, "reason": "swapped inputs do not give "
-                                 "(p - b, q - a)", "got": [sw.a, sw.b]})
-        return checked
+    def check(pair: tuple[int, int]) -> Optional[dict]:
+        q, p = pair
+        sols = []
+        for a in range(q):
+            num = 1 + a * p
+            if num % q == 0 and 0 < num // q <= p:
+                sols.append((a, num // q))
+        bp = restricted_bezout(q, p)
+        sw = restricted_bezout(p, q)
+        if sols != [(bp.a, bp.b)]:
+            return {"q": q, "p": p, "oracle": sols, "got": [bp.a, bp.b]}
+        if gcd(bp.a + bp.b, p + q) != 1:
+            return {"q": q, "p": p, "reason": "gcd(a+b, p+q) != 1"}
+        if (sw.a, sw.b) != (p - bp.b, q - bp.a):
+            return {"q": q, "p": p, "reason": "swapped inputs do not give (p - b, q - a)",
+                    "got": [sw.a, sw.b]}
+        return None
 
-    return _timed("bezout-oracle", {"max_period_sum": max_sum}, body)
+    return _criterion("bezout-oracle", {"max_period_sum": max_sum}, coprime_pairs(max_sum), check)
 
 
 def _skew(q: int, p: int, stype: str, m: int = 0) -> EPSeq:
@@ -231,32 +240,28 @@ def check_anomaly_size_formula(max_sum: int) -> TheoremCheck:
     anomaly size a+b (type S) or p+q-(a+b) (type S'), by the linear scan of
     anomaly_size and by the independent brute-force window search."""
 
-    def body(failures: list[dict]) -> int:
-        checked = 0
+    def instances() -> Iterator[tuple[int, int, str, int]]:
         for q, p in coprime_pairs(max_sum):
             bp = restricted_bezout(q, p)
-            for stype, expected in ((TYPE_S, bp.a + bp.b), (TYPE_SPRIME, p + q - (bp.a + bp.b))):
-                checked += 1
-                try:
-                    x = _skew(q, p, stype)
-                    n, a = least_period(x), anomaly_size(x)
-                    searched = anomaly_windows(x)[0].length
-                except EpshiftError as e:
-                    failures.append({"q": q, "p": p, "type": stype, "error": str(e)})
-                    continue
-                if n != p + q or a != expected:
-                    failures.append(
-                        {"q": q, "p": p, "type": stype,
-                         "expected": [p + q, expected], "got": [n, a]}
-                    )
-                elif searched != a:
-                    failures.append(
-                        {"q": q, "p": p, "type": stype, "reason": "scan and search differ",
-                         "scan": a, "search": searched}
-                    )
-        return checked
+            yield q, p, TYPE_S, bp.a + bp.b
+            yield q, p, TYPE_SPRIME, p + q - (bp.a + bp.b)
 
-    return _timed("anomaly-size-formula", {"max_period_sum": max_sum}, body)
+    def check(inst: tuple[int, int, str, int]) -> Optional[dict]:
+        q, p, stype, expected = inst
+        try:
+            x = _skew(q, p, stype)
+            n, a = least_period(x), anomaly_size(x)
+            searched = anomaly_windows(x)[0].length
+        except EpshiftError as e:
+            return {"q": q, "p": p, "type": stype, "error": str(e)}
+        if n != p + q or a != expected:
+            return {"q": q, "p": p, "type": stype, "expected": [p + q, expected], "got": [n, a]}
+        if searched != a:
+            return {"q": q, "p": p, "type": stype, "reason": "scan and search differ",
+                    "scan": a, "search": searched}
+        return None
+
+    return _criterion("anomaly-size-formula", {"max_period_sum": max_sum}, instances(), check)
 
 
 SPOT_VALUES = (
@@ -271,17 +276,15 @@ SPOT_VALUES = (
 def check_spot_values() -> TheoremCheck:
     """Criterion 3: frozen spot values for (q,p) in the table above."""
 
-    def body(failures: list[dict]) -> int:
-        for q, p, per, size in SPOT_VALUES:
-            x = _skew(q, p, TYPE_S)
-            if least_period(x) != per or anomaly_size(x) != size:
-                failures.append(
-                    {"q": q, "p": p, "expected": [per, size],
-                     "got": [least_period(x), anomaly_size(x)]}
-                )
-        return len(SPOT_VALUES)
+    def check(row: tuple[int, int, int, int]) -> Optional[dict]:
+        q, p, per, size = row
+        x = _skew(q, p, TYPE_S)
+        if least_period(x) != per or anomaly_size(x) != size:
+            return {"q": q, "p": p, "expected": [per, size],
+                    "got": [least_period(x), anomaly_size(x)]}
+        return None
 
-    return _timed("spot-values", {}, body)
+    return _criterion("spot-values", {}, SPOT_VALUES, check)
 
 
 def family_instances(bounds: VerifyBounds, seed: int) -> list[EPSeq]:
@@ -290,15 +293,14 @@ def family_instances(bounds: VerifyBounds, seed: int) -> list[EPSeq]:
     return fam
 
 
-def _family(bounds: VerifyBounds, seed: int, shared: Optional[list[EPSeq]]) -> list[EPSeq]:
-    """The instances of criteria 4 and 5: `family_instances`, or `shared`
-    when given, which the first criterion to read it fills (its timing pays
-    for the build) and the next one reuses, canonical memos and all."""
-    if shared is None:
-        return family_instances(bounds, seed)
+def _family(bounds: VerifyBounds, seed: int, shared: Optional[list[EPSeq]]) -> Iterator[EPSeq]:
+    """The instances of criteria 4 and 5, kept in `shared` when given: the
+    first criterion to read them builds them in its timing, and the next
+    one reuses them, canonical memos and all."""
+    shared = [] if shared is None else shared
     if not shared:
         shared.extend(family_instances(bounds, seed))
-    return shared
+    yield from shared
 
 
 def _window_lemma_failure(x: EPSeq) -> Optional[str]:
@@ -330,19 +332,16 @@ def check_window_lemmas(bounds: VerifyBounds, seed: int = 0,
     window of the brute-force search.  `family` is shared with criterion 5
     as `_family` describes."""
 
-    def body(failures: list[dict]) -> int:
-        fam = _family(bounds, seed, family)
-        for x in fam:
-            reason = _window_lemma_failure(x)
-            if reason:
-                failures.append({"instance": jsonio.emit_epseq(x), "reason": reason})
-        return len(fam)
+    def check(x: EPSeq) -> Optional[dict]:
+        reason = _window_lemma_failure(x)
+        return {"instance": jsonio.emit_epseq(x), "reason": reason} if reason else None
 
-    return _timed(
+    return _criterion(
         "window-lemmas",
         {"family_w": bounds.family_w, "family_v": bounds.family_v,
          "random": bounds.family_random, "seed": seed},
-        body,
+        _family(bounds, seed, family),
+        check,
     )
 
 
@@ -366,6 +365,10 @@ def _witness_verifies(x: EPSeq, y: EPSeq, one_block: bool = False) -> Optional[s
     return None
 
 
+def _pair_obj(x: EPSeq, y: EPSeq) -> dict:
+    return {"x": jsonio.emit_epseq(x), "y": jsonio.emit_epseq(y)}
+
+
 def check_conjugacy_witnesses(bounds: VerifyBounds, seed: int = 0,
                               family: Optional[list[EPSeq]] = None) -> TheoremCheck:
     """Criterion 5: whenever the invariants say conjugate, a witness exists
@@ -375,41 +378,31 @@ def check_conjugacy_witnesses(bounds: VerifyBounds, seed: int = 0,
     1-block codes, as the symbol swap is (Lind and Marcus 1995, §1.5).
     `family` is shared with criterion 4 as `_family` describes."""
 
-    def body(failures: list[dict]) -> int:
-        checked = 0
+    def instances() -> Iterator[tuple[EPSeq, EPSeq, Optional[dict]]]:
+        # (x, y, None) for a family pair, (x, y, {"q", "p"}) for a skew pair
         groups: dict[tuple[int, int], list[EPSeq]] = {}
         for x in _family(bounds, seed, family):
             groups.setdefault((least_period(x), anomaly_size(x) % least_period(x)), []).append(x)
         for members in groups.values():
-            rep = members[0]
             for other in members[1:]:
-                checked += 1
-                try:
-                    reason = _witness_verifies(rep, other)
-                except EpshiftError as e:
-                    reason = f"witness construction failed: {e}"
-                if reason:
-                    failures.append(
-                        {"x": jsonio.emit_epseq(rep), "y": jsonio.emit_epseq(other),
-                         "reason": reason}
-                    )
+                yield members[0], other, None
         for q, p in coprime_pairs(bounds.conj_skew_sum):
-            checked += 1
-            x = _skew(q, p, TYPE_S)
-            y = _skew(p, q, TYPE_SPRIME)
-            try:
-                reason = _witness_verifies(x, y, one_block=True)
-            except EpshiftError as e:
-                reason = f"witness construction failed: {e}"
-            if reason:
-                failures.append({"q": q, "p": p, "reason": reason})
-        return checked
+            yield _skew(q, p, TYPE_S), _skew(p, q, TYPE_SPRIME), {"q": q, "p": p}
 
-    return _timed(
+    def check(inst: tuple[EPSeq, EPSeq, Optional[dict]]) -> Optional[dict]:
+        x, y, skew = inst
+        try:
+            reason = _witness_verifies(x, y, one_block=skew is not None)
+        except EpshiftError as e:
+            reason = f"witness construction failed: {e}"
+        return {**(skew or _pair_obj(x, y)), "reason": reason} if reason else None
+
+    return _criterion(
         "conjugacy-witnesses",
         {"family_w": bounds.family_w, "family_v": bounds.family_v,
          "random": bounds.family_random, "skew_sum": bounds.conj_skew_sum, "seed": seed},
-        body,
+        instances(),
+        check,
     )
 
 
@@ -427,27 +420,29 @@ def check_conjugacy_classes(max_sum: int) -> TheoremCheck:
     and Zero/S' cases, the invariant-level conjugacy relation partitions
     the specs exactly into the pairs {spec, inverse-frequency-opposite-type}."""
 
-    def body(failures: list[dict]) -> int:
+    def instances() -> Iterator[tuple]:
+        # (s, t, S(s), S(t), whether t is in the class of s), or one
+        # instance (s, None, ...) that fails when that class is not a pair
         specs = _all_specs(max_sum)
         seqs = {s: skew_sturmian(s) for s in specs}
-        checked = 0
         for s in specs:
             partner_set = classify.skew_conjugacy_class(s)
             if len(partner_set) != 2:
-                failures.append({"spec": _spec_obj(s), "reason": "class is not a pair"})
+                yield s, None, None, None, None
                 continue
             for t in specs:
-                checked += 1
-                expected = t in partner_set
-                got = classify.conjugate_ep(seqs[s], seqs[t])
-                if got != expected:
-                    failures.append(
-                        {"x": _spec_obj(s), "y": _spec_obj(t),
-                         "expected": expected, "got": got}
-                    )
-        return checked
+                yield s, t, seqs[s], seqs[t], t in partner_set
 
-    return _timed("conjugacy-classes", {"max_period_sum": max_sum}, body)
+    def check(inst: tuple) -> Optional[dict]:
+        s, t, x, y, expected = inst
+        if t is None:
+            return {"spec": _spec_obj(s), "reason": "class is not a pair"}
+        got = classify.conjugate_ep(x, y)
+        if got != expected:
+            return {"x": _spec_obj(s), "y": _spec_obj(t), "expected": expected, "got": got}
+        return None
+
+    return _criterion("conjugacy-classes", {"max_period_sum": max_sum}, instances(), check)
 
 
 def _spec_obj(s: SturmianSpec) -> dict:
@@ -461,30 +456,31 @@ def check_flow_witnesses(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
     builds and raises InternalMismatch when the replay fails, so building
     is checking; a move shared by many witnesses is replayed only once."""
 
-    def body(failures: list[dict]) -> int:
+    def instances() -> Iterator[tuple[EPSeq, EPSeq, Optional[dict]]]:
+        # (x, y, both specs) for a skew pair, (x, y, None) for a random pair
         specs = _all_specs(bounds.flow_sum)
         seqs = [skew_sturmian(s) for s in specs]
-        pairs: list[tuple[EPSeq, EPSeq, dict]] = []
         for i, x in enumerate(seqs):
             for j in range(i, len(seqs)):
-                pairs.append((x, seqs[j], {"x": _spec_obj(specs[i]), "y": _spec_obj(specs[j])}))
+                yield x, seqs[j], {"x": _spec_obj(specs[i]), "y": _spec_obj(specs[j])}
         rng = random.Random(seed)
         for _ in range(bounds.flow_random_pairs):
-            x = random_ep(rng, wmax=3, vmax=4)
-            y = random_ep(rng, wmax=3, vmax=4)
-            pairs.append((x, y, {"x": jsonio.emit_epseq(x), "y": jsonio.emit_epseq(y)}))
-        for x, y, ident in pairs:
-            try:
-                classify.flow_witness(x, y)
-            except EpshiftError as e:
-                failures.append({**ident, "trail": [str(e)]})
-        return len(pairs)
+            yield random_ep(rng, wmax=3, vmax=4), random_ep(rng, wmax=3, vmax=4), None
 
-    return _timed(
+    def check(inst: tuple[EPSeq, EPSeq, Optional[dict]]) -> Optional[dict]:
+        x, y, specs = inst
+        try:
+            classify.flow_witness(x, y)
+        except EpshiftError as e:
+            return {**(specs or _pair_obj(x, y)), "trail": [str(e)]}
+        return None
+
+    return _criterion(
         "flow-witnesses",
         {"max_period_sum": bounds.flow_sum, "random_pairs": bounds.flow_random_pairs,
          "seed": seed},
-        body,
+        instances(),
+        check,
     )
 
 
@@ -493,20 +489,19 @@ def check_generator_crossval(max_sum: int, ms: tuple[int, ...]) -> TheoremCheck:
     expansion up to one alignment offset, cell windows are balanced, and
     exactly one p-chain in an anomaly-centred window has q-1 zeros."""
 
-    def body(failures: list[dict]) -> int:
-        checked = 0
+    def instances() -> Iterator[tuple[int, int, str, int]]:
         for q, p in coprime_pairs(max_sum):
             for stype in (TYPE_S, TYPE_SPRIME):
                 for m in ms:
-                    checked += 1
-                    spec = SturmianSpec(Frequency.rational(q, p), stype, m)
-                    ident = {"q": q, "p": p, "type": stype, "m": m}
-                    reason = _crossval_one(spec, q, p, m)
-                    if reason:
-                        failures.append({**ident, "reason": reason})
-        return checked
+                    yield q, p, stype, m
 
-    return _timed("generator-crossval", {"max_period_sum": max_sum, "ms": list(ms)}, body)
+    def check(inst: tuple[int, int, str, int]) -> Optional[dict]:
+        q, p, stype, m = inst
+        reason = _crossval_one(SturmianSpec(Frequency.rational(q, p), stype, m), q, p, m)
+        return {"q": q, "p": p, "type": stype, "m": m, "reason": reason} if reason else None
+
+    return _criterion("generator-crossval", {"max_period_sum": max_sum, "ms": list(ms)},
+                      instances(), check)
 
 
 def _crossval_one(spec: SturmianSpec, q: int, p: int, m: int) -> Optional[str]:
@@ -541,17 +536,13 @@ def check_reciprocals(max_sum: int) -> TheoremCheck:
     """Criterion 9: symbol reversal carries S(q/p) onto a sequence similar
     to S'(p/q)."""
 
-    def body(failures: list[dict]) -> int:
-        checked = 0
-        for q, p in coprime_pairs(max_sum):
-            checked += 1
-            x = symbol_reverse(_skew(q, p, TYPE_S))
-            y = _skew(p, q, TYPE_SPRIME)
-            if not similar(x, y):
-                failures.append({"q": q, "p": p})
-        return checked
+    def check(pair: tuple[int, int]) -> Optional[dict]:
+        q, p = pair
+        if similar(symbol_reverse(_skew(q, p, TYPE_S)), _skew(p, q, TYPE_SPRIME)):
+            return None
+        return {"q": q, "p": p}
 
-    return _timed("reciprocals", {"max_period_sum": max_sum}, body)
+    return _criterion("reciprocals", {"max_period_sum": max_sum}, coprime_pairs(max_sum), check)
 
 
 def _checks(bounds: VerifyBounds, seed: int) -> Iterator[TheoremCheck]:

@@ -93,11 +93,13 @@ class Alphabet(Value):
 
     A label is a non-empty string without '[', ']' or ',', the characters
     of the bracketed word literal, so every word literal parses back to
-    the word it was written from.
+    the word it was written from.  `index` and `in` read a label -> id
+    dict, a memo built on the first lookup, so each costs O(1).
     """
 
     labels: tuple[str, ...]
     _next = None  # the counter of mint_label(); a memo, not a field
+    _ids = None  # the label -> id dict of index(); a memo, not a field
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -111,13 +113,18 @@ class Alphabet(Value):
         return len(self.labels)
 
     def __contains__(self, label: str) -> bool:
-        return label in self.labels
+        return label in (self._ids or self._index_labels())
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return (self._ids or self._index_labels())[label]
+        except KeyError:
             raise UnknownSymbol(f"symbol {label!r} not in alphabet {self.labels}") from None
+
+    def _index_labels(self) -> dict[str, int]:
+        ids = {lbl: i for i, lbl in enumerate(self.labels)}
+        _set(self, "_ids", ids)
+        return ids
 
     def extend(self, label: str) -> Alphabet:
         """New alphabet with `label` appended; existing ids are unchanged.

@@ -1,7 +1,12 @@
 import weakref
+from types import SimpleNamespace
+
+import pytest
 
 from epshift import classify, verify
-from epshift.sequences import PeriodicSeq, make_ep
+from epshift.bezout import restricted_bezout
+from epshift.errors import InternalMismatch
+from epshift.sequences import AnomalyWindow, PeriodicSeq, make_ep
 from epshift.verify import TheoremCheck, VerifyBounds, VerifyReport, _witness_verifies, coprime_pairs
 from epshift.words import Alphabet, Word, word
 
@@ -83,3 +88,94 @@ def test_criteria_4_and_5_build_one_family_per_run(monkeypatch):
     assert [c.checked for c in report.checks] == [21, 42, 4, 2610, 2603, 1936, 1040, 126, 21]
     assert verify.check_window_lemmas(bounds, 7).checked == 2610 and len(built) == 2
     assert verify.check_conjugacy_witnesses(bounds, 7).checked == 2603 and len(built) == 3
+
+
+def _raising(*args):
+    raise InternalMismatch("sabotaged")
+
+
+def _skew_pair_bezout(q, p):
+    # right for q <= p, so only the swapped call of (1, 2) and the direct
+    # call of (2, 1) go wrong
+    return restricted_bezout(q, p) if q <= p else SimpleNamespace(a=0, b=0)
+
+
+SMALL_BOUNDS = VerifyBounds(family_w=2, family_v=2, family_random=3, flow_random_pairs=2).capped(3)
+RUN_CRITERION = {
+    "bezout-oracle": lambda b: verify.check_bezout_oracle(b.bezout_sum),
+    "anomaly-size-formula": lambda b: verify.check_anomaly_size_formula(b.formula_sum),
+    "spot-values": lambda b: verify.check_spot_values(),
+    "window-lemmas": lambda b: verify.check_window_lemmas(b, 7),
+    "conjugacy-witnesses": lambda b: verify.check_conjugacy_witnesses(b, 7),
+    "conjugacy-classes": lambda b: verify.check_conjugacy_classes(b.corollary_sum),
+    "flow-witnesses": lambda b: verify.check_flow_witnesses(b, 7),
+    "generator-crossval": lambda b: verify.check_generator_crossval(b.crossval_sum, b.crossval_ms),
+    "reciprocals": lambda b: verify.check_reciprocals(b.reciprocal_sum),
+}
+EP_0_01 = {"format": "epseq/1", "alphabet": ["0", "1"], "period": "0", "anomaly": "01"}
+SABOTAGE = [
+    # (criterion, module, name, replacement, checked, failures, first record, last record)
+    ("bezout-oracle", verify, "restricted_bezout", lambda q, p: SimpleNamespace(a=0, b=0), 3, 3,
+     {"q": 1, "p": 1, "oracle": [(0, 1)], "got": [0, 0]},
+     {"q": 2, "p": 1, "oracle": [(1, 1)], "got": [0, 0]}),
+    ("bezout-oracle", verify, "restricted_bezout", _skew_pair_bezout, 3, 2,
+     {"q": 1, "p": 2, "reason": "swapped inputs do not give (p - b, q - a)", "got": [0, 0]},
+     {"q": 2, "p": 1, "oracle": [(1, 1)], "got": [0, 0]}),
+    ("anomaly-size-formula", verify, "anomaly_size", lambda x: 0, 6, 6,
+     {"q": 1, "p": 1, "type": "S", "expected": [2, 1], "got": [2, 0]},
+     {"q": 2, "p": 1, "type": "Sprime", "expected": [3, 1], "got": [3, 0]}),
+    ("anomaly-size-formula", verify, "anomaly_windows", _raising, 6, 6,
+     {"q": 1, "p": 1, "type": "S", "error": "sabotaged"},
+     {"q": 2, "p": 1, "type": "Sprime", "error": "sabotaged"}),
+    ("anomaly-size-formula", verify, "anomaly_windows", lambda x: [AnomalyWindow(0, 9)], 6, 6,
+     {"q": 1, "p": 1, "type": "S", "reason": "scan and search differ", "scan": 1, "search": 9},
+     {"q": 2, "p": 1, "type": "Sprime", "reason": "scan and search differ", "scan": 1,
+      "search": 9}),
+    ("spot-values", verify, "least_period", lambda x: 0, 4, 4,
+     {"q": 1, "p": 1, "expected": [2, 1], "got": [0, 1]},
+     {"q": 3, "p": 5, "expected": [8, 3], "got": [0, 3]}),
+    ("window-lemmas", verify, "canonical", lambda x: None, 19, 19,
+     {"instance": EP_0_01, "reason": "canonical is not at the leftmost minimal window"},
+     {"instance": {"format": "epseq/1", "alphabet": ["0", "1"], "period": "010000",
+                   "anomaly": "10010"},
+      "reason": "canonical is not at the leftmost minimal window"}),
+    ("conjugacy-witnesses", classify, "conjugacy_witness", _raising, 16, 16,
+     {"x": EP_0_01, "y": {"format": "epseq/1", "alphabet": ["0", "1"], "period": "0",
+                          "anomaly": "1"},
+      "reason": "witness construction failed: sabotaged"},
+     {"q": 2, "p": 1, "reason": "witness construction failed: sabotaged"}),
+    ("conjugacy-classes", classify, "conjugate_ep", lambda x, y: True, 64, 48,
+     {"x": {"freq": "inf", "type": "S", "m": 0}, "y": {"freq": "1/1", "type": "S", "m": 0},
+      "expected": False, "got": True},
+     {"x": {"freq": "2/1", "type": "Sprime", "m": 0}, "y": {"freq": "2/1", "type": "S", "m": 0},
+      "expected": False, "got": True}),
+    # each spec whose class is not a pair counts as one instance
+    ("conjugacy-classes", classify, "skew_conjugacy_class", lambda s: {s}, 8, 8,
+     {"spec": {"freq": "inf", "type": "S", "m": 0}, "reason": "class is not a pair"},
+     {"spec": {"freq": "2/1", "type": "Sprime", "m": 0}, "reason": "class is not a pair"}),
+    ("flow-witnesses", classify, "flow_witness", _raising, 38, 38,
+     {"x": {"freq": "inf", "type": "S", "m": 0}, "y": {"freq": "inf", "type": "S", "m": 0},
+      "trail": ["sabotaged"]},
+     {"x": {"format": "epseq/1", "alphabet": ["0", "1"], "period": "10", "anomaly": "01"},
+      "y": EP_0_01, "trail": ["sabotaged"]}),
+    ("generator-crossval", verify, "is_balanced_chains", lambda zeros: False, 18, 18,
+     {"q": 1, "p": 1, "type": "S", "m": -1, "reason": "cell window is not balanced"},
+     {"q": 2, "p": 1, "type": "Sprime", "m": 2, "reason": "cell window is not balanced"}),
+    ("reciprocals", verify, "similar", lambda x, y: False, 3, 3, {"q": 1, "p": 1},
+     {"q": 2, "p": 1}),
+]
+
+
+@pytest.mark.parametrize("tag, module, name, fake, checked, failed, first, last", SABOTAGE,
+                         ids=[f"{case[0]}-{case[2]}-{i}" for i, case in enumerate(SABOTAGE)])
+def test_sabotaged_check_reports_its_failure_records(monkeypatch, tag, module, name, fake,
+                                                     checked, failed, first, last):
+    passing = RUN_CRITERION[tag](SMALL_BOUNDS)
+    assert passing.status == "pass"
+    monkeypatch.setattr(module, name, fake)
+    chk = RUN_CRITERION[tag](SMALL_BOUNDS)
+    assert chk.tag == tag and chk.bounds == passing.bounds
+    assert (chk.checked, len(chk.failures)) == (checked, failed)
+    assert chk.failures[0] == first and chk.failures[-1] == last
+    if name != "skew_conjugacy_class":  # see SABOTAGE
+        assert passing.checked == checked

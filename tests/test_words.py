@@ -112,11 +112,25 @@ LABEL_TEXT = (st.sampled_from(MINT_LABELS)
               | st.text(alphabet="x'0123456789\u0663a", min_size=1, max_size=5))
 
 
+def _assert_lookups_match_the_tuple_scan(a, probes):
+    """`in` and `index`, which read the label -> id memo, answer as a scan
+    of the labels tuple does, and an absent label keeps its message."""
+    for label in (*probes, *a.labels):
+        assert (label in a) == (label in a.labels)
+        if label in a.labels:
+            assert a.index(label) == a.labels.index(label)
+        else:
+            with pytest.raises(UnknownSymbol) as err:
+                a.index(label)
+            assert str(err.value) == f"symbol {label!r} not in alphabet {a.labels}"
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(LABEL_TEXT, min_size=1, max_size=6, unique=True))
-def test_mint_label_matches_the_regex_scan(labels):
+@given(st.lists(LABEL_TEXT, min_size=1, max_size=6, unique=True), st.lists(LABEL_TEXT, max_size=4))
+def test_mint_label_matches_the_regex_scan(labels, probes):
     a = Alphabet(tuple(labels))
     assert a.mint_label() == _regex_mint_label(a)
+    _assert_lookups_match_the_tuple_scan(a, probes + [a.mint_label()])
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,15 +138,20 @@ def test_mint_label_matches_the_regex_scan(labels):
        st.lists(st.one_of(st.none(), LABEL_TEXT), max_size=6))
 def test_mint_label_counter_carried_by_extend_matches_the_regex_scan(labels, appended):
     # None appends the minted label, which carries the counter on; any other
-    # label drops it, and the next mint scans again
+    # label drops it, and the next mint scans again.  The lookups run on each
+    # alphabet before it is extended, so a memo built on one alphabet must
+    # not answer for the next
     a = Alphabet(tuple(labels))
     for label in appended:
         fresh = a.mint_label()
         assert fresh == _regex_mint_label(a)
         label = fresh if label is None else label
+        _assert_lookups_match_the_tuple_scan(a, [label, fresh])
         if label not in a:
             a = a.extend(label)
+            assert a.index(label) == len(a) - 1
     assert a.mint_label() == _regex_mint_label(a)
+    _assert_lookups_match_the_tuple_scan(a, [a.mint_label()])
 
 
 def test_mint_label_reads_decimal_counters_only():
