@@ -86,3 +86,8 @@ class PostconditionFailed(EpshiftError):
 class MalformedInput(InputError):
     """A JSON value does not match the schema of its declared format: a
     required key is missing or has the wrong type."""
+
+
+class WorkerLost(EpshiftError):
+    """A worker process of `epshift verify` died before it returned its
+    job's results, or could not be started."""

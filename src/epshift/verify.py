@@ -17,9 +17,18 @@ Each criterion is an instance stream and a check of one instance, which
 returns None or the failure record.  One runner, `_criterion`, counts the
 instances and times the loop that reads them, so what a generator sets up
 as it yields (the family build, the spec lists, the random pairs) counts
-in its criterion's seconds.  Criteria 4 and 5 share one family per run:
-criterion 4 builds it, criterion 5 reuses it with the canonical forms
-criterion 4 left on its values, and the run drops it before criterion 6.
+in its criterion's seconds.
+
+`run_all` runs the criteria as eight jobs on a process pool, at most one
+worker per usable CPU, submits the longest first and reports them in
+criterion order.  Each criterion is a job of its own, except criteria 4
+and 5, which share one family: their job builds it, criterion 4 checks
+it, criterion 5 reuses it with the canonical forms criterion 4 left on
+its values, and the family lives and dies inside that job.  Only a job's
+name, the bounds and the seed go to a worker, which looks the checks up
+as module globals, so a worker forked from a process that patched or
+wrapped them runs the patched ones.  The library's caches warm in the
+workers and die with the pool.
 
 The default bounds reproduce the acceptance suite, so `epshift verify`
 with no flags is the acceptance run.
@@ -27,14 +36,18 @@ with no flags is the acceptance run.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from math import gcd
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import classify, jsonio, sturmian
 from .bezout import restricted_bezout
-from .errors import DegeneratePeriodic, EpshiftError
+from .errors import DegeneratePeriodic, EpshiftError, WorkerLost
 from .sequences import (
     EPSeq,
     PeriodicSeq,
@@ -545,20 +558,40 @@ def check_reciprocals(max_sum: int) -> TheoremCheck:
     return _criterion("reciprocals", {"max_period_sum": max_sum}, coprime_pairs(max_sum), check)
 
 
-def _checks(bounds: VerifyBounds, seed: int) -> Iterator[TheoremCheck]:
-    """The nine criteria in order, each run when its result is asked for.
-    Criteria 4 and 5 share one family, dropped before criterion 6 runs."""
-    yield check_bezout_oracle(bounds.bezout_sum)
-    yield check_anomaly_size_formula(bounds.formula_sum)
-    yield check_spot_values()
+def _family_checks(bounds: VerifyBounds, seed: int) -> list[TheoremCheck]:
+    """Criteria 4 and 5 on one family, which lives and dies in this call."""
     family: list[EPSeq] = []
-    yield check_window_lemmas(bounds, seed, family)
-    yield check_conjugacy_witnesses(bounds, seed, family)
-    del family
-    yield check_conjugacy_classes(bounds.corollary_sum)
-    yield check_flow_witnesses(bounds, seed)
-    yield check_generator_crossval(bounds.crossval_sum, bounds.crossval_ms)
-    yield check_reciprocals(bounds.reciprocal_sum)
+    return [check_window_lemmas(bounds, seed, family),
+            check_conjugacy_witnesses(bounds, seed, family)]
+
+
+# The jobs of a run, in criterion order.  Each looks up its checks as
+# module globals when it runs, in the worker.
+_JOBS: dict[str, Callable[[VerifyBounds, int], list[TheoremCheck]]] = {
+    "bezout-oracle": lambda b, seed: [check_bezout_oracle(b.bezout_sum)],
+    "anomaly-size-formula": lambda b, seed: [check_anomaly_size_formula(b.formula_sum)],
+    "spot-values": lambda b, seed: [check_spot_values()],
+    "window-lemmas+conjugacy-witnesses": _family_checks,
+    "conjugacy-classes": lambda b, seed: [check_conjugacy_classes(b.corollary_sum)],
+    "flow-witnesses": lambda b, seed: [check_flow_witnesses(b, seed)],
+    "generator-crossval": lambda b, seed: [check_generator_crossval(b.crossval_sum,
+                                                                    b.crossval_ms)],
+    "reciprocals": lambda b, seed: [check_reciprocals(b.reciprocal_sum)],
+}
+
+
+# Submitted longest first, so that on two workers criterion 7 and the family
+# start at once; the results are still read in criterion order.
+_LONGEST = ("flow-witnesses", "window-lemmas+conjugacy-witnesses")
+_SUBMIT_ORDER = _LONGEST + tuple(name for name in _JOBS if name not in _LONGEST)
+
+
+def _run_job(name: str, bounds: VerifyBounds, seed: int) -> list[TheoremCheck]:
+    return _JOBS[name](bounds, seed)
+
+
+def _unfinished(job: Optional[Future]) -> bool:
+    return job is None or job.cancelled() or isinstance(job.exception(), BrokenProcessPool)
 
 
 def run_all(
@@ -566,9 +599,39 @@ def run_all(
     seed: int = 0,
     progress: Optional[Callable[[TheoremCheck], None]] = None,
 ) -> VerifyReport:
+    """The nine criteria, run as the jobs of `_JOBS` on a process pool and
+    reported in criterion order.  A worker that dies, or cannot be started,
+    is a WorkerLost; when anything raises, the jobs not yet started are
+    cancelled."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    before = set(multiprocessing.active_children())
+    jobs: dict[str, Future] = {}
     report = VerifyReport([])
-    for chk in _checks(bounds, seed):
-        report.checks.append(chk)
-        if progress is not None:
-            progress(chk)
+    try:
+        with ProcessPoolExecutor(max_workers=min(len(_JOBS), cpus or 1)) as pool:
+            try:
+                for name in _SUBMIT_ORDER:
+                    jobs[name] = pool.submit(_run_job, name, bounds, seed)
+                for name in _JOBS:
+                    for chk in jobs[name].result():
+                        report.checks.append(chk)
+                        if progress is not None:
+                            progress(chk)
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    except BrokenProcessPool:
+        lost = [name for name in _JOBS if _unfinished(jobs.get(name))]
+        raise WorkerLost(f"a verify worker process died; the jobs {lost} did not "
+                         "finish") from None
+    except OSError as e:
+        if len(jobs) == len(_JOBS):  # raised by a job or by progress
+            raise
+        # Starting the pool failed.  Under fork its manager thread starts only
+        # after every worker, so a worker started before the failure gets no
+        # stop signal, and the interpreter would wait for it at exit.
+        for worker in set(multiprocessing.active_children()) - before:
+            worker.terminate()
+            worker.join()
+        raise WorkerLost(f"could not start the verify workers: {e}") from None
     return report

@@ -1,6 +1,12 @@
+import concurrent.futures
+import errno
+import functools
 import hashlib
 import io
 import json
+import multiprocessing
+import os
+import runpy
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -8,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epshift import cli, errors, jsonio, sturmian
+from epshift import classify, cli, errors, jsonio, sturmian, verify
 from epshift.classify import identity_code
 from epshift.cli import main
 from epshift.sequences import make_ep, shift
@@ -399,6 +405,72 @@ def test_verify_rejects_a_cap_below_the_least_period_sum(capsys, cap):
     assert obj["error"]["kind"] == "ValueError" and "below 2" in obj["error"]["message"]
 
 
+def test_verify_turns_a_dead_worker_into_one_json_error(capsys, monkeypatch):
+    # fork, so that the worker running criterion 7 inherits the patch
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(verify, "ProcessPoolExecutor",
+                        functools.partial(verify.ProcessPoolExecutor, mp_context=fork))
+    monkeypatch.setattr(classify, "flow_witness", lambda x, y: os._exit(3))
+    code, obj = run(capsys, "verify", "--max-period-sum", "3", "--seed", "0")
+    assert (code, obj["error"]["kind"]) == (1, "WorkerLost")
+    assert "'flow-witnesses'" in obj["error"]["message"]
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_turns_a_pool_broken_between_submits_into_one_json_error(capsys, monkeypatch):
+    fork = multiprocessing.get_context("fork")
+
+    class OneAtATime(verify.ProcessPoolExecutor):
+        # waits for each job before the next submit, so the job that kills
+        # its worker breaks the pool while jobs are still being submitted
+        def __init__(self, max_workers):
+            super().__init__(max_workers, mp_context=fork)
+
+        def submit(self, *args):
+            job = super().submit(*args)
+            concurrent.futures.wait([job])
+            return job
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", OneAtATime)
+    monkeypatch.setattr(classify, "flow_witness", lambda x, y: os._exit(3))
+    code, obj = run(capsys, "verify", "--max-period-sum", "3", "--seed", "0")
+    assert (code, obj["error"]["kind"]) == (1, "WorkerLost")
+    assert str(list(verify._JOBS)) in obj["error"]["message"]
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_turns_a_worker_that_cannot_start_into_one_json_error(capsys, monkeypatch):
+    fork = multiprocessing.get_context("fork")
+    pool = verify.ProcessPoolExecutor
+    monkeypatch.setattr(verify, "ProcessPoolExecutor",  # two workers on any host
+                        lambda max_workers: pool(2, mp_context=fork))
+    forks = []
+
+    def fork_once():  # the first worker starts, the second does not
+        if forks:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        forks.append(1)
+        return real_fork()
+
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", fork_once)
+    try:
+        code, obj = run(capsys, "verify", "--max-period-sum", "3", "--seed", "0")
+    finally:  # a worker left waiting would hang the test run at exit
+        left = multiprocessing.active_children()
+        for worker in left:
+            worker.terminate()
+    assert (code, obj["error"]["kind"]) == (1, "WorkerLost")
+    assert "could not start" in obj["error"]["message"] and forks == [1]
+    assert left == []
+
+
+def test_main_module_run_by_a_pool_worker_does_nothing(capsys):
+    # spawn and forkserver workers import the main module as __mp_main__
+    runpy.run_module("epshift.__main__", run_name="__mp_main__")
+    assert capsys.readouterr() == ("", "")
+
+
 EXIT_CODES = {
     "EpshiftError": 1, "InputError": 2,
     "NotCoprime": 2, "NonPositive": 2, "InputTooLarge": 2, "InvalidSpec": 2,
@@ -406,7 +478,7 @@ EXIT_CODES = {
     "EmptyWord": 2, "MalformedInput": 2, "WrongAlphabet": 2,
     "SymbolAbsent": 2,
     "InternalMismatch": 1, "NotConjugate": 1, "WindowExhausted": 1, "MissingBlock": 1,
-    "DegenerateImage": 1, "PostconditionFailed": 1,
+    "DegenerateImage": 1, "PostconditionFailed": 1, "WorkerLost": 1,
 }
 
 

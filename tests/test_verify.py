@@ -77,14 +77,15 @@ def test_criteria_4_and_5_build_one_family_per_run(monkeypatch):
         alive.append(weakref.ref(fam[0]))
         return fam
 
-    def progress(chk):
-        if chk.tag == "conjugacy-classes":  # criterion 6 runs without the family
-            alive.append(alive[0]() is None)
-
     monkeypatch.setattr(verify, "exhaustive_family", counted)
     bounds = VerifyBounds().capped(8)
-    report = verify.run_all(bounds, seed=7, progress=progress)
-    assert report.ok and len(built) == 1 and alive[-1] is True
+    # the job owns the family: it builds it once and drops it on return
+    checks = verify._run_job("window-lemmas+conjugacy-witnesses", bounds, 7)
+    assert [c.tag for c in checks] == ["window-lemmas", "conjugacy-witnesses"]
+    assert len(built) == 1 and alive[0]() is None
+    assert [c.checked for c in checks] == [2610, 2603]
+    report = verify.run_all(bounds, seed=7)
+    assert report.ok
     assert [c.checked for c in report.checks] == [21, 42, 4, 2610, 2603, 1936, 1040, 126, 21]
     assert verify.check_window_lemmas(bounds, 7).checked == 2610 and len(built) == 2
     assert verify.check_conjugacy_witnesses(bounds, 7).checked == 2603 and len(built) == 3
@@ -179,3 +180,16 @@ def test_sabotaged_check_reports_its_failure_records(monkeypatch, tag, module, n
     assert chk.failures[0] == first and chk.failures[-1] == last
     if name != "skew_conjugacy_class":  # see SABOTAGE
         assert passing.checked == checked
+
+
+def test_run_all_reports_the_criteria_in_order_as_run_in_process():
+    def masked(checks):
+        return [{**c.to_obj(), "seconds": 0} for c in checks]
+
+    bounds = VerifyBounds(family_w=3, family_v=4, family_random=20).capped(5)
+    seen = []
+    report = verify.run_all(bounds, seed=7, progress=seen.append)
+    in_process = [check(bounds) for check in RUN_CRITERION.values()]
+    assert masked(report.checks) == masked(in_process)
+    assert [c.tag for c in seen] == list(RUN_CRITERION)
+    assert seen == report.checks
