@@ -291,26 +291,28 @@ def check_conjugacy(
     return False
 
 
-def expand_symbol(x: EPSeq, label: str) -> tuple[EPSeq, str]:
-    """Replace every occurrence of the symbol by symbol·fresh, where fresh
-    is a deterministically minted new symbol appended to the alphabet."""
+def expand_symbol(x: EPSeq, label: str, count: int = 1) -> tuple[EPSeq, tuple[str, ...]]:
+    """Replace every occurrence of the symbol by symbol·f1·…·fk, k = count,
+    with f1, …, fk new symbols minted in one scan and appended in that order;
+    returns the result and (f1, …, fk).  Composes k expansions, each of the
+    newest symbol."""
     if label not in x.alphabet:
         raise SymbolAbsent(f"symbol {label!r} is not in the alphabet")
     s = x.alphabet.index(label)
     if s not in x.period_word.symbols and s not in x.anomaly.symbols:
         raise SymbolAbsent(f"symbol {label!r} does not occur in the sequence")
-    fresh_label = x.alphabet.mint_label()
-    bigger = x.alphabet.extend(fresh_label)
-    f = len(bigger) - 1
+    fresh = x.alphabet.mint_labels(count)
+    bigger = Alphabet._trusted(x.alphabet.labels + fresh)
+    block = (s, *range(len(x.alphabet), len(bigger)))
 
     def subst(syms: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(u for t in syms for u in ((t, f) if t == s else (t,)))
+        return tuple(u for t in syms for u in (block if t == s else (t,)))
 
-    # s -> s·f with f fresh is injective and no image starts with f, so a power
-    # or a trailing period copy in the image would be one in x: still normalized
+    # s -> s·f1…fk with the f fresh is injective and no image starts with an f, so
+    # a power or a trailing period copy in the image would be one in x: still normalized
     period, anomaly = subst(x.period_word.symbols), subst(x.anomaly.symbols)
     y = EPSeq._trusted(Word._trusted(period, bigger), Word._trusted(anomaly, bigger))
-    return y, fresh_label
+    return y, fresh
 
 
 class ConjugacyMove(Value):
@@ -323,10 +325,10 @@ class ConjugacyMove(Value):
 
 class ExpandMove(Value):
     """Symbol expansion: `result` is the current sequence with every
-    occurrence of `symbol` replaced by symbol·fresh."""
+    occurrence of `symbol` replaced by symbol·f1·…·fk, `fresh` = (f1, …, fk)."""
 
     symbol: str
-    fresh: str
+    fresh: tuple[str, ...]
     result: EPSeq
 
 
@@ -336,35 +338,35 @@ FlowMove = Union[ConjugacyMove, ExpandMove]
 @lru_cache(maxsize=4096)
 def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSeq]:
     """Flow moves from x to a sequence with least period N+dn and anomaly
-    size a(x)+da.  One conjugacy puts a fresh mark on the last letter of
-    the period word (if dn > 0) and of the minimal anomaly (if da > 0);
-    it keeps (N, a), as the 1-block map erasing the marks sends each
-    deletable window of the marked sequence to one of x.  Expanding a symbol
-    found once per period and not in the anomaly raises N by one and mints
-    another such symbol, so the period mark and then each newest symbol are
-    expanded, dn times in all; the anomaly mark raises a da times likewise.
-    The conjugacy move carries the forward code alone; flow replay checks it."""
+    size a(x)+da: one conjugacy and at most two expansions.  The conjugacy
+    puts a fresh mark on the last letter of the period word (if dn > 0) and
+    of the minimal anomaly (if da > 0); it keeps (N, a), as the 1-block map
+    erasing the marks sends each deletable window of the marked sequence to
+    one of x.  A mark occurs once per period and not in the anomaly, or
+    once in the anomaly and not in the period, so expanding it into dn (or
+    da) fresh symbols raises N by dn (or a by da).  The conjugacy move
+    carries the forward code alone; flow replay checks it.  Cached: verify
+    criterion 7 raises the same sequence by the same steps for many targets."""
     if not (dn or da):
         return (), x
     c = canonical(x)
     n, a = least_period(c), len(c.anomaly)
-    parts, bigger, marks = [c.period_word.symbols, c.anomaly.symbols], c.alphabet, []
-    for i, steps in enumerate((dn, da)):
-        if steps:
-            marks.append((bigger.mint_label(), steps))
-            bigger = bigger.extend(marks[-1][0])
-            parts[i] = parts[i][:-1] + (len(bigger) - 1,)
+    steps = [k for k in (dn, da) if k]
+    marks = c.alphabet.mint_labels(len(steps))
+    bigger = Alphabet._trusted(c.alphabet.labels + marks)
+    parts, mark = [c.period_word.symbols, c.anomaly.symbols], len(c.alphabet)
+    for i, k in enumerate((dn, da)):
+        if k:
+            parts[i], mark = parts[i][:-1] + (mark,), mark + 1
     # each mark occurs once and only where it was put, so the parts stay normalized
     primed = EPSeq._trusted(*(Word._trusted(p, bigger) for p in parts))
     if not conjugate_ep(c, primed):
         raise PostconditionFailed(f"marking changed the invariants: (N={least_period(primed)}, "
                                   f"a={anomaly_size(primed)}), expected (N={n}, a={a})")
     y, moves = primed, [ConjugacyMove(_witness_code(c, canonical(primed)), primed)]
-    for label, steps in marks:
-        for _ in range(steps):
-            y, fresh = expand_symbol(y, label)
-            moves.append(ExpandMove(label, fresh, y))
-            label = fresh
+    for label, k in zip(marks, steps):
+        y, fresh = expand_symbol(y, label, k)
+        moves.append(ExpandMove(label, fresh, y))
     if (least_period(y), anomaly_size(y)) != (n + dn, a + da):
         raise PostconditionFailed(f"raise postcondition: got (N={least_period(y)}, "
                                   f"a={anomaly_size(y)}), expected (N={n + dn}, a={a + da})")
@@ -429,11 +431,8 @@ def verify_flow_witness(
     return check_conjugacy(end_x, end_y, wit.final_forward, wit.final_inverse, log)
 
 
-@lru_cache(maxsize=8192)
 def _replay_move(cur: EPSeq, move: FlowMove) -> Optional[str]:
-    """Why the move fails from cur, or None when it holds.  Pure, so memoized
-    on the values of both: the flow witnesses of verify criterion 7 replay
-    32,245 moves from 3,190 distinct pairs.  Exceptions are not cached."""
+    """Why the move fails from cur, or None when it holds."""
     if isinstance(move, ConjugacyMove):
         # a factor map onto other invariants is no conjugacy, however similar its image
         if not conjugate_ep(cur, move.result):
@@ -443,9 +442,16 @@ def _replay_move(cur: EPSeq, move: FlowMove) -> Optional[str]:
         return None
     if not isinstance(move, ExpandMove):
         return "unknown move kind"
-    if move.fresh in cur.alphabet:
-        return f"fresh symbol {move.fresh!r} already in alphabet"
-    expanded, fresh = expand_symbol(cur, move.symbol)
+    taken = next((f for f in move.fresh if f in cur.alphabet), None)
+    if taken is not None:
+        return f"fresh symbol {taken!r} already in alphabet"
+    # refuse a result of the wrong length before writing k symbols per occurrence
+    p, v, r = cur.period_word.symbols, cur.anomaly.symbols, move.result
+    s = cur.alphabet.index(move.symbol) if move.symbol in cur.alphabet else None
+    grown = len(move.fresh) * (p.count(s) + v.count(s))
+    if grown and len(r.period_word) + len(r.anomaly) != len(p) + len(v) + grown:
+        return "expansion does not reproduce recorded result"
+    expanded, fresh = expand_symbol(cur, move.symbol, len(move.fresh))
     if fresh != move.fresh or expanded != move.result:
         return "expansion does not reproduce recorded result"
     return None

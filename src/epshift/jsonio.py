@@ -27,7 +27,8 @@ EPSEQ_FORMAT = "epseq/1"
 PERSEQ_FORMAT = "perseq/1"
 CODE_FORMAT = "sbc/1"
 CONJUGACY_FORMAT = "conjugacy/1"
-FLOW_FORMAT = "flowwitness/1"
+FLOW_FORMAT = "flowwitness/2"
+FLOW_FORMAT_UNIT = "flowwitness/1"  # still read: an expand move's "fresh" is one label
 
 
 def _expect(obj: Any, fmt: str) -> dict:
@@ -136,13 +137,13 @@ def _emit_move(m: FlowMove) -> dict:
         return {
             "kind": "expand",
             "symbol": m.symbol,
-            "fresh": m.fresh,
+            "fresh": list(m.fresh),
             "result": emit_epseq(m.result),
         }
     raise ValueError(f"unknown move type {type(m).__name__}")
 
 
-def _parse_move(obj: Any) -> FlowMove:
+def _parse_move(obj: Any, fmt: str) -> FlowMove:
     if not isinstance(obj, dict):
         raise MalformedInput(f"a flow move must be a JSON object, got {type(obj).__name__}")
     kind = _field(obj, "kind", "flow move")
@@ -151,7 +152,11 @@ def _parse_move(obj: Any) -> FlowMove:
         return ConjugacyMove(parse_code(_field(obj, "code", what)),
                              parse_epseq(_field(obj, "result", what)))
     if kind == "expand":
-        return ExpandMove(_field(obj, "symbol", what, str), _field(obj, "fresh", what, str),
+        fresh = _field(obj, "fresh", what, str if fmt == FLOW_FORMAT_UNIT else list)
+        fresh = (fresh,) if isinstance(fresh, str) else tuple(fresh)
+        if not fresh or not all(isinstance(f, str) for f in fresh):
+            raise MalformedInput(f"{what} key 'fresh' must be a non-empty list of strings")
+        return ExpandMove(_field(obj, "symbol", what, str), fresh,
                           parse_epseq(_field(obj, "result", what)))
     raise ValueError(f"unknown move kind {kind!r}")
 
@@ -167,10 +172,13 @@ def emit_flow_witness(w: FlowWitness) -> dict:
 
 
 def parse_flow_witness(obj: Any) -> FlowWitness:
-    d = _expect(obj, FLOW_FORMAT)
+    """A `flowwitness/2` value, or a `flowwitness/1` one."""
+    unit = isinstance(obj, dict) and obj.get("format") == FLOW_FORMAT_UNIT
+    fmt = FLOW_FORMAT_UNIT if unit else FLOW_FORMAT
+    d = _expect(obj, fmt)
     return FlowWitness(
-        tuple(_parse_move(m) for m in _field(d, "chain_x", FLOW_FORMAT, list)),
-        tuple(_parse_move(m) for m in _field(d, "chain_y", FLOW_FORMAT, list)),
-        parse_code(_field(d, "final_forward", FLOW_FORMAT)),
-        parse_code(_field(d, "final_inverse", FLOW_FORMAT)),
+        tuple(_parse_move(m, fmt) for m in _field(d, "chain_x", fmt, list)),
+        tuple(_parse_move(m, fmt) for m in _field(d, "chain_y", fmt, list)),
+        parse_code(_field(d, "final_forward", fmt)),
+        parse_code(_field(d, "final_inverse", fmt)),
     )

@@ -9,8 +9,8 @@ cutting-sequence construction, and every witness against a replayer,
 once: ``classify.check_conjugacy`` (each code's image is similar to the
 other sequence) on each witness ``conjugacy_witness`` builds, and
 ``classify.verify_flow_witness`` on each flow witness ``flow_witness``
-builds; its chain moves carry forward codes only, and it replays each
-distinct (sequence, move) pair once.  Failures are recorded as
+builds; its chains are one mark conjugacy, carrying a forward code only,
+and at most two compound expansions.  Failures are recorded as
 re-parseable counterexamples; an empty failure list is a pass.
 
 Each criterion is an instance stream and a check of one instance, which
@@ -467,7 +467,7 @@ def check_flow_witnesses(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
     skew specs with p+q <= flow_sum (plus the two limit specs) and for
     seeded random EPSeq pairs.  `flow_witness` replays each witness it
     builds and raises InternalMismatch when the replay fails, so building
-    is checking; a move shared by many witnesses is replayed only once."""
+    is checking; a chain shared by many witnesses is built only once."""
 
     def instances() -> Iterator[tuple[EPSeq, EPSeq, Optional[dict]]]:
         # (x, y, both specs) for a skew pair, (x, y, None) for a random pair

@@ -98,7 +98,6 @@ class Alphabet(Value):
     """
 
     labels: tuple[str, ...]
-    _next = None  # the counter of mint_label(); a memo, not a field
     _ids = None  # the label -> id dict of index(); a memo, not a field
 
     def __post_init__(self) -> None:
@@ -126,34 +125,17 @@ class Alphabet(Value):
         _set(self, "_ids", ids)
         return ids
 
-    def extend(self, label: str) -> Alphabet:
-        """New alphabet with `label` appended; existing ids are unchanged.
-        Only the new label is checked: the others passed when `self` was built."""
-        if label in self.labels:
-            raise ValueError(f"label {label!r} already in alphabet")
-        _check_label(label)
-        nxt = self._next
-        if nxt is not None and label == f"x{nxt}'":  # the minted label: count on
-            return Alphabet._trusted(self.labels + (label,), _next=nxt + 1)
-        return Alphabet._trusted(self.labels + (label,))
-
-    def mint_label(self) -> str:
-        """Deterministic fresh label (x0', x1', ... with a monotone counter).
-
-        The first call scans the labels and keeps the counter on the
-        alphabet; `extend` with the minted label carries it on, so a chain
-        of mints and extensions scans the labels once, not once a label."""
-        n = self._next
-        if n is None:
-            taken = set(self.labels)
-            n = 0
-            for lbl in self.labels:
-                if len(lbl) > 2 and lbl[0] == "x" and lbl[-1] == "'" and lbl[1:-1].isdecimal():
-                    n = max(n, int(lbl[1:-1]) + 1)
-            while f"x{n}'" in taken:
-                n += 1
-            _set(self, "_next", n)
-        return f"x{n}'"
+    def mint_labels(self, count: int) -> tuple[str, ...]:
+        """`count` deterministic fresh labels x{n}', x{n+1}', ... from one
+        scan of the labels, n one more than the largest decimal counter of
+        a label of that form (0 if there is none).  They are valid labels
+        not in the alphabet, so ``Alphabet._trusted(labels + minted)``
+        appends them in one copy, unchecked."""
+        n = 0
+        for lbl in self.labels:
+            if len(lbl) > 2 and lbl[0] == "x" and lbl[-1] == "'" and lbl[1:-1].isdecimal():
+                n = max(n, int(lbl[1:-1]) + 1)
+        return tuple(f"x{i}'" for i in range(n, n + count))
 
     @property
     def single_char(self) -> bool:

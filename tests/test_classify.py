@@ -566,13 +566,45 @@ def test_image_buffer_matches_the_code_read_block_by_block():
 # --- symbol expansion --------------------------------------------------------
 
 def test_expand_symbol_examples():
-    x, fresh = expand_symbol(ep("0", "11"), "1")
+    x, (fresh,) = expand_symbol(ep("0", "11"), "1")
     assert x.period_word.labels() == ("0",)
     assert x.anomaly.labels() == ("1", fresh, "1", fresh)
 
-    y, fresh_y = expand_symbol(ep("10", "1"), "0")
+    y, (fresh_y,) = expand_symbol(ep("10", "1"), "0")
     assert y.period_word.labels() == ("1", "0", fresh_y)
     assert y.anomaly.labels() == ("1",)
+
+    z, minted = expand_symbol(ep("10", "1"), "0", 3)
+    assert minted == ("x0'", "x1'", "x2'")
+    assert z.period_word.labels() == ("1", "0", *minted)
+    assert z.anomaly.labels() == ("1",)
+
+
+def _expand_newest(x, label, k):
+    """k one-label expansions, the first of `label` and each later one of
+    the label the one before minted, through the checked constructors: the
+    elementary route."""
+    minted = []
+    for _ in range(k):
+        fresh = x.alphabet.mint_labels(1)[0]
+        bigger = Alphabet(x.alphabet.labels + (fresh,))
+        s, f = x.alphabet.index(label), bigger.index(fresh)
+
+        def subst(w):
+            return Word(tuple(u for t in w.symbols for u in ((t, f) if t == s else (t,))), bigger)
+
+        x, label = make_ep(subst(x.period_word), subst(x.anomaly)), fresh
+        minted.append(fresh)
+    return x, tuple(minted)
+
+
+def test_compound_expansion_is_the_composed_elementary_expansions():
+    for x in verify.exhaustive_family(3, 4):
+        for s in sorted(set(x.period_word.symbols + x.anomaly.symbols)):
+            label = x.alphabet.labels[s]
+            for k in (1, 2, 5):
+                y, minted = expand_symbol(x, label, k)
+                assert (y, minted) == _expand_newest(x, label, k), (x, label, k)
 
 
 def test_expand_symbol_absent():
@@ -615,22 +647,17 @@ def test_raise_anomaly_examples():
 
 def _assert_one_mark_chain(chain, steps):
     """The chain is empty when steps is 0, and otherwise one conjugacy
-    move, first, then `steps` expansions.  Each expansion expands a mark
-    the conjugacy put in, or the symbol the move before it minted, and
-    every mark starts one run of expansions."""
+    move, first, then at most one compound expansion of each mark the
+    conjugacy put in, with `steps` fresh labels in all."""
     if steps == 0:
         assert chain == ()
         return
     conj, *expands = chain
-    assert isinstance(conj, ConjugacyMove) and len(expands) == steps
+    assert isinstance(conj, ConjugacyMove) and 1 <= len(expands) <= 2
     assert all(isinstance(m, ExpandMove) for m in expands)
     marks = set(conj.result.alphabet.labels) - set(conj.code.source_alphabet.labels)
-    starts, minted = [], None
-    for m in expands:
-        if m.symbol != minted:
-            starts.append(m.symbol)
-        minted = m.fresh
-    assert sorted(starts) == sorted(marks)
+    assert sorted(m.symbol for m in expands) == sorted(marks)
+    assert sum(len(m.fresh) for m in expands) == steps
 
 
 @pytest.mark.parametrize("dn, da", [(0, 0), (2, 0), (0, 3), (1, 1), (1, 4), (3, 2), (2, 2)])
@@ -693,7 +720,7 @@ def test_flow_witness_rejects_fresh_symbol_collision():
     tampered_moves = []
     for m in w.chain_y:
         if isinstance(m, ExpandMove):
-            m = ExpandMove(m.symbol, "0", m.result)   # "0" is already a symbol
+            m = ExpandMove(m.symbol, ("0",), m.result)   # "0" is already a symbol
         tampered_moves.append(m)
     bad = FlowWitness(w.chain_x, tuple(tampered_moves), w.final_forward, w.final_inverse)
     trail = []
@@ -742,7 +769,7 @@ def _tampered_witnesses(forged_factor_witness):
          "chain_y[0]: replay error: block (1,) not in code table"),
         (*with_chain_y(ConjugacyMove(conj.code, other_result), expand),
          "chain_y[0]: conjugacy image not similar to recorded result"),
-        (*with_chain_y(conj, ExpandMove(expand.symbol, "x2'", expand.result)),
+        (*with_chain_y(conj, ExpandMove(expand.symbol, ("x2'",), expand.result)),
          "chain_y[1]: expansion does not reproduce recorded result"),
         (*forged_factor_witness, "chain_x[0]: conjugacy move changes the invariants"),
     ]
@@ -754,18 +781,33 @@ def test_replay_memo_never_answers_for_a_tampered_move(forged_factor_witness):
         assert verify_flow_witness(x, y, genuine)      # the genuine moves are memoized
         warm = []
         assert not verify_flow_witness(bx, by, bad, warm)
-        _replay_move.cache_clear()
         cold = []
         assert not verify_flow_witness(bx, by, bad, cold)
         assert warm == cold == [want]
     # a replay error is not memoized
     bx, by, bad, _ = tampered[1]
-    before = _replay_move.cache_info()
     assert not verify_flow_witness(bx, by, bad, [])
-    after = _replay_move.cache_info()
-    assert after.currsize == before.currsize and after.misses == before.misses + 1
     # and the memo, now holding the tampered moves, still accepts the genuine one
     assert verify_flow_witness(x, y, genuine)
+
+
+def test_replay_refuses_a_compound_move_of_the_wrong_length_before_expanding(monkeypatch):
+    # a million fresh labels and a result of the length one label gives:
+    # expanding first would write a million symbols per occurrence
+    x, y = skew(TYPE_S, 1, 1), ep("0", "1")
+    w = flow_witness(x, y)
+    conj, expand = w.chain_y
+    many = tuple(f"y{i}'" for i in range(10**6))
+    bad = FlowWitness(w.chain_x, (conj, ExpandMove(expand.symbol, many, expand.result)),
+                      w.final_forward, w.final_inverse)
+
+    def no_expansion(*args):
+        raise AssertionError("expand_symbol called")
+
+    monkeypatch.setattr(classify, "expand_symbol", no_expansion)
+    trail = []
+    assert not verify_flow_witness(x, y, bad, trail)
+    assert trail == ["chain_y[1]: expansion does not reproduce recorded result"]
 
 
 def test_flow_witness_raises_when_its_replay_fails(monkeypatch):

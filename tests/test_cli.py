@@ -254,6 +254,29 @@ def test_check_witness_accepts_a_flow_witness_file_of_unit_raises(tmp_path, caps
     assert obj["trail"] == ["chain_x[1]: expansion does not reproduce recorded result"]
 
 
+def test_check_witness_accepts_the_compound_flow_witness_classify_flow_writes(tmp_path, capsys):
+    # one mark conjugacy, then one expansion per mark: 3 moves where the
+    # flowwitness/1 fixture above has 14
+    fixture = Path(__file__).parent / "data" / "flow2_S1-2_S2-5.json"
+    raw = json.loads(fixture.read_text())
+    assert raw["format"] == "flowwitness/2"
+    assert (len(raw["chain_x"]), len(raw["chain_y"])) == (3, 0)
+    x = skew_sturmian(SturmianSpec(Frequency.rational(1, 2), TYPE_S))
+    y = skew_sturmian(SturmianSpec(Frequency.rational(2, 5), TYPE_S))
+    a, b = write_ep(tmp_path / "a.json", x), write_ep(tmp_path / "b.json", y)
+    code, _ = run(capsys, "classify", "flow", a, b, "--witness", str(tmp_path / "fw.json"))
+    assert code == 0 and json.loads((tmp_path / "fw.json").read_text()) == raw
+    code, obj = run(capsys, "classify", "check-witness", a, b, str(fixture))
+    assert code == 0 and obj == {"valid": True, "trail": []}
+
+    assert raw["chain_x"][1]["fresh"] == ["x2'", "x3'", "x4'", "x5'"]
+    raw["chain_x"][1]["fresh"][1] = "x9'"
+    (tmp_path / "bad.json").write_text(json.dumps(raw))
+    code, obj = run(capsys, "classify", "check-witness", a, b, str(tmp_path / "bad.json"))
+    assert code == 1 and obj["valid"] is False
+    assert obj["trail"] == ["chain_x[1]: expansion does not reproduce recorded result"]
+
+
 def test_classify_conjugate_false(tmp_path, capsys):
     a = write_ep(tmp_path / "a.json", make_ep(word("0"), word("1")))
     b = write_ep(tmp_path / "b.json", make_ep(word("01"), word("1")))
@@ -342,7 +365,7 @@ SCHEMA_KEYS = ("alphabet", "period", "anomaly", "memory", "anticipation", "sourc
                "final_forward", "final_inverse")
 TAGGED = st.builds(
     lambda fmt, rest: {**rest, "format": fmt},
-    st.sampled_from(["epseq/1", "sbc/1", "conjugacy/1", "flowwitness/1"]),
+    st.sampled_from(["epseq/1", "sbc/1", "conjugacy/1", "flowwitness/1", "flowwitness/2"]),
     st.dictionaries(st.sampled_from(SCHEMA_KEYS), JSON_VALUES, max_size=6),
 )
 

@@ -113,15 +113,32 @@ def test_missing_keys_and_wrong_types_raise_malformed_input():
                              "table": [["0", "0"]]}),
         (jsonio.parse_conjugacy, {"format": "conjugacy/1"}),
         (jsonio.parse_flow_witness, {"format": "flowwitness/1", "chain_x": [], "chain_y": [{}]}),
+        (jsonio.parse_flow_witness, {"format": "flowwitness/2", "chain_x": [], "chain_y": [{}]}),
     ]
     for parse, obj in bad:
         with pytest.raises(MalformedInput):
             parse(obj)
 
 
+def test_expand_move_fresh_labels_are_typed_per_format():
+    # flowwitness/2: a non-empty list of strings; flowwitness/1: one string
+    w = jsonio.emit_flow_witness(flow_witness(skew(TYPE_S, 1, 1), ep("0", "1")))
+    expand = w["chain_y"][1]
+    assert expand["kind"] == "expand" and expand["fresh"] == ["x1'"]
+    unit = {**w, "format": "flowwitness/1",
+            "chain_y": [w["chain_y"][0], {**expand, "fresh": "x1'"}]}
+    assert jsonio.parse_flow_witness(unit) == jsonio.parse_flow_witness(w)
+    for fmt, fresh in (("flowwitness/2", "x1'"), ("flowwitness/2", []), ("flowwitness/2", ["x1'", 1]),
+                       ("flowwitness/2", [None]), ("flowwitness/2", None),
+                       ("flowwitness/1", ["x1'"]), ("flowwitness/1", 1)):
+        bad = {**w, "format": fmt, "chain_y": [w["chain_y"][0], {**expand, "fresh": fresh}]}
+        with pytest.raises(MalformedInput, match="fresh"):
+            jsonio.parse_flow_witness(bad)
+
+
 # --- hostile JSON values -------------------------------------------------------
 
-FORMATS = ("epseq/1", "sbc/1", "conjugacy/1", "flowwitness/1")
+FORMATS = ("epseq/1", "sbc/1", "conjugacy/1", "flowwitness/1", "flowwitness/2")
 KEYS = ("format", "alphabet", "period", "anomaly", "memory", "anticipation", "source_alphabet",
         "target_alphabet", "table", "forward", "inverse", "chain_x", "chain_y", "final_forward",
         "final_inverse", "kind", "code", "result", "symbol", "fresh")

@@ -95,7 +95,7 @@ def test_word_literals_round_trip():
 
 
 def _regex_mint_label(alphabet):
-    """mint_label as first written, with a regex scan of the labels."""
+    """The label mint_labels(1) gives, as first written: a regex scan of the labels."""
     n = max([int(m.group(1)) + 1 for m in map(re.compile(r"x(\d+)'").fullmatch, alphabet.labels)
              if m], default=0)
     while f"x{n}'" in alphabet.labels:
@@ -129,36 +129,40 @@ def _assert_lookups_match_the_tuple_scan(a, probes):
 @given(st.lists(LABEL_TEXT, min_size=1, max_size=6, unique=True), st.lists(LABEL_TEXT, max_size=4))
 def test_mint_label_matches_the_regex_scan(labels, probes):
     a = Alphabet(tuple(labels))
-    assert a.mint_label() == _regex_mint_label(a)
-    _assert_lookups_match_the_tuple_scan(a, probes + [a.mint_label()])
+    assert a.mint_labels(1) == (_regex_mint_label(a),)
+    _assert_lookups_match_the_tuple_scan(a, probes + list(a.mint_labels(1)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(LABEL_TEXT, min_size=1, max_size=6, unique=True),
        st.lists(st.one_of(st.none(), LABEL_TEXT), max_size=6))
-def test_mint_label_counter_carried_by_extend_matches_the_regex_scan(labels, appended):
-    # None appends the minted label, which carries the counter on; any other
-    # label drops it, and the next mint scans again.  The lookups run on each
-    # alphabet before it is extended, so a memo built on one alphabet must
-    # not answer for the next
+def test_mint_labels_match_the_regex_scan_after_each_appended_label(labels, appended):
+    # None appends the minted label, any other label itself.  The lookups run
+    # on each alphabet before a label is appended, so a memo built on one
+    # alphabet must not answer for the next.  Last, k labels minted at once
+    # are the labels of k single mints, each appended before the next
     a = Alphabet(tuple(labels))
     for label in appended:
-        fresh = a.mint_label()
+        fresh = a.mint_labels(1)[0]
         assert fresh == _regex_mint_label(a)
         label = fresh if label is None else label
         _assert_lookups_match_the_tuple_scan(a, [label, fresh])
         if label not in a:
-            a = a.extend(label)
+            a = Alphabet(a.labels + (label,))
             assert a.index(label) == len(a) - 1
-    assert a.mint_label() == _regex_mint_label(a)
-    _assert_lookups_match_the_tuple_scan(a, [a.mint_label()])
+    assert a.mint_labels(1) == (_regex_mint_label(a),)
+    _assert_lookups_match_the_tuple_scan(a, list(a.mint_labels(1)))
+    one_by_one = []
+    for _ in range(len(appended) + 1):
+        one_by_one.append(_regex_mint_label(Alphabet(a.labels + tuple(one_by_one))))
+    assert a.mint_labels(len(one_by_one)) == tuple(one_by_one)
 
 
 def test_mint_label_reads_decimal_counters_only():
     for labels, fresh in ((("x'", "xa'"), "x0'"), (("x007'",), "x8'"), (("x\u0663'",), "x4'"),
                           (("x\u00b2'", "x0'"), "x1'"), (("x1'", "x0"), "x2'")):
         a = Alphabet(labels)
-        assert a.mint_label() == _regex_mint_label(a) == fresh, labels
+        assert a.mint_labels(1) == (_regex_mint_label(a),) == (fresh,), labels
 
 
 def test_alphabet_validation_and_minting():
@@ -170,9 +174,9 @@ def test_alphabet_validation_and_minting():
         with pytest.raises(ValueError, match="label"):
             Alphabet(labels)
     a = BINARY
-    assert a.mint_label() == "x0'"
-    b = a.extend("x0'")
-    assert b.mint_label() == "x1'"
+    assert a.mint_labels(1) == ("x0'",)
+    b = Alphabet(a.labels + ("x0'",))
+    assert b.mint_labels(2) == ("x1'", "x2'")
     with pytest.raises(UnknownSymbol):
         word("2")
 
