@@ -20,12 +20,18 @@ as it yields (the family build, the spec lists, the random pairs) counts
 in its criterion's seconds.
 
 `run_all` runs the criteria as eight jobs on a process pool, at most one
-worker per usable CPU, submits the longest first and reports them in
-criterion order.  Each criterion is a job of its own, except criteria 4
-and 5, which share one family: their job builds it, criterion 4 checks
-it, criterion 5 reuses it with the canonical forms criterion 4 left on
-its values, and the family lives and dies inside that job.  Only a job's
-name, the bounds and the seed go to a worker, which looks the checks up
+worker per usable CPU, and reports them in criterion order.  Each
+criterion is a job of its own, except criteria 4 and 5, which share one
+family: their job builds it, criterion 4 checks it, criterion 5 reuses it
+with the canonical forms criterion 4 left on its values, and the family
+lives and dies inside that job.  Every job is dealt out as one part per
+worker: part k of n checks the instances at stream indices k, k + n,
+k + 2n, ..., so that runs of cheap or costly instances (the family is
+sorted by period word, the criterion 7 pairs are i-major) are shared out
+evenly, and each part of the family job builds its own family.  A
+criterion's parts merge into what one pass over its whole stream
+reports, except that `seconds` is their sum.  Only a job's name, the
+bounds, the seed and the part go to a worker, which looks the checks up
 as module globals, so a worker forked from a process that patched or
 wrapped them runs the patched ones.  The library's caches warm in the
 workers and die with the pool.
@@ -42,6 +48,7 @@ import random
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from itertools import islice
 from math import gcd
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -79,13 +86,17 @@ REPORT_FORMAT = "verifyreport/1"
 
 
 class TheoremCheck(Value):
-    """Result record for one verified statement."""
+    """Result record for one verified statement.  `seconds` is the time the
+    criterion's loop ran, summed over its parts when `run_all` split it;
+    `failed_at` holds the stream index of each failure, which `run_all`
+    merges the parts by, and is not reported."""
 
     tag: str
     bounds: dict[str, Any]
     checked: int
     failures: list[dict]
     seconds: float
+    failed_at: tuple[int, ...] = ()
 
     @property
     def status(self) -> str:
@@ -173,18 +184,18 @@ def coprime_pairs(max_sum: int) -> Iterator[tuple[int, int]]:
 
 def exhaustive_family(wmax: int, vmax: int) -> list[EPSeq]:
     """All (deduplicated) EPSeq(w, v) over {0,1} with |w| <= wmax, |v| <= vmax."""
+    def words(maxlen: int) -> list[Word]:
+        return [Word(tuple((bits >> i) & 1 for i in range(n)), BINARY)
+                for n in range(1, maxlen + 1) for bits in range(2 ** n)]
+
     out: set[EPSeq] = set()
-    for wlen in range(1, wmax + 1):
-        for wbits in range(2 ** wlen):
-            wsyms = tuple((wbits >> i) & 1 for i in range(wlen))
-            w = Word(wsyms, BINARY)
-            for vlen in range(1, vmax + 1):
-                for vbits in range(2 ** vlen):
-                    vsyms = tuple((vbits >> i) & 1 for i in range(vlen))
-                    try:
-                        out.add(make_ep(w, Word(vsyms, BINARY)))
-                    except DegeneratePeriodic:
-                        continue
+    anomalies = words(vmax)
+    for w in words(wmax):
+        for v in anomalies:
+            try:
+                out.add(make_ep(w, v))
+            except DegeneratePeriodic:
+                continue
     return sorted(out, key=lambda x: (x.period_word.symbols, x.anomaly.symbols))
 
 
@@ -204,21 +215,27 @@ def random_instances(count: int, seed: int) -> list[EPSeq]:
 
 
 def _criterion(tag: str, bounds: dict, instances: Iterable[Any],
-               check_one: Callable[[Any], Optional[dict]]) -> TheoremCheck:
-    """The check of one criterion: `check_one` maps each instance to None
-    or its failure record."""
+               check_one: Callable[[Any], Optional[dict]],
+               part: tuple[int, int] = (0, 1)) -> TheoremCheck:
+    """The check of one criterion on part (k, parts) of its instances, those
+    whose index i in the stream has i = k mod parts: `check_one` maps each
+    instance to None or its failure record, kept with i."""
+    k, parts = part
     failures: list[dict] = []
+    failed_at: list[int] = []
     checked = 0
     t0 = time.perf_counter()
-    for inst in instances:
+    for i, inst in islice(enumerate(instances), k, None, parts):
         checked += 1
         record = check_one(inst)
         if record is not None:
             failures.append(record)
-    return TheoremCheck(tag, bounds, checked, failures, time.perf_counter() - t0)
+            failed_at.append(i)
+    return TheoremCheck(tag, bounds, checked, failures, time.perf_counter() - t0,
+                        tuple(failed_at))
 
 
-def check_bezout_oracle(max_sum: int) -> TheoremCheck:
+def check_bezout_oracle(max_sum: int, *, part: tuple[int, int] = (0, 1)) -> TheoremCheck:
     """Criterion 1: restricted Bézout vs exhaustive scan, uniqueness,
     coprimality of a+b with p+q, and the swapped-input involution: the
     coefficients for (p, q) are (a', b') = (p - b, q - a)."""
@@ -241,14 +258,15 @@ def check_bezout_oracle(max_sum: int) -> TheoremCheck:
                     "got": [sw.a, sw.b]}
         return None
 
-    return _criterion("bezout-oracle", {"max_period_sum": max_sum}, coprime_pairs(max_sum), check)
+    return _criterion("bezout-oracle", {"max_period_sum": max_sum}, coprime_pairs(max_sum), check,
+                      part)
 
 
 def _skew(q: int, p: int, stype: str, m: int = 0) -> EPSeq:
     return skew_sturmian(SturmianSpec(Frequency.rational(q, p), stype, m))
 
 
-def check_anomaly_size_formula(max_sum: int) -> TheoremCheck:
+def check_anomaly_size_formula(max_sum: int, *, part: tuple[int, int] = (0, 1)) -> TheoremCheck:
     """Criterion 2: generated skew sequences have least period p+q and the
     anomaly size a+b (type S) or p+q-(a+b) (type S'), by the linear scan of
     anomaly_size and by the independent brute-force window search."""
@@ -274,7 +292,8 @@ def check_anomaly_size_formula(max_sum: int) -> TheoremCheck:
                     "scan": a, "search": searched}
         return None
 
-    return _criterion("anomaly-size-formula", {"max_period_sum": max_sum}, instances(), check)
+    return _criterion("anomaly-size-formula", {"max_period_sum": max_sum}, instances(), check,
+                      part)
 
 
 SPOT_VALUES = (
@@ -286,7 +305,7 @@ SPOT_VALUES = (
 )
 
 
-def check_spot_values() -> TheoremCheck:
+def check_spot_values(*, part: tuple[int, int] = (0, 1)) -> TheoremCheck:
     """Criterion 3: frozen spot values for (q,p) in the table above."""
 
     def check(row: tuple[int, int, int, int]) -> Optional[dict]:
@@ -297,7 +316,7 @@ def check_spot_values() -> TheoremCheck:
                     "got": [least_period(x), anomaly_size(x)]}
         return None
 
-    return _criterion("spot-values", {}, SPOT_VALUES, check)
+    return _criterion("spot-values", {}, SPOT_VALUES, check, part)
 
 
 def family_instances(bounds: VerifyBounds, seed: int) -> list[EPSeq]:
@@ -338,7 +357,8 @@ def _window_lemma_failure(x: EPSeq) -> Optional[str]:
 
 
 def check_window_lemmas(bounds: VerifyBounds, seed: int = 0,
-                        family: Optional[list[EPSeq]] = None) -> TheoremCheck:
+                        family: Optional[list[EPSeq]] = None, *,
+                        part: tuple[int, int] = (0, 1)) -> TheoremCheck:
     """Criterion 4: all anomaly-window removals of one sequence are
     pointwise-equal periodic sequences, all window lengths are congruent
     mod the least period, and canonical re-anchors at the leftmost minimal
@@ -355,6 +375,7 @@ def check_window_lemmas(bounds: VerifyBounds, seed: int = 0,
          "random": bounds.family_random, "seed": seed},
         _family(bounds, seed, family),
         check,
+        part,
     )
 
 
@@ -383,7 +404,8 @@ def _pair_obj(x: EPSeq, y: EPSeq) -> dict:
 
 
 def check_conjugacy_witnesses(bounds: VerifyBounds, seed: int = 0,
-                              family: Optional[list[EPSeq]] = None) -> TheoremCheck:
+                              family: Optional[list[EPSeq]] = None, *,
+                              part: tuple[int, int] = (0, 1)) -> TheoremCheck:
     """Criterion 5: whenever the invariants say conjugate, a witness exists
     and verifies.  Instances are grouped by invariant class and each member
     is paired with its class representative.  All conjugate skew pairs with
@@ -416,6 +438,7 @@ def check_conjugacy_witnesses(bounds: VerifyBounds, seed: int = 0,
          "random": bounds.family_random, "skew_sum": bounds.conj_skew_sum, "seed": seed},
         instances(),
         check,
+        part,
     )
 
 
@@ -428,7 +451,7 @@ def _all_specs(max_sum: int) -> list[SturmianSpec]:
     return specs
 
 
-def check_conjugacy_classes(max_sum: int) -> TheoremCheck:
+def check_conjugacy_classes(max_sum: int, *, part: tuple[int, int] = (0, 1)) -> TheoremCheck:
     """Criterion 6: over all specs with p+q <= max_sum plus the Infinity/S
     and Zero/S' cases, the invariant-level conjugacy relation partitions
     the specs exactly into the pairs {spec, inverse-frequency-opposite-type}."""
@@ -455,19 +478,21 @@ def check_conjugacy_classes(max_sum: int) -> TheoremCheck:
             return {"x": _spec_obj(s), "y": _spec_obj(t), "expected": expected, "got": got}
         return None
 
-    return _criterion("conjugacy-classes", {"max_period_sum": max_sum}, instances(), check)
+    return _criterion("conjugacy-classes", {"max_period_sum": max_sum}, instances(), check, part)
 
 
 def _spec_obj(s: SturmianSpec) -> dict:
     return {"freq": s.freq.text, "type": s.stype, "m": s.m}
 
 
-def check_flow_witnesses(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
+def check_flow_witnesses(bounds: VerifyBounds, seed: int = 0, *,
+                         part: tuple[int, int] = (0, 1)) -> TheoremCheck:
     """Criterion 7: flow witnesses construct and replay for every pair of
     skew specs with p+q <= flow_sum (plus the two limit specs) and for
     seeded random EPSeq pairs.  `flow_witness` replays each witness it
     builds and raises InternalMismatch when the replay fails, so building
-    is checking; a chain shared by many witnesses is built only once."""
+    is checking; a chain shared by many witnesses is built only once in
+    each process, so every part of a split run builds it again."""
 
     def instances() -> Iterator[tuple[EPSeq, EPSeq, Optional[dict]]]:
         # (x, y, both specs) for a skew pair, (x, y, None) for a random pair
@@ -494,10 +519,12 @@ def check_flow_witnesses(bounds: VerifyBounds, seed: int = 0) -> TheoremCheck:
          "seed": seed},
         instances(),
         check,
+        part,
     )
 
 
-def check_generator_crossval(max_sum: int, ms: tuple[int, ...]) -> TheoremCheck:
+def check_generator_crossval(max_sum: int, ms: tuple[int, ...], *,
+                             part: tuple[int, int] = (0, 1)) -> TheoremCheck:
     """Criterion 8: the cutting sequence agrees with the cell-series
     expansion up to one alignment offset, cell windows are balanced, and
     exactly one p-chain in an anomaly-centred window has q-1 zeros."""
@@ -514,7 +541,7 @@ def check_generator_crossval(max_sum: int, ms: tuple[int, ...]) -> TheoremCheck:
         return {"q": q, "p": p, "type": stype, "m": m, "reason": reason} if reason else None
 
     return _criterion("generator-crossval", {"max_period_sum": max_sum, "ms": list(ms)},
-                      instances(), check)
+                      instances(), check, part)
 
 
 def _crossval_one(spec: SturmianSpec, q: int, p: int, m: int) -> Optional[str]:
@@ -545,7 +572,7 @@ def _crossval_one(spec: SturmianSpec, q: int, p: int, m: int) -> Optional[str]:
     return "cutting sequence does not occur at the cell-aligned offset"
 
 
-def check_reciprocals(max_sum: int) -> TheoremCheck:
+def check_reciprocals(max_sum: int, *, part: tuple[int, int] = (0, 1)) -> TheoremCheck:
     """Criterion 9: symbol reversal carries S(q/p) onto a sequence similar
     to S'(p/q)."""
 
@@ -555,43 +582,47 @@ def check_reciprocals(max_sum: int) -> TheoremCheck:
             return None
         return {"q": q, "p": p}
 
-    return _criterion("reciprocals", {"max_period_sum": max_sum}, coprime_pairs(max_sum), check)
+    return _criterion("reciprocals", {"max_period_sum": max_sum}, coprime_pairs(max_sum), check,
+                      part)
 
 
-def _family_checks(bounds: VerifyBounds, seed: int) -> list[TheoremCheck]:
+def _family_checks(bounds: VerifyBounds, seed: int,
+                   part: tuple[int, int]) -> list[TheoremCheck]:
     """Criteria 4 and 5 on one family, which lives and dies in this call."""
     family: list[EPSeq] = []
-    return [check_window_lemmas(bounds, seed, family),
-            check_conjugacy_witnesses(bounds, seed, family)]
+    return [check_window_lemmas(bounds, seed, family, part=part),
+            check_conjugacy_witnesses(bounds, seed, family, part=part)]
 
 
 # The jobs of a run, in criterion order.  Each looks up its checks as
 # module globals when it runs, in the worker.
-_JOBS: dict[str, Callable[[VerifyBounds, int], list[TheoremCheck]]] = {
-    "bezout-oracle": lambda b, seed: [check_bezout_oracle(b.bezout_sum)],
-    "anomaly-size-formula": lambda b, seed: [check_anomaly_size_formula(b.formula_sum)],
-    "spot-values": lambda b, seed: [check_spot_values()],
+_JOBS: dict[str, Callable[[VerifyBounds, int, tuple[int, int]], list[TheoremCheck]]] = {
+    "bezout-oracle": lambda b, seed, part: [check_bezout_oracle(b.bezout_sum, part=part)],
+    "anomaly-size-formula": lambda b, seed, part: [
+        check_anomaly_size_formula(b.formula_sum, part=part)],
+    "spot-values": lambda b, seed, part: [check_spot_values(part=part)],
     "window-lemmas+conjugacy-witnesses": _family_checks,
-    "conjugacy-classes": lambda b, seed: [check_conjugacy_classes(b.corollary_sum)],
-    "flow-witnesses": lambda b, seed: [check_flow_witnesses(b, seed)],
-    "generator-crossval": lambda b, seed: [check_generator_crossval(b.crossval_sum,
-                                                                    b.crossval_ms)],
-    "reciprocals": lambda b, seed: [check_reciprocals(b.reciprocal_sum)],
+    "conjugacy-classes": lambda b, seed, part: [
+        check_conjugacy_classes(b.corollary_sum, part=part)],
+    "flow-witnesses": lambda b, seed, part: [check_flow_witnesses(b, seed, part=part)],
+    "generator-crossval": lambda b, seed, part: [
+        check_generator_crossval(b.crossval_sum, b.crossval_ms, part=part)],
+    "reciprocals": lambda b, seed, part: [check_reciprocals(b.reciprocal_sum, part=part)],
 }
 
 
-# Submitted longest first, so that on two workers criterion 7 and the family
-# start at once; the results are still read in criterion order.
-_LONGEST = ("flow-witnesses", "window-lemmas+conjugacy-witnesses")
-_SUBMIT_ORDER = _LONGEST + tuple(name for name in _JOBS if name not in _LONGEST)
+def _run_job(name: str, bounds: VerifyBounds, seed: int,
+             part: tuple[int, int]) -> list[TheoremCheck]:
+    return _JOBS[name](bounds, seed, part)
 
 
-def _run_job(name: str, bounds: VerifyBounds, seed: int) -> list[TheoremCheck]:
-    return _JOBS[name](bounds, seed)
-
-
-def _unfinished(job: Optional[Future]) -> bool:
-    return job is None or job.cancelled() or isinstance(job.exception(), BrokenProcessPool)
+def _merged(parts: tuple[TheoremCheck, ...]) -> TheoremCheck:
+    """One criterion's check from the checks of all its parts: what a run
+    of the whole stream reports, but with the parts' seconds summed."""
+    failed = sorted((i, record) for chk in parts for i, record in zip(chk.failed_at, chk.failures))
+    return TheoremCheck(parts[0].tag, parts[0].bounds, sum(chk.checked for chk in parts),
+                        [record for _, record in failed], sum(chk.seconds for chk in parts),
+                        tuple(i for i, _ in failed))
 
 
 def run_all(
@@ -599,33 +630,39 @@ def run_all(
     seed: int = 0,
     progress: Optional[Callable[[TheoremCheck], None]] = None,
 ) -> VerifyReport:
-    """The nine criteria, run as the jobs of `_JOBS` on a process pool and
-    reported in criterion order.  A worker that dies, or cannot be started,
-    is a WorkerLost; when anything raises, the jobs not yet started are
+    """The nine criteria, run on a process pool and reported in criterion
+    order.  Each job of `_JOBS` is dealt out as one part per worker, part k
+    of `parts` checking every parts-th instance from the k-th, and a
+    criterion is reported once all its parts have returned.  A worker that
+    dies, or cannot be started, is a WorkerLost, which names the jobs not
+    yet reported; when anything raises, the parts not yet started are
     cancelled."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = min(len(_JOBS), cpus or 1)
     before = set(multiprocessing.active_children())
-    jobs: dict[str, Future] = {}
-    report = VerifyReport([])
+    jobs: dict[tuple[str, int], Future] = {}
+    report, reported = VerifyReport([]), 0
     try:
-        with ProcessPoolExecutor(max_workers=min(len(_JOBS), cpus or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=parts) as pool:
             try:
-                for name in _SUBMIT_ORDER:
-                    jobs[name] = pool.submit(_run_job, name, bounds, seed)
                 for name in _JOBS:
-                    for chk in jobs[name].result():
+                    for k in range(parts):
+                        jobs[name, k] = pool.submit(_run_job, name, bounds, seed, (k, parts))
+                for name in _JOBS:
+                    for chk in map(_merged, zip(*(jobs[name, k].result() for k in range(parts)))):
                         report.checks.append(chk)
                         if progress is not None:
                             progress(chk)
+                    reported += 1
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
     except BrokenProcessPool:
-        lost = [name for name in _JOBS if _unfinished(jobs.get(name))]
-        raise WorkerLost(f"a verify worker process died; the jobs {lost} did not "
-                         "finish") from None
+        lost = list(_JOBS)[reported:]
+        raise WorkerLost(f"a verify worker process died before the jobs {lost} were "
+                         "reported") from None
     except OSError as e:
-        if len(jobs) == len(_JOBS):  # raised by a job or by progress
+        if len(jobs) == len(_JOBS) * parts:  # raised by a job or by progress
             raise
         # Starting the pool failed.  Under fork its manager thread starts only
         # after every worker, so a worker started before the failure gets no

@@ -130,16 +130,35 @@ class Alphabet(Value):
         scan of the labels, n one more than the largest decimal counter of
         a label of that form (0 if there is none).  They are valid labels
         not in the alphabet, so ``Alphabet._trusted(labels + minted)``
-        appends them in one copy, unchecked."""
-        n = 0
+        appends them in one copy, unchecked.  The counters are compared
+        and counted on as digit strings, so one of any length mints: no
+        integer-string conversion limit applies."""
+        top = None  # the largest counter, in ASCII digits without leading zeros
         for lbl in self.labels:
             if len(lbl) > 2 and lbl[0] == "x" and lbl[-1] == "'" and lbl[1:-1].isdecimal():
-                n = max(n, int(lbl[1:-1]) + 1)
-        return tuple(f"x{i}'" for i in range(n, n + count))
+                digits = lbl[1:-1]
+                if not digits.isascii():  # one digit at a time is below any limit
+                    digits = "".join(str(int(c)) for c in digits)
+                digits = digits.lstrip("0") or "0"
+                if top is None or (len(digits), digits) > (len(top), top):
+                    top = digits
+        minted = []
+        for _ in range(count):
+            top = "0" if top is None else _plus_one(top)
+            minted.append(f"x{top}'")
+        return tuple(minted)
 
     @property
     def single_char(self) -> bool:
         return all(len(lbl) == 1 for lbl in self.labels)
+
+
+def _plus_one(digits: str) -> str:
+    """The ASCII decimal numeral one more than `digits`, one without
+    leading zeros."""
+    head = digits.rstrip("9")
+    zeros = "0" * (len(digits) - len(head))
+    return head[:-1] + chr(ord(head[-1]) + 1) + zeros if head else "1" + zeros
 
 
 def _check_label(lbl: object) -> None:

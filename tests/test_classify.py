@@ -607,6 +607,17 @@ def test_compound_expansion_is_the_composed_elementary_expansions():
                 assert (y, minted) == _expand_newest(x, label, k), (x, label, k)
 
 
+def test_expand_symbol_mints_past_a_counter_too_long_for_int():
+    # 5,000 digits: more than CPython converts between int and str by default
+    long = "x" + "1" * 5000 + "'"
+    alphabet = Alphabet(("0", long))
+    x = make_ep(Word((0, 1), alphabet), Word((1,), alphabet))
+    y, minted = expand_symbol(x, long, 2)
+    assert minted == (long[:-2] + "2'", long[:-2] + "3'")
+    assert y.period_word.labels() == ("0", long, *minted)
+    assert y.anomaly.labels() == (long, *minted)
+
+
 def test_expand_symbol_absent():
     with pytest.raises(SymbolAbsent):
         expand_symbol(ep("0", "1"), "x")

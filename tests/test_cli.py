@@ -20,7 +20,7 @@ from epshift.cli import main
 from epshift.sequences import make_ep, shift
 from epshift.sturmian import Frequency, SturmianSpec, TYPE_S, TYPE_SPRIME, skew_sturmian
 from epshift.verify import VerifyReport
-from epshift.words import BINARY, word
+from epshift.words import BINARY, Alphabet, Word, word
 
 
 def run(capsys, *argv):
@@ -275,6 +275,19 @@ def test_check_witness_accepts_the_compound_flow_witness_classify_flow_writes(tm
     code, obj = run(capsys, "classify", "check-witness", a, b, str(tmp_path / "bad.json"))
     assert code == 1 and obj["valid"] is False
     assert obj["trail"] == ["chain_x[1]: expansion does not reproduce recorded result"]
+
+
+def test_classify_flow_mints_past_a_counter_too_long_for_int(tmp_path, capsys):
+    # raising x mints a mark past a label whose counter has 5,000 digits,
+    # more than CPython converts between int and str by default
+    long = Alphabet(("0", "x" + "1" * 5000 + "'"))
+    a = write_ep(tmp_path / "a.json", make_ep(Word((0, 1), long), Word((1,), long)))
+    b = write_ep(tmp_path / "b.json", make_ep(word("001"), word("11")))
+    wfile = str(tmp_path / "fw.json")
+    code, obj = run(capsys, "classify", "flow", a, b, "--witness", wfile)
+    assert code == 0 and obj["flow_equivalent"] is True and obj["chain_x_moves"] > 0
+    code, obj = run(capsys, "classify", "check-witness", a, b, wfile)
+    assert code == 0 and obj == {"valid": True, "trail": []}
 
 
 def test_classify_conjugate_false(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import weakref
 from types import SimpleNamespace
 
@@ -79,16 +81,19 @@ def test_criteria_4_and_5_build_one_family_per_run(monkeypatch):
 
     monkeypatch.setattr(verify, "exhaustive_family", counted)
     bounds = VerifyBounds().capped(8)
-    # the job owns the family: it builds it once and drops it on return
-    checks = verify._run_job("window-lemmas+conjugacy-witnesses", bounds, 7)
-    assert [c.tag for c in checks] == ["window-lemmas", "conjugacy-witnesses"]
-    assert len(built) == 1 and alive[0]() is None
-    assert [c.checked for c in checks] == [2610, 2603]
+    # each part of the job owns a family: it builds it once and drops it on
+    # return, and the two parts check every instance of both criteria once
+    parts = [verify._run_job("window-lemmas+conjugacy-witnesses", bounds, 7, (k, 2))
+             for k in range(2)]
+    assert [[c.tag for c in checks] for checks in parts] == [
+        ["window-lemmas", "conjugacy-witnesses"]] * 2
+    assert len(built) == 2 and [ref() for ref in alive] == [None, None]
+    assert [[c.checked for c in checks] for checks in parts] == [[1305, 1302], [1305, 1301]]
     report = verify.run_all(bounds, seed=7)
     assert report.ok
     assert [c.checked for c in report.checks] == [21, 42, 4, 2610, 2603, 1936, 1040, 126, 21]
-    assert verify.check_window_lemmas(bounds, 7).checked == 2610 and len(built) == 2
-    assert verify.check_conjugacy_witnesses(bounds, 7).checked == 2603 and len(built) == 3
+    assert verify.check_window_lemmas(bounds, 7).checked == 2610 and len(built) == 3
+    assert verify.check_conjugacy_witnesses(bounds, 7).checked == 2603 and len(built) == 4
 
 
 def _raising(*args):
@@ -182,14 +187,43 @@ def test_sabotaged_check_reports_its_failure_records(monkeypatch, tag, module, n
         assert passing.checked == checked
 
 
-def test_run_all_reports_the_criteria_in_order_as_run_in_process():
-    def masked(checks):
-        return [{**c.to_obj(), "seconds": 0} for c in checks]
+def _masked(checks):
+    return [{**c.to_obj(), "seconds": 0} for c in checks]
 
+
+def test_run_all_reports_the_criteria_in_order_as_run_in_process():
     bounds = VerifyBounds(family_w=3, family_v=4, family_random=20).capped(5)
     seen = []
     report = verify.run_all(bounds, seed=7, progress=seen.append)
     in_process = [check(bounds) for check in RUN_CRITERION.values()]
-    assert masked(report.checks) == masked(in_process)
+    assert _masked(report.checks) == _masked(in_process)
     assert [c.tag for c in seen] == list(RUN_CRITERION)
     assert seen == report.checks
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_all_merges_the_parts_into_the_serial_report(monkeypatch, workers):
+    # every flow pair fails, and every Bezout pair but (1, 1), so each part of
+    # both criteria returns failures, which the merge must interleave
+    fork = multiprocessing.get_context("fork")  # the workers inherit the patches
+    pool, started = verify.ProcessPoolExecutor, []
+
+    def forced(max_workers):
+        started.append(max_workers)
+        return pool(max_workers, mp_context=fork)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", forced)
+    monkeypatch.setattr(classify, "flow_witness", _raising)
+    monkeypatch.setattr(verify, "restricted_bezout", _skew_pair_bezout)
+    bounds = VerifyBounds(family_w=3, family_v=4, family_random=20).capped(5)
+    seen = []
+    report = verify.run_all(bounds, seed=7, progress=seen.append)
+    in_process = [check(bounds) for check in RUN_CRITERION.values()]
+    assert started == [workers]
+    assert _masked(report.checks) == _masked(in_process)
+    assert [c.failed_at for c in report.checks] == [c.failed_at for c in in_process]
+    assert [c.tag for c in seen] == list(RUN_CRITERION)
+    bezout, flow = report.checks[0], report.checks[6]
+    assert bezout.failed_at == tuple(range(1, bezout.checked)) and bezout.checked > workers
+    assert flow.failed_at == tuple(range(flow.checked)) and flow.checked > workers

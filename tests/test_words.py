@@ -165,6 +165,15 @@ def test_mint_label_reads_decimal_counters_only():
         assert a.mint_labels(1) == (_regex_mint_label(a),) == (fresh,), labels
 
 
+def test_mint_labels_count_on_counters_of_any_length():
+    # 5,000 digits: more than CPython converts between int and str by default
+    ones, nines = "1" * 5000, "9" * 5000
+    assert Alphabet(("0", f"x{ones}'")).mint_labels(2) == (f"x{ones[:-1]}2'", f"x{ones[:-1]}3'")
+    assert Alphabet((f"x{nines}'", f"x0{ones}'")).mint_labels(2) == (
+        f"x1{'0' * 5000}'", f"x1{'0' * 4999}1'")
+    assert Alphabet((f"x{chr(0x663) * 5000}'", "x9'")).mint_labels(1) == (f"x{'3' * 4999}4'",)
+
+
 def test_alphabet_validation_and_minting():
     with pytest.raises(ValueError):
         Alphabet(("0", "0"))
