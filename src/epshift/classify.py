@@ -237,30 +237,79 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
                           "contradicts the existence theorem and indicates a bug")
 
 
-def _build_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBlockCode]:
-    """The (forward, inverse) code pair of `conjugacy_witness`, unchecked."""
+def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBlockCode]:
+    """A (forward, inverse) pair of sliding block codes witnessing the
+    conjugacy of the subshifts of x and y, each read off the aligned
+    canonical forms by `_witness_code` and checked by `check_conjugacy`
+    (a failure raises InternalMismatch)."""
     if not conjugate_ep(x, y):
         raise NotConjugate(
             f"invariants differ: (N={least_period(x)}, a={anomaly_size(x)}) vs "
             f"(N={least_period(y)}, a={anomaly_size(y)})"
         )
     if x == y:
-        code = identity_code(x.alphabet)
-        return code, code
-    cx, cy = canonical(x), canonical(y)
-    return _witness_code(cx, cy), _witness_code(cy, cx)
-
-
-def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBlockCode]:
-    """A (forward, inverse) pair of sliding block codes witnessing the
-    conjugacy of the subshifts of x and y, each read off the aligned
-    canonical forms by `_witness_code` and checked by `check_conjugacy`
-    (a failure raises InternalMismatch)."""
-    fwd, inv = _build_witness(x, y)
+        fwd = inv = identity_code(x.alphabet)
+    else:
+        cx, cy = canonical(x), canonical(y)
+        fwd, inv = _witness_code(cx, cy), _witness_code(cy, cx)
     trail: list[str] = []
     if not check_conjugacy(x, y, fwd, inv, trail):
         raise InternalMismatch(f"built witness fails its check: {trail[0]}")
     return fwd, inv
+
+
+FORWARD, BACKWARD = "forward", "backward"
+DIRECTIONS = (FORWARD, BACKWARD)
+# (code, direction): a code from x to y if FORWARD, from y to x if BACKWARD
+Link = tuple[SlidingBlockCode, str]
+_IMAGE_TRAIL = {FORWARD: "forward image not similar to target",
+                BACKWARD: "inverse image not similar to source"}
+
+
+def _conjugacy_failure(x: EPSeq, y: EPSeq, links: tuple[Link, ...]) -> Optional[str]:
+    """Why a link between x and y is no conjugacy, or None when each one
+    is.  A link is a conjugacy when the image of its source is similar to
+    its target and x and y have the same least period.  The image tests run
+    in link order, then the one period test.  A FORWARD and a BACKWARD link
+    whose images pass cannot fail it: a code's image of a sequence has a
+    least period dividing that sequence's, so N(y) | N(x) and N(x) | N(y).
+    Raises what an image test raises.
+
+    The rule: let the least period of both be N.  The subshift of x is the
+    orbit of x together with the N-point periodic orbit of its tails, and
+    likewise for y.  A code whose image of x is a shift of y commutes with
+    the shift (Curtis–Hedlund–Lyndon), so it maps the orbit of x onto that
+    of y, one to one because y is not periodic.  It maps the periodic orbit of x into
+    that of y, a non-empty shift-invariant subset of one finite orbit, so
+    onto it, and N points onto N points is a bijection.  A one-to-one, onto
+    sliding block code has a sliding block inverse (Lind and Marcus 1995,
+    §1.5).  Without equal periods the rule fails: a factor map can send a
+    period-2 orbit onto a fixed point and still have an image similar to y.
+    """
+    for code, direction in links:
+        if not _image_similar(code, *((x, y) if direction == FORWARD else (y, x))):
+            return _IMAGE_TRAIL[direction]
+    if least_period(x) != least_period(y):
+        return "least periods differ"
+    return None
+
+
+def _is_conjugacy(code: SlidingBlockCode, src: EPSeq, dst: EPSeq) -> bool:
+    """Whether the code is a conjugacy from the subshift of src onto that
+    of dst, by the rule of `_conjugacy_failure`."""
+    return _conjugacy_failure(src, dst, ((code, FORWARD),)) is None
+
+
+def _check_links(x: EPSeq, y: EPSeq, links: tuple[Link, ...], trail: list[str]) -> bool:
+    """`_conjugacy_failure` as a check: False, with the reason appended to
+    `trail`, instead of a reason or an error."""
+    try:
+        reason = _conjugacy_failure(x, y, links)
+    except EpshiftError as e:
+        reason = f"replay error: {e}"
+    if reason is not None:
+        trail.append(reason)
+    return reason is None
 
 
 def check_conjugacy(
@@ -270,25 +319,12 @@ def check_conjugacy(
     and y: fwd maps x onto a shift of y and inv maps y onto a shift of x.
     Returns False (appending the reason to `trail`) instead of raising.
 
-    The two images suffice, so no third test is run on inv∘fwd.  A
-    sliding block code commutes with the shift σ (Curtis–Hedlund–Lyndon;
-    Lind and Marcus 1995), so fwd(x) = σ^s y and inv(y) = σ^r x give
-    inv(fwd(x)) = σ^s inv(y) = σ^(s+r) x, and inv∘fwd agrees with σ^(s+r)
-    on the whole orbit of x.  Both maps are continuous and that orbit is
-    dense in the subshift X of x, so inv∘fwd = σ^(s+r) on X; likewise
-    fwd∘inv = σ^(s+r) on the subshift of y.  Hence fwd is a conjugacy with
-    inverse σ^-(s+r)∘inv.
+    Each code is checked alone, by the rule of `_conjugacy_failure`: with
+    equal least periods, a code whose image of one sequence is similar to
+    the other is a conjugacy.  So either code alone witnesses the conjugacy,
+    and no test is run on inv∘fwd.
     """
-    try:
-        if not _image_similar(fwd, x, y):
-            trail.append("forward image not similar to target")
-        elif not _image_similar(inv, y, x):
-            trail.append("inverse image not similar to source")
-        else:
-            return True
-    except EpshiftError as e:
-        trail.append(f"replay error: {e}")
-    return False
+    return _check_links(x, y, ((fwd, FORWARD), (inv, BACKWARD)), trail)
 
 
 def expand_symbol(x: EPSeq, label: str, count: int = 1) -> tuple[EPSeq, tuple[str, ...]]:
@@ -316,11 +352,17 @@ def expand_symbol(x: EPSeq, label: str, count: int = 1) -> tuple[EPSeq, tuple[st
 
 
 class ConjugacyMove(Value):
-    """Move to a conjugate sequence; `code` applied to the current sequence
-    yields a sequence similar to `result`."""
+    """Move to a conjugate sequence: `code` applied to the current sequence
+    yields a sequence similar to `result` if `direction` is FORWARD, and
+    applied to `result` one similar to the current sequence if BACKWARD."""
 
     code: SlidingBlockCode
     result: EPSeq
+    direction: str = FORWARD
+
+    def __post_init__(self) -> None:
+        if self.direction not in DIRECTIONS:
+            raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
 
 
 class ExpandMove(Value):
@@ -340,13 +382,14 @@ def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSe
     """Flow moves from x to a sequence with least period N+dn and anomaly
     size a(x)+da: one conjugacy and at most two expansions.  The conjugacy
     puts a fresh mark on the last letter of the period word (if dn > 0) and
-    of the minimal anomaly (if da > 0); it keeps (N, a), as the 1-block map
-    erasing the marks sends each deletable window of the marked sequence to
-    one of x.  A mark occurs once per period and not in the anomaly, or
-    once in the anomaly and not in the period, so expanding it into dn (or
-    da) fresh symbols raises N by dn (or a by da).  The conjugacy move
-    carries the forward code alone; flow replay checks it.  Cached: verify
-    criterion 7 raises the same sequence by the same steps for many targets."""
+    of the minimal anomaly (if da > 0).  The 1-block map erasing the marks
+    sends the marked sequence to canonical(x), and both have least period N,
+    so by `_is_conjugacy`'s rule it is a conjugacy: the move carries it,
+    BACKWARD, and no code is searched for.  A mark occurs once per period
+    and not in the anomaly, or once in the anomaly and not in the period, so
+    expanding it into dn (or da) fresh symbols raises N by dn (or a by da).
+    Cached: verify criterion 7 raises the same sequence by the same steps
+    for many targets."""
     if not (dn or da):
         return (), x
     c = canonical(x)
@@ -354,16 +397,18 @@ def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSe
     steps = [k for k in (dn, da) if k]
     marks = c.alphabet.mint_labels(len(steps))
     bigger = Alphabet._trusted(c.alphabet.labels + marks)
-    parts, mark = [c.period_word.symbols, c.anomaly.symbols], len(c.alphabet)
+    parts, erased = [c.period_word.symbols, c.anomaly.symbols], list(range(len(c.alphabet)))
     for i, k in enumerate((dn, da)):
         if k:
-            parts[i], mark = parts[i][:-1] + (mark,), mark + 1
+            parts[i], erased = parts[i][:-1] + (len(erased),), erased + [parts[i][-1]]
     # each mark occurs once and only where it was put, so the parts stay normalized
     primed = EPSeq._trusted(*(Word._trusted(p, bigger) for p in parts))
     if not conjugate_ep(c, primed):
         raise PostconditionFailed(f"marking changed the invariants: (N={least_period(primed)}, "
                                   f"a={anomaly_size(primed)}), expected (N={n}, a={a})")
-    y, moves = primed, [ConjugacyMove(_witness_code(c, canonical(primed)), primed)]
+    erase = SlidingBlockCode(0, 0, tuple(((s,), t) for s, t in enumerate(erased)), bigger,
+                             c.alphabet)
+    y, moves = primed, [ConjugacyMove(erase, primed, BACKWARD)]
     for label, k in zip(marks, steps):
         y, fresh = expand_symbol(y, label, k)
         moves.append(ExpandMove(label, fresh, y))
@@ -375,25 +420,36 @@ def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSe
 
 class FlowWitness(Value):
     """Two chains of flow moves whose endpoints are conjugate, plus the
-    final conjugacy witness pair linking them."""
+    final links between the endpoints, each a conjugacy by itself: one
+    link in what `flow_witness` builds, and a FORWARD and a BACKWARD link
+    in a `flowwitness/1` or `/2` value, which are both checked."""
 
     chain_x: tuple[FlowMove, ...]
     chain_y: tuple[FlowMove, ...]
-    final_forward: SlidingBlockCode
-    final_inverse: SlidingBlockCode
+    final: tuple[Link, ...]
+
+    def __post_init__(self) -> None:
+        if not self.final:
+            raise ValueError("a flow witness needs a final link")
+        if any(direction not in DIRECTIONS for _, direction in self.final):
+            raise ValueError(f"final link directions must be in {DIRECTIONS}")
 
 
 def flow_witness(x: EPSeq, y: EPSeq) -> FlowWitness:
     """A checkable certificate that the subshifts of x and y are flow
     equivalent: one `_raise_moves` chain per side raises the least period
     to max(M, M') and the anomaly size to max(a(x), a(y)); the equalized
-    endpoints are conjugate.  The witness is checked once, by
-    `verify_flow_witness` (a failure raises InternalMismatch)."""
+    endpoints are conjugate, and one FORWARD code links them: the least
+    radius code from end_x to end_y, or the identity when they are equal.
+    The witness is checked once, by `verify_flow_witness` (a failure raises
+    InternalMismatch)."""
     (nx, ax), (ny, ay) = (least_period(x), anomaly_size(x)), (least_period(y), anomaly_size(y))
     n, a = max(nx, ny), max(ax, ay)
     chain_x, end_x = _raise_moves(x, n - nx, a - ax)
     chain_y, end_y = _raise_moves(y, n - ny, a - ay)
-    wit = FlowWitness(chain_x, chain_y, *_build_witness(end_x, end_y))
+    final = (identity_code(end_x.alphabet) if end_x == end_y
+             else _witness_code(canonical(end_x), canonical(end_y)))
+    wit = FlowWitness(chain_x, chain_y, ((final, FORWARD),))
     trail: list[str] = []
     if not verify_flow_witness(x, y, wit, trail):
         raise InternalMismatch(f"built flow witness fails its replay: {trail[0]}")
@@ -403,10 +459,10 @@ def flow_witness(x: EPSeq, y: EPSeq) -> FlowWitness:
 def verify_flow_witness(
     x: EPSeq, y: EPSeq, wit: FlowWitness, trail: Optional[list[str]] = None
 ) -> bool:
-    """Independently replay a flow witness: every move's invariant is
-    re-checked from the move's inputs, and the final codes are checked to
-    be mutually inverse conjugacies between the chain endpoints.  Returns
-    False (appending diagnostics to `trail`) instead of raising."""
+    """Independently replay a flow witness: every move is re-checked from
+    the move's inputs, and each final link is checked to be a conjugacy
+    between the chain endpoints, in its direction.  Returns False
+    (appending diagnostics to `trail`) instead of raising."""
     log = trail if trail is not None else []
 
     def replay(cur: EPSeq, chain: tuple[FlowMove, ...], name: str) -> Optional[EPSeq]:
@@ -425,21 +481,18 @@ def verify_flow_witness(
     end_y = replay(y, wit.chain_y, "chain_y")
     if end_x is None or end_y is None:
         return False
-    if not conjugate_ep(end_x, end_y):
-        log.append("endpoints have different invariants")
-        return False
-    return check_conjugacy(end_x, end_y, wit.final_forward, wit.final_inverse, log)
+    return _check_links(end_x, end_y, wit.final, log)
 
 
 def _replay_move(cur: EPSeq, move: FlowMove) -> Optional[str]:
     """Why the move fails from cur, or None when it holds."""
     if isinstance(move, ConjugacyMove):
-        # a factor map onto other invariants is no conjugacy, however similar its image
+        ends = (cur, move.result) if move.direction == FORWARD else (move.result, cur)
+        if _is_conjugacy(move.code, *ends):
+            return None
         if not conjugate_ep(cur, move.result):
             return "conjugacy move changes the invariants"
-        if not _image_similar(move.code, cur, move.result):
-            return "conjugacy image not similar to recorded result"
-        return None
+        return "conjugacy image not similar to recorded result"
     if not isinstance(move, ExpandMove):
         return "unknown move kind"
     taken = next((f for f in move.fresh if f in cur.alphabet), None)

@@ -177,7 +177,7 @@ def cmd_classify(args) -> int:
         raw = _read_json(args.witness_file)
         trail: list[str] = []
         fmt = raw.get("format") if isinstance(raw, dict) else None
-        if fmt in (jsonio.FLOW_FORMAT, jsonio.FLOW_FORMAT_UNIT):
+        if fmt in jsonio.FLOW_FORMATS:
             wit = jsonio.parse_flow_witness(raw)
             valid = classify.verify_flow_witness(x, y, wit, trail)
         elif fmt == jsonio.CONJUGACY_FORMAT:

@@ -13,6 +13,9 @@ from __future__ import annotations
 from typing import Any
 
 from .classify import (
+    BACKWARD,
+    DIRECTIONS,
+    FORWARD,
     ConjugacyMove,
     ExpandMove,
     FlowMove,
@@ -27,8 +30,11 @@ EPSEQ_FORMAT = "epseq/1"
 PERSEQ_FORMAT = "perseq/1"
 CODE_FORMAT = "sbc/1"
 CONJUGACY_FORMAT = "conjugacy/1"
-FLOW_FORMAT = "flowwitness/2"
-FLOW_FORMAT_UNIT = "flowwitness/1"  # still read: an expand move's "fresh" is one label
+FLOW_FORMAT = "flowwitness/3"
+FLOW_FORMAT_UNIT = "flowwitness/1"
+# /2 and /1 are still read: no directions and a final code pair, and in /1
+# an expand move's "fresh" is one label
+FLOW_FORMATS = (FLOW_FORMAT, "flowwitness/2", FLOW_FORMAT_UNIT)
 
 
 def _expect(obj: Any, fmt: str) -> dict:
@@ -130,9 +136,18 @@ def parse_conjugacy(obj: Any) -> tuple[SlidingBlockCode, SlidingBlockCode]:
             parse_code(_field(d, "inverse", CONJUGACY_FORMAT)))
 
 
+def _direction(d: dict, what: str) -> str:
+    direction = _field(d, "direction", what, str)
+    if direction not in DIRECTIONS:
+        raise MalformedInput(f"{what} key 'direction' must be one of {DIRECTIONS}, "
+                             f"got {direction!r}")
+    return direction
+
+
 def _emit_move(m: FlowMove) -> dict:
     if isinstance(m, ConjugacyMove):
-        return {"kind": "conjugacy", "code": emit_code(m.code), "result": emit_epseq(m.result)}
+        return {"kind": "conjugacy", "direction": m.direction, "code": emit_code(m.code),
+                "result": emit_epseq(m.result)}
     if isinstance(m, ExpandMove):
         return {
             "kind": "expand",
@@ -150,7 +165,8 @@ def _parse_move(obj: Any, fmt: str) -> FlowMove:
     what = f"{kind} move"
     if kind == "conjugacy":
         return ConjugacyMove(parse_code(_field(obj, "code", what)),
-                             parse_epseq(_field(obj, "result", what)))
+                             parse_epseq(_field(obj, "result", what)),
+                             _direction(obj, what) if fmt == FLOW_FORMAT else FORWARD)
     if kind == "expand":
         fresh = _field(obj, "fresh", what, str if fmt == FLOW_FORMAT_UNIT else list)
         fresh = (fresh,) if isinstance(fresh, str) else tuple(fresh)
@@ -162,23 +178,29 @@ def _parse_move(obj: Any, fmt: str) -> FlowMove:
 
 
 def emit_flow_witness(w: FlowWitness) -> dict:
+    """The `flowwitness/3` value of a witness with one final link."""
+    if len(w.final) != 1:
+        raise ValueError(f"{FLOW_FORMAT} holds one final code, the witness has {len(w.final)}")
+    (code, direction), = w.final
     return {
         "format": FLOW_FORMAT,
         "chain_x": [_emit_move(m) for m in w.chain_x],
         "chain_y": [_emit_move(m) for m in w.chain_y],
-        "final_forward": emit_code(w.final_forward),
-        "final_inverse": emit_code(w.final_inverse),
+        "final": {"direction": direction, "code": emit_code(code)},
     }
 
 
 def parse_flow_witness(obj: Any) -> FlowWitness:
-    """A `flowwitness/2` value, or a `flowwitness/1` one."""
-    unit = isinstance(obj, dict) and obj.get("format") == FLOW_FORMAT_UNIT
-    fmt = FLOW_FORMAT_UNIT if unit else FLOW_FORMAT
+    """A value of any format in FLOW_FORMATS."""
+    tag = obj.get("format") if isinstance(obj, dict) else None
+    fmt = tag if tag in FLOW_FORMATS else FLOW_FORMAT
     d = _expect(obj, fmt)
-    return FlowWitness(
-        tuple(_parse_move(m, fmt) for m in _field(d, "chain_x", fmt, list)),
-        tuple(_parse_move(m, fmt) for m in _field(d, "chain_y", fmt, list)),
-        parse_code(_field(d, "final_forward", fmt)),
-        parse_code(_field(d, "final_inverse", fmt)),
-    )
+    chain_x, chain_y = (tuple(_parse_move(m, fmt) for m in _field(d, key, fmt, list))
+                        for key in ("chain_x", "chain_y"))
+    if fmt != FLOW_FORMAT:
+        return FlowWitness(chain_x, chain_y,
+                           ((parse_code(_field(d, "final_forward", fmt)), FORWARD),
+                            (parse_code(_field(d, "final_inverse", fmt)), BACKWARD)))
+    final = _field(d, "final", fmt, dict)
+    return FlowWitness(chain_x, chain_y, ((parse_code(_field(final, "code", "final link")),
+                                           _direction(final, "final link")),))

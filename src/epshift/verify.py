@@ -9,9 +9,11 @@ cutting-sequence construction, and every witness against a replayer,
 once: ``classify.check_conjugacy`` (each code's image is similar to the
 other sequence) on each witness ``conjugacy_witness`` builds, and
 ``classify.verify_flow_witness`` on each flow witness ``flow_witness``
-builds; its chains are one mark conjugacy, carrying a forward code only,
-and at most two compound expansions.  Failures are recorded as
-re-parseable counterexamples; an empty failure list is a pass.
+builds.  Its chains are one mark conjugacy, carrying the 1-block map that
+erases the marks, and at most two compound expansions, and one code links
+their endpoints; each code is checked alone by the one-code conjugacy
+rule.  Failures are recorded as re-parseable counterexamples; an empty
+failure list is a pass.
 
 Each criterion is an instance stream and a check of one instance, which
 returns None or the failure record.  One runner, `_criterion`, counts the
@@ -491,8 +493,10 @@ def check_flow_witnesses(bounds: VerifyBounds, seed: int = 0, *,
     skew specs with p+q <= flow_sum (plus the two limit specs) and for
     seeded random EPSeq pairs.  `flow_witness` replays each witness it
     builds and raises InternalMismatch when the replay fails, so building
-    is checking; a chain shared by many witnesses is built only once in
-    each process, so every part of a split run builds it again."""
+    is checking.  A witness runs one least-radius search, for its final
+    code; the mark conjugacies of its chains carry erasing maps, which need
+    none.  A chain shared by many witnesses is built only once in each
+    process, so every part of a split run builds it again."""
 
     def instances() -> Iterator[tuple[EPSeq, EPSeq, Optional[dict]]]:
         # (x, y, both specs) for a skew pair, (x, y, None) for a random pair

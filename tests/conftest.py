@@ -1,7 +1,14 @@
 import pytest
 
 from epshift import verify
-from epshift.classify import ConjugacyMove, FlowWitness, SlidingBlockCode, apply_code, identity_code
+from epshift.classify import (
+    FORWARD,
+    ConjugacyMove,
+    FlowWitness,
+    SlidingBlockCode,
+    apply_code,
+    identity_code,
+)
 from epshift.sequences import make_ep
 from epshift.words import BINARY, word
 
@@ -27,4 +34,4 @@ def forged_factor_witness():
         0, 1, tuple(((a, b), int(a == b == 1)) for a in (0, 1) for b in (0, 1)), BINARY, BINARY)
     y = apply_code(code, x)
     ident = identity_code(BINARY)
-    return x, y, FlowWitness((ConjugacyMove(code, y),), (), ident, ident)
+    return x, y, FlowWitness((ConjugacyMove(code, y),), (), ((ident, FORWARD),))

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from epshift import classify, jsonio, verify
 from epshift.classify import (
+    BACKWARD,
+    FORWARD,
     ConjugacyMove,
     ExpandMove,
     FlowWitness,
     SlidingBlockCode,
     _image_similar,
+    _is_conjugacy,
     _raise_moves,
     _replay_move,
     _witness_code,
@@ -658,15 +661,18 @@ def test_raise_anomaly_examples():
 
 def _assert_one_mark_chain(chain, steps):
     """The chain is empty when steps is 0, and otherwise one conjugacy
-    move, first, then at most one compound expansion of each mark the
-    conjugacy put in, with `steps` fresh labels in all."""
+    move, first, whose code is the 1-block map from the result erasing the
+    marks, then at most one compound expansion of each mark the conjugacy
+    put in, with `steps` fresh labels in all."""
     if steps == 0:
         assert chain == ()
         return
     conj, *expands = chain
     assert isinstance(conj, ConjugacyMove) and 1 <= len(expands) <= 2
+    assert conj.direction == BACKWARD and conj.code.block_length == 1
+    assert conj.code.source_alphabet == conj.result.alphabet
     assert all(isinstance(m, ExpandMove) for m in expands)
-    marks = set(conj.result.alphabet.labels) - set(conj.code.source_alphabet.labels)
+    marks = set(conj.result.alphabet.labels) - set(conj.code.target_alphabet.labels)
     assert sorted(m.symbol for m in expands) == sorted(marks)
     assert sum(len(m.fresh) for m in expands) == steps
 
@@ -733,7 +739,7 @@ def test_flow_witness_rejects_fresh_symbol_collision():
         if isinstance(m, ExpandMove):
             m = ExpandMove(m.symbol, ("0",), m.result)   # "0" is already a symbol
         tampered_moves.append(m)
-    bad = FlowWitness(w.chain_x, tuple(tampered_moves), w.final_forward, w.final_inverse)
+    bad = FlowWitness(w.chain_x, tuple(tampered_moves), w.final)
     trail = []
     assert not verify_flow_witness(x, y, bad, trail)
     assert any("fresh" in t for t in trail)
@@ -743,8 +749,9 @@ def test_flow_witness_rejects_non_inverse_final_codes():
     x, y = skew(TYPE_S, 1, 2), skew(TYPE_SPRIME, 2, 1)
     w = flow_witness(x, y)
     assert w.chain_x == () and w.chain_y == ()
-    # an identity "inverse" maps y to itself, which is not similar to x
-    sabotage = FlowWitness(w.chain_x, w.chain_y, w.final_forward, identity_code(BINARY))
+    # an identity "inverse", as a flowwitness/2 value holds it, maps y to
+    # itself, which is not similar to x
+    sabotage = FlowWitness(w.chain_x, w.chain_y, w.final + ((identity_code(BINARY), BACKWARD),))
     trail = []
     assert not verify_flow_witness(x, y, sabotage, trail)
     assert any("inverse" in t or "mutually" in t for t in trail)
@@ -758,31 +765,52 @@ def test_flow_witness_rejects_factor_map_move(forged_factor_witness):
     assert trail == ["chain_x[0]: conjugacy move changes the invariants"]
 
 
+def test_flow_values_need_a_final_link_and_known_directions(forged_factor_witness):
+    # an empty final would leave replay nothing to check between the endpoints
+    move, = forged_factor_witness[2].chain_x
+    with pytest.raises(ValueError, match="final link"):
+        FlowWitness((), (), ())
+    with pytest.raises(ValueError, match="direction"):
+        FlowWitness((), (), ((move.code, "sideways"),))
+    with pytest.raises(ValueError, match="direction"):
+        ConjugacyMove(move.code, move.result, "sideways")
+
+
 def _tampered_witnesses(forged_factor_witness):
     """A built flow witness (x, y, w), and (x, y, witness, trail) for copies
-    of w with one move changed and for the forged factor-map witness, each
-    with the one-line trail of its replay."""
+    of w with one move changed, for the forged factor-map witness, and for
+    the same factor map as a final code, each with the one-line trail of
+    its replay."""
     x, y = skew(TYPE_S, 1, 1), ep("0", "1")
     w = flow_witness(x, y)
     conj, expand = w.chain_y
     big = conj.result.alphabet
+    assert conj.direction == BACKWARD and conj.code.out((2,)) == 0   # the mark x0' erases to 0
     other_code = SlidingBlockCode(0, 0, (((0,), 2), ((1,), 0)), BINARY, big)
     short_code = SlidingBlockCode(0, 0, (((0,), 2),), BINARY, big)
-    other_result = make_ep(Word((2,), big), Word((0,), big))
+    wrong_mark = SlidingBlockCode(0, 0, (((0,), 0), ((1,), 1), ((2,), 1)), big, BINARY)
+    other_result = make_ep(Word((2,), big), Word((1, 1), big))
+    fx, fy, forged = forged_factor_witness
 
     def with_chain_y(*moves):
-        return x, y, FlowWitness(w.chain_x, moves, w.final_forward, w.final_inverse)
+        return x, y, FlowWitness(w.chain_x, moves, w.final)
 
     return (x, y, w), [
         (*with_chain_y(ConjugacyMove(other_code, conj.result), expand),
          "chain_y[0]: conjugacy image not similar to recorded result"),
         (*with_chain_y(ConjugacyMove(short_code, conj.result), expand),
          "chain_y[0]: replay error: block (1,) not in code table"),
-        (*with_chain_y(ConjugacyMove(conj.code, other_result), expand),
+        (*with_chain_y(ConjugacyMove(conj.code, other_result, BACKWARD), expand),
          "chain_y[0]: conjugacy image not similar to recorded result"),
+        (*with_chain_y(ConjugacyMove(wrong_mark, conj.result, BACKWARD), expand),
+         "chain_y[0]: replay error: image of the sequence under the code is periodic"),
+        (*with_chain_y(ConjugacyMove(conj.code, conj.result, FORWARD), expand),
+         "chain_y[0]: replay error: sequence alphabet differs from the code's source alphabet"),
         (*with_chain_y(conj, ExpandMove(expand.symbol, ("x2'",), expand.result)),
          "chain_y[1]: expansion does not reproduce recorded result"),
-        (*forged_factor_witness, "chain_x[0]: conjugacy move changes the invariants"),
+        (fx, fy, forged, "chain_x[0]: conjugacy move changes the invariants"),
+        (fx, fy, FlowWitness((), (), ((forged.chain_x[0].code, FORWARD),)),
+         "least periods differ"),
     ]
 
 
@@ -809,8 +837,7 @@ def test_replay_refuses_a_compound_move_of_the_wrong_length_before_expanding(mon
     w = flow_witness(x, y)
     conj, expand = w.chain_y
     many = tuple(f"y{i}'" for i in range(10**6))
-    bad = FlowWitness(w.chain_x, (conj, ExpandMove(expand.symbol, many, expand.result)),
-                      w.final_forward, w.final_inverse)
+    bad = FlowWitness(w.chain_x, (conj, ExpandMove(expand.symbol, many, expand.result)), w.final)
 
     def no_expansion(*args):
         raise AssertionError("expand_symbol called")
@@ -832,6 +859,76 @@ def test_flow_witness_raises_when_its_replay_fails(monkeypatch):
     monkeypatch.setattr(classify, "verify_flow_witness", failing_replay)
     with pytest.raises(InternalMismatch, match="conjugacy image not similar"):
         flow_witness(x, y)
+
+
+def test_flow_witness_runs_one_radius_search(monkeypatch):
+    # S(1/1) -> S(599/1001) at N=1600: the marks are erased by 1-block maps,
+    # so the one least-radius search is the final code's, and it stops at 0
+    calls, raising = [], []
+
+    def counting(src, dst):
+        calls.append(bool(raising))
+        return witness_code(src, dst)
+
+    def raise_moves(x, dn, da):
+        raising.append(x)
+        try:
+            return raise_cached.__wrapped__(x, dn, da)
+        finally:
+            raising.pop()
+
+    witness_code, raise_cached = classify._witness_code, classify._raise_moves
+    monkeypatch.setattr(classify, "_witness_code", counting)
+    monkeypatch.setattr(classify, "_raise_moves", raise_moves)
+    x, y = skew(TYPE_S, 1, 1), skew(TYPE_S, 599, 1001)
+    assert least_period(y) == 1600
+    w = flow_witness(x, y)
+    assert calls == [False]
+    assert len(w.chain_x) + len(w.chain_y) <= 3
+    (code, direction), = w.final
+    assert direction == FORWARD and code.memory == code.anticipation == 0
+    assert verify_flow_witness(x, y, w)
+
+
+def _rule_outcome(code, x, y):
+    try:
+        return _is_conjugacy(code, x, y)
+    except EpshiftError:
+        return False
+
+
+def test_one_code_rule_agrees_with_the_two_code_check_on_every_radius_one_binary_code():
+    # every binary code of radius <= 1 (a radius-0 code is a radius-1 code
+    # that reads only the centre), against the two-code check with a code
+    # back found by search; y is each family member of x's least period,
+    # and the image of x when it is not periodic
+    fam = verify.exhaustive_family(2, 2)
+    blocks = list(itertools.product((0, 1), repeat=3))
+    codes = [SlidingBlockCode(1, 1, tuple(zip(blocks, outs)), BINARY, BINARY)
+             for outs in itertools.product((0, 1), repeat=8)]
+    back = {}
+    accepted = factor_maps = 0
+    for x in fam:
+        same = [y for y in fam if least_period(y) == least_period(x)]
+        for phi in codes:
+            try:
+                ys = same + [canonical(apply_code(phi, x))]
+            except DegenerateImage:
+                ys = same
+            for y in ys:
+                if (x, y) not in back:
+                    try:
+                        back[x, y] = _witness_code(canonical(y), canonical(x))
+                    except EpshiftError:
+                        back[x, y] = None
+                psi = back[x, y]
+                rule = _rule_outcome(phi, x, y)
+                two_codes = psi is not None and check_conjugacy(x, y, phi, psi, [])
+                assert rule == two_codes, (x, y, phi)
+                accepted += rule
+                factor_maps += least_period(y) != least_period(x)
+    # both verdicts occur, and so do images onto another least period
+    assert accepted and factor_maps
 
 
 def test_flow_witness_random_pairs_verify():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import errno
 import functools
 import hashlib
@@ -254,9 +255,9 @@ def test_check_witness_accepts_a_flow_witness_file_of_unit_raises(tmp_path, caps
     assert obj["trail"] == ["chain_x[1]: expansion does not reproduce recorded result"]
 
 
-def test_check_witness_accepts_the_compound_flow_witness_classify_flow_writes(tmp_path, capsys):
-    # one mark conjugacy, then one expansion per mark: 3 moves where the
-    # flowwitness/1 fixture above has 14
+def test_check_witness_accepts_a_compound_flow_witness_with_a_final_code_pair(tmp_path, capsys):
+    # one mark conjugacy, carrying a forward code found by search, then one
+    # expansion per mark: 3 moves where the flowwitness/1 fixture above has 14
     fixture = Path(__file__).parent / "data" / "flow2_S1-2_S2-5.json"
     raw = json.loads(fixture.read_text())
     assert raw["format"] == "flowwitness/2"
@@ -264,8 +265,6 @@ def test_check_witness_accepts_the_compound_flow_witness_classify_flow_writes(tm
     x = skew_sturmian(SturmianSpec(Frequency.rational(1, 2), TYPE_S))
     y = skew_sturmian(SturmianSpec(Frequency.rational(2, 5), TYPE_S))
     a, b = write_ep(tmp_path / "a.json", x), write_ep(tmp_path / "b.json", y)
-    code, _ = run(capsys, "classify", "flow", a, b, "--witness", str(tmp_path / "fw.json"))
-    assert code == 0 and json.loads((tmp_path / "fw.json").read_text()) == raw
     code, obj = run(capsys, "classify", "check-witness", a, b, str(fixture))
     assert code == 0 and obj == {"valid": True, "trail": []}
 
@@ -275,6 +274,75 @@ def test_check_witness_accepts_the_compound_flow_witness_classify_flow_writes(tm
     code, obj = run(capsys, "classify", "check-witness", a, b, str(tmp_path / "bad.json"))
     assert code == 1 and obj["valid"] is False
     assert obj["trail"] == ["chain_x[1]: expansion does not reproduce recorded result"]
+
+
+def _flow3_fixture(tmp_path):
+    """The committed flowwitness/3 fixture and the two sequence files it links."""
+    raw = json.loads((Path(__file__).parent / "data" / "flow3_S1-2_S2-5.json").read_text())
+    x = skew_sturmian(SturmianSpec(Frequency.rational(1, 2), TYPE_S))
+    y = skew_sturmian(SturmianSpec(Frequency.rational(2, 5), TYPE_S))
+    return raw, write_ep(tmp_path / "a.json", x), write_ep(tmp_path / "b.json", y)
+
+
+def _check_changed(capsys, tmp_path, a, b, raw):
+    (tmp_path / "bad.json").write_text(json.dumps(raw))
+    return run(capsys, "classify", "check-witness", a, b, str(tmp_path / "bad.json"))
+
+
+def test_check_witness_accepts_the_compound_flow_witness_classify_flow_writes(tmp_path, capsys):
+    # one mark conjugacy, carrying the 1-block map that erases the marks,
+    # then one expansion per mark, and one final code
+    raw, a, b = _flow3_fixture(tmp_path)
+    assert raw["format"] == "flowwitness/3"
+    assert (len(raw["chain_x"]), len(raw["chain_y"])) == (3, 0)
+    assert raw["chain_x"][0]["direction"] == "backward"
+    assert raw["final"]["direction"] == "forward"
+    code, _ = run(capsys, "classify", "flow", a, b, "--witness", str(tmp_path / "fw.json"))
+    assert code == 0 and json.loads((tmp_path / "fw.json").read_text()) == raw
+    code, obj = run(capsys, "classify", "check-witness", a, b, str(tmp_path / "fw.json"))
+    assert code == 0 and obj == {"valid": True, "trail": []}
+
+    bad = copy.deepcopy(raw)
+    assert bad["chain_x"][1]["fresh"] == ["x2'", "x3'", "x4'", "x5'"]
+    bad["chain_x"][1]["fresh"][1] = "x9'"
+    code, obj = _check_changed(capsys, tmp_path, a, b, bad)
+    assert code == 1 and obj["valid"] is False
+    assert obj["trail"] == ["chain_x[1]: expansion does not reproduce recorded result"]
+
+
+def test_check_witness_rejects_a_tampered_mark_move_and_a_factor_map_final_code(
+        tmp_path, capsys, forged_factor_witness):
+    raw, a, b = _flow3_fixture(tmp_path)
+    table = raw["chain_x"][0]["code"]["table"]
+    assert table[3] == ["[x1']", "1"]
+    wrong_mark = copy.deepcopy(raw)
+    wrong_mark["chain_x"][0]["code"]["table"][3][1] = "0"   # the mark x1' erased to 0
+    flipped = copy.deepcopy(raw)
+    flipped["chain_x"][0]["direction"] = "forward"
+    for bad, trail in (
+        (wrong_mark, "chain_x[0]: conjugacy image not similar to recorded result"),
+        (flipped, "chain_x[0]: replay error: sequence alphabet differs from the code's "
+                  "source alphabet"),
+    ):
+        code, obj = _check_changed(capsys, tmp_path, a, b, bad)
+        assert code == 1 and obj == {"valid": False, "trail": [trail]}
+
+    # the factor map of the forged witness, as the final code of a flowwitness/3
+    x, y, forged = forged_factor_witness
+    final = classify.FlowWitness((), (), ((forged.chain_x[0].code, classify.FORWARD),))
+    a, b = write_ep(tmp_path / "fx.json", x), write_ep(tmp_path / "fy.json", y)
+    code, obj = _check_changed(capsys, tmp_path, a, b, jsonio.emit_flow_witness(final))
+    assert code == 1 and obj == {"valid": False, "trail": ["least periods differ"]}
+
+
+@pytest.mark.parametrize("direction", ["sideways", "", None, 1, ["forward"]])
+@pytest.mark.parametrize("where", ["move", "final"])
+def test_check_witness_rejects_an_unknown_direction_as_malformed_input(
+        tmp_path, capsys, where, direction):
+    raw, a, b = _flow3_fixture(tmp_path)
+    (raw["chain_x"][0] if where == "move" else raw["final"])["direction"] = direction
+    code, obj = _check_changed(capsys, tmp_path, a, b, raw)
+    assert code == 2 and obj["error"]["kind"] == "MalformedInput"
 
 
 def test_classify_flow_mints_past_a_counter_too_long_for_int(tmp_path, capsys):
@@ -375,10 +443,11 @@ JSON_VALUES = st.recursive(
 # parsers get past the tag check
 SCHEMA_KEYS = ("alphabet", "period", "anomaly", "memory", "anticipation", "source_alphabet",
                "target_alphabet", "table", "forward", "inverse", "chain_x", "chain_y",
-               "final_forward", "final_inverse")
+               "final_forward", "final_inverse", "final", "direction")
 TAGGED = st.builds(
     lambda fmt, rest: {**rest, "format": fmt},
-    st.sampled_from(["epseq/1", "sbc/1", "conjugacy/1", "flowwitness/1", "flowwitness/2"]),
+    st.sampled_from(["epseq/1", "sbc/1", "conjugacy/1", "flowwitness/1", "flowwitness/2",
+                     "flowwitness/3"]),
     st.dictionaries(st.sampled_from(SCHEMA_KEYS), JSON_VALUES, max_size=6),
 )
 

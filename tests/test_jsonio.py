@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from epshift import jsonio
 from epshift.errors import InputError, MalformedInput
-from epshift.classify import conjugacy_witness, flow_witness, identity_code
+from epshift.classify import (
+    BACKWARD,
+    FORWARD,
+    ConjugacyMove,
+    conjugacy_witness,
+    flow_witness,
+    identity_code,
+)
 from epshift.sequences import make_ep, remove_anomaly
 from epshift.sturmian import Frequency, SturmianSpec, TYPE_S, TYPE_SPRIME, skew_sturmian
 from epshift.words import Alphabet, word
@@ -114,37 +121,84 @@ def test_missing_keys_and_wrong_types_raise_malformed_input():
         (jsonio.parse_conjugacy, {"format": "conjugacy/1"}),
         (jsonio.parse_flow_witness, {"format": "flowwitness/1", "chain_x": [], "chain_y": [{}]}),
         (jsonio.parse_flow_witness, {"format": "flowwitness/2", "chain_x": [], "chain_y": [{}]}),
+        (jsonio.parse_flow_witness, {"format": "flowwitness/3", "chain_x": [], "chain_y": []}),
+        (jsonio.parse_flow_witness, {"format": "flowwitness/3", "chain_x": [], "chain_y": [],
+                                     "final": {"code": jsonio.emit_code(identity_code(
+                                         Alphabet(("0",))))}}),
+        (jsonio.parse_flow_witness, {"format": "flowwitness/3", "chain_x": [], "chain_y": [],
+                                     "final": []}),
     ]
     for parse, obj in bad:
         with pytest.raises(MalformedInput):
             parse(obj)
 
 
+def _as_format(w, fmt):
+    """The flowwitness/3 value w in a read-only format: no directions, and
+    the final code given as both codes of the pair."""
+    code = w["final"]["code"]
+    return {"format": fmt, "final_forward": code, "final_inverse": code,
+            "chain_x": w["chain_x"],
+            "chain_y": [{k: v for k, v in m.items() if k != "direction"} for m in w["chain_y"]]}
+
+
 def test_expand_move_fresh_labels_are_typed_per_format():
-    # flowwitness/2: a non-empty list of strings; flowwitness/1: one string
+    # flowwitness/3 and /2: a non-empty list of strings; flowwitness/1: one string
     w = jsonio.emit_flow_witness(flow_witness(skew(TYPE_S, 1, 1), ep("0", "1")))
-    expand = w["chain_y"][1]
+    conj, expand = w["chain_y"]
     assert expand["kind"] == "expand" and expand["fresh"] == ["x1'"]
-    unit = {**w, "format": "flowwitness/1",
-            "chain_y": [w["chain_y"][0], {**expand, "fresh": "x1'"}]}
-    assert jsonio.parse_flow_witness(unit) == jsonio.parse_flow_witness(w)
-    for fmt, fresh in (("flowwitness/2", "x1'"), ("flowwitness/2", []), ("flowwitness/2", ["x1'", 1]),
+    parsed = jsonio.parse_flow_witness(w)
+    unit = _as_format(w, "flowwitness/1")
+    unit["chain_y"][1] = {**expand, "fresh": "x1'"}
+    for old in (unit, _as_format(w, "flowwitness/2")):
+        again = jsonio.parse_flow_witness(old)
+        assert again.chain_y[1] == parsed.chain_y[1]
+        assert again.chain_y[0] == ConjugacyMove(parsed.chain_y[0].code, parsed.chain_y[0].result)
+        assert again.final == parsed.final + ((parsed.final[0][0], BACKWARD),)
+    for fmt, fresh in (("flowwitness/3", "x1'"), ("flowwitness/3", []),
+                       ("flowwitness/3", ["x1'", 1]), ("flowwitness/2", "x1'"),
+                       ("flowwitness/2", []), ("flowwitness/2", ["x1'", 1]),
                        ("flowwitness/2", [None]), ("flowwitness/2", None),
                        ("flowwitness/1", ["x1'"]), ("flowwitness/1", 1)):
-        bad = {**w, "format": fmt, "chain_y": [w["chain_y"][0], {**expand, "fresh": fresh}]}
+        bad = w if fmt == "flowwitness/3" else _as_format(w, fmt)
+        bad = {**bad, "chain_y": [bad["chain_y"][0], {**expand, "fresh": fresh}]}
         with pytest.raises(MalformedInput, match="fresh"):
             jsonio.parse_flow_witness(bad)
 
 
+def test_directions_are_read_from_flowwitness_3_only():
+    w = jsonio.emit_flow_witness(flow_witness(skew(TYPE_S, 1, 1), ep("0", "1")))
+    assert w["chain_y"][0]["direction"] == "backward" and w["final"]["direction"] == "forward"
+    assert "direction" not in w["chain_y"][1]
+    for direction in ("sideways", "Forward", "", None, 0, True, ["forward"], {}):
+        for pick in (lambda v: v["chain_y"][0], lambda v: v["final"]):
+            bad = json.loads(json.dumps(w))
+            pick(bad)["direction"] = direction
+            with pytest.raises(MalformedInput, match="direction"):
+                jsonio.parse_flow_witness(bad)
+    # a flowwitness/2 value holds no directions, and one given is not read
+    pair = _as_format(w, "flowwitness/2")
+    pair["chain_y"][0]["direction"] = "sideways"
+    assert jsonio.parse_flow_witness(pair).chain_y[0].direction == FORWARD
+
+
+def test_emit_writes_a_witness_with_one_final_code_only():
+    pair = jsonio.parse_flow_witness(_as_format(
+        jsonio.emit_flow_witness(flow_witness(skew(TYPE_S, 1, 1), ep("0", "1"))), "flowwitness/2"))
+    with pytest.raises(ValueError, match="one final code"):
+        jsonio.emit_flow_witness(pair)
+
+
 # --- hostile JSON values -------------------------------------------------------
 
-FORMATS = ("epseq/1", "sbc/1", "conjugacy/1", "flowwitness/1", "flowwitness/2")
+FORMATS = ("epseq/1", "sbc/1", "conjugacy/1", "flowwitness/1", "flowwitness/2", "flowwitness/3")
 KEYS = ("format", "alphabet", "period", "anomaly", "memory", "anticipation", "source_alphabet",
         "target_alphabet", "table", "forward", "inverse", "chain_x", "chain_y", "final_forward",
-        "final_inverse", "kind", "code", "result", "symbol", "fresh")
+        "final_inverse", "final", "direction", "kind", "code", "result", "symbol", "fresh")
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text("01ab[],x'", max_size=5) | st.sampled_from(FORMATS + ("conjugacy", "expand")),
+    | st.text("01ab[],x'", max_size=5)
+    | st.sampled_from(FORMATS + ("conjugacy", "expand", "forward", "backward")),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4), inner,
                                      max_size=6)),

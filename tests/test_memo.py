@@ -16,7 +16,6 @@ from epshift import jsonio, sequences
 from epshift.classify import (
     ConjugacyMove,
     SlidingBlockCode,
-    _build_witness,
     _raise_moves,
     apply_code,
     apply_code_to_periodic,
@@ -192,7 +191,7 @@ def test_trusted_paths_build_only_valid_values(parts, data):
         pass
     for v in values:
         assert rebuilt(v) == v
-    fwd, inv = _build_witness(x, canonical(x))
+    fwd, inv = conjugacy_witness(x, canonical(x))
     codes = [fwd, inv] + [m.code for dn, da in ((1, 0), (0, 1))
                           for m in _raise_moves(x, dn, da)[0] if isinstance(m, ConjugacyMove)]
     for c in codes:
