@@ -14,7 +14,6 @@ from .classify import (
     SlidingBlockCode,
     apply_code,
     apply_code_to_periodic,
-    check_conjugacy,
     conjugacy_witness,
     conjugate_ep,
     expand_symbol,

@@ -240,8 +240,8 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
 def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBlockCode]:
     """A (forward, inverse) pair of sliding block codes witnessing the
     conjugacy of the subshifts of x and y, each read off the aligned
-    canonical forms by `_witness_code` and checked by `check_conjugacy`
-    (a failure raises InternalMismatch)."""
+    canonical forms by `_witness_code` and checked by `verify_flow_witness`
+    as the witness with no moves (a failure raises InternalMismatch)."""
     if not conjugate_ep(x, y):
         raise NotConjugate(
             f"invariants differ: (N={least_period(x)}, a={anomaly_size(x)}) vs "
@@ -253,7 +253,8 @@ def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBloc
         cx, cy = canonical(x), canonical(y)
         fwd, inv = _witness_code(cx, cy), _witness_code(cy, cx)
     trail: list[str] = []
-    if not check_conjugacy(x, y, fwd, inv, trail):
+    links = ((fwd, FORWARD), (inv, BACKWARD))
+    if not verify_flow_witness(x, y, FlowWitness((), (), links), trail):
         raise InternalMismatch(f"built witness fails its check: {trail[0]}")
     return fwd, inv
 
@@ -273,7 +274,8 @@ def _conjugacy_failure(x: EPSeq, y: EPSeq, links: tuple[Link, ...]) -> Optional[
     in link order, then the one period test.  A FORWARD and a BACKWARD link
     whose images pass cannot fail it: a code's image of a sequence has a
     least period dividing that sequence's, so N(y) | N(x) and N(x) | N(y).
-    Raises what an image test raises.
+    Raises what an image test raises.  `verify_flow_witness` checks every
+    link of every witness, move or final, by this one rule.
 
     The rule: let the least period of both be N.  The subshift of x is the
     orbit of x together with the N-point periodic orbit of its tails, and
@@ -292,39 +294,6 @@ def _conjugacy_failure(x: EPSeq, y: EPSeq, links: tuple[Link, ...]) -> Optional[
     if least_period(x) != least_period(y):
         return "least periods differ"
     return None
-
-
-def _is_conjugacy(code: SlidingBlockCode, src: EPSeq, dst: EPSeq) -> bool:
-    """Whether the code is a conjugacy from the subshift of src onto that
-    of dst, by the rule of `_conjugacy_failure`."""
-    return _conjugacy_failure(src, dst, ((code, FORWARD),)) is None
-
-
-def _check_links(x: EPSeq, y: EPSeq, links: tuple[Link, ...], trail: list[str]) -> bool:
-    """`_conjugacy_failure` as a check: False, with the reason appended to
-    `trail`, instead of a reason or an error."""
-    try:
-        reason = _conjugacy_failure(x, y, links)
-    except EpshiftError as e:
-        reason = f"replay error: {e}"
-    if reason is not None:
-        trail.append(reason)
-    return reason is None
-
-
-def check_conjugacy(
-    x: EPSeq, y: EPSeq, fwd: SlidingBlockCode, inv: SlidingBlockCode, trail: list[str]
-) -> bool:
-    """Check that (fwd, inv) witnesses the conjugacy of the subshifts of x
-    and y: fwd maps x onto a shift of y and inv maps y onto a shift of x.
-    Returns False (appending the reason to `trail`) instead of raising.
-
-    Each code is checked alone, by the rule of `_conjugacy_failure`: with
-    equal least periods, a code whose image of one sequence is similar to
-    the other is a conjugacy.  So either code alone witnesses the conjugacy,
-    and no test is run on inv∘fwd.
-    """
-    return _check_links(x, y, ((fwd, FORWARD), (inv, BACKWARD)), trail)
 
 
 def expand_symbol(x: EPSeq, label: str, count: int = 1) -> tuple[EPSeq, tuple[str, ...]]:
@@ -384,8 +353,8 @@ def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSe
     puts a fresh mark on the last letter of the period word (if dn > 0) and
     of the minimal anomaly (if da > 0).  The 1-block map erasing the marks
     sends the marked sequence to canonical(x), and both have least period N,
-    so by `_is_conjugacy`'s rule it is a conjugacy: the move carries it,
-    BACKWARD, and no code is searched for.  A mark occurs once per period
+    so by `_conjugacy_failure`'s rule it is a conjugacy: the move carries
+    it, BACKWARD, and no code is searched for.  A mark occurs once per period
     and not in the anomaly, or once in the anomaly and not in the period, so
     expanding it into dn (or da) fresh symbols raises N by dn (or a by da).
     Cached: verify criterion 7 raises the same sequence by the same steps
@@ -422,7 +391,9 @@ class FlowWitness(Value):
     """Two chains of flow moves whose endpoints are conjugate, plus the
     final links between the endpoints, each a conjugacy by itself: one
     link in what `flow_witness` builds, and a FORWARD and a BACKWARD link
-    in a `flowwitness/1` or `/2` value, which are both checked."""
+    in a `flowwitness/1` or `/2` value, which are both checked.  A
+    conjugacy witness (fwd, inv) is the one with empty chains and the
+    links (fwd, FORWARD) and (inv, BACKWARD)."""
 
     chain_x: tuple[FlowMove, ...]
     chain_y: tuple[FlowMove, ...]
@@ -459,18 +430,22 @@ def flow_witness(x: EPSeq, y: EPSeq) -> FlowWitness:
 def verify_flow_witness(
     x: EPSeq, y: EPSeq, wit: FlowWitness, trail: Optional[list[str]] = None
 ) -> bool:
-    """Independently replay a flow witness: every move is re-checked from
-    the move's inputs, and each final link is checked to be a conjugacy
-    between the chain endpoints, in its direction.  Returns False
-    (appending diagnostics to `trail`) instead of raising."""
+    """Independently replay a witness (a conjugacy witness is one with no
+    moves): every move is re-checked from the move's inputs, and each
+    final link is checked to be a conjugacy between the chain endpoints,
+    in its direction, by `_conjugacy_failure`.  Returns False (appending
+    diagnostics to `trail`) instead of raising."""
     log = trail if trail is not None else []
+
+    def failure(check, *args) -> Optional[str]:
+        try:
+            return check(*args)
+        except EpshiftError as e:
+            return f"replay error: {e}"
 
     def replay(cur: EPSeq, chain: tuple[FlowMove, ...], name: str) -> Optional[EPSeq]:
         for idx, move in enumerate(chain):
-            try:
-                reason = _replay_move(cur, move)
-            except EpshiftError as e:
-                reason = f"replay error: {e}"
+            reason = failure(_replay_move, cur, move)
             if reason is not None:
                 log.append(f"{name}[{idx}]: {reason}")
                 return None
@@ -481,14 +456,16 @@ def verify_flow_witness(
     end_y = replay(y, wit.chain_y, "chain_y")
     if end_x is None or end_y is None:
         return False
-    return _check_links(end_x, end_y, wit.final, log)
+    reason = failure(_conjugacy_failure, end_x, end_y, wit.final)
+    if reason is not None:
+        log.append(reason)
+    return reason is None
 
 
 def _replay_move(cur: EPSeq, move: FlowMove) -> Optional[str]:
     """Why the move fails from cur, or None when it holds."""
     if isinstance(move, ConjugacyMove):
-        ends = (cur, move.result) if move.direction == FORWARD else (move.result, cur)
-        if _is_conjugacy(move.code, *ends):
+        if _conjugacy_failure(cur, move.result, ((move.code, move.direction),)) is None:
             return None
         if not conjugate_ep(cur, move.result):
             return "conjugacy move changes the invariants"

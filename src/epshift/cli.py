@@ -174,17 +174,9 @@ def cmd_classify(args) -> int:
         return 0
     if args.classify_cmd == "check-witness":
         x, y = _load_epseq(args.a), _load_epseq(args.b)
-        raw = _read_json(args.witness_file)
+        wit = jsonio.parse_flow_witness(_read_json(args.witness_file))
         trail: list[str] = []
-        fmt = raw.get("format") if isinstance(raw, dict) else None
-        if fmt in jsonio.FLOW_FORMATS:
-            wit = jsonio.parse_flow_witness(raw)
-            valid = classify.verify_flow_witness(x, y, wit, trail)
-        elif fmt == jsonio.CONJUGACY_FORMAT:
-            fwd, inv = jsonio.parse_conjugacy(raw)
-            valid = classify.check_conjugacy(x, y, fwd, inv, trail)
-        else:
-            raise ValueError(f"unrecognized witness format {fmt!r}")
+        valid = classify.verify_flow_witness(x, y, wit, trail)
         _emit({"valid": valid, "trail": trail})
         return 0 if valid else 1
     raise ValueError(f"unknown classify subcommand {args.classify_cmd!r}")

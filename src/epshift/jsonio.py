@@ -5,7 +5,10 @@ witnesses serialize reproducibly, and parse(emit(v)) == v for every value
 the library produces in a format that has a parser.  ``perseq/1`` is
 output only: it writes a PeriodicSeq with ``"phase": 0``, the value's one
 normal form.  A value whose format tag is right but whose keys are missing
-or of the wrong type raises MalformedInput.
+or of the wrong type raises MalformedInput.  `parse_flow_witness` reads
+every witness format, a `conjugacy/1` pair as the witness with no moves
+and two final links.  Such a chainless two-link witness has no
+`flowwitness/3` emitter: `emit_conjugacy` writes its pair.
 """
 
 from __future__ import annotations
@@ -191,16 +194,20 @@ def emit_flow_witness(w: FlowWitness) -> dict:
 
 
 def parse_flow_witness(obj: Any) -> FlowWitness:
-    """A value of any format in FLOW_FORMATS."""
-    tag = obj.get("format") if isinstance(obj, dict) else None
-    fmt = tag if tag in FLOW_FORMATS else FLOW_FORMAT
-    d = _expect(obj, fmt)
-    chain_x, chain_y = (tuple(_parse_move(m, fmt) for m in _field(d, key, fmt, list))
+    """The witness in a value of any witness format.  A `conjugacy/1` pair
+    (fwd, inv) is the one with no moves and links (fwd, FORWARD), (inv, BACKWARD)."""
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if fmt == CONJUGACY_FORMAT:
+        fwd, inv = parse_conjugacy(obj)
+        return FlowWitness((), (), ((fwd, FORWARD), (inv, BACKWARD)))
+    if fmt not in FLOW_FORMATS:
+        raise ValueError(f"unrecognized witness format {fmt!r}")
+    chain_x, chain_y = (tuple(_parse_move(m, fmt) for m in _field(obj, key, fmt, list))
                         for key in ("chain_x", "chain_y"))
     if fmt != FLOW_FORMAT:
         return FlowWitness(chain_x, chain_y,
-                           ((parse_code(_field(d, "final_forward", fmt)), FORWARD),
-                            (parse_code(_field(d, "final_inverse", fmt)), BACKWARD)))
-    final = _field(d, "final", fmt, dict)
+                           ((parse_code(_field(obj, "final_forward", fmt)), FORWARD),
+                            (parse_code(_field(obj, "final_inverse", fmt)), BACKWARD)))
+    final = _field(obj, "final", fmt, dict)
     return FlowWitness(chain_x, chain_y, ((parse_code(_field(final, "code", "final link")),
                                            _direction(final, "final link")),))

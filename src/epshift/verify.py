@@ -5,14 +5,14 @@ solver against an exhaustive range scan and against itself on swapped
 inputs (criterion 1), the anomaly-size formula and the linear normal-form
 scan behind ``anomaly_size`` and ``canonical`` against the brute-force
 window search (criteria 2 and 4), the generators against the
-cutting-sequence construction, and every witness against a replayer,
-once: ``classify.check_conjugacy`` (each code's image is similar to the
-other sequence) on each witness ``conjugacy_witness`` builds, and
-``classify.verify_flow_witness`` on each flow witness ``flow_witness``
-builds.  Its chains are one mark conjugacy, carrying the 1-block map that
-erases the marks, and at most two compound expansions, and one code links
-their endpoints; each code is checked alone by the one-code conjugacy
-rule.  Failures are recorded as re-parseable counterexamples; an empty
+cutting-sequence construction, and every witness against one replayer,
+``classify.verify_flow_witness``, once: on each witness
+``conjugacy_witness`` builds, read as the flow witness with no moves (each
+code's image is similar to the other sequence), and on each flow witness
+``flow_witness`` builds.  Its chains are one mark conjugacy, carrying the
+1-block map that erases the marks, and at most two compound expansions,
+and one code links their endpoints; each code is checked alone by the
+one-code conjugacy rule.  Failures are recorded as re-parseable counterexamples; an empty
 failure list is a pass.
 
 Each criterion is an instance stream and a check of one instance, which
@@ -54,7 +54,7 @@ from itertools import islice
 from math import gcd
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from . import classify, jsonio, sturmian
+from . import classify, jsonio
 from .bezout import restricted_bezout
 from .errors import DegeneratePeriodic, EpshiftError, WorkerLost
 from .sequences import (
@@ -383,10 +383,10 @@ def check_window_lemmas(bounds: VerifyBounds, seed: int = 0,
 
 def _witness_verifies(x: EPSeq, y: EPSeq, one_block: bool = False) -> Optional[str]:
     """Build a conjugacy witness for (x, y), which `conjugacy_witness`
-    checks with `classify.check_conjugacy` (raising InternalMismatch on a
-    failure), and check that its codes are 1-block codes if `one_block` and
-    that fwd carries the periodic orbit of x onto that of y; returns a
-    failure reason or None."""
+    checks with `classify.verify_flow_witness` as the witness with no
+    moves (raising InternalMismatch on a failure), and check that its
+    codes are 1-block codes if `one_block` and that fwd carries the
+    periodic orbit of x onto that of y; returns a failure reason or None."""
     fwd, inv = classify.conjugacy_witness(x, y)
     if one_block and (fwd.block_length, inv.block_length) != (1, 1):
         return "witness is not a 1-block code in both directions"

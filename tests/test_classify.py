@@ -15,13 +15,11 @@ from epshift.classify import (
     FlowWitness,
     SlidingBlockCode,
     _image_similar,
-    _is_conjugacy,
     _raise_moves,
     _replay_move,
     _witness_code,
     apply_code,
     apply_code_to_periodic,
-    check_conjugacy,
     conjugacy_witness,
     conjugate_ep,
     expand_symbol,
@@ -73,6 +71,12 @@ def swap_code():
     return SlidingBlockCode(0, 0, (((0,), 1), ((1,), 0)), BINARY, BINARY)
 
 
+def check_pair(x, y, fwd, inv, trail):
+    """Check the code pair (fwd, inv) as the conjugacy witness it is: the
+    flow witness with no moves and a FORWARD and a BACKWARD final link."""
+    return verify_flow_witness(x, y, FlowWitness((), (), ((fwd, FORWARD), (inv, BACKWARD))), trail)
+
+
 def shift_by_one_code():
     entries = tuple(((a, b), b) for a in (0, 1) for b in (0, 1))
     return SlidingBlockCode(0, 1, entries, BINARY, BINARY)
@@ -110,7 +114,7 @@ def test_identity_witness():
     fwd, inv = conjugacy_witness(x, x)
     assert fwd.memory == fwd.anticipation == 0
     assert apply_code(fwd, x) == x
-    assert check_conjugacy(x, x, fwd, inv, [])
+    assert check_pair(x, x, fwd, inv, [])
 
 
 def test_witness_between_reciprocal_types():
@@ -121,7 +125,7 @@ def test_witness_between_reciprocal_types():
     # the one-block symbol swap is also a witness here
     sw = swap_code()
     assert similar(apply_code(sw, x), y)
-    assert check_conjugacy(x, y, sw, sw, [])
+    assert check_pair(x, y, sw, sw, [])
 
 
 def test_witness_across_disjoint_alphabets():
@@ -142,7 +146,7 @@ def test_witness_requires_matching_invariants():
 def test_check_conjugacy_rejects_each_sabotage():
     x, y = skew(TYPE_S, 1, 2), skew(TYPE_SPRIME, 2, 1)
     fwd, inv = conjugacy_witness(x, y)
-    assert check_conjugacy(x, y, fwd, inv, [])
+    assert check_pair(x, y, fwd, inv, [])
     ident = identity_code(BINARY)
     # the identity maps each sequence to itself, not onto a shift of the other
     for f, i, reason in (
@@ -150,18 +154,21 @@ def test_check_conjugacy_rejects_each_sabotage():
         (fwd, ident, "inverse image not similar to source"),
     ):
         trail = []
-        assert not check_conjugacy(x, y, f, i, trail)
+        assert not check_pair(x, y, f, i, trail)
         assert trail == [reason]
 
 
 def test_conjugacy_witness_raises_when_its_check_fails(monkeypatch):
     x, y = skew(TYPE_S, 1, 2), skew(TYPE_SPRIME, 2, 1)
 
-    def failing_check(x, y, fwd, inv, trail):
+    def failing_check(x, y, wit, trail):
+        # the built pair, checked as the witness with no moves
+        assert (wit.chain_x, wit.chain_y) == ((), ())
+        assert [direction for _, direction in wit.final] == [FORWARD, BACKWARD]
         trail.append("inverse image not similar to source")
         return False
 
-    monkeypatch.setattr(classify, "check_conjugacy", failing_check)
+    monkeypatch.setattr(classify, "verify_flow_witness", failing_check)
     with pytest.raises(InternalMismatch, match="inverse image not similar to source"):
         conjugacy_witness(x, y)
 
@@ -261,7 +268,7 @@ def test_check_conjugacy_matches_three_part_check(case):
     x, y, fwd, inv = case
     reason = _three_part_check(x, y, fwd, inv)
     trail = []
-    assert check_conjugacy(x, y, fwd, inv, trail) == (reason is None)
+    assert check_pair(x, y, fwd, inv, trail) == (reason is None)
     assert trail == ([] if reason is None else [reason])
 
 
@@ -421,7 +428,7 @@ def test_narrow_buffer_counterexample_needs_radius_three():
     narrow = SlidingBlockCode(0, 0, tuple(sorted(table.items())), BINARY, BINARY)
     assert narrow == identity_code(BINARY)
     trail = []
-    assert not check_conjugacy(x, y, narrow, narrow, trail)
+    assert not check_pair(x, y, narrow, narrow, trail)
     assert trail == ["forward image not similar to target"]
     fwd, inv = conjugacy_witness(x, y)
     assert (fwd.memory, fwd.anticipation, inv.memory, inv.anticipation) == (3, 3, 3, 3)
@@ -520,7 +527,7 @@ def test_witness_with_anomaly_lengths_differing_by_periods():
         fwd, inv = conjugacy_witness(x, y)
         assert similar(apply_code(fwd, x), y)
         assert similar(apply_code(inv, y), x)
-        assert check_conjugacy(x, y, fwd, inv, [])
+        assert check_pair(x, y, fwd, inv, [])
 
 
 def test_apply_code_missing_block():
@@ -891,10 +898,8 @@ def test_flow_witness_runs_one_radius_search(monkeypatch):
 
 
 def _rule_outcome(code, x, y):
-    try:
-        return _is_conjugacy(code, x, y)
-    except EpshiftError:
-        return False
+    # the one-code rule on code alone: a witness with no moves and one FORWARD link
+    return verify_flow_witness(x, y, FlowWitness((), (), ((code, FORWARD),)))
 
 
 def test_one_code_rule_agrees_with_the_two_code_check_on_every_radius_one_binary_code():
@@ -923,7 +928,7 @@ def test_one_code_rule_agrees_with_the_two_code_check_on_every_radius_one_binary
                         back[x, y] = None
                 psi = back[x, y]
                 rule = _rule_outcome(phi, x, y)
-                two_codes = psi is not None and check_conjugacy(x, y, phi, psi, [])
+                two_codes = psi is not None and check_pair(x, y, phi, psi, [])
                 assert rule == two_codes, (x, y, phi)
                 accepted += rule
                 factor_maps += least_period(y) != least_period(x)

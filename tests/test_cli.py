@@ -234,6 +234,44 @@ def test_check_witness_accepts_a_radius_one_witness_file(tmp_path, capsys):
     assert code == 0 and obj == {"valid": True, "trail": []}
 
 
+@pytest.mark.parametrize("key, row, trail", [
+    ("forward", 0, "forward image not similar to target"),
+    ("forward", 1, "replay error: image of the sequence under the code is periodic"),
+    ("forward", 2, "forward image not similar to target"),
+    ("forward", 3, "forward image not similar to target"),
+    ("inverse", 0, "inverse image not similar to source"),
+    ("inverse", 1, "inverse image not similar to source"),
+    ("inverse", 2, "replay error: image of the sequence under the code is periodic"),
+    ("inverse", 3, "inverse image not similar to source"),
+])
+def test_check_witness_rejects_each_flipped_row_of_a_conjugacy_witness(tmp_path, capsys, key, row,
+                                                                        trail):
+    raw = json.loads((Path(__file__).parent / "data" / "conjugacy_S1-2_Sprime2-1.json").read_text())
+    assert len(raw[key]["table"]) == 4
+    x = skew_sturmian(SturmianSpec(Frequency.rational(1, 2), TYPE_S))
+    y = skew_sturmian(SturmianSpec(Frequency.rational(2, 1), TYPE_SPRIME))
+    a, b = write_ep(tmp_path / "a.json", x), write_ep(tmp_path / "b.json", y)
+    cell = raw[key]["table"][row]
+    cell[1] = "1" if cell[1] == "0" else "0"
+    code, obj = _check_changed(capsys, tmp_path, a, b, raw)
+    assert code == 1 and obj == {"valid": False, "trail": [trail]}
+
+
+def test_check_witness_reads_a_conjugacy_witness_for_the_pair_it_names_only(tmp_path, capsys):
+    fixture = Path(__file__).parent / "data" / "conjugacy_S1-2_Sprime2-1.json"
+    a = write_ep(tmp_path / "a.json", skew_sturmian(SturmianSpec(Frequency.rational(1, 2), TYPE_S)))
+    c = write_ep(tmp_path / "c.json", skew_sturmian(SturmianSpec(Frequency.rational(2, 1), TYPE_S)))
+    code, obj = run(capsys, "classify", "check-witness", a, c, str(fixture))
+    assert code == 1 and obj == {"valid": False, "trail": ["forward image not similar to target"]}
+
+    # a value of no witness format is a usage error that names its tag
+    for value, tag in ((jsonio.emit_epseq(make_ep(word("0"), word("1"))), "'epseq/1'"),
+                       (7, "None"), (["conjugacy/1"], "None")):
+        code, obj = _check_changed(capsys, tmp_path, a, a, value)
+        assert code == 2 and obj == {"error": {"kind": "ValueError",
+                                               "message": f"unrecognized witness format {tag}"}}
+
+
 def test_check_witness_accepts_a_flow_witness_file_of_unit_raises(tmp_path, capsys):
     # emitted for S(1/2), S(2/5) when every unit raise of N or a was its own
     # mark conjugacy and expansion: 14 moves where one mark per chain needs 8

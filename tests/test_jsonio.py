@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from epshift.classify import (
     BACKWARD,
     FORWARD,
     ConjugacyMove,
+    FlowWitness,
     conjugacy_witness,
     flow_witness,
     identity_code,
@@ -187,6 +189,18 @@ def test_emit_writes_a_witness_with_one_final_code_only():
         jsonio.emit_flow_witness(flow_witness(skew(TYPE_S, 1, 1), ep("0", "1"))), "flowwitness/2"))
     with pytest.raises(ValueError, match="one final code"):
         jsonio.emit_flow_witness(pair)
+
+
+def test_a_conjugacy_value_reads_as_the_flow_witness_with_no_moves():
+    path = Path(__file__).parent / "data" / "conjugacy_S1-2_Sprime2-1.json"
+    obj = json.loads(path.read_text())
+    fwd, inv = jsonio.parse_conjugacy(obj)
+    w = jsonio.parse_flow_witness(obj)
+    assert w == FlowWitness((), (), ((fwd, FORWARD), (inv, BACKWARD)))
+    # flowwitness/3 holds one final link; the pair is written as conjugacy/1
+    with pytest.raises(ValueError, match="one final code"):
+        jsonio.emit_flow_witness(w)
+    assert jsonio.emit_conjugacy(fwd, inv) == obj
 
 
 # --- hostile JSON values -------------------------------------------------------
