@@ -32,8 +32,8 @@ class BezoutPair(Value):
 def restricted_bezout(q: int, p: int) -> BezoutPair:
     """The unique (a, b) with 0 <= a < q, 0 < b <= p, b*q - a*p = 1.
 
-    Computed by the extended Euclidean algorithm followed by translation
-    into the stated ranges.
+    b is the inverse of q mod p, taken in (0, p] (for p = 1 it is p), and
+    then a = (b*q - 1) / p is exact and lies in [0, q).
     """
     if p <= 0 or q <= 0:
         raise NonPositive(f"need positive integers, got q={q}, p={p}")
@@ -41,23 +41,5 @@ def restricted_bezout(q: int, p: int) -> BezoutPair:
         raise InputTooLarge(f"p + q = {p + q} exceeds the supported bound {SUM_LIMIT}")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"gcd({p}, {q}) = {math.gcd(p, q)} != 1")
-    # b*q - a*p = 1 with b = x0 + t*p, a = t*q - y0 for the egcd solution
-    # q*x0 + p*y0 = 1; pick the t putting b in (0, p].
-    x0, y0 = _egcd(q, p)
-    t = (p - x0) // p  # smallest t with x0 + t*p >= 1; then b <= p as well
-    b = x0 + t * p
-    a = t * q - y0
-    return BezoutPair(q=q, p=p, a=a, b=b)
-
-
-def _egcd(q: int, p: int) -> tuple[int, int]:
-    """(x, y) with q*x + p*y = gcd(q, p)."""
-    old_r, r = q, p
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        k = old_r // r
-        old_r, r = r, old_r - k * r
-        old_x, x = x, old_x - k * x
-        old_y, y = y, old_y - k * y
-    return old_x, old_y
+    b = pow(q, -1, p) or p
+    return BezoutPair(q=q, p=p, a=(b * q - 1) // p, b=b)

@@ -88,9 +88,13 @@ class SlidingBlockCode(Value):
 
     def read(self, buf: tuple[int, ...], count: int) -> tuple[int, ...]:
         """The outputs on the blocks buf[i:i + block_length], 0 <= i < count,
-        looked up one block at a time."""
+        looked up one block at a time.  A 1-block code reads the blocks as
+        the 1-tuples zip makes of buf[:count], with no slice per position."""
         blen = self.block_length
-        blocks = map(buf.__getitem__, map(slice, range(count), range(blen, blen + count)))
+        if blen == 1:
+            blocks = zip(buf[:count])
+        else:
+            blocks = map(buf.__getitem__, map(slice, range(count), range(blen, blen + count)))
         try:
             return tuple(map(self._lookup.__getitem__, blocks))  # type: ignore[attr-defined]
         except KeyError as e:
@@ -174,14 +178,17 @@ def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu
     hold src and dst from index lo on and must reach k symbols past every
     centre read (see `_search_buffers`).
 
-    It reads the centres [-k-1-N, max(|u|+k, |v|) + N], u and v the
-    anomalies of src and dst.  Left of -k and from max(|u|+k, |v|) on,
-    block and dst symbol lie in the tails, so the pair is N-periodic in
-    the centre; the range holds N + 1 centres of each periodic stretch,
-    so consistency on it is consistency on all of Z.
+    It reads the centres [-k-1-N, max(|u|+k, |v|) - 1], u and v the
+    anomalies of src and dst, both of least period N, with |u| ≡ |v|
+    (mod N).  Left of -k and from max(|u|+k, |v|) on, block and dst
+    symbol lie in the tails, so the pair is N-periodic in the centre; the
+    range holds N + 1 centres of the left stretch.  The congruence puts
+    the same phase shift between src and dst in both tails, so the right
+    stretch holds exactly the left one's pairs: it can add no block and
+    no clash, and consistency on the range is consistency on all of Z.
     """
     table: dict[tuple[int, ...], int] = {}
-    for c in range(-k - 1 - n - lo, max(lu + k, lv) + n + 1 - lo):
+    for c in range(-k - 1 - n - lo, max(lu + k, lv) - lo):
         first = table.setdefault(s[c - k:c + k + 1], c)
         if d[first] != d[c]:
             return table, (first, c)
@@ -192,9 +199,11 @@ def _search_buffers(src: EPSeq, dst: EPSeq, reach: int) -> tuple[int, tuple, tup
     """(lo, s, d): src and dst sliced from index lo on, wide enough for
     every probe of radius k <= reach and every jump test up to reach.  A
     probe reads the src symbols within k of its centres and the dst
-    symbols at them; a jump reads src up to reach from two such centres."""
+    symbols at them; a jump reads src up to reach from two such centres.
+    The centres end below max(|u| + reach, |v|), as `_build_block_map`
+    reads only the left periodic stretch (|u| ≡ |v| mod N)."""
     n, lu, lv = least_period(src), len(src.anomaly), len(dst.anomaly)
-    lo, hi = -2 * reach - 1 - n, max(lu + reach, lv) + n + 1
+    lo, hi = -2 * reach - 1 - n, max(lu + reach, lv)
     return lo, _symbols(src, lo, hi + reach), _symbols(dst, lo, hi)
 
 
@@ -214,10 +223,14 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
     buffers serve radii up to a reach, at first N, and double, up to
     that cap, when a probe needs more.  A jump that finds no separating
     r within the reach goes on to reach + 1, still a lower bound on the
-    least radius.
+    least radius.  The probes need equal least periods and |u| ≡ |v|
+    (mod N); a pair without them raises NotConjugate.
     """
-    n = least_period(src)
+    n, m = least_period(src), least_period(dst)
     lu, lv = len(src.anomaly), len(dst.anomaly)
+    if n != m or (lu - lv) % n:
+        raise NotConjugate(f"a block map search needs equal least periods and congruent "
+                           f"anomalies: (N={n}, |u|={lu}) vs (N={m}, |v|={lv})")
     cap = lu + lv + 4 * n
     reach, k = n, 0
     lo, s, d = _search_buffers(src, dst, reach)

@@ -40,6 +40,7 @@ from epshift.errors import (
 )
 from epshift.sequences import (
     PeriodicSeq,
+    _symbols,
     anomaly_size,
     canonical,
     least_period,
@@ -464,6 +465,71 @@ def test_witness_search_grows_its_buffers_to_the_least_radius(monkeypatch, pair,
     assert reaches[-1] >= radius and (len(reaches) > 1) == (radius > n)
 
 
+def test_witness_code_refuses_pairs_its_probe_range_does_not_serve(monkeypatch):
+    built = []
+    monkeypatch.setattr(classify, "_search_buffers", lambda *args: built.append(args))
+    periods = (canonical(ep("0", "1")), canonical(ep("01", "1")))            # N = 1 and 2
+    anomalies = (canonical(skew(TYPE_S, 1, 2)), canonical(skew(TYPE_S, 2, 1)))  # |u| = 1, 2; N = 3
+    for x, y in (periods, anomalies):
+        for src, dst in ((x, y), (y, x)):
+            with pytest.raises(NotConjugate):
+                _witness_code(src, dst)
+    assert built == []
+
+
+# --- the one-stretch probe against the two-stretch probe ----------------------
+
+def _two_stretch_block_map(src, dst, lo, k):
+    """_build_block_map as first written: it also read the N + 1 centres
+    [max(|u|+k, |v|), max(|u|+k, |v|) + N] of the right periodic stretch,
+    from buffers of its own that start at lo."""
+    n, lu, lv = least_period(src), len(src.anomaly), len(dst.anomaly)
+    hi = max(lu + k, lv) + n + 1
+    s, d = _symbols(src, lo, hi + k), _symbols(dst, lo, hi)
+    table = {}
+    for c in range(-k - 1 - n - lo, hi - lo):
+        first = table.setdefault(s[c - k:c + k + 1], c)
+        if d[first] != d[c]:
+            return table, (first, c)
+    return table, None
+
+
+def _assert_probes_agree(src, dst):
+    """Every radius up to the least one clashes at the same centres under
+    both probes, and the least radius builds the same table."""
+    least = _witness_code(src, dst).memory
+    n, lu, lv = least_period(src), len(src.anomaly), len(dst.anomaly)
+    lo, s, d = classify._search_buffers(src, dst, least)
+    for k in range(least + 1):
+        table, clash = classify._build_block_map(s, d, lo, n, lu, lv, k)
+        two_table, two_clash = _two_stretch_block_map(src, dst, lo, k)
+        assert clash == two_clash, (src, dst, k)
+    assert clash is None and list(table.items()) == list(two_table.items()), (src, dst)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(conjugate_canonical_pairs())
+def test_one_stretch_probe_matches_the_two_stretch_probe(pair):
+    x, y = pair
+    _assert_probes_agree(x, y)
+    _assert_probes_agree(y, x)
+
+
+def test_one_stretch_probe_matches_on_reciprocal_skews_and_raised_endpoints():
+    for q, p in verify.coprime_pairs(60):
+        x, y = canonical(skew(TYPE_S, q, p)), canonical(skew(TYPE_SPRIME, p, q))
+        _assert_probes_agree(x, y)
+        _assert_probes_agree(y, x)
+    skews = [skew_sturmian(spec) for spec in verify._all_specs(6)]
+    for x, y in itertools.combinations(skews, 2):
+        (nx, ax), (ny, ay) = (least_period(x), anomaly_size(x)), (least_period(y), anomaly_size(y))
+        n, a = max(nx, ny), max(ax, ay)
+        end_x = canonical(_raise_moves(x, n - nx, a - ax)[1])
+        end_y = canonical(_raise_moves(y, n - ny, a - ay)[1])
+        _assert_probes_agree(end_x, end_y)
+        _assert_probes_agree(end_y, end_x)
+
+
 def test_reciprocal_skew_witness_is_the_symbol_swap_at_large_n():
     # S(q/p) and S'(p/q) with p + q = 1600; the swap's JSON is a few hundred bytes
     x, y = skew(TYPE_S, 799, 801), skew(TYPE_SPRIME, 801, 799)
@@ -534,6 +600,24 @@ def test_apply_code_missing_block():
     partial = SlidingBlockCode(0, 0, (((0,), 0),), BINARY, BINARY)
     with pytest.raises(MissingBlock):
         apply_code(partial, ep("0", "1"))
+
+
+def test_one_block_read_matches_a_lookup_per_position():
+    rng = random.Random(23)
+    code = SlidingBlockCode(0, 0, (((0,), 2), ((1,), 0), ((2,), 1)), ABC, ABC)
+    for _ in range(300):
+        buf = tuple(rng.randrange(3) for _ in range(rng.randrange(31)))
+        count = rng.randrange(len(buf) + 1)
+        assert code.read(buf, count) == tuple(code.out((b,)) for b in buf[:count])
+    for absent in range(3):
+        partial = SlidingBlockCode(0, 0, tuple(((s,), s) for s in range(3) if s != absent), ABC, ABC)
+        present = tuple(s for s in range(3) if s != absent)
+        buf = tuple(rng.choice(present) for _ in range(20))
+        # the symbols past count are not read
+        assert partial.read(buf + (absent,), 20) == buf
+        with pytest.raises(MissingBlock) as e:
+            partial.read(buf[:7] + (absent,) + buf[7:], 21)
+        assert str(e.value) == f"block ({absent},) not in code table"
 
 
 def test_apply_code_degenerate_image():

@@ -32,3 +32,34 @@ def test_an_unused_import_is_found():
     tree = ast.parse("import os, os.path\nfrom typing import Any, Optional as Opt\n"
                      "from __future__ import annotations\nx: Opt[int] = os.sep\n")
     assert unused_imports(tree) == ["Any (line 2)"]
+
+
+def unread_private_functions(trees: dict[str, ast.Module]) -> list[str]:
+    """The private module-level functions of the modules that nothing but
+    their own definition reads, by name or as an attribute, with their
+    modules and line numbers."""
+    reads = [(stmt, {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))})
+             for tree in trees.values() for stmt in tree.body]
+    return [f"{stmt.name} ({module} line {stmt.lineno})"
+            for module, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and stmt.name.startswith("_") and not stmt.name.endswith("__")
+            and not any(other is not stmt and stmt.name in names for other, names in reads)]
+
+
+def test_every_private_function_is_read():
+    trees = {p.name: ast.parse(p.read_text(), p.name) for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_functions(trees) == []
+
+
+def test_an_unread_private_function_is_found():
+    trees = {"a.py": ast.parse("def _recursive():\n    return _recursive()\n\n"
+                               "def _called():\n    pass\n\n"
+                               "def __getattr__(name):\n    pass\n"),
+             "b.py": ast.parse("from . import a\n\n"
+                               "def _by_name():\n    pass\n\n"
+                               "def public():\n    a._called()\n    return [_by_name]\n")}
+    assert unread_private_functions(trees) == ["_recursive (a.py line 1)"]
+    del trees["b.py"]
+    assert unread_private_functions(trees) == ["_recursive (a.py line 1)", "_called (a.py line 4)"]
