@@ -9,7 +9,6 @@ that produced it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import (
@@ -254,12 +253,9 @@ def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBloc
     """A (forward, inverse) pair of sliding block codes witnessing the
     conjugacy of the subshifts of x and y, each read off the aligned
     canonical forms by `_witness_code` and checked by `verify_flow_witness`
-    as the witness with no moves (a failure raises InternalMismatch)."""
-    if not conjugate_ep(x, y):
-        raise NotConjugate(
-            f"invariants differ: (N={least_period(x)}, a={anomaly_size(x)}) vs "
-            f"(N={least_period(y)}, a={anomaly_size(y)})"
-        )
+    as the witness with no moves (a failure raises InternalMismatch).  A
+    pair with other invariants raises NotConjugate from `_witness_code`: on
+    canonical forms |u| and |v| are the anomaly sizes."""
     if x == y:
         fwd = inv = identity_code(x.alphabet)
     else:
@@ -359,7 +355,6 @@ class ExpandMove(Value):
 FlowMove = Union[ConjugacyMove, ExpandMove]
 
 
-@lru_cache(maxsize=4096)
 def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSeq]:
     """Flow moves from x to a sequence with least period N+dn and anomaly
     size a(x)+da: one conjugacy and at most two expansions.  The conjugacy
@@ -369,9 +364,7 @@ def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSe
     so by `_conjugacy_failure`'s rule it is a conjugacy: the move carries
     it, BACKWARD, and no code is searched for.  A mark occurs once per period
     and not in the anomaly, or once in the anomaly and not in the period, so
-    expanding it into dn (or da) fresh symbols raises N by dn (or a by da).
-    Cached: verify criterion 7 raises the same sequence by the same steps
-    for many targets."""
+    expanding it into dn (or da) fresh symbols raises N by dn (or a by da)."""
     if not (dn or da):
         return (), x
     c = canonical(x)

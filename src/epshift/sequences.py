@@ -290,46 +290,34 @@ def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
     return PeriodicSeq._trusted(x.period_word) if scan is None else scan.anchor(0)
 
 
-def _window_search(x: EPSeq, extra_start: int, extra_len: int) -> list[AnomalyWindow]:
-    """The windows [s, s+L), L ≡ |v| (mod N) up to |v| + extra_len and s in
-    [-L-2N-extra_start, |v|+2N+extra_start], whose deletion leaves the left
-    tail's extension z_k = w[k mod N], in (length, start) order.
-
-    The removal y agrees with z for k < min(0, s) and both are N-periodic
-    from max(s, |v| - L) on, so comparing them on [min(0, s) - N,
-    max(s, |v| - L) + 2N] decides exactly.  As y_k is x_k before s and
-    x_{k+L} from s on, that is two slice compares of x, built once from
-    its definition w*k + v + w*r, with z = w*m, both read from -kN.
-    """
-    w, v = x.period_word.symbols, x.anomaly.symbols
-    n, vl = len(w), len(v)
-    lengths = range(vl % n or n, vl + extra_len + 1, n)
-    reach = -(-(extra_start + lengths[-1]) // n)
-    k = reach + 3  # the least lo is -L-3N-extra_start
-    xs = w * k + v + w * (reach + 5)  # the greatest index read is |v|+4N+extra_start+L
-    zs = w * (len(xs) // n + 1)
-    o = k * n  # the buffer index of position 0
-    found = []
-    for length in lengths:
-        for s in range(-length - 2 * n - extra_start, vl + 2 * n + extra_start + 1):
-            lo, at, hi = min(0, s) - n + o, s + o, max(s, vl - length) + 2 * n + 1 + o
-            if xs[lo:at] == zs[lo:at] and xs[at + length:hi + length] == zs[at:hi]:
-                found.append(AnomalyWindow(s, length))
-    return found
-
-
 def anomaly_windows(x: EPSeq) -> list[AnomalyWindow]:
     """All removal windows that leave a periodic sequence, for lengths
     0 < L <= |anomaly| congruent to |anomaly| mod N and starts in
     [-L-2N, |anomaly|+2N].  Sorted by (length, start); never empty since
     [0, |anomaly|) always qualifies.
 
-    This is the brute-force search: it tries every candidate window, each
-    by two slice compares of x, built from its definition, against the
-    periodic extension, so it is quadratic in the sizes.  It is the oracle
-    for the kernel, which finds the first window directly.
+    This is the brute-force search, quadratic in the sizes, and the oracle
+    for the kernel, which finds the first window directly.  A window [s,
+    s+L) qualifies when its deletion y leaves the left tail's extension
+    z_k = w[k mod N].  y agrees with z for k < min(0, s) and both are
+    N-periodic from max(s, |v| - L) on, so comparing them on [min(0, s) - N,
+    max(s, |v| - L) + 2N] decides exactly.  As y_k is x_k before s and
+    x_{k+L} from s on, that is two slice compares of x, built once from its
+    definition w*k + v + w*r, with z = w*m, both read from -kN.
     """
-    wins = _window_search(x, 0, 0)
+    w, v = x.period_word.symbols, x.anomaly.symbols
+    n, vl = len(w), len(v)
+    reach = -(-vl // n)  # |v| is the greatest length tried
+    k = reach + 3  # the least lo is -L-3N
+    xs = w * k + v + w * (reach + 5)  # the greatest index read is |v|+4N+L
+    zs = w * (len(xs) // n + 1)
+    o = k * n  # the buffer index of position 0
+    wins = []
+    for length in range(vl % n or n, vl + 1, n):
+        for s in range(-length - 2 * n, vl + 2 * n + 1):
+            lo, at, hi = min(0, s) - n + o, s + o, max(s, vl - length) + 2 * n + 1 + o
+            if xs[lo:at] == zs[lo:at] and xs[at + length:hi + length] == zs[at:hi]:
+                wins.append(AnomalyWindow(s, length))
     if not wins:
         raise InternalMismatch("anomaly window search found nothing; bug")
     return wins

@@ -35,8 +35,7 @@ criterion's parts merge into what one pass over its whole stream
 reports, except that `seconds` is their sum.  Only a job's name, the
 bounds, the seed and the part go to a worker, which looks the checks up
 as module globals, so a worker forked from a process that patched or
-wrapped them runs the patched ones.  The library's caches warm in the
-workers and die with the pool.
+wrapped them runs the patched ones.
 
 The default bounds reproduce the acceptance suite, so `epshift verify`
 with no flags is the acceptance run.
@@ -495,8 +494,7 @@ def check_flow_witnesses(bounds: VerifyBounds, seed: int = 0, *,
     builds and raises InternalMismatch when the replay fails, so building
     is checking.  A witness runs one least-radius search, for its final
     code; the mark conjugacies of its chains carry erasing maps, which need
-    none.  A chain shared by many witnesses is built only once in each
-    process, so every part of a split run builds it again."""
+    none.  Each witness builds both of its chains."""
 
     def instances() -> Iterator[tuple[EPSeq, EPSeq, Optional[dict]]]:
         # (x, y, both specs) for a skew pair, (x, y, None) for a random pair

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -142,6 +144,10 @@ def test_witness_across_disjoint_alphabets():
 def test_witness_requires_matching_invariants():
     with pytest.raises(NotConjugate):
         conjugacy_witness(skew(TYPE_S, 1, 2), skew(TYPE_S, 2, 1))
+    x, y = skew(TYPE_S, 1, 1), skew(TYPE_S, 1, 2)
+    assert (least_period(x), least_period(y)) == (2, 3)
+    with pytest.raises(NotConjugate):
+        conjugacy_witness(x, y)
 
 
 def test_check_conjugacy_rejects_each_sabotage():
@@ -964,11 +970,11 @@ def test_flow_witness_runs_one_radius_search(monkeypatch):
     def raise_moves(x, dn, da):
         raising.append(x)
         try:
-            return raise_cached.__wrapped__(x, dn, da)
+            return _raise_moves(x, dn, da)
         finally:
             raising.pop()
 
-    witness_code, raise_cached = classify._witness_code, classify._raise_moves
+    witness_code = classify._witness_code
     monkeypatch.setattr(classify, "_witness_code", counting)
     monkeypatch.setattr(classify, "_raise_moves", raise_moves)
     x, y = skew(TYPE_S, 1, 1), skew(TYPE_S, 599, 1001)
@@ -979,6 +985,19 @@ def test_flow_witness_runs_one_radius_search(monkeypatch):
     (code, direction), = w.final
     assert direction == FORWARD and code.memory == code.anticipation == 0
     assert verify_flow_witness(x, y, w)
+
+
+def test_a_dropped_flow_witness_leaves_nothing_it_built_alive():
+    # no store outside the witness may keep its chains: at N=1600 one chain
+    # holds about 0.2 MB
+    w = flow_witness(skew(TYPE_S, 1, 1), skew(TYPE_S, 2, 5))
+    moves = w.chain_x + w.chain_y
+    refs = [weakref.ref(m.result) for m in moves]
+    refs += [weakref.ref(m.code) for m in moves if isinstance(m, ConjugacyMove)]
+    assert len(refs) == 4
+    del w, moves
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def _rule_outcome(code, x, y):

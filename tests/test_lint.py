@@ -1,11 +1,13 @@
 """Checks a linter would make, written on the stdlib's `ast` alone."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "epshift"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "epshift"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -63,3 +65,11 @@ def test_an_unread_private_function_is_found():
     assert unread_private_functions(trees) == ["_recursive (a.py line 1)"]
     del trees["b.py"]
     assert unread_private_functions(trees) == ["_recursive (a.py line 1)", "_called (a.py line 4)"]
+
+
+def test_readme_states_the_source_line_count():
+    # the Layout section's count, against what `wc -l src/epshift/*.py` totals
+    stated = re.search(r"^src/epshift/ +\(([\d,]+) lines\)$", (ROOT / "README.md").read_text(), re.M)
+    assert stated, "README has no `src/epshift/     (N lines)` line"
+    total = sum(p.read_bytes().count(b"\n") for p in SRC.glob("*.py"))
+    assert int(stated[1].replace(",", "")) == total

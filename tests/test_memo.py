@@ -137,8 +137,6 @@ def test_witnesses_scan_each_sequence_value_at_most_once(monkeypatch):
         return _normal_form(x, prefer)
 
     monkeypatch.setattr(sequences, "_normal_form", counting)
-    # the flow-move memos would answer for values of earlier tests
-    _raise_moves.cache_clear()
     pairs = [(skew(1, 2, TYPE_S), skew(2, 1, TYPE_SPRIME)),
              (skew(3, 5, TYPE_S), skew(5, 3, TYPE_SPRIME))]
     for x, y in pairs:
