@@ -170,12 +170,14 @@ def _periodic_image(code: SlidingBlockCode, w: Word) -> Word:
 
 
 def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu: int,
-                     lv: int, k: int) -> tuple[dict, Optional[tuple[int, int]]]:
+                     lv: int, k: int) -> tuple[Optional[dict], Optional[tuple[int, int]]]:
     """Probe radius k: map each radius-k block of src to the first centre
-    it occurs at; return the table and None, or the two centres of the
-    first block that needs two dst symbols.  Centres index s and d, which
-    hold src and dst from index lo on and must reach k symbols past every
-    centre read (see `_search_buffers`).
+    it occurs at; return the table and None, or None and the two centres
+    of the first block that needs two dst symbols.  Centres index s and d,
+    which hold src and dst from index lo on and must reach k symbols past
+    every centre read (see `_search_buffers`).  Radius 0 keys its table by
+    the centre's symbol, with no slice per centre, and makes the 1-tuple
+    blocks once, from a consistent table.
 
     It reads the centres [-k-1-N, max(|u|+k, |v|) - 1], u and v the
     anomalies of src and dst, both of least period N, with |u| ≡ |v|
@@ -186,11 +188,19 @@ def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu
     stretch holds exactly the left one's pairs: it can add no block and
     no clash, and consistency on the range is consistency on all of Z.
     """
+    centres = range(-k - 1 - n - lo, max(lu + k, lv) - lo)
+    if k == 0:
+        firsts: dict[int, int] = {}
+        for c in centres:
+            first = firsts.setdefault(s[c], c)
+            if d[first] != d[c]:
+                return None, (first, c)
+        return {(sym,): c for sym, c in firsts.items()}, None
     table: dict[tuple[int, ...], int] = {}
-    for c in range(-k - 1 - n - lo, max(lu + k, lv) - lo):
+    for c in centres:
         first = table.setdefault(s[c - k:c + k + 1], c)
         if d[first] != d[c]:
-            return table, (first, c)
+            return None, (first, c)
     return table, None
 
 

@@ -148,7 +148,8 @@ def _zero_counts(spec: SturmianSpec, n_lo: int, n_hi: int) -> list[int]:
 def _expand(counts: Sequence[int]) -> Word:
     """The concatenation of the cells with these zero counts."""
     cells = {z: (1,) + (0,) * z for z in set(counts)}  # BINARY ids: "0" is 0, "1" is 1
-    return Word(tuple(chain.from_iterable(map(cells.__getitem__, counts))), BINARY)
+    # every id is 0 or 1, so the word is valid over BINARY by construction
+    return Word._trusted(tuple(chain.from_iterable(map(cells.__getitem__, counts))), BINARY)
 
 
 class CellSeries(Value):
@@ -252,9 +253,15 @@ def skew_sturmian(spec: SturmianSpec) -> EPSeq:
     zeros = _zero_counts(spec, n_lo, m + j + 2 * p - 1)
     k = m - n_lo  # B_m is zeros[k]
     period = zeros[k - p:k]
-    beams = zeros[:k] + zeros[k + j:]
-    expected = (period * (k // p + 1))[-k:] + period * 2
-    if beams != expected:
+    # each beam against the period block one p-cell slice at a time: the right
+    # beam is two blocks, the left a suffix of the block and then whole blocks;
+    # the lists a mismatch message needs are built only on a mismatch
+    head = k % p
+    if (zeros[k + j:k + j + p] != period or zeros[k + j + p:] != period
+            or zeros[:head] != period[p - head:]
+            or any(zeros[i:i + p] != period for i in range(head, k - p, p))):
+        beams = zeros[:k] + zeros[k + j:]
+        expected = (period * (k // p + 1))[-k:] + period * 2
         i = next(i for i, (z, e) in enumerate(zip(beams, expected)) if z != e)
         raise InternalMismatch(
             f"cell B_{n_lo + (i if i < k else i + j)} of {spec} does not repeat the period block"
@@ -265,7 +272,10 @@ def skew_sturmian(spec: SturmianSpec) -> EPSeq:
         raise InternalMismatch(f"period block of {spec} has wrong symbol counts")
     if len(v) != size:
         raise InternalMismatch(f"anomaly block of {spec} has length {len(v)}, not {size}")
-    return make_ep(w, v)
+    # normalized as built: w holds q zeros and p ones with gcd(p, q) = 1, so w is
+    # primitive, and |v| < p + q except for S' with p = 1, whose v = 1 0^(q+1)
+    # neither ends with w = 1 0^q nor is a power of it
+    return EPSeq._trusted(w, v)
 
 
 def symbol_reverse(x: EPSeq) -> EPSeq:

@@ -36,6 +36,24 @@ def test_an_unused_import_is_found():
     assert unused_imports(tree) == ["Any (line 2)"]
 
 
+# the oldest Python that pyproject.toml's requires-python admits; the tests may
+# run on a newer one, and the parser's feature_version refuses newer syntax
+OLDEST_PYTHON = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                                         (ROOT / "pyproject.toml").read_text(), re.M).groups()))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_every_module_parses_as_the_oldest_supported_python(module):
+    ast.parse((SRC / module).read_text(), module, feature_version=OLDEST_PYTHON)
+
+
+def test_newer_syntax_is_refused_at_the_oldest_supported_python():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source)
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=OLDEST_PYTHON)
+
+
 def unread_private_functions(trees: dict[str, ast.Module]) -> list[str]:
     """The private module-level functions of the modules that nothing but
     their own definition reads, by name or as an attribute, with their

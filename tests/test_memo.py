@@ -52,6 +52,7 @@ from epshift.sturmian import (
     expand_cells,
     skew_sturmian,
 )
+from epshift.verify import coprime_pairs
 from epshift.words import BINARY, Alphabet, Word, primitive_root, rotate, word
 
 LETTERS = ("a", "b", "c", "d")
@@ -169,7 +170,7 @@ def test_trusted_paths_build_only_valid_values(parts, data):
                      label="frequency")
     stype = data.draw(st.sampled_from([TYPE_S, TYPE_SPRIME]), label="type")
     spec = SturmianSpec(Frequency.rational(q, p), stype, data.draw(st.integers(-3, 3), label="m"))
-    values.append(cell_series(spec, start, start + length - 1))
+    values += [cell_series(spec, start, start + length - 1), skew_sturmian(spec)]
     for dn, da in ((1, 0), (0, 1)):
         moves, end = _raise_moves(x, dn, da)
         values += [m.result for m in moves] + [end]
@@ -196,6 +197,15 @@ def test_trusted_paths_build_only_valid_values(parts, data):
         again = SlidingBlockCode(c.memory, c.anticipation, c.entries, rebuilt_alphabet(
             c.source_alphabet), rebuilt_alphabet(c.target_alphabet))
         assert again == c and again._lookup == c._lookup
+
+
+def test_skew_sturmian_returns_what_the_checked_constructors_build():
+    for q, p in coprime_pairs(60):
+        for stype in (TYPE_S, TYPE_SPRIME):
+            for m in (-2, 0, 3):
+                x = skew_sturmian(SturmianSpec(Frequency.rational(q, p), stype, m))
+                assert rebuilt(x) == x, x  # EPSeq of checked words
+                assert make_ep(x.period_word, x.anomaly) == x, x
 
 
 def test_trusted_takes_every_field_and_memos_no_comparison_sees():

@@ -275,22 +275,50 @@ def test_skew_sturmian_matches_the_per_cell_word_route(stype):
             assert skew_sturmian(spec) == _skew_by_cell_words(spec), spec
 
 
-@pytest.mark.parametrize("corrupt", [0, -1, 7])
-def test_a_corrupt_beam_count_raises_internal_mismatch(monkeypatch, corrupt):
-    spec = spec_S(5, 7, 1)  # restricted Bézout pair (2, 3): j = 3 anomaly cells
-    n_lo, n_hi = 1 - 2 * 8 - 3, 1 + 3 + 2 * 7 - 1  # skew_sturmian's window
+# S(5/7, m=1): restricted Bézout pair (2, 3), so j = 3 anomaly cells; the
+# window's k = 19 cells before B_1 are a 5-cell suffix of the period block,
+# then whole blocks, and the right beam starts at index k + j = 22
+CORRUPT_SPEC = spec_S(5, 7, 1)
+CORRUPT_WINDOW = (1 - 2 * 8 - 3, 1 + 3 + 2 * 7 - 1)  # skew_sturmian's window
+
+
+def _corrupt_zero_counts(monkeypatch, cells):
+    """Make skew_sturmian read its window with one zero added to each of
+    the cells at these indices into it."""
     real = _zero_counts
 
     def corrupted(spec, lo, hi):
-        assert (lo, hi) == (n_lo, n_hi)
+        assert (lo, hi) == CORRUPT_WINDOW
         zeros = real(spec, lo, hi)
-        zeros[corrupt] += 1
+        for i in cells:
+            zeros[i] += 1
         return zeros
 
     monkeypatch.setattr(sturmian, "_zero_counts", corrupted)
-    bad = range(n_lo, n_hi + 1)[corrupt]
+
+
+# the first and last cells, both sides of the left beam's first block
+# boundary (4 | 5), one inside a whole block, and the right beam's first cell
+@pytest.mark.parametrize("corrupt", [0, 4, 5, 7, 22, -1])
+def test_a_corrupt_beam_count_raises_internal_mismatch(monkeypatch, corrupt):
+    _corrupt_zero_counts(monkeypatch, [corrupt])
+    bad = range(CORRUPT_WINDOW[0], CORRUPT_WINDOW[1] + 1)[corrupt]
     with pytest.raises(InternalMismatch, match=rf"cell B_{bad} of .* does not repeat"):
-        skew_sturmian(spec)
+        skew_sturmian(CORRUPT_SPEC)
+
+
+def test_every_count_raised_by_one_raises_wrong_symbol_counts(monkeypatch):
+    # the beams still repeat the period block, which now holds too many zeros
+    _corrupt_zero_counts(monkeypatch, range(CORRUPT_WINDOW[1] - CORRUPT_WINDOW[0] + 1))
+    with pytest.raises(InternalMismatch, match=r"period block of .* has wrong symbol counts"):
+        skew_sturmian(CORRUPT_SPEC)
+
+
+def test_raised_anomaly_counts_raise_wrong_anomaly_length(monkeypatch):
+    # the three anomaly cells B_1 .. B_3 are indices 19 .. 21; a + b = 5 symbols
+    _corrupt_zero_counts(monkeypatch, [19, 20, 21])
+    with pytest.raises(InternalMismatch, match=r"anomaly block of .* has length 8, not 5"):
+        skew_sturmian(CORRUPT_SPEC)
 
 
 def test_skew_sturmian_at_n6400():
