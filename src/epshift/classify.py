@@ -368,35 +368,32 @@ FlowMove = Union[ConjugacyMove, ExpandMove]
 def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSeq]:
     """Flow moves from x to a sequence with least period N+dn and anomaly
     size a(x)+da: one conjugacy and at most two expansions.  The conjugacy
-    puts a fresh mark on the last letter of the period word (if dn > 0) and
-    of the minimal anomaly (if da > 0).  The 1-block map erasing the marks
-    sends the marked sequence to canonical(x), and both have least period N,
-    so by `_conjugacy_failure`'s rule it is a conjugacy: the move carries
-    it, BACKWARD, and no code is searched for.  A mark occurs once per period
-    and not in the anomaly, or once in the anomaly and not in the period, so
-    expanding it into dn (or da) fresh symbols raises N by dn (or a by da)."""
+    gives every position of canonical(x) = …w w [u] w w… a fresh symbol:
+    x̂ = …P P [A] P P…, with p_1…p_N a_1…a_a all distinct.  The 1-block map
+    p_i ↦ w_i, a_j ↦ u_j sends x̂ to canonical(x), and both have least period
+    N, so by `_conjugacy_failure`'s rule it is a conjugacy: the move carries
+    it, BACKWARD, and no code is searched for.  Expanding p_N into dn fresh
+    symbols and a_a into da raises N by dn and a by da, and keeps one symbol
+    per position, so a 1-block code sends the end onto any sequence with its
+    invariants, aligned at the anchors."""
     if not (dn or da):
         return (), x
     c = canonical(x)
-    n, a = least_period(c), len(c.anomaly)
-    steps = [k for k in (dn, da) if k]
-    marks = c.alphabet.mint_labels(len(steps))
-    bigger = Alphabet._trusted(c.alphabet.labels + marks)
-    parts, erased = [c.period_word.symbols, c.anomaly.symbols], list(range(len(c.alphabet)))
-    for i, k in enumerate((dn, da)):
-        if k:
-            parts[i], erased = parts[i][:-1] + (len(erased),), erased + [parts[i][-1]]
-    # each mark occurs once and only where it was put, so the parts stay normalized
-    primed = EPSeq._trusted(*(Word._trusted(p, bigger) for p in parts))
+    w, u = c.period_word.symbols, c.anomaly.symbols
+    n, a, k = len(w), len(u), len(c.alphabet)
+    bigger = Alphabet._trusted(c.alphabet.labels + c.alphabet.mint_labels(n + a))
+    # the symbols are distinct, so P is primitive and A shares no symbol with it: normalized
+    primed = EPSeq._trusted(Word._trusted(tuple(range(k, k + n)), bigger),
+                            Word._trusted(tuple(range(k + n, k + n + a)), bigger))
     if not conjugate_ep(c, primed):
         raise PostconditionFailed(f"marking changed the invariants: (N={least_period(primed)}, "
                                   f"a={anomaly_size(primed)}), expected (N={n}, a={a})")
-    erase = SlidingBlockCode(0, 0, tuple(((s,), t) for s, t in enumerate(erased)), bigger,
-                             c.alphabet)
+    erase = SlidingBlockCode(0, 0, tuple(zip(zip(range(k, k + n + a)), w + u)), bigger, c.alphabet)
     y, moves = primed, [ConjugacyMove(erase, primed, BACKWARD)]
-    for label, k in zip(marks, steps):
-        y, fresh = expand_symbol(y, label, k)
-        moves.append(ExpandMove(label, fresh, y))
+    for mark, count in ((k + n - 1, dn), (k + n + a - 1, da)):
+        if count:
+            y, fresh = expand_symbol(y, bigger.labels[mark], count)
+            moves.append(ExpandMove(bigger.labels[mark], fresh, y))
     if (least_period(y), anomaly_size(y)) != (n + dn, a + da):
         raise PostconditionFailed(f"raise postcondition: got (N={least_period(y)}, "
                                   f"a={anomaly_size(y)}), expected (N={n + dn}, a={a + da})")
@@ -406,10 +403,10 @@ def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSe
 class FlowWitness(Value):
     """Two chains of flow moves whose endpoints are conjugate, plus the
     final links between the endpoints, each a conjugacy by itself: one
-    link in what `flow_witness` builds, and a FORWARD and a BACKWARD link
-    in a `flowwitness/1` or `/2` value, which are both checked.  A
-    conjugacy witness (fwd, inv) is the one with empty chains and the
-    links (fwd, FORWARD) and (inv, BACKWARD)."""
+    link in what `flow_witness` builds, from the marked end of a chain with
+    moves, and a FORWARD and a BACKWARD link in a `flowwitness/1` or `/2`
+    value, which are both checked.  A conjugacy witness (fwd, inv) is the
+    one with empty chains and the links (fwd, FORWARD) and (inv, BACKWARD)."""
 
     chain_x: tuple[FlowMove, ...]
     chain_y: tuple[FlowMove, ...]
@@ -426,17 +423,20 @@ def flow_witness(x: EPSeq, y: EPSeq) -> FlowWitness:
     """A checkable certificate that the subshifts of x and y are flow
     equivalent: one `_raise_moves` chain per side raises the least period
     to max(M, M') and the anomaly size to max(a(x), a(y)); the equalized
-    endpoints are conjugate, and one FORWARD code links them: the least
-    radius code from end_x to end_y, or the identity when they are equal.
-    The witness is checked once, by `verify_flow_witness` (a failure raises
-    InternalMismatch)."""
+    endpoints are conjugate, and one code links them: the identity when
+    they are equal, else the least radius code from end_x, FORWARD, or from
+    end_y, BACKWARD, when only chain_y is non-empty.  From a raised end it
+    has radius 0.  The witness is checked once, by `verify_flow_witness` (a
+    failure raises InternalMismatch)."""
     (nx, ax), (ny, ay) = (least_period(x), anomaly_size(x)), (least_period(y), anomaly_size(y))
     n, a = max(nx, ny), max(ax, ay)
     chain_x, end_x = _raise_moves(x, n - nx, a - ax)
     chain_y, end_y = _raise_moves(y, n - ny, a - ay)
-    final = (identity_code(end_x.alphabet) if end_x == end_y
-             else _witness_code(canonical(end_x), canonical(end_y)))
-    wit = FlowWitness(chain_x, chain_y, ((final, FORWARD),))
+    src, dst, direction = ((end_y, end_x, BACKWARD) if chain_y and not chain_x
+                           else (end_x, end_y, FORWARD))
+    final = (identity_code(src.alphabet) if src == dst
+             else _witness_code(canonical(src), canonical(dst)))
+    wit = FlowWitness(chain_x, chain_y, ((final, direction),))
     trail: list[str] = []
     if not verify_flow_witness(x, y, wit, trail):
         raise InternalMismatch(f"built flow witness fails its replay: {trail[0]}")

@@ -79,8 +79,8 @@ class SymbolAbsent(InputError):
 
 
 class PostconditionFailed(EpshiftError):
-    """A raise-period / raise-anomaly construction failed its verified
-    postcondition."""
+    """A flow chain's mark or expansions changed the invariants other than
+    the raise asked for."""
 
 
 class MalformedInput(InputError):

@@ -9,10 +9,11 @@ cutting-sequence construction, and every witness against one replayer,
 ``classify.verify_flow_witness``, once: on each witness
 ``conjugacy_witness`` builds, read as the flow witness with no moves (each
 code's image is similar to the other sequence), and on each flow witness
-``flow_witness`` builds.  Its chains are one mark conjugacy, carrying the
-1-block map that erases the marks, and at most two compound expansions,
-and one code links their endpoints; each code is checked alone by the
-one-code conjugacy rule.  Failures are recorded as re-parseable counterexamples; an empty
+``flow_witness`` builds.  Its chains are one mark conjugacy, marking every
+position and carrying the 1-block map that erases the marks, and at most
+two compound expansions; one code links their endpoints, a 1-block one
+from a marked end.  Each code is checked alone by the one-code conjugacy
+rule.  Failures are recorded as re-parseable counterexamples; an empty
 failure list is a pass.
 
 Each criterion is an instance stream and a check of one instance, which
@@ -493,8 +494,9 @@ def check_flow_witnesses(bounds: VerifyBounds, seed: int = 0, *,
     seeded random EPSeq pairs.  `flow_witness` replays each witness it
     builds and raises InternalMismatch when the replay fails, so building
     is checking.  A witness runs one least-radius search, for its final
-    code; the mark conjugacies of its chains carry erasing maps, which need
-    none.  Each witness builds both of its chains."""
+    code, which stops at radius 0 when a chain has moves; the mark
+    conjugacies of its chains carry erasing maps, which need none.  Each
+    witness builds both of its chains."""
 
     def instances() -> Iterator[tuple[EPSeq, EPSeq, Optional[dict]]]:
         # (x, y, both specs) for a skew pair, (x, y, None) for a random pair

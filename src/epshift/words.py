@@ -186,10 +186,6 @@ class Word(Value):
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __add__(self, other: Word) -> Word:
-        require_same_alphabet(self, other)
-        return Word(self.symbols + other.symbols, self.alphabet)
-
     def labels(self) -> tuple[str, ...]:
         return tuple(self.alphabet.labels[s] for s in self.symbols)
 

@@ -442,10 +442,12 @@ def test_narrow_buffer_counterexample_needs_radius_three():
 
 
 def _mark_pair(q, p):
-    """The canonical source and target of the anomaly-mark code of S(q/p)."""
+    """The canonical S(q/p) and its copy with one fresh mark on the last
+    letter of the anomaly: the anomaly-mark code of the one-mark raise."""
     x = canonical(skew(TYPE_S, q, p))
-    (mark, _), _ = _raise_moves(x, 0, 1)
-    return x, canonical(mark.result)
+    big = Alphabet(x.alphabet.labels + ("m",))
+    u = x.anomaly.symbols[:-1] + (len(x.alphabet),)
+    return x, canonical(make_ep(Word(x.period_word.symbols, big), Word(u, big)))
 
 
 @pytest.mark.parametrize("pair, radius", [
@@ -758,19 +760,26 @@ def test_raise_anomaly_examples():
 
 def _assert_one_mark_chain(chain, steps):
     """The chain is empty when steps is 0, and otherwise one conjugacy
-    move, first, whose code is the 1-block map from the result erasing the
-    marks, then at most one compound expansion of each mark the conjugacy
-    put in, with `steps` fresh labels in all."""
+    move, first, whose result gives each of its N + a positions a fresh
+    symbol of its own and whose code is the 1-block map from the result
+    erasing those marks, one row per mark; then at most one compound
+    expansion of the last period mark and of the last anomaly mark, in
+    that order, with `steps` fresh labels in all."""
     if steps == 0:
         assert chain == ()
         return
     conj, *expands = chain
     assert isinstance(conj, ConjugacyMove) and 1 <= len(expands) <= 2
     assert conj.direction == BACKWARD and conj.code.block_length == 1
-    assert conj.code.source_alphabet == conj.result.alphabet
+    marked, labels = conj.result, conj.result.alphabet.labels
+    assert conj.code.source_alphabet == marked.alphabet
+    p, u = marked.period_word.symbols, marked.anomaly.symbols
+    assert len(set(p + u)) == len(p + u) == least_period(marked) + anomaly_size(marked)
+    assert {labels[s] for s in p + u}.isdisjoint(conj.code.target_alphabet.labels)
+    assert [block for block, _ in conj.code.entries] == sorted(zip(p + u))
     assert all(isinstance(m, ExpandMove) for m in expands)
-    marks = set(conj.result.alphabet.labels) - set(conj.code.target_alphabet.labels)
-    assert sorted(m.symbol for m in expands) == sorted(marks)
+    symbols = [m.symbol for m in expands]
+    assert symbols in ([labels[p[-1]]], [labels[u[-1]]], [labels[p[-1]], labels[u[-1]]])
     assert sum(len(m.fresh) for m in expands) == steps
 
 
@@ -797,6 +806,11 @@ def test_flow_chains_are_one_mark_chains():
         w = flow_witness(x, y)
         _assert_one_mark_chain(w.chain_x, n - nx + a - ax)
         _assert_one_mark_chain(w.chain_y, n - ny + a - ay)
+        # a marked endpoint maps onto the other one by a 1-block code
+        (code, direction), = w.final
+        if w.chain_x or w.chain_y:
+            assert code.block_length == 1
+            assert direction == (FORWARD if w.chain_x else BACKWARD)
 
 
 # --- flow witnesses ----------------------------------------------------------
@@ -882,11 +896,13 @@ def _tampered_witnesses(forged_factor_witness):
     w = flow_witness(x, y)
     conj, expand = w.chain_y
     big = conj.result.alphabet
-    assert conj.direction == BACKWARD and conj.code.out((2,)) == 0   # the mark x0' erases to 0
+    assert expand.fresh == ("x2'",)
+    # the marks x0' and x1' of the period 0 and the anomaly 1 erase to them
+    assert conj.direction == BACKWARD and (conj.code.out((2,)), conj.code.out((3,))) == (0, 1)
     other_code = SlidingBlockCode(0, 0, (((0,), 2), ((1,), 0)), BINARY, big)
     short_code = SlidingBlockCode(0, 0, (((0,), 2),), BINARY, big)
-    wrong_mark = SlidingBlockCode(0, 0, (((0,), 0), ((1,), 1), ((2,), 1)), big, BINARY)
-    other_result = make_ep(Word((2,), big), Word((1, 1), big))
+    wrong_mark = SlidingBlockCode(0, 0, (((2,), 1), ((3,), 1)), big, BINARY)
+    other_result = make_ep(Word((2,), big), Word((3, 3), big))
     fx, fy, forged = forged_factor_witness
 
     def with_chain_y(*moves):
@@ -903,7 +919,7 @@ def _tampered_witnesses(forged_factor_witness):
          "chain_y[0]: replay error: image of the sequence under the code is periodic"),
         (*with_chain_y(ConjugacyMove(conj.code, conj.result, FORWARD), expand),
          "chain_y[0]: replay error: sequence alphabet differs from the code's source alphabet"),
-        (*with_chain_y(conj, ExpandMove(expand.symbol, ("x2'",), expand.result)),
+        (*with_chain_y(conj, ExpandMove(expand.symbol, ("x3'",), expand.result)),
          "chain_y[1]: expansion does not reproduce recorded result"),
         (fx, fy, forged, "chain_x[0]: conjugacy move changes the invariants"),
         (fx, fy, FlowWitness((), (), ((forged.chain_x[0].code, FORWARD),)),
@@ -959,8 +975,9 @@ def test_flow_witness_raises_when_its_replay_fails(monkeypatch):
 
 
 def test_flow_witness_runs_one_radius_search(monkeypatch):
-    # S(1/1) -> S(599/1001) at N=1600: the marks are erased by 1-block maps,
-    # so the one least-radius search is the final code's, and it stops at 0
+    # S(1/1) -> S(599/1001) and S'(599/1001) -> S(500/901) at N=1600: the
+    # marks are erased by 1-block maps, so the one least-radius search is
+    # the final code's, from the marked end_x, and it stops at 0
     calls, raising = [], []
 
     def counting(src, dst):
@@ -977,14 +994,42 @@ def test_flow_witness_runs_one_radius_search(monkeypatch):
     witness_code = classify._witness_code
     monkeypatch.setattr(classify, "_witness_code", counting)
     monkeypatch.setattr(classify, "_raise_moves", raise_moves)
-    x, y = skew(TYPE_S, 1, 1), skew(TYPE_S, 599, 1001)
-    assert least_period(y) == 1600
+    for x, y, moves in ((skew(TYPE_S, 1, 1), skew(TYPE_S, 599, 1001), 3),
+                        (skew(TYPE_SPRIME, 599, 1001), skew(TYPE_S, 500, 901), 4)):
+        assert max(least_period(x), least_period(y)) == 1600
+        calls.clear()
+        w = flow_witness(x, y)
+        assert calls == [False]
+        assert len(w.chain_x) + len(w.chain_y) <= moves
+        (code, direction), = w.final
+        assert direction == FORWARD and code.memory == code.anticipation == 0
+        assert verify_flow_witness(x, y, w)
+
+
+@pytest.mark.parametrize("x_freq, y_freq", [((149, 251), (125, 226)), ((599, 1001), (500, 901))])
+def test_flow_witnesses_between_raised_sides_hold_1_block_codes_only(x_freq, y_freq):
+    # S'(149/251) -> S(125/226) (N=400) and S'(599/1001) -> S(500/901)
+    # (N=1600) raise both sides; one mark per raised invariant left a final
+    # code of radius 199 and 799
+    x, y = skew(TYPE_SPRIME, *x_freq), skew(TYPE_S, *y_freq)
+    (nx, ax), (ny, ay) = (least_period(x), anomaly_size(x)), (least_period(y), anomaly_size(y))
+    n, a = max(nx, ny), max(ax, ay)
+    assert (nx, ax) != (n, a) and (ny, ay) != (n, a)
     w = flow_witness(x, y)
-    assert calls == [False]
-    assert len(w.chain_x) + len(w.chain_y) <= 3
-    (code, direction), = w.final
-    assert direction == FORWARD and code.memory == code.anticipation == 0
-    assert verify_flow_witness(x, y, w)
+    moves = w.chain_x + w.chain_y
+    codes = [m.code for m in moves if isinstance(m, ConjugacyMove)] + [c for c, _ in w.final]
+    for code in codes:
+        assert code.memory == code.anticipation == 0
+        blocks = [block for block, _ in code.entries]
+        assert len(set(blocks)) == len(blocks) <= len(code.source_alphabet)
+    # N' + a' marks and fresh labels at most join the binary alphabet Σ
+    alphabets = [m.result.alphabet for m in moves]
+    alphabets += [al for c in codes for al in (c.source_alphabet, c.target_alphabet)]
+    assert x.alphabet == y.alphabet == BINARY
+    assert max(map(len, alphabets)) <= len(BINARY) + n + a
+    text = json.dumps(jsonio.emit_flow_witness(w))
+    assert len(text) < 500_000
+    assert verify_flow_witness(x, y, jsonio.parse_flow_witness(json.loads(text)))
 
 
 def test_a_dropped_flow_witness_leaves_nothing_it_built_alive():

@@ -314,9 +314,10 @@ def test_check_witness_accepts_a_compound_flow_witness_with_a_final_code_pair(tm
     assert obj["trail"] == ["chain_x[1]: expansion does not reproduce recorded result"]
 
 
-def _flow3_fixture(tmp_path):
-    """The committed flowwitness/3 fixture and the two sequence files it links."""
-    raw = json.loads((Path(__file__).parent / "data" / "flow3_S1-2_S2-5.json").read_text())
+def _flow3_fixture(tmp_path, name="flow3_S1-2_S2-5.json"):
+    """A committed flowwitness/3 fixture, by default the one-mark witness,
+    and the two sequence files it links."""
+    raw = json.loads((Path(__file__).parent / "data" / name).read_text())
     x = skew_sturmian(SturmianSpec(Frequency.rational(1, 2), TYPE_S))
     y = skew_sturmian(SturmianSpec(Frequency.rational(2, 5), TYPE_S))
     return raw, write_ep(tmp_path / "a.json", x), write_ep(tmp_path / "b.json", y)
@@ -328,24 +329,36 @@ def _check_changed(capsys, tmp_path, a, b, raw):
 
 
 def test_check_witness_accepts_the_compound_flow_witness_classify_flow_writes(tmp_path, capsys):
-    # one mark conjugacy, carrying the 1-block map that erases the marks,
-    # then one expansion per mark, and one final code
-    raw, a, b = _flow3_fixture(tmp_path)
+    # one mark conjugacy, carrying the 1-block map that erases a mark on
+    # every position, then one expansion of the last period mark and one of
+    # the anomaly mark, and one final 1-block code
+    raw, a, b = _flow3_fixture(tmp_path, "flow3_marked_S1-2_S2-5.json")
     assert raw["format"] == "flowwitness/3"
     assert (len(raw["chain_x"]), len(raw["chain_y"])) == (3, 0)
     assert raw["chain_x"][0]["direction"] == "backward"
-    assert raw["final"]["direction"] == "forward"
+    assert raw["final"]["direction"] == "forward" and raw["final"]["code"]["memory"] == 0
     code, _ = run(capsys, "classify", "flow", a, b, "--witness", str(tmp_path / "fw.json"))
     assert code == 0 and json.loads((tmp_path / "fw.json").read_text()) == raw
     code, obj = run(capsys, "classify", "check-witness", a, b, str(tmp_path / "fw.json"))
     assert code == 0 and obj == {"valid": True, "trail": []}
 
     bad = copy.deepcopy(raw)
-    assert bad["chain_x"][1]["fresh"] == ["x2'", "x3'", "x4'", "x5'"]
+    assert bad["chain_x"][1]["fresh"] == ["x4'", "x5'", "x6'", "x7'"]
     bad["chain_x"][1]["fresh"][1] = "x9'"
     code, obj = _check_changed(capsys, tmp_path, a, b, bad)
     assert code == 1 and obj["valid"] is False
     assert obj["trail"] == ["chain_x[1]: expansion does not reproduce recorded result"]
+
+
+def test_check_witness_accepts_the_one_mark_flow_witness_classify_flow_wrote(tmp_path, capsys):
+    # one mark on the period's last letter and one on the anomaly's, then one
+    # expansion per mark, and a final code found by search: what classify
+    # flow wrote before it marked every position
+    raw, a, b = _flow3_fixture(tmp_path)
+    assert [len(m["result"]["alphabet"]) for m in raw["chain_x"]] == [4, 8, 11]
+    code, obj = run(capsys, "classify", "check-witness", a, b,
+                    str(Path(__file__).parent / "data" / "flow3_S1-2_S2-5.json"))
+    assert code == 0 and obj == {"valid": True, "trail": []}
 
 
 def test_check_witness_rejects_a_tampered_mark_move_and_a_factor_map_final_code(

@@ -148,20 +148,20 @@ def test_expand_move_fresh_labels_are_typed_per_format():
     # flowwitness/3 and /2: a non-empty list of strings; flowwitness/1: one string
     w = jsonio.emit_flow_witness(flow_witness(skew(TYPE_S, 1, 1), ep("0", "1")))
     conj, expand = w["chain_y"]
-    assert expand["kind"] == "expand" and expand["fresh"] == ["x1'"]
+    assert expand["kind"] == "expand" and expand["fresh"] == ["x2'"]
     parsed = jsonio.parse_flow_witness(w)
     unit = _as_format(w, "flowwitness/1")
-    unit["chain_y"][1] = {**expand, "fresh": "x1'"}
+    unit["chain_y"][1] = {**expand, "fresh": "x2'"}
     for old in (unit, _as_format(w, "flowwitness/2")):
         again = jsonio.parse_flow_witness(old)
         assert again.chain_y[1] == parsed.chain_y[1]
         assert again.chain_y[0] == ConjugacyMove(parsed.chain_y[0].code, parsed.chain_y[0].result)
-        assert again.final == parsed.final + ((parsed.final[0][0], BACKWARD),)
-    for fmt, fresh in (("flowwitness/3", "x1'"), ("flowwitness/3", []),
-                       ("flowwitness/3", ["x1'", 1]), ("flowwitness/2", "x1'"),
-                       ("flowwitness/2", []), ("flowwitness/2", ["x1'", 1]),
+        assert again.final == ((parsed.final[0][0], FORWARD), (parsed.final[0][0], BACKWARD))
+    for fmt, fresh in (("flowwitness/3", "x2'"), ("flowwitness/3", []),
+                       ("flowwitness/3", ["x2'", 1]), ("flowwitness/2", "x2'"),
+                       ("flowwitness/2", []), ("flowwitness/2", ["x2'", 1]),
                        ("flowwitness/2", [None]), ("flowwitness/2", None),
-                       ("flowwitness/1", ["x1'"]), ("flowwitness/1", 1)):
+                       ("flowwitness/1", ["x2'"]), ("flowwitness/1", 1)):
         bad = w if fmt == "flowwitness/3" else _as_format(w, fmt)
         bad = {**bad, "chain_y": [bad["chain_y"][0], {**expand, "fresh": fresh}]}
         with pytest.raises(MalformedInput, match="fresh"):
@@ -170,7 +170,8 @@ def test_expand_move_fresh_labels_are_typed_per_format():
 
 def test_directions_are_read_from_flowwitness_3_only():
     w = jsonio.emit_flow_witness(flow_witness(skew(TYPE_S, 1, 1), ep("0", "1")))
-    assert w["chain_y"][0]["direction"] == "backward" and w["final"]["direction"] == "forward"
+    # only y is raised, so the final code runs from its marked end
+    assert w["chain_y"][0]["direction"] == "backward" and w["final"]["direction"] == "backward"
     assert "direction" not in w["chain_y"][1]
     for direction in ("sideways", "Forward", "", None, 0, True, ["forward"], {}):
         for pick in (lambda v: v["chain_y"][0], lambda v: v["final"]):

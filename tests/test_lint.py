@@ -91,3 +91,21 @@ def test_readme_states_the_source_line_count():
     assert stated, "README has no `src/epshift/     (N lines)` line"
     total = sum(p.read_bytes().count(b"\n") for p in SRC.glob("*.py"))
     assert int(stated[1].replace(",", "")) == total
+
+
+def unnamed_fixtures(fixtures: list[str], modules: list[str]) -> list[str]:
+    """The fixture file names that no test module's text holds in quotes."""
+    return [name for name in fixtures
+            if not any(f'"{name}"' in text or f"'{name}'" in text for text in modules)]
+
+
+def test_every_fixture_is_named_by_a_test_module():
+    tests = ROOT / "tests"
+    modules = [p.read_text() for p in tests.glob("*.py")]
+    assert unnamed_fixtures(sorted(p.name for p in (tests / "data").glob("*.json")), modules) == []
+
+
+def test_an_unnamed_fixture_is_found():
+    modules = ['load("flow_b.json")\n', "open('c.json')  # a.json, 'flow_a.json.bak': no name\n"]
+    fixtures = ["a.json", "b.json", "c.json", "flow_b.json"]
+    assert unnamed_fixtures(fixtures, modules) == ["a.json", "b.json"]

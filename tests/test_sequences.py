@@ -290,12 +290,13 @@ def test_equal_iff_pointwise_equal(wbits, vbits):
     except DegeneratePeriodic:
         return
     # appending the period to the anomaly re-encodes the same sequence
-    y = make_ep(x.period_word, x.anomaly + x.period_word)
+    w, v = x.period_word.symbols, x.anomaly.symbols
+    y = make_ep(x.period_word, Word(v + w, BINARY))
     assert y == x
     # shifting by a full period to the left is a different sequence that
     # absorbs exactly one period word into the anomaly
     z = shift(x, -least_period(x))
-    assert z == make_ep(x.period_word, x.period_word + x.anomaly)
+    assert z == make_ep(x.period_word, Word(w + v, BINARY))
     assert z != x
 
 
