@@ -54,6 +54,7 @@ class SlidingBlockCode(Value):
     entries: tuple[tuple[tuple[int, ...], int], ...]
     source_alphabet: Alphabet
     target_alphabet: Alphabet
+    _by_symbol = None  # a 1-block code's table by symbol id, a memo of read()
 
     def __post_init__(self) -> None:
         if self.memory < 0 or self.anticipation < 0:
@@ -87,17 +88,25 @@ class SlidingBlockCode(Value):
 
     def read(self, buf: tuple[int, ...], count: int) -> tuple[int, ...]:
         """The outputs on the blocks buf[i:i + block_length], 0 <= i < count,
-        looked up one block at a time.  A 1-block code reads the blocks as
-        the 1-tuples zip makes of buf[:count], with no slice per position."""
+        looked up one block at a time.  A 1-block code looks up the symbols
+        of buf[:count] themselves, in the memo ``_by_symbol``: its table
+        keyed by symbol id, not by 1-tuple, built on the first read."""
         blen = self.block_length
         if blen == 1:
-            blocks = zip(buf[:count])
+            table, blocks = self._by_symbol or self._symbol_table(), buf[:count]
         else:
+            table = self._lookup  # type: ignore[attr-defined]
             blocks = map(buf.__getitem__, map(slice, range(count), range(blen, blen + count)))
         try:
-            return tuple(map(self._lookup.__getitem__, blocks))  # type: ignore[attr-defined]
+            return tuple(map(table.__getitem__, blocks))
         except KeyError as e:
-            raise MissingBlock(f"block {e.args[0]} not in code table") from None
+            block = (e.args[0],) if blen == 1 else e.args[0]
+            raise MissingBlock(f"block {block} not in code table") from None
+
+    def _symbol_table(self) -> dict[int, int]:
+        table = {block[0]: out for block, out in self._lookup.items()}  # type: ignore[attr-defined]
+        object.__setattr__(self, "_by_symbol", table)
+        return table
 
 
 def identity_code(alphabet: Alphabet) -> SlidingBlockCode:
@@ -325,8 +334,7 @@ def expand_symbol(x: EPSeq, label: str, count: int = 1) -> tuple[EPSeq, tuple[st
     s = x.alphabet.index(label)
     if s not in x.period_word.symbols and s not in x.anomaly.symbols:
         raise SymbolAbsent(f"symbol {label!r} does not occur in the sequence")
-    fresh = x.alphabet.mint_labels(count)
-    bigger = Alphabet._trusted(x.alphabet.labels + fresh)
+    bigger, fresh = x.alphabet.extended(count)
     block = (s, *range(len(x.alphabet), len(bigger)))
 
     def subst(syms: tuple[int, ...]) -> tuple[int, ...]:
@@ -381,7 +389,7 @@ def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSe
     c = canonical(x)
     w, u = c.period_word.symbols, c.anomaly.symbols
     n, a, k = len(w), len(u), len(c.alphabet)
-    bigger = Alphabet._trusted(c.alphabet.labels + c.alphabet.mint_labels(n + a))
+    bigger = c.alphabet.extended(n + a)[0]
     # the symbols are distinct, so P is primitive and A shares no symbol with it: normalized
     primed = EPSeq._trusted(Word._trusted(tuple(range(k, k + n)), bigger),
                             Word._trusted(tuple(range(k + n, k + n + a)), bigger))

@@ -21,12 +21,17 @@ Normal forms come from one linear-time kernel, :func:`_scan`.  It reads a
 symbol buffer sliced once from the period word and the anomaly, finds d,
 the first index where the sequence departs from its left tail, and the
 last index where it departs from its right tail read backwards; these two
-indices give the leftmost minimal anomaly window.  ``anomaly_size``,
-``canonical``, ``shift``, ``remove_window`` and code images in
-:mod:`epshift.classify` all go through it.  The brute-force window search
-(``anomaly_windows``), which tries every window by slice compares and
-shares no code with the kernel, stays as the independent oracle that
-:mod:`epshift.verify` and the tests hold the kernel to.
+indices give the leftmost minimal anomaly window.  Both come from one XOR
+of the buffer with itself N places on, packed into fixed-width items (a
+byte per symbol up to 256 symbols) read little-endian, an order that
+``int.from_bytes`` needs spelled out on Python 3.10.  Item j fills bits
+[8wj, 8w(j+1)) for width w, so the lowest and highest set bits name the
+first and last differing items exactly.  ``anomaly_size``, ``canonical``,
+``shift``, ``remove_window`` and code images in :mod:`epshift.classify`
+all go through it.  The brute-force window search (``anomaly_windows``),
+which tries every window by slice compares and shares no code with the
+kernel, stays as the independent oracle that :mod:`epshift.verify` and
+the tests hold the kernel to.
 
 Each value is scanned for its normal form at most once.  ``canonical(x)``
 keeps its result on x itself, in the memo ``_canonical`` over the class
@@ -56,7 +61,6 @@ unaffected.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from operator import ne
 from typing import NamedTuple, Optional, Union
 
 from .errors import DegeneratePeriodic, InternalMismatch
@@ -236,13 +240,25 @@ def _scan(buf: tuple[int, ...], lo: int, period: Word, delta: int) -> Optional[_
 
     Both indices come from one comparison of y with itself N places on:
     d is the first i with y_i != y_{i-N} and e the last with y_i != y_{i+N}.
+    It is one XOR of buf[N:] with buf[:-N], each packed into w-byte items
+    (w = 1 up to 256 symbols, else 4) and read little-endian, the order
+    ``int.from_bytes`` needs given on Python 3.10.  Item j fills bits
+    [8wj, 8w(j+1)) whatever the byte order inside an item, so the lowest
+    set bit gives d, the highest e, and 0 means y is periodic.
     """
-    n = len(period)
-    diffs = list(map(ne, buf[n:], buf[:-n]))
-    if True not in diffs:
+    n, size = len(period), len(period.alphabet)
+    if size <= 256:
+        packed, width = bytes(buf), 1
+    else:
+        from array import array  # only here: most alphabets fit a byte
+        items = array("I", buf)  # 4 bytes; a larger id raises OverflowError
+        packed, width = items.tobytes(), items.itemsize
+    cut, bits = n * width, 8 * width
+    z = int.from_bytes(packed[cut:], "little") ^ int.from_bytes(packed[:-cut], "little")
+    if not z:
         return None
-    d = lo + n + diffs.index(True)
-    e = lo + len(diffs) - 1 - diffs[::-1].index(True)
+    d = lo + n + ((z & -z).bit_length() - 1) // bits
+    e = lo + (z.bit_length() - 1) // bits
     need = max(1, e + 1 - d)
     length = need + (delta - need) % n
     return _Scan(buf, lo, period, d, AnomalyWindow(e + 1 - length, length))

@@ -24,9 +24,11 @@ class Value:
     class attributes.  Built by position or keyword, then checked by
     ``__post_init__``; ``==`` (within one class), ``hash`` and ``repr``
     (``Name(field=value, ...)``) read the fields; nothing can be set or
-    deleted.  Other attributes are memos no comparison sees: the hash and
-    ``sequences.canonical``'s result, kept on first use over a class
-    default of None, and a code's lookup table.  Like the fields, they are
+    deleted.  Other attributes are memos no comparison sees: the hash,
+    ``sequences.canonical``'s result, an alphabet's next mint counter and a
+    1-block code's table by symbol id, kept on first use over a class
+    default of None (or, for the counter, by the mint that builds the
+    alphabet), and a code's lookup table.  Like the fields, they are
     set with ``object.__setattr__``: a write to the instance ``__dict__``
     would move the attributes into a dict and slow every later read.
 
@@ -99,6 +101,7 @@ class Alphabet(Value):
 
     labels: tuple[str, ...]
     _ids = None  # the label -> id dict of index(); a memo, not a field
+    _counter = None  # the counter mint_labels() starts at, in digits; a memo
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -126,13 +129,29 @@ class Alphabet(Value):
         return ids
 
     def mint_labels(self, count: int) -> tuple[str, ...]:
-        """`count` deterministic fresh labels x{n}', x{n+1}', ... from one
-        scan of the labels, n one more than the largest decimal counter of
-        a label of that form (0 if there is none).  They are valid labels
-        not in the alphabet, so ``Alphabet._trusted(labels + minted)``
-        appends them in one copy, unchecked.  The counters are compared
-        and counted on as digit strings, so one of any length mints: no
-        integer-string conversion limit applies."""
+        """`count` deterministic fresh labels x{n}', x{n+1}', ..., n one more
+        than the largest decimal counter of a label of that form (0 if there
+        is none).  They are valid labels not in the alphabet.  n is the memo
+        ``_counter``: set by `extended` on the alphabet it builds, else found
+        by one scan of the labels on the first mint.  The counters are
+        compared and counted on as digit strings, so one of any length
+        mints: no integer-string conversion limit applies."""
+        counter = self._counter or self._scan_counters()
+        minted = []
+        for _ in range(count):
+            minted.append(f"x{counter}'")
+            counter = _plus_one(counter)
+        return tuple(minted)
+
+    def extended(self, count: int) -> tuple[Alphabet, tuple[str, ...]]:
+        """This alphabet with `mint_labels(count)` appended in one copy,
+        unchecked, and those labels; the new alphabet's ``_counter`` is one
+        past the last, so its own mints scan nothing."""
+        fresh = self.mint_labels(count)
+        after = _plus_one(fresh[-1][1:-1]) if fresh else self._counter
+        return Alphabet._trusted(self.labels + fresh, _counter=after), fresh
+
+    def _scan_counters(self) -> str:
         top = None  # the largest counter, in ASCII digits without leading zeros
         for lbl in self.labels:
             if len(lbl) > 2 and lbl[0] == "x" and lbl[-1] == "'" and lbl[1:-1].isdecimal():
@@ -142,11 +161,9 @@ class Alphabet(Value):
                 digits = digits.lstrip("0") or "0"
                 if top is None or (len(digits), digits) > (len(top), top):
                     top = digits
-        minted = []
-        for _ in range(count):
-            top = "0" if top is None else _plus_one(top)
-            minted.append(f"x{top}'")
-        return tuple(minted)
+        counter = "0" if top is None else _plus_one(top)
+        _set(self, "_counter", counter)
+        return counter
 
     @property
     def single_char(self) -> bool:

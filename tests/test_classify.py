@@ -628,6 +628,38 @@ def test_one_block_read_matches_a_lookup_per_position():
         assert str(e.value) == f"block ({absent},) not in code table"
 
 
+def test_one_block_codes_read_by_symbol_as_parsed_and_as_built():
+    # a code from the search (trusted, its table a memo), a mark code built
+    # checked, and a final link: each reads as the same code parsed from JSON
+    x, y = skew(TYPE_S, 3, 5), skew(TYPE_SPRIME, 5, 3)
+    marked = _raise_moves(x, 1, 1)[0][0].code
+    final = flow_witness(skew(TYPE_SPRIME, 1, 2), skew(TYPE_S, 3, 2)).final[0][0]
+    rng = random.Random(29)
+    for code in (_witness_code(canonical(x), canonical(y)), marked, final):
+        assert code.block_length == 1
+        parsed = jsonio.parse_code(json.loads(json.dumps(jsonio.emit_code(code))))
+        keys = sorted(block[0] for block, _ in code.entries)
+        for _ in range(50):
+            buf = tuple(rng.choice(keys) for _ in range(rng.randrange(40)))
+            count = rng.randrange(len(buf) + 1)
+            expected = tuple(code.out((b,)) for b in buf[:count])
+            assert code.read(buf, count) == parsed.read(buf, count) == expected
+        # drop one row: the absent symbol at the first, a middle and the last position
+        absent, rest = code.entries[-1][0][0], code.entries[:-1]
+        partials = (SlidingBlockCode(0, 0, rest, code.source_alphabet, code.target_alphabet),
+                    SlidingBlockCode._trusted(0, 0, rest, code.source_alphabet,
+                                              code.target_alphabet, _lookup=dict(rest)))
+        present = tuple(block[0] for block, _ in rest)
+        buf = tuple(rng.choice(present) for _ in range(9))
+        for at in (0, 4, 9):
+            spiked = buf[:at] + (absent,) + buf[at:]
+            for partial in partials:
+                assert partial.read(spiked, at) == tuple(partial.out((b,)) for b in buf[:at])
+                with pytest.raises(MissingBlock) as e:
+                    partial.read(spiked, len(spiked))
+                assert str(e.value) == f"block ({absent},) not in code table"
+
+
 def test_apply_code_degenerate_image():
     constant = SlidingBlockCode(0, 0, (((0,), 0), ((1,), 0)), BINARY, BINARY)
     with pytest.raises(DegenerateImage):

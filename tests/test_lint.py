@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,33 @@ def test_an_unused_import_is_found():
     tree = ast.parse("import os, os.path\nfrom typing import Any, Optional as Opt\n"
                      "from __future__ import annotations\nx: Opt[int] = os.sep\n")
     assert unused_imports(tree) == ["Any (line 2)"]
+
+
+def foreign_imports(tree: ast.Module) -> list[str]:
+    """The top-level modules a module imports that are neither epshift nor
+    in the stdlib, with their line numbers; a relative import is epshift."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name.partition(".")[0], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.module.partition(".")[0], node.lineno))
+    return [f"{name} (line {line})" for name, line in found
+            if name != "epshift" and name not in sys.stdlib_module_names]
+
+
+# the runtime keeps no dependency beyond the stdlib
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_every_import_is_epshift_or_the_stdlib(module):
+    assert foreign_imports(ast.parse((SRC / module).read_text(), module)) == []
+
+
+def test_a_foreign_import_is_found():
+    tree = ast.parse("from __future__ import annotations\nimport os.path, numpy.linalg\n"
+                     "from . import words\nfrom .words import Word\nfrom epshift.errors import E\n"
+                     "from hypothesis import given\n\ndef f():\n    import attr as a\n"
+                     "    from array import array\n")
+    assert foreign_imports(tree) == ["numpy (line 2)", "hypothesis (line 6)", "attr (line 9)"]
 
 
 # the oldest Python that pyproject.toml's requires-python admits; the tests may

@@ -230,6 +230,21 @@ def test_trusted_takes_every_field_and_memos_no_comparison_sees():
     assert jsonio.emit_code(trusted) == jsonio.emit_code(checked)
     with pytest.raises(AttributeError):
         trusted.memory = 1
+    # a read fills the 1-block code's table by symbol, which nothing compares
+    assert trusted.read((0, 1, 1), 3) == checked.read((0, 1, 1), 3) == (1, 0, 0)
+    unread = SlidingBlockCode(0, 0, entries, BINARY, BINARY)
+    assert trusted._by_symbol == checked._by_symbol == {0: 1, 1: 0}
+    assert "_by_symbol" not in vars(unread)
+    for read in (trusted, checked):
+        assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+        assert json.dumps(jsonio.emit_code(read)) == json.dumps(jsonio.emit_code(unread))
+    # an alphabet built by minting keeps its next counter, which nothing compares
+    bigger, fresh = BINARY.extended(2)
+    bare = Alphabet(bigger.labels)
+    assert fresh == ("x0'", "x1'") and bigger._counter == "2" and "_counter" not in vars(bare)
+    assert bigger == bare and hash(bigger) == hash(bare) and repr(bigger) == repr(bare)
+    x = EPSeq(Word((0, 2), bigger), Word((3,), bigger))
+    assert json.dumps(jsonio.emit_epseq(x)) == json.dumps(jsonio.emit_epseq(rebuilt(x)))
 
 
 def test_public_constructors_reject_what_they_rejected():

@@ -1,4 +1,5 @@
 import random
+from operator import ne
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,9 @@ from epshift import verify
 from epshift.errors import DegeneratePeriodic, IncompatibleAlphabets
 from epshift.sequences import (
     _normal_form,
+    _Scan,
+    _scan,
+    _tiled,
     AnomalyWindow,
     EPSeq,
     PeriodicSeq,
@@ -22,7 +26,7 @@ from epshift.sequences import (
     similar,
     window,
 )
-from epshift.words import Alphabet, BINARY, Word, is_primitive, rotate, word
+from epshift.words import Alphabet, BINARY, Word, is_primitive, primitive_root, rotate, word
 
 
 def ep(w, v):
@@ -408,3 +412,68 @@ def test_window_search_matches_the_symbolwise_search(small_family):
     instances = list(small_family) + [verify.random_ep(rng, wmax=9, vmax=14) for _ in range(500)]
     for x in instances:
         assert anomaly_windows(x) == _symbolwise_window_search(x, 0, 0), x
+
+
+# --- the packed scan against its per-symbol original -------------------------
+
+def reference_scan(buf, lo, period, delta):
+    """The kernel as first written: one bool per symbol from map(ne), the
+    last defect found in a reversed copy."""
+    n = len(period)
+    diffs = list(map(ne, buf[n:], buf[:-n]))
+    if True not in diffs:
+        return None
+    d = lo + n + diffs.index(True)
+    e = lo + len(diffs) - 1 - diffs[::-1].index(True)
+    need = max(1, e + 1 - d)
+    length = need + (delta - need) % n
+    return _Scan(buf, lo, period, d, AnomalyWindow(e + 1 - length, length))
+
+
+# byte-packed up to 256 symbols, array-packed above; 70,000 needs a third byte
+SCAN_ALPHABETS = {size: Alphabet(tuple(map(str, range(size)))) for size in (2, 256, 257, 70000)}
+
+
+def scan_ids(size):
+    """Low and high ids, and pairs that differ only in a higher byte (1 and
+    257, 1 and 65,537), so a difference in any byte of an item shows."""
+    return sorted({0, 1, 255, 256, 257, 65537, size - 1} & set(range(size)))
+
+
+@st.composite
+def scan_inputs(draw):
+    """(buf, lo, period, delta): w^L + middle + w^R with L, R >= 1, so a
+    defect can sit at the first and the last compared index; or, when the
+    draw says so, a stretch of the periodic sequence itself."""
+    size = draw(st.sampled_from(sorted(SCAN_ALPHABETS)), label="size")
+    ids = st.sampled_from(scan_ids(size))
+    w = draw(st.lists(ids, min_size=1, max_size=6), label="period")
+    period = primitive_root(Word(tuple(w), SCAN_ALPHABETS[size]))[0]
+    lo = draw(st.integers(-40, 40), label="lo")
+    if draw(st.booleans(), label="periodic"):
+        start, length = draw(st.integers(0, 10)), draw(st.integers(0, 40))
+        return _tiled(period.symbols, start, length), lo, period, draw(st.integers(0, 20))
+    middle = tuple(draw(st.lists(ids, max_size=16), label="middle"))
+    left, right = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return period.symbols * left + middle + period.symbols * right, lo, period, len(middle)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(scan_inputs())
+def test_packed_scan_matches_the_reference_scan(args):
+    assert _scan(*args) == reference_scan(*args)
+
+
+def test_packed_scan_finds_defects_at_the_first_and_last_compared_index():
+    # 0 and 256 differ only in the second byte of an item, 1 and 65,537 in the third
+    for size, (low, high) in ((2, (0, 1)), (256, (1, 255)), (257, (0, 256)), (70000, (1, 65537))):
+        period = Word((low, high), SCAN_ALPHABETS[size])
+        for middle in ((high, low), (high, high, low, low), (high, low, high, low, high, low)):
+            buf = period.symbols + middle + period.symbols
+            scan = _scan(buf, -2, period, len(middle))
+            assert scan == reference_scan(buf, -2, period, len(middle))
+            # buf[2] != buf[0] and buf[-1] != buf[-3]: the first and last compared pairs
+            assert scan.defect == -2 + 2
+            assert scan.window.start + scan.window.length == -2 + len(buf) - 2
+        for buf in ((), period.symbols, period.symbols * 3, (period.symbols * 3)[1:]):
+            assert _scan(buf, 0, period, 1) is None is reference_scan(buf, 0, period, 1)

@@ -158,6 +158,22 @@ def test_mint_labels_match_the_regex_scan_after_each_appended_label(labels, appe
     assert a.mint_labels(len(one_by_one)) == tuple(one_by_one)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LABEL_TEXT, min_size=1, max_size=6, unique=True),
+       st.lists(st.integers(0, 4), min_size=1, max_size=6))
+def test_a_chain_of_mints_matches_the_full_scan(labels, counts):
+    # each alphabet `extended` builds keeps its next counter; a copy built
+    # from its labels alone scans them, and both mint the same labels
+    a = Alphabet(tuple(labels))
+    for count in counts:
+        bigger, fresh = a.extended(count)
+        scanned = Alphabet(a.labels)
+        assert fresh == scanned.mint_labels(count) and bigger == Alphabet(a.labels + fresh)
+        a = bigger
+        assert a.mint_labels(1) == Alphabet(a.labels).mint_labels(1) == (_regex_mint_label(a),)
+    assert a.mint_labels(3) == Alphabet(a.labels).mint_labels(3)
+
+
 def test_mint_label_reads_decimal_counters_only():
     for labels, fresh in ((("x'", "xa'"), "x0'"), (("x007'",), "x8'"), (("x\u0663'",), "x4'"),
                           (("x\u00b2'", "x0'"), "x1'"), (("x1'", "x0"), "x2'")):
