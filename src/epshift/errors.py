@@ -90,4 +90,4 @@ class MalformedInput(InputError):
 
 class WorkerLost(EpshiftError):
     """A worker process of `epshift verify` died before it returned its
-    job's results, or could not be started."""
+    part of the run, or could not be started."""

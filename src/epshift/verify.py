@@ -22,21 +22,20 @@ instances and times the loop that reads them, so what a generator sets up
 as it yields (the family build, the spec lists, the random pairs) counts
 in its criterion's seconds.
 
-`run_all` runs the criteria as eight jobs on a process pool, at most one
-worker per usable CPU, and reports them in criterion order.  Each
-criterion is a job of its own, except criteria 4 and 5, which share one
-family: their job builds it, criterion 4 checks it, criterion 5 reuses it
-with the canonical forms criterion 4 left on its values, and the family
-lives and dies inside that job.  Every job is dealt out as one part per
-worker: part k of n checks the instances at stream indices k, k + n,
-k + 2n, ..., so that runs of cheap or costly instances (the family is
-sorted by period word, the criterion 7 pairs are i-major) are shared out
-evenly, and each part of the family job builds its own family.  A
-criterion's parts merge into what one pass over its whole stream
-reports, except that `seconds` is their sum.  Only a job's name, the
-bounds, the seed and the part go to a worker, which looks the checks up
-as module globals, so a worker forked from a process that patched or
-wrapped them runs the patched ones.
+`_suite` is a verify run: the nine checks in criterion order, on one
+part of every instance stream.  Part k of n checks the instances at
+stream indices k, k + n, k + 2n, ..., so that runs of cheap or costly
+instances (the family is sorted by period word, the criterion 7 pairs are
+i-major) are shared out evenly.  Criteria 4 and 5 share one family:
+`_family_checks` builds it, criterion 4 checks it, criterion 5 reuses it
+with the canonical forms criterion 4 left on its values, and it dies when
+that call returns, before criterion 6 starts.  `run_all` runs `_suite`
+once per worker of a process pool, one part each, and merges each
+criterion's parts into what one pass over its whole stream reports,
+except that `seconds` is their sum.  Only the bounds, the seed and the
+part go to a worker, whose `_suite` looks the checks up as module
+globals, so a worker forked from a process that patched or wrapped them
+runs the patched ones.
 
 The default bounds reproduce the acceptance suite, so `epshift verify`
 with no flags is the acceptance run.
@@ -48,9 +47,9 @@ import multiprocessing
 import os
 import random
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -590,34 +589,24 @@ def check_reciprocals(max_sum: int, *, part: tuple[int, int] = (0, 1)) -> Theore
                       part)
 
 
-def _family_checks(bounds: VerifyBounds, seed: int,
-                   part: tuple[int, int]) -> list[TheoremCheck]:
+def _family_checks(bounds: VerifyBounds, seed: int, part: tuple[int, int]) -> list[TheoremCheck]:
     """Criteria 4 and 5 on one family, which lives and dies in this call."""
     family: list[EPSeq] = []
     return [check_window_lemmas(bounds, seed, family, part=part),
             check_conjugacy_witnesses(bounds, seed, family, part=part)]
 
 
-# The jobs of a run, in criterion order.  Each looks up its checks as
-# module globals when it runs, in the worker.
-_JOBS: dict[str, Callable[[VerifyBounds, int, tuple[int, int]], list[TheoremCheck]]] = {
-    "bezout-oracle": lambda b, seed, part: [check_bezout_oracle(b.bezout_sum, part=part)],
-    "anomaly-size-formula": lambda b, seed, part: [
-        check_anomaly_size_formula(b.formula_sum, part=part)],
-    "spot-values": lambda b, seed, part: [check_spot_values(part=part)],
-    "window-lemmas+conjugacy-witnesses": _family_checks,
-    "conjugacy-classes": lambda b, seed, part: [
-        check_conjugacy_classes(b.corollary_sum, part=part)],
-    "flow-witnesses": lambda b, seed, part: [check_flow_witnesses(b, seed, part=part)],
-    "generator-crossval": lambda b, seed, part: [
-        check_generator_crossval(b.crossval_sum, b.crossval_ms, part=part)],
-    "reciprocals": lambda b, seed, part: [check_reciprocals(b.reciprocal_sum, part=part)],
-}
-
-
-def _run_job(name: str, bounds: VerifyBounds, seed: int,
-             part: tuple[int, int]) -> list[TheoremCheck]:
-    return _JOBS[name](bounds, seed, part)
+def _suite(bounds: VerifyBounds, seed: int, part: tuple[int, int] = (0, 1)) -> list[TheoremCheck]:
+    """The nine criteria, in criterion order, on part `part` of each
+    instance stream: with the default part, the whole verify run."""
+    return [check_bezout_oracle(bounds.bezout_sum, part=part),
+            check_anomaly_size_formula(bounds.formula_sum, part=part),
+            check_spot_values(part=part),
+            *_family_checks(bounds, seed, part),
+            check_conjugacy_classes(bounds.corollary_sum, part=part),
+            check_flow_witnesses(bounds, seed, part=part),
+            check_generator_crossval(bounds.crossval_sum, bounds.crossval_ms, part=part),
+            check_reciprocals(bounds.reciprocal_sum, part=part)]
 
 
 def _merged(parts: tuple[TheoremCheck, ...]) -> TheoremCheck:
@@ -629,50 +618,30 @@ def _merged(parts: tuple[TheoremCheck, ...]) -> TheoremCheck:
                         tuple(i for i, _ in failed))
 
 
-def run_all(
-    bounds: VerifyBounds = VerifyBounds(),
-    seed: int = 0,
-    progress: Optional[Callable[[TheoremCheck], None]] = None,
-) -> VerifyReport:
-    """The nine criteria, run on a process pool and reported in criterion
-    order.  Each job of `_JOBS` is dealt out as one part per worker, part k
-    of `parts` checking every parts-th instance from the k-th, and a
-    criterion is reported once all its parts have returned.  A worker that
-    dies, or cannot be started, is a WorkerLost, which names the jobs not
-    yet reported; when anything raises, the parts not yet started are
-    cancelled."""
+MAX_WORKERS = 8  # each worker builds its own family and spec lists
+
+
+def run_all(bounds: VerifyBounds = VerifyBounds(), seed: int = 0) -> VerifyReport:
+    """The nine criteria of `_suite`, run once per worker of a process pool,
+    part k of `parts` checking every parts-th instance from the k-th, and
+    merged into the report in criterion order.  A worker that dies, or
+    cannot be started, is a WorkerLost."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parts = min(len(_JOBS), cpus or 1)
+    parts = min(MAX_WORKERS, cpus or 1)
     before = set(multiprocessing.active_children())
-    jobs: dict[tuple[str, int], Future] = {}
-    report, reported = VerifyReport([]), 0
     try:
         with ProcessPoolExecutor(max_workers=parts) as pool:
-            try:
-                for name in _JOBS:
-                    for k in range(parts):
-                        jobs[name, k] = pool.submit(_run_job, name, bounds, seed, (k, parts))
-                for name in _JOBS:
-                    for chk in map(_merged, zip(*(jobs[name, k].result() for k in range(parts)))):
-                        report.checks.append(chk)
-                        if progress is not None:
-                            progress(chk)
-                    reported += 1
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+            try:  # map submits every part before it returns
+                columns = pool.map(_suite, repeat(bounds), repeat(seed),
+                                   [(k, parts) for k in range(parts)])
+            except OSError as e:
+                # Starting the pool failed.  Under fork its manager thread starts only after
+                # every worker, so a worker started before the failure gets no stop signal,
+                # and the interpreter would wait for it at exit.
+                for worker in set(multiprocessing.active_children()) - before:
+                    worker.terminate()
+                    worker.join()
+                raise WorkerLost(f"could not start the verify workers: {e}") from None
+            return VerifyReport(list(map(_merged, zip(*columns))))
     except BrokenProcessPool:
-        lost = list(_JOBS)[reported:]
-        raise WorkerLost(f"a verify worker process died before the jobs {lost} were "
-                         "reported") from None
-    except OSError as e:
-        if len(jobs) == len(_JOBS) * parts:  # raised by a job or by progress
-            raise
-        # Starting the pool failed.  Under fork its manager thread starts only
-        # after every worker, so a worker started before the failure gets no
-        # stop signal, and the interpreter would wait for it at exit.
-        for worker in set(multiprocessing.active_children()) - before:
-            worker.terminate()
-            worker.join()
-        raise WorkerLost(f"could not start the verify workers: {e}") from None
-    return report
+        raise WorkerLost("a verify worker process died before it returned its part") from None

@@ -549,8 +549,10 @@ def test_verify_small_bounds(capsys):
     assert by_tag["conjugacy-classes"].checked >= 4
     # the report JSON round-trips through its schema
     assert report.to_obj() == VerifyReport.from_obj(report.to_obj()).to_obj()
-    # one progress line per check on stderr
-    assert len([l for l in captured.err.splitlines() if l.strip()]) == 9
+    # one line per check on stderr, in criterion order, agreeing with the report
+    lines = [l.split("  ") for l in captured.err.splitlines() if l.strip()]
+    assert [(status, tag, rest.partition(" ")[0]) for status, tag, rest in lines] == [
+        (c.status, c.tag, f"({c.checked}") for c in report.checks]
 
 
 @pytest.mark.parametrize("cap", ["1", "0", "-3"])
@@ -561,15 +563,19 @@ def test_verify_rejects_a_cap_below_the_least_period_sum(capsys, cap):
     assert obj["error"]["kind"] == "ValueError" and "below 2" in obj["error"]["message"]
 
 
+# no criterion is reported before every part returns, so the message names none
+DIED = "a verify worker process died before it returned its part"
+
+
 def test_verify_turns_a_dead_worker_into_one_json_error(capsys, monkeypatch):
-    # fork, so that the worker running criterion 7 inherits the patch
+    # fork, so that the workers running criterion 7 inherit the patch
     fork = multiprocessing.get_context("fork")
     monkeypatch.setattr(verify, "ProcessPoolExecutor",
                         functools.partial(verify.ProcessPoolExecutor, mp_context=fork))
     monkeypatch.setattr(classify, "flow_witness", lambda x, y: os._exit(3))
     code, obj = run(capsys, "verify", "--max-period-sum", "3", "--seed", "0")
     assert (code, obj["error"]["kind"]) == (1, "WorkerLost")
-    assert "'flow-witnesses'" in obj["error"]["message"]
+    assert obj["error"]["message"] == DIED
     assert multiprocessing.active_children() == []
 
 
@@ -577,8 +583,8 @@ def test_verify_turns_a_pool_broken_between_submits_into_one_json_error(capsys, 
     fork = multiprocessing.get_context("fork")
 
     class OneAtATime(verify.ProcessPoolExecutor):
-        # waits for each job before the next submit, so the job that kills
-        # its worker breaks the pool while jobs are still being submitted
+        # waits for each part before the next submit, so the part that kills
+        # its worker breaks the pool while parts are still being submitted
         def __init__(self, max_workers):
             super().__init__(max_workers, mp_context=fork)
 
@@ -591,7 +597,7 @@ def test_verify_turns_a_pool_broken_between_submits_into_one_json_error(capsys, 
     monkeypatch.setattr(classify, "flow_witness", lambda x, y: os._exit(3))
     code, obj = run(capsys, "verify", "--max-period-sum", "3", "--seed", "0")
     assert (code, obj["error"]["kind"]) == (1, "WorkerLost")
-    assert str(list(verify._JOBS)) in obj["error"]["message"]
+    assert obj["error"]["message"] == DIED
     assert multiprocessing.active_children() == []
 
 

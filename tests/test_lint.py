@@ -137,3 +137,32 @@ def test_an_unnamed_fixture_is_found():
     modules = ['load("flow_b.json")\n', "open('c.json')  # a.json, 'flow_a.json.bak': no name\n"]
     fixtures = ["a.json", "b.json", "c.json", "flow_b.json"]
     assert unnamed_fixtures(fixtures, modules) == ["a.json", "b.json"]
+
+
+def miscounted_criteria(tree: ast.Module) -> list[str]:
+    """The module-level `check_*` functions that `_suite` does not call
+    exactly once, with their call counts.  A call of another module-level
+    function counts the calls in its body as `_suite`'s own."""
+    defs = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+
+    def called(fn: ast.FunctionDef) -> list[str]:
+        names = [node.func.id for node in ast.walk(fn)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        return [found for name in names if name in defs
+                for found in ([name] if name.startswith("check_") else called(defs[name]))]
+
+    calls = called(defs["_suite"])
+    return [f"{name} (called {calls.count(name)} times)" for name in defs
+            if name.startswith("check_") and calls.count(name) != 1]
+
+
+# `_suite` is the one list of verify's criteria
+def test_the_suite_calls_every_criterion_once():
+    assert miscounted_criteria(ast.parse((SRC / "verify.py").read_text(), "verify.py")) == []
+
+
+def test_a_criterion_the_suite_misses_is_found():
+    tree = ast.parse("def check_a():\n    pass\n\ndef check_b():\n    pass\n\n"
+                     "def check_c():\n    pass\n\ndef _pair():\n    return [check_b(), check_b()]\n\n"
+                     "def _suite():\n    return [check_a(), *_pair(), len([])]\n")
+    assert miscounted_criteria(tree) == ["check_b (called 2 times)", "check_c (called 0 times)"]

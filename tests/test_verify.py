@@ -70,8 +70,8 @@ def test_orbit_check_rejects_an_image_that_is_no_rotation(monkeypatch):
 
 
 def test_criteria_4_and_5_build_one_family_per_run(monkeypatch):
-    built, alive = [], []
-    real = verify.exhaustive_family
+    built, alive, at_criterion_6 = [], [], []
+    real, classes = verify.exhaustive_family, verify.check_conjugacy_classes
 
     def counted(*args):
         fam = real(*args)
@@ -79,15 +79,19 @@ def test_criteria_4_and_5_build_one_family_per_run(monkeypatch):
         alive.append(weakref.ref(fam[0]))
         return fam
 
+    def after_the_family(*args, **kwargs):
+        at_criterion_6.append([ref() for ref in alive])
+        return classes(*args, **kwargs)
+
     monkeypatch.setattr(verify, "exhaustive_family", counted)
+    monkeypatch.setattr(verify, "check_conjugacy_classes", after_the_family)
     bounds = VerifyBounds().capped(8)
-    # each part of the job owns a family: it builds it once and drops it on
-    # return, and the two parts check every instance of both criteria once
-    parts = [verify._run_job("window-lemmas+conjugacy-witnesses", bounds, 7, (k, 2))
-             for k in range(2)]
+    # each part builds its family once and drops it before criterion 6, and
+    # the two parts check every instance of both criteria once
+    parts = [verify._suite(bounds, 7, (k, 2))[3:5] for k in range(2)]
     assert [[c.tag for c in checks] for checks in parts] == [
         ["window-lemmas", "conjugacy-witnesses"]] * 2
-    assert len(built) == 2 and [ref() for ref in alive] == [None, None]
+    assert len(built) == 2 and at_criterion_6 == [[None], [None, None]]
     assert [[c.checked for c in checks] for checks in parts] == [[1305, 1302], [1305, 1301]]
     report = verify.run_all(bounds, seed=7)
     assert report.ok
@@ -193,15 +197,13 @@ def _masked(checks):
 
 def test_run_all_reports_the_criteria_in_order_as_run_in_process():
     bounds = VerifyBounds(family_w=3, family_v=4, family_random=20).capped(5)
-    seen = []
-    report = verify.run_all(bounds, seed=7, progress=seen.append)
+    report = verify.run_all(bounds, seed=7)
     in_process = [check(bounds) for check in RUN_CRITERION.values()]
     assert _masked(report.checks) == _masked(in_process)
-    assert [c.tag for c in seen] == list(RUN_CRITERION)
-    assert seen == report.checks
+    assert [c.tag for c in report.checks] == list(RUN_CRITERION)
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_run_all_merges_the_parts_into_the_serial_report(monkeypatch, workers):
     # every flow pair fails, and every Bezout pair but (1, 1), so each part of
     # both criteria returns failures, which the merge must interleave
@@ -217,13 +219,13 @@ def test_run_all_merges_the_parts_into_the_serial_report(monkeypatch, workers):
     monkeypatch.setattr(classify, "flow_witness", _raising)
     monkeypatch.setattr(verify, "restricted_bezout", _skew_pair_bezout)
     bounds = VerifyBounds(family_w=3, family_v=4, family_random=20).capped(5)
-    seen = []
-    report = verify.run_all(bounds, seed=7, progress=seen.append)
+    report = verify.run_all(bounds, seed=7)
     in_process = [check(bounds) for check in RUN_CRITERION.values()]
+    suite = verify._suite(bounds, 7)
     assert started == [workers]
-    assert _masked(report.checks) == _masked(in_process)
-    assert [c.failed_at for c in report.checks] == [c.failed_at for c in in_process]
-    assert [c.tag for c in seen] == list(RUN_CRITERION)
+    assert _masked(report.checks) == _masked(suite) == _masked(in_process)
+    assert ([c.failed_at for c in report.checks] == [c.failed_at for c in suite]
+            == [c.failed_at for c in in_process])
     bezout, flow = report.checks[0], report.checks[6]
     assert bezout.failed_at == tuple(range(1, bezout.checked)) and bezout.checked > workers
     assert flow.failed_at == tuple(range(flow.checked)) and flow.checked > workers
