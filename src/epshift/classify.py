@@ -274,12 +274,18 @@ def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBloc
     canonical forms by `_witness_code` and checked by `verify_flow_witness`
     as the witness with no moves (a failure raises InternalMismatch).  A
     pair with other invariants raises NotConjugate from `_witness_code`: on
-    canonical forms |u| and |v| are the anomaly sizes."""
+    canonical forms |u| and |v| are the anomaly sizes.  The inverse of a
+    1-block bijection is its table read backwards: at radius 0 both
+    directions probe the same centres, so that is the code the search gives."""
     if x == y:
         fwd = inv = identity_code(x.alphabet)
     else:
         cx, cy = canonical(x), canonical(y)
-        fwd, inv = _witness_code(cx, cy), _witness_code(cy, cx)
+        fwd = _witness_code(cx, cy)
+        back = {(out,): sym for (sym,), out in fwd.entries} if fwd.memory == 0 else {}
+        inv = (SlidingBlockCode._trusted(0, 0, tuple(sorted(back.items())), cy.alphabet,
+                                         cx.alphabet, _lookup=back)
+               if len(back) == len(fwd.entries) else _witness_code(cy, cx))
     trail: list[str] = []
     links = ((fwd, FORWARD), (inv, BACKWARD))
     if not verify_flow_witness(x, y, FlowWitness((), (), links), trail):

@@ -154,7 +154,7 @@ def cmd_classify(args) -> int:
             if res:
                 fwd, inv = classify.conjugacy_witness(x, y)
                 with open(args.witness, "w", encoding="utf-8") as fh:
-                    json.dump(jsonio.emit_conjugacy(fwd, inv), fh, indent=2)
+                    fh.write(json.dumps(jsonio.emit_conjugacy(fwd, inv)))
                 obj["witness"] = args.witness
             else:
                 obj["witness"] = None
@@ -164,7 +164,7 @@ def cmd_classify(args) -> int:
         x, y = _load_epseq(args.a), _load_epseq(args.b)
         wit = classify.flow_witness(x, y)
         with open(args.witness, "w", encoding="utf-8") as fh:
-            json.dump(jsonio.emit_flow_witness(wit), fh, indent=2)
+            fh.write(json.dumps(jsonio.emit_flow_witness(wit)))
         _emit({
             "flow_equivalent": True,
             "chain_x_moves": len(wit.chain_x),

@@ -546,6 +546,71 @@ def test_reciprocal_skew_witness_is_the_symbol_swap_at_large_n():
     assert len(json.dumps(jsonio.emit_conjugacy(fwd, inv))) < 1024
 
 
+# --- the inverse of a 1-block bijection, read off its table --------------------
+
+# a -> 0, b -> 1, c -> 1 has radius 0 but merges b and c; the inverse needs radius 1
+MERGING_PAIR = (make_ep(Word((0,), ABC), Word((1, 2), ABC)), ep("0", "11"))
+
+
+def _criterion_5_pairs():
+    """Criterion 5's pairs at small bounds: each family member with its
+    invariant class's first member, and S(q/p), S'(p/q) for p + q <= 14."""
+    groups = {}
+    bounds = verify.VerifyBounds(family_w=3, family_v=4, family_random=40)
+    for x in verify.family_instances(bounds, 7):
+        groups.setdefault((least_period(x), anomaly_size(x) % least_period(x)), []).append(x)
+    pairs = [(members[0], other) for members in groups.values() for other in members[1:]]
+    return pairs + [(skew(TYPE_S, q, p), skew(TYPE_SPRIME, p, q)) for q, p in verify.coprime_pairs(14)]
+
+
+def _inverse_matches_the_search(x, y):
+    """Assert that conjugacy_witness's inverse is the code the search from
+    canonical(y) to canonical(x) returns, table memo and all; returns
+    whether the forward code is a 1-block bijection."""
+    fwd, inv = conjugacy_witness(x, y)
+    searched = _witness_code(canonical(y), canonical(x))
+    assert inv == searched and inv._lookup == searched._lookup, (x, y)
+    outs = [out for _, out in fwd.entries]
+    return fwd.memory == 0 and len(set(outs)) == len(outs)
+
+
+def test_inverse_of_a_1_block_bijection_is_the_searched_inverse_on_criterion_5_pairs():
+    read_off = [_inverse_matches_the_search(x, y) for x, y in _criterion_5_pairs() + [MERGING_PAIR]
+                if x != y]
+    # both branches ran: the skew pairs are swaps, the family holds longer radii
+    assert any(read_off) and not all(read_off) and not read_off[-1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(conjugate_canonical_pairs())
+@example(tuple(map(canonical, MERGING_PAIR)))
+def test_inverse_of_a_1_block_bijection_is_the_searched_inverse_on_drawn_pairs(pair):
+    x, y = pair
+    assume(x != y)
+    _inverse_matches_the_search(x, y)
+    _inverse_matches_the_search(y, x)
+
+
+@pytest.mark.parametrize("pair, searches", [
+    (lambda: (skew(TYPE_S, 5, 8), skew(TYPE_SPRIME, 8, 5)), 1),
+    (lambda: (skew(TYPE_S, 799, 801), skew(TYPE_SPRIME, 801, 799)), 1),
+    (lambda: (ep("0", "000001"), ep("0", "001001")), 2),  # forward radius 3
+    (lambda: MERGING_PAIR, 2),  # forward radius 0, not one to one
+])
+def test_conjugacy_witness_searches_once_for_a_1_block_bijection(monkeypatch, pair, searches):
+    calls, witness_code = [], classify._witness_code
+
+    def counting(src, dst):
+        calls.append((src, dst))
+        return witness_code(src, dst)
+
+    monkeypatch.setattr(classify, "_witness_code", counting)
+    x, y = pair()
+    conjugacy_witness(x, y)
+    cx, cy = canonical(x), canonical(y)
+    assert calls == [(cx, cy), (cy, cx)][:searches]
+
+
 # --- code application --------------------------------------------------------
 
 def test_apply_identity_and_swap():

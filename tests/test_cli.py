@@ -206,11 +206,14 @@ def test_usage_errors_print_one_json_value(capsys, argv):
 
 
 def test_classify_conjugate_and_check_witness(tmp_path, capsys):
-    a = write_ep(tmp_path / "a.json", make_ep(word("0"), word("11")))
-    b = write_ep(tmp_path / "b.json", make_ep(word("1"), word("00")))
+    x, y = make_ep(word("0"), word("11")), make_ep(word("1"), word("00"))
+    a, b = write_ep(tmp_path / "a.json", x), write_ep(tmp_path / "b.json", y)
     wfile = str(tmp_path / "w.json")
     code, obj = run(capsys, "classify", "conjugate", a, b, "--witness", wfile)
     assert code == 0 and obj["conjugate"] is True and obj["witness"] == wfile
+    # the file is the compact JSON of the witness, with no indent
+    want = json.dumps(jsonio.emit_conjugacy(*classify.conjugacy_witness(x, y)))
+    assert Path(wfile).read_text() == want
 
     code, obj = run(capsys, "classify", "check-witness", a, b, wfile)
     assert code == 0 and obj["valid"] is True
@@ -418,11 +421,12 @@ def test_classify_conjugate_false(tmp_path, capsys):
 
 
 def test_classify_flow_round_trip(tmp_path, capsys):
-    a = write_ep(tmp_path / "a.json", make_ep(word("10"), word("1")))
-    b = write_ep(tmp_path / "b.json", make_ep(word("0"), word("1")))
+    x, y = make_ep(word("10"), word("1")), make_ep(word("0"), word("1"))
+    a, b = write_ep(tmp_path / "a.json", x), write_ep(tmp_path / "b.json", y)
     wfile = str(tmp_path / "fw.json")
     code, obj = run(capsys, "classify", "flow", a, b, "--witness", wfile)
     assert code == 0 and obj["flow_equivalent"] is True
+    assert Path(wfile).read_text() == json.dumps(jsonio.emit_flow_witness(classify.flow_witness(x, y)))
 
     code, obj = run(capsys, "classify", "check-witness", a, b, wfile)
     assert code == 0 and obj["valid"] is True
