@@ -25,6 +25,7 @@ from .errors import (
 from .sequences import (
     EPSeq,
     PeriodicSeq,
+    Symbols,
     _Scan,
     _scan,
     _symbols,
@@ -55,6 +56,7 @@ class SlidingBlockCode(Value):
     source_alphabet: Alphabet
     target_alphabet: Alphabet
     _by_symbol = None  # a 1-block code's table by symbol id, a memo of read()
+    _by_byte = None  # a byte-path code's translate table, a memo of _byte_table()
 
     def __post_init__(self) -> None:
         if self.memory < 0 or self.anticipation < 0:
@@ -108,6 +110,20 @@ class SlidingBlockCode(Value):
         object.__setattr__(self, "_by_symbol", table)
         return table
 
+    def _byte_table(self) -> Optional[bytes]:
+        """The `bytes.translate` table of a 1-block code from at most 256
+        symbols to at most 255, kept in the memo ``_by_byte``; None for any
+        other code.  Every id the code does not map reads 255, which no
+        output can be."""
+        if (self.memory or self.anticipation or len(self.source_alphabet) > 256
+                or len(self.target_alphabet) > 255):
+            return None
+        table = bytearray(b"\xff" * 256)
+        for (sym,), out in self.entries:
+            table[sym] = out
+        object.__setattr__(self, "_by_byte", bytes(table))
+        return self._by_byte
+
 
 def identity_code(alphabet: Alphabet) -> SlidingBlockCode:
     entries = tuple(((s,), s) for s in range(len(alphabet)))
@@ -141,15 +157,22 @@ def _image_scan(code: SlidingBlockCode, x: EPSeq) -> _Scan:
     periodic orbit, whose root `_periodic_image` reads once, at phase i
     and i - |v| respectively.  The two guards of 2N + 1 symbols are tiled
     from that root; the code reads only the |v| + mm + aa blocks between.
+
+    A code with a byte table (see `SlidingBlockCode._byte_table`) takes
+    the byte path: the period and the anomaly are each translated in one
+    C pass, the guards are tiled by bytes repetition, and the buffer the
+    kernel reads is bytes.  Any other code reads its blocks with
+    `SlidingBlockCode.read`, a tuple at a time; both give the same scan.
     """
-    root = _periodic_image(code, x.period_word)
+    table = code._by_byte or code._byte_table()
+    root = _periodic_image(code, x.period_word, table)
     mm, aa = code.memory, code.anticipation
     n, vl = least_period(x), len(x.anomaly)
-    lo, r = -aa - 1 - 2 * n, root.symbols
-    img = (_tiled(r, lo, 2 * n + 1)
-           + code.read(_symbols(x, -aa - mm, vl + mm + aa), vl + mm + aa)
-           + _tiled(r, mm, 2 * n + 1))
-    scan = _scan(img, lo, root, vl)
+    lo = -aa - 1 - 2 * n
+    span = (code.read(_symbols(x, -aa - mm, vl + mm + aa), vl + mm + aa) if table is None
+            else _translated(x.anomaly.symbols, table))
+    img = _tiled(root, lo, 2 * n + 1) + span + _tiled(root, mm, 2 * n + 1)
+    scan = _scan(img, lo, Word._trusted(tuple(root), code.target_alphabet), vl)
     if scan is None:
         raise DegenerateImage("image of the sequence under the code is periodic")
     return scan
@@ -167,15 +190,33 @@ def _image_similar(code: SlidingBlockCode, x: EPSeq, y: EPSeq) -> bool:
 
 def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSeq:
     """Image of a periodic sequence under the code (always periodic)."""
-    return PeriodicSeq._trusted(_periodic_image(code, p.period_word))
+    root = _periodic_image(code, p.period_word, code._by_byte or code._byte_table())
+    return PeriodicSeq._trusted(Word._trusted(tuple(root), code.target_alphabet))
 
 
-def _periodic_image(code: SlidingBlockCode, w: Word) -> Word:
-    """The primitive root of the image of k -> w[k mod |w|] under the code."""
+def _periodic_image(code: SlidingBlockCode, w: Word, table: Optional[bytes]) -> Symbols:
+    """The symbols of the primitive root of the image of k -> w[k mod |w|]
+    under the code: with the code's byte table, w translated and cut at
+    the first index where it recurs in its own square; else read by the
+    code and cut by `primitive_root`."""
     if w.alphabet != code.source_alphabet:
         raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
+    if table is not None:
+        img = _translated(w.symbols, table)
+        return img[:(img + img).find(img, 1)]
     img = code.read(_tiled(w.symbols, -code.memory, len(w) + code.block_length - 1), len(w))
-    return primitive_root(Word._trusted(img, code.target_alphabet))[0]
+    return primitive_root(Word._trusted(img, code.target_alphabet))[0].symbols
+
+
+def _translated(syms: tuple[int, ...], table: bytes) -> bytes:
+    """The image of syms under a code's byte table; an unmapped symbol
+    raises the MissingBlock that `SlidingBlockCode.read` raises, naming
+    the same first one."""
+    img = bytes(syms).translate(table)
+    at = img.find(255)
+    if at >= 0:
+        raise MissingBlock(f"block ({syms[at]},) not in code table")
+    return img
 
 
 def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu: int,

@@ -74,6 +74,10 @@ from .words import (
 )
 
 
+# a buffer of symbol ids: a tuple, or bytes when every id is below 256
+Symbols = Union[bytes, tuple[int, ...]]
+
+
 class PeriodicSeq(Value):
     """The periodic bi-infinite sequence k -> period_word[k mod N].
 
@@ -169,10 +173,10 @@ def make_ep(w: Word, v: Word) -> EPSeq:
     return EPSeq._trusted(root, v if vs is v.symbols else Word._trusted(vs, w.alphabet))
 
 
-def _tiled(w: tuple[int, ...], start: int, size: int) -> tuple[int, ...]:
-    """The symbols w[(start + i) mod |w|] for 0 <= i < size."""
+def _tiled(w: Symbols, start: int, size: int) -> Symbols:
+    """The symbols w[(start + i) mod |w|] for 0 <= i < size, of w's type."""
     if size <= 0:
-        return ()
+        return w[:0]
     o = start % len(w)
     return ((w[o:] + w[:o]) * (size // len(w) + 1))[:size]
 
@@ -192,7 +196,7 @@ class _Scan(NamedTuple):
     """The kernel's reading of a sequence y, materialized as
     buf = y_lo, y_lo+1, ...; see :func:`_scan`."""
 
-    buf: tuple[int, ...]
+    buf: Symbols
     lo: int
     period: Word
     defect: int
@@ -213,7 +217,7 @@ class _Scan(NamedTuple):
         length = self.window.length + n * -(-max(0, self.window.start - t) // n)
         o = t % n
         at = t - self.lo
-        return w[o:] + w[:o] if o else w, self.buf[at:at + length]
+        return w[o:] + w[:o] if o else w, tuple(self.buf[at:at + length])
 
     def anchor(self, prefer: int) -> EPSeq:
         """The anchored form whose symbols `anchored_symbols(prefer)` gives."""
@@ -223,10 +227,11 @@ class _Scan(NamedTuple):
                               else Word._trusted(period, a), Word._trusted(anomaly, a))
 
 
-def _scan(buf: tuple[int, ...], lo: int, period: Word, delta: int) -> Optional[_Scan]:
+def _scan(buf: Symbols, lo: int, period: Word, delta: int) -> Optional[_Scan]:
     """The normal-form kernel, linear in len(buf).
 
-    `buf` holds y_lo, y_lo+1, ... of a sequence y with left tail
+    `buf` holds y_lo, y_lo+1, ... of a sequence y, as a tuple or, when
+    the alphabet has at most 256 symbols, as bytes, with left tail
     y_i = w[i mod N] and right tail y_i = w[(i - delta) mod N], where w is
     the primitive word `period` and N = |w|; its first N entries must lie in
     the left tail and its last N in the right tail.
@@ -241,14 +246,15 @@ def _scan(buf: tuple[int, ...], lo: int, period: Word, delta: int) -> Optional[_
     Both indices come from one comparison of y with itself N places on:
     d is the first i with y_i != y_{i-N} and e the last with y_i != y_{i+N}.
     It is one XOR of buf[N:] with buf[:-N], each packed into w-byte items
-    (w = 1 up to 256 symbols, else 4) and read little-endian, the order
-    ``int.from_bytes`` needs given on Python 3.10.  Item j fills bits
-    [8wj, 8w(j+1)) whatever the byte order inside an item, so the lowest
-    set bit gives d, the highest e, and 0 means y is periodic.
+    (w = 1 up to 256 symbols, else 4; a bytes buffer is already packed)
+    and read little-endian, the order ``int.from_bytes`` needs given on
+    Python 3.10.  Item j fills bits [8wj, 8w(j+1)) whatever the byte order
+    inside an item, so the lowest set bit gives d, the highest e, and 0
+    means y is periodic.
     """
     n, size = len(period), len(period.alphabet)
     if size <= 256:
-        packed, width = bytes(buf), 1
+        packed, width = bytes(buf), 1  # a bytes buffer as it is, not a copy
     else:
         from array import array  # only here: most alphabets fit a byte
         items = array("I", buf)  # 4 bytes; a larger id raises OverflowError

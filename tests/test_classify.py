@@ -762,6 +762,132 @@ def test_image_buffer_matches_the_code_read_block_by_block():
             assert all(y.symbol_id_at(i) == image(x, i + t) for i in span), (code, x)
 
 
+# --- the byte path of 1-block codes ---------------------------------------------
+
+# alphabets on either side of the byte path's bounds: at most 256 source
+# symbols and 255 target symbols, 255 being the table's unmapped mark
+SIZED = {k: Alphabet(tuple(f"s{i}" for i in range(k))) for k in (2, 3, 255, 256, 257)}
+RELABELLED = {k: Alphabet(tuple(f"t{i}" for i in range(k))) for k in SIZED}
+
+
+def _tuple_route(code):
+    """An equal code whose image tests take the tuple route, `read`,
+    `_tiled` and `words.primitive_root`: its byte table reads None."""
+    twin = SlidingBlockCode(code.memory, code.anticipation, code.entries,
+                            code.source_alphabet, code.target_alphabet)
+    object.__setattr__(twin, "_byte_table", lambda: None)
+    return twin
+
+
+def _byte_path_case(src, dst, period, anomaly, table):
+    a = SIZED[src]
+    x = make_ep(Word(tuple(period), a), Word(tuple(anomaly), a))
+    return x, SlidingBlockCode(0, 0, tuple(((s,), out) for s, out in sorted(table.items())),
+                               a, SIZED[dst])
+
+
+@st.composite
+def byte_path_cases(draw):
+    """(x, code): a 1-block code between alphabets of 2 to 257 symbols, on
+    the ids at either end of each, with outputs that may coincide and a
+    table that may miss a symbol of x."""
+    src, dst = draw(st.sampled_from(sorted(SIZED))), draw(st.sampled_from(sorted(SIZED)))
+    ids = sorted({0, 1, src // 2, src - 2, src - 1})
+    period = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6), label="period")
+    anomaly = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12), label="anomaly")
+    outs = sorted({0, 1, dst // 2, dst - 1})
+    dropped = draw(st.sets(st.sampled_from(ids), max_size=1), label="dropped")
+    table = {s: draw(st.sampled_from(outs)) for s in ids if s not in dropped}
+    assume(table)
+    try:
+        return _byte_path_case(src, dst, period, anomaly, table)
+    except DegeneratePeriodic:
+        assume(False)
+
+
+def _scan_outcome(code, x):
+    """Everything an image scan gives, or the error it raises."""
+    def read():
+        scan = classify._image_scan(code, x)
+        return (tuple(scan.buf), scan.lo, scan.period, scan.defect, scan.window,
+                scan.anchored_symbols(scan.window.start), scan.anchored_symbols(0))
+    return _outcome(read)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(byte_path_cases())
+# non-injective: the image's root is shorter than N = 2
+@example(_byte_path_case(3, 2, (0, 1), (2,), {0: 0, 1: 0, 2: 1}))
+# partial: the table misses the period's symbol 255, then the anomaly's 254
+@example(_byte_path_case(256, 255, (255, 0), (1,), {0: 254, 1: 0}))
+@example(_byte_path_case(256, 255, (0,), (1, 254), {0: 254, 1: 0}))
+# periodic image
+@example(_byte_path_case(2, 255, (0,), (1,), {0: 254, 1: 254}))
+# just inside and just outside the bounds
+@example(_byte_path_case(256, 255, (255, 0), (1,), {0: 254, 1: 0, 255: 253}))
+@example(_byte_path_case(257, 255, (256, 0), (1,), {0: 254, 1: 0, 256: 253}))
+@example(_byte_path_case(256, 256, (255, 0), (1,), {0: 255, 1: 0, 255: 253}))
+def test_byte_path_matches_the_tuple_route(case):
+    x, code = case
+    twin = _tuple_route(code)
+    on_bytes = len(code.source_alphabet) <= 256 and len(code.target_alphabet) <= 255
+    got = _scan_outcome(code, x)
+    assert got == _scan_outcome(twin, x)
+    assert (code._by_byte is not None) == on_bytes and twin._by_byte is None
+    periodic = PeriodicSeq(x.period_word)
+    assert _outcome(apply_code_to_periodic, code, periodic) == _outcome(
+        apply_code_to_periodic, twin, periodic)
+    if not isinstance(got[0], type):  # the image, a shift of it, and another sequence
+        img, b = apply_code(twin, x), code.target_alphabet
+        for y in (img, shift(img, -1), make_ep(Word((0,), b), Word((1,), b))):
+            assert _image_similar(code, x, y) == _image_similar(twin, x, y)
+    # mismatched alphabets: x's symbols over another alphabet of its size,
+    # and a target sequence over another alphabet of the target's size
+    size = len(x.alphabet)
+    moved = make_ep(Word(x.period_word.symbols, RELABELLED[size]),
+                    Word(x.anomaly.symbols, RELABELLED[size]))
+    elsewhere = make_ep(Word((0,), RELABELLED[len(code.target_alphabet)]),
+                        Word((1,), RELABELLED[len(code.target_alphabet)]))
+    for c in (code, twin):
+        assert _outcome(_image_similar, c, moved, elsewhere)[0] is IncompatibleAlphabets
+        if not isinstance(got[0], type):
+            assert _outcome(_image_similar, c, x, elsewhere)[0] is IncompatibleAlphabets
+
+
+def test_byte_path_cuts_a_shorter_root_and_names_the_first_missing_symbol():
+    x, code = _byte_path_case(3, 2, (0, 1), (2,), {0: 0, 1: 0, 2: 1})
+    assert apply_code_to_periodic(code, PeriodicSeq(x.period_word)).period_word.symbols == (0,)
+    assert least_period(apply_code(code, x)) == 1 and code._by_byte is not None
+    for period, anomaly, absent in (((255, 0), (1,), 255), ((0, 1), (1, 254, 255), 254)):
+        x, code = _byte_path_case(256, 255, period, anomaly, {0: 254, 1: 0})
+        with pytest.raises(MissingBlock, match=rf"^block \({absent},\) not in code table$"):
+            apply_code(code, x)
+
+
+class _Refused(Exception):
+    pass
+
+
+def test_1_block_image_tests_read_no_block_on_the_byte_path(monkeypatch):
+    def refuse(self, buf, count):
+        raise _Refused
+
+    monkeypatch.setattr(SlidingBlockCode, "read", refuse)
+    for q, p in ((5, 8), (47, 53)):
+        x, y = skew(TYPE_S, q, p), skew(TYPE_SPRIME, p, q)
+        fwd, inv = conjugacy_witness(x, y)
+        assert fwd.block_length == inv.block_length == 1 and least_period(x) == p + q
+    # a radius-1 code, and a 1-block code over 300 symbols, still read
+    x, y = ep("001", "1"), ep("001", "0")
+    assert _witness_code(canonical(x), canonical(y)).memory == 1
+    with pytest.raises(_Refused):
+        conjugacy_witness(x, y)
+    wide = Alphabet(tuple(f"s{i}" for i in range(300)))
+    z = make_ep(Word((0, 299), wide), Word((1,), wide))
+    with pytest.raises(_Refused):
+        conjugacy_witness(z, shift(z, 1))
+
+
 # --- symbol expansion --------------------------------------------------------
 
 def test_expand_symbol_examples():

@@ -121,6 +121,41 @@ def test_readme_states_the_source_line_count():
     assert int(stated[1].replace(",", "")) == total
 
 
+def dict_reads(tree: ast.Module) -> list[str]:
+    """The `.__dict__` reads of a module, with their line numbers, but for
+    `cls.__dict__` in `Value.__init_subclass__`, which reads a class's own
+    annotations and defaults: values keep their fields and memos as plain
+    attributes (the `Value` docstring)."""
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Value":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init_subclass__":
+                    allowed |= {id(node.value) for node in ast.walk(fn)
+                                if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                                and isinstance(node.value, ast.Name) and node.value.id == "cls"}
+    found = sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                   and id(node.value) not in allowed)
+    return [f"{text} (line {line})" for line, text in found]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_dict_is_read_but_the_value_base_class_own(module):
+    assert dict_reads(ast.parse((SRC / module).read_text(), module)) == []
+
+
+def test_a_dict_read_is_found():
+    tree = ast.parse("class Value:\n    def __init_subclass__(cls):\n"
+                     "        cls.f = cls.__dict__.get('f')\n        self.__dict__.clear()\n\n"
+                     "    def _trusted(cls):\n        return cls.__dict__\n\n"
+                     "class Code(Value):\n    def __init_subclass__(cls):\n"
+                     "        return cls.__dict__\n\n"
+                     "def memo(code):\n    return code.__dict__.get('_by_byte')\n")
+    assert dict_reads(tree) == ["self.__dict__ (line 4)", "cls.__dict__ (line 7)",
+                                "cls.__dict__ (line 11)", "code.__dict__ (line 14)"]
+
+
 def unnamed_fixtures(fixtures: list[str], modules: list[str]) -> list[str]:
     """The fixture file names that no test module's text holds in quotes."""
     return [name for name in fixtures

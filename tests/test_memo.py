@@ -238,6 +238,14 @@ def test_trusted_takes_every_field_and_memos_no_comparison_sees():
     for read in (trusted, checked):
         assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
         assert json.dumps(jsonio.emit_code(read)) == json.dumps(jsonio.emit_code(unread))
+    # an image test fills its byte table, which nothing compares either
+    x = make_ep(word("01"), word("1"))
+    assert apply_code(trusted, x) == apply_code(checked, x) == make_ep(word("10"), word("0"))
+    assert trusted._by_byte == checked._by_byte == b"\x01\x00" + b"\xff" * 254
+    assert "_by_byte" not in vars(unread) and unread._by_byte is None
+    for built in (trusted, checked):
+        assert built == unread and hash(built) == hash(unread) and repr(built) == repr(unread)
+        assert json.dumps(jsonio.emit_code(built)) == json.dumps(jsonio.emit_code(unread))
     # an alphabet built by minting keeps its next counter, which nothing compares
     bigger, fresh = BINARY.extended(2)
     bare = Alphabet(bigger.labels)
