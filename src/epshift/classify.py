@@ -55,7 +55,6 @@ class SlidingBlockCode(Value):
     entries: tuple[tuple[tuple[int, ...], int], ...]
     source_alphabet: Alphabet
     target_alphabet: Alphabet
-    _by_symbol = None  # a 1-block code's table by symbol id, a memo of read()
     _by_byte = None  # a byte-path code's translate table, a memo of _byte_table()
 
     def __post_init__(self) -> None:
@@ -88,27 +87,27 @@ class SlidingBlockCode(Value):
         except KeyError:
             raise MissingBlock(f"block {block} not in code table") from None
 
-    def read(self, buf: tuple[int, ...], count: int) -> tuple[int, ...]:
-        """The outputs on the blocks buf[i:i + block_length], 0 <= i < count,
-        looked up one block at a time.  A 1-block code looks up the symbols
-        of buf[:count] themselves, in the memo ``_by_symbol``: its table
-        keyed by symbol id, not by 1-tuple, built on the first read."""
-        blen = self.block_length
-        if blen == 1:
-            table, blocks = self._by_symbol or self._symbol_table(), buf[:count]
-        else:
-            table = self._lookup  # type: ignore[attr-defined]
-            blocks = map(buf.__getitem__, map(slice, range(count), range(blen, blen + count)))
+    def read(self, buf: tuple[int, ...]) -> Symbols:
+        """The outputs on the blocks buf[i:i + block_length], 0 <= i <=
+        len(buf) - block_length, the one place that picks a route.  A code
+        with a byte table (see `_byte_table`) translates buf in one C pass
+        and returns bytes; any other looks each block up in its table and
+        returns a tuple, a 1-block code's blocks being the 1-tuples of buf.
+        Both raise MissingBlock on the same first unmapped block."""
+        table = self._by_byte or self._byte_table()
+        if table is not None:
+            img = bytes(buf).translate(table)
+            at = img.find(255)
+            if at >= 0:
+                raise MissingBlock(f"block ({buf[at]},) not in code table")
+            return img
+        n, size = self.block_length, len(buf)
+        blocks = zip(buf) if n == 1 else map(buf.__getitem__,
+                                              map(slice, range(size), range(n, size + 1)))
         try:
-            return tuple(map(table.__getitem__, blocks))
+            return tuple(map(self._lookup.__getitem__, blocks))  # type: ignore[attr-defined]
         except KeyError as e:
-            block = (e.args[0],) if blen == 1 else e.args[0]
-            raise MissingBlock(f"block {block} not in code table") from None
-
-    def _symbol_table(self) -> dict[int, int]:
-        table = {block[0]: out for block, out in self._lookup.items()}  # type: ignore[attr-defined]
-        object.__setattr__(self, "_by_symbol", table)
-        return table
+            raise MissingBlock(f"block {e.args[0]} not in code table") from None
 
     def _byte_table(self) -> Optional[bytes]:
         """The `bytes.translate` table of a 1-block code from at most 256
@@ -157,20 +156,15 @@ def _image_scan(code: SlidingBlockCode, x: EPSeq) -> _Scan:
     periodic orbit, whose root `_periodic_image` reads once, at phase i
     and i - |v| respectively.  The two guards of 2N + 1 symbols are tiled
     from that root; the code reads only the |v| + mm + aa blocks between.
-
-    A code with a byte table (see `SlidingBlockCode._byte_table`) takes
-    the byte path: the period and the anomaly are each translated in one
-    C pass, the guards are tiled by bytes repetition, and the buffer the
-    kernel reads is bytes.  Any other code reads its blocks with
-    `SlidingBlockCode.read`, a tuple at a time; both give the same scan.
+    `SlidingBlockCode.read` picks the route: the buffer the kernel reads
+    is bytes on the byte path and a tuple otherwise, and both give the
+    same scan.
     """
-    table = code._by_byte or code._byte_table()
-    root = _periodic_image(code, x.period_word, table)
+    root = _periodic_image(code, x.period_word)
     mm, aa = code.memory, code.anticipation
     n, vl = least_period(x), len(x.anomaly)
     lo = -aa - 1 - 2 * n
-    span = (code.read(_symbols(x, -aa - mm, vl + mm + aa), vl + mm + aa) if table is None
-            else _translated(x.anomaly.symbols, table))
+    span = code.read(_symbols(x, -aa - mm, vl + mm + aa))
     img = _tiled(root, lo, 2 * n + 1) + span + _tiled(root, mm, 2 * n + 1)
     scan = _scan(img, lo, Word._trusted(tuple(root), code.target_alphabet), vl)
     if scan is None:
@@ -190,33 +184,20 @@ def _image_similar(code: SlidingBlockCode, x: EPSeq, y: EPSeq) -> bool:
 
 def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSeq:
     """Image of a periodic sequence under the code (always periodic)."""
-    root = _periodic_image(code, p.period_word, code._by_byte or code._byte_table())
+    root = _periodic_image(code, p.period_word)
     return PeriodicSeq._trusted(Word._trusted(tuple(root), code.target_alphabet))
 
 
-def _periodic_image(code: SlidingBlockCode, w: Word, table: Optional[bytes]) -> Symbols:
+def _periodic_image(code: SlidingBlockCode, w: Word) -> Symbols:
     """The symbols of the primitive root of the image of k -> w[k mod |w|]
-    under the code: with the code's byte table, w translated and cut at
-    the first index where it recurs in its own square; else read by the
-    code and cut by `primitive_root`."""
+    under the code, read by the code: a bytes image is cut at the first
+    index where it recurs in its own square, a tuple by `primitive_root`."""
     if w.alphabet != code.source_alphabet:
         raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
-    if table is not None:
-        img = _translated(w.symbols, table)
+    img = code.read(_tiled(w.symbols, -code.memory, len(w) + code.block_length - 1))
+    if isinstance(img, bytes):
         return img[:(img + img).find(img, 1)]
-    img = code.read(_tiled(w.symbols, -code.memory, len(w) + code.block_length - 1), len(w))
     return primitive_root(Word._trusted(img, code.target_alphabet))[0].symbols
-
-
-def _translated(syms: tuple[int, ...], table: bytes) -> bytes:
-    """The image of syms under a code's byte table; an unmapped symbol
-    raises the MissingBlock that `SlidingBlockCode.read` raises, naming
-    the same first one."""
-    img = bytes(syms).translate(table)
-    at = img.find(255)
-    if at >= 0:
-        raise MissingBlock(f"block ({syms[at]},) not in code table")
-    return img
 
 
 def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu: int,

@@ -172,14 +172,13 @@ def cmd_classify(args) -> int:
             "witness": args.witness,
         })
         return 0
-    if args.classify_cmd == "check-witness":
-        x, y = _load_epseq(args.a), _load_epseq(args.b)
-        wit = jsonio.parse_flow_witness(_read_json(args.witness_file))
-        trail: list[str] = []
-        valid = classify.verify_flow_witness(x, y, wit, trail)
-        _emit({"valid": valid, "trail": trail})
-        return 0 if valid else 1
-    raise ValueError(f"unknown classify subcommand {args.classify_cmd!r}")
+    # check-witness
+    x, y = _load_epseq(args.a), _load_epseq(args.b)
+    wit = jsonio.parse_flow_witness(_read_json(args.witness_file))
+    trail: list[str] = []
+    valid = classify.verify_flow_witness(x, y, wit, trail)
+    _emit({"valid": valid, "trail": trail})
+    return 0 if valid else 1
 
 
 def cmd_verify(args) -> int:

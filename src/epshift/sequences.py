@@ -178,7 +178,7 @@ def _tiled(w: Symbols, start: int, size: int) -> Symbols:
     if size <= 0:
         return w[:0]
     o = start % len(w)
-    return ((w[o:] + w[:o]) * (size // len(w) + 1))[:size]
+    return ((w[o:] + w[:o]) * -(-size // len(w)))[:size]
 
 
 def _symbols(x: EPSeq, lo: int, hi: int) -> tuple[int, ...]:

@@ -673,6 +673,8 @@ def test_apply_code_missing_block():
     partial = SlidingBlockCode(0, 0, (((0,), 0),), BINARY, BINARY)
     with pytest.raises(MissingBlock):
         apply_code(partial, ep("0", "1"))
+    with pytest.raises(MissingBlock, match=r"^block \(1,\) not in code table$"):
+        partial.out((1,))
 
 
 def test_one_block_read_matches_a_lookup_per_position():
@@ -680,20 +682,18 @@ def test_one_block_read_matches_a_lookup_per_position():
     code = SlidingBlockCode(0, 0, (((0,), 2), ((1,), 0), ((2,), 1)), ABC, ABC)
     for _ in range(300):
         buf = tuple(rng.randrange(3) for _ in range(rng.randrange(31)))
-        count = rng.randrange(len(buf) + 1)
-        assert code.read(buf, count) == tuple(code.out((b,)) for b in buf[:count])
+        assert tuple(code.read(buf)) == tuple(code.out((b,)) for b in buf)
     for absent in range(3):
         partial = SlidingBlockCode(0, 0, tuple(((s,), s) for s in range(3) if s != absent), ABC, ABC)
         present = tuple(s for s in range(3) if s != absent)
         buf = tuple(rng.choice(present) for _ in range(20))
-        # the symbols past count are not read
-        assert partial.read(buf + (absent,), 20) == buf
+        assert tuple(partial.read(buf)) == buf
         with pytest.raises(MissingBlock) as e:
-            partial.read(buf[:7] + (absent,) + buf[7:], 21)
+            partial.read(buf[:7] + (absent,) + buf[7:])
         assert str(e.value) == f"block ({absent},) not in code table"
 
 
-def test_one_block_codes_read_by_symbol_as_parsed_and_as_built():
+def test_one_block_codes_read_as_parsed_and_as_built():
     # a code from the search (trusted, its table a memo), a mark code built
     # checked, and a final link: each reads as the same code parsed from JSON
     x, y = skew(TYPE_S, 3, 5), skew(TYPE_SPRIME, 5, 3)
@@ -706,9 +706,8 @@ def test_one_block_codes_read_by_symbol_as_parsed_and_as_built():
         keys = sorted(block[0] for block, _ in code.entries)
         for _ in range(50):
             buf = tuple(rng.choice(keys) for _ in range(rng.randrange(40)))
-            count = rng.randrange(len(buf) + 1)
-            expected = tuple(code.out((b,)) for b in buf[:count])
-            assert code.read(buf, count) == parsed.read(buf, count) == expected
+            expected = tuple(code.out((b,)) for b in buf)
+            assert tuple(code.read(buf)) == tuple(parsed.read(buf)) == expected
         # drop one row: the absent symbol at the first, a middle and the last position
         absent, rest = code.entries[-1][0][0], code.entries[:-1]
         partials = (SlidingBlockCode(0, 0, rest, code.source_alphabet, code.target_alphabet),
@@ -719,9 +718,9 @@ def test_one_block_codes_read_by_symbol_as_parsed_and_as_built():
         for at in (0, 4, 9):
             spiked = buf[:at] + (absent,) + buf[at:]
             for partial in partials:
-                assert partial.read(spiked, at) == tuple(partial.out((b,)) for b in buf[:at])
+                assert tuple(partial.read(buf[:at])) == tuple(partial.out((b,)) for b in buf[:at])
                 with pytest.raises(MissingBlock) as e:
-                    partial.read(spiked, len(spiked))
+                    partial.read(spiked)
                 assert str(e.value) == f"block ({absent},) not in code table"
 
 
@@ -864,28 +863,21 @@ def test_byte_path_cuts_a_shorter_root_and_names_the_first_missing_symbol():
             apply_code(code, x)
 
 
-class _Refused(Exception):
-    pass
-
-
-def test_1_block_image_tests_read_no_block_on_the_byte_path(monkeypatch):
-    def refuse(self, buf, count):
-        raise _Refused
-
-    monkeypatch.setattr(SlidingBlockCode, "read", refuse)
+def test_1_block_image_tests_read_no_block_on_the_byte_path():
+    # a skew pair's witnesses read through their byte tables
     for q, p in ((5, 8), (47, 53)):
         x, y = skew(TYPE_S, q, p), skew(TYPE_SPRIME, p, q)
         fwd, inv = conjugacy_witness(x, y)
         assert fwd.block_length == inv.block_length == 1 and least_period(x) == p + q
-    # a radius-1 code, and a 1-block code over 300 symbols, still read
+        assert fwd._by_byte is not None and inv._by_byte is not None
+    # a radius-1 code, and a 1-block code over 300 symbols, look their blocks up
     x, y = ep("001", "1"), ep("001", "0")
-    assert _witness_code(canonical(x), canonical(y)).memory == 1
-    with pytest.raises(_Refused):
-        conjugacy_witness(x, y)
+    fwd, inv = conjugacy_witness(x, y)
+    assert fwd.memory == 1 and fwd._by_byte is None
     wide = Alphabet(tuple(f"s{i}" for i in range(300)))
     z = make_ep(Word((0, 299), wide), Word((1,), wide))
-    with pytest.raises(_Refused):
-        conjugacy_witness(z, shift(z, 1))
+    fwd, inv = conjugacy_witness(z, shift(z, 1))
+    assert fwd.block_length == 1 and fwd._by_byte is None and inv._by_byte is None
 
 
 # --- symbol expansion --------------------------------------------------------

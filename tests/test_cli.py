@@ -64,6 +64,9 @@ def test_sturmian_gen_invalid_spec(capsys):
     code, obj = run(capsys, "sturmian", "gen", "--freq", "0", "--type", "S")
     assert code == 2
     assert obj["error"]["kind"] == "InvalidSpec"
+    code, obj = run(capsys, "sturmian", "gen", "--freq", "inf", "--type", "S", "--emit", "cells")
+    assert (code, obj["error"]) == (2, {"kind": "InvalidSpec",
+                                        "message": "--emit cells needs a rational frequency"})
 
 
 @pytest.mark.parametrize("freq", ["a/b", "1/2/3"])
@@ -481,11 +484,13 @@ def test_malformed_epseq_exits_2(tmp_path, capsys):
 
 def test_labels_that_break_word_literals_exit_2(tmp_path, capsys):
     f = tmp_path / "bad.json"
-    for alphabet, period, anomaly in ((["a,b", "a", "b"], "[a,b]", "[a]"), (["[", "]"], "[", "]")):
+    for alphabet, period, anomaly in ((["a,b", "a", "b"], "[a,b]", "[a]"), (["[", "]"], "[", "]"),
+                                      (["0", "1"], "[0,1", "1")):
         f.write_text(json.dumps(
             {"format": "epseq/1", "alphabet": alphabet, "period": period, "anomaly": anomaly}))
         code, out = run(capsys, "ep", "anomaly-size", str(f))
         assert code == 2 and out["error"]["kind"] == "ValueError", alphabet
+    assert out["error"]["message"] == "unterminated word literal: '[0,1'"
 
 
 JSON_VALUES = st.recursive(

@@ -156,6 +156,36 @@ def test_a_dict_read_is_found():
                                 "cls.__dict__ (line 11)", "code.__dict__ (line 14)"]
 
 
+def code_table_reads(tree: ast.Module) -> list[str]:
+    """The attribute reads of a sliding block code's tables and table
+    builders, with their line numbers, outside `class SlidingBlockCode`:
+    `SlidingBlockCode.read` is the one place that picks a code's route.
+    A `_lookup=` keyword, which hands a table to `_trusted`, reads none."""
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "SlidingBlockCode"
+              for node in ast.walk(cls)}
+    found = sorted((node.lineno, node.col_offset, ast.unparse(node)) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and id(node) not in inside
+                   and node.attr in ("_by_byte", "_byte_table", "_lookup", "_by_symbol"))
+    return [f"{text} (line {line})" for line, _, text in found]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_code_table_is_read_outside_the_code_class(module):
+    assert code_table_reads(ast.parse((SRC / module).read_text(), module)) == []
+
+
+def test_a_code_table_read_is_found():
+    tree = ast.parse("class SlidingBlockCode:\n    def read(self, buf):\n"
+                     "        return self._by_byte or self._byte_table(), self._lookup\n\n"
+                     "def image(code, block):\n    table = code._by_byte\n"
+                     "    return code._lookup[block], code._by_symbol\n\n"
+                     "class Other:\n    def f(self, code):\n        return code._byte_table()\n\n"
+                     "def built(lookup):\n    return SlidingBlockCode._trusted(_lookup=lookup)\n")
+    assert code_table_reads(tree) == ["code._by_byte (line 6)", "code._lookup (line 7)",
+                                      "code._by_symbol (line 7)", "code._byte_table (line 11)"]
+
+
 def unnamed_fixtures(fixtures: list[str], modules: list[str]) -> list[str]:
     """The fixture file names that no test module's text holds in quotes."""
     return [name for name in fixtures

@@ -230,15 +230,8 @@ def test_trusted_takes_every_field_and_memos_no_comparison_sees():
     assert jsonio.emit_code(trusted) == jsonio.emit_code(checked)
     with pytest.raises(AttributeError):
         trusted.memory = 1
-    # a read fills the 1-block code's table by symbol, which nothing compares
-    assert trusted.read((0, 1, 1), 3) == checked.read((0, 1, 1), 3) == (1, 0, 0)
+    # an image test fills its byte table, which nothing compares
     unread = SlidingBlockCode(0, 0, entries, BINARY, BINARY)
-    assert trusted._by_symbol == checked._by_symbol == {0: 1, 1: 0}
-    assert "_by_symbol" not in vars(unread)
-    for read in (trusted, checked):
-        assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
-        assert json.dumps(jsonio.emit_code(read)) == json.dumps(jsonio.emit_code(unread))
-    # an image test fills its byte table, which nothing compares either
     x = make_ep(word("01"), word("1"))
     assert apply_code(trusted, x) == apply_code(checked, x) == make_ep(word("10"), word("0"))
     assert trusted._by_byte == checked._by_byte == b"\x01\x00" + b"\xff" * 254

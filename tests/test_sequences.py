@@ -134,6 +134,8 @@ def test_remove_window_examples():
     assert isinstance(r3, PeriodicSeq) and r3.period_word.text == "110"
     # aligned with the left tail
     assert r3.symbol_id_at(-1) == ep("110", "1").symbol_id_at(-1)
+    with pytest.raises(ValueError, match=r"^window length must be >= 1$"):
+        remove_window(ep("0", "01"), AnomalyWindow(1, 0))
 
 
 def test_anomaly_windows_examples():

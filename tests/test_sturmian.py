@@ -148,6 +148,13 @@ def test_invalid_specs():
         Frequency.rational(0, 1)
     with pytest.raises(InvalidSpec):
         cell_series(SturmianSpec(Frequency.infinity(), TYPE_S), 0, 1)
+    with pytest.raises(InvalidSpec, match=r"^type must be 'S' or 'Sprime', got 'X'$"):
+        SturmianSpec(Frequency.rational(2, 3), "X")
+    with pytest.raises(InvalidSpec, match=r"^zero frequency takes no q/p$"):
+        Frequency("zero", 1, 2)
+    for build in (cell_series, cutting_sequence):
+        with pytest.raises(ValueError, match=r"^need n_lo <= n_hi, got 3 > 2$"):
+            build(spec_S(2, 3), 3, 2)
 
 
 def test_chain_zero_counts_examples():

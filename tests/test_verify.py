@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import weakref
@@ -28,6 +29,9 @@ def test_report_round_trip_including_failures():
     again = VerifyReport.from_obj(report.to_obj())
     assert again.to_obj() == report.to_obj()
     assert not again.ok
+    for foreign in ({**report.to_obj(), "format": "verifyreport/0"}, {"checks": []}):
+        with pytest.raises(ValueError, match=r"^expected format 'verifyreport/1'$"):
+            VerifyReport.from_obj(foreign)
 
 
 def test_bounds_capping():
@@ -189,6 +193,77 @@ def test_sabotaged_check_reports_its_failure_records(monkeypatch, tag, module, n
     assert chk.failures[0] == first and chk.failures[-1] == last
     if name != "skew_conjugacy_class":  # see SABOTAGE
         assert passing.checked == checked
+
+
+# the real callees, read before any test patches them
+_anomaly_windows, _cutting_sequence = verify.anomaly_windows, verify.cutting_sequence
+
+
+def _windows_plus_one_longer(x):
+    return _anomaly_windows(x) + [AnomalyWindow(0, len(x.anomaly) + 1)]
+
+
+def _cut_of_a_foreign_symbol(spec, n_lo, n_hi):
+    return SimpleNamespace(text="2" * len(_cutting_sequence(spec, n_lo, n_hi).text))
+
+
+def _ep(period, anomaly):
+    return {"format": "epseq/1", "alphabet": ["0", "1"], "period": period, "anomaly": anomaly}
+
+
+EP_LAST = _ep("010000", "10010")
+MUTANTS = [
+    # records that no sabotage of one callee reaches: (criterion, patches,
+    # checked, failures, first record, last record)
+    ("bezout-oracle", {"coprime_pairs": lambda s: iter([(1, 2)]), "gcd": lambda m, n: 3}, 1, 1,
+     {"q": 1, "p": 2, "reason": "gcd(a+b, p+q) != 1"},
+     {"q": 1, "p": 2, "reason": "gcd(a+b, p+q) != 1"}),
+    ("window-lemmas", {"anomaly_windows": lambda x: []}, 19, 19,
+     {"instance": EP_0_01, "reason": "stored anomaly not found"},
+     {"instance": EP_LAST, "reason": "stored anomaly not found"}),
+    # a window one longer than the anomaly is congruent only at least period 1
+    ("window-lemmas", {"anomaly_windows": _windows_plus_one_longer}, 19, 13,
+     {"instance": _ep("01", "0"), "reason": "window length not congruent"},
+     {"instance": EP_LAST, "reason": "window length not congruent"}),
+    ("window-lemmas", {"remove_window": lambda x, w: x}, 19, 19,
+     {"instance": EP_0_01, "reason": "removal not periodic"},
+     {"instance": EP_LAST, "reason": "removal not periodic"}),
+    ("window-lemmas", {"anomaly_windows": lambda x: [AnomalyWindow(0, len(x.anomaly)),
+                                                     AnomalyWindow(1, len(x.anomaly))],
+                       "remove_window": lambda x, w: PeriodicSeq(word(str(w.start)))}, 19, 19,
+     {"instance": EP_0_01, "reason": "removals differ pointwise"},
+     {"instance": EP_LAST, "reason": "removals differ pointwise"}),
+    ("generator-crossval", {"chain_zero_counts": lambda cs, p: {}}, 18, 18,
+     {"q": 1, "p": 1, "type": "S", "m": -1,
+      "reason": "p-chain zero counts {} are not one of 0 and rest 1"},
+     {"q": 2, "p": 1, "type": "Sprime", "m": 2,
+      "reason": "p-chain zero counts {} are not one of 3 and rest 2"}),
+    ("generator-crossval", {"cutting_sequence": lambda spec, lo, hi: SimpleNamespace(text="")},
+     18, 18,
+     {"q": 1, "p": 1, "type": "S", "m": -1,
+      "reason": "cutting window length 0 vs expansion length 13"},
+     {"q": 2, "p": 1, "type": "Sprime", "m": 2,
+      "reason": "cutting window length 0 vs expansion length 22"}),
+    ("generator-crossval", {"cutting_sequence": _cut_of_a_foreign_symbol}, 18, 18,
+     {"q": 1, "p": 1, "type": "S", "m": -1,
+      "reason": "cutting sequence does not occur at the cell-aligned offset"},
+     {"q": 2, "p": 1, "type": "Sprime", "m": 2,
+      "reason": "cutting sequence does not occur at the cell-aligned offset"}),
+]
+
+
+@pytest.mark.parametrize("tag, patches, checked, failed, first, last", MUTANTS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(MUTANTS)])
+def test_mutant_reports_a_record_no_sabotage_reaches(monkeypatch, tag, patches, checked, failed,
+                                                     first, last):
+    for name, fake in patches.items():
+        monkeypatch.setattr(verify, name, fake)
+    chk = RUN_CRITERION[tag](SMALL_BOUNDS)
+    assert (chk.checked, len(chk.failures)) == (checked, failed)
+    assert chk.failures[0] == first and chk.failures[-1] == last
+    assert all(f.keys() == first.keys() for f in chk.failures)
+    obj = json.loads(json.dumps(VerifyReport([chk]).to_obj()))
+    assert VerifyReport.from_obj(obj).to_obj() == obj
 
 
 def _masked(checks):
