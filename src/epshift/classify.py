@@ -25,7 +25,6 @@ from .errors import (
 from .sequences import (
     EPSeq,
     PeriodicSeq,
-    Symbols,
     _Scan,
     _scan,
     _symbols,
@@ -35,7 +34,7 @@ from .sequences import (
     least_period,
 )
 from .sturmian import SturmianSpec, TYPE_S, TYPE_SPRIME
-from .words import Alphabet, Value, Word, primitive_root, require_same_alphabet
+from .words import Alphabet, Symbols, Value, Word, packed, primitive_root, require_same_alphabet
 
 
 class SlidingBlockCode(Value):
@@ -47,7 +46,8 @@ class SlidingBlockCode(Value):
     of the declared window length, so a parsed code is at least as long
     as the window an application reads.  Every block id is a symbol of
     the source alphabet and every output one of the target alphabet, so
-    an image read from the table needs no further check.
+    an image read from the table needs no further check.  Blocks are
+    tuples even where words hold bytes.
     """
 
     memory: int
@@ -87,12 +87,12 @@ class SlidingBlockCode(Value):
         except KeyError:
             raise MissingBlock(f"block {block} not in code table") from None
 
-    def read(self, buf: tuple[int, ...]) -> Symbols:
+    def read(self, buf: Symbols) -> Symbols:
         """The outputs on the blocks buf[i:i + block_length], 0 <= i <=
-        len(buf) - block_length, the one place that picks a route.  A code
-        with a byte table (see `_byte_table`) translates buf in one C pass
-        and returns bytes; any other looks each block up in its table and
-        returns a tuple, a 1-block code's blocks being the 1-tuples of buf.
+        len(buf) - block_length, as Symbols over the target alphabet; the
+        one place that picks a route.  A code with a byte table (see
+        `_byte_table`) translates buf in one C pass; any other looks up
+        each block, a tuple zipped from block_length shifted slices of buf.
         Both raise MissingBlock on the same first unmapped block."""
         table = self._by_byte or self._byte_table()
         if table is not None:
@@ -102,10 +102,10 @@ class SlidingBlockCode(Value):
                 raise MissingBlock(f"block ({buf[at]},) not in code table")
             return img
         n, size = self.block_length, len(buf)
-        blocks = zip(buf) if n == 1 else map(buf.__getitem__,
-                                              map(slice, range(size), range(n, size + 1)))
+        blocks = zip(*(buf[i:size - n + 1 + i] for i in range(n)))
         try:
-            return tuple(map(self._lookup.__getitem__, blocks))  # type: ignore[attr-defined]
+            return packed(map(self._lookup.__getitem__, blocks),  # type: ignore[attr-defined]
+                          self.target_alphabet)
         except KeyError as e:
             raise MissingBlock(f"block {e.args[0]} not in code table") from None
 
@@ -156,9 +156,8 @@ def _image_scan(code: SlidingBlockCode, x: EPSeq) -> _Scan:
     periodic orbit, whose root `_periodic_image` reads once, at phase i
     and i - |v| respectively.  The two guards of 2N + 1 symbols are tiled
     from that root; the code reads only the |v| + mm + aa blocks between.
-    `SlidingBlockCode.read` picks the route: the buffer the kernel reads
-    is bytes on the byte path and a tuple otherwise, and both give the
-    same scan.
+    `SlidingBlockCode.read` picks the route, and either gives the buffer
+    as words over the target alphabet hold symbols.
     """
     root = _periodic_image(code, x.period_word)
     mm, aa = code.memory, code.anticipation
@@ -166,7 +165,7 @@ def _image_scan(code: SlidingBlockCode, x: EPSeq) -> _Scan:
     lo = -aa - 1 - 2 * n
     span = code.read(_symbols(x, -aa - mm, vl + mm + aa))
     img = _tiled(root, lo, 2 * n + 1) + span + _tiled(root, mm, 2 * n + 1)
-    scan = _scan(img, lo, Word._trusted(tuple(root), code.target_alphabet), vl)
+    scan = _scan(img, lo, Word._trusted(root, code.target_alphabet), vl)
     if scan is None:
         raise DegenerateImage("image of the sequence under the code is periodic")
     return scan
@@ -185,22 +184,19 @@ def _image_similar(code: SlidingBlockCode, x: EPSeq, y: EPSeq) -> bool:
 def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSeq:
     """Image of a periodic sequence under the code (always periodic)."""
     root = _periodic_image(code, p.period_word)
-    return PeriodicSeq._trusted(Word._trusted(tuple(root), code.target_alphabet))
+    return PeriodicSeq._trusted(Word._trusted(root, code.target_alphabet))
 
 
 def _periodic_image(code: SlidingBlockCode, w: Word) -> Symbols:
     """The symbols of the primitive root of the image of k -> w[k mod |w|]
-    under the code, read by the code: a bytes image is cut at the first
-    index where it recurs in its own square, a tuple by `primitive_root`."""
+    under the code, read by the code and cut by `primitive_root`."""
     if w.alphabet != code.source_alphabet:
         raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
     img = code.read(_tiled(w.symbols, -code.memory, len(w) + code.block_length - 1))
-    if isinstance(img, bytes):
-        return img[:(img + img).find(img, 1)]
     return primitive_root(Word._trusted(img, code.target_alphabet))[0].symbols
 
 
-def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu: int,
+def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
                      lv: int, k: int) -> tuple[Optional[dict], Optional[tuple[int, int]]]:
     """Probe radius k: map each radius-k block of src to the first centre
     it occurs at; return the table and None, or None and the two centres
@@ -235,7 +231,7 @@ def _build_block_map(s: tuple[int, ...], d: tuple[int, ...], lo: int, n: int, lu
     return table, None
 
 
-def _search_buffers(src: EPSeq, dst: EPSeq, reach: int) -> tuple[int, tuple, tuple]:
+def _search_buffers(src: EPSeq, dst: EPSeq, reach: int) -> tuple[int, Symbols, Symbols]:
     """(lo, s, d): src and dst sliced from index lo on, wide enough for
     every probe of radius k <= reach and every jump test up to reach.  A
     probe reads the src symbols within k of its centres and the dst
@@ -280,7 +276,7 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
             lo, s, d = _search_buffers(src, dst, reach)
         table, clash = _build_block_map(s, d, lo, n, lu, lv, k)
         if clash is None:
-            lookup = {block: d[c] for block, c in table.items()}
+            lookup = {tuple(block): d[c] for block, c in table.items()}
             return SlidingBlockCode._trusted(k, k, tuple(sorted(lookup.items())), src.alphabet,
                                              dst.alphabet, _lookup=lookup)
         i, j = clash
@@ -365,12 +361,10 @@ def expand_symbol(x: EPSeq, label: str, count: int = 1) -> tuple[EPSeq, tuple[st
     bigger, fresh = x.alphabet.extended(count)
     block = (s, *range(len(x.alphabet), len(bigger)))
 
-    def subst(syms: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(u for t in syms for u in (block if t == s else (t,)))
-
     # s -> s·f1…fk with the f fresh is injective and no image starts with an f, so
     # a power or a trailing period copy in the image would be one in x: still normalized
-    period, anomaly = subst(x.period_word.symbols), subst(x.anomaly.symbols)
+    period, anomaly = (packed((u for t in syms for u in (block if t == s else (t,))), bigger)
+                       for syms in (x.period_word.symbols, x.anomaly.symbols))
     y = EPSeq._trusted(Word._trusted(period, bigger), Word._trusted(anomaly, bigger))
     return y, fresh
 
@@ -419,8 +413,8 @@ def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSe
     n, a, k = len(w), len(u), len(c.alphabet)
     bigger = c.alphabet.extended(n + a)[0]
     # the symbols are distinct, so P is primitive and A shares no symbol with it: normalized
-    primed = EPSeq._trusted(Word._trusted(tuple(range(k, k + n)), bigger),
-                            Word._trusted(tuple(range(k + n, k + n + a)), bigger))
+    primed = EPSeq._trusted(Word._trusted(packed(range(k, k + n), bigger), bigger),
+                            Word._trusted(packed(range(k + n, k + n + a), bigger), bigger))
     if not conjugate_ep(c, primed):
         raise PostconditionFailed(f"marking changed the invariants: (N={least_period(primed)}, "
                                   f"a={anomaly_size(primed)}), expected (N={n}, a={a})")
@@ -530,7 +524,7 @@ def _replay_move(cur: EPSeq, move: FlowMove) -> Optional[str]:
     # refuse a result of the wrong length before writing k symbols per occurrence
     p, v, r = cur.period_word.symbols, cur.anomaly.symbols, move.result
     s = cur.alphabet.index(move.symbol) if move.symbol in cur.alphabet else None
-    grown = len(move.fresh) * (p.count(s) + v.count(s))
+    grown = s is not None and len(move.fresh) * (p.count(s) + v.count(s))
     if grown and len(r.period_word) + len(r.anomaly) != len(p) + len(v) + grown:
         return "expansion does not reproduce recorded result"
     expanded, fresh = expand_symbol(cur, move.symbol, len(move.fresh))

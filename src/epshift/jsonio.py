@@ -27,7 +27,7 @@ from .classify import (
 )
 from .errors import MalformedInput
 from .sequences import EPSeq, PeriodicSeq, make_ep
-from .words import Alphabet, Word, word
+from .words import Alphabet, Word, packed, word
 
 EPSEQ_FORMAT = "epseq/1"
 PERSEQ_FORMAT = "perseq/1"
@@ -97,10 +97,8 @@ def emit_perseq(p: PeriodicSeq) -> dict:
 
 def emit_code(c: SlidingBlockCode) -> dict:
     src, dst = c.source_alphabet, c.target_alphabet
-    rows = [
-        [Word._trusted(block, src).text, dst.labels[out]]
-        for block, out in c.entries
-    ]
+    rows = [[Word._trusted(packed(block, src), src).text, dst.labels[out]]
+            for block, out in c.entries]
     return {
         "format": CODE_FORMAT,
         "memory": c.memory,
@@ -119,7 +117,8 @@ def parse_code(obj: Any) -> SlidingBlockCode:
     if not all(isinstance(row, list) and len(row) == 2
                and all(isinstance(cell, str) for cell in row) for row in table):
         raise MalformedInput(f"{CODE_FORMAT} table rows must be [block, symbol] string pairs")
-    entries = tuple(sorted((word(block, src).symbols, dst.index(out)) for block, out in table))
+    entries = tuple(sorted((tuple(word(block, src).symbols), dst.index(out))
+                           for block, out in table))
     memory = _field(d, "memory", CODE_FORMAT, int)
     anticipation = _field(d, "anticipation", CODE_FORMAT, int)
     return SlidingBlockCode(memory, anticipation, entries, src, dst)

@@ -22,9 +22,10 @@ symbol buffer sliced once from the period word and the anomaly, finds d,
 the first index where the sequence departs from its left tail, and the
 last index where it departs from its right tail read backwards; these two
 indices give the leftmost minimal anomaly window.  Both come from one XOR
-of the buffer with itself N places on, packed into fixed-width items (a
-byte per symbol up to 256 symbols) read little-endian, an order that
-``int.from_bytes`` needs spelled out on Python 3.10.  Item j fills bits
+of the buffer with itself N places on, read as fixed-width items
+little-endian, an order that ``int.from_bytes`` needs spelled out on
+Python 3.10: a word over at most 256 symbols holds bytes, a byte per
+symbol, which the scan reads as they are.  Item j fills bits
 [8wj, 8w(j+1)) for width w, so the lowest and highest set bits name the
 first and last differing items exactly.  ``anomaly_size``, ``canonical``,
 ``shift``, ``remove_window`` and code images in :mod:`epshift.classify`
@@ -66,16 +67,13 @@ from typing import NamedTuple, Optional, Union
 from .errors import DegeneratePeriodic, InternalMismatch
 from .words import (
     Alphabet,
+    Symbols,
     Value,
     Word,
     is_primitive,
     primitive_root,
     require_same_alphabet,
 )
-
-
-# a buffer of symbol ids: a tuple, or bytes when every id is below 256
-Symbols = Union[bytes, tuple[int, ...]]
 
 
 class PeriodicSeq(Value):
@@ -174,16 +172,14 @@ def make_ep(w: Word, v: Word) -> EPSeq:
 
 
 def _tiled(w: Symbols, start: int, size: int) -> Symbols:
-    """The symbols w[(start + i) mod |w|] for 0 <= i < size, of w's type."""
-    if size <= 0:
-        return w[:0]
+    """The symbols w[(start + i) mod |w|] for 0 <= i < size (none if size
+    <= 0), of w's type: bytes are tiled as bytes, in C."""
     o = start % len(w)
     return ((w[o:] + w[:o]) * -(-size // len(w)))[:size]
 
 
-def _symbols(x: EPSeq, lo: int, hi: int) -> tuple[int, ...]:
-    """x_lo ... x_{hi-1} as one tuple, sliced from the period word and the
-    anomaly."""
+def _symbols(x: EPSeq, lo: int, hi: int) -> Symbols:
+    """x_lo ... x_{hi-1}, of x's Symbols, from the period word and anomaly."""
     w, v = x.period_word.symbols, x.anomaly.symbols
     vl = len(v)
     right = max(lo, vl)
@@ -202,7 +198,7 @@ class _Scan(NamedTuple):
     defect: int
     window: AnomalyWindow
 
-    def anchored_symbols(self, prefer: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def anchored_symbols(self, prefer: int) -> tuple[Symbols, Symbols]:
         """The period and anomaly symbols of the anchored form of y shifted
         by t = min(prefer, defect): the shift nearest `prefer` that has one,
         exact when prefer <= defect.
@@ -217,7 +213,7 @@ class _Scan(NamedTuple):
         length = self.window.length + n * -(-max(0, self.window.start - t) // n)
         o = t % n
         at = t - self.lo
-        return w[o:] + w[:o] if o else w, tuple(self.buf[at:at + length])
+        return w[o:] + w[:o] if o else w, self.buf[at:at + length]
 
     def anchor(self, prefer: int) -> EPSeq:
         """The anchored form whose symbols `anchored_symbols(prefer)` gives."""
@@ -230,8 +226,8 @@ class _Scan(NamedTuple):
 def _scan(buf: Symbols, lo: int, period: Word, delta: int) -> Optional[_Scan]:
     """The normal-form kernel, linear in len(buf).
 
-    `buf` holds y_lo, y_lo+1, ... of a sequence y, as a tuple or, when
-    the alphabet has at most 256 symbols, as bytes, with left tail
+    `buf` holds y_lo, y_lo+1, ... of a sequence y, as the words of its
+    alphabet hold symbols (bytes up to 256 symbols), with left tail
     y_i = w[i mod N] and right tail y_i = w[(i - delta) mod N], where w is
     the primitive word `period` and N = |w|; its first N entries must lie in
     the left tail and its last N in the right tail.
@@ -245,22 +241,20 @@ def _scan(buf: Symbols, lo: int, period: Word, delta: int) -> Optional[_Scan]:
 
     Both indices come from one comparison of y with itself N places on:
     d is the first i with y_i != y_{i-N} and e the last with y_i != y_{i+N}.
-    It is one XOR of buf[N:] with buf[:-N], each packed into w-byte items
-    (w = 1 up to 256 symbols, else 4; a bytes buffer is already packed)
-    and read little-endian, the order ``int.from_bytes`` needs given on
-    Python 3.10.  Item j fills bits [8wj, 8w(j+1)) whatever the byte order
-    inside an item, so the lowest set bit gives d, the highest e, and 0
-    means y is periodic.
+    It is one XOR of buf[N:] with buf[:-N], as w-byte items read
+    little-endian, the order ``int.from_bytes`` needs given on Python
+    3.10: bytes as they are (w = 1), a tuple packed into 4-byte items.
+    Item j fills bits [8wj, 8w(j+1)) whatever the byte order inside an
+    item, so the lowest set bit gives d, the highest e, and 0 means y is
+    periodic.
     """
-    n, size = len(period), len(period.alphabet)
-    if size <= 256:
-        packed, width = bytes(buf), 1  # a bytes buffer as it is, not a copy
-    else:
+    n, raw, width = len(period), buf, 1
+    if len(period.alphabet) > 256:
         from array import array  # only here: most alphabets fit a byte
         items = array("I", buf)  # 4 bytes; a larger id raises OverflowError
-        packed, width = items.tobytes(), items.itemsize
+        raw, width = items.tobytes(), items.itemsize
     cut, bits = n * width, 8 * width
-    z = int.from_bytes(packed[cut:], "little") ^ int.from_bytes(packed[:-cut], "little")
+    z = int.from_bytes(raw[cut:], "little") ^ int.from_bytes(raw[:-cut], "little")
     if not z:
         return None
     d = lo + n + ((z & -z).bit_length() - 1) // bits
@@ -325,7 +319,8 @@ def anomaly_windows(x: EPSeq) -> list[AnomalyWindow]:
     N-periodic from max(s, |v| - L) on, so comparing them on [min(0, s) - N,
     max(s, |v| - L) + 2N] decides exactly.  As y_k is x_k before s and
     x_{k+L} from s on, that is two slice compares of x, built once from its
-    definition w*k + v + w*r, with z = w*m, both read from -kN.
+    definition w*k + v + w*r, with z = w*m, both read from -kN, the left
+    compare once per start s, as it does not depend on L.
     """
     w, v = x.period_word.symbols, x.anomaly.symbols
     n, vl = len(w), len(v)
@@ -334,15 +329,17 @@ def anomaly_windows(x: EPSeq) -> list[AnomalyWindow]:
     xs = w * k + v + w * (reach + 5)  # the greatest index read is |v|+4N+L
     zs = w * (len(xs) // n + 1)
     o = k * n  # the buffer index of position 0
-    wins = []
-    for length in range(vl % n or n, vl + 1, n):
-        for s in range(-length - 2 * n, vl + 2 * n + 1):
-            lo, at, hi = min(0, s) - n + o, s + o, max(s, vl - length) + 2 * n + 1 + o
-            if xs[lo:at] == zs[lo:at] and xs[at + length:hi + length] == zs[at:hi]:
-                wins.append(AnomalyWindow(s, length))
-    if not wins:
+    found = []
+    for s in range(-vl - 2 * n, vl + 2 * n + 1):
+        lo, at = min(0, s) - n + o, s + o
+        if xs[lo:at] == zs[lo:at]:
+            for length in range(vl % n or n, vl + 1, n):
+                hi = max(s, vl - length) + 2 * n + 1 + o
+                if s >= -length - 2 * n and xs[at + length:hi + length] == zs[at:hi]:
+                    found.append((length, s))
+    if not found:
         raise InternalMismatch("anomaly window search found nothing; bug")
-    return wins
+    return [AnomalyWindow(s, length) for length, s in sorted(found)]
 
 
 def anomaly_size(x: EPSeq) -> int:

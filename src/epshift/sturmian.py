@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import gcd
 from operator import sub
 
@@ -147,9 +147,9 @@ def _zero_counts(spec: SturmianSpec, n_lo: int, n_hi: int) -> list[int]:
 
 def _expand(counts: Sequence[int]) -> Word:
     """The concatenation of the cells with these zero counts."""
-    cells = {z: (1,) + (0,) * z for z in set(counts)}  # BINARY ids: "0" is 0, "1" is 1
+    cells = {z: b"\x01" + bytes(z) for z in set(counts)}  # BINARY ids: "0" is 0, "1" is 1
     # every id is 0 or 1, so the word is valid over BINARY by construction
-    return Word._trusted(tuple(chain.from_iterable(map(cells.__getitem__, counts))), BINARY)
+    return Word._trusted(b"".join(map(cells.__getitem__, counts)), BINARY)
 
 
 class CellSeries(Value):
@@ -282,6 +282,5 @@ def symbol_reverse(x: EPSeq) -> EPSeq:
     """Swap 0 <-> 1 in period word and anomaly (alphabet must be {0,1})."""
     if x.alphabet != BINARY:
         raise WrongAlphabet(f"symbol_reverse needs the alphabet ('0','1'), got {x.alphabet.labels}")
-    flip = lambda syms: tuple(1 - s for s in syms)
-    return EPSeq(Word(flip(x.period_word.symbols), BINARY),
-                 Word(flip(x.anomaly.symbols), BINARY))
+    flip = bytes.maketrans(b"\0\1", b"\1\0")
+    return EPSeq(*(Word(w.symbols.translate(flip), BINARY) for w in (x.period_word, x.anomaly)))

@@ -8,7 +8,7 @@ rather than a silent union.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import accumulate
 from operator import attrgetter
 
@@ -133,10 +133,12 @@ class Alphabet(Value):
         than the largest decimal counter of a label of that form (0 if there
         is none).  They are valid labels not in the alphabet.  n is the memo
         ``_counter``: set by `extended` on the alphabet it builds, else found
-        by one scan of the labels on the first mint.  The counters are
-        compared and counted on as digit strings, so one of any length
-        mints: no integer-string conversion limit applies."""
+        by one scan of the labels on the first mint.  Counters are compared
+        as digit strings, and past 600 digits counted on as ones, so one of
+        any length mints: no integer-string conversion limit applies."""
         counter = self._counter or self._scan_counters()
+        if len(counter) < 600:  # an int range, far below the least limit, 640 digits
+            return tuple([f"x{i}'" for i in range(int(counter), int(counter) + count)])
         minted = []
         for _ in range(count):
             minted.append(f"x{counter}'")
@@ -187,10 +189,20 @@ def _check_label(lbl: object) -> None:
 BINARY = Alphabet(("0", "1"))
 
 
-class Word(Value):
-    """A finite sequence of symbol ids over a fixed alphabet."""
+# symbol ids as a word holds them: bytes over at most 256 symbols, else a tuple
+Symbols = bytes | tuple[int, ...]
 
-    symbols: tuple[int, ...]
+
+def packed(ids: Iterable[int], alphabet: Alphabet) -> Symbols:
+    """The ids as Symbols over `alphabet`; Symbols of that kind as they are."""
+    return bytes(ids) if len(alphabet.labels) <= 256 else tuple(ids)
+
+
+class Word(Value):
+    """A finite sequence of symbol ids over a fixed alphabet, held as `packed`
+    holds them: bytes never equal a tuple, so the checked constructor packs."""
+
+    symbols: Symbols
     alphabet: Alphabet
 
     def __post_init__(self) -> None:
@@ -199,6 +211,7 @@ class Word(Value):
         if syms and not (0 <= min(syms) and max(syms) < n):
             bad = next(s for s in syms if not 0 <= s < n)
             raise UnknownSymbol(f"symbol id {bad} out of range for {self.alphabet.labels}")
+        _set(self, "symbols", packed(syms, self.alphabet))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -233,10 +246,8 @@ def word(text: str, alphabet: Alphabet = BINARY) -> Word:
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"unterminated word literal: {text!r}")
-        inner = text[1:-1]
-        parts = inner.split(",") if inner else []
-        return Word(tuple(alphabet.index(p) for p in parts), alphabet)
-    return Word(tuple(alphabet.index(ch) for ch in text), alphabet)
+        text = text[1:-1].split(",") if len(text) > 2 else ()
+    return Word._trusted(packed(map(alphabet.index, text), alphabet), alphabet)
 
 
 def rotate(w: Word, k: int) -> Word:
@@ -253,10 +264,10 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     n = len(syms)
     if n == 0:
         raise EmptyWord("the empty word has no primitive root")
-    for d in range(1, n // 2 + 1):
-        if n % d == 0 and syms[:d] * (n // d) == syms:
-            return Word._trusted(syms[:d], w.alphabet), n // d
-    return w, 1
+    d = ((syms + syms).find(syms, 1) if isinstance(syms, bytes)  # the least self-shift
+         else next((d for d in range(1, n // 2 + 1)
+                    if n % d == 0 and syms[:d] * (n // d) == syms), n))
+    return (Word._trusted(syms[:d], w.alphabet), n // d) if d < n else (w, 1)
 
 
 def is_primitive(w: Word) -> bool:

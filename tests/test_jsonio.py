@@ -18,7 +18,7 @@ from epshift.classify import (
 )
 from epshift.sequences import make_ep, remove_anomaly
 from epshift.sturmian import Frequency, SturmianSpec, TYPE_S, TYPE_SPRIME, skew_sturmian
-from epshift.words import Alphabet, word
+from epshift.words import BINARY, Alphabet, word
 
 
 def ep(w, v):
@@ -275,3 +275,10 @@ def test_an_emitted_value_with_one_node_changed_parses_or_raises_an_input_error(
     for value, path in NODES:
         for repl in (DELETE, new):
             _parses_or_raises_an_input_error(_changed(value, path, repl))
+
+
+def test_a_move_of_an_unknown_type_is_not_emitted():
+    ident = identity_code(BINARY)
+    wit = FlowWitness((ident,), (), ((ident, FORWARD),))
+    with pytest.raises(ValueError, match=r"^unknown move type SlidingBlockCode$"):
+        jsonio.emit_flow_witness(wit)

@@ -231,3 +231,32 @@ def test_a_criterion_the_suite_misses_is_found():
                      "def check_c():\n    pass\n\ndef _pair():\n    return [check_b(), check_b()]\n\n"
                      "def _suite():\n    return [check_a(), *_pair(), len([])]\n")
     assert miscounted_criteria(tree) == ["check_b (called 2 times)", "check_c (called 0 times)"]
+
+
+def tuple_symbols(tree: ast.Module) -> list[str]:
+    """The `Word._trusted` calls whose symbols argument, the first, is a
+    `tuple(...)` call, with their line numbers.  A word over at most 256
+    symbols holds bytes, and bytes never equal a tuple, so such a call
+    builds a word equal to no other; `words.packed` gives the right kind."""
+    found = sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "_trusted" and isinstance(node.func.value, ast.Name)
+                   and node.func.value.id == "Word" and node.args
+                   and isinstance(node.args[0], ast.Call)
+                   and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "tuple")
+    return [f"{text} (line {line})" for line, text in found]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_word_is_trusted_with_a_tuple_call(module):
+    assert tuple_symbols(ast.parse((SRC / module).read_text(), module)) == []
+
+
+def test_a_word_trusted_with_a_tuple_call_is_found():
+    tree = ast.parse("a = Word._trusted(tuple(range(3)), big)\n"
+                     "b = Word._trusted(packed(range(3), big), big)\n"
+                     "c = Word(tuple(ids), big)\nd = EPSeq._trusted(tuple(w), v)\n"
+                     "e = Word._trusted(syms, big)\n"
+                     "f = [Word._trusted(tuple(s for s in w), a) for w in ws]\n")
+    assert tuple_symbols(tree) == ["Word._trusted(tuple(range(3)), big) (line 1)",
+                                   "Word._trusted(tuple((s for s in w)), a) (line 6)"]

@@ -416,6 +416,33 @@ def test_window_search_matches_the_symbolwise_search(small_family):
         assert anomaly_windows(x) == _symbolwise_window_search(x, 0, 0), x
 
 
+def _double_loop_window_search(x):
+    """The slice-compare window search with the length loop outside the
+    start loop, so the compare left of each start runs once per length."""
+    w, v = x.period_word.symbols, x.anomaly.symbols
+    n, vl = len(w), len(v)
+    reach = -(-vl // n)
+    k = reach + 3
+    xs = w * k + v + w * (reach + 5)
+    zs = w * (len(xs) // n + 1)
+    o = k * n
+    wins = []
+    for length in range(vl % n or n, vl + 1, n):
+        for s in range(-length - 2 * n, vl + 2 * n + 1):
+            lo, at, hi = min(0, s) - n + o, s + o, max(s, vl - length) + 2 * n + 1 + o
+            if xs[lo:at] == zs[lo:at] and xs[at + length:hi + length] == zs[at:hi]:
+                wins.append(AnomalyWindow(s, length))
+    return wins
+
+
+def test_window_search_matches_the_double_loop_search():
+    # verify's family at --max-period-sum 8, and longer random anomalies
+    rng = random.Random(32)
+    family = verify.family_instances(verify.VerifyBounds().capped(8), 0)
+    for x in family + [verify.random_ep(rng, 9, 30) for _ in range(300)]:
+        assert anomaly_windows(x) == _double_loop_window_search(x), x
+
+
 # --- the packed scan against its per-symbol original -------------------------
 
 def reference_scan(buf, lo, period, delta):
@@ -455,7 +482,7 @@ def scan_inputs(draw):
     if draw(st.booleans(), label="periodic"):
         start, length = draw(st.integers(0, 10)), draw(st.integers(0, 40))
         return _tiled(period.symbols, start, length), lo, period, draw(st.integers(0, 20))
-    middle = tuple(draw(st.lists(ids, max_size=16), label="middle"))
+    middle = type(period.symbols)(draw(st.lists(ids, max_size=16), label="middle"))
     left, right = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     return period.symbols * left + middle + period.symbols * right, lo, period, len(middle)
 
@@ -471,11 +498,12 @@ def test_packed_scan_finds_defects_at_the_first_and_last_compared_index():
     for size, (low, high) in ((2, (0, 1)), (256, (1, 255)), (257, (0, 256)), (70000, (1, 65537))):
         period = Word((low, high), SCAN_ALPHABETS[size])
         for middle in ((high, low), (high, high, low, low), (high, low, high, low, high, low)):
-            buf = period.symbols + middle + period.symbols
+            buf = period.symbols + type(period.symbols)(middle) + period.symbols
             scan = _scan(buf, -2, period, len(middle))
             assert scan == reference_scan(buf, -2, period, len(middle))
             # buf[2] != buf[0] and buf[-1] != buf[-3]: the first and last compared pairs
             assert scan.defect == -2 + 2
             assert scan.window.start + scan.window.length == -2 + len(buf) - 2
-        for buf in ((), period.symbols, period.symbols * 3, (period.symbols * 3)[1:]):
+        for buf in (period.symbols[:0], period.symbols, period.symbols * 3,
+                    (period.symbols * 3)[1:]):
             assert _scan(buf, 0, period, 1) is None is reference_scan(buf, 0, period, 1)

@@ -335,3 +335,8 @@ def test_skew_sturmian_at_n6400():
         size = bz.a + bz.b if spec.stype == TYPE_S else p + q - (bz.a + bz.b)
         x = skew_sturmian(spec)
         assert least_period(x) == 6400 and anomaly_size(x) == size, spec
+
+
+def test_an_unknown_frequency_kind_is_refused():
+    with pytest.raises(InvalidSpec, match=r"^unknown frequency kind 'bogus'$"):
+        Frequency("bogus")

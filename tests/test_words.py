@@ -64,6 +64,12 @@ def test_primitive_root_consistency():
             assert is_primitive(w) == (k == 1)
 
 
+def test_primitive_root_of_the_empty_word_raises():
+    for alphabet in (BINARY, Alphabet(tuple(f"s{i}" for i in range(257)))):
+        with pytest.raises(EmptyWord, match=r"^the empty word has no primitive root$"):
+            primitive_root(Word((), alphabet))
+
+
 def test_doubling_occurrence_characterizes_primitivity():
     # w occurs exactly twice in w.w iff w is primitive (|w| <= 10, binary)
     for n in range(1, 11):
@@ -90,7 +96,7 @@ def test_word_literals_round_trip():
     w = word("[a,b,x0',a]", primed)
     assert w.labels() == ("a", "b", "x0'", "a")
     assert word(w.text, primed) == w
-    assert word("[]", primed).symbols == ()
+    assert word("[]", primed).symbols == b""
     assert word("110").text == "110"
 
 
