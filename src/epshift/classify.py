@@ -203,8 +203,10 @@ def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
     of the first block that needs two dst symbols.  Centres index s and d,
     which hold src and dst from index lo on and must reach k symbols past
     every centre read (see `_search_buffers`).  Radius 0 keys its table by
-    the centre's symbol, with no slice per centre, and makes the 1-tuple
-    blocks once, from a consistent table.
+    the centre's symbol and makes the 1-tuple blocks once.  Past 32 centres
+    over bytes it loops per symbol, not per centre: one find gives a
+    symbol's first centre, src translated through dst at those centres must
+    equal dst, and the lowest set bit of their XOR names the first clash.
 
     It reads the centres [-k-1-N, max(|u|+k, |v|) - 1], u and v the
     anomalies of src and dst, both of least period N, with |u| ≡ |v|
@@ -216,6 +218,22 @@ def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
     no clash, and consistency on the range is consistency on all of Z.
     """
     centres = range(-k - 1 - n - lo, max(lu + k, lv) - lo)
+    # the bytes route costs about what the loop does on 32 centres, and the
+    # loop stops at the first clash
+    if k == 0 and len(centres) > 32 and isinstance(s, bytes) and isinstance(d, bytes):
+        a = centres.start
+        seg, want = s[a:centres.stop], d[a:centres.stop]
+        firsts, table, rest, at = {}, bytearray(256), seg, 0  # rest: seg less the symbols found
+        while rest:
+            at = firsts[rest[0]] = seg.find(rest[0], at)
+            table[rest[0]] = want[at]
+            rest = rest.translate(None, rest[:1])
+        got = seg.translate(table)
+        if got != want:
+            diff = int.from_bytes(got, "little") ^ int.from_bytes(want, "little")
+            c = ((diff & -diff).bit_length() - 1) // 8  # the first clashing centre
+            return None, (a + firsts[seg[c]], a + c)
+        return {(sym,): a + at for sym, at in firsts.items()}, None
     if k == 0:
         firsts: dict[int, int] = {}
         for c in centres:

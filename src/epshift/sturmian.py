@@ -6,11 +6,11 @@ the arithmetic progression G = {m + k*p/q} falling in an interval attached
 to n.  The two interval conventions (type S and type S') differ exactly in
 which endpoints are open or closed, so all membership tests are done in
 scaled integer arithmetic; no floating point is used anywhere.  The zero
-counts of a whole window are the differences of one list of floors, so a
-window costs one pass over plain ints.  Both types read their period block
-and anomaly block straight off those counts, at lengths given by the
-restricted Bézout pair; nothing is searched for, and only those two blocks
-are expanded into symbols.
+counts of a window are tiled from one Christoffel word, built in O(log p)
+steps from the continued fraction, so no Python loop runs per cell.  Both
+types read their period block and anomaly block straight off those counts,
+at lengths given by the restricted Bézout pair; nothing is searched for,
+and only those two blocks are expanded into symbols.
 
 The cutting-sequence construction (a line of slope p/q crossing an integer
 lattice) provides an independent second route to the same sequences and is
@@ -27,7 +27,7 @@ from operator import sub
 
 from .bezout import SUM_LIMIT, restricted_bezout
 from .errors import InputTooLarge, InternalMismatch, InvalidSpec, WrongAlphabet
-from .sequences import EPSeq, make_ep
+from .sequences import EPSeq, _tiled, make_ep
 from .words import BINARY, Value, Word, word
 
 TYPE_S = "S"
@@ -128,28 +128,53 @@ def cell_zeros(spec: SturmianSpec, n: int) -> int:
                             (n <= m) == is_s, (n >= m) == is_s)
 
 
+def _christoffel(r: int, p: int) -> bytes:
+    """The lower Christoffel word c_i = floor(r(i+1)/p) - floor(ri/p), 0 <= i < p,
+    of coprime 0 < r < p: 0·π·1, where π·xy is the last standard word of
+    r/p = [0; d_1, ..., d_n], s_-1 = 1, s_0 = 0, s_1 = s_0^(d_1 - 1) s_-1 and
+    s_i = s_(i-1)^(d_i) s_(i-2) (Lothaire, Algebraic Combinatorics on Words, ch. 2)."""
+    prev, cur, a, b = b"\x00", b"\x00" * (p // r - 1) + b"\x01", r, p % r  # s_0, s_1
+    while b:
+        prev, cur, a, b = cur, cur * (a // b) + prev, b, a % b
+    return b"\x00" + cur[:-2] + b"\x01"
+
+
 def _zero_counts(spec: SturmianSpec, n_lo: int, n_hi: int) -> list[int]:
-    """[cell_zeros(spec, n) for n in n_lo..n_hi], from one list of floors.
+    """[cell_zeros(spec, n) for n in n_lo..n_hi], from one Christoffel word.
 
     The zeros of B_n are H(n+1) - H(n) with H(t) = floor((q(t-m) - e_t)/p),
     where e_t is [t > m] for type S and [t <= m] for type S'.  H(t) is the
     largest k with k p < q(t - m) if e_t = 1, or k p <= q(t - m) if e_t = 0,
     so a point of G at t falls in B_t if e_t = 1 and in B_{t-1} if e_t = 0.
+    With k, r = divmod(q, p), a cell whose floors share e has k + c_n zeros,
+    c_n = [(r(n - m) - e) mod p >= p - r]: on each side of B_m a lower
+    mechanical word of slope r/p, the Christoffel word rotated to index
+    (n - m - e r^-1) mod p.  Only B_m, whose floors straddle, takes two floors.
     """
     q, p = _require_rational(spec)
     m = spec.m
     e_left, e_right = (0, 1) if spec.stype == TYPE_S else (1, 0)  # e_t for t <= m, t > m
-    mid = min(max(m + 1, n_lo), n_hi + 2)  # the first t > m, clamped to the window
-    h = [x // p for x in range(q * (n_lo - m) - e_left, q * (mid - m) - e_left, q)]
-    h += [x // p for x in range(q * (mid - m) - e_right, q * (n_hi + 2 - m) - e_right, q)]
-    return list(map(sub, h[1:], h))
+    k, r = divmod(q, p)
+    c, r_inv = _christoffel(r, p) if r else b"\x00", pow(r, -1, p)  # r = 0 only if p = 1
+    # the cells n_lo <= n < m read e_left, and max(m + 1, n_lo) <= n <= n_hi e_right
+    left = _tiled(c, n_lo - m - e_left * r_inv, min(m, n_hi + 1) - n_lo)
+    right = _tiled(c, max(1, n_lo - m) - e_right * r_inv, n_hi - max(m, n_lo - 1))
+    if k < 255:  # k + 1 fits a byte
+        table = bytes((k, k + 1)) + bytes(254)
+        left, right = left.translate(table), right.translate(table)
+    else:  # then p <= q / 255, so the window has few cells
+        left, right = map(k.__add__, left), map(k.__add__, right)
+    mid = [(q - e_right) // p - (-e_left) // p] if n_lo <= m <= n_hi else []  # B_m
+    return [*left, *mid, *right]
 
 
 def _expand(counts: Sequence[int]) -> Word:
     """The concatenation of the cells with these zero counts."""
-    cells = {z: b"\x01" + bytes(z) for z in set(counts)}  # BINARY ids: "0" is 0, "1" is 1
-    # every id is 0 or 1, so the word is valid over BINARY by construction
-    return Word._trusted(b"".join(map(cells.__getitem__, counts)), BINARY)
+    cell = {z: b"\x01" + bytes(z) for z in set(counts)}.__getitem__  # "0" is id 0, "1" is 1
+    # bytes.join holds an 80-byte buffer record per part, so it joins 4096
+    # cells at a time; every id is 0 or 1, so the word is valid over BINARY
+    return Word._trusted(b"".join([b"".join(map(cell, counts[i:i + 4096]))
+                                   for i in range(0, len(counts), 4096)]), BINARY)
 
 
 class CellSeries(Value):

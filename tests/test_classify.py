@@ -540,6 +540,46 @@ def test_one_stretch_probe_matches_on_reciprocal_skews_and_raised_endpoints():
         _assert_probes_agree(end_y, end_x)
 
 
+def _radius_0_loop(s, d, centres):
+    """The radius-0 probe as a loop over the centres: the table of first
+    centres by symbol, or the first clash (first centre of s[c], c)."""
+    firsts = {}
+    for c in centres:
+        first = firsts.setdefault(s[c], c)
+        if d[first] != d[c]:
+            return None, (first, c)
+    return {(sym,): c for sym, c in firsts.items()}, None
+
+
+def test_bytes_radius_0_probe_matches_the_loop():
+    # random buffers over 2 to 256 symbols, d a function of s with some
+    # centres changed; d also over 257 symbols, where no byte table fits;
+    # most probes read more than the 32 centres the loop keeps over bytes
+    rng = random.Random(33)
+    outcomes = {"table": 0, "clash": 0}
+    for _ in range(600):
+        syms, n, a = rng.choice([2, 3, 7, 256]), rng.randint(1, 9), rng.randint(0, 5)
+        lu = lv = rng.choice([rng.randint(0, 40), rng.randint(40, 300)])
+        lo = -1 - n - a  # the centres are [a, a + n + 1 + lu)
+        size = a + n + 1 + lu + rng.randint(0, 3)
+        s = bytes(rng.randrange(syms) for _ in range(size))
+        f = [rng.randrange(256) for _ in range(256)]
+        d = [f[x] for x in s]
+        for _ in range(rng.choice([0, 0, 1, 3])):
+            d[rng.randrange(size)] = rng.randrange(256)
+        centres = range(a, a + n + 1 + lu)
+        want = _radius_0_loop(s, d, centres)
+        outcomes["clash" if want[0] is None else "table"] += 1
+        for bs, bd in ((s, bytes(d)), (tuple(s), tuple(d)), (s, tuple(x + 1 for x in d))):
+            table, clash = classify._build_block_map(bs, bd, lo, n, lu, lv, 0)
+            ref_table, ref_clash = _radius_0_loop(bs, bd, centres)
+            assert clash == ref_clash and clash == want[1], (s, d, a, n, lu)
+            # the same table, keys in first-centre order
+            assert (table is None and ref_table is None
+                    or list(table.items()) == list(ref_table.items())), (s, d, a, n, lu)
+    assert min(outcomes.values()) > 150, outcomes
+
+
 def test_reciprocal_skew_witness_is_the_symbol_swap_at_large_n():
     # S(q/p) and S'(p/q) with p + q = 1600; the swap's JSON is a few hundred bytes
     x, y = skew(TYPE_S, 799, 801), skew(TYPE_SPRIME, 801, 799)
@@ -1084,6 +1124,15 @@ def test_replay_refuses_an_expand_move_of_a_symbol_not_in_the_alphabet():
         trail = []
         assert not verify_flow_witness(x, y, bad, trail)
         assert trail == ["chain_x[0]: replay error: symbol 'z' is not in the alphabet"]
+
+
+def test_replay_names_an_unknown_move_kind():
+    x = ep("01", "1")
+    bad = FlowWitness(("rotate",), (), ((identity_code(x.alphabet), FORWARD),))
+    assert _replay_move(x, "rotate") == "unknown move kind"
+    trail = []
+    assert verify_flow_witness(x, x, bad, trail) is False
+    assert trail == ["chain_x[0]: unknown move kind"]
 
 
 def test_flow_witness_rejects_non_inverse_final_codes():

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epshift import verify
-from epshift.errors import DegeneratePeriodic, IncompatibleAlphabets
+from epshift.errors import DegeneratePeriodic, IncompatibleAlphabets, InternalMismatch
 from epshift.sequences import (
     _normal_form,
     _Scan,
@@ -34,6 +34,15 @@ def ep(w, v):
 
 
 # --- construction -----------------------------------------------------------
+
+def test_normal_form_of_a_trusted_periodic_value_raises():
+    # make_ep refuses an anomaly that is a power of the period word; a value
+    # trusted with one is periodic, and the kernel finds no defect in it
+    x = EPSeq._trusted(word("01"), word("0101"))
+    with pytest.raises(InternalMismatch,
+                       match=r"^the scan found no defect; the sequence would be periodic$"):
+        _normal_form(x)
+
 
 def test_make_ep_examples():
     x = ep("0", "11")

@@ -1,6 +1,8 @@
+import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 import pytest
 
@@ -10,6 +12,7 @@ from epshift.errors import InternalMismatch, InvalidSpec, WrongAlphabet
 from epshift.sequences import anomaly_size, least_period, make_ep, similar
 from epshift.sturmian import (
     CellSeries,
+    _christoffel,
     _zero_counts,
     Frequency,
     SturmianSpec,
@@ -258,6 +261,59 @@ def test_zero_counts_equal_cell_zeros():
                                    (m, m), (m, m + 4), (m + 1, m + 6), (m - 9, m - 7)):
                     assert _zero_counts(spec, n_lo, n_hi) == \
                         [cell_zeros(spec, n) for n in range(n_lo, n_hi + 1)], (spec, n_lo, n_hi)
+
+
+def test_christoffel_word_is_the_floor_definition():
+    for p in range(2, 61):
+        for r in range(1, p):
+            if gcd(r, p) == 1:
+                assert _christoffel(r, p) == bytes(
+                    (r * (i + 1)) // p - (r * i) // p for i in range(p)), (r, p)
+
+
+def _random_frequency(rng):
+    """A coprime q/p: p = 1, or q with k = q // p about 255 (254, 255, 256
+    or more), or both small; the last two with p up to 40."""
+    while True:
+        p = rng.choice([1, rng.randint(2, 40)])
+        k = rng.choice([0, 1, 2, rng.randint(0, 9), 254, 255, 256, rng.randint(257, 600)])
+        q = k * p + rng.randrange(p)
+        if q >= 1 and gcd(q, p) == 1:
+            return q, p
+
+
+def test_zero_counts_equal_cell_zeros_on_random_windows():
+    # windows left of, around and right of B_m, some shorter than p
+    rng = random.Random(33)
+    sides = {"left": 0, "around": 0, "right": 0}
+    for _ in range(1500):
+        q, p = _random_frequency(rng)
+        m = rng.randint(-2 * p - 3, 2 * p + 3)
+        spec = rng.choice([spec_S, spec_Sp])(q, p, m)
+        size = rng.choice([1, rng.randint(1, p), rng.randint(1, 3 * p + 6)])
+        n_lo = m + rng.randint(-size - p - 2, p + 2)
+        n_hi = n_lo + size - 1
+        sides["left" if n_hi < m else "right" if n_lo > m else "around"] += 1
+        assert _zero_counts(spec, n_lo, n_hi) == \
+            [cell_zeros(spec, n) for n in range(n_lo, n_hi + 1)], (spec, n_lo, n_hi)
+    assert min(sides.values()) > 200, sides
+
+
+def test_generation_at_n_1e6_peaks_within_two_list_slots_per_window_cell():
+    # skew_sturmian reads the 4p + 2j + 2 cells of its window as one list of
+    # counts, an 8-byte slot per cell; everything else it builds (the tiled
+    # Christoffel words, the beam slices, the two blocks' symbols) must fit in
+    # as much again
+    q, p = 399999, 600001
+    cells = 4 * p + 2 * restricted_bezout(q, p).b + 2
+    tracemalloc.start()
+    try:
+        x = skew_sturmian(spec_S(q, p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert least_period(x) == p + q
+    assert peak < 2 * 8 * cells, (peak, cells)
 
 
 def _cell_words(spec, lo, hi):
