@@ -139,8 +139,9 @@ def _christoffel(r: int, p: int) -> bytes:
     return b"\x00" + cur[:-2] + b"\x01"
 
 
-def _zero_counts(spec: SturmianSpec, n_lo: int, n_hi: int) -> list[int]:
-    """[cell_zeros(spec, n) for n in n_lo..n_hi], from one Christoffel word.
+def _zero_counts(spec: SturmianSpec, n_lo: int, n_hi: int) -> bytes | list[int]:
+    """[cell_zeros(spec, n) for n in n_lo..n_hi], from one Christoffel word:
+    bytes when k = q // p < 255, as every count is then at most k + 1.
 
     The zeros of B_n are H(n+1) - H(n) with H(t) = floor((q(t-m) - e_t)/p),
     where e_t is [t > m] for type S and [t <= m] for type S'.  H(t) is the
@@ -159,20 +160,30 @@ def _zero_counts(spec: SturmianSpec, n_lo: int, n_hi: int) -> list[int]:
     # the cells n_lo <= n < m read e_left, and max(m + 1, n_lo) <= n <= n_hi e_right
     left = _tiled(c, n_lo - m - e_left * r_inv, min(m, n_hi + 1) - n_lo)
     right = _tiled(c, max(1, n_lo - m) - e_right * r_inv, n_hi - max(m, n_lo - 1))
+    mid = [(q - e_right) // p - (-e_left) // p] if n_lo <= m <= n_hi else []  # B_m <= k + 1
     if k < 255:  # k + 1 fits a byte
         table = bytes((k, k + 1)) + bytes(254)
-        left, right = left.translate(table), right.translate(table)
-    else:  # then p <= q / 255, so the window has few cells
-        left, right = map(k.__add__, left), map(k.__add__, right)
-    mid = [(q - e_right) // p - (-e_left) // p] if n_lo <= m <= n_hi else []  # B_m
-    return [*left, *mid, *right]
+        return left.translate(table) + bytes(mid) + right.translate(table)
+    # then p <= q / 255, so the window has few cells
+    return [*map(k.__add__, left), *mid, *map(k.__add__, right)]
 
 
 def _expand(counts: Sequence[int]) -> Word:
-    """The concatenation of the cells with these zero counts."""
-    cell = {z: b"\x01" + bytes(z) for z in set(counts)}.__getitem__  # "0" is id 0, "1" is 1
-    # bytes.join holds an 80-byte buffer record per part, so it joins 4096
-    # cells at a time; every id is 0 or 1, so the word is valid over BINARY
+    """The concatenation of the cells with these zero counts; "0" is id 0
+    and "1" is 1, so the word is valid over BINARY."""
+    zs, rest = [], counts if isinstance(counts, bytes) else b""
+    while rest:  # the distinct counts of bytes, one C pass each
+        zs.append(rest[0])
+        rest = rest.translate(None, rest[:1])
+    if 0 < len(zs) <= 254:  # count zs[i] becomes marker i + 2, never a 0 or 1 of a cell
+        cells = counts.translate(bytes.maketrans(bytes(zs), bytes(range(2, len(zs) + 2))))
+        for i, z in enumerate(zs):
+            cells = cells.replace(bytes((i + 2,)), b"\x01" + bytes(z))
+        return Word._trusted(cells, BINARY)
+    cell = {z: b"\x01" + bytes(z) for z in set(counts)}.__getitem__
+    if len(counts) <= 4096:
+        return Word._trusted(b"".join(map(cell, counts)), BINARY)
+    # bytes.join holds an 80-byte buffer record per part, so it joins 4096 cells at a time
     return Word._trusted(b"".join([b"".join(map(cell, counts[i:i + 4096]))
                                    for i in range(0, len(counts), 4096)]), BINARY)
 
@@ -257,10 +268,11 @@ def skew_sturmian(spec: SturmianSpec) -> EPSeq:
     B_m .. B_{m+j-1}: j = b for type S, and for type S' j = p - b, the
     cells that complete the type-S anomaly to one period (j = 1 when
     p = 1, where p - b = 0).  The zero counts of a window of at least two
-    periods on each side are read as ints in one pass.  Every cell of both
-    beams must repeat the period block, which must hold q zeros and p ones,
-    and the anomaly length must be a + b (S) or p + q - (a + b) (S'); any
-    failure raises InternalMismatch.  Only the two blocks become symbols.
+    periods on each side are read in one pass, as bytes when q // p < 255.
+    Every cell of both beams must repeat the period block, which must hold
+    q zeros and p ones, and the anomaly length must be a + b (S) or
+    p + q - (a + b) (S'); any failure raises InternalMismatch.  Only the two
+    blocks become symbols.
     """
     if spec.freq.kind == "infinity":
         return make_ep(word("0"), word("1"))
@@ -278,15 +290,12 @@ def skew_sturmian(spec: SturmianSpec) -> EPSeq:
     zeros = _zero_counts(spec, n_lo, m + j + 2 * p - 1)
     k = m - n_lo  # B_m is zeros[k]
     period = zeros[k - p:k]
-    # each beam against the period block one p-cell slice at a time: the right
-    # beam is two blocks, the left a suffix of the block and then whole blocks;
-    # the lists a mismatch message needs are built only on a mismatch
-    head = k % p
-    if (zeros[k + j:k + j + p] != period or zeros[k + j + p:] != period
-            or zeros[:head] != period[p - head:]
-            or any(zeros[i:i + p] != period for i in range(head, k - p, p))):
-        beams = zeros[:k] + zeros[k + j:]
-        expected = (period * (k // p + 1))[-k:] + period * 2
+    # one compare per beam: the left against the period block tiled to its end,
+    # the right against two blocks; the cell a message names is sought only on
+    # a mismatch
+    left = (period * (k // p + 1))[-k:]
+    if zeros[:k] != left or zeros[k + j:] != period * 2:
+        beams, expected = zeros[:k] + zeros[k + j:], left + period * 2
         i = next(i for i, (z, e) in enumerate(zip(beams, expected)) if z != e)
         raise InternalMismatch(
             f"cell B_{n_lo + (i if i < k else i + j)} of {spec} does not repeat the period block"

@@ -260,3 +260,45 @@ def test_a_word_trusted_with_a_tuple_call_is_found():
                      "f = [Word._trusted(tuple(s for s in w), a) for w in ws]\n")
     assert tuple_symbols(tree) == ["Word._trusted(tuple(range(3)), big) (line 1)",
                                    "Word._trusted(tuple((s for s in w)), a) (line 6)"]
+
+
+def environment_reads(tree: ast.Module) -> list[str]:
+    """The reads of the environment, with their line numbers, but for
+    `environ[...]`, `environ.get(...)` and `getenv(...)` of the constant
+    name SUBSHIFT_SEED, `epshift verify`'s seed: the library takes every
+    other setting as an argument.  Any other use of `environ` or `getenv`
+    (another name, a name held in a variable, a copy) counts as a read."""
+    parents = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for env in ast.walk(tree):
+        name = env.attr if isinstance(env, ast.Attribute) else getattr(env, "id", None)
+        if name not in ("environ", "environb", "getenv", "getenvb"):
+            continue
+        read, key, parent = env, None, parents.get(id(env))
+        if isinstance(parent, ast.Attribute) and parent.attr == "get":
+            read, parent = parent, parents.get(id(parent))
+        if isinstance(parent, ast.Subscript) and parent.value is env:
+            read, key = parent, parent.slice
+        elif isinstance(parent, ast.Call) and parent.func is read:
+            read, key = parent, (parent.args or [None])[0]
+        if not (isinstance(key, ast.Constant) and key.value == "SUBSHIFT_SEED"):
+            found.append((read.lineno, read.col_offset, ast.unparse(read)))
+    return [f"{text} (line {line})" for line, _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_environment_variable_is_read_but_the_seed(module):
+    assert environment_reads(ast.parse((SRC / module).read_text(), module)) == []
+
+
+def test_an_environment_read_is_found():
+    tree = ast.parse("import os\nfrom os import environ, getenv\n\n"
+                     "a = os.environ.get('SUBSHIFT_SEED', '0') + os.environ['SUBSHIFT_SEED']\n"
+                     "b = os.getenv('SUBSHIFT_SEED') or environ.get('SUBSHIFT_SEED')\n"
+                     "c = os.environ.get('EPSHIFT_FAST') or getenv('EPSHIFT_FAST', '1')\n"
+                     "d = environ[name], os.getenv(key=name), dict(os.environ)\n"
+                     "e = os.environ.get, os.environb[b'SUBSHIFT_SEED'], os.environ.copy()\n")
+    assert environment_reads(tree) == [
+        "os.environ.get('EPSHIFT_FAST') (line 6)", "getenv('EPSHIFT_FAST', '1') (line 6)",
+        "environ[name] (line 7)", "os.getenv(key=name) (line 7)", "os.environ (line 7)",
+        "os.environ.get (line 8)", "os.environb[b'SUBSHIFT_SEED'] (line 8)", "os.environ (line 8)"]

@@ -13,6 +13,7 @@ from epshift.sequences import anomaly_size, least_period, make_ep, similar
 from epshift.sturmian import (
     CellSeries,
     _christoffel,
+    _expand,
     _zero_counts,
     Frequency,
     SturmianSpec,
@@ -259,7 +260,7 @@ def test_zero_counts_equal_cell_zeros():
             for spec in (spec_S(q, p, m), spec_Sp(q, p, m)):
                 for n_lo, n_hi in ((m - 2 * p - 3, m + 2 * p + 3), (m - 5, m - 1), (m - 4, m),
                                    (m, m), (m, m + 4), (m + 1, m + 6), (m - 9, m - 7)):
-                    assert _zero_counts(spec, n_lo, n_hi) == \
+                    assert list(_zero_counts(spec, n_lo, n_hi)) == \
                         [cell_zeros(spec, n) for n in range(n_lo, n_hi + 1)], (spec, n_lo, n_hi)
 
 
@@ -294,16 +295,17 @@ def test_zero_counts_equal_cell_zeros_on_random_windows():
         n_lo = m + rng.randint(-size - p - 2, p + 2)
         n_hi = n_lo + size - 1
         sides["left" if n_hi < m else "right" if n_lo > m else "around"] += 1
-        assert _zero_counts(spec, n_lo, n_hi) == \
+        counts = _zero_counts(spec, n_lo, n_hi)
+        assert isinstance(counts, bytes) == (q // p < 255), (spec, type(counts))
+        assert list(counts) == \
             [cell_zeros(spec, n) for n in range(n_lo, n_hi + 1)], (spec, n_lo, n_hi)
     assert min(sides.values()) > 200, sides
 
 
-def test_generation_at_n_1e6_peaks_within_two_list_slots_per_window_cell():
-    # skew_sturmian reads the 4p + 2j + 2 cells of its window as one list of
-    # counts, an 8-byte slot per cell; everything else it builds (the tiled
-    # Christoffel words, the beam slices, the two blocks' symbols) must fit in
-    # as much again
+def test_generation_at_n_1e6_peaks_within_four_bytes_per_window_cell():
+    # skew_sturmian reads the 4p + 2j + 2 cells of its window as bytes, one
+    # byte per cell; with the tiled Christoffel words, the beam slices and
+    # the two blocks' symbols it must stay under 4 bytes per cell
     q, p = 399999, 600001
     cells = 4 * p + 2 * restricted_bezout(q, p).b + 2
     tracemalloc.start()
@@ -313,7 +315,7 @@ def test_generation_at_n_1e6_peaks_within_two_list_slots_per_window_cell():
     finally:
         tracemalloc.stop()
     assert least_period(x) == p + q
-    assert peak < 2 * 8 * cells, (peak, cells)
+    assert peak < 4 * cells, (peak, cells)
 
 
 def _cell_words(spec, lo, hi):
@@ -338,6 +340,36 @@ def test_skew_sturmian_matches_the_per_cell_word_route(stype):
             assert skew_sturmian(spec) == _skew_by_cell_words(spec), spec
 
 
+def _frequencies_near_byte_counts():
+    """Coprime q/p with k = q // p in 253..256, p = 1 among them: below k = 255
+    the window is bytes, and S'(254/1) has B_m = 255 zeros, the most a byte
+    holds; from k = 255 on it is a list."""
+    return [(k * p + r, p) for k in (253, 254, 255, 256) for p in (1, 2, 3, 7)
+            for r in range(p) if gcd(r, p) == 1]
+
+
+@pytest.mark.parametrize("stype", [TYPE_S, TYPE_SPRIME])
+def test_skew_sturmian_matches_the_per_cell_word_route_on_both_window_types(stype):
+    for q, p in _frequencies_near_byte_counts():
+        for m in (-1, 0, 2):
+            spec = SturmianSpec(Frequency.rational(q, p), stype, m)
+            assert isinstance(_zero_counts(spec, m - 1, m + 1), bytes) == (q // p < 255), spec
+            assert skew_sturmian(spec) == _skew_by_cell_words(spec), spec
+    assert _zero_counts(spec_Sp(254, 1, 3), 3, 3) == b"\xff"
+
+
+def test_expand_over_bytes_equals_expand_over_a_list():
+    # up to 256 distinct counts, more than the bytes route's 254 markers, and
+    # more cells than one 4096-cell chunk
+    rng = random.Random(34)
+    for _ in range(300):
+        values = rng.sample(range(256), rng.choice([1, 2, 3, rng.randint(1, 256), 254, 255, 256]))
+        counts = [rng.choice(values) for _ in range(rng.choice([0, 1, 7, rng.randint(1, 5000)]))]
+        expanded = _expand(bytes(counts))
+        assert expanded == _expand(counts), values
+        assert expanded.symbols == b"".join(b"\x01" + bytes(z) for z in counts)
+
+
 # S(5/7, m=1): restricted Bézout pair (2, 3), so j = 3 anomaly cells; the
 # window's k = 19 cells before B_1 are a 5-cell suffix of the period block,
 # then whole blocks, and the right beam starts at index k + j = 22
@@ -347,15 +379,17 @@ CORRUPT_WINDOW = (1 - 2 * 8 - 3, 1 + 3 + 2 * 7 - 1)  # skew_sturmian's window
 
 def _corrupt_zero_counts(monkeypatch, cells):
     """Make skew_sturmian read its window with one zero added to each of
-    the cells at these indices into it."""
+    the cells at these indices into it, as bytes, the type it reads."""
     real = _zero_counts
 
     def corrupted(spec, lo, hi):
         assert (lo, hi) == CORRUPT_WINDOW
         zeros = real(spec, lo, hi)
+        assert isinstance(zeros, bytes)
+        corrupt = list(zeros)
         for i in cells:
-            zeros[i] += 1
-        return zeros
+            corrupt[i] += 1
+        return bytes(corrupt)
 
     monkeypatch.setattr(sturmian, "_zero_counts", corrupted)
 
