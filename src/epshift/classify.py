@@ -202,11 +202,11 @@ def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
     it occurs at; return the table and None, or None and the two centres
     of the first block that needs two dst symbols.  Centres index s and d,
     which hold src and dst from index lo on and must reach k symbols past
-    every centre read (see `_search_buffers`).  Radius 0 keys its table by
-    the centre's symbol and makes the 1-tuple blocks once.  Past 32 centres
-    over bytes it loops per symbol, not per centre: one find gives a
-    symbol's first centre, src translated through dst at those centres must
-    equal dst, and the lowest set bit of their XOR names the first clash.
+    every centre read (see `_search_buffers`).  Radius 0 past 32 centres
+    over bytes loops per symbol, not per centre: one find gives a symbol's
+    first centre, src translated through dst at those centres must equal
+    dst, and the lowest set bit of their XOR names the first clash.  Its
+    blocks are 1-tuples, the loop's slices of s; both read as tuples.
 
     It reads the centres [-k-1-N, max(|u|+k, |v|) - 1], u and v the
     anomalies of src and dst, both of least period N, with |u| ≡ |v|
@@ -219,7 +219,7 @@ def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
     """
     centres = range(-k - 1 - n - lo, max(lu + k, lv) - lo)
     # the bytes route costs about what the loop does on 32 centres, and the
-    # loop stops at the first clash
+    # loop, at every other radius and buffer too, stops at the first clash
     if k == 0 and len(centres) > 32 and isinstance(s, bytes) and isinstance(d, bytes):
         a = centres.start
         seg, want = s[a:centres.stop], d[a:centres.stop]
@@ -234,14 +234,7 @@ def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
             c = ((diff & -diff).bit_length() - 1) // 8  # the first clashing centre
             return None, (a + firsts[seg[c]], a + c)
         return {(sym,): a + at for sym, at in firsts.items()}, None
-    if k == 0:
-        firsts: dict[int, int] = {}
-        for c in centres:
-            first = firsts.setdefault(s[c], c)
-            if d[first] != d[c]:
-                return None, (first, c)
-        return {(sym,): c for sym, c in firsts.items()}, None
-    table: dict[tuple[int, ...], int] = {}
+    table: dict[Symbols, int] = {}
     for c in centres:
         first = table.setdefault(s[c - k:c + k + 1], c)
         if d[first] != d[c]:

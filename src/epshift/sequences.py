@@ -249,7 +249,7 @@ def _scan(buf: Symbols, lo: int, period: Word, delta: int) -> Optional[_Scan]:
     periodic.
     """
     n, raw, width = len(period), buf, 1
-    if len(period.alphabet) > 256:
+    if not isinstance(buf, bytes):
         from array import array  # only here: most alphabets fit a byte
         items = array("I", buf)  # 4 bytes; a larger id raises OverflowError
         raw, width = items.tobytes(), items.itemsize

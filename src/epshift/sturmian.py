@@ -5,12 +5,13 @@ Sequences are generated through their cell-series: a cell is a word
 the arithmetic progression G = {m + k*p/q} falling in an interval attached
 to n.  The two interval conventions (type S and type S') differ exactly in
 which endpoints are open or closed, so all membership tests are done in
-scaled integer arithmetic; no floating point is used anywhere.  The zero
-counts of a window are tiled from one Christoffel word, built in O(log p)
-steps from the continued fraction, so no Python loop runs per cell.  Both
-types read their period block and anomaly block straight off those counts,
-at lengths given by the restricted Bézout pair; nothing is searched for,
-and only those two blocks are expanded into symbols.
+scaled integer arithmetic; no floating point is used anywhere.  A cell
+holds k - 1, k or k + 1 zeros, k = q // p, so a window holds it as one of
+three marker bytes, tiled from one Christoffel word built in O(log p)
+steps from the continued fraction; no Python loop runs per cell.  Both
+types read their period and anomaly blocks straight off the markers, at
+lengths given by the restricted Bézout pair; nothing is searched for, and
+only those two blocks are expanded into symbols.
 
 The cutting-sequence construction (a line of slope p/q crossing an integer
 lattice) provides an independent second route to the same sequences and is
@@ -20,7 +21,6 @@ used for cross-validation only.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from itertools import accumulate
 from math import gcd
 from operator import sub
@@ -139,9 +139,10 @@ def _christoffel(r: int, p: int) -> bytes:
     return b"\x00" + cur[:-2] + b"\x01"
 
 
-def _zero_counts(spec: SturmianSpec, n_lo: int, n_hi: int) -> bytes | list[int]:
-    """[cell_zeros(spec, n) for n in n_lo..n_hi], from one Christoffel word:
-    bytes when k = q // p < 255, as every count is then at most k + 1.
+def _zero_counts(spec: SturmianSpec, n_lo: int, n_hi: int) -> bytes:
+    """The cells B_n_lo .. B_n_hi as marker bytes, from one Christoffel word:
+    with k = q // p, markers 2, 3 and 4 stand for k - 1, k and k + 1 zeros,
+    so a cell reads k - 3 + its marker zeros (see `_expand`).
 
     The zeros of B_n are H(n+1) - H(n) with H(t) = floor((q(t-m) - e_t)/p),
     where e_t is [t > m] for type S and [t <= m] for type S'.  H(t) is the
@@ -150,42 +151,30 @@ def _zero_counts(spec: SturmianSpec, n_lo: int, n_hi: int) -> bytes | list[int]:
     With k, r = divmod(q, p), a cell whose floors share e has k + c_n zeros,
     c_n = [(r(n - m) - e) mod p >= p - r]: on each side of B_m a lower
     mechanical word of slope r/p, the Christoffel word rotated to index
-    (n - m - e r^-1) mod p.  Only B_m, whose floors straddle, takes two floors.
+    (n - m - e r^-1) mod p.  Only B_m, whose floors straddle, takes two
+    floors: k - 1 zeros for S with p = 1, k for S, and k + 1 for S'.
     """
     q, p = _require_rational(spec)
     m = spec.m
     e_left, e_right = (0, 1) if spec.stype == TYPE_S else (1, 0)  # e_t for t <= m, t > m
     k, r = divmod(q, p)
     c, r_inv = _christoffel(r, p) if r else b"\x00", pow(r, -1, p)  # r = 0 only if p = 1
+    c = c.translate(bytes.maketrans(b"\x00\x01", b"\x03\x04"))  # k and k + 1 zeros
     # the cells n_lo <= n < m read e_left, and max(m + 1, n_lo) <= n <= n_hi e_right
     left = _tiled(c, n_lo - m - e_left * r_inv, min(m, n_hi + 1) - n_lo)
     right = _tiled(c, max(1, n_lo - m) - e_right * r_inv, n_hi - max(m, n_lo - 1))
-    mid = [(q - e_right) // p - (-e_left) // p] if n_lo <= m <= n_hi else []  # B_m <= k + 1
-    if k < 255:  # k + 1 fits a byte
-        table = bytes((k, k + 1)) + bytes(254)
-        return left.translate(table) + bytes(mid) + right.translate(table)
-    # then p <= q / 255, so the window has few cells
-    return [*map(k.__add__, left), *mid, *map(k.__add__, right)]
+    mid = bytes((3 - k + (q - e_right) // p - (-e_left) // p,)) if n_lo <= m <= n_hi else b""
+    return left + mid + right
 
 
-def _expand(counts: Sequence[int]) -> Word:
-    """The concatenation of the cells with these zero counts; "0" is id 0
-    and "1" is 1, so the word is valid over BINARY."""
-    zs, rest = [], counts if isinstance(counts, bytes) else b""
-    while rest:  # the distinct counts of bytes, one C pass each
-        zs.append(rest[0])
-        rest = rest.translate(None, rest[:1])
-    if 0 < len(zs) <= 254:  # count zs[i] becomes marker i + 2, never a 0 or 1 of a cell
-        cells = counts.translate(bytes.maketrans(bytes(zs), bytes(range(2, len(zs) + 2))))
-        for i, z in enumerate(zs):
-            cells = cells.replace(bytes((i + 2,)), b"\x01" + bytes(z))
-        return Word._trusted(cells, BINARY)
-    cell = {z: b"\x01" + bytes(z) for z in set(counts)}.__getitem__
-    if len(counts) <= 4096:
-        return Word._trusted(b"".join(map(cell, counts)), BINARY)
-    # bytes.join holds an 80-byte buffer record per part, so it joins 4096 cells at a time
-    return Word._trusted(b"".join([b"".join(map(cell, counts[i:i + 4096]))
-                                   for i in range(0, len(counts), 4096)]), BINARY)
+def _expand(cells: bytes, k: int) -> Word:
+    """The concatenation of the cells these markers stand for, k = q // p:
+    marker 2, 3 or 4 is a "1" and k - 1, k or k + 1 symbols "0".  "0" is id
+    0 and "1" is 1, below every marker, so no replace rewrites what another
+    wrote and the word is valid over BINARY.  No marker 2 occurs when k = 0."""
+    for marker in (2, 3, 4):
+        cells = cells.replace(bytes((marker,)), b"\x01" + b"\x00" * (k - 3 + marker))
+    return Word._trusted(cells, BINARY)
 
 
 class CellSeries(Value):
@@ -207,11 +196,14 @@ def cell_series(spec: SturmianSpec, n_lo: int, n_hi: int) -> CellSeries:
     if (n_hi - n_lo + 1) * (p + q) > SYMBOL_LIMIT * p:
         raise InputTooLarge(f"{n_hi - n_lo + 1} cells of frequency {q}/{p} exceed "
                             f"the supported window of {SYMBOL_LIMIT} symbols")
-    return CellSeries(n_lo, tuple(_zero_counts(spec, n_lo, n_hi)))
+    return CellSeries(n_lo, tuple(map((q // p - 3).__add__, _zero_counts(spec, n_lo, n_hi))))
 
 
 def expand_cells(cs: CellSeries) -> Word:
-    return _expand(cs.zeros)
+    # bytes.join holds an 80-byte buffer record per part, so it joins 4096 cells at a time
+    cell = {z: b"\x01" + bytes(z) for z in set(cs.zeros)}.__getitem__
+    return Word._trusted(b"".join([b"".join(map(cell, cs.zeros[i:i + 4096]))
+                                   for i in range(0, len(cs.zeros), 4096)]), BINARY)
 
 
 def chain_zero_counts(cs: CellSeries, n: int) -> Counter:
@@ -267,12 +259,12 @@ def skew_sturmian(spec: SturmianSpec) -> EPSeq:
     block is B_{m-p} .. B_{m-1} and the anomaly block is the j cells
     B_m .. B_{m+j-1}: j = b for type S, and for type S' j = p - b, the
     cells that complete the type-S anomaly to one period (j = 1 when
-    p = 1, where p - b = 0).  The zero counts of a window of at least two
-    periods on each side are read in one pass, as bytes when q // p < 255.
-    Every cell of both beams must repeat the period block, which must hold
-    q zeros and p ones, and the anomaly length must be a + b (S) or
-    p + q - (a + b) (S'); any failure raises InternalMismatch.  Only the two
-    blocks become symbols.
+    p = 1, where p - b = 0).  The cells of a window of at least two periods
+    on each side are read in one pass, one marker byte each.  Every cell of
+    both beams must repeat the period block, which must hold q zeros and p
+    ones, the anomaly length must be a + b (S) or p + q - (a + b) (S'), and
+    every byte must be a marker; any failure raises InternalMismatch.  Only
+    the two blocks become symbols.
     """
     if spec.freq.kind == "infinity":
         return make_ep(word("0"), word("1"))
@@ -287,23 +279,26 @@ def skew_sturmian(spec: SturmianSpec) -> EPSeq:
         # p = 1: the anomaly is the one cell B_m, a 1 and q + 1 zeros
         j, size = (p - bz.b, p + q - (bz.a + bz.b)) if p > 1 else (1, q + 2)
     n_lo = m - 2 * (p + 1) - j  # the left beam is the 2p + 2 + j cells before B_m, the right 2p
-    zeros = _zero_counts(spec, n_lo, m + j + 2 * p - 1)
-    k = m - n_lo  # B_m is zeros[k]
-    period = zeros[k - p:k]
+    cells = _zero_counts(spec, n_lo, m + j + 2 * p - 1)
+    k = m - n_lo  # B_m is cells[k]
+    period = cells[k - p:k]
     # one compare per beam: the left against the period block tiled to its end,
     # the right against two blocks; the cell a message names is sought only on
     # a mismatch
     left = (period * (k // p + 1))[-k:]
-    if zeros[:k] != left or zeros[k + j:] != period * 2:
-        beams, expected = zeros[:k] + zeros[k + j:], left + period * 2
+    if cells[:k] != left or cells[k + j:] != period * 2:
+        beams, expected = cells[:k] + cells[k + j:], left + period * 2
         i = next(i for i, (z, e) in enumerate(zip(beams, expected)) if z != e)
         raise InternalMismatch(
             f"cell B_{n_lo + (i if i < k else i + j)} of {spec} does not repeat the period block"
         )
-    w = _expand(period)
-    v = _expand(zeros[k:k + j])
+    w = _expand(period, q // p)
     if len(w) != p + q or w.symbols.count(0) != q:
         raise InternalMismatch(f"period block of {spec} has wrong symbol counts")
+    # _expand passes a byte that is no marker on as it is; the beams repeat the period
+    if period.translate(None, b"\x02\x03\x04") or cells[k:k + j].translate(None, b"\x02\x03\x04"):
+        raise InternalMismatch(f"the window of {spec} holds a byte that marks no cell")
+    v = _expand(cells[k:k + j], q // p)
     if len(v) != size:
         raise InternalMismatch(f"anomaly block of {spec} has length {len(v)}, not {size}")
     # normalized as built: w holds q zeros and p ones with gcd(p, q) = 1, so w is

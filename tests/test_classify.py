@@ -554,12 +554,13 @@ def _radius_0_loop(s, d, centres):
 def test_bytes_radius_0_probe_matches_the_loop():
     # random buffers over 2 to 256 symbols, d a function of s with some
     # centres changed; d also over 257 symbols, where no byte table fits;
-    # most probes read more than the 32 centres the loop keeps over bytes
+    # probes of at most 32 centres, which the general loop reads at radius 0,
+    # and of more, which the bytes route reads per symbol
     rng = random.Random(33)
-    outcomes = {"table": 0, "clash": 0}
+    outcomes = {"table": 0, "clash": 0, "few": 0, "many": 0}
     for _ in range(600):
         syms, n, a = rng.choice([2, 3, 7, 256]), rng.randint(1, 9), rng.randint(0, 5)
-        lu = lv = rng.choice([rng.randint(0, 40), rng.randint(40, 300)])
+        lu = lv = rng.choice([rng.randint(0, 31 - n), rng.randint(0, 40), rng.randint(40, 300)])
         lo = -1 - n - a  # the centres are [a, a + n + 1 + lu)
         size = a + n + 1 + lu + rng.randint(0, 3)
         s = bytes(rng.randrange(syms) for _ in range(size))
@@ -570,13 +571,16 @@ def test_bytes_radius_0_probe_matches_the_loop():
         centres = range(a, a + n + 1 + lu)
         want = _radius_0_loop(s, d, centres)
         outcomes["clash" if want[0] is None else "table"] += 1
+        outcomes["few" if len(centres) <= 32 else "many"] += 1
         for bs, bd in ((s, bytes(d)), (tuple(s), tuple(d)), (s, tuple(x + 1 for x in d))):
             table, clash = classify._build_block_map(bs, bd, lo, n, lu, lv, 0)
             ref_table, ref_clash = _radius_0_loop(bs, bd, centres)
             assert clash == ref_clash and clash == want[1], (s, d, a, n, lu)
-            # the same table, keys in first-centre order
+            # the same table, keys in first-centre order; a key is a 1-tuple
+            # on the bytes route and a slice of the buffer on the loop
             assert (table is None and ref_table is None
-                    or list(table.items()) == list(ref_table.items())), (s, d, a, n, lu)
+                    or [(tuple(b), c) for b, c in table.items()] == list(ref_table.items())), \
+                (s, d, a, n, lu)
     assert min(outcomes.values()) > 150, outcomes
 
 

@@ -253,6 +253,12 @@ def test_skew_sturmian_matches_the_realignment_search_at_n1600():
     assert least_period(x) == 1600 and anomaly_size(x) == 1600 - (399 + 400)
 
 
+def _decoded(spec, markers):
+    """The zero counts the cell markers of spec stand for: q // p - 3 + marker."""
+    assert type(markers) is bytes and set(markers) <= {2, 3, 4}, (spec, markers)
+    return [spec.freq.q // spec.freq.p - 3 + marker for marker in markers]
+
+
 def test_zero_counts_equal_cell_zeros():
     # windows left of, around, at and right of B_m, including single cells
     for q, p in [*coprime_pairs(14), (1, 23), (23, 1)]:
@@ -260,7 +266,7 @@ def test_zero_counts_equal_cell_zeros():
             for spec in (spec_S(q, p, m), spec_Sp(q, p, m)):
                 for n_lo, n_hi in ((m - 2 * p - 3, m + 2 * p + 3), (m - 5, m - 1), (m - 4, m),
                                    (m, m), (m, m + 4), (m + 1, m + 6), (m - 9, m - 7)):
-                    assert list(_zero_counts(spec, n_lo, n_hi)) == \
+                    assert _decoded(spec, _zero_counts(spec, n_lo, n_hi)) == \
                         [cell_zeros(spec, n) for n in range(n_lo, n_hi + 1)], (spec, n_lo, n_hi)
 
 
@@ -295,15 +301,13 @@ def test_zero_counts_equal_cell_zeros_on_random_windows():
         n_lo = m + rng.randint(-size - p - 2, p + 2)
         n_hi = n_lo + size - 1
         sides["left" if n_hi < m else "right" if n_lo > m else "around"] += 1
-        counts = _zero_counts(spec, n_lo, n_hi)
-        assert isinstance(counts, bytes) == (q // p < 255), (spec, type(counts))
-        assert list(counts) == \
+        assert _decoded(spec, _zero_counts(spec, n_lo, n_hi)) == \
             [cell_zeros(spec, n) for n in range(n_lo, n_hi + 1)], (spec, n_lo, n_hi)
     assert min(sides.values()) > 200, sides
 
 
 def test_generation_at_n_1e6_peaks_within_four_bytes_per_window_cell():
-    # skew_sturmian reads the 4p + 2j + 2 cells of its window as bytes, one
+    # skew_sturmian reads the 4p + 2j + 2 cells of its window as one marker
     # byte per cell; with the tiled Christoffel words, the beam slices and
     # the two blocks' symbols it must stay under 4 bytes per cell
     q, p = 399999, 600001
@@ -341,9 +345,9 @@ def test_skew_sturmian_matches_the_per_cell_word_route(stype):
 
 
 def _frequencies_near_byte_counts():
-    """Coprime q/p with k = q // p in 253..256, p = 1 among them: below k = 255
-    the window is bytes, and S'(254/1) has B_m = 255 zeros, the most a byte
-    holds; from k = 255 on it is a list."""
+    """Coprime q/p with k = q // p in 253..256, p = 1 among them: counts near
+    and past the most a byte holds, which S'(254/1) has in B_m, 255 zeros;
+    the markers stand for them all the same."""
     return [(k * p + r, p) for k in (253, 254, 255, 256) for p in (1, 2, 3, 7)
             for r in range(p) if gcd(r, p) == 1]
 
@@ -353,21 +357,24 @@ def test_skew_sturmian_matches_the_per_cell_word_route_on_both_window_types(styp
     for q, p in _frequencies_near_byte_counts():
         for m in (-1, 0, 2):
             spec = SturmianSpec(Frequency.rational(q, p), stype, m)
-            assert isinstance(_zero_counts(spec, m - 1, m + 1), bytes) == (q // p < 255), spec
             assert skew_sturmian(spec) == _skew_by_cell_words(spec), spec
-    assert _zero_counts(spec_Sp(254, 1, 3), 3, 3) == b"\xff"
+    assert _zero_counts(spec_Sp(254, 1, 3), 3, 3) == b"\x04"  # k + 1 = 255 zeros
 
 
-def test_expand_over_bytes_equals_expand_over_a_list():
-    # up to 256 distinct counts, more than the bytes route's 254 markers, and
-    # more cells than one 4096-cell chunk
+def test_expand_of_markers_equals_expand_cells():
+    # one, two or all three markers (no marker 2 when k = 0, where it would
+    # stand for -1 zeros), on more cells than one 4096-cell chunk of expand_cells
     rng = random.Random(34)
-    for _ in range(300):
-        values = rng.sample(range(256), rng.choice([1, 2, 3, rng.randint(1, 256), 254, 255, 256]))
-        counts = [rng.choice(values) for _ in range(rng.choice([0, 1, 7, rng.randint(1, 5000)]))]
-        expanded = _expand(bytes(counts))
-        assert expanded == _expand(counts), values
-        assert expanded.symbols == b"".join(b"\x01" + bytes(z) for z in counts)
+    for k in (0, 1, 2, 254, 255, 256, 600):
+        kinds = [3, 4] if k == 0 else [2, 3, 4]
+        for _ in range(60):
+            markers = rng.sample(kinds, rng.randint(1, len(kinds)))
+            size = rng.choice([0, 1, 7, rng.randint(1, 5000)])
+            cells = bytes(rng.choice(markers) for _ in range(size))
+            counts = tuple(k - 3 + c for c in cells)
+            expanded = _expand(cells, k)
+            assert expanded == expand_cells(CellSeries(0, counts)), (k, markers)
+            assert expanded.symbols == b"".join(b"\x01" + bytes(z) for z in counts)
 
 
 # S(5/7, m=1): restricted Bézout pair (2, 3), so j = 3 anomaly cells; the
@@ -378,15 +385,14 @@ CORRUPT_WINDOW = (1 - 2 * 8 - 3, 1 + 3 + 2 * 7 - 1)  # skew_sturmian's window
 
 
 def _corrupt_zero_counts(monkeypatch, cells):
-    """Make skew_sturmian read its window with one zero added to each of
-    the cells at these indices into it, as bytes, the type it reads."""
+    """Make skew_sturmian read its window with each of the markers at these
+    indices into it raised by one: one zero added to a cell of k or fewer,
+    marker 5, which marks no cell, for a cell of k + 1."""
     real = _zero_counts
 
     def corrupted(spec, lo, hi):
         assert (lo, hi) == CORRUPT_WINDOW
-        zeros = real(spec, lo, hi)
-        assert isinstance(zeros, bytes)
-        corrupt = list(zeros)
+        corrupt = list(real(spec, lo, hi))
         for i in cells:
             corrupt[i] += 1
         return bytes(corrupt)
@@ -412,10 +418,44 @@ def test_every_count_raised_by_one_raises_wrong_symbol_counts(monkeypatch):
 
 
 def test_raised_anomaly_counts_raise_wrong_anomaly_length(monkeypatch):
-    # the three anomaly cells B_1 .. B_3 are indices 19 .. 21; a + b = 5 symbols
-    _corrupt_zero_counts(monkeypatch, [19, 20, 21])
-    with pytest.raises(InternalMismatch, match=r"anomaly block of .* has length 8, not 5"):
+    # the three anomaly cells B_1 .. B_3 are indices 19 .. 21, "1", "10" and
+    # "10": a + b = 5 symbols; B_1 raised to "10" makes 6
+    _corrupt_zero_counts(monkeypatch, [19])
+    with pytest.raises(InternalMismatch, match=r"anomaly block of .* has length 6, not 5"):
         skew_sturmian(CORRUPT_SPEC)
+
+
+def _window_read_as(monkeypatch, edit):
+    """Make skew_sturmian read its window passed through edit."""
+    real = _zero_counts
+    monkeypatch.setattr(sturmian, "_zero_counts", lambda *window: edit(real(*window)))
+
+
+@pytest.mark.parametrize("byte", [0, 1, 5, 255])
+def test_a_byte_that_marks_no_cell_raises_internal_mismatch(monkeypatch, byte):
+    # the byte in place of every cell, and of each cell alone: in a beam, the
+    # period block or the anomaly.  A 0 or a 1 would pass into the words as a
+    # symbol of BINARY, any other byte as an id outside it
+    for spec in (CORRUPT_SPEC, spec_S(1, 2), spec_Sp(2, 1), spec_S(3, 1), spec_Sp(3, 1)):
+        q, p = spec.freq.q, spec.freq.p
+        b = restricted_bezout(q, p).b
+        size = 4 * p + 2 * (b if spec.stype == TYPE_S else max(p - b, 1)) + 2
+        edits = [lambda cells: bytes((byte,)) * len(cells)]
+        edits += [lambda cells, i=i: cells[:i] + bytes((byte,)) + cells[i + 1:]
+                  for i in range(size)]
+        for edit in edits:
+            _window_read_as(monkeypatch, edit)
+            with pytest.raises(InternalMismatch):
+                skew_sturmian(spec)
+
+
+def test_a_raised_marker_that_keeps_the_counts_raises_internal_mismatch(monkeypatch):
+    # S(1/2) has cells "10" and "1", markers 4 and 3, with k = 0; raised, the
+    # period block "10" + marker 5 keeps its length 3 and its one zero, so
+    # only the marker check finds it
+    _window_read_as(monkeypatch, lambda cells: bytes(c + 1 for c in cells))
+    with pytest.raises(InternalMismatch, match=r"the window of .* holds a byte that marks no cell"):
+        skew_sturmian(spec_S(1, 2))
 
 
 def test_skew_sturmian_at_n6400():
