@@ -512,7 +512,7 @@ def _assert_probes_agree(src, dst):
         table, clash = classify._build_block_map(s, d, lo, n, lu, lv, k)
         two_table, two_clash = _two_stretch_block_map(src, dst, lo, k)
         assert clash == two_clash, (src, dst, k)
-    # radius 0 keys its table by 1-tuples, the two-stretch probe by bytes slices
+    # the radius-0 bytes route keys its table by 1-tuples, the two-stretch probe by slices
     assert clash is None and ([(tuple(b), c) for b, c in table.items()]
                               == [(tuple(b), c) for b, c in two_table.items()]), (src, dst)
 
