@@ -9,7 +9,8 @@ that produced it.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from operator import itemgetter
+from typing import Iterable, Optional, Union
 
 from .errors import (
     DegenerateImage,
@@ -40,93 +41,93 @@ from .words import Alphabet, Symbols, Value, Word, packed, primitive_root, requi
 class SlidingBlockCode(Value):
     """A block map with the given memory and anticipation.
 
-    `entries` is a non-empty sorted tuple of ((block symbol ids), output
-    symbol id) pairs and must be total on the allowed-block set of any
-    sequence the code is applied to.  Being non-empty, it holds blocks
-    of the declared window length, so a parsed code is at least as long
-    as the window an application reads.  Every block id is a symbol of
-    the source alphabet and every output one of the target alphabet, so
-    an image read from the table needs no further check.  Blocks are
-    tuples even where words hold bytes.
-    """
+    Its `entries` are a non-empty tuple of ((block symbol ids), output
+    symbol id) rows, total on the allowed-block set of any sequence the
+    code is applied to.  Non-empty, they hold blocks of the declared window
+    length, so a parsed code is at least as long as the window an
+    application reads.  Every block id is a symbol of the source alphabet
+    and every output one of the target's, so an image read from the table
+    needs no further check.  ``_table`` holds the rows and the memo
+    ``_lookup`` their dict; a 1-block code's, even a parsed one's, holds
+    its outputs by source id (`_one_block`).  Blocks are tuples."""
 
     memory: int
     anticipation: int
-    entries: tuple[tuple[tuple[int, ...], int], ...]
+    _table: Union[bytes, tuple]
     source_alphabet: Alphabet
     target_alphabet: Alphabet
-    _by_byte = None  # a byte-path code's translate table, a memo of _byte_table()
 
     def __post_init__(self) -> None:
         if self.memory < 0 or self.anticipation < 0:
             raise ValueError("memory and anticipation must be non-negative")
-        if not self.entries:
+        if not self._table:
             raise ValueError("code table is empty")
         n = self.block_length
         seen = {}
-        for block, out in self.entries:
+        for block, out in self._table:
             if len(block) != n:
                 raise ValueError(f"block {block} has length {len(block)}, expected {n}")
             if block in seen and seen[block] != out:
                 raise ValueError(f"block {block} mapped to two outputs")
             seen[block] = out
-        src, dst = self.source_alphabet.labels, self.target_alphabet.labels
+        src, dst = self.source_alphabet, self.target_alphabet
         if min(map(min, seen)) < 0 or max(map(max, seen)) >= len(src):
-            raise ValueError(f"a block holds a symbol id outside the source alphabet {src}")
+            raise ValueError(f"a block holds a symbol id outside the source alphabet {src.labels}")
         if min(seen.values()) < 0 or max(seen.values()) >= len(dst):
-            raise ValueError(f"an output is a symbol id outside the target alphabet {dst}")
-        object.__setattr__(self, "_lookup", seen)
+            raise ValueError(f"an output is a symbol id outside the target alphabet {dst.labels}")
+        kept = ("_lookup", seen) if n > 1 else ("_table", _one_block(seen.items(), src, dst)._table)
+        object.__setattr__(self, *kept)
 
     @property
     def block_length(self) -> int:
         return self.memory + self.anticipation + 1
 
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        mark = 255 if isinstance(self._table, bytes) else -1  # an unmapped id's output
+        return self._table if self.block_length > 1 else tuple(
+            ((s,), o) for s, o in zip(range(len(self.source_alphabet)), self._table) if o != mark)
+
     def out(self, block: tuple[int, ...]) -> int:
-        try:
-            return self._lookup[block]  # type: ignore[attr-defined]
-        except KeyError:
-            raise MissingBlock(f"block {block} not in code table") from None
+        if len(block) == self.block_length and all(0 <= b < len(self.source_alphabet)
+                                                   for b in block):
+            return self.read(block)[0]
+        raise MissingBlock(f"block {block} not in code table")
 
     def read(self, buf: Symbols) -> Symbols:
         """The outputs on the blocks buf[i:i + block_length], 0 <= i <=
         len(buf) - block_length, as Symbols over the target alphabet; the
-        one place that picks a route.  A code with a byte table (see
-        `_byte_table`) translates buf in one C pass; any other looks up
-        each block, a tuple zipped from block_length shifted slices of buf.
-        Both raise MissingBlock on the same first unmapped block."""
-        table = self._by_byte or self._byte_table()
-        if table is not None:
-            img = bytes(buf).translate(table)
-            at = img.find(255)
-            if at >= 0:
-                raise MissingBlock(f"block ({buf[at]},) not in code table")
-            return img
-        n, size = self.block_length, len(buf)
-        blocks = zip(*(buf[i:size - n + 1 + i] for i in range(n)))
-        try:
-            return packed(map(self._lookup.__getitem__, blocks),  # type: ignore[attr-defined]
-                          self.target_alphabet)
-        except KeyError as e:
-            raise MissingBlock(f"block {e.args[0]} not in code table") from None
+        one place that picks a route: one translate, or one getter (of two
+        ids more, so that it gives a tuple), for a 1-block code, else a
+        lookup per block.  Each raises MissingBlock on the first unmapped one."""
+        if self.block_length > 1:
+            n, size = self.block_length, len(buf)
+            blocks = zip(*(buf[i:size - n + 1 + i] for i in range(n)))
+            try:
+                return packed(map(self._lookup.__getitem__, blocks),  # type: ignore[attr-defined]
+                              self.target_alphabet)
+            except KeyError as e:
+                raise MissingBlock(f"block {e.args[0]} not in code table") from None
+        img, unmapped = ((bytes(buf).translate(self._table), 255) if isinstance(self._table, bytes)
+                         else (itemgetter(0, 0, *buf)(self._table)[2:], -1))
+        if unmapped in img:
+            raise MissingBlock(f"block ({buf[img.index(unmapped)]},) not in code table")
+        return packed(img, self.target_alphabet)
 
-    def _byte_table(self) -> Optional[bytes]:
-        """The `bytes.translate` table of a 1-block code from at most 256
-        symbols to at most 255, kept in the memo ``_by_byte``; None for any
-        other code.  Every id the code does not map reads 255, which no
-        output can be."""
-        if (self.memory or self.anticipation or len(self.source_alphabet) > 256
-                or len(self.target_alphabet) > 255):
-            return None
-        table = bytearray(b"\xff" * 256)
-        for (sym,), out in self.entries:
-            table[sym] = out
-        object.__setattr__(self, "_by_byte", bytes(table))
-        return self._by_byte
+
+def _one_block(rows: Iterable, src: Alphabet, dst: Alphabet) -> SlidingBlockCode:
+    """The 1-block code from src to dst with these valid rows, its outputs by
+    source id: the 256-byte `bytes.translate` table, 255 at an unmapped id,
+    from at most 256 symbols to at most 255; else a tuple, -1 there."""
+    narrow = len(src) <= 256 and len(dst) <= 255
+    table = bytearray(b"\xff" * 256) if narrow else [-1] * len(src)
+    for (sym,), out in rows:
+        table[sym] = out
+    return SlidingBlockCode._trusted(0, 0, (bytes if narrow else tuple)(table), src, dst)
 
 
 def identity_code(alphabet: Alphabet) -> SlidingBlockCode:
-    entries = tuple(((s,), s) for s in range(len(alphabet)))
-    return SlidingBlockCode(0, 0, entries, alphabet, alphabet)
+    return _one_block((((s,), s) for s in range(len(alphabet))), alphabet, alphabet)
 
 
 def conjugate_ep(x: EPSeq, y: EPSeq) -> bool:
@@ -156,8 +157,6 @@ def _image_scan(code: SlidingBlockCode, x: EPSeq) -> _Scan:
     periodic orbit, whose root `_periodic_image` reads once, at phase i
     and i - |v| respectively.  The two guards of 2N + 1 symbols are tiled
     from that root; the code reads only the |v| + mm + aa blocks between.
-    `SlidingBlockCode.read` picks the route, and either gives the buffer
-    as words over the target alphabet hold symbols.
     """
     root = _periodic_image(code, x.period_word)
     mm, aa = code.memory, code.anticipation
@@ -197,7 +196,7 @@ def _periodic_image(code: SlidingBlockCode, w: Word) -> Symbols:
 
 
 def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
-                     lv: int, k: int) -> tuple[Optional[dict], Optional[tuple[int, int]]]:
+                     lv: int, k: int) -> tuple[Union[dict, bytes, None], Optional[tuple[int, int]]]:
     """Probe radius k: map each radius-k block of src to the first centre
     it occurs at; return the table and None, or None and the two centres
     of the first block that needs two dst symbols.  Centres index s and d,
@@ -206,7 +205,7 @@ def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
     over bytes loops per symbol, not per centre: one find gives a symbol's
     first centre, src translated through dst at those centres must equal
     dst, and the lowest set bit of their XOR names the first clash.  Its
-    blocks are 1-tuples, the loop's slices of s; both read as tuples.
+    table is that translate table, 255 at every id src does not hold.
 
     It reads the centres [-k-1-N, max(|u|+k, |v|) - 1], u and v the
     anomalies of src and dst, both of least period N, with |u| ≡ |v|
@@ -218,22 +217,21 @@ def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
     no clash, and consistency on the range is consistency on all of Z.
     """
     centres = range(-k - 1 - n - lo, max(lu + k, lv) - lo)
-    # the bytes route costs about what the loop does on 32 centres, and the
-    # loop, at every other radius and buffer too, stops at the first clash
+    # past 32 centres the bytes route beats the loop, which stops at the first clash
     if k == 0 and len(centres) > 32 and isinstance(s, bytes) and isinstance(d, bytes):
         a = centres.start
         seg, want = s[a:centres.stop], d[a:centres.stop]
-        firsts, table, rest, at = {}, bytearray(256), seg, 0  # rest: seg less the symbols found
+        table, rest, at = bytearray(b"\xff" * 256), seg, 0  # rest: seg less the symbols found
         while rest:
-            at = firsts[rest[0]] = seg.find(rest[0], at)
+            at = seg.find(rest[0], at)
             table[rest[0]] = want[at]
             rest = rest.translate(None, rest[:1])
         got = seg.translate(table)
         if got != want:
             diff = int.from_bytes(got, "little") ^ int.from_bytes(want, "little")
             c = ((diff & -diff).bit_length() - 1) // 8  # the first clashing centre
-            return None, (a + firsts[seg[c]], a + c)
-        return {(sym,): a + at for sym, at in firsts.items()}, None
+            return None, (a + seg.find(seg[c]), a + c)
+        return bytes(table), None
     table: dict[Symbols, int] = {}
     for c in centres:
         first = table.setdefault(s[c - k:c + k + 1], c)
@@ -274,7 +272,7 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
     (mod N); a pair without them raises NotConjugate.
     """
     n, m = least_period(src), least_period(dst)
-    lu, lv = len(src.anomaly), len(dst.anomaly)
+    (lu, sa), (lv, da) = (len(src.anomaly), src.alphabet), (len(dst.anomaly), dst.alphabet)
     if n != m or (lu - lv) % n:
         raise NotConjugate(f"a block map search needs equal least periods and congruent "
                            f"anomalies: (N={n}, |u|={lu}) vs (N={m}, |v|={lv})")
@@ -285,11 +283,14 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
         if k > reach:  # k = reach + 1 <= 2 * reach
             reach = min(2 * reach, cap)
             lo, s, d = _search_buffers(src, dst, reach)
-        table, clash = _build_block_map(s, d, lo, n, lu, lv, k)
+        # a byte table's 255 marks an unmapped id, so a 256-symbol d is probed as a tuple
+        table, clash = _build_block_map(s, d if len(da) < 256 else tuple(d), lo, n, lu, lv, k)
         if clash is None:
-            lookup = {tuple(block): d[c] for block, c in table.items()}
-            return SlidingBlockCode._trusted(k, k, tuple(sorted(lookup.items())), src.alphabet,
-                                             dst.alphabet, _lookup=lookup)
+            if isinstance(table, bytes):  # the radius-0 probe's translate table
+                return SlidingBlockCode._trusted(0, 0, table, sa, da)
+            got = {tuple(block): d[c] for block, c in table.items()}
+            return (SlidingBlockCode._trusted(k, k, tuple(sorted(got.items())), sa, da, _lookup=got)
+                    if k else _one_block(got.items(), sa, da))
         i, j = clash
         k = next((r for r in range(k + 1, reach + 1)
                   if s[i - r] != s[j - r] or s[i + r] != s[j + r]), reach + 1)
@@ -304,20 +305,19 @@ def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBloc
     as the witness with no moves (a failure raises InternalMismatch).  A
     pair with other invariants raises NotConjugate from `_witness_code`: on
     canonical forms |u| and |v| are the anomaly sizes.  The inverse of a
-    1-block bijection is its table read backwards: at radius 0 both
-    directions probe the same centres, so that is the code the search gives."""
+    1-block bijection is its table permuted: at radius 0 both directions
+    probe the same centres, so that is the code the search gives."""
     if x == y:
         fwd = inv = identity_code(x.alphabet)
     else:
         cx, cy = canonical(x), canonical(y)
         fwd = _witness_code(cx, cy)
-        back = {(out,): sym for (sym,), out in fwd.entries} if fwd.memory == 0 else {}
-        inv = (SlidingBlockCode._trusted(0, 0, tuple(sorted(back.items())), cy.alphabet,
-                                         cx.alphabet, _lookup=back)
-               if len(back) == len(fwd.entries) else _witness_code(cy, cx))
+        rows = fwd.entries if fwd.memory == 0 else ()
+        inv = (_one_block((((out,), sym) for (sym,), out in rows), cy.alphabet, cx.alphabet)
+               if 0 < len(rows) == len({out for _, out in rows}) else _witness_code(cy, cx))
     trail: list[str] = []
-    links = ((fwd, FORWARD), (inv, BACKWARD))
-    if not verify_flow_witness(x, y, FlowWitness((), (), links), trail):
+    links = ((fwd, FORWARD), (inv, BACKWARD))  # valid links, so built trusted
+    if not verify_flow_witness(x, y, FlowWitness._trusted((), (), links), trail):
         raise InternalMismatch(f"built witness fails its check: {trail[0]}")
     return fwd, inv
 
@@ -429,7 +429,7 @@ def _raise_moves(x: EPSeq, dn: int, da: int) -> tuple[tuple[FlowMove, ...], EPSe
     if not conjugate_ep(c, primed):
         raise PostconditionFailed(f"marking changed the invariants: (N={least_period(primed)}, "
                                   f"a={anomaly_size(primed)}), expected (N={n}, a={a})")
-    erase = SlidingBlockCode(0, 0, tuple(zip(zip(range(k, k + n + a)), w + u)), bigger, c.alphabet)
+    erase = _one_block(zip(zip(range(k, k + n + a)), w + u), bigger, c.alphabet)
     y, moves = primed, [ConjugacyMove(erase, primed, BACKWARD)]
     for mark, count in ((k + n - 1, dn), (k + n + a - 1, da)):
         if count:

@@ -27,7 +27,7 @@ from .classify import (
 )
 from .errors import MalformedInput
 from .sequences import EPSeq, PeriodicSeq, make_ep
-from .words import Alphabet, Word, packed, word
+from .words import Alphabet, word
 
 EPSEQ_FORMAT = "epseq/1"
 PERSEQ_FORMAT = "perseq/1"
@@ -97,7 +97,8 @@ def emit_perseq(p: PeriodicSeq) -> dict:
 
 def emit_code(c: SlidingBlockCode) -> dict:
     src, dst = c.source_alphabet, c.target_alphabet
-    rows = [[Word._trusted(packed(block, src), src).text, dst.labels[out]]
+    sep, wrap = ("", "{}") if src.single_char else (",", "[{}]")  # a block's word literal
+    rows = [[wrap.format(sep.join([src.labels[sym] for sym in block])), dst.labels[out]]
             for block, out in c.entries]
     return {
         "format": CODE_FORMAT,

@@ -25,12 +25,11 @@ class Value:
     ``__post_init__``; ``==`` (within one class), ``hash`` and ``repr``
     (``Name(field=value, ...)``) read the fields; nothing can be set or
     deleted.  Other attributes are memos no comparison sees: the hash,
-    ``sequences.canonical``'s result, an alphabet's next mint counter, a
-    1-block code's byte table (``_by_byte``), kept on first use over a
-    class default of None (or, for the counter, by the mint that builds
-    the alphabet), and a code's lookup table.  Like the fields, they are
-    set with ``object.__setattr__``, never through the instance
-    ``__dict__``, which would slow every later attribute read.
+    ``sequences.canonical``'s result and an alphabet's next mint counter,
+    kept on first use over a class default of None (or, for the counter,
+    by the mint that builds the alphabet), and a wider code's row dict.
+    Like the fields, they are set with ``object.__setattr__``, never
+    through the instance ``__dict__``, which would slow every later read.
 
     Internal results built from parts already known to be valid skip the
     checks through the one unchecked constructor, :meth:`_trusted`.

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -59,7 +60,7 @@ from epshift.sturmian import (
     skew_sturmian,
     symbol_reverse,
 )
-from epshift.words import Alphabet, BINARY, Word, rotate, word
+from epshift.words import Alphabet, BINARY, Word, packed, rotate, word
 
 
 def ep(w, v):
@@ -512,9 +513,21 @@ def _assert_probes_agree(src, dst):
         table, clash = classify._build_block_map(s, d, lo, n, lu, lv, k)
         two_table, two_clash = _two_stretch_block_map(src, dst, lo, k)
         assert clash == two_clash, (src, dst, k)
-    # the radius-0 bytes route keys its table by 1-tuples, the two-stretch probe by slices
-    assert clash is None and ([(tuple(b), c) for b, c in table.items()]
-                              == [(tuple(b), c) for b, c in two_table.items()]), (src, dst)
+    assert clash is None, (src, dst)
+    if isinstance(table, bytes):  # the radius-0 bytes route gives its translate table
+        assert table == _translate_table(two_table, d), (src, dst)
+    else:
+        assert ([(tuple(b), c) for b, c in table.items()]
+                == [(tuple(b), c) for b, c in two_table.items()]), (src, dst)
+
+
+def _translate_table(firsts, d):
+    """The translate table of a radius-0 table of first centres by 1-slice:
+    the dst symbol at each one, 255 at every other id."""
+    table = bytearray(b"\xff" * 256)
+    for (sym,), c in firsts.items():
+        table[sym] = d[c]
+    return bytes(table)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -576,11 +589,16 @@ def test_bytes_radius_0_probe_matches_the_loop():
             table, clash = classify._build_block_map(bs, bd, lo, n, lu, lv, 0)
             ref_table, ref_clash = _radius_0_loop(bs, bd, centres)
             assert clash == ref_clash and clash == want[1], (s, d, a, n, lu)
-            # the same table, keys in first-centre order; a key is a 1-tuple
-            # on the bytes route and a slice of the buffer on the loop
-            assert (table is None and ref_table is None
-                    or [(tuple(b), c) for b, c in table.items()] == list(ref_table.items())), \
-                (s, d, a, n, lu)
+            # the same table: on the bytes route the translate table of the
+            # first centres' dst symbols, on the loop the first centres by
+            # slice of the buffer, in first-centre order
+            if isinstance(table, bytes):
+                assert isinstance(bd, bytes) and len(centres) > 32, (s, d, a, n, lu)
+                assert table == _translate_table(ref_table, bd), (s, d, a, n, lu)
+            else:
+                assert (table is None and ref_table is None
+                        or [(tuple(b), c) for b, c in table.items()] == list(ref_table.items())), \
+                    (s, d, a, n, lu)
     assert min(outcomes.values()) > 150, outcomes
 
 
@@ -611,11 +629,12 @@ def _criterion_5_pairs():
 
 def _inverse_matches_the_search(x, y):
     """Assert that conjugacy_witness's inverse is the code the search from
-    canonical(y) to canonical(x) returns, table memo and all; returns
-    whether the forward code is a 1-block bijection."""
+    canonical(y) to canonical(x) returns, table, lookup memo and all;
+    returns whether the forward code is a 1-block bijection."""
     fwd, inv = conjugacy_witness(x, y)
     searched = _witness_code(canonical(y), canonical(x))
-    assert inv == searched and inv._lookup == searched._lookup, (x, y)
+    assert inv == searched and type(inv._table) is type(searched._table), (x, y)
+    assert vars(inv).get("_lookup") == vars(searched).get("_lookup"), (x, y)
     outs = [out for _, out in fwd.entries]
     return fwd.memory == 0 and len(set(outs)) == len(outs)
 
@@ -740,8 +759,9 @@ def test_one_block_read_matches_a_lookup_per_position():
 
 
 def test_one_block_codes_read_as_parsed_and_as_built():
-    # a code from the search (trusted, its table a memo), a mark code built
-    # checked, and a final link: each reads as the same code parsed from JSON
+    # a code from the search (trusted, its table the probe's), a mark code
+    # built checked, and a final link: each reads as the same code parsed
+    # from JSON
     x, y = skew(TYPE_S, 3, 5), skew(TYPE_SPRIME, 5, 3)
     marked = _raise_moves(x, 1, 1)[0][0].code
     final = flow_witness(skew(TYPE_SPRIME, 1, 2), skew(TYPE_S, 3, 2)).final[0][0]
@@ -756,9 +776,8 @@ def test_one_block_codes_read_as_parsed_and_as_built():
             assert tuple(code.read(buf)) == tuple(parsed.read(buf)) == expected
         # drop one row: the absent symbol at the first, a middle and the last position
         absent, rest = code.entries[-1][0][0], code.entries[:-1]
-        partials = (SlidingBlockCode(0, 0, rest, code.source_alphabet, code.target_alphabet),
-                    SlidingBlockCode._trusted(0, 0, rest, code.source_alphabet,
-                                              code.target_alphabet, _lookup=dict(rest)))
+        src, dst = code.source_alphabet, code.target_alphabet
+        partials = (SlidingBlockCode(0, 0, rest, src, dst), classify._one_block(rest, src, dst))
         present = tuple(block[0] for block, _ in rest)
         buf = tuple(rng.choice(present) for _ in range(9))
         for at in (0, 4, 9):
@@ -815,12 +834,23 @@ SIZED = {k: Alphabet(tuple(f"s{i}" for i in range(k))) for k in (2, 3, 255, 256,
 RELABELLED = {k: Alphabet(tuple(f"t{i}" for i in range(k))) for k in SIZED}
 
 
+def _tuple_read(code, buf):
+    """`SlidingBlockCode.read` by the lookup route of every code, kept as
+    the oracle of the 1-block tables: a dict of the code's rows, and each
+    block a tuple zipped from block_length shifted slices of buf."""
+    lookup, n, size = dict(code.entries), code.block_length, len(buf)
+    blocks = zip(*(buf[i:size - n + 1 + i] for i in range(n)))
+    try:
+        return packed(map(lookup.__getitem__, blocks), code.target_alphabet)
+    except KeyError as e:
+        raise MissingBlock(f"block {e.args[0]} not in code table") from None
+
+
 def _tuple_route(code):
-    """An equal code whose image tests take the tuple route, `read`,
-    `_tiled` and `words.primitive_root`: its byte table reads None."""
+    """An equal code whose image tests read through `_tuple_read`."""
     twin = SlidingBlockCode(code.memory, code.anticipation, code.entries,
                             code.source_alphabet, code.target_alphabet)
-    object.__setattr__(twin, "_byte_table", lambda: None)
+    object.__setattr__(twin, "read", functools.partial(_tuple_read, twin))
     return twin
 
 
@@ -878,7 +908,7 @@ def test_byte_path_matches_the_tuple_route(case):
     on_bytes = len(code.source_alphabet) <= 256 and len(code.target_alphabet) <= 255
     got = _scan_outcome(code, x)
     assert got == _scan_outcome(twin, x)
-    assert (code._by_byte is not None) == on_bytes and twin._by_byte is None
+    assert isinstance(code._table, bytes) == on_bytes and twin == code
     periodic = PeriodicSeq(x.period_word)
     assert _outcome(apply_code_to_periodic, code, periodic) == _outcome(
         apply_code_to_periodic, twin, periodic)
@@ -902,7 +932,7 @@ def test_byte_path_matches_the_tuple_route(case):
 def test_byte_path_cuts_a_shorter_root_and_names_the_first_missing_symbol():
     x, code = _byte_path_case(3, 2, (0, 1), (2,), {0: 0, 1: 0, 2: 1})
     assert apply_code_to_periodic(code, PeriodicSeq(x.period_word)).period_word.symbols == b"\x00"
-    assert least_period(apply_code(code, x)) == 1 and code._by_byte is not None
+    assert least_period(apply_code(code, x)) == 1 and isinstance(code._table, bytes)
     for period, anomaly, absent in (((255, 0), (1,), 255), ((0, 1), (1, 254, 255), 254)):
         x, code = _byte_path_case(256, 255, period, anomaly, {0: 254, 1: 0})
         with pytest.raises(MissingBlock, match=rf"^block \({absent},\) not in code table$"):
@@ -915,15 +945,158 @@ def test_1_block_image_tests_read_no_block_on_the_byte_path():
         x, y = skew(TYPE_S, q, p), skew(TYPE_SPRIME, p, q)
         fwd, inv = conjugacy_witness(x, y)
         assert fwd.block_length == inv.block_length == 1 and least_period(x) == p + q
-        assert fwd._by_byte is not None and inv._by_byte is not None
-    # a radius-1 code, and a 1-block code over 300 symbols, look their blocks up
+        assert isinstance(fwd._table, bytes) and isinstance(inv._table, bytes)
+    # a radius-1 code looks its blocks up; a 1-block code over 300 symbols
+    # indexes a tuple of its outputs
     x, y = ep("001", "1"), ep("001", "0")
     fwd, inv = conjugacy_witness(x, y)
-    assert fwd.memory == 1 and fwd._by_byte is None
+    assert fwd.memory == 1 and fwd._table == fwd.entries and fwd._lookup == dict(fwd.entries)
     wide = Alphabet(tuple(f"s{i}" for i in range(300)))
     z = make_ep(Word((0, 299), wide), Word((1,), wide))
     fwd, inv = conjugacy_witness(z, shift(z, 1))
-    assert fwd.block_length == 1 and fwd._by_byte is None and inv._by_byte is None
+    assert fwd.block_length == 1 and "_lookup" not in vars(fwd)
+    for code in (fwd, inv):
+        assert code._table == tuple(out for _, out in code.entries) and len(code._table) == 300
+
+
+# --- 1-block tables against the tuple route and through JSON ------------------
+
+WIDE = {**{k: SIZED[k] for k in (2, 255, 256, 257)},
+        65537: Alphabet(tuple(f"s{i}" for i in range(65537)))}
+
+
+def _tuple_out(lookup, block):
+    """`SlidingBlockCode.out` read off a dict of the code's rows."""
+    try:
+        return lookup[block]
+    except KeyError:
+        raise MissingBlock(f"block {block} not in code table") from None
+
+
+def _1_block_tables(rng, src, dst):
+    """Three (rows, absent) pairs on ids at both ends of src and some at
+    random, onto outputs at both ends of dst: rows spread over the outputs,
+    rows merging most ids into one output, and the first rows less one id,
+    `absent` (None for the other two)."""
+    n, m = len(src), len(dst)
+    ids = sorted({0, 1, n // 2, n - 2, n - 1, *rng.sample(range(n), min(n, 40))})
+    outs = sorted({0, 1, m // 2, m - 1})
+    spread = tuple(((s,), outs[i % len(outs)]) for i, s in enumerate(ids))
+    merged = tuple(((s,), outs[0] if i % 3 else outs[-1]) for i, s in enumerate(ids))
+    absent = ids[len(ids) // 2]
+    partial = tuple(row for row in spread if row[0] != (absent,))
+    return [(spread, None), (merged, None), (partial, absent)]
+
+
+@pytest.mark.parametrize("size", sorted(WIDE))
+def test_1_block_read_and_out_match_the_tuple_route(size):
+    rng = random.Random(size)
+    src = WIDE[size]
+    for dst in WIDE.values():
+        for rows, absent in _1_block_tables(rng, src, dst):
+            checked = SlidingBlockCode(0, 0, rows, src, dst)
+            built = classify._one_block(rows, src, dst)
+            assert built == checked and hash(built) == hash(checked)
+            assert checked.entries == tuple(sorted(rows))
+            assert isinstance(checked._table, bytes) == (size <= 256 and len(dst) <= 255)
+            mapped, lookup = [sym for (sym,), _ in rows], dict(checked.entries)
+            for _ in range(5):
+                buf = packed((rng.choice(mapped) for _ in range(rng.randrange(60))), src)
+                got = checked.read(buf)
+                assert got == _tuple_read(checked, buf) and type(got) is type(packed((), dst))
+                assert [checked.out((b,)) for b in buf] == [_tuple_out(lookup, (b,)) for b in buf]
+            if absent is None:
+                continue
+            buf = [rng.choice(mapped) for _ in range(9)]
+            for at in (0, 4, 9):
+                spiked = packed(buf[:at] + [absent] + buf[at:] + [absent], src)
+                for read in (checked.read, built.read, functools.partial(_tuple_read, checked)):
+                    with pytest.raises(MissingBlock) as e:
+                        read(spiked)
+                    assert str(e.value) == f"block ({absent},) not in code table"
+            assert _outcome(checked.out, (absent,)) == _outcome(_tuple_out, lookup, (absent,))
+            for block in ((), (0, 0), (-1,), (size,)):
+                assert _outcome(checked.out, block) == (
+                    MissingBlock, f"block {block} not in code table")
+
+
+def _capped_8_codes():
+    """The codes verify builds at --max-period-sum 8, seed 7: criterion 5's
+    witnesses, with the searched inverses too, and criterion 7's flow
+    witnesses, their erase maps and identity links among them."""
+    bounds = verify.VerifyBounds().capped(8)
+    groups = {}
+    for x in verify.family_instances(bounds, 7):
+        groups.setdefault((least_period(x), anomaly_size(x) % least_period(x)), []).append(x)
+    pairs = [(members[0], other) for members in groups.values() for other in members[1:]]
+    pairs += [(skew(TYPE_S, q, p), skew(TYPE_SPRIME, p, q)) for q, p in verify.coprime_pairs(8)]
+    codes = []
+    for x, y in pairs:
+        codes += [*conjugacy_witness(x, y), _witness_code(canonical(y), canonical(x))]
+    rng = random.Random(7)
+    flows = itertools.combinations_with_replacement(map(skew_sturmian, verify._all_specs(8)), 2)
+    for x, y in [*flows, *((verify.random_ep(rng, wmax=3, vmax=4),
+                            verify.random_ep(rng, wmax=3, vmax=4)) for _ in range(50))]:
+        wit = flow_witness(x, y)
+        codes += [m.code for m in wit.chain_x + wit.chain_y if isinstance(m, ConjugacyMove)]
+        codes += [code for code, _ in wit.final]
+    return codes
+
+
+def _wide_codes(a):
+    """Codes over an alphabet of more than 256 symbols: a 1-block witness
+    and its read-off inverse, a radius-1 witness, an identity code, the
+    erase map of a raised chain and a flow witness's final link."""
+    hi = len(a) - 1
+    z = make_ep(Word((0, hi, 3), a), Word((1,), a))
+    relabelled = make_ep(Word((hi - 1, 2, 0), a), Word((hi,), a))
+    x, y = make_ep(Word((0, 0, hi), a), Word((hi,), a)), make_ep(Word((0, 0, hi), a), Word((0,), a))
+    wit = flow_witness(z, ep("0", "1"))
+    return [*conjugacy_witness(z, relabelled), *conjugacy_witness(x, y), identity_code(a),
+            _raise_moves(z, 1, 1)[0][0].code, wit.final[0][0]]
+
+
+def _assert_round_trips(code):
+    parsed = jsonio.parse_code(json.loads(json.dumps(jsonio.emit_code(code))))
+    assert parsed == code and hash(parsed) == hash(code), code
+    assert parsed.entries == code.entries and type(parsed._table) is type(code._table)
+
+
+def test_every_code_round_trips_through_json_on_capped_8_instances():
+    # and the swaps of two reciprocal pairs past the bytes probe's 32 centres
+    codes = _capped_8_codes()
+    for q, p in ((47, 53), (2, 45)):
+        codes += conjugacy_witness(skew(TYPE_S, q, p), skew(TYPE_SPRIME, p, q))
+    for code in codes:
+        _assert_round_trips(code)
+    # radius 0 and above, identity links, erase maps from a larger alphabet
+    radii = {code.memory for code in codes}
+    assert 0 in radii and len(radii) > 2 and identity_code(BINARY) in codes
+    assert any(code.block_length == 1 and len(code.source_alphabet) > len(code.target_alphabet)
+               for code in codes)
+
+
+@pytest.mark.parametrize("size", [257, 65537])
+def test_every_code_round_trips_through_json_over_wide_alphabets(size):
+    codes = _wide_codes(WIDE[size])
+    assert [code.memory for code in codes] == [0, 0, 1, 1, 0, 0, 0]
+    assert all(type(code._table) is tuple for code in codes if code.block_length == 1)
+    for code in codes:
+        _assert_round_trips(code)
+
+
+def test_a_1_block_witness_onto_256_symbols_holds_a_tuple_past_the_bytes_probe():
+    # a relabelling s -> 255 - s probed over 42 centres: a byte table would
+    # read the output 255 as an unmapped id
+    a = WIDE[256]
+    x = make_ep(Word(tuple(range(40)), a), Word((40,), a))
+    y = make_ep(Word(tuple(255 - s for s in range(40)), a), Word((215,), a))
+    fwd, inv = conjugacy_witness(x, y)
+    assert (fwd.block_length, inv.block_length) == (1, 1) and type(fwd._table) is tuple
+    assert (fwd.out((0,)), fwd.out((40,)), inv.out((255,)), inv.out((215,))) == (255, 215, 0, 40)
+    assert similar(apply_code(fwd, x), y) and similar(apply_code(inv, y), x)
+    for code in (fwd, inv):
+        _assert_round_trips(code)
 
 
 # --- symbol expansion --------------------------------------------------------

@@ -162,16 +162,17 @@ def test_a_dict_read_is_found():
 
 
 def code_table_reads(tree: ast.Module) -> list[str]:
-    """The attribute reads of a sliding block code's tables and table
-    builders, with their line numbers, outside `class SlidingBlockCode`:
-    `SlidingBlockCode.read` is the one place that picks a code's route.
-    A `_lookup=` keyword, which hands a table to `_trusted`, reads none."""
+    """The attribute reads of a sliding block code's tables, the outputs by
+    source id or rows (`_table`) and the rows' dict (`_lookup`), with their
+    line numbers, outside `class SlidingBlockCode`: `SlidingBlockCode.read`
+    is the one place that picks a code's route.  A `_lookup=` keyword,
+    which hands a table to `_trusted`, reads none."""
     inside = {id(node) for cls in ast.walk(tree)
               if isinstance(cls, ast.ClassDef) and cls.name == "SlidingBlockCode"
               for node in ast.walk(cls)}
     found = sorted((node.lineno, node.col_offset, ast.unparse(node)) for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and id(node) not in inside
-                   and node.attr in ("_by_byte", "_byte_table", "_lookup", "_by_symbol"))
+                   and node.attr in ("_table", "_lookup"))
     return [f"{text} (line {line})" for line, _, text in found]
 
 
@@ -182,13 +183,13 @@ def test_no_code_table_is_read_outside_the_code_class(module):
 
 def test_a_code_table_read_is_found():
     tree = ast.parse("class SlidingBlockCode:\n    def read(self, buf):\n"
-                     "        return self._by_byte or self._byte_table(), self._lookup\n\n"
-                     "def image(code, block):\n    table = code._by_byte\n"
-                     "    return code._lookup[block], code._by_symbol\n\n"
-                     "class Other:\n    def f(self, code):\n        return code._byte_table()\n\n"
+                     "        return self._table, self._lookup\n\n"
+                     "def image(code, block):\n    table = code._table\n"
+                     "    return code._lookup[block], code.entries\n\n"
+                     "class Other:\n    def f(self, code):\n        return code._table[0]\n\n"
                      "def built(lookup):\n    return SlidingBlockCode._trusted(_lookup=lookup)\n")
-    assert code_table_reads(tree) == ["code._by_byte (line 6)", "code._lookup (line 7)",
-                                      "code._by_symbol (line 7)", "code._byte_table (line 11)"]
+    assert code_table_reads(tree) == ["code._table (line 6)", "code._lookup (line 7)",
+                                      "code._table (line 11)"]
 
 
 def unnamed_fixtures(fixtures: list[str], modules: list[str]) -> list[str]:

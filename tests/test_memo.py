@@ -196,7 +196,7 @@ def test_trusted_paths_build_only_valid_values(parts, data):
     for c in codes:
         again = SlidingBlockCode(c.memory, c.anticipation, c.entries, rebuilt_alphabet(
             c.source_alphabet), rebuilt_alphabet(c.target_alphabet))
-        assert again == c and again._lookup == c._lookup
+        assert again == c and vars(again).get("_lookup") == vars(c).get("_lookup")
 
 
 def test_skew_sturmian_returns_what_the_checked_constructors_build():
@@ -221,21 +221,29 @@ def test_trusted_takes_every_field_and_memos_no_comparison_sees():
     assert marked == bare and hash(marked) == hash(bare) and repr(marked) == repr(bare)
     assert json.dumps(jsonio.emit_epseq(marked)) == json.dumps(jsonio.emit_epseq(bare))
     assert canonical(marked) is marked and bare._canonical is None
-    # a code with its lookup table as a memo equals the checked code
+    # a 1-block code built trusted from its translate table equals the
+    # checked code, which normalizes its rows into that table and keeps no
+    # lookup dict
     entries = (((0,), 1), ((1,), 0))
     checked = SlidingBlockCode(0, 0, entries, BINARY, BINARY)
-    trusted = SlidingBlockCode._trusted(0, 0, entries, BINARY, BINARY, _lookup={(0,): 1, (1,): 0})
+    trusted = SlidingBlockCode._trusted(0, 0, b"\x01\x00" + b"\xff" * 254, BINARY, BINARY)
     assert trusted == checked and hash(trusted) == hash(checked)
-    assert repr(trusted) == repr(checked) and trusted._lookup == checked._lookup
+    assert repr(trusted) == repr(checked) and trusted._table == checked._table
+    assert trusted.entries == checked.entries == entries and "_lookup" not in vars(checked)
     assert jsonio.emit_code(trusted) == jsonio.emit_code(checked)
     with pytest.raises(AttributeError):
         trusted.memory = 1
-    # an image test fills its byte table, which nothing compares
+    # a wider code with its lookup table as a memo equals the checked code
+    rows = tuple(((a, b), a ^ b) for a in (0, 1) for b in (0, 1))
+    wide = SlidingBlockCode(0, 1, rows, BINARY, BINARY)
+    looked = SlidingBlockCode._trusted(0, 1, rows, BINARY, BINARY, _lookup=dict(rows))
+    assert looked == wide and hash(looked) == hash(wide) and repr(looked) == repr(wide)
+    assert wide._lookup == looked._lookup == dict(rows) and wide.entries == rows
+    # an image test reads the table and leaves no memo on the code
     unread = SlidingBlockCode(0, 0, entries, BINARY, BINARY)
     x = make_ep(word("01"), word("1"))
     assert apply_code(trusted, x) == apply_code(checked, x) == make_ep(word("10"), word("0"))
-    assert trusted._by_byte == checked._by_byte == b"\x01\x00" + b"\xff" * 254
-    assert "_by_byte" not in vars(unread) and unread._by_byte is None
+    assert set(vars(trusted)) == set(SlidingBlockCode._fields) | {"_hash"}
     for built in (trusted, checked):
         assert built == unread and hash(built) == hash(unread) and repr(built) == repr(unread)
         assert json.dumps(jsonio.emit_code(built)) == json.dumps(jsonio.emit_code(unread))
