@@ -49,7 +49,7 @@ class SlidingBlockCode(Value):
     and every output one of the target's, so an image read from the table
     needs no further check.  ``_table`` holds the rows and the memo
     ``_lookup`` their dict; a 1-block code's, even a parsed one's, holds
-    its outputs by source id (`_one_block`).  Blocks are tuples."""
+    its outputs by source id (`_outputs`).  Blocks are tuples."""
 
     memory: int
     anticipation: int
@@ -75,7 +75,7 @@ class SlidingBlockCode(Value):
             raise ValueError(f"a block holds a symbol id outside the source alphabet {src.labels}")
         if min(seen.values()) < 0 or max(seen.values()) >= len(dst):
             raise ValueError(f"an output is a symbol id outside the target alphabet {dst.labels}")
-        kept = ("_lookup", seen) if n > 1 else ("_table", _one_block(seen.items(), src, dst)._table)
+        kept = ("_lookup", seen) if n > 1 else ("_table", _outputs(seen.items(), src, dst))
         object.__setattr__(self, *kept)
 
     @property
@@ -115,15 +115,19 @@ class SlidingBlockCode(Value):
         return packed(img, self.target_alphabet)
 
 
-def _one_block(rows: Iterable, src: Alphabet, dst: Alphabet) -> SlidingBlockCode:
-    """The 1-block code from src to dst with these valid rows, its outputs by
-    source id: the 256-byte `bytes.translate` table, 255 at an unmapped id,
-    from at most 256 symbols to at most 255; else a tuple, -1 there."""
+def _outputs(rows: Iterable, src: Alphabet, dst: Alphabet) -> Union[bytes, tuple]:
+    """A 1-block code's outputs by source id from valid rows: a `bytes.translate`
+    table, 255 unmapped, from at most 256 symbols to at most 255, else a tuple, -1 unmapped."""
     narrow = len(src) <= 256 and len(dst) <= 255
     table = bytearray(b"\xff" * 256) if narrow else [-1] * len(src)
     for (sym,), out in rows:
         table[sym] = out
-    return SlidingBlockCode._trusted(0, 0, (bytes if narrow else tuple)(table), src, dst)
+    return (bytes if narrow else tuple)(table)
+
+
+def _one_block(rows: Iterable, src: Alphabet, dst: Alphabet) -> SlidingBlockCode:
+    """The 1-block code from src to dst with these valid rows (`_outputs`)."""
+    return SlidingBlockCode._trusted(0, 0, _outputs(rows, src, dst), src, dst)
 
 
 def identity_code(alphabet: Alphabet) -> SlidingBlockCode:
@@ -151,20 +155,23 @@ def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
 def _image_scan(code: SlidingBlockCode, x: EPSeq) -> _Scan:
     """The kernel's reading of the image of x under the code (see `apply_code`).
 
-    The buffer is the image on [-aa-1-2N, |v|+mm+2N].  The block
-    x_{i-mm} ... x_{i+aa} lies in the left tail for i < -aa and in the
-    right tail for i >= |v| + mm, so there its image is that of the
-    periodic orbit, whose root `_periodic_image` reads once, at phase i
-    and i - |v| respectively.  The two guards of 2N + 1 symbols are tiled
-    from that root; the code reads only the |v| + mm + aa blocks between.
-    """
-    root = _periodic_image(code, x.period_word)
-    mm, aa = code.memory, code.anticipation
-    n, vl = least_period(x), len(x.anomaly)
+    The buffer is the image on [-aa-1-2N, |v|+mm+2N]; left of -aa and from
+    |v|+mm on it is the periodic orbit's, at phase i and i - |v|.  One read
+    gives the N blocks left of -aa, whose phase-0 rotation `primitive_root`
+    cuts to the root, and the span; the guards are tiled from the root.  A
+    missing block is named as a read of phases 0 ... N-1, then the span's."""
+    if x.alphabet != code.source_alphabet:
+        raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
+    mm, aa, n, vl = code.memory, code.anticipation, least_period(x), len(x.anomaly)
     lo = -aa - 1 - 2 * n
-    span = code.read(_symbols(x, -aa - mm, vl + mm + aa))
-    img = _tiled(root, lo, 2 * n + 1) + span + _tiled(root, mm, 2 * n + 1)
-    scan = _scan(img, lo, Word._trusted(root, code.target_alphabet), vl)
+    try:
+        img = code.read(_symbols(x, -aa - n - mm, vl + mm + aa))
+    except MissingBlock:  # the orbit's first missing block, if any, else the span's
+        apply_code_to_periodic(code, PeriodicSeq._trusted(x.period_word))
+        raise
+    root = primitive_root(Word._trusted(img[aa % n:n] + img[:aa % n], code.target_alphabet))[0]
+    img = _tiled(root.symbols, lo, n + 1) + img + _tiled(root.symbols, mm, 2 * n + 1)
+    scan = _scan(img, lo, root, vl)
     if scan is None:
         raise DegenerateImage("image of the sequence under the code is periodic")
     return scan
@@ -177,22 +184,16 @@ def _image_similar(code: SlidingBlockCode, x: EPSeq, y: EPSeq) -> bool:
     scan = _image_scan(code, x)
     require_same_alphabet(scan.period, y.period_word)
     c = canonical(y)
-    return scan.anchored_symbols(scan.window.start) == (c.period_word.symbols, c.anomaly.symbols)
+    return scan.anchored_symbols(scan.start) == (c.period_word.symbols, c.anomaly.symbols)
 
 
 def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSeq:
-    """Image of a periodic sequence under the code (always periodic)."""
-    root = _periodic_image(code, p.period_word)
-    return PeriodicSeq._trusted(Word._trusted(root, code.target_alphabet))
-
-
-def _periodic_image(code: SlidingBlockCode, w: Word) -> Symbols:
-    """The symbols of the primitive root of the image of k -> w[k mod |w|]
-    under the code, read by the code and cut by `primitive_root`."""
+    """Image of a periodic sequence under the code (always periodic): its root."""
+    w = p.period_word
     if w.alphabet != code.source_alphabet:
         raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
     img = code.read(_tiled(w.symbols, -code.memory, len(w) + code.block_length - 1))
-    return primitive_root(Word._trusted(img, code.target_alphabet))[0].symbols
+    return PeriodicSeq._trusted(primitive_root(Word._trusted(img, code.target_alphabet))[0])
 
 
 def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,

@@ -47,8 +47,8 @@ cache outside the values grows.
 
 Values built from parts that are already valid (a slice of a valid word, a
 primitive root, a scan's anchored form) skip their constructor's checks
-through the one unchecked constructor, ``Value._trusted``, which sets
-fields and memos as the public constructors do; those check everything.
+through the unchecked constructor, ``_trusted``, which sets fields and
+memos as the public constructors do; those check everything.
 
 One representational limit is inherent to the anchoring: a sequence whose
 leftmost deviation from its periodic tail sits at a negative index has no
@@ -189,14 +189,15 @@ def _symbols(x: EPSeq, lo: int, hi: int) -> Symbols:
 
 
 class _Scan(NamedTuple):
-    """The kernel's reading of a sequence y, materialized as
-    buf = y_lo, y_lo+1, ...; see :func:`_scan`."""
+    """The kernel's reading of a sequence y, materialized as buf = y_lo,
+    y_lo+1, ...; see :func:`_scan`.  Its window is two ints, not a value."""
 
     buf: Symbols
     lo: int
     period: Word
     defect: int
-    window: AnomalyWindow
+    start: int
+    length: int
 
     def anchored_symbols(self, prefer: int) -> tuple[Symbols, Symbols]:
         """The period and anomaly symbols of the anchored form of y shifted
@@ -210,7 +211,7 @@ class _Scan(NamedTuple):
         w = self.period.symbols
         n = len(w)
         t = min(prefer, self.defect)
-        length = self.window.length + n * -(-max(0, self.window.start - t) // n)
+        length = self.length + n * -(-max(0, self.start - t) // n)
         o = t % n
         at = t - self.lo
         return w[o:] + w[:o] if o else w, self.buf[at:at + length]
@@ -237,7 +238,7 @@ def _scan(buf: Symbols, lo: int, period: Word, delta: int) -> Optional[_Scan]:
     [s, s+L) leaves the left tail's periodic extension iff s <= d,
     s + L > e and L ≡ delta (mod N).  So the leftmost minimal anomaly
     window has the least length L ≡ delta (mod N) with L >= max(1, e + 1 - d),
-    and it starts at e + 1 - L.  Returns None when y is periodic.
+    and it starts at e + 1 - L: `start` and `length`.  None if y is periodic.
 
     Both indices come from one comparison of y with itself N places on:
     d is the first i with y_i != y_{i-N} and e the last with y_i != y_{i+N}.
@@ -261,7 +262,7 @@ def _scan(buf: Symbols, lo: int, period: Word, delta: int) -> Optional[_Scan]:
     e = lo + (z.bit_length() - 1) // bits
     need = max(1, e + 1 - d)
     length = need + (delta - need) % n
-    return _Scan(buf, lo, period, d, AnomalyWindow(e + 1 - length, length))
+    return _Scan(buf, lo, period, d, e + 1 - length, length)
 
 
 def _normal_form(x: EPSeq, prefer: int = 0) -> _Scan:
@@ -366,7 +367,7 @@ def canonical(x: EPSeq) -> EPSeq:
     memo = x._canonical
     if memo is None:
         scan = _normal_form(x)
-        c = scan.anchor(scan.window.start)
+        c = scan.anchor(scan.start)
         object.__setattr__(c, "_canonical", True)
         memo = True if c == x else c
         object.__setattr__(x, "_canonical", memo)

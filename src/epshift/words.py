@@ -32,7 +32,7 @@ class Value:
     through the instance ``__dict__``, which would slow every later read.
 
     Internal results built from parts already known to be valid skip the
-    checks through the one unchecked constructor, :meth:`_trusted`.
+    checks through the unchecked constructor, :meth:`_trusted` (`Word` has its own).
     """
 
     _hash = None
@@ -199,10 +199,18 @@ def packed(ids: Iterable[int], alphabet: Alphabet) -> Symbols:
 
 class Word(Value):
     """A finite sequence of symbol ids over a fixed alphabet, held as `packed`
-    holds them: bytes never equal a tuple, so the checked constructor packs."""
+    holds them: bytes never equal a tuple, so the checked constructor packs.
+    The value built most often: its `_trusted` takes two fields, no memos."""
 
     symbols: Symbols
     alphabet: Alphabet
+
+    @classmethod
+    def _trusted(cls, symbols: Symbols, alphabet: Alphabet) -> Word:
+        self = _new(cls)
+        _set(self, "symbols", symbols)
+        _set(self, "alphabet", alphabet)
+        return self
 
     def __post_init__(self) -> None:
         n = len(self.alphabet.labels)

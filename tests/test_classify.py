@@ -43,7 +43,9 @@ from epshift.errors import (
 )
 from epshift.sequences import (
     PeriodicSeq,
+    _scan,
     _symbols,
+    _tiled,
     anomaly_size,
     canonical,
     least_period,
@@ -60,7 +62,7 @@ from epshift.sturmian import (
     skew_sturmian,
     symbol_reverse,
 )
-from epshift.words import Alphabet, BINARY, Word, packed, rotate, word
+from epshift.words import Alphabet, BINARY, Word, packed, primitive_root, rotate, word
 
 
 def ep(w, v):
@@ -884,8 +886,8 @@ def _scan_outcome(code, x):
     """Everything an image scan gives, or the error it raises."""
     def read():
         scan = classify._image_scan(code, x)
-        return (tuple(scan.buf), scan.lo, scan.period, scan.defect, scan.window,
-                scan.anchored_symbols(scan.window.start), scan.anchored_symbols(0))
+        return (tuple(scan.buf), scan.lo, scan.period, scan.defect, scan.start, scan.length,
+                scan.anchored_symbols(scan.start), scan.anchored_symbols(0))
     return _outcome(read)
 
 
@@ -1020,40 +1022,59 @@ def test_1_block_read_and_out_match_the_tuple_route(size):
                     MissingBlock, f"block {block} not in code table")
 
 
-def _capped_8_codes():
-    """The codes verify builds at --max-period-sum 8, seed 7: criterion 5's
-    witnesses, with the searched inverses too, and criterion 7's flow
-    witnesses, their erase maps and identity links among them."""
+def _links_with_sources(x, y, wit):
+    """(code, sequence) for every code of the witness, with the sequence its
+    replay reads the code on: a FORWARD code on the sequence before its
+    move or on chain_x's end, a BACKWARD one on the move's result or on
+    chain_y's end."""
+    links, ends = [], []
+    for cur, chain in ((x, wit.chain_x), (y, wit.chain_y)):
+        for move in chain:
+            if isinstance(move, ConjugacyMove):
+                links.append((move.code, cur if move.direction == FORWARD else move.result))
+            cur = move.result
+        ends.append(cur)
+    return links + [(code, ends[direction == BACKWARD]) for code, direction in wit.final]
+
+
+@pytest.fixture(scope="module")
+def capped_8_links():
+    """The codes verify builds at --max-period-sum 8, seed 7, each with a
+    sequence its replay reads it on: criterion 5's witnesses, with the
+    searched inverses too, and criterion 7's flow witnesses, their erase
+    maps and identity links among them."""
     bounds = verify.VerifyBounds().capped(8)
     groups = {}
     for x in verify.family_instances(bounds, 7):
         groups.setdefault((least_period(x), anomaly_size(x) % least_period(x)), []).append(x)
     pairs = [(members[0], other) for members in groups.values() for other in members[1:]]
     pairs += [(skew(TYPE_S, q, p), skew(TYPE_SPRIME, p, q)) for q, p in verify.coprime_pairs(8)]
-    codes = []
+    links = []
     for x, y in pairs:
-        codes += [*conjugacy_witness(x, y), _witness_code(canonical(y), canonical(x))]
+        fwd, inv = conjugacy_witness(x, y)
+        links += [(fwd, x), (inv, y), (_witness_code(canonical(y), canonical(x)), canonical(y))]
     rng = random.Random(7)
     flows = itertools.combinations_with_replacement(map(skew_sturmian, verify._all_specs(8)), 2)
     for x, y in [*flows, *((verify.random_ep(rng, wmax=3, vmax=4),
                             verify.random_ep(rng, wmax=3, vmax=4)) for _ in range(50))]:
-        wit = flow_witness(x, y)
-        codes += [m.code for m in wit.chain_x + wit.chain_y if isinstance(m, ConjugacyMove)]
-        codes += [code for code, _ in wit.final]
-    return codes
+        links += _links_with_sources(x, y, flow_witness(x, y))
+    return links
 
 
-def _wide_codes(a):
-    """Codes over an alphabet of more than 256 symbols: a 1-block witness
-    and its read-off inverse, a radius-1 witness, an identity code, the
-    erase map of a raised chain and a flow witness's final link."""
+def _wide_links(a):
+    """Codes over an alphabet of more than 256 symbols, each with a sequence
+    its replay reads it on: a 1-block witness and its read-off inverse, a
+    radius-1 witness, an identity code, the erase map of a raised chain
+    and a flow witness's final link."""
     hi = len(a) - 1
     z = make_ep(Word((0, hi, 3), a), Word((1,), a))
     relabelled = make_ep(Word((hi - 1, 2, 0), a), Word((hi,), a))
     x, y = make_ep(Word((0, 0, hi), a), Word((hi,), a)), make_ep(Word((0, 0, hi), a), Word((0,), a))
-    wit = flow_witness(z, ep("0", "1"))
-    return [*conjugacy_witness(z, relabelled), *conjugacy_witness(x, y), identity_code(a),
-            _raise_moves(z, 1, 1)[0][0].code, wit.final[0][0]]
+    (fz, iz), (fx, ix) = conjugacy_witness(z, relabelled), conjugacy_witness(x, y)
+    erase, binary = _raise_moves(z, 1, 1)[0][0], ep("0", "1")
+    final = _links_with_sources(z, binary, flow_witness(z, binary))[-1]
+    return [(fz, z), (iz, relabelled), (fx, x), (ix, y), (identity_code(a), z),
+            (erase.code, erase.result), final]
 
 
 def _assert_round_trips(code):
@@ -1062,9 +1083,9 @@ def _assert_round_trips(code):
     assert parsed.entries == code.entries and type(parsed._table) is type(code._table)
 
 
-def test_every_code_round_trips_through_json_on_capped_8_instances():
+def test_every_code_round_trips_through_json_on_capped_8_instances(capped_8_links):
     # and the swaps of two reciprocal pairs past the bytes probe's 32 centres
-    codes = _capped_8_codes()
+    codes = [code for code, _ in capped_8_links]
     for q, p in ((47, 53), (2, 45)):
         codes += conjugacy_witness(skew(TYPE_S, q, p), skew(TYPE_SPRIME, p, q))
     for code in codes:
@@ -1078,7 +1099,7 @@ def test_every_code_round_trips_through_json_on_capped_8_instances():
 
 @pytest.mark.parametrize("size", [257, 65537])
 def test_every_code_round_trips_through_json_over_wide_alphabets(size):
-    codes = _wide_codes(WIDE[size])
+    codes = [code for code, _ in _wide_links(WIDE[size])]
     assert [code.memory for code in codes] == [0, 0, 1, 1, 0, 0, 0]
     assert all(type(code._table) is tuple for code in codes if code.block_length == 1)
     for code in codes:
@@ -1097,6 +1118,80 @@ def test_a_1_block_witness_onto_256_symbols_holds_a_tuple_past_the_bytes_probe()
     assert similar(apply_code(fwd, x), y) and similar(apply_code(inv, y), x)
     for code in (fwd, inv):
         _assert_round_trips(code)
+
+
+# --- the one-read image scan against the two-read construction ----------------
+
+def _two_read_scan(code, x):
+    """`classify._image_scan` by two reads, kept as its oracle: the code
+    reads the periodic orbit's phases 0 ... N-1, whose root `primitive_root`
+    cuts, and then the span; the guards around the span, from -aa-1-2N on
+    the left and of 2N + 1 symbols on the right, are tiled from the root."""
+    if x.alphabet != code.source_alphabet:
+        raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
+    mm, aa, bl = code.memory, code.anticipation, code.block_length
+    n, vl = least_period(x), len(x.anomaly)
+    orbit = code.read(_tiled(x.period_word.symbols, -mm, n + bl - 1))
+    root = primitive_root(Word._trusted(orbit, code.target_alphabet))[0]
+    span = code.read(_symbols(x, -aa - mm, vl + mm + aa))
+    lo = -aa - 1 - 2 * n
+    img = _tiled(root.symbols, lo, 2 * n + 1) + span + _tiled(root.symbols, mm, 2 * n + 1)
+    scan = _scan(img, lo, root, vl)
+    if scan is None:
+        raise DegenerateImage("image of the sequence under the code is periodic")
+    return scan
+
+
+def _wide_links_257_and_65537():
+    return [link for size in (257, 65537) for link in _wide_links(WIDE[size])]
+
+
+def test_one_read_image_scan_matches_the_two_read_construction(capped_8_links):
+    links = capped_8_links + _wide_links_257_and_65537()
+    for code, x in links:
+        scan = classify._image_scan(code, x)
+        assert scan == _two_read_scan(code, x), (code, x)
+        assert type(scan.buf) is type(packed((), code.target_alphabet))
+    # criterion 5's searched inverses reach radius 9; 1-block codes hold
+    # byte tables and tuples
+    assert max(code.memory for code, _ in links) == 9
+    assert {type(code._table) for code, _ in links if code.block_length == 1} == {bytes, tuple}
+
+
+def _orbit_and_span_blocks(code, x):
+    """The blocks the image test reads in the periodic orbit, by phase, and
+    those it reads only in the span, in the order of the span."""
+    bl, n = code.block_length, least_period(x)
+    mm, aa, vl = code.memory, code.anticipation, len(x.anomaly)
+
+    def blocks(syms):
+        return list(dict.fromkeys(tuple(syms[i:i + bl]) for i in range(len(syms) - bl + 1)))
+
+    orbit = blocks(_tiled(x.period_word.symbols, -mm, n + bl - 1))
+    return orbit, [b for b in blocks(_symbols(x, -aa - mm, vl + mm + aa)) if b not in orbit]
+
+
+def test_one_read_image_scan_names_the_missing_block_the_two_reads_named(capped_8_links):
+    # check-witness trails name the first block missing from a code's table:
+    # a row of the periodic orbit (phases 0 ... N-1 first), else one of the span
+    checked = 0
+    for code, x in capped_8_links[::5] + _wide_links_257_and_65537():
+        orbit, span = _orbit_and_span_blocks(code, x)
+        dropped = [[orbit[-1]], [orbit[0], orbit[-1]]]
+        if span:
+            dropped += [[span[0]], [span[-1], orbit[-1]]]
+        for missing in dropped:
+            rows = tuple(row for row in code.entries if row[0] not in missing)
+            if not rows:
+                continue
+            partial = SlidingBlockCode(code.memory, code.anticipation, rows,
+                                       code.source_alphabet, code.target_alphabet)
+            got = _outcome(classify._image_scan, partial, x)
+            assert got == _outcome(_two_read_scan, partial, x), (code, x, missing)
+            first = min(missing, key=(orbit + span).index)
+            assert got == (MissingBlock, f"block {first} not in code table"), (code, x, missing)
+            checked += 1
+    assert checked > 5000
 
 
 # --- symbol expansion --------------------------------------------------------

@@ -308,3 +308,32 @@ def test_an_environment_read_is_found():
         "os.environ.get('EPSHIFT_FAST') (line 6)", "getenv('EPSHIFT_FAST', '1') (line 6)",
         "environ[name] (line 7)", "os.getenv(key=name) (line 7)", "os.environ (line 7)",
         "os.environ.get (line 8)", "os.environb[b'SUBSHIFT_SEED'] (line 8)", "os.environ (line 8)"]
+
+
+CODE_GENERATORS = ("exec", "eval", "compile")
+
+
+def code_generation(tree: ast.Module) -> list[str]:
+    """The reads of `exec`, `eval` and `compile`, bare or off `builtins`,
+    with their line numbers; `re.compile` and other methods of those names
+    count for nothing.  Code generated at import is compiled anew by every
+    command on a host that writes no bytecode, so each command pays for it:
+    the library's code is written out, as `Word._trusted` is."""
+    found = sorted((node.lineno, node.col_offset, ast.unparse(node)) for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id in CODE_GENERATORS
+                   or isinstance(node, ast.Attribute) and node.attr in CODE_GENERATORS
+                   and isinstance(node.value, ast.Name) and node.value.id == "builtins")
+    return [f"{text} (line {line})" for line, _, text in found]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_code_is_generated(module):
+    assert code_generation(ast.parse((SRC / module).read_text(), module)) == []
+
+
+def test_generated_code_is_found():
+    tree = ast.parse("import builtins, re\n\nexec(f'def f(): return {x}', ns)\n"
+                     "run = eval\npattern = re.compile('[01]+')\n"
+                     "code = builtins.compile(text, 'gen', 'exec')\nx.evaluate(), x.exec_count\n")
+    assert code_generation(tree) == ["exec (line 3)", "eval (line 4)",
+                                     "builtins.compile (line 6)"]

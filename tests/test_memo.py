@@ -106,9 +106,10 @@ def test_memo_agrees_with_a_fresh_scan_and_is_invisible(parts):
     assert "_canonical" not in vars(x)
     scan = _normal_form(x)
     c = canonical(x)
-    assert c == scan.anchor(scan.window.start)
+    assert c == scan.anchor(scan.start)
     assert canonical(c) is c and canonical(x) is c
-    assert anomaly_size(x) == anomaly_windows(x)[0].length == len(c.anomaly)
+    assert AnomalyWindow(scan.start, scan.length) == anomaly_windows(x)[0]
+    assert anomaly_size(x) == scan.length == len(c.anomaly)
     # a value with filled memos and an equal one without are interchangeable
     memos = {"_canonical", "_hash"}
     for filled in (x, c):

@@ -353,11 +353,23 @@ def brute_first_defect(x):
     return next(k for k in range(len(x.anomaly) + len(w)) if x.symbol_id_at(k) != w[k % len(w)])
 
 
+def _assert_kernel_window_is_first_brute_force_window(x):
+    scan = _normal_form(x)
+    assert AnomalyWindow(scan.start, scan.length) == anomaly_windows(x)[0], x
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ep_parts)
 def test_kernel_window_is_first_brute_force_window(parts):
-    x = ep_from(parts)
-    assert _normal_form(x).window == anomaly_windows(x)[0]
+    _assert_kernel_window_is_first_brute_force_window(ep_from(parts))
+
+
+def test_kernel_window_is_first_brute_force_window_on_the_capped_8_family():
+    # verify's family at --max-period-sum 8, and random instances
+    rng = random.Random(37)
+    family = verify.family_instances(verify.VerifyBounds().capped(8), 0)
+    for x in family + [verify.random_ep(rng, 9, 30) for _ in range(300)]:
+        _assert_kernel_window_is_first_brute_force_window(x)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -465,7 +477,7 @@ def reference_scan(buf, lo, period, delta):
     e = lo + len(diffs) - 1 - diffs[::-1].index(True)
     need = max(1, e + 1 - d)
     length = need + (delta - need) % n
-    return _Scan(buf, lo, period, d, AnomalyWindow(e + 1 - length, length))
+    return _Scan(buf, lo, period, d, e + 1 - length, length)
 
 
 # byte-packed up to 256 symbols, array-packed above; 70,000 needs a third byte
@@ -512,7 +524,7 @@ def test_packed_scan_finds_defects_at_the_first_and_last_compared_index():
             assert scan == reference_scan(buf, -2, period, len(middle))
             # buf[2] != buf[0] and buf[-1] != buf[-3]: the first and last compared pairs
             assert scan.defect == -2 + 2
-            assert scan.window.start + scan.window.length == -2 + len(buf) - 2
+            assert scan.start + scan.length == -2 + len(buf) - 2
         for buf in (period.symbols[:0], period.symbols, period.symbols * 3,
                     (period.symbols * 3)[1:]):
             assert _scan(buf, 0, period, 1) is None is reference_scan(buf, 0, period, 1)
