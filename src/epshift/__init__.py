@@ -24,16 +24,13 @@ from .classify import (
 )
 from .errors import EpshiftError
 from .sequences import (
-    AnomalyWindow,
     EPSeq,
     PeriodicSeq,
     anomaly_size,
-    anomaly_windows,
     canonical,
     least_period,
     make_ep,
     remove_anomaly,
-    remove_window,
     shift,
     similar,
     window,
@@ -45,9 +42,6 @@ from .sturmian import (
     TYPE_S,
     TYPE_SPRIME,
     cell_series,
-    cell_zeros,
-    chain_zero_counts,
-    cutting_sequence,
     expand_cells,
     skew_sturmian,
     symbol_reverse,
@@ -56,7 +50,6 @@ from .words import (
     BINARY,
     Alphabet,
     Word,
-    is_balanced_chains,
     is_primitive,
     primitive_root,
     rotate,

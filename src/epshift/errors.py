@@ -78,11 +78,6 @@ class SymbolAbsent(InputError):
     """Symbol expansion requested for a symbol that does not occur."""
 
 
-class PostconditionFailed(EpshiftError):
-    """A flow chain's mark or expansions changed the invariants other than
-    the raise asked for."""
-
-
 class MalformedInput(InputError):
     """A JSON value does not match the schema of its declared format: a
     required key is missing or has the wrong type."""

@@ -28,11 +28,10 @@ Python 3.10: a word over at most 256 symbols holds bytes, a byte per
 symbol, which the scan reads as they are.  Item j fills bits
 [8wj, 8w(j+1)) for width w, so the lowest and highest set bits name the
 first and last differing items exactly.  ``anomaly_size``, ``canonical``,
-``shift``, ``remove_window`` and code images in :mod:`epshift.classify`
-all go through it.  The brute-force window search (``anomaly_windows``),
-which tries every window by slice compares and shares no code with the
-kernel, stays as the independent oracle that :mod:`epshift.verify` and
-the tests hold the kernel to.
+``shift`` and code images in :mod:`epshift.classify` all go through it.
+The brute-force window search that the kernel is held to, which shares
+no code with it, and window removal live in :mod:`epshift.verify`, the
+only module that runs them.
 
 Each value is scanned for its normal form at most once.  ``canonical(x)``
 keeps its result on x itself, in the memo ``_canonical`` over the class
@@ -62,7 +61,7 @@ unaffected.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .errors import DegeneratePeriodic, InternalMismatch
 from .words import (
@@ -95,13 +94,6 @@ class PeriodicSeq(Value):
 
     def symbol_id_at(self, k: int) -> int:
         return self.period_word.symbols[k % len(self.period_word)]
-
-
-class AnomalyWindow(Value):
-    """Index window [start, start+length) whose removal leaves a periodic sequence."""
-
-    start: int
-    length: int
 
 
 class EPSeq(Value):
@@ -285,62 +277,6 @@ def window(x: EPSeq, i: int, j: int) -> Word:
 
 def least_period(x: EPSeq) -> int:
     return len(x.period_word)
-
-
-def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
-    """Delete the window from the sequence: y_k = x_k for k < start and
-    y_k = x_{k+length} for k >= start.
-
-    The periodic-or-not classification is exact: the kernel finds no defect
-    iff the result is periodic, and then it is the extension of the left
-    tail, PeriodicSeq(period_word).  A non-periodic result is
-    re-anchored (see module docstring).
-    """
-    if win.length < 1:
-        raise ValueError("window length must be >= 1")
-    s, length = win.start, win.length
-    n, vl = len(x.period_word), len(x.anomaly)
-    lo = min(0, s) - 2 * n
-    buf = _symbols(x, lo, max(s + length, vl) + 2 * n)
-    cut = s - lo
-    scan = _scan(buf[:cut] + buf[cut + length:], lo, x.period_word, vl - length)
-    return PeriodicSeq._trusted(x.period_word) if scan is None else scan.anchor(0)
-
-
-def anomaly_windows(x: EPSeq) -> list[AnomalyWindow]:
-    """All removal windows that leave a periodic sequence, for lengths
-    0 < L <= |anomaly| congruent to |anomaly| mod N and starts in
-    [-L-2N, |anomaly|+2N].  Sorted by (length, start); never empty since
-    [0, |anomaly|) always qualifies.
-
-    This is the brute-force search, quadratic in the sizes, and the oracle
-    for the kernel, which finds the first window directly.  A window [s,
-    s+L) qualifies when its deletion y leaves the left tail's extension
-    z_k = w[k mod N].  y agrees with z for k < min(0, s) and both are
-    N-periodic from max(s, |v| - L) on, so comparing them on [min(0, s) - N,
-    max(s, |v| - L) + 2N] decides exactly.  As y_k is x_k before s and
-    x_{k+L} from s on, that is two slice compares of x, built once from its
-    definition w*k + v + w*r, with z = w*m, both read from -kN, the left
-    compare once per start s, as it does not depend on L.
-    """
-    w, v = x.period_word.symbols, x.anomaly.symbols
-    n, vl = len(w), len(v)
-    reach = -(-vl // n)  # |v| is the greatest length tried
-    k = reach + 3  # the least lo is -L-3N
-    xs = w * k + v + w * (reach + 5)  # the greatest index read is |v|+4N+L
-    zs = w * (len(xs) // n + 1)
-    o = k * n  # the buffer index of position 0
-    found = []
-    for s in range(-vl - 2 * n, vl + 2 * n + 1):
-        lo, at = min(0, s) - n + o, s + o
-        if xs[lo:at] == zs[lo:at]:
-            for length in range(vl % n or n, vl + 1, n):
-                hi = max(s, vl - length) + 2 * n + 1 + o
-                if s >= -length - 2 * n and xs[at + length:hi + length] == zs[at:hi]:
-                    found.append((length, s))
-    if not found:
-        raise InternalMismatch("anomaly window search found nothing; bug")
-    return [AnomalyWindow(s, length) for length, s in sorted(found)]
 
 
 def anomaly_size(x: EPSeq) -> int:

@@ -14,16 +14,13 @@ lengths given by the restricted Bézout pair; nothing is searched for, and
 only those two blocks are expanded into symbols.
 
 The cutting-sequence construction (a line of slope p/q crossing an integer
-lattice) provides an independent second route to the same sequences and is
-used for cross-validation only.
+lattice), an independent second route to the same sequences, lives in
+:mod:`epshift.verify`, which cross-validates the generator against it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate
 from math import gcd
-from operator import sub
 
 from .bezout import SUM_LIMIT, restricted_bezout
 from .errors import InputTooLarge, InternalMismatch, InvalidSpec, WrongAlphabet
@@ -103,29 +100,10 @@ class SturmianSpec(Value):
             raise InvalidSpec("S'(m, inf) is not defined")
 
 
-def _count_multiples(p: int, lo: int, hi: int, lo_strict: bool, hi_strict: bool) -> int:
-    """Number of integers k with k*p in the interval from lo to hi with the
-    given endpoint strictness (exact integer arithmetic)."""
-    top = (hi - 1) // p if hi_strict else hi // p
-    bot = lo // p if lo_strict else (lo - 1) // p
-    return top - bot
-
-
 def _require_rational(spec: SturmianSpec) -> tuple[int, int]:
     if spec.freq.kind != "rational":
         raise InvalidSpec(f"cell series needs a rational frequency, got {spec.freq.text}")
     return spec.freq.q, spec.freq.p
-
-
-def cell_zeros(spec: SturmianSpec, n: int) -> int:
-    """Zeros in cell B_n: the points of G = {m + k p/q} in the cell's
-    interval.  For S(m, q/p) it is (n, n+1], (m, m+1) or [n, n+1) according
-    as n < m, n = m, n > m; S'(m, q/p) flips every endpoint, giving [n, n+1),
-    [m, m+1] or (n, n+1]."""
-    q, p = _require_rational(spec)
-    is_s, m = spec.stype == TYPE_S, spec.m
-    return _count_multiples(p, q * (n - m), q * (n - m + 1),
-                            (n <= m) == is_s, (n >= m) == is_s)
 
 
 def _christoffel(r: int, p: int) -> bytes:
@@ -204,51 +182,6 @@ def expand_cells(cs: CellSeries) -> Word:
     cell = {z: b"\x01" + bytes(z) for z in set(cs.zeros)}.__getitem__
     return Word._trusted(b"".join([b"".join(map(cell, cs.zeros[i:i + 4096]))
                                    for i in range(0, len(cs.zeros), 4096)]), BINARY)
-
-
-def chain_zero_counts(cs: CellSeries, n: int) -> Counter:
-    """Multiset of zero counts over all contiguous n-cell chains."""
-    if not 1 <= n <= len(cs.zeros):
-        raise ValueError(f"chain length {n} out of range [1, {len(cs.zeros)}]")
-    prefix = [0, *accumulate(cs.zeros)]
-    return Counter(map(sub, prefix[n:], prefix))
-
-
-def cutting_sequence(spec: SturmianSpec, n_lo: int, n_hi: int) -> Word:
-    """Symbols cut by the line y = (p/q) x + m: '1' at horizontal lattice
-    crossings, '0' at vertical ones, and a two-symbol insertion at integer
-    lattice points ("01" below or at y = m and "10" above for type S;
-    reversed for type S').
-
-    Events are ordered by their exact rational x-coordinate (scaled by p so
-    everything is an integer).  The window covers the crossings from y=n_lo
-    (inclusive) up to y=n_hi+1 (exclusive), which matches the cell-series
-    expansion over [n_lo, n_hi] up to one boundary symbol on each side.
-    """
-    q, p = _require_rational(spec)
-    if n_lo > n_hi:
-        raise ValueError(f"need n_lo <= n_hi, got {n_lo} > {n_hi}")
-    m = spec.m
-    x_start = (n_lo - m) * q
-    x_end = (n_hi + 1 - m) * q
-    horizontals = {(n - m) * q: n for n in range(n_lo, n_hi + 1)}
-    k_first = -((-x_start) // p)          # ceil(x_start / p)
-    k_last = (x_end - 1) // p             # last k with k*p < x_end
-    verticals = {k * p for k in range(k_first, k_last + 1)}
-    events = sorted(set(horizontals) | verticals)
-    out: list[str] = []
-    for x in events:
-        if x in horizontals and x in verticals:
-            below = horizontals[x] <= m
-            pair = "01" if below else "10"
-            if spec.stype == TYPE_SPRIME:
-                pair = pair[::-1]
-            out.append(pair)
-        elif x in horizontals:
-            out.append("1")
-        else:
-            out.append("0")
-    return word("".join(out))
 
 
 def skew_sturmian(spec: SturmianSpec) -> EPSeq:

@@ -16,6 +16,12 @@ from a marked end.  Each code is checked alone by the one-code conjugacy
 rule.  Failures are recorded as re-parseable counterexamples; an empty
 failure list is a pass.
 
+The slow routes that only these checks run live here, not in the modules
+every command imports: the window search (``AnomalyWindow``,
+``anomaly_windows``) and window removal (``remove_window``) of criteria 2
+and 4, and the cutting sequence (``cutting_sequence``) and cell-chain
+tests (``is_balanced_chains``, ``chain_zero_counts``) of criterion 8.
+
 Each criterion is an instance stream and a check of one instance, which
 returns None or the failure record.  One runner, `_criterion`, counts the
 instances and times the loop that reads them, so what a generator sets up
@@ -47,41 +53,43 @@ import multiprocessing
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from math import gcd
-from typing import Any, Callable, Iterable, Iterator, Optional
+from operator import sub
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import classify, jsonio
 from .bezout import restricted_bezout
-from .errors import DegeneratePeriodic, EpshiftError, WorkerLost
+from .errors import DegeneratePeriodic, EpshiftError, InternalMismatch, WorkerLost
 from .sequences import (
     EPSeq,
     PeriodicSeq,
+    _scan,
+    _symbols,
     anomaly_size,
-    anomaly_windows,
     canonical,
     least_period,
     make_ep,
     remove_anomaly,
-    remove_window,
     similar,
     window,
 )
 from .sturmian import (
+    CellSeries,
     Frequency,
     SturmianSpec,
     TYPE_S,
     TYPE_SPRIME,
+    _require_rational,
     cell_series,
-    chain_zero_counts,
-    cutting_sequence,
     expand_cells,
     skew_sturmian,
     symbol_reverse,
 )
-from .words import BINARY, Value, Word, is_balanced_chains
+from .words import BINARY, Value, Word, word
 
 REPORT_FORMAT = "verifyreport/1"
 
@@ -261,6 +269,69 @@ def check_bezout_oracle(max_sum: int, *, part: tuple[int, int] = (0, 1)) -> Theo
 
     return _criterion("bezout-oracle", {"max_period_sum": max_sum}, coprime_pairs(max_sum), check,
                       part)
+
+
+class AnomalyWindow(Value):
+    """Index window [start, start+length) whose removal leaves a periodic sequence."""
+
+    start: int
+    length: int
+
+
+def anomaly_windows(x: EPSeq) -> list[AnomalyWindow]:
+    """All removal windows that leave a periodic sequence, for lengths
+    0 < L <= |anomaly| congruent to |anomaly| mod N and starts in
+    [-L-2N, |anomaly|+2N].  Sorted by (length, start); never empty since
+    [0, |anomaly|) always qualifies.
+
+    This is the brute-force search, quadratic in the sizes, and the oracle
+    for the kernel, which finds the first window directly.  A window [s,
+    s+L) qualifies when its deletion y leaves the left tail's extension
+    z_k = w[k mod N].  y agrees with z for k < min(0, s) and both are
+    N-periodic from max(s, |v| - L) on, so comparing them on [min(0, s) - N,
+    max(s, |v| - L) + 2N] decides exactly.  As y_k is x_k before s and
+    x_{k+L} from s on, that is two slice compares of x, built once from its
+    definition w*k + v + w*r, with z = w*m, both read from -kN, the left
+    compare once per start s, as it does not depend on L.
+    """
+    w, v = x.period_word.symbols, x.anomaly.symbols
+    n, vl = len(w), len(v)
+    reach = -(-vl // n)  # |v| is the greatest length tried
+    k = reach + 3  # the least lo is -L-3N
+    xs = w * k + v + w * (reach + 5)  # the greatest index read is |v|+4N+L
+    zs = w * (len(xs) // n + 1)
+    o = k * n  # the buffer index of position 0
+    found = []
+    for s in range(-vl - 2 * n, vl + 2 * n + 1):
+        lo, at = min(0, s) - n + o, s + o
+        if xs[lo:at] == zs[lo:at]:
+            for length in range(vl % n or n, vl + 1, n):
+                hi = max(s, vl - length) + 2 * n + 1 + o
+                if s >= -length - 2 * n and xs[at + length:hi + length] == zs[at:hi]:
+                    found.append((length, s))
+    if not found:
+        raise InternalMismatch("anomaly window search found nothing; bug")
+    return [AnomalyWindow(s, length) for length, s in sorted(found)]
+
+
+def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
+    """Delete the window from the sequence: y_k = x_k for k < start and
+    y_k = x_{k+length} for k >= start.
+
+    The periodic-or-not classification is exact: the kernel finds no defect
+    iff the result is periodic, and then it is the extension of the left
+    tail, PeriodicSeq(period_word).  A non-periodic result is re-anchored
+    (see the :mod:`epshift.sequences` docstring).
+    """
+    if win.length < 1:
+        raise ValueError("window length must be >= 1")
+    s, length = win.start, win.length
+    n, vl = len(x.period_word), len(x.anomaly)
+    lo = min(0, s) - 2 * n
+    buf = _symbols(x, lo, max(s + length, vl) + 2 * n)
+    cut = s - lo
+    scan = _scan(buf[:cut] + buf[cut + length:], lo, x.period_word, vl - length)
+    return PeriodicSeq._trusted(x.period_word) if scan is None else scan.anchor(0)
 
 
 def _skew(q: int, p: int, stype: str, m: int = 0) -> EPSeq:
@@ -545,6 +616,64 @@ def check_generator_crossval(max_sum: int, ms: tuple[int, ...], *,
 
     return _criterion("generator-crossval", {"max_period_sum": max_sum, "ms": list(ms)},
                       instances(), check, part)
+
+
+def is_balanced_chains(zeros: Sequence[int]) -> bool:
+    """Balance check at the cell level, on the cells' zero counts: for every
+    chain length m, the zero counts of all contiguous m-cell chains differ
+    by at most one."""
+    n = len(zeros)
+    prefix = [0, *accumulate(zeros)]
+    for m in range(1, n + 1):
+        counts = [prefix[i + m] - prefix[i] for i in range(n - m + 1)]
+        if max(counts) - min(counts) > 1:
+            return False
+    return True
+
+
+def chain_zero_counts(cs: CellSeries, n: int) -> Counter:
+    """Multiset of zero counts over all contiguous n-cell chains."""
+    if not 1 <= n <= len(cs.zeros):
+        raise ValueError(f"chain length {n} out of range [1, {len(cs.zeros)}]")
+    prefix = [0, *accumulate(cs.zeros)]
+    return Counter(map(sub, prefix[n:], prefix))
+
+
+def cutting_sequence(spec: SturmianSpec, n_lo: int, n_hi: int) -> Word:
+    """Symbols cut by the line y = (p/q) x + m: '1' at horizontal lattice
+    crossings, '0' at vertical ones, and a two-symbol insertion at integer
+    lattice points ("01" below or at y = m and "10" above for type S;
+    reversed for type S').
+
+    Events are ordered by their exact rational x-coordinate (scaled by p so
+    everything is an integer).  The window covers the crossings from y=n_lo
+    (inclusive) up to y=n_hi+1 (exclusive), which matches the cell-series
+    expansion over [n_lo, n_hi] up to one boundary symbol on each side.
+    """
+    q, p = _require_rational(spec)
+    if n_lo > n_hi:
+        raise ValueError(f"need n_lo <= n_hi, got {n_lo} > {n_hi}")
+    m = spec.m
+    x_start = (n_lo - m) * q
+    x_end = (n_hi + 1 - m) * q
+    horizontals = {(n - m) * q: n for n in range(n_lo, n_hi + 1)}
+    k_first = -((-x_start) // p)          # ceil(x_start / p)
+    k_last = (x_end - 1) // p             # last k with k*p < x_end
+    verticals = {k * p for k in range(k_first, k_last + 1)}
+    events = sorted(set(horizontals) | verticals)
+    out: list[str] = []
+    for x in events:
+        if x in horizontals and x in verticals:
+            below = horizontals[x] <= m
+            pair = "01" if below else "10"
+            if spec.stype == TYPE_SPRIME:
+                pair = pair[::-1]
+            out.append(pair)
+        elif x in horizontals:
+            out.append("1")
+        else:
+            out.append("0")
+    return word("".join(out))
 
 
 def _crossval_one(spec: SturmianSpec, q: int, p: int, m: int) -> Optional[str]:

@@ -8,8 +8,7 @@ rather than a silent union.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from itertools import accumulate
+from collections.abc import Iterable
 from operator import attrgetter
 
 from .errors import EmptyWord, IncompatibleAlphabets, UnknownSymbol
@@ -283,15 +282,3 @@ def is_primitive(w: Word) -> bool:
         raise EmptyWord("the empty word is not classified")
     return primitive_root(w)[1] == 1
 
-
-def is_balanced_chains(zeros: Sequence[int]) -> bool:
-    """Balance check at the cell level, on the cells' zero counts: for every
-    chain length m, the zero counts of all contiguous m-cell chains differ
-    by at most one."""
-    n = len(zeros)
-    prefix = [0, *accumulate(zeros)]
-    for m in range(1, n + 1):
-        counts = [prefix[i + m] - prefix[i] for i in range(n - m + 1)]
-        if max(counts) - min(counts) > 1:
-            return False
-    return True

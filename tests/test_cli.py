@@ -649,7 +649,7 @@ EXIT_CODES = {
     "EmptyWord": 2, "MalformedInput": 2, "WrongAlphabet": 2,
     "SymbolAbsent": 2,
     "InternalMismatch": 1, "NotConjugate": 1, "WindowExhausted": 1, "MissingBlock": 1,
-    "DegenerateImage": 1, "PostconditionFailed": 1, "WorkerLost": 1,
+    "DegenerateImage": 1, "WorkerLost": 1,
 }
 
 

@@ -30,16 +30,13 @@ from epshift.errors import (
     UnknownSymbol,
 )
 from epshift.sequences import (
-    AnomalyWindow,
     EPSeq,
     PeriodicSeq,
     _normal_form,
     anomaly_size,
-    anomaly_windows,
     canonical,
     make_ep,
     remove_anomaly,
-    remove_window,
     shift,
 )
 from epshift.sturmian import (
@@ -52,7 +49,7 @@ from epshift.sturmian import (
     expand_cells,
     skew_sturmian,
 )
-from epshift.verify import coprime_pairs
+from epshift.verify import AnomalyWindow, anomaly_windows, coprime_pairs, remove_window
 from epshift.words import BINARY, Alphabet, Word, primitive_root, rotate, word
 
 LETTERS = ("a", "b", "c", "d")

@@ -12,20 +12,18 @@ from epshift.sequences import (
     _Scan,
     _scan,
     _tiled,
-    AnomalyWindow,
     EPSeq,
     PeriodicSeq,
     anomaly_size,
-    anomaly_windows,
     canonical,
     least_period,
     make_ep,
     remove_anomaly,
-    remove_window,
     shift,
     similar,
     window,
 )
+from epshift.verify import AnomalyWindow, anomaly_windows, remove_window
 from epshift.words import Alphabet, BINARY, Word, is_primitive, primitive_root, rotate, word
 
 

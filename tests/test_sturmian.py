@@ -20,14 +20,11 @@ from epshift.sturmian import (
     TYPE_S,
     TYPE_SPRIME,
     cell_series,
-    cell_zeros,
-    chain_zero_counts,
-    cutting_sequence,
     expand_cells,
     skew_sturmian,
     symbol_reverse,
 )
-from epshift.verify import coprime_pairs
+from epshift.verify import chain_zero_counts, coprime_pairs, cutting_sequence
 from epshift.words import word
 
 
@@ -37,6 +34,25 @@ def spec_S(q, p, m=0):
 
 def spec_Sp(q, p, m=0):
     return SturmianSpec(Frequency.rational(q, p), TYPE_SPRIME, m)
+
+
+def _count_multiples(p, lo, hi, lo_strict, hi_strict):
+    """Number of integers k with k*p in the interval from lo to hi with the
+    given endpoint strictness (exact integer arithmetic)."""
+    top = (hi - 1) // p if hi_strict else hi // p
+    bot = lo // p if lo_strict else (lo - 1) // p
+    return top - bot
+
+
+def cell_zeros(spec, n):
+    """Zeros in cell B_n of a rational spec: the points of G = {m + k p/q}
+    in the cell's interval.  For S(m, q/p) it is (n, n+1], (m, m+1) or
+    [n, n+1) according as n < m, n = m, n > m; S'(m, q/p) flips every
+    endpoint, giving [n, n+1), [m, m+1] or (n, n+1].  The one-cell
+    definition that the generator's marker bytes are tested against."""
+    q, p, m, is_s = spec.freq.q, spec.freq.p, spec.m, spec.stype == TYPE_S
+    return _count_multiples(p, q * (n - m), q * (n - m + 1),
+                            (n <= m) == is_s, (n >= m) == is_s)
 
 
 def test_cell_zeros_S_examples():

@@ -28,13 +28,10 @@ from epshift.classify import (
 )
 from epshift.errors import DegeneratePeriodic
 from epshift.sequences import (
-    AnomalyWindow,
     EPSeq,
     PeriodicSeq,
-    anomaly_windows,
     canonical,
     make_ep,
-    remove_window,
     shift,
     window,
 )
@@ -45,11 +42,11 @@ from epshift.sturmian import (
     Frequency,
     SturmianSpec,
     cell_series,
-    cutting_sequence,
     expand_cells,
     skew_sturmian,
     symbol_reverse,
 )
+from epshift.verify import AnomalyWindow, anomaly_windows, cutting_sequence, remove_window
 from epshift.words import BINARY, Alphabet, Value, Word, primitive_root, rotate, word
 
 
@@ -133,16 +130,21 @@ def test_repr_is_the_field_list():
 
 def test_cli_import_loads_no_code_generation_modules():
     """`import epshift.cli` adds neither dataclasses nor inspect to what
-    the bare interpreter had loaded: each costs every command milliseconds."""
-    probe = ("import sys; before = set(sys.modules); import epshift.cli; "
-             "print(' '.join(sorted(set(sys.modules) - before)))")
+    the bare interpreter had loaded: each costs every command milliseconds.
+    Neither it nor `import epshift` loads `epshift.verify`, which holds the
+    slow oracles, or the pool and random modules only verify needs."""
     src = str(Path(epshift.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
-    assert "epshift.cli" in out
-    assert not {"dataclasses", "inspect"} & set(out)
+    verify_only = {"epshift.verify", "multiprocessing", "concurrent.futures", "random"}
+    for module in ("epshift.cli", "epshift"):
+        probe = (f"import sys; before = set(sys.modules); import {module}; "
+                 "print(' '.join(sorted(set(sys.modules) - before)))")
+        # -S: `site` may load some of these itself, which would hide them from the probe
+        out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert module in out
+        assert not ({"dataclasses", "inspect"} | verify_only) & set(out), module
 
 
 # --- one kind of symbols per alphabet size ---------------------------------------

@@ -9,8 +9,15 @@ import pytest
 from epshift import classify, verify
 from epshift.bezout import restricted_bezout
 from epshift.errors import InternalMismatch
-from epshift.sequences import AnomalyWindow, PeriodicSeq, make_ep
-from epshift.verify import TheoremCheck, VerifyBounds, VerifyReport, _witness_verifies, coprime_pairs
+from epshift.sequences import PeriodicSeq, make_ep
+from epshift.verify import (
+    AnomalyWindow,
+    TheoremCheck,
+    VerifyBounds,
+    VerifyReport,
+    _witness_verifies,
+    coprime_pairs,
+)
 from epshift.words import Alphabet, Word, word
 
 

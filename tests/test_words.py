@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epshift.errors import EmptyWord, UnknownSymbol
+from epshift.verify import is_balanced_chains
 from epshift.words import (
     BINARY,
     Alphabet,
     Word,
-    is_balanced_chains,
     is_primitive,
     primitive_root,
     rotate,
