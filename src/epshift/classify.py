@@ -20,7 +20,6 @@ from .errors import (
     MissingBlock,
     NotConjugate,
     SymbolAbsent,
-    WindowExhausted,
 )
 from .sequences import (
     EPSeq,
@@ -86,12 +85,6 @@ class SlidingBlockCode(Value):
         mark = 255 if isinstance(self._table, bytes) else -1  # an unmapped id's output
         return self._table if self.block_length > 1 else tuple(
             ((s,), o) for s, o in zip(range(len(self.source_alphabet)), self._table) if o != mark)
-
-    def out(self, block: tuple[int, ...]) -> int:
-        if len(block) == self.block_length and all(0 <= b < len(self.source_alphabet)
-                                                   for b in block):
-            return self.read(block)[0]
-        raise MissingBlock(f"block {block} not in code table")
 
     def read(self, buf: Symbols) -> Symbols:
         """The outputs on the blocks buf[i:i + block_length], 0 <= i <=
@@ -262,7 +255,7 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
     blocks, so it is at least the least r with src_{i±r} != src_{j±r}.
     Jumping to r after each failure, from k = 0, stops on the least
     radius.  Radius |u| + |v| + 4N always suffices, so needing more
-    raises WindowExhausted (it would contradict the existence theorem).
+    raises InternalMismatch (it would contradict the existence theorem).
 
     The sequences are read only as far as the radii tried need: the
     buffers serve radii up to a reach, at first N, and double, up to
@@ -294,8 +287,8 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
         i, j = clash
         k = next((r for r in range(k + 1, reach + 1)
                   if s[i - r] != s[j - r] or s[i + r] != s[j + r]), reach + 1)
-    raise WindowExhausted(f"no consistent block map with radius <= {cap}; this "
-                          "contradicts the existence theorem and indicates a bug")
+    raise InternalMismatch(f"no consistent block map with radius <= {cap}; this "
+                           "contradicts the existence theorem and indicates a bug")
 
 
 def conjugacy_witness(x: EPSeq, y: EPSeq) -> tuple[SlidingBlockCode, SlidingBlockCode]:

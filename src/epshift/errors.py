@@ -61,10 +61,6 @@ class NotConjugate(EpshiftError):
     """Witness requested for sequences whose invariants differ."""
 
 
-class WindowExhausted(EpshiftError):
-    """No consistent block map found within the window-size cap."""
-
-
 class MissingBlock(EpshiftError):
     """A sliding block code was applied to a block outside its table."""
 

@@ -31,7 +31,9 @@ first and last differing items exactly.  ``anomaly_size``, ``canonical``,
 ``shift`` and code images in :mod:`epshift.classify` all go through it.
 The brute-force window search that the kernel is held to, which shares
 no code with it, and window removal live in :mod:`epshift.verify`, the
-only module that runs them.
+only module that runs them; they hold a window as the kernel does, as
+two ints, its start and length.  ``least_period`` answers for both
+sequence kinds.
 
 Each value is scanned for its normal form at most once.  ``canonical(x)``
 keeps its result on x itself, in the memo ``_canonical`` over the class
@@ -87,10 +89,6 @@ class PeriodicSeq(Value):
     def __post_init__(self) -> None:
         if not is_primitive(self.period_word):
             raise ValueError("period word of a PeriodicSeq must be primitive")
-
-    @property
-    def least_period(self) -> int:
-        return len(self.period_word)
 
     def symbol_id_at(self, k: int) -> int:
         return self.period_word.symbols[k % len(self.period_word)]
@@ -275,7 +273,7 @@ def window(x: EPSeq, i: int, j: int) -> Word:
     return Word._trusted(_symbols(x, i, j + 1), x.alphabet)
 
 
-def least_period(x: EPSeq) -> int:
+def least_period(x: EPSeq | PeriodicSeq) -> int:
     return len(x.period_word)
 
 

@@ -17,10 +17,11 @@ rule.  Failures are recorded as re-parseable counterexamples; an empty
 failure list is a pass.
 
 The slow routes that only these checks run live here, not in the modules
-every command imports: the window search (``AnomalyWindow``,
-``anomaly_windows``) and window removal (``remove_window``) of criteria 2
-and 4, and the cutting sequence (``cutting_sequence``) and cell-chain
-tests (``is_balanced_chains``, ``chain_zero_counts``) of criterion 8.
+every command imports: the window search (``anomaly_windows``) and
+window removal (``remove_window``) of criteria 2 and 4, which hold a
+window as the kernel does, as the ints (start, length), and the cutting
+sequence (``cutting_sequence``) and cell-chain tests
+(``is_balanced_chains``, ``chain_zero_counts``) of criterion 8.
 
 Each criterion is an instance stream and a check of one instance, which
 returns None or the failure record.  One runner, `_criterion`, counts the
@@ -271,18 +272,11 @@ def check_bezout_oracle(max_sum: int, *, part: tuple[int, int] = (0, 1)) -> Theo
                       part)
 
 
-class AnomalyWindow(Value):
-    """Index window [start, start+length) whose removal leaves a periodic sequence."""
-
-    start: int
-    length: int
-
-
-def anomaly_windows(x: EPSeq) -> list[AnomalyWindow]:
-    """All removal windows that leave a periodic sequence, for lengths
-    0 < L <= |anomaly| congruent to |anomaly| mod N and starts in
-    [-L-2N, |anomaly|+2N].  Sorted by (length, start); never empty since
-    [0, |anomaly|) always qualifies.
+def anomaly_windows(x: EPSeq) -> list[tuple[int, int]]:
+    """All removal windows [start, start+length) that leave a periodic
+    sequence, as (start, length), for lengths 0 < L <= |anomaly| congruent
+    to |anomaly| mod N and starts in [-L-2N, |anomaly|+2N].  Sorted by
+    (length, start); never empty since [0, |anomaly|) always qualifies.
 
     This is the brute-force search, quadratic in the sizes, and the oracle
     for the kernel, which finds the first window directly.  A window [s,
@@ -311,21 +305,21 @@ def anomaly_windows(x: EPSeq) -> list[AnomalyWindow]:
                     found.append((length, s))
     if not found:
         raise InternalMismatch("anomaly window search found nothing; bug")
-    return [AnomalyWindow(s, length) for length, s in sorted(found)]
+    return [(s, length) for length, s in sorted(found)]
 
 
-def remove_window(x: EPSeq, win: AnomalyWindow) -> Union[PeriodicSeq, EPSeq]:
-    """Delete the window from the sequence: y_k = x_k for k < start and
-    y_k = x_{k+length} for k >= start.
+def remove_window(x: EPSeq, win: tuple[int, int]) -> Union[PeriodicSeq, EPSeq]:
+    """Delete the window (start, length) from the sequence: y_k = x_k for
+    k < start and y_k = x_{k+length} for k >= start.
 
     The periodic-or-not classification is exact: the kernel finds no defect
     iff the result is periodic, and then it is the extension of the left
     tail, PeriodicSeq(period_word).  A non-periodic result is re-anchored
     (see the :mod:`epshift.sequences` docstring).
     """
-    if win.length < 1:
+    s, length = win
+    if length < 1:
         raise ValueError("window length must be >= 1")
-    s, length = win.start, win.length
     n, vl = len(x.period_word), len(x.anomaly)
     lo = min(0, s) - 2 * n
     buf = _symbols(x, lo, max(s + length, vl) + 2 * n)
@@ -354,7 +348,7 @@ def check_anomaly_size_formula(max_sum: int, *, part: tuple[int, int] = (0, 1)) 
         try:
             x = _skew(q, p, stype)
             n, a = least_period(x), anomaly_size(x)
-            searched = anomaly_windows(x)[0].length
+            searched = anomaly_windows(x)[0][1]
         except EpshiftError as e:
             return {"q": q, "p": p, "type": stype, "error": str(e)}
         if n != p + q or a != expected:
@@ -411,18 +405,17 @@ def _window_lemma_failure(x: EPSeq) -> Optional[str]:
     """Why the window lemmas fail on x, or None when they hold."""
     n = least_period(x)
     wins = anomaly_windows(x)
-    if not any(w.start == 0 and w.length == len(x.anomaly) for w in wins):
+    if (0, len(x.anomaly)) not in wins:
         return "stored anomaly not found"
-    if any((w.length - len(x.anomaly)) % n != 0 for w in wins):
+    if any((length - len(x.anomaly)) % n != 0 for _, length in wins):
         return "window length not congruent"
     removals = [remove_window(x, w) for w in wins]
     if not all(isinstance(r, PeriodicSeq) for r in removals):
         return "removal not periodic"
     if any(r != removals[0] for r in removals[1:]):
         return "removals differ pointwise"
-    best = wins[0]
-    searched = make_ep(window(x, best.start - n, best.start - 1),
-                       window(x, best.start, best.start + best.length - 1))
+    s, length = wins[0]
+    searched = make_ep(window(x, s - n, s - 1), window(x, s, s + length - 1))
     if canonical(x) != searched:
         return "canonical is not at the leftmost minimal window"
     return None
@@ -695,12 +688,9 @@ def _crossval_one(spec: SturmianSpec, q: int, p: int, m: int) -> Optional[str]:
     core_len = len(expand_cells(cell_series(spec, n_lo, n_hi)))
     if abs(len(cut) - core_len) > 2:
         return f"cutting window length {len(cut)} vs expansion length {core_len}"
-    pos = wide.find(cut)
     boundary = wide_cs.zeros[0] + 1  # the length of the cell B_{n_lo - 1}
-    while pos != -1:
-        if abs(pos - boundary) <= 1:
-            return None
-        pos = wide.find(cut, pos + 1)
+    if any(wide.startswith(cut, boundary + e) for e in (-1, 0, 1)):
+        return None
     return "cutting sequence does not occur at the cell-aligned offset"
 
 

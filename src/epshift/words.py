@@ -102,6 +102,7 @@ class Alphabet(Value):
     _counter = None  # the counter mint_labels() starts at, in digits; a memo
 
     def __post_init__(self) -> None:
+        _set(self, "labels", tuple(self.labels))  # hashable and equal however given
         if not self.labels:
             raise ValueError("alphabet must be non-empty")
         for lbl in self.labels:

@@ -648,7 +648,7 @@ EXIT_CODES = {
     "DegeneratePeriodic": 2, "IncompatibleAlphabets": 2, "UnknownSymbol": 2,
     "EmptyWord": 2, "MalformedInput": 2, "WrongAlphabet": 2,
     "SymbolAbsent": 2,
-    "InternalMismatch": 1, "NotConjugate": 1, "WindowExhausted": 1, "MissingBlock": 1,
+    "InternalMismatch": 1, "NotConjugate": 1, "MissingBlock": 1,
     "DegenerateImage": 1, "WorkerLost": 1,
 }
 

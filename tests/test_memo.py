@@ -49,7 +49,7 @@ from epshift.sturmian import (
     expand_cells,
     skew_sturmian,
 )
-from epshift.verify import AnomalyWindow, anomaly_windows, coprime_pairs, remove_window
+from epshift.verify import anomaly_windows, coprime_pairs, remove_window
 from epshift.words import BINARY, Alphabet, Word, primitive_root, rotate, word
 
 LETTERS = ("a", "b", "c", "d")
@@ -105,7 +105,7 @@ def test_memo_agrees_with_a_fresh_scan_and_is_invisible(parts):
     c = canonical(x)
     assert c == scan.anchor(scan.start)
     assert canonical(c) is c and canonical(x) is c
-    assert AnomalyWindow(scan.start, scan.length) == anomaly_windows(x)[0]
+    assert (scan.start, scan.length) == anomaly_windows(x)[0]
     assert anomaly_size(x) == scan.length == len(c.anomaly)
     # a value with filled memos and an equal one without are interchangeable
     memos = {"_canonical", "_hash"}
@@ -159,7 +159,7 @@ def test_trusted_paths_build_only_valid_values(parts, data):
     k = data.draw(st.integers(-2 * n - vl, vl + 2 * n), label="shift")
     start = data.draw(st.integers(-2 * n, vl + n), label="start")
     length = data.draw(st.integers(1, vl + n), label="length")
-    values = [x, canonical(x), shift(x, k), remove_window(x, AnomalyWindow(start, length)),
+    values = [x, canonical(x), shift(x, k), remove_window(x, (start, length)),
               remove_anomaly(x), rotate(x.period_word, k), primitive_root(x.anomaly)[0]]
     label = data.draw(st.sampled_from([x.alphabet.labels[s] for s in set(x.anomaly.symbols)]),
                       label="expanded")

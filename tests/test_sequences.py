@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from operator import ne
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epshift import verify
+from epshift.bezout import restricted_bezout
 from epshift.errors import DegeneratePeriodic, IncompatibleAlphabets, InternalMismatch
 from epshift.sequences import (
     _normal_form,
@@ -23,7 +25,8 @@ from epshift.sequences import (
     similar,
     window,
 )
-from epshift.verify import AnomalyWindow, anomaly_windows, remove_window
+from epshift.sturmian import TYPE_S, Frequency, SturmianSpec, skew_sturmian
+from epshift.verify import anomaly_windows, remove_window
 from epshift.words import Alphabet, BINARY, Word, is_primitive, primitive_root, rotate, word
 
 
@@ -131,25 +134,25 @@ def test_shift_preserves_invariants(small_family):
 # --- removal and windows -----------------------------------------------------
 
 def test_remove_window_examples():
-    r = remove_window(ep("0", "01"), AnomalyWindow(1, 1))
+    r = remove_window(ep("0", "01"), (1, 1))
     assert r == PeriodicSeq(word("0"))
 
-    r2 = remove_window(ep("0", "11"), AnomalyWindow(0, 1))
+    r2 = remove_window(ep("0", "11"), (0, 1))
     assert r2 == ep("0", "1")
 
-    r3 = remove_window(ep("110", "1"), AnomalyWindow(0, 1))
+    r3 = remove_window(ep("110", "1"), (0, 1))
     assert isinstance(r3, PeriodicSeq) and r3.period_word.text == "110"
     # aligned with the left tail
     assert r3.symbol_id_at(-1) == ep("110", "1").symbol_id_at(-1)
     with pytest.raises(ValueError, match=r"^window length must be >= 1$"):
-        remove_window(ep("0", "01"), AnomalyWindow(1, 0))
+        remove_window(ep("0", "01"), (1, 0))
 
 
 def test_anomaly_windows_examples():
     wins = anomaly_windows(ep("0", "01"))
-    assert AnomalyWindow(1, 1) in wins and AnomalyWindow(0, 2) in wins
-    assert anomaly_windows(ep("0", "11")) == [AnomalyWindow(0, 2)]
-    assert AnomalyWindow(0, 1) in anomaly_windows(ep("10", "1"))
+    assert (1, 1) in wins and (0, 2) in wins
+    assert anomaly_windows(ep("0", "11")) == [(0, 2)]
+    assert (0, 1) in anomaly_windows(ep("10", "1"))
 
 
 def test_anomaly_size_examples():
@@ -180,8 +183,8 @@ def test_classification_is_exact_inside_search_range(small_family):
         length = vl % n if vl % n else n
         while length <= vl:
             for s in range(-length - 2 * n, vl + 2 * n + 1):
-                res = remove_window(x, AnomalyWindow(s, length))
-                assert isinstance(res, PeriodicSeq) == (AnomalyWindow(s, length) in listed)
+                res = remove_window(x, (s, length))
+                assert isinstance(res, PeriodicSeq) == ((s, length) in listed)
             length += n
 
 
@@ -190,7 +193,7 @@ def test_extended_search_never_finds_shorter_windows(small_family, random_family
         n = least_period(x)
         base = anomaly_size(x)
         wide = _symbolwise_window_search(x, 2 * n, 2 * n)
-        assert min(w.length for w in wide) == base
+        assert min(length for _, length in wide) == base
 
 
 def test_remove_window_exact_for_nonnegative_starts():
@@ -199,7 +202,7 @@ def test_remove_window_exact_for_nonnegative_starts():
         vl, n = len(x.anomaly), least_period(x)
         for s in range(0, vl + n + 2):
             for length in range(1, vl + n + 1):
-                res = remove_window(x, AnomalyWindow(s, length))
+                res = remove_window(x, (s, length))
                 probe = range(-2 * n - vl, s + length + 3 * n + vl)
                 got = [res.symbol_id_at(i) for i in probe]
                 expected = [
@@ -211,8 +214,8 @@ def test_remove_window_exact_for_nonnegative_starts():
 
 def test_remove_window_of_whole_periods_in_tail_is_identity():
     x = ep("01", "1")
-    assert remove_window(x, AnomalyWindow(10, 2)) == x
-    assert remove_window(x, AnomalyWindow(-9, 4)) == x
+    assert remove_window(x, (10, 2)) == x
+    assert remove_window(x, (-9, 4)) == x
 
 
 # --- canonical and similarity ------------------------------------------------
@@ -230,6 +233,26 @@ def test_canonical_minimizes_anomaly(small_family):
         c = canonical(x)
         assert len(c.anomaly) == anomaly_size(x)
         assert similar(c, x)
+
+
+def test_canonical_memory_stays_within_what_the_scan_holds():
+    # _normal_form scans w*2 + v + w*2, L = 4N + |v| bytes; _scan slices it
+    # twice (L - N bytes each) and XORs the two ints they read (a CPython int
+    # spends 4 bytes per 30 bits, so each of the three is 16/15 as large),
+    # and the anchored form holds a rotated period and an anomaly slice
+    q, p = 399999, 600001
+    x = skew_sturmian(SturmianSpec(Frequency.rational(q, p), TYPE_S))
+    n, vl = least_period(x), len(x.anomaly)
+    size, rest = 4 * n + vl, 3 * n + vl
+    tracemalloc.start()
+    try:
+        c = canonical(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bp = restricted_bezout(q, p)
+    assert n == p + q and len(c.anomaly) == bp.a + bp.b
+    assert peak < size + 2 * rest + 3 * rest * 16 // 15 + n + vl, (peak, size)
 
 
 def _similar_oracle(x, y):
@@ -283,8 +306,8 @@ def test_window_lengths_congruent_and_removals_equal(small_family, random_family
     for x in list(small_family) + list(random_family):
         n = least_period(x)
         wins = anomaly_windows(x)
-        assert AnomalyWindow(0, len(x.anomaly)) in wins
-        assert all((w.length - len(x.anomaly)) % n == 0 for w in wins)
+        assert (0, len(x.anomaly)) in wins
+        assert all((length - len(x.anomaly)) % n == 0 for _, length in wins)
         removals = [remove_window(x, w) for w in wins]
         assert all(isinstance(r, PeriodicSeq) for r in removals)
         assert all(r == removals[0] for r in removals[1:])
@@ -353,7 +376,7 @@ def brute_first_defect(x):
 
 def _assert_kernel_window_is_first_brute_force_window(x):
     scan = _normal_form(x)
-    assert AnomalyWindow(scan.start, scan.length) == anomaly_windows(x)[0], x
+    assert (scan.start, scan.length) == anomaly_windows(x)[0], x
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -374,10 +397,9 @@ def test_kernel_window_is_first_brute_force_window_on_the_capped_8_family():
 @given(ep_parts)
 def test_canonical_is_brute_force_leftmost_minimal_window(parts):
     x = ep_from(parts)
-    best = anomaly_windows(x)[0]
+    s, length = anomaly_windows(x)[0]
     n = least_period(x)
-    expected = make_ep(window(x, best.start - n, best.start - 1),
-                       window(x, best.start, best.start + best.length - 1))
+    expected = make_ep(window(x, s - n, s - 1), window(x, s, s + length - 1))
     assert canonical(x) == expected
 
 
@@ -422,9 +444,9 @@ def _symbolwise_window_search(x, extra_start, extra_len):
     while length <= vl + extra_len:
         for s in range(-length - 2 * n - extra_start, vl + 2 * n + extra_start + 1):
             if removal_is_periodic(s, length):
-                found.append(AnomalyWindow(s, length))
+                found.append((s, length))
         length += n
-    found.sort(key=lambda a: (a.length, a.start))
+    found.sort(key=lambda a: (a[1], a[0]))
     return found
 
 
@@ -450,7 +472,7 @@ def _double_loop_window_search(x):
         for s in range(-length - 2 * n, vl + 2 * n + 1):
             lo, at, hi = min(0, s) - n + o, s + o, max(s, vl - length) + 2 * n + 1 + o
             if xs[lo:at] == zs[lo:at] and xs[at + length:hi + length] == zs[at:hi]:
-                wins.append(AnomalyWindow(s, length))
+                wins.append((s, length))
     return wins
 
 

@@ -46,22 +46,29 @@ from epshift.sturmian import (
     skew_sturmian,
     symbol_reverse,
 )
-from epshift.verify import AnomalyWindow, anomaly_windows, cutting_sequence, remove_window
+from epshift.verify import anomaly_windows, cutting_sequence, remove_window
 from epshift.words import BINARY, Alphabet, Value, Word, primitive_root, rotate, word
 
 
 class Window(Value):
-    """Same fields as AnomalyWindow, another class."""
+    """A two-field value class of these tests."""
+
+    start: int
+    length: int
+
+
+class Span(Value):
+    """Same fields as Window, another class."""
 
     start: int
     length: int
 
 
 def test_equality_holds_only_within_one_class():
-    assert AnomalyWindow(1, 2) == AnomalyWindow(1, 2)
-    assert AnomalyWindow(1, 2) != AnomalyWindow(2, 1)
-    assert AnomalyWindow(1, 2) != Window(1, 2) and Window(1, 2) != AnomalyWindow(1, 2)
-    assert AnomalyWindow(1, 2) != (1, 2)
+    assert Window(1, 2) == Window(1, 2)
+    assert Window(1, 2) != Window(2, 1)
+    assert Window(1, 2) != Span(1, 2) and Span(1, 2) != Window(1, 2)
+    assert Window(1, 2) != (1, 2)
     assert Frequency.zero() != Frequency.infinity()
 
 
@@ -76,7 +83,7 @@ def test_equal_values_hash_equal():
         assert len({a, b}) == 1
 
 
-@pytest.mark.parametrize("value", [restricted_bezout(2, 5), AnomalyWindow(0, 1), BINARY,
+@pytest.mark.parametrize("value", [restricted_bezout(2, 5), Window(0, 1), BINARY,
                                    word("10"), make_ep(word("0"), word("1"))])
 def test_assignment_and_deletion_raise(value):
     field = value._fields[0]
@@ -107,7 +114,7 @@ def test_keyword_construction_and_defaults():
     lambda: SturmianSpec(Frequency.zero()),
     lambda: BezoutPair(2, 5, 1, 3, 0),
     lambda: BezoutPair(2, 5, 1, 3, c=0),
-    lambda: AnomalyWindow(1, start=1),
+    lambda: Window(1, start=1),
     lambda: CellSeries(0, cell=()),
 ])
 def test_missing_unknown_and_repeated_fields_raise_type_error(build):
@@ -117,7 +124,7 @@ def test_missing_unknown_and_repeated_fields_raise_type_error(build):
 
 def test_repr_is_the_field_list():
     assert repr(restricted_bezout(2, 5)) == "BezoutPair(q=2, p=5, a=1, b=3)"
-    assert repr(AnomalyWindow(-3, 4)) == "AnomalyWindow(start=-3, length=4)"
+    assert repr(Window(-3, 4)) == "Window(start=-3, length=4)"
     assert repr(Frequency.rational(1, 2)) == "Frequency(kind='rational', q=1, p=2)"
     assert repr(Frequency.zero()) == "Frequency(kind='zero', q=None, p=None)"
     assert repr(SturmianSpec(Frequency.rational(1, 2), TYPE_S)) == (

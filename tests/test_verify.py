@@ -10,8 +10,8 @@ from epshift import classify, verify
 from epshift.bezout import restricted_bezout
 from epshift.errors import InternalMismatch
 from epshift.sequences import PeriodicSeq, make_ep
+from epshift.sturmian import TYPE_S, Frequency, SturmianSpec, cell_series, expand_cells
 from epshift.verify import (
-    AnomalyWindow,
     TheoremCheck,
     VerifyBounds,
     VerifyReport,
@@ -148,7 +148,7 @@ SABOTAGE = [
     ("anomaly-size-formula", verify, "anomaly_windows", _raising, 6, 6,
      {"q": 1, "p": 1, "type": "S", "error": "sabotaged"},
      {"q": 2, "p": 1, "type": "Sprime", "error": "sabotaged"}),
-    ("anomaly-size-formula", verify, "anomaly_windows", lambda x: [AnomalyWindow(0, 9)], 6, 6,
+    ("anomaly-size-formula", verify, "anomaly_windows", lambda x: [(0, 9)], 6, 6,
      {"q": 1, "p": 1, "type": "S", "reason": "scan and search differ", "scan": 1, "search": 9},
      {"q": 2, "p": 1, "type": "Sprime", "reason": "scan and search differ", "scan": 1,
       "search": 9}),
@@ -207,7 +207,7 @@ _anomaly_windows, _cutting_sequence = verify.anomaly_windows, verify.cutting_seq
 
 
 def _windows_plus_one_longer(x):
-    return _anomaly_windows(x) + [AnomalyWindow(0, len(x.anomaly) + 1)]
+    return _anomaly_windows(x) + [(0, len(x.anomaly) + 1)]
 
 
 def _cut_of_a_foreign_symbol(spec, n_lo, n_hi):
@@ -235,9 +235,8 @@ MUTANTS = [
     ("window-lemmas", {"remove_window": lambda x, w: x}, 19, 19,
      {"instance": EP_0_01, "reason": "removal not periodic"},
      {"instance": EP_LAST, "reason": "removal not periodic"}),
-    ("window-lemmas", {"anomaly_windows": lambda x: [AnomalyWindow(0, len(x.anomaly)),
-                                                     AnomalyWindow(1, len(x.anomaly))],
-                       "remove_window": lambda x, w: PeriodicSeq(word(str(w.start)))}, 19, 19,
+    ("window-lemmas", {"anomaly_windows": lambda x: [(0, len(x.anomaly)), (1, len(x.anomaly))],
+                       "remove_window": lambda x, w: PeriodicSeq(word(str(w[0])))}, 19, 19,
      {"instance": EP_0_01, "reason": "removals differ pointwise"},
      {"instance": EP_LAST, "reason": "removals differ pointwise"}),
     ("generator-crossval", {"chain_zero_counts": lambda cs, p: {}}, 18, 18,
@@ -271,6 +270,26 @@ def test_mutant_reports_a_record_no_sabotage_reaches(monkeypatch, tag, patches, 
     assert all(f.keys() == first.keys() for f in chk.failures)
     obj = json.loads(json.dumps(VerifyReport([chk]).to_obj()))
     assert VerifyReport.from_obj(obj).to_obj() == obj
+
+
+def test_crossval_finds_the_cut_only_within_one_symbol_of_the_cell_offset(monkeypatch):
+    # the cut read off the expansion e symbols past the end of the first
+    # cell, as long as the cells it stands for; no cut two symbols off also
+    # occurs within one symbol of that offset
+    q, p, m = 7, 3, 0
+    spec = SturmianSpec(Frequency.rational(q, p), TYPE_S, m)
+    n_lo, n_hi = m - (p + 2), m + (p + 2)
+    wide_cs = cell_series(spec, n_lo - 1, n_hi + 1)
+    wide, core = expand_cells(wide_cs).text, len(expand_cells(cell_series(spec, n_lo, n_hi)))
+    boundary = wide_cs.zeros[0] + 1
+    assert boundary >= 2
+    for e in range(-2, 3):
+        cut = wide[boundary + e:boundary + e + core]
+        hits = {i for i in range(len(wide)) if wide[i:i + core] == cut}
+        assert bool(hits & {boundary - 1, boundary, boundary + 1}) == (abs(e) <= 1)
+        monkeypatch.setattr(verify, "cutting_sequence", lambda *args: SimpleNamespace(text=cut))
+        assert verify._crossval_one(spec, q, p, m) == (
+            None if abs(e) <= 1 else "cutting sequence does not occur at the cell-aligned offset")
 
 
 def _masked(checks):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epshift.errors import EmptyWord, UnknownSymbol
+from epshift.sequences import EPSeq, make_ep
 from epshift.verify import is_balanced_chains
 from epshift.words import (
     BINARY,
@@ -210,4 +211,13 @@ def test_alphabet_validation_and_minting():
     assert b.mint_labels(2) == ("x1'", "x2'")
     with pytest.raises(UnknownSymbol):
         word("2")
+
+
+def test_an_alphabet_given_as_a_list_is_the_one_given_as_a_tuple():
+    listed, ab = Alphabet(["a", "b"]), Alphabet(("a", "b"))
+    assert listed.labels == ("a", "b") and listed == ab and hash(listed) == hash(ab)
+    x = make_ep(Word((0, 1), listed), Word((1,), listed))
+    assert x == make_ep(Word((0, 1), ab), Word((1,), ab)) == EPSeq(Word((0, 1), listed),
+                                                                   Word((1,), ab))
+    assert hash(x) == hash(EPSeq(Word((0, 1), ab), Word((1,), ab)))
 
