@@ -45,13 +45,14 @@ class SlidingBlockCode(Value):
     length, so a parsed code is at least as long as the window an
     application reads.  Every block id is a symbol of the source alphabet
     and every output one of the target's, so an image read from the table
-    needs no further check.  ``_table`` holds the rows and the memo
-    ``_lookup`` their dict; a 1-block code's, even a parsed one's, holds
-    its outputs by source id (`_outputs`).  Blocks are tuples."""
+    needs no further check.  ``_table`` holds a 1-block code's outputs by
+    source id (`_outputs`), else a dict by block `packed` as a word of the
+    source alphabet: the search's probe's own.  `entries`, sorted, is built
+    on request, and it stands for a dict in ``hash`` and ``repr``."""
 
     memory: int
     anticipation: int
-    _table: Union[bytes, tuple]
+    _table: Union[bytes, tuple, dict]
     source_alphabet: Alphabet
     target_alphabet: Alphabet
 
@@ -73,8 +74,8 @@ class SlidingBlockCode(Value):
             raise ValueError(f"a block holds a symbol id outside the source alphabet {src.labels}")
         if min(seen.values()) < 0 or max(seen.values()) >= len(dst):
             raise ValueError(f"an output is a symbol id outside the target alphabet {dst.labels}")
-        kept = ("_lookup", seen) if n > 1 else ("_table", _outputs(seen.items(), src, dst))
-        object.__setattr__(self, *kept)
+        object.__setattr__(self, "_table", {packed(b, src): o for b, o in seen.items()} if n > 1
+                           else _outputs(seen.items(), src, dst))
 
     @property
     def block_length(self) -> int:
@@ -82,24 +83,35 @@ class SlidingBlockCode(Value):
 
     @property
     def entries(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        mark = 255 if isinstance(self._table, bytes) else -1  # an unmapped id's output
-        return self._table if self.block_length > 1 else tuple(
-            ((s,), o) for s, o in zip(range(len(self.source_alphabet)), self._table) if o != mark)
+        table = self._table
+        if isinstance(table, dict):
+            return tuple(sorted([(tuple(block), out) for block, out in table.items()]))
+        mark = 255 if isinstance(table, bytes) else -1  # an unmapped id's output
+        return tuple(((s,), o) for s, o in zip(range(len(self.source_alphabet)), table) if o != mark)
+
+    def _shown(self) -> tuple:  # the field values hash and repr read: a dict as `entries`
+        table = self.entries if isinstance(self._table, dict) else self._table
+        return self.memory, self.anticipation, table, self.source_alphabet, self.target_alphabet
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._shown()))
+        return self._hash
 
     def read(self, buf: Symbols) -> Symbols:
         """The outputs on the blocks buf[i:i + block_length], 0 <= i <=
         len(buf) - block_length, as Symbols over the target alphabet; the
         one place that picks a route: one translate, or one getter (of two
         ids more, so that it gives a tuple), for a 1-block code, else a
-        lookup per block.  Each raises MissingBlock on the first unmapped one."""
+        lookup per slice of buf, `packed` as the table's blocks are.  Each
+        raises MissingBlock on the first unmapped block, named as a tuple."""
         if self.block_length > 1:
             n, size = self.block_length, len(buf)
-            blocks = zip(*(buf[i:size - n + 1 + i] for i in range(n)))
+            blocks = map(buf.__getitem__, map(slice, range(size - n + 1), range(n, size + 1)))
             try:
-                return packed(map(self._lookup.__getitem__, blocks),  # type: ignore[attr-defined]
-                              self.target_alphabet)
+                return packed(map(self._table.__getitem__, blocks), self.target_alphabet)
             except KeyError as e:
-                raise MissingBlock(f"block {e.args[0]} not in code table") from None
+                raise MissingBlock(f"block {tuple(e.args[0])} not in code table") from None
         img, unmapped = ((bytes(buf).translate(self._table), 255) if isinstance(self._table, bytes)
                          else (itemgetter(0, 0, *buf)(self._table)[2:], -1))
         if unmapped in img:
@@ -190,15 +202,16 @@ def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSe
 
 def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
                      lv: int, k: int) -> tuple[Union[dict, bytes, None], Optional[tuple[int, int]]]:
-    """Probe radius k: map each radius-k block of src to the first centre
-    it occurs at; return the table and None, or None and the two centres
-    of the first block that needs two dst symbols.  Centres index s and d,
-    which hold src and dst from index lo on and must reach k symbols past
-    every centre read (see `_search_buffers`).  Radius 0 past 32 centres
-    over bytes loops per symbol, not per centre: one find gives a symbol's
-    first centre, src translated through dst at those centres must equal
-    dst, and the lowest set bit of their XOR names the first clash.  Its
-    table is that translate table, 255 at every id src does not hold.
+    """Probe radius k: map each radius-k block of src, a slice of s, to
+    the dst symbol at its first centre; return the table and None, or None
+    and the two centres of the first block that needs two dst symbols (the
+    first by a scan).  Centres index s and d, which hold src and dst from
+    index lo on and must reach k symbols past every centre read (see
+    `_search_buffers`).  Radius 0 past 32 centres over bytes loops per
+    symbol, not per centre: one find gives a symbol's first centre, src
+    translated through dst at those centres must equal dst, and the lowest
+    set bit of their XOR names the first clash.  Its table is that
+    translate table, 255 at every id src does not hold.
 
     It reads the centres [-k-1-N, max(|u|+k, |v|) - 1], u and v the
     anomalies of src and dst, both of least period N, with |u| ≡ |v|
@@ -227,9 +240,8 @@ def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
         return bytes(table), None
     table: dict[Symbols, int] = {}
     for c in centres:
-        first = table.setdefault(s[c - k:c + k + 1], c)
-        if d[first] != d[c]:
-            return None, (first, c)
+        if table.setdefault(block := s[c - k:c + k + 1], d[c]) != d[c]:
+            return None, (next(f for f in centres if s[f - k:f + k + 1] == block), c)
     return table, None
 
 
@@ -278,12 +290,9 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
             lo, s, d = _search_buffers(src, dst, reach)
         # a byte table's 255 marks an unmapped id, so a 256-symbol d is probed as a tuple
         table, clash = _build_block_map(s, d if len(da) < 256 else tuple(d), lo, n, lu, lv, k)
-        if clash is None:
-            if isinstance(table, bytes):  # the radius-0 probe's translate table
-                return SlidingBlockCode._trusted(0, 0, table, sa, da)
-            got = {tuple(block): d[c] for block, c in table.items()}
-            return (SlidingBlockCode._trusted(k, k, tuple(sorted(got.items())), sa, da, _lookup=got)
-                    if k else _one_block(got.items(), sa, da))
+        if clash is None:  # a dict of 1-slices at radius 0 becomes outputs by source id
+            return (_one_block(table.items(), sa, da) if isinstance(table, dict) and not k
+                    else SlidingBlockCode._trusted(k, k, table, sa, da))
         i, j = clash
         k = next((r for r in range(k + 1, reach + 1)
                   if s[i - r] != s[j - r] or s[i + r] != s[j + r]), reach + 1)

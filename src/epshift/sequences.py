@@ -66,15 +66,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import DegeneratePeriodic, InternalMismatch
-from .words import (
-    Alphabet,
-    Symbols,
-    Value,
-    Word,
-    is_primitive,
-    primitive_root,
-    require_same_alphabet,
-)
+from .words import (Alphabet, Symbols, Value, Word, _new, _set, is_primitive, primitive_root,
+                    require_same_alphabet)
 
 
 class PeriodicSeq(Value):
@@ -85,6 +78,12 @@ class PeriodicSeq(Value):
     """
 
     period_word: Word
+
+    @classmethod
+    def _trusted(cls, period_word: Word) -> PeriodicSeq:
+        self = _new(cls)
+        _set(self, "period_word", period_word)
+        return self
 
     def __post_init__(self) -> None:
         if not is_primitive(self.period_word):
@@ -104,6 +103,15 @@ class EPSeq(Value):
     period_word: Word
     anomaly: Word
     _canonical = None  # the memo of canonical(); not a field
+
+    @classmethod
+    def _trusted(cls, period_word: Word, anomaly: Word, *, _canonical=None) -> EPSeq:
+        self = _new(cls)
+        _set(self, "period_word", period_word)
+        _set(self, "anomaly", anomaly)
+        if _canonical is not None:
+            _set(self, "_canonical", _canonical)
+        return self
 
     def __post_init__(self) -> None:
         require_same_alphabet(self.period_word, self.anomaly)

@@ -90,7 +90,7 @@ from .sturmian import (
     skew_sturmian,
     symbol_reverse,
 )
-from .words import BINARY, Value, Word, word
+from .words import BINARY, Value, Word, is_primitive, word
 
 REPORT_FORMAT = "verifyreport/1"
 
@@ -200,7 +200,7 @@ def exhaustive_family(wmax: int, vmax: int) -> list[EPSeq]:
 
     out: set[EPSeq] = set()
     anomalies = words(vmax)
-    for w in words(wmax):
+    for w in filter(is_primitive, words(wmax)):  # make_ep(w, v) == make_ep(its root, v)
         for v in anomalies:
             try:
                 out.add(make_ep(w, v))

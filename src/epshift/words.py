@@ -26,13 +26,13 @@ class Value:
     deleted.  Other attributes are memos no comparison sees: the hash,
     ``sequences.canonical``'s result and an alphabet's next mint counter,
     kept on first use over a class default of None (or, for the counter,
-    by the mint that builds the alphabet), and a wider code's row dict.
-    Like the fields, they are set with ``object.__setattr__``, never
-    through the instance ``__dict__``, which would slow every later read.
+    by the mint that builds the alphabet).  Like the fields, they are set
+    with ``object.__setattr__``, never through the instance ``__dict__``,
+    which would slow every later read.
 
     Internal results built from parts already known to be valid skip the
-    checks through the unchecked constructor, :meth:`_trusted` (`Word` has its own).
-    """
+    checks through the unchecked constructor, :meth:`_trusted`; the values
+    built most often, `Word`, `EPSeq` and `PeriodicSeq`, have their own."""
 
     _hash = None
 
@@ -78,8 +78,11 @@ class Value:
             _set(self, "_hash", hash(self._key(self)))
         return self._hash
 
+    def _shown(self) -> tuple:  # the field values repr shows
+        return tuple([getattr(self, f) for f in self._fields])
+
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._shown()))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, *value: object) -> None:

@@ -3,6 +3,8 @@ import gc
 import itertools
 import json
 import random
+import re
+import tracemalloc
 import weakref
 
 import pytest
@@ -507,7 +509,8 @@ def _two_stretch_block_map(src, dst, lo, k):
 
 def _assert_probes_agree(src, dst):
     """Every radius up to the least one clashes at the same centres under
-    both probes, and the least radius builds the same table."""
+    both probes, and the least radius builds the same table: block ->
+    the dst symbol at its first centre, in first-centre order."""
     least = _witness_code(src, dst).memory
     n, lu, lv = least_period(src), len(src.anomaly), len(dst.anomaly)
     lo, s, d = classify._search_buffers(src, dst, least)
@@ -519,8 +522,8 @@ def _assert_probes_agree(src, dst):
     if isinstance(table, bytes):  # the radius-0 bytes route gives its translate table
         assert table == _translate_table(two_table, d), (src, dst)
     else:
-        assert ([(tuple(b), c) for b, c in table.items()]
-                == [(tuple(b), c) for b, c in two_table.items()]), (src, dst)
+        assert ([(tuple(b), out) for b, out in table.items()]
+                == [(tuple(b), d[c]) for b, c in two_table.items()]), (src, dst)
 
 
 def _translate_table(firsts, d):
@@ -592,14 +595,15 @@ def test_bytes_radius_0_probe_matches_the_loop():
             ref_table, ref_clash = _radius_0_loop(bs, bd, centres)
             assert clash == ref_clash and clash == want[1], (s, d, a, n, lu)
             # the same table: on the bytes route the translate table of the
-            # first centres' dst symbols, on the loop the first centres by
-            # slice of the buffer, in first-centre order
+            # first centres' dst symbols, on the loop those symbols by slice
+            # of the buffer, in first-centre order
             if isinstance(table, bytes):
                 assert isinstance(bd, bytes) and len(centres) > 32, (s, d, a, n, lu)
                 assert table == _translate_table(ref_table, bd), (s, d, a, n, lu)
             else:
                 assert (table is None and ref_table is None
-                        or [(tuple(b), c) for b, c in table.items()] == list(ref_table.items())), \
+                        or [(tuple(b), out) for b, out in table.items()]
+                        == [(b, bd[c]) for b, c in ref_table.items()]), \
                     (s, d, a, n, lu)
     assert min(outcomes.values()) > 150, outcomes
 
@@ -618,6 +622,21 @@ def test_reciprocal_skew_witness_is_the_symbol_swap_at_large_n():
 MERGING_PAIR = (make_ep(Word((0,), ABC), Word((1, 2), ABC)), ep("0", "11"))
 
 
+def _table_rows(code):
+    """A code's table read back as a dict of (block ids) -> output id:
+    outputs by source id, 255 or -1 unmapped, or a dict by packed block."""
+    table = code._table
+    if isinstance(table, dict):
+        return {tuple(block): out for block, out in table.items()}
+    mark = 255 if isinstance(table, bytes) else -1
+    return {(sym,): out for sym, out in enumerate(table[:len(code.source_alphabet)]) if out != mark}
+
+
+def _block_kinds(code):
+    """The types of a wider code's dict keys; none for a 1-block code."""
+    return {type(block) for block in code._table} if isinstance(code._table, dict) else set()
+
+
 def _criterion_5_pairs():
     """Criterion 5's pairs at small bounds: each family member with its
     invariant class's first member, and S(q/p), S'(p/q) for p + q <= 14."""
@@ -631,12 +650,13 @@ def _criterion_5_pairs():
 
 def _inverse_matches_the_search(x, y):
     """Assert that conjugacy_witness's inverse is the code the search from
-    canonical(y) to canonical(x) returns, table, lookup memo and all;
+    canonical(y) to canonical(x) returns, table kind, block kind and all;
     returns whether the forward code is a 1-block bijection."""
     fwd, inv = conjugacy_witness(x, y)
     searched = _witness_code(canonical(y), canonical(x))
     assert inv == searched and type(inv._table) is type(searched._table), (x, y)
-    assert vars(inv).get("_lookup") == vars(searched).get("_lookup"), (x, y)
+    assert _block_kinds(inv) == _block_kinds(searched), (x, y)
+    assert _table_rows(inv) == _table_rows(searched) == dict(searched.entries), (x, y)
     outs = [out for _, out in fwd.entries]
     return fwd.memory == 0 and len(set(outs)) == len(outs)
 
@@ -954,13 +974,102 @@ def test_1_block_image_tests_read_no_block_on_the_byte_path():
     # indexes a tuple of its outputs
     x, y = ep("001", "1"), ep("001", "0")
     fwd, inv = conjugacy_witness(x, y)
-    assert fwd.memory == 1 and fwd._table == fwd.entries and fwd._lookup == dict(fwd.entries)
-    wide = Alphabet(tuple(f"s{i}" for i in range(300)))
-    z = make_ep(Word((0, 299), wide), Word((1,), wide))
+    assert fwd.memory == 1 and fwd._table == {bytes(b): out for b, out in fwd.entries}
+    assert _table_rows(fwd) == dict(fwd.entries) and _block_kinds(fwd) == {bytes}
+    z = make_ep(Word((0, 299), SYMBOLS_300), Word((1,), SYMBOLS_300))
     fwd, inv = conjugacy_witness(z, shift(z, 1))
-    assert fwd.block_length == 1 and "_lookup" not in vars(fwd)
+    assert fwd.block_length == 1 and set(vars(fwd)) == set(SlidingBlockCode._fields)
     for code in (fwd, inv):
         assert code._table == tuple(out for _, out in code.entries) and len(code._table) == 300
+
+
+# --- a wider code's one table: the dict its probe built ---------------------
+
+SYMBOLS_300 = Alphabet(tuple(f"s{i}" for i in range(300)))
+
+
+def _wider_codes():
+    """(code, source) for the searched codes of two pairs, each of radius
+    at least 1: one over {0, 1}, whose blocks are bytes, and one over 300
+    symbols, whose blocks are tuples."""
+    x = make_ep(Word((0, 1, 2), SYMBOLS_300), Word((0, 3, 299, 1), SYMBOLS_300))
+    y = make_ep(Word((0, 1, 2), SYMBOLS_300), Word((3,), SYMBOLS_300))
+    codes = []
+    for a, b in ((ep("001", "1"), ep("001", "0")), (x, y)):
+        fwd, inv = conjugacy_witness(a, b)
+        codes += [(fwd, a), (inv, b)]
+    return codes
+
+
+def _reads_per_position(rows, buf, n):
+    """The outputs of the blocks of buf by a lookup per position in `rows`,
+    a dict by tuple block, and the first unmapped block or None."""
+    blocks = [tuple(buf[i:i + n]) for i in range(len(buf) - n + 1)]
+    absent = next((b for b in blocks if b not in rows), None)
+    return (None if absent else tuple(rows[b] for b in blocks)), absent
+
+
+def test_a_searched_wider_code_is_the_code_parsed_from_its_json():
+    rng = random.Random(43)
+    kinds = set()
+    for code, x in _wider_codes():
+        n, src = code.block_length, code.source_alphabet
+        assert code.memory >= 1 and isinstance(code._table, dict)
+        kinds |= _block_kinds(code)
+        parsed = jsonio.parse_code(json.loads(json.dumps(jsonio.emit_code(code))))
+        assert parsed == code and hash(parsed) == hash(code) and repr(parsed) == repr(code)
+        assert parsed.entries == code.entries and list(code.entries) == sorted(code.entries)
+        assert _table_rows(parsed) == _table_rows(code) == dict(code.entries)
+        assert _block_kinds(parsed) == _block_kinds(code) == {type(packed((), src))}
+        rows = dict(code.entries)
+        for _ in range(40):  # windows of the source, whose blocks are all in the table
+            lo = rng.randint(-20, 20)
+            buf = _symbols(x, lo, lo + rng.randint(n - 1, 40))
+            want, absent = _reads_per_position(rows, buf, n)
+            assert absent is None and tuple(code.read(buf)) == tuple(parsed.read(buf)) == want
+            assert type(code.read(buf)) is type(packed((), code.target_alphabet))
+        # a block the table lacks, spliced in at the start, middle and end:
+        # the first unmapped block is named, as a tuple, by both codes
+        missing = next(b for b in itertools.product(range(len(src)), repeat=n) if b not in rows)
+        buf = list(_symbols(x, 0, 12))
+        for at in (0, 6, 12):
+            spiked = packed(buf[:at] + list(missing) + buf[at:], src)
+            absent = _reads_per_position(rows, spiked, n)[1]
+            assert absent is not None
+            for c in (code, parsed):
+                with pytest.raises(MissingBlock) as e:
+                    c.read(spiked)
+                assert str(e.value) == f"block {absent} not in code table"
+                assert re.fullmatch(r"block \(\d+(, \d+)+\) not in code table", str(e.value))
+    assert kinds == {bytes, tuple}
+
+
+def test_conjugacy_witness_memory_stays_within_what_its_probe_and_image_tests_hold():
+    # canonical forms warm; N = 10^6 and |u| = |v| = a.  The radius-0 probe
+    # holds src over [-3N-1, a+2N) and dst over [-3N-1, a+N), four byte
+    # strings over its N + 1 + a centres (the two stretches, the symbols
+    # left to find and the translate) and, on a clash, their XOR: two ints
+    # and the XOR int, each 16/15 of the bytes it reads.  Each image test
+    # holds the root (N) and the image over [-2N-1, a+2N+1), 4N + a + 2
+    # bytes, which the scan slices twice (3N + a + 2 bytes each) into two
+    # ints it XORs, as in `canonical`; the code's own read is smaller.
+    # The bound is the larger of the two.
+    q, p = 399999, 600001
+    x, y = skew(TYPE_S, q, p), skew(TYPE_SPRIME, p, q)
+    cx, cy = canonical(x), canonical(y)
+    n, a = least_period(x), len(cx.anomaly)
+    assert len(cy.anomaly) == len(x.anomaly) == len(y.anomaly) == a
+    centres = n + 1 + a
+    probe = (5 * n + a + 1) + (4 * n + a + 1) + 4 * centres + 3 * centres * 16 // 15
+    image = n + (4 * n + a + 2) + 2 * (3 * n + a + 2) + 3 * (3 * n + a + 2) * 16 // 15
+    tracemalloc.start()
+    try:
+        fwd, inv = conjugacy_witness(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fwd.block_length == inv.block_length == 1 and n == p + q
+    assert peak < max(probe, image), (peak, probe, image)
 
 
 # --- 1-block tables against the tuple route and through JSON ------------------

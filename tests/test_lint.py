@@ -166,17 +166,16 @@ def test_a_dict_read_is_found():
 
 
 def code_table_reads(tree: ast.Module) -> list[str]:
-    """The attribute reads of a sliding block code's tables, the outputs by
-    source id or rows (`_table`) and the rows' dict (`_lookup`), with their
-    line numbers, outside `class SlidingBlockCode`: `SlidingBlockCode.read`
-    is the one place that picks a code's route.  A `_lookup=` keyword,
-    which hands a table to `_trusted`, reads none."""
+    """The attribute reads of a sliding block code's table (`_table`: the
+    outputs by source id, or the dict by block), with their line numbers,
+    outside `class SlidingBlockCode`: `SlidingBlockCode.read` is the one
+    place that picks a code's route.  A `_table=` keyword reads none."""
     inside = {id(node) for cls in ast.walk(tree)
               if isinstance(cls, ast.ClassDef) and cls.name == "SlidingBlockCode"
               for node in ast.walk(cls)}
     found = sorted((node.lineno, node.col_offset, ast.unparse(node)) for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and id(node) not in inside
-                   and node.attr in ("_table", "_lookup"))
+                   and node.attr == "_table")
     return [f"{text} (line {line})" for line, _, text in found]
 
 
@@ -187,13 +186,56 @@ def test_no_code_table_is_read_outside_the_code_class(module):
 
 def test_a_code_table_read_is_found():
     tree = ast.parse("class SlidingBlockCode:\n    def read(self, buf):\n"
-                     "        return self._table, self._lookup\n\n"
+                     "        return self._table[buf]\n\n"
                      "def image(code, block):\n    table = code._table\n"
-                     "    return code._lookup[block], code.entries\n\n"
+                     "    return code._table[block], code.entries\n\n"
                      "class Other:\n    def f(self, code):\n        return code._table[0]\n\n"
-                     "def built(lookup):\n    return SlidingBlockCode._trusted(_lookup=lookup)\n")
-    assert code_table_reads(tree) == ["code._table (line 6)", "code._lookup (line 7)",
+                     "def built(table):\n    return SlidingBlockCode(_table=table)\n")
+    assert code_table_reads(tree) == ["code._table (line 6)", "code._table (line 7)",
                                       "code._table (line 11)"]
+
+
+def trusted_constructors(tree: ast.Module) -> dict[str, list[str]]:
+    """For each direct `Value` subclass that defines its own `_trusted`,
+    the annotated fields (its ``==`` and ``hash`` read them all) that the
+    `_trusted` never sets by `_set(self, "field", ...)` or
+    `object.__setattr__(self, "field", ...)`."""
+    unset = {}
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and any(ast.unparse(b) == "Value" for b in cls.bases)):
+            continue
+        fields = [n.target.id for n in cls.body
+                  if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_trusted":
+                set_ = {call.args[1].value for call in ast.walk(fn) if isinstance(call, ast.Call)
+                        and ast.unparse(call.func) in ("_set", "object.__setattr__")
+                        and len(call.args) == 3 and ast.unparse(call.args[0]) == "self"
+                        and isinstance(call.args[1], ast.Constant)}
+                unset[cls.name] = [f for f in fields if f not in set_]
+    return unset
+
+
+def test_every_own_trusted_constructor_sets_every_field():
+    found = {}
+    for path in SRC.glob("*.py"):
+        found.update(trusted_constructors(ast.parse(path.read_text(), path.name)))
+    assert found == {"Word": [], "PeriodicSeq": [], "EPSeq": []}
+
+
+def test_a_field_a_trusted_constructor_skips_is_found():
+    tree = ast.parse("class Seq(Value):\n    period: Word\n    anomaly: Word\n    _memo = None\n\n"
+                     "    @classmethod\n    def _trusted(cls, period, anomaly, *, _memo=None):\n"
+                     "        self = _new(cls)\n        _set(self, 'period', period)\n"
+                     "        _set(self, '_memo', _memo)\n        _set(other, 'anomaly', anomaly)\n"
+                     "        return self\n\n"
+                     "class Pair(Value):\n    a: int\n    b: int\n\n"
+                     "    @classmethod\n    def _trusted(cls, a, b):\n        self = _new(cls)\n"
+                     "        object.__setattr__(self, 'a', a)\n        _set(self, 'b', b)\n"
+                     "        return self\n\n"
+                     "class Plain:\n    x: int\n\n    def _trusted(cls):\n        return None\n\n"
+                     "class Generic(Value):\n    y: int\n")
+    assert trusted_constructors(tree) == {"Seq": ["anomaly"], "Pair": []}
 
 
 def unnamed_fixtures(fixtures: list[str], modules: list[str]) -> list[str]:

@@ -194,7 +194,8 @@ def test_trusted_paths_build_only_valid_values(parts, data):
     for c in codes:
         again = SlidingBlockCode(c.memory, c.anticipation, c.entries, rebuilt_alphabet(
             c.source_alphabet), rebuilt_alphabet(c.target_alphabet))
-        assert again == c and vars(again).get("_lookup") == vars(c).get("_lookup")
+        assert again == c and type(again._table) is type(c._table)
+        assert hash(again) == hash(c) and repr(again) == repr(c) and again.entries == c.entries
 
 
 def test_skew_sturmian_returns_what_the_checked_constructors_build():
@@ -221,22 +222,29 @@ def test_trusted_takes_every_field_and_memos_no_comparison_sees():
     assert canonical(marked) is marked and bare._canonical is None
     # a 1-block code built trusted from its translate table equals the
     # checked code, which normalizes its rows into that table and keeps no
-    # lookup dict
+    # memo but the hash
     entries = (((0,), 1), ((1,), 0))
     checked = SlidingBlockCode(0, 0, entries, BINARY, BINARY)
     trusted = SlidingBlockCode._trusted(0, 0, b"\x01\x00" + b"\xff" * 254, BINARY, BINARY)
     assert trusted == checked and hash(trusted) == hash(checked)
     assert repr(trusted) == repr(checked) and trusted._table == checked._table
-    assert trusted.entries == checked.entries == entries and "_lookup" not in vars(checked)
+    assert trusted.entries == checked.entries == entries
+    assert set(vars(checked)) == set(SlidingBlockCode._fields) | {"_hash"}
     assert jsonio.emit_code(trusted) == jsonio.emit_code(checked)
     with pytest.raises(AttributeError):
         trusted.memory = 1
-    # a wider code with its lookup table as a memo equals the checked code
+    # a wider code built trusted from its dict by packed block, in any
+    # order, equals the checked code, which keys its rows the same way;
+    # hash and repr read the sorted rows, and no memo but the hash is kept
     rows = tuple(((a, b), a ^ b) for a in (0, 1) for b in (0, 1))
     wide = SlidingBlockCode(0, 1, rows, BINARY, BINARY)
-    looked = SlidingBlockCode._trusted(0, 1, rows, BINARY, BINARY, _lookup=dict(rows))
-    assert looked == wide and hash(looked) == hash(wide) and repr(looked) == repr(wide)
-    assert wide._lookup == looked._lookup == dict(rows) and wide.entries == rows
+    keyed = SlidingBlockCode._trusted(0, 1, {bytes(b): o for b, o in reversed(rows)},
+                                      BINARY, BINARY)
+    assert keyed == wide and hash(keyed) == hash(wide) and repr(keyed) == repr(wide)
+    assert wide._table == keyed._table == {bytes(b): o for b, o in rows}
+    assert {tuple(b): o for b, o in wide._table.items()} == dict(rows)
+    assert wide.entries == keyed.entries == rows and f"_table={rows!r}" in repr(keyed)
+    assert set(vars(wide)) == set(vars(keyed)) == set(SlidingBlockCode._fields) | {"_hash"}
     # an image test reads the table and leaves no memo on the code
     unread = SlidingBlockCode(0, 0, entries, BINARY, BINARY)
     x = make_ep(word("01"), word("1"))

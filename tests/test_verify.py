@@ -8,7 +8,7 @@ import pytest
 
 from epshift import classify, verify
 from epshift.bezout import restricted_bezout
-from epshift.errors import InternalMismatch
+from epshift.errors import DegeneratePeriodic, InternalMismatch
 from epshift.sequences import PeriodicSeq, make_ep
 from epshift.sturmian import TYPE_S, Frequency, SturmianSpec, cell_series, expand_cells
 from epshift.verify import (
@@ -18,7 +18,7 @@ from epshift.verify import (
     _witness_verifies,
     coprime_pairs,
 )
-from epshift.words import Alphabet, Word, word
+from epshift.words import BINARY, Alphabet, Word, word
 
 
 def test_status_tracks_failures_exactly():
@@ -78,6 +78,24 @@ def test_orbit_check_rejects_an_image_that_is_no_rotation(monkeypatch):
     assert verdict(Word(word("01100").symbols, Alphabet(("a", "b")))) == (
         "periodic orbit not mapped onto the target orbit")
     assert verdict(word("0011")) == "periodic orbit least period not preserved"
+
+
+def test_the_family_from_primitive_periods_is_the_full_product_of_words(small_family):
+    # the product loop over every period word, primitive or not: the family
+    # tries primitive ones alone, and must list the same members in order
+    def words(maxlen):
+        return [Word(tuple((bits >> i) & 1 for i in range(n)), BINARY)
+                for n in range(1, maxlen + 1) for bits in range(2 ** n)]
+
+    full = set()
+    for w in words(4):
+        for v in words(6):
+            try:
+                full.add(make_ep(w, v))
+            except DegeneratePeriodic:
+                pass
+    ordered = sorted(full, key=lambda x: (x.period_word.symbols, x.anomaly.symbols))
+    assert small_family == verify.exhaustive_family(4, 6) == ordered and len(ordered) == 2410
 
 
 def test_criteria_4_and_5_build_one_family_per_run(monkeypatch):
