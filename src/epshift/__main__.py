@@ -2,7 +2,6 @@ import sys
 
 from .cli import main
 
-# Under the spawn and forkserver start methods a pool worker imports this
-# module as __mp_main__, and must not run the command again.
+# Only a run as a program runs the command, not an import under another name.
 if __name__ == "__main__":
     sys.exit(main())

@@ -80,5 +80,4 @@ class MalformedInput(InputError):
 
 
 class WorkerLost(EpshiftError):
-    """A worker process of `epshift verify` died before it returned its
-    part of the run, or could not be started."""
+    """A forked worker of `epshift verify` died before it returned its part, or could not start."""

@@ -36,13 +36,11 @@ instances (the family is sorted by period word, the criterion 7 pairs are
 i-major) are shared out evenly.  Criteria 4 and 5 share one family:
 `_family_checks` builds it, criterion 4 checks it, criterion 5 reuses it
 with the canonical forms criterion 4 left on its values, and it dies when
-that call returns, before criterion 6 starts.  `run_all` runs `_suite`
-once per worker of a process pool, one part each, and merges each
-criterion's parts into what one pass over its whole stream reports,
-except that `seconds` is their sum.  Only the bounds, the seed and the
-part go to a worker, whose `_suite` looks the checks up as module
-globals, so a worker forked from a process that patched or wrapped them
-runs the patched ones.
+that call returns, before criterion 6 starts.  `run_all` runs part 0 of
+n in the calling process and each other part in a child forked from it,
+which runs whatever its parent patched (`_suite` looks the checks up as
+module globals), and merges each criterion's parts into what one pass
+over its whole stream reports, except that `seconds` is their sum.
 
 The default bounds reproduce the acceptance suite, so `epshift verify`
 with no flags is the acceptance run.
@@ -50,17 +48,16 @@ with no flags is the acceptance run.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import pickle
 import random
+import signal
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from math import gcd
 from operator import sub
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Any, Callable, Iterable, Iterator, NoReturn, Optional, Sequence, Union
 
 from . import classify, jsonio
 from .bezout import restricted_bezout
@@ -740,27 +737,57 @@ def _merged(parts: tuple[TheoremCheck, ...]) -> TheoremCheck:
 MAX_WORKERS = 8  # each worker builds its own family and spec lists
 
 
-def run_all(bounds: VerifyBounds = VerifyBounds(), seed: int = 0) -> VerifyReport:
-    """The nine criteria of `_suite`, run once per worker of a process pool,
-    part k of `parts` checking every parts-th instance from the k-th, and
-    merged into the report in criterion order.  A worker that dies, or
-    cannot be started, is a WorkerLost."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parts = min(MAX_WORKERS, cpus or 1)
-    before = set(multiprocessing.active_children())
+def _child(pipe: int, bounds: VerifyBounds, seed: int, part: tuple[int, int]) -> NoReturn:
+    """A forked worker: pickles `part`'s column of `_suite`, or the exception
+    it raised, down `pipe`, and leaves with no return, flush or atexit."""
     try:
-        with ProcessPoolExecutor(max_workers=parts) as pool:
-            try:  # map submits every part before it returns
-                columns = pool.map(_suite, repeat(bounds), repeat(seed),
-                                   [(k, parts) for k in range(parts)])
+        try:
+            column: Any = _suite(bounds, seed, part)
+        except Exception as e:
+            column = e
+        with os.fdopen(pipe, "wb") as out:
+            pickle.dump(column, out)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def run_all(bounds: VerifyBounds = VerifyBounds(), seed: int = 0) -> VerifyReport:
+    """The nine criteria of `_suite`, part k of `parts` checking every
+    parts-th instance from the k-th, merged in criterion order.  Part 0 runs
+    here, each other part in a forked `_child`, whose exception is raised
+    here.  A child that dies, or cannot start, is a WorkerLost."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = min(MAX_WORKERS, cpus or 1) if hasattr(os, "fork") else 1
+    workers: list[tuple[int, IO[bytes]]] = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for k in range(1, parts):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
             except OSError as e:
-                # Starting the pool failed.  Under fork its manager thread starts only after
-                # every worker, so a worker started before the failure gets no stop signal,
-                # and the interpreter would wait for it at exit.
-                for worker in set(multiprocessing.active_children()) - before:
-                    worker.terminate()
-                    worker.join()
+                os.close(r)
+                os.close(w)
                 raise WorkerLost(f"could not start the verify workers: {e}") from None
-            return VerifyReport(list(map(_merged, zip(*columns))))
-    except BrokenProcessPool:
-        raise WorkerLost("a verify worker process died before it returned its part") from None
+            if not pid:
+                _child(w, bounds, seed, (k, parts))
+            os.close(w)
+            workers.append((pid, os.fdopen(r, "rb")))
+        columns = [_suite(bounds, seed, (0, parts))]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:  # read to EOF before the wait: a column may outgrow the pipe's buffer
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            if status or not data:
+                raise WorkerLost("a verify worker process died before it returned its part")
+            columns.append(pickle.loads(data))
+            if isinstance(columns[-1], Exception):
+                raise columns[-1]
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return VerifyReport(list(map(_merged, zip(*columns))))

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from epshift import verify
@@ -35,3 +37,19 @@ def forged_factor_witness():
     y = apply_code(code, x)
     ident = identity_code(BINARY)
     return x, y, FlowWitness((ConjugacyMove(code, y),), (), ((ident, FORWARD),))
+
+
+@pytest.fixture
+def no_child_left():
+    """Checks after the test that it left no child process, running or a
+    zombie: `verify.run_all` reaps every worker it forks."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def force_parts(monkeypatch):
+    """force_parts(n) makes `verify.run_all` split its run into n parts on any host."""
+    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                                         raising=False)

@@ -426,6 +426,41 @@ def test_witness_code_has_the_least_consistent_radius(pair):
         assert outputs[block] == y.symbol_id_at(i)
 
 
+
+# ids that agree in their low six bits, so that two dst symbols can differ
+# only in bits 6 and 7 of their byte
+LOW_BITS_ALIKE = (0, 64, 128, 1, 129, 5, 7)
+WIDE = Alphabet(tuple(f"s{i}" for i in range(130)))
+
+
+@pytest.mark.parametrize("ids, alphabet, draws",
+                         [((0, 1), BINARY, 150), (LOW_BITS_ALIKE, WIDE, 60)],
+                         ids=["binary", "wide"])
+def test_witness_code_has_the_least_radius_past_32_centres(ids, alphabet, draws):
+    # x canonical with N from 20 to 40, y the canonical image of x under a
+    # random radius-1 code: the radius-0 probe has more than 32 centres, so
+    # it takes the bytes route
+    rng, pairs = random.Random(f"least radius/{len(ids)}"), 0
+    for _ in range(draws):
+        n = rng.randint(20, 40)
+        wsyms = [rng.choice(ids) for _ in range(n)]
+        vsyms = [rng.choice(ids) for _ in range(rng.randint(1, 8))]
+        try:
+            x = canonical(make_ep(Word(tuple(wsyms), alphabet), Word(tuple(vsyms), alphabet)))
+            table = tuple((b, rng.choice(ids)) for b in itertools.product(ids, repeat=3))
+            y = canonical(apply_code(SlidingBlockCode(1, 1, table, alphabet, alphabet), x))
+        except (DegeneratePeriodic, DegenerateImage):
+            continue
+        if least_period(x) != n or least_period(y) != n:
+            continue
+        pairs += 1
+        code = _witness_code(x, y)
+        k = code.memory  # consistency is monotone in the radius
+        assert code.anticipation == k and _pointwise_consistent(x, y, k), (x, y)
+        assert k == 0 or not _pointwise_consistent(x, y, k - 1), (x, y)
+    assert pairs >= draws * 2 // 3, pairs
+
+
 def test_narrow_buffer_counterexample_needs_radius_three():
     x, y = ep("0", "000001"), ep("0", "001001")
     cx, cy = canonical(x), canonical(y)

@@ -1,12 +1,10 @@
-import concurrent.futures
 import copy
 import errno
-import functools
 import hashlib
 import io
 import json
-import multiprocessing
 import os
+import pickle
 import runpy
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -576,68 +574,62 @@ def test_verify_rejects_a_cap_below_the_least_period_sum(capsys, cap):
 DIED = "a verify worker process died before it returned its part"
 
 
-def test_verify_turns_a_dead_worker_into_one_json_error(capsys, monkeypatch):
-    # fork, so that the workers running criterion 7 inherit the patch
-    fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(verify, "ProcessPoolExecutor",
-                        functools.partial(verify.ProcessPoolExecutor, mp_context=fork))
-    monkeypatch.setattr(classify, "flow_witness", lambda x, y: os._exit(3))
+def test_verify_turns_a_dead_worker_into_one_json_error(capsys, monkeypatch, no_child_left,
+                                                        force_parts):
+    # part 0 runs in this process, so only a forked worker's criterion 7 exits
+    me, real = os.getpid(), classify.flow_witness
+    force_parts(2)
+    monkeypatch.setattr(classify, "flow_witness",
+                        lambda x, y: real(x, y) if os.getpid() == me else os._exit(3))
     code, obj = run(capsys, "verify", "--max-period-sum", "3", "--seed", "0")
     assert (code, obj["error"]["kind"]) == (1, "WorkerLost")
     assert obj["error"]["message"] == DIED
-    assert multiprocessing.active_children() == []
 
 
-def test_verify_turns_a_pool_broken_between_submits_into_one_json_error(capsys, monkeypatch):
-    fork = multiprocessing.get_context("fork")
+def test_verify_turns_a_worker_dying_after_another_returned_into_one_json_error(
+        capsys, monkeypatch, no_child_left, force_parts):
+    # of three parts, worker 1 returns its column, which is read, and worker 2 dies
+    real_suite, real_loads, read = verify._suite, pickle.loads, []
 
-    class OneAtATime(verify.ProcessPoolExecutor):
-        # waits for each part before the next submit, so the part that kills
-        # its worker breaks the pool while parts are still being submitted
-        def __init__(self, max_workers):
-            super().__init__(max_workers, mp_context=fork)
+    def suite(bounds, seed, part):
+        if part[0] == 2:
+            os._exit(3)
+        return real_suite(bounds, seed, part)
 
-        def submit(self, *args):
-            job = super().submit(*args)
-            concurrent.futures.wait([job])
-            return job
+    def loads(data):
+        read.append(data)
+        return real_loads(data)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", OneAtATime)
-    monkeypatch.setattr(classify, "flow_witness", lambda x, y: os._exit(3))
+    force_parts(3)
+    monkeypatch.setattr(verify, "_suite", suite)
+    monkeypatch.setattr(pickle, "loads", loads)
     code, obj = run(capsys, "verify", "--max-period-sum", "3", "--seed", "0")
     assert (code, obj["error"]["kind"]) == (1, "WorkerLost")
-    assert obj["error"]["message"] == DIED
-    assert multiprocessing.active_children() == []
+    assert obj["error"]["message"] == DIED and len(read) == 1
 
 
-def test_verify_turns_a_worker_that_cannot_start_into_one_json_error(capsys, monkeypatch):
-    fork = multiprocessing.get_context("fork")
-    pool = verify.ProcessPoolExecutor
-    monkeypatch.setattr(verify, "ProcessPoolExecutor",  # two workers on any host
-                        lambda max_workers: pool(2, mp_context=fork))
+def test_verify_turns_a_worker_that_cannot_start_into_one_json_error(
+        capsys, monkeypatch, no_child_left, force_parts):
     forks = []
 
-    def fork_once():  # the first worker starts, the second does not
+    def fork_once():  # of three parts' two forks, the first starts a worker, the second fails
         if forks:
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
         forks.append(1)
         return real_fork()
 
-    real_fork = os.fork
+    real_fork, fds = os.fork, sorted(os.listdir("/dev/fd"))
+    force_parts(3)
     monkeypatch.setattr(os, "fork", fork_once)
-    try:
-        code, obj = run(capsys, "verify", "--max-period-sum", "3", "--seed", "0")
-    finally:  # a worker left waiting would hang the test run at exit
-        left = multiprocessing.active_children()
-        for worker in left:
-            worker.terminate()
+    code, obj = run(capsys, "verify", "--max-period-sum", "3", "--seed", "0")
     assert (code, obj["error"]["kind"]) == (1, "WorkerLost")
     assert "could not start" in obj["error"]["message"] and forks == [1]
-    assert left == []
+    assert sorted(os.listdir("/dev/fd")) == fds  # both pipes closed, the failed fork's too
 
 
 def test_main_module_run_by_a_pool_worker_does_nothing(capsys):
-    # spawn and forkserver workers import the main module as __mp_main__
+    # a process importing the main module under another name, as a spawn or
+    # forkserver worker imports it as __mp_main__, runs no command
     runpy.run_module("epshift.__main__", run_name="__mp_main__")
     assert capsys.readouterr() == ("", "")
 

@@ -3,10 +3,11 @@ import tracemalloc
 from operator import ne
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epshift import verify
+from epshift.classify import _image_similar, apply_code, identity_code
 from epshift.bezout import restricted_bezout
 from epshift.errors import DegeneratePeriodic, IncompatibleAlphabets, InternalMismatch
 from epshift.sequences import (
@@ -401,6 +402,37 @@ def test_canonical_is_brute_force_leftmost_minimal_window(parts):
     n = least_period(x)
     expected = make_ep(window(x, s - n, s - 1), window(x, s, s + length - 1))
     assert canonical(x) == expected
+
+
+# ids that agree in their low six bits: bytes whose XOR has its lowest set bit
+# at bit 6 or 7, where the kernel's bit-to-byte arithmetic has no slack
+LOW_BITS_ALIKE = (0, 64, 128, 1, 129, 5, 7)
+WIDE = Alphabet(tuple(f"s{i}" for i in range(130)))
+
+
+def test_anomaly_size_tells_id_64_from_id_0():
+    over_65 = Alphabet(WIDE.labels[:65])
+    x = make_ep(Word((0,), over_65), Word((64, 5, 7), over_65))
+    assert anomaly_size(x) == 3 == anomaly_windows(x)[0][1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(LOW_BITS_ALIKE), min_size=1, max_size=3),
+       st.lists(st.sampled_from(LOW_BITS_ALIKE), min_size=1, max_size=6))
+@example([0], [64, 5, 7])
+def test_kernel_reads_byte_ids_that_agree_in_their_low_bits(wsyms, vsyms):
+    try:
+        x = make_ep(Word(tuple(wsyms), WIDE), Word(tuple(vsyms), WIDE))
+    except DegeneratePeriodic:
+        assume(False)
+    s, length = anomaly_windows(x)[0]
+    n = least_period(x)
+    expected = make_ep(window(x, s - n, s - 1), window(x, s, s + length - 1))
+    assert anomaly_size(x) == length
+    assert canonical(x) == expected
+    # the image tests scan a code's image with the same kernel
+    ident = identity_code(WIDE)
+    assert apply_code(ident, x) == x and _image_similar(ident, x, expected)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

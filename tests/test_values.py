@@ -139,19 +139,22 @@ def test_cli_import_loads_no_code_generation_modules():
     """`import epshift.cli` adds neither dataclasses nor inspect to what
     the bare interpreter had loaded: each costs every command milliseconds.
     Neither it nor `import epshift` loads `epshift.verify`, which holds the
-    slow oracles, or the pool and random modules only verify needs."""
+    slow oracles, or the random module only verify needs.  Nor does
+    `import epshift.verify` load a process pool: verify forks its workers."""
     src = str(Path(epshift.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    verify_only = {"epshift.verify", "multiprocessing", "concurrent.futures", "random"}
-    for module in ("epshift.cli", "epshift"):
+    pool = {"multiprocessing", "concurrent.futures"}
+    command = {"dataclasses", "inspect", "epshift.verify", "random"} | pool
+    for module, unwanted in (("epshift.cli", command), ("epshift", command),
+                             ("epshift.verify", pool)):
         probe = (f"import sys; before = set(sys.modules); import {module}; "
                  "print(' '.join(sorted(set(sys.modules) - before)))")
         # -S: `site` may load some of these itself, which would hide them from the probe
         out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                              text=True, check=True).stdout.split()
         assert module in out
-        assert not ({"dataclasses", "inspect"} | verify_only) & set(out), module
+        assert not unwanted & set(out), module
 
 
 # --- one kind of symbols per alphabet size ---------------------------------------

@@ -1,6 +1,6 @@
 import json
-import multiprocessing
 import os
+import time
 import weakref
 from types import SimpleNamespace
 
@@ -98,7 +98,7 @@ def test_the_family_from_primitive_periods_is_the_full_product_of_words(small_fa
     assert small_family == verify.exhaustive_family(4, 6) == ordered and len(ordered) == 2410
 
 
-def test_criteria_4_and_5_build_one_family_per_run(monkeypatch):
+def test_criteria_4_and_5_build_one_family_per_run(monkeypatch, no_child_left):
     built, alive, at_criterion_6 = [], [], []
     real, classes = verify.exhaustive_family, verify.check_conjugacy_classes
 
@@ -122,11 +122,12 @@ def test_criteria_4_and_5_build_one_family_per_run(monkeypatch):
         ["window-lemmas", "conjugacy-witnesses"]] * 2
     assert len(built) == 2 and at_criterion_6 == [[None], [None, None]]
     assert [[c.checked for c in checks] for checks in parts] == [[1305, 1302], [1305, 1301]]
+    # run_all's part 0 builds its family here, and drops it before criterion 6
     report = verify.run_all(bounds, seed=7)
-    assert report.ok
+    assert report.ok and len(built) == 3 and at_criterion_6[-1] == [None] * 3
     assert [c.checked for c in report.checks] == [21, 42, 4, 2610, 2603, 1936, 1040, 126, 21]
-    assert verify.check_window_lemmas(bounds, 7).checked == 2610 and len(built) == 3
-    assert verify.check_conjugacy_witnesses(bounds, 7).checked == 2603 and len(built) == 4
+    assert verify.check_window_lemmas(bounds, 7).checked == 2610 and len(built) == 4
+    assert verify.check_conjugacy_witnesses(bounds, 7).checked == 2603 and len(built) == 5
 
 
 def _raising(*args):
@@ -314,7 +315,7 @@ def _masked(checks):
     return [{**c.to_obj(), "seconds": 0} for c in checks]
 
 
-def test_run_all_reports_the_criteria_in_order_as_run_in_process():
+def test_run_all_reports_the_criteria_in_order_as_run_in_process(no_child_left):
     bounds = VerifyBounds(family_w=3, family_v=4, family_random=20).capped(5)
     report = verify.run_all(bounds, seed=7)
     in_process = [check(bounds) for check in RUN_CRITERION.values()]
@@ -323,28 +324,77 @@ def test_run_all_reports_the_criteria_in_order_as_run_in_process():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_run_all_merges_the_parts_into_the_serial_report(monkeypatch, workers):
+def test_run_all_merges_the_parts_into_the_serial_report(monkeypatch, no_child_left, force_parts,
+                                                        workers):
     # every flow pair fails, and every Bezout pair but (1, 1), so each part of
     # both criteria returns failures, which the merge must interleave
-    fork = multiprocessing.get_context("fork")  # the workers inherit the patches
-    pool, started = verify.ProcessPoolExecutor, []
+    real_fork, forked = os.fork, []
 
-    def forced(max_workers):
-        started.append(max_workers)
-        return pool(max_workers, mp_context=fork)
+    def fork():  # the workers, forked, inherit the patches
+        forked.append(1)
+        return real_fork()
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", forced)
+    force_parts(workers)
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(classify, "flow_witness", _raising)
     monkeypatch.setattr(verify, "restricted_bezout", _skew_pair_bezout)
     bounds = VerifyBounds(family_w=3, family_v=4, family_random=20).capped(5)
     report = verify.run_all(bounds, seed=7)
     in_process = [check(bounds) for check in RUN_CRITERION.values()]
     suite = verify._suite(bounds, 7)
-    assert started == [workers]
+    assert len(forked) == workers - 1  # part 0 runs in this process
     assert _masked(report.checks) == _masked(suite) == _masked(in_process)
     assert ([c.failed_at for c in report.checks] == [c.failed_at for c in suite]
             == [c.failed_at for c in in_process])
     bezout, flow = report.checks[0], report.checks[6]
     assert bezout.failed_at == tuple(range(1, bezout.checked)) and bezout.checked > workers
     assert flow.failed_at == tuple(range(flow.checked)) and flow.checked > workers
+
+
+def test_run_all_raises_a_workers_exception_with_its_type_and_message(
+        monkeypatch, no_child_left, force_parts):
+    me, classes = os.getpid(), verify.check_conjugacy_classes
+
+    def sabotaged(*args, **kwargs):  # in a forked worker's part only
+        return classes(*args, **kwargs) if os.getpid() == me else _raising()
+
+    force_parts(2)
+    monkeypatch.setattr(verify, "check_conjugacy_classes", sabotaged)
+    with pytest.raises(InternalMismatch, match="^sabotaged$"):
+        verify.run_all(SMALL_BOUNDS, seed=7)
+
+
+
+def test_run_all_reads_a_column_larger_than_the_pipe_buffer(
+        monkeypatch, no_child_left, force_parts):
+    spot, pad = verify.check_spot_values, {"pad": "x" * (1 << 20)}
+
+    def padded(*, part):  # one megabyte of failure record in each part
+        chk = spot(part=part)
+        return TheoremCheck(chk.tag, chk.bounds, chk.checked, [pad], chk.seconds, (part[0],))
+
+    force_parts(2)
+    monkeypatch.setattr(verify, "check_spot_values", padded)
+    assert verify.run_all(SMALL_BOUNDS, seed=7).checks[2].failures == [pad, pad]
+
+@pytest.mark.parametrize("error", [InternalMismatch, KeyboardInterrupt])
+def test_run_all_kills_and_reaps_every_worker_when_its_own_part_raises(
+        monkeypatch, no_child_left, force_parts, error):
+    me, real_fork, forked = os.getpid(), os.fork, []
+
+    def fork():
+        forked.append(real_fork())
+        return forked[-1]
+
+    def stuck_or_raising(*args, **kwargs):  # the workers would outlive any join
+        if os.getpid() != me:
+            time.sleep(60)
+        raise error("sabotaged")
+
+    force_parts(3)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(verify, "check_conjugacy_classes", stuck_or_raising)
+    t0 = time.perf_counter()
+    with pytest.raises(error, match="^sabotaged$"):
+        verify.run_all(SMALL_BOUNDS, seed=7)
+    assert time.perf_counter() - t0 < 30 and len(forked) == 2
