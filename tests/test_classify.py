@@ -426,7 +426,6 @@ def test_witness_code_has_the_least_consistent_radius(pair):
         assert outputs[block] == y.symbol_id_at(i)
 
 
-
 # ids that agree in their low six bits, so that two dst symbols can differ
 # only in bits 6 and 7 of their byte
 LOW_BITS_ALIKE = (0, 64, 128, 1, 129, 5, 7)

@@ -364,7 +364,6 @@ def test_run_all_raises_a_workers_exception_with_its_type_and_message(
         verify.run_all(SMALL_BOUNDS, seed=7)
 
 
-
 def test_run_all_reads_a_column_larger_than_the_pipe_buffer(
         monkeypatch, no_child_left, force_parts):
     spot, pad = verify.check_spot_values, {"pad": "x" * (1 << 20)}
@@ -376,6 +375,7 @@ def test_run_all_reads_a_column_larger_than_the_pipe_buffer(
     force_parts(2)
     monkeypatch.setattr(verify, "check_spot_values", padded)
     assert verify.run_all(SMALL_BOUNDS, seed=7).checks[2].failures == [pad, pad]
+
 
 @pytest.mark.parametrize("error", [InternalMismatch, KeyboardInterrupt])
 def test_run_all_kills_and_reaps_every_worker_when_its_own_part_raises(
