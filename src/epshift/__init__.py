@@ -6,22 +6,8 @@ checkable witnesses for conjugacy and flow equivalence, and generators for
 skew Sturmian sequences of rational frequency.  All arithmetic is exact.
 """
 
-from .bezout import BezoutPair, restricted_bezout
-from .classify import (
-    ConjugacyMove,
-    ExpandMove,
-    FlowWitness,
-    SlidingBlockCode,
-    apply_code,
-    apply_code_to_periodic,
-    conjugacy_witness,
-    conjugate_ep,
-    expand_symbol,
-    flow_witness,
-    identity_code,
-    skew_conjugacy_class,
-    verify_flow_witness,
-)
+from .bezout import restricted_bezout
+from .classify import apply_code, conjugacy_witness, conjugate_ep, flow_witness, verify_flow_witness
 from .errors import EpshiftError
 from .sequences import (
     EPSeq,
@@ -31,12 +17,9 @@ from .sequences import (
     least_period,
     make_ep,
     remove_anomaly,
-    shift,
     similar,
-    window,
 )
 from .sturmian import (
-    CellSeries,
     Frequency,
     SturmianSpec,
     TYPE_S,
@@ -44,16 +27,7 @@ from .sturmian import (
     cell_series,
     expand_cells,
     skew_sturmian,
-    symbol_reverse,
 )
-from .words import (
-    BINARY,
-    Alphabet,
-    Word,
-    is_primitive,
-    primitive_root,
-    rotate,
-    word,
-)
+from .words import word
 
 __version__ = "0.1.0"

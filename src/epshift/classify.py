@@ -32,7 +32,6 @@ from .sequences import (
     canonical,
     least_period,
 )
-from .sturmian import SturmianSpec, TYPE_S, TYPE_SPRIME
 from .words import Alphabet, Symbols, Value, Word, packed, primitive_root, require_same_alphabet
 
 
@@ -540,12 +539,3 @@ def _replay_move(cur: EPSeq, move: FlowMove) -> Optional[str]:
     if fresh != move.fresh or expanded != move.result:
         return "expansion does not reproduce recorded result"
     return None
-
-
-def skew_conjugacy_class(spec: SturmianSpec) -> set[SturmianSpec]:
-    """The conjugacy class of a skew Sturmian spec: itself and the spec
-    with inverse frequency and opposite type (always exactly two members;
-    Infinity/S pairs with Zero/S')."""
-    opposite = TYPE_SPRIME if spec.stype == TYPE_S else TYPE_S
-    partner = SturmianSpec(spec.freq.inverse(), opposite, spec.m)
-    return {spec, partner}

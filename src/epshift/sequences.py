@@ -27,8 +27,8 @@ little-endian, an order that ``int.from_bytes`` needs spelled out on
 Python 3.10: a word over at most 256 symbols holds bytes, a byte per
 symbol, which the scan reads as they are.  Item j fills bits
 [8wj, 8w(j+1)) for width w, so the lowest and highest set bits name the
-first and last differing items exactly.  ``anomaly_size``, ``canonical``,
-``shift`` and code images in :mod:`epshift.classify` all go through it.
+first and last differing items exactly.  ``anomaly_size``, ``canonical``
+and code images in :mod:`epshift.classify` all go through it.
 The brute-force window search that the kernel is held to, which shares
 no code with it, and window removal live in :mod:`epshift.verify`, the
 only module that runs them; they hold a window as the kernel does, as
@@ -54,11 +54,11 @@ memos as the public constructors do; those check everything.
 One representational limit is inherent to the anchoring: a sequence whose
 leftmost deviation from its periodic tail sits at a negative index has no
 anchored form at all.  The t-fold shift of a sequence has one iff t <= d,
-so operations that produce shifted sequences (``shift``, and code
-application in :mod:`epshift.classify`) return the exact result whenever
-it is representable and otherwise the shift by d, the representable
-sequence nearest to the requested one; similarity-level contracts are
-unaffected.  Everything here is immutable and pure.
+so code application in :mod:`epshift.classify`, which produces shifted
+sequences, returns the exact result whenever it is representable and
+otherwise the shift by d, the representable sequence nearest to the
+requested one; similarity-level contracts are unaffected.  Everything
+here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -263,22 +263,15 @@ def _scan(buf: Symbols, lo: int, period: Word, delta: int) -> Optional[_Scan]:
     return _Scan(buf, lo, period, d, e + 1 - length, length)
 
 
-def _normal_form(x: EPSeq, prefer: int = 0) -> _Scan:
-    """The kernel run over the buffer w*k + v + w*2, where the k >= 2 copies
-    of w reach far enough left to anchor any shift of x by t >= prefer."""
+def _normal_form(x: EPSeq) -> _Scan:
+    """The kernel run over the buffer w*2 + v + w*2, from index -2N: it
+    holds N entries of each tail, and the minimal window, which starts
+    after -2N, so that ``anchor(start)`` reads it from the buffer."""
     w, v = x.period_word.symbols, x.anomaly.symbols
-    k = 2 - min(prefer, 0) // len(w)
-    scan = _scan(w * k + v + w * 2, -k * len(w), x.period_word, len(v))
+    scan = _scan(w * 2 + v + w * 2, -2 * len(w), x.period_word, len(v))
     if scan is None:
         raise InternalMismatch("the scan found no defect; the sequence would be periodic")
     return scan
-
-
-def window(x: EPSeq, i: int, j: int) -> Word:
-    """The word x_i x_{i+1} ... x_j (inclusive)."""
-    if i > j:
-        raise ValueError(f"window requires i <= j, got {i} > {j}")
-    return Word._trusted(_symbols(x, i, j + 1), x.alphabet)
 
 
 def least_period(x: EPSeq | PeriodicSeq) -> int:
@@ -320,14 +313,3 @@ def similar(x: EPSeq, y: EPSeq) -> bool:
     """True iff some shift of x equals y (decided via canonical forms)."""
     require_same_alphabet(x.period_word, y.period_word)
     return canonical(x) == canonical(y)
-
-
-def shift(x: EPSeq, k: int) -> EPSeq:
-    """A representation of the k-fold shift of x (positive k moves the
-    viewing window right: result_i = x_{i+k}).
-
-    Exact whenever the shifted sequence is anchored-representable, that is
-    for k <= d, the first index where x departs from its left tail;
-    otherwise the shift by d, the nearest representable one, is returned.
-    """
-    return _normal_form(x, k).anchor(k)

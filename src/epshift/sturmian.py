@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import gcd
 
 from .bezout import SUM_LIMIT, restricted_bezout
-from .errors import InputTooLarge, InternalMismatch, InvalidSpec, WrongAlphabet
+from .errors import InputTooLarge, InternalMismatch, InvalidSpec
 from .sequences import EPSeq, _tiled, make_ep
 from .words import BINARY, Value, Word, word
 
@@ -238,11 +238,3 @@ def skew_sturmian(spec: SturmianSpec) -> EPSeq:
     # primitive, and |v| < p + q except for S' with p = 1, whose v = 1 0^(q+1)
     # neither ends with w = 1 0^q nor is a power of it
     return EPSeq._trusted(w, v)
-
-
-def symbol_reverse(x: EPSeq) -> EPSeq:
-    """Swap 0 <-> 1 in period word and anomaly (alphabet must be {0,1})."""
-    if x.alphabet != BINARY:
-        raise WrongAlphabet(f"symbol_reverse needs the alphabet ('0','1'), got {x.alphabet.labels}")
-    flip = bytes.maketrans(b"\0\1", b"\1\0")
-    return EPSeq(*(Word(w.symbols.translate(flip), BINARY) for w in (x.period_word, x.anomaly)))

@@ -16,12 +16,15 @@ from a marked end.  Each code is checked alone by the one-code conjugacy
 rule.  Failures are recorded as re-parseable counterexamples; an empty
 failure list is a pass.
 
-The slow routes that only these checks run live here, not in the modules
-every command imports: the window search (``anomaly_windows``) and
-window removal (``remove_window``) of criteria 2 and 4, which hold a
-window as the kernel does, as the ints (start, length), and the cutting
-sequence (``cutting_sequence``) and cell-chain tests
-(``is_balanced_chains``, ``chain_zero_counts``) of criterion 8.
+The slow routes and helpers that only these checks run live here, not in
+the modules every command imports: the window search
+(``anomaly_windows``) and window removal (``remove_window``) of criteria
+2 and 4, which hold a window as the kernel does, as the ints (start,
+length), and the word a window spans (``window``) of criterion 4; the
+skew Sturmian class (``skew_conjugacy_class``) of criterion 6; the
+cutting sequence (``cutting_sequence``) and cell-chain tests
+(``is_balanced_chains``, ``chain_zero_counts``) of criterion 8; and
+symbol reversal (``symbol_reverse``) of criterion 9.
 
 Each criterion is an instance stream and a check of one instance, which
 returns None or the failure record.  One runner, `_criterion`, counts the
@@ -61,7 +64,7 @@ from typing import IO, Any, Callable, Iterable, Iterator, NoReturn, Optional, Se
 
 from . import classify, jsonio
 from .bezout import restricted_bezout
-from .errors import DegeneratePeriodic, EpshiftError, InternalMismatch, WorkerLost
+from .errors import DegeneratePeriodic, EpshiftError, InternalMismatch, WorkerLost, WrongAlphabet
 from .sequences import (
     EPSeq,
     PeriodicSeq,
@@ -73,7 +76,6 @@ from .sequences import (
     make_ep,
     remove_anomaly,
     similar,
-    window,
 )
 from .sturmian import (
     CellSeries,
@@ -85,7 +87,6 @@ from .sturmian import (
     cell_series,
     expand_cells,
     skew_sturmian,
-    symbol_reverse,
 )
 from .words import BINARY, Value, Word, is_primitive, word
 
@@ -398,6 +399,13 @@ def _family(bounds: VerifyBounds, seed: int, shared: Optional[list[EPSeq]]) -> I
     yield from shared
 
 
+def window(x: EPSeq, i: int, j: int) -> Word:
+    """The word x_i x_{i+1} ... x_j (inclusive)."""
+    if i > j:
+        raise ValueError(f"window requires i <= j, got {i} > {j}")
+    return Word._trusted(_symbols(x, i, j + 1), x.alphabet)
+
+
 def _window_lemma_failure(x: EPSeq) -> Optional[str]:
     """Why the window lemmas fail on x, or None when they hold."""
     n = least_period(x)
@@ -513,6 +521,15 @@ def _all_specs(max_sum: int) -> list[SturmianSpec]:
     return specs
 
 
+def skew_conjugacy_class(spec: SturmianSpec) -> set[SturmianSpec]:
+    """The conjugacy class of a skew Sturmian spec: itself and the spec
+    with inverse frequency and opposite type (always exactly two members;
+    Infinity/S pairs with Zero/S')."""
+    opposite = TYPE_SPRIME if spec.stype == TYPE_S else TYPE_S
+    partner = SturmianSpec(spec.freq.inverse(), opposite, spec.m)
+    return {spec, partner}
+
+
 def check_conjugacy_classes(max_sum: int, *, part: tuple[int, int] = (0, 1)) -> TheoremCheck:
     """Criterion 6: over all specs with p+q <= max_sum plus the Infinity/S
     and Zero/S' cases, the invariant-level conjugacy relation partitions
@@ -524,7 +541,7 @@ def check_conjugacy_classes(max_sum: int, *, part: tuple[int, int] = (0, 1)) -> 
         specs = _all_specs(max_sum)
         seqs = {s: skew_sturmian(s) for s in specs}
         for s in specs:
-            partner_set = classify.skew_conjugacy_class(s)
+            partner_set = skew_conjugacy_class(s)
             if len(partner_set) != 2:
                 yield s, None, None, None, None
                 continue
@@ -689,6 +706,14 @@ def _crossval_one(spec: SturmianSpec, q: int, p: int, m: int) -> Optional[str]:
     if any(wide.startswith(cut, boundary + e) for e in (-1, 0, 1)):
         return None
     return "cutting sequence does not occur at the cell-aligned offset"
+
+
+def symbol_reverse(x: EPSeq) -> EPSeq:
+    """Swap 0 <-> 1 in period word and anomaly (alphabet must be {0,1})."""
+    if x.alphabet != BINARY:
+        raise WrongAlphabet(f"symbol_reverse needs the alphabet ('0','1'), got {x.alphabet.labels}")
+    flip = bytes.maketrans(b"\0\1", b"\1\0")
+    return EPSeq(*(Word(w.symbols.translate(flip), BINARY) for w in (x.period_word, x.anomaly)))
 
 
 def check_reciprocals(max_sum: int, *, part: tuple[int, int] = (0, 1)) -> TheoremCheck:

@@ -260,14 +260,6 @@ def word(text: str, alphabet: Alphabet = BINARY) -> Word:
     return Word._trusted(packed(map(alphabet.index, text), alphabet), alphabet)
 
 
-def rotate(w: Word, k: int) -> Word:
-    """Cyclic left shift of `w` by k mod |w| positions."""
-    if len(w) == 0:
-        raise EmptyWord("cannot rotate the empty word")
-    k %= len(w)
-    return Word._trusted(w.symbols[k:] + w.symbols[:k], w.alphabet)
-
-
 def primitive_root(w: Word) -> tuple[Word, int]:
     """The unique (u, k) with w = u^k, u primitive and k maximal."""
     syms = w.symbols

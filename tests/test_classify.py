@@ -30,7 +30,6 @@ from epshift.classify import (
     expand_symbol,
     flow_witness,
     identity_code,
-    skew_conjugacy_class,
     verify_flow_witness,
 )
 from epshift.errors import (
@@ -53,7 +52,6 @@ from epshift.sequences import (
     least_period,
     make_ep,
     remove_anomaly,
-    shift,
     similar,
 )
 from epshift.sturmian import (
@@ -62,9 +60,10 @@ from epshift.sturmian import (
     TYPE_S,
     TYPE_SPRIME,
     skew_sturmian,
-    symbol_reverse,
 )
-from epshift.words import Alphabet, BINARY, Word, packed, primitive_root, rotate, word
+from epshift.verify import skew_conjugacy_class, symbol_reverse
+from epshift.words import Alphabet, BINARY, Word, packed, primitive_root, word
+from shifts import brute_first_defect, rotate, shifted
 
 
 def ep(w, v):
@@ -330,7 +329,7 @@ def test_image_similar_matches_similar_of_apply_code_on_random_codes():
             targets = [x, fam[rng.randrange(len(fam))]]
             try:
                 img = apply_code(code, x)
-                targets += [img, shift(img, -1)]
+                targets += [img, shifted(img, -1)]
             except DegenerateImage:
                 pass
             for y in targets:
@@ -749,9 +748,21 @@ def test_codes_reject_sequences_over_another_alphabet():
         apply_code(code, make_ep(Word((0,), ab), Word((1,), ab)))
 
 
+def _assert_image_is_the_shift(code, x, k):
+    # a code read k places ahead gives the shift by k, or by d, x's first
+    # defect, where k > d; both sides are periodic left of -|v| - N and right
+    # of |u| + |v| + N, u the image's anomaly, so that span decides
+    img = apply_code(code, x)
+    t = min(k, brute_first_defect(x))
+    n, ul, vl = least_period(x), len(img.anomaly), len(x.anomaly)
+    span = range(-vl - 2 * n, ul + vl + 2 * n)
+    assert least_period(img) == n
+    assert [img.symbol_id_at(i) for i in span] == [x.symbol_id_at(i + t) for i in span], (x, k)
+
+
 def test_apply_shift_by_one_code():
     for x in (ep("0", "1"), ep("01", "1"), ep("110", "1"), ep("01", "0011")):
-        assert apply_code(shift_by_one_code(), x) == shift(x, 1)
+        _assert_image_is_the_shift(shift_by_one_code(), x, 1)
 
 
 def test_apply_xor_code_collapses_image_period():
@@ -769,7 +780,7 @@ def test_apply_longer_shift_codes_match_shift():
         entries = tuple((blk, blk[-1]) for blk in _all_blocks(k + 1))
         code = SlidingBlockCode(0, k, entries, BINARY, BINARY)
         for x in (ep("0", "1"), ep("01", "0011"), ep("110", "1")):
-            assert apply_code(code, x) == shift(x, k)
+            _assert_image_is_the_shift(code, x, k)
 
 
 def _all_blocks(n):
@@ -972,7 +983,7 @@ def test_byte_path_matches_the_tuple_route(case):
         apply_code_to_periodic, twin, periodic)
     if not isinstance(got[0], type):  # the image, a shift of it, and another sequence
         img, b = apply_code(twin, x), code.target_alphabet
-        for y in (img, shift(img, -1), make_ep(Word((0,), b), Word((1,), b))):
+        for y in (img, shifted(img, -1), make_ep(Word((0,), b), Word((1,), b))):
             assert _image_similar(code, x, y) == _image_similar(twin, x, y)
     # mismatched alphabets: x's symbols over another alphabet of its size,
     # and a target sequence over another alphabet of the target's size
@@ -1011,7 +1022,7 @@ def test_1_block_image_tests_read_no_block_on_the_byte_path():
     assert fwd.memory == 1 and fwd._table == {bytes(b): out for b, out in fwd.entries}
     assert _table_rows(fwd) == dict(fwd.entries) and _block_kinds(fwd) == {bytes}
     z = make_ep(Word((0, 299), SYMBOLS_300), Word((1,), SYMBOLS_300))
-    fwd, inv = conjugacy_witness(z, shift(z, 1))
+    fwd, inv = conjugacy_witness(z, z)  # the identity code, over all 300 symbols
     assert fwd.block_length == 1 and set(vars(fwd)) == set(SlidingBlockCode._fields)
     for code in (fwd, inv):
         assert code._table == tuple(out for _, out in code.entries) and len(code._table) == 300

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from epshift import classify, cli, errors, jsonio, sturmian, verify
 from epshift.classify import identity_code
 from epshift.cli import main
-from epshift.sequences import make_ep, shift
+from epshift.sequences import make_ep
 from epshift.sturmian import Frequency, SturmianSpec, TYPE_S, TYPE_SPRIME, skew_sturmian
 from epshift.verify import VerifyReport
 from epshift.words import BINARY, Alphabet, Word, word
+from shifts import shifted
 
 
 def run(capsys, *argv):
@@ -158,7 +159,7 @@ def test_ep_subcommands(tmp_path, capsys):
     code, obj = run(capsys, "ep", "least-period", f)
     assert code == 0 and obj == {"least_period": 1}
 
-    g = write_ep(tmp_path / "y.json", shift(x, -7))
+    g = write_ep(tmp_path / "y.json", shifted(x, -7))
     code, obj = run(capsys, "ep", "similar", f, g)
     assert code == 0 and obj == {"similar": True}
 

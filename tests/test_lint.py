@@ -91,13 +91,17 @@ def test_newer_syntax_is_refused_at_the_oldest_supported_python():
         ast.parse(source, feature_version=OLDEST_PYTHON)
 
 
+def read_names(node: ast.AST) -> set[str]:
+    """The names a node reads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def unread_private_functions(trees: dict[str, ast.Module]) -> list[str]:
     """The private module-level functions of the modules that nothing but
     their own definition reads, by name or as an attribute, with their
     modules and line numbers."""
-    reads = [(stmt, {node.id if isinstance(node, ast.Name) else node.attr
-                     for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))})
-             for tree in trees.values() for stmt in tree.body]
+    reads = [(stmt, read_names(stmt)) for tree in trees.values() for stmt in tree.body]
     return [f"{stmt.name} ({module} line {stmt.lineno})"
             for module, tree in trees.items() for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -120,6 +124,79 @@ def test_an_unread_private_function_is_found():
     assert unread_private_functions(trees) == ["_recursive (a.py line 1)"]
     del trees["b.py"]
     assert unread_private_functions(trees) == ["_recursive (a.py line 1)", "_called (a.py line 4)"]
+
+
+def quick_start_calls(readme: str) -> set[str]:
+    """The names README's "Library quick start" calls as `es.<name>`."""
+    section = readme.partition("\n## Library quick start\n")[2].partition("\n## ")[0]
+    return set(re.findall(r"\bes\.(\w+)", section))
+
+
+QUICK_START = quick_start_calls((ROOT / "README.md").read_text())
+KERNEL = ("words.py", "sequences.py", "bezout.py", "sturmian.py", "classify.py", "jsonio.py")
+
+
+def unneeded_kernel_names(trees: dict[str, ast.Module], quick_start: set[str]) -> list[str]:
+    """The public module-level functions and classes of the kernel modules
+    that the quick start does not call and that no statement reads, by name
+    or as an attribute, but their own definition and those of verify.py and
+    __init__.py, with their modules and line numbers: a helper that only
+    verify runs lives in verify.py, and one that nothing runs is deleted."""
+    reads = [(stmt, read_names(stmt)) for module, tree in trees.items()
+             if module not in ("verify.py", "__init__.py") for stmt in tree.body]
+    return [f"{stmt.name} ({module} line {stmt.lineno})"
+            for module, tree in trees.items() if module in KERNEL for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_") and stmt.name not in quick_start
+            and not any(other is not stmt and stmt.name in names for other, names in reads)]
+
+
+def test_every_public_kernel_name_is_needed():
+    trees = {p.name: ast.parse(p.read_text(), p.name) for p in sorted(SRC.glob("*.py"))}
+    assert unneeded_kernel_names(trees, QUICK_START) == []
+
+
+def test_an_unneeded_kernel_name_is_found():
+    trees = {"words.py": ast.parse("class Word:\n    def f(self) -> Word:\n        return Word()\n\n"
+                                   "def rotate(w):\n    return rotate(w)\n\n"
+                                   "def word(text):\n    return Word()\n\n"
+                                   "def primitive_root(w):\n    pass\n\n"
+                                   "def is_primitive(w):\n    pass\n"),
+             "verify.py": ast.parse("from .words import rotate\n\ndef check():\n    rotate(x)\n"),
+             "__init__.py": ast.parse("from .words import rotate\n\nrotate\n"),
+             "cli.py": ast.parse("from . import words\n\ndef main():\n"
+                                 "    return words.primitive_root(word('0'))\n\n"
+                                 "def unread():\n    pass\n")}
+    assert unneeded_kernel_names(trees, {"is_primitive"}) == ["rotate (words.py line 5)"]
+    del trees["cli.py"]
+    assert unneeded_kernel_names(trees, set()) == [
+        "rotate (words.py line 5)", "word (words.py line 8)",
+        "primitive_root (words.py line 11)", "is_primitive (words.py line 14)"]
+
+
+def unneeded_exports(init: ast.Module, cli: ast.Module, quick_start: set[str]) -> list[str]:
+    """The names `epshift/__init__` imports that cli.py does not read, by
+    name or as an attribute, and the quick start does not call, with their
+    line numbers."""
+    read = read_names(cli) | quick_start
+    return [f"{alias.asname or alias.name} (line {node.lineno})"
+            for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names
+            if (alias.asname or alias.name) not in read]
+
+
+def test_epshift_exports_only_what_the_cli_reads_or_the_quick_start_calls():
+    init, cli = (ast.parse((SRC / name).read_text(), name) for name in ("__init__.py", "cli.py"))
+    assert unneeded_exports(init, cli, QUICK_START) == []
+
+
+def test_an_unneeded_export_is_found():
+    init = ast.parse("from .sequences import EPSeq, make_ep, shift\n"
+                     "from .words import word as w, rotate\n")
+    cli = ast.parse("from . import sequences\n\ndef main(x: EPSeq):\n"
+                    "    return sequences.make_ep(x, rotate)\n")
+    assert unneeded_exports(init, cli, {"w"}) == ["shift (line 1)"]
+    assert unneeded_exports(init, ast.parse(""), set()) == [
+        "EPSeq (line 1)", "make_ep (line 1)", "shift (line 1)", "w (line 2)", "rotate (line 2)"]
 
 
 def test_readme_states_the_source_line_count():

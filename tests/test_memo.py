@@ -37,7 +37,6 @@ from epshift.sequences import (
     canonical,
     make_ep,
     remove_anomaly,
-    shift,
 )
 from epshift.sturmian import (
     CellSeries,
@@ -50,7 +49,8 @@ from epshift.sturmian import (
     skew_sturmian,
 )
 from epshift.verify import anomaly_windows, coprime_pairs, remove_window
-from epshift.words import BINARY, Alphabet, Word, primitive_root, rotate, word
+from epshift.words import BINARY, Alphabet, Word, primitive_root, word
+from shifts import shifted
 
 LETTERS = ("a", "b", "c", "d")
 
@@ -124,16 +124,16 @@ def test_a_canonical_value_is_its_own_memo():
     c = canonical(make_ep(word("01"), word("1")))
     bare = make_ep(c.period_word, c.anomaly)
     assert canonical(bare) is bare and canonical(c) is c
-    y = shift(bare, -2)
+    y = shifted(bare, -2)
     assert y != bare and canonical(y) == bare and canonical(canonical(y)) is canonical(y)
 
 
 def test_witnesses_scan_each_sequence_value_at_most_once(monkeypatch):
     scanned = []
 
-    def counting(x, prefer=0):
+    def counting(x):
         scanned.append(x)
-        return _normal_form(x, prefer)
+        return _normal_form(x)
 
     monkeypatch.setattr(sequences, "_normal_form", counting)
     pairs = [(skew(1, 2, TYPE_S), skew(2, 1, TYPE_SPRIME)),
@@ -156,11 +156,10 @@ def test_witnesses_scan_each_sequence_value_at_most_once(monkeypatch):
 def test_trusted_paths_build_only_valid_values(parts, data):
     x = ep_from(parts)
     n, vl = len(x.period_word), len(x.anomaly)
-    k = data.draw(st.integers(-2 * n - vl, vl + 2 * n), label="shift")
     start = data.draw(st.integers(-2 * n, vl + n), label="start")
     length = data.draw(st.integers(1, vl + n), label="length")
-    values = [x, canonical(x), shift(x, k), remove_window(x, (start, length)),
-              remove_anomaly(x), rotate(x.period_word, k), primitive_root(x.anomaly)[0]]
+    values = [x, canonical(x), remove_window(x, (start, length)), remove_anomaly(x),
+              primitive_root(x.anomaly)[0]]
     label = data.draw(st.sampled_from([x.alphabet.labels[s] for s in set(x.anomaly.symbols)]),
                       label="expanded")
     values.append(expand_symbol(x, label, data.draw(st.integers(1, 3), label="count"))[0])

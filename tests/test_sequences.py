@@ -22,13 +22,12 @@ from epshift.sequences import (
     least_period,
     make_ep,
     remove_anomaly,
-    shift,
     similar,
-    window,
 )
 from epshift.sturmian import TYPE_S, Frequency, SturmianSpec, skew_sturmian
-from epshift.verify import anomaly_windows, remove_window
-from epshift.words import Alphabet, BINARY, Word, is_primitive, primitive_root, rotate, word
+from epshift.verify import anomaly_windows, remove_window, window
+from epshift.words import Alphabet, BINARY, Word, is_primitive, primitive_root, word
+from shifts import brute_first_defect, rotate, shifted
 
 
 def ep(w, v):
@@ -82,52 +81,32 @@ def test_window_examples():
 
 
 # --- shift -------------------------------------------------------------------
-
-def test_shift_identity_and_negative_exactness():
-    x = ep("01", "1")
-    assert shift(x, 0) == x
-    for k in range(-6, 1):
-        y = shift(x, k)
-        for i in range(-10, 10):
-            assert y.symbol_id_at(i) == x.symbol_id_at(i + k)
-
+# `shifted` (tests/shifts.py) builds the shift by k <= d, x's first defect,
+# from its definition; the kernel's d clamps the shifts a code image makes
 
 def test_shift_exact_up_to_first_defect():
     x = ep("01", "01011")
     d = _normal_form(x).defect
-    assert d == 4
+    assert d == 4 == brute_first_defect(x)
     for k in range(0, d + 1):
-        y = shift(x, k)
+        y = shifted(x, k)
         for i in range(-10, 12):
             assert y.symbol_id_at(i) == x.symbol_id_at(i + k)
 
 
-def test_shift_round_trip_when_representable():
-    x = ep("01", "01011")   # first defect at 4 >= 3
-    assert shift(shift(x, 3), -3) == x
-    assert shift(shift(x, -5), 5) == x
-
-
-def test_shift_by_minus_period_absorbs_one_period():
-    x = ep("110", "1")
-    y = shift(x, -3)
-    assert y == EPSeq(word("110"), word("1101"))
-    for i in range(-8, 8):
-        assert y.symbol_id_at(i) == x.symbol_id_at(i - 3)
-
-
 def test_shift_always_yields_similar_sequence(small_family):
     for x in small_family[::97]:
+        d = brute_first_defect(x)
         for k in (-4, -1, 1, 2, 5):
-            assert similar(shift(x, k), x)
+            assert similar(shifted(x, min(k, d)), x)
 
 
 def test_shift_preserves_invariants(small_family):
     for x in small_family[::53]:
         n, vl = least_period(x), len(x.anomaly)
         a = anomaly_size(x)
-        for k in range(-(2 * n + vl), 2 * n + vl + 1):
-            y = shift(x, k)
+        for k in range(-(2 * n + vl), brute_first_defect(x) + 1):
+            y = shifted(x, k)
             assert least_period(y) == n
             assert anomaly_size(y) == a
 
@@ -225,8 +204,8 @@ def test_canonical_examples():
     assert canonical(ep("0", "01")) == ep("0", "1")
     x = ep("10", "1")
     assert canonical(canonical(x)) == canonical(x)
-    for k in range(-5, 6):
-        assert canonical(shift(x, k)) == canonical(x)
+    for k in range(-5, brute_first_defect(x) + 1):
+        assert canonical(shifted(x, k)) == canonical(x)
 
 
 def test_canonical_minimizes_anomaly(small_family):
@@ -268,7 +247,7 @@ def _similar_oracle(x, y):
 
 def test_similar_examples_and_oracle():
     x = ep("10", "1")
-    assert similar(x, shift(x, 7))
+    assert similar(x, shifted(x, -7))
     assert not similar(ep("0", "1"), ep("1", "0"))
     pairs = [
         (ep("10", "1"), ep("01", "1")),
@@ -332,7 +311,7 @@ def test_equal_iff_pointwise_equal(wbits, vbits):
     assert y == x
     # shifting by a full period to the left is a different sequence that
     # absorbs exactly one period word into the anomaly
-    z = shift(x, -least_period(x))
+    z = shifted(x, -least_period(x))
     assert z == make_ep(x.period_word, Word(w + v, BINARY))
     assert z != x
 
@@ -368,11 +347,6 @@ def ep_from(parts):
         return make_ep(Word(tuple(wsyms), alphabet), Word(tuple(vsyms), alphabet))
     except DegeneratePeriodic:
         assume(False)
-
-
-def brute_first_defect(x):
-    w = x.period_word.symbols
-    return next(k for k in range(len(x.anomaly) + len(w)) if x.symbol_id_at(k) != w[k % len(w)])
 
 
 def _assert_kernel_window_is_first_brute_force_window(x):
@@ -438,11 +412,14 @@ def test_kernel_reads_byte_ids_that_agree_in_their_low_bits(wsyms, vsyms):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ep_parts, st.data())
 def test_shift_exact_up_to_first_defect_property(parts, data):
+    # `shifted`, which the invariance tests build shifts with, is exact up
+    # to d, and the kernel finds that d
     x = ep_from(parts)
     n, vl = least_period(x), len(x.anomaly)
     d = brute_first_defect(x)
+    assert _normal_form(x).defect == d
     k = data.draw(st.integers(-(2 * n + vl), d), label="k")
-    y = shift(x, k)
+    y = shifted(x, k)
     # beyond this range both sides are periodic with the same period
     span = range(min(0, -k) - 2 * n, max(len(y.anomaly), vl - k) + 2 * n)
     assert [y.symbol_id_at(i) for i in span] == [x.symbol_id_at(i + k) for i in span]

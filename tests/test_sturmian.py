@@ -22,9 +22,8 @@ from epshift.sturmian import (
     cell_series,
     expand_cells,
     skew_sturmian,
-    symbol_reverse,
 )
-from epshift.verify import chain_zero_counts, coprime_pairs, cutting_sequence
+from epshift.verify import chain_zero_counts, coprime_pairs, cutting_sequence, symbol_reverse
 from epshift.words import word
 
 

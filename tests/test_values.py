@@ -32,8 +32,6 @@ from epshift.sequences import (
     PeriodicSeq,
     canonical,
     make_ep,
-    shift,
-    window,
 )
 from epshift.sturmian import (
     TYPE_S,
@@ -44,10 +42,11 @@ from epshift.sturmian import (
     cell_series,
     expand_cells,
     skew_sturmian,
-    symbol_reverse,
 )
-from epshift.verify import anomaly_windows, cutting_sequence, remove_window
-from epshift.words import BINARY, Alphabet, Value, Word, primitive_root, rotate, word
+from epshift.verify import (anomaly_windows, cutting_sequence, remove_window, symbol_reverse,
+                            window)
+from epshift.words import BINARY, Alphabet, Value, Word, primitive_root, word
+from shifts import shifted
 
 
 class Window(Value):
@@ -229,19 +228,18 @@ def sized_sequences(draw):
 @example(make_ep(Word((255, 0), SIZED[256]), Word((1,), SIZED[256])))
 @example(make_ep(Word((256, 0), SIZED[257]), Word((256, 256, 1), SIZED[257])))
 def test_every_word_holds_its_alphabet_kind(x):
-    # the checked constructor, the parser, rotation and primitive roots
+    # the checked constructor, the parser and primitive roots
     _assert_seq(x)
     w = x.period_word
-    for v in (word(w.text, x.alphabet), rotate(w, 1),
-              primitive_root(Word(tuple(w.symbols) * 3, x.alphabet))[0]):
+    for v in (word(w.text, x.alphabet), primitive_root(Word(tuple(w.symbols) * 3, x.alphabet))[0]):
         _assert_word(v)
     # the scan, and the anchor of every form it gives
-    for y in (canonical(x), shift(x, 1), shift(x, -2), remove_window(x, anomaly_windows(x)[0]),
+    for y in (canonical(x), canonical(shifted(x, -2)), remove_window(x, anomaly_windows(x)[0]),
               PeriodicSeq(w)):
         _assert_seq(y)
     _assert_word(window(x, -3, len(x.anomaly) + 2))
     # the least-radius search, its buffers, and what each code reads
-    y = canonical(shift(x, 1))
+    y = canonical(shifted(x, -1))
     lo, s, d = classify._search_buffers(canonical(x), y, 2)
     assert type(s) is type(d) is type(x.period_word.symbols)
     fwd, inv = conjugacy_witness(x, y)

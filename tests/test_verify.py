@@ -190,7 +190,7 @@ SABOTAGE = [
      {"x": {"freq": "2/1", "type": "Sprime", "m": 0}, "y": {"freq": "2/1", "type": "S", "m": 0},
       "expected": False, "got": True}),
     # each spec whose class is not a pair counts as one instance
-    ("conjugacy-classes", classify, "skew_conjugacy_class", lambda s: {s}, 8, 8,
+    ("conjugacy-classes", verify, "skew_conjugacy_class", lambda s: {s}, 8, 8,
      {"spec": {"freq": "inf", "type": "S", "m": 0}, "reason": "class is not a pair"},
      {"spec": {"freq": "2/1", "type": "Sprime", "m": 0}, "reason": "class is not a pair"}),
     ("flow-witnesses", classify, "flow_witness", _raising, 38, 38,

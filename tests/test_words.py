@@ -14,30 +14,8 @@ from epshift.words import (
     Word,
     is_primitive,
     primitive_root,
-    rotate,
     word,
 )
-
-DIGITS = Alphabet(("1", "2", "3"))
-
-
-def test_rotate_examples():
-    assert rotate(word("123", DIGITS), 1).text == "231"
-    ab = Alphabet(("a", "b"))
-    assert rotate(word("ab", ab), 0).text == "ab"
-    assert rotate(word("110"), 2).text == "011"
-
-
-def test_rotate_empty_word_rejected():
-    with pytest.raises(EmptyWord):
-        rotate(word(""), 1)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=12), st.integers(-20, 20), st.integers(-20, 20))
-def test_rotate_composition(bits, i, j):
-    w = Word(tuple(bits), BINARY)
-    assert rotate(rotate(w, i), j) == rotate(w, (i + j) % len(w))
 
 
 def test_is_primitive_examples():
