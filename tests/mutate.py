@@ -86,22 +86,22 @@ def mutants(source, qualname):
             yield node.lineno, f"{node.value} -> {node.value + 1}", spliced(span, str(node.value + 1))
 
 
+def imported(tree):
+    """The modules a tree imports; `from a import b` counts both a and a.b."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
 def importing_tests(tests, module):
     """The test files of `tests` that import epshift.<module>."""
-    def imports(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == f"epshift.{module}":
-                return True
-            if isinstance(node, ast.ImportFrom) and node.module == "epshift":
-                if any(alias.name == module for alias in node.names):
-                    return True
-            if isinstance(node, ast.Import):
-                if any(alias.name == f"epshift.{module}" for alias in node.names):
-                    return True
-        return False
-
     return [f"tests/{p.name}" for p in sorted(tests.glob("test_*.py"))
-            if imports(ast.parse(p.read_bytes()))]
+            if f"epshift.{module}" in imported(ast.parse(p.read_bytes()))]
 
 
 def run(copy, files, timeout):
