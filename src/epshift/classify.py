@@ -158,11 +158,14 @@ def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
 def _image_scan(code: SlidingBlockCode, x: EPSeq) -> _Scan:
     """The kernel's reading of the image of x under the code (see `apply_code`).
 
-    The buffer is the image on [-aa-1-2N, |v|+mm+2N]; left of -aa and from
+    The buffer is the image on [-aa-1-2N, |v|+mm+N); left of -aa and from
     |v|+mm on it is the periodic orbit's, at phase i and i - |v|.  One read
     gives the N blocks left of -aa, whose phase-0 rotation `primitive_root`
-    cuts to the root, and the span; the guards are tiled from the root.  A
-    missing block is named as a read of phases 0 ... N-1, then the span's."""
+    cuts to the root, and the span; the guards are tiled from the root.
+    The right guard's N symbols suffice: `_scan` needs N entries of the
+    right tail, the image departs from that tail last at e <= |v|+mm-1,
+    and a form anchored at 0 or at the window's start ends before e+1+N.
+    A missing block is named as a read of phases 0 ... N-1, then the span's."""
     if x.alphabet != code.source_alphabet:
         raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
     mm, aa, n, vl = code.memory, code.anticipation, least_period(x), len(x.anomaly)
@@ -173,7 +176,7 @@ def _image_scan(code: SlidingBlockCode, x: EPSeq) -> _Scan:
         apply_code_to_periodic(code, PeriodicSeq._trusted(x.period_word))
         raise
     root = primitive_root(Word._trusted(img[aa % n:n] + img[:aa % n], code.target_alphabet))[0]
-    img = _tiled(root.symbols, lo, n + 1) + img + _tiled(root.symbols, mm, 2 * n + 1)
+    img = _tiled(root.symbols, lo, n + 1) + img + _tiled(root.symbols, mm, n)
     scan = _scan(img, lo, root, vl)
     if scan is None:
         raise DegenerateImage("image of the sequence under the code is periodic")

@@ -264,11 +264,15 @@ def _scan(buf: Symbols, lo: int, period: Word, delta: int) -> Optional[_Scan]:
 
 
 def _normal_form(x: EPSeq) -> _Scan:
-    """The kernel run over the buffer w*2 + v + w*2, from index -2N: it
-    holds N entries of each tail, and the minimal window, which starts
-    after -2N, so that ``anchor(start)`` reads it from the buffer."""
+    """The kernel run over the buffer w*2 + v + w, x_{-2N} ... x_{|v|+N-1}.
+    It holds the N entries of each tail `_scan` needs, the left tail
+    holding below 0 and the right from |v| on, and the minimal window,
+    which ``anchor(start)`` reads.  The first defect d is at least 0 and
+    the last, e, at most |v| - 1, so the window ends at e + 1 <= |v|.  As
+    e >= d - N and L < max(1, e + 1 - d) + N, it starts at
+    e + 1 - L > min(d, e) - N >= -2N."""
     w, v = x.period_word.symbols, x.anomaly.symbols
-    scan = _scan(w * 2 + v + w * 2, -2 * len(w), x.period_word, len(v))
+    scan = _scan(w * 2 + v + w, -2 * len(w), x.period_word, len(v))
     if scan is None:
         raise InternalMismatch("the scan found no defect; the sequence would be periodic")
     return scan

@@ -12,8 +12,10 @@ files that import the module, in a copy of the repository made in the
 system's temporary directory (set TMPDIR to choose it), and is killed if a
 test fails, survives if all pass, and times out if the run outlasts
 `--timeout` seconds (by default three times the unmutated run, and at
-least 30), when its whole process group is killed.  The unmutated run must
-pass first.  Prints one line per mutant and a count per target.
+least 30), when its whole process group is killed.  A survivor listed in
+EQUIVALENT is reported as equivalent, so that a run shows only new
+survivors.  The unmutated run must pass first.  Prints one line per mutant
+and a count per target.
 """
 
 import argparse
@@ -36,6 +38,22 @@ TOKENS = {ast.Add: "+", ast.Sub: "-", ast.Lt: "<", ast.GtE: ">=", ast.LtE: "<=",
 NEGATED = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.LtE: ast.Gt, ast.Gt: ast.LtE, ast.Eq: ast.NotEq,
            ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn,
            ast.NotIn: ast.In}
+# Mutants no test can kill, as (target, change, a fragment of the mutated
+# line) -> why the program's behaviour does not change.  `_normal_form`'s
+# right padding was `w * 2`, whose `2 -> 3` survived: `_scan` reads only N
+# entries of the right tail.  It is one `w` now, which no mutant changes.
+EQUIVALENT = {
+    ("classify._build_block_map", "32 -> 33", "len(centres) > 32"):
+        "32 only picks the faster of two routes that give the same table and clash",
+    ("classify._build_block_map", "'>' -> '<='", "len(centres) > 32"):
+        "the comparison only picks the faster of two routes that give the same table and clash",
+    ("classify._witness_code", "4 -> 5", "cap = lu + lv + 4 * n"):
+        "the least radius is at most |u| + |v| + 4N: a larger cap only lets a buffer grow more",
+    ("classify.SlidingBlockCode.read", "'-' -> '+'", "map(slice, range(size - n + 1)"):
+        "map stops at the shorter of its two ranges, the unchanged one",
+    ("classify.SlidingBlockCode.read", "1 -> 2", "map(slice, range(size - n + 1)"):
+        "map stops at the shorter of its two ranges, the unchanged one",
+}
 
 
 def find_function(tree, qualname):
@@ -140,13 +158,19 @@ def main(argv=None):
             if run(copy, files, None) != "survived":
                 raise SystemExit(f"the tests of {module} fail unmutated")
             timeout = args.timeout or max(30.0, 3 * (time.perf_counter() - began))
-            counts = {"killed": 0, "survived": 0, "timed out": 0}
+            counts = {"killed": 0, "survived": 0, "timed out": 0, "equivalent": 0}
+            lines = source.decode().splitlines()
             try:
                 for line, change, mutated in mutants(source, qualname):
                     path.write_bytes(mutated)
                     outcome = run(copy, files, timeout)
+                    why = next((why for (t, c, fragment), why in EQUIVALENT.items()
+                                if (t, c) == (target, change) and fragment in lines[line - 1]), "")
+                    if outcome == "survived" and why:
+                        outcome = "equivalent"
                     counts[outcome] += 1
-                    print(f"{outcome:9}  {target} line {line}: {change}", flush=True)
+                    print(f"{outcome:10}  {target} line {line}: {change}"
+                          + (f" ({why})" if outcome == "equivalent" else ""), flush=True)
             finally:
                 path.write_bytes(source)
             totals.append((target, counts))

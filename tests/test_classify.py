@@ -1,9 +1,7 @@
-import functools
 import gc
 import itertools
 import json
 import random
-import re
 import tracemalloc
 import weakref
 
@@ -44,9 +42,6 @@ from epshift.errors import (
 )
 from epshift.sequences import (
     PeriodicSeq,
-    _scan,
-    _symbols,
-    _tiled,
     anomaly_size,
     canonical,
     least_period,
@@ -62,7 +57,8 @@ from epshift.sturmian import (
     skew_sturmian,
 )
 from epshift.verify import skew_conjugacy_class, symbol_reverse
-from epshift.words import Alphabet, BINARY, Word, packed, primitive_root, word
+from epshift.words import Alphabet, BINARY, Word, packed, word
+from blockcodes import block_at, image_at, pointwise_consistent, read_by_lookup, rows
 from shifts import brute_first_defect, rotate, shifted
 
 
@@ -376,19 +372,6 @@ def test_witness_preserves_periodic_orbit():
 
 # --- least radius -------------------------------------------------------------
 
-def _pointwise_consistent(src, dst, k):
-    """Whether one radius-k block map sends src onto dst position by
-    position, read from a window far wider than the anomalies need."""
-    h = k + 4 * least_period(src) + len(src.anomaly) + len(dst.anomaly) + 8
-    table = {}
-    for i in range(-h, h + 1):
-        block = tuple(src.symbol_id_at(j) for j in range(i - k, i + k + 1))
-        out = dst.symbol_id_at(i)
-        if table.setdefault(block, out) != out:
-            return False
-    return True
-
-
 @st.composite
 def conjugate_canonical_pairs(draw):
     """Canonical (x, y) with equal least period and congruent anomaly
@@ -410,34 +393,54 @@ def conjugate_canonical_pairs(draw):
     return canonical(x), canonical(y)
 
 
+def _assert_least_radius_code(src, dst):
+    """Assert that _witness_code(src, dst) has the least radius k at which
+    one block map sends src onto dst, and that its rows are the probe's by
+    definition: the radius-k block of src at each centre of
+    [-k-1-N, max(|u|+k, |v|)), u and v the anomalies, onto dst's symbol
+    there.  Returns the code."""
+    code = _witness_code(src, dst)
+    k = code.memory  # consistency is monotone in the radius
+    assert code.anticipation == k and pointwise_consistent(src, dst, k), (src, dst)
+    assert k == 0 or not pointwise_consistent(src, dst, k - 1), (src, dst)
+    n, lu, lv = least_period(src), len(src.anomaly), len(dst.anomaly)
+    centres = range(-k - 1 - n, max(lu + k, lv))
+    assert rows(code) == {block_at(src, i, k, k): dst.symbol_id_at(i) for i in centres}, (src, dst)
+    return code
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(conjugate_canonical_pairs())
 @example((canonical(ep("0", "000001")), canonical(ep("0", "001001"))))
 def test_witness_code_has_the_least_consistent_radius(pair):
+    # and the probe's rows send x onto y far past its centres
     x, y = pair
-    least = next(k for k in itertools.count() if _pointwise_consistent(x, y, k))
-    code = _witness_code(x, y)
-    assert code.memory == code.anticipation == least
-    assert code.memory == 0 or not _pointwise_consistent(x, y, code.memory - 1)
-    k, outputs = code.memory, dict(code.entries)
+    code = _assert_least_radius_code(x, y)
+    k = code.memory
     for i in range(-3 * least_period(x) - k, len(x.anomaly) + len(y.anomaly) + 3 * k + 8):
-        block = tuple(x.symbol_id_at(j) for j in range(i - k, i + k + 1))
-        assert outputs[block] == y.symbol_id_at(i)
+        assert image_at(code, x, i) == y.symbol_id_at(i)
 
 
+# alphabets on either side of the byte path's bounds: at most 256 source
+# symbols and 255 target symbols, 255 being a translate table's unmapped mark
+BYTE_BOUNDS = (2, 3, 255, 256, 257)
+SIZED = {k: Alphabet(tuple(f"s{i}" for i in range(k))) for k in (*BYTE_BOUNDS, 65537)}
+RELABELLED = {k: Alphabet(tuple(f"t{i}" for i in range(k))) for k in BYTE_BOUNDS}
 # ids that agree in their low six bits, so that two dst symbols can differ
 # only in bits 6 and 7 of their byte
 LOW_BITS_ALIKE = (0, 64, 128, 1, 129, 5, 7)
-WIDE = Alphabet(tuple(f"s{i}" for i in range(130)))
+SYMBOLS_130 = Alphabet(tuple(f"s{i}" for i in range(130)))
 
 
-@pytest.mark.parametrize("ids, alphabet, draws",
-                         [((0, 1), BINARY, 150), (LOW_BITS_ALIKE, WIDE, 60)],
-                         ids=["binary", "wide"])
+@pytest.mark.parametrize("ids, alphabet, draws", [
+    ((0, 1), BINARY, 150), (LOW_BITS_ALIKE, SYMBOLS_130, 60),
+    (LOW_BITS_ALIKE + (255,), SIZED[256], 30), (LOW_BITS_ALIKE + (256,), SIZED[257], 30),
+], ids=["binary", "wide", "onto-256", "tuples"])
 def test_witness_code_has_the_least_radius_past_32_centres(ids, alphabet, draws):
     # x canonical with N from 20 to 40, y the canonical image of x under a
     # random radius-1 code: the radius-0 probe has more than 32 centres, so
-    # it takes the bytes route
+    # over bytes it takes the bytes route; onto 256 symbols dst is probed as
+    # a tuple, and over 257 both are
     rng, pairs = random.Random(f"least radius/{len(ids)}"), 0
     for _ in range(draws):
         n = rng.randint(20, 40)
@@ -452,10 +455,7 @@ def test_witness_code_has_the_least_radius_past_32_centres(ids, alphabet, draws)
         if least_period(x) != n or least_period(y) != n:
             continue
         pairs += 1
-        code = _witness_code(x, y)
-        k = code.memory  # consistency is monotone in the radius
-        assert code.anticipation == k and _pointwise_consistent(x, y, k), (x, y)
-        assert k == 0 or not _pointwise_consistent(x, y, k - 1), (x, y)
+        _assert_least_radius_code(x, y)
     assert pairs >= draws * 2 // 3, pairs
 
 
@@ -504,10 +504,12 @@ def test_witness_search_grows_its_buffers_to_the_least_radius(monkeypatch, pair,
     monkeypatch.setattr(classify, "_search_buffers", recording)
     code = _witness_code(x, y)
     assert code.memory == code.anticipation == radius
-    assert _pointwise_consistent(x, y, radius) and not _pointwise_consistent(x, y, radius - 1)
-    # the buffers start at reach N and grow only when a probe needs more
+    assert pointwise_consistent(x, y, radius) and not pointwise_consistent(x, y, radius - 1)
+    # the buffers start at reach N and double, up to |u| + |v| + 4N, only
+    # when a probe needs more
     n = least_period(x)
-    assert reaches[0] == n and reaches == sorted(set(reaches))
+    cap = len(x.anomaly) + len(y.anomaly) + 4 * n
+    assert reaches == [min(n << i, cap) for i in range(len(reaches))]
     assert reaches[-1] >= radius and (len(reaches) > 1) == (radius > n)
 
 
@@ -523,122 +525,92 @@ def test_witness_code_refuses_pairs_its_probe_range_does_not_serve(monkeypatch):
     assert built == []
 
 
-# --- the one-stretch probe against the two-stretch probe ----------------------
-
-def _two_stretch_block_map(src, dst, lo, k):
-    """_build_block_map as first written: it also read the N + 1 centres
-    [max(|u|+k, |v|), max(|u|+k, |v|) + N] of the right periodic stretch,
-    from buffers of its own that start at lo."""
-    n, lu, lv = least_period(src), len(src.anomaly), len(dst.anomaly)
-    hi = max(lu + k, lv) + n + 1
-    s, d = _symbols(src, lo, hi + k), _symbols(dst, lo, hi)
-    table = {}
-    for c in range(-k - 1 - n - lo, hi - lo):
-        first = table.setdefault(s[c - k:c + k + 1], c)
-        if d[first] != d[c]:
-            return table, (first, c)
-    return table, None
-
-
-def _assert_probes_agree(src, dst):
-    """Every radius up to the least one clashes at the same centres under
-    both probes, and the least radius builds the same table: block ->
-    the dst symbol at its first centre, in first-centre order."""
-    least = _witness_code(src, dst).memory
-    n, lu, lv = least_period(src), len(src.anomaly), len(dst.anomaly)
-    lo, s, d = classify._search_buffers(src, dst, least)
-    for k in range(least + 1):
-        table, clash = classify._build_block_map(s, d, lo, n, lu, lv, k)
-        two_table, two_clash = _two_stretch_block_map(src, dst, lo, k)
-        assert clash == two_clash, (src, dst, k)
-    assert clash is None, (src, dst)
-    if isinstance(table, bytes):  # the radius-0 bytes route gives its translate table
-        assert table == _translate_table(two_table, d), (src, dst)
-    else:
-        assert ([(tuple(b), out) for b, out in table.items()]
-                == [(tuple(b), d[c]) for b, c in two_table.items()]), (src, dst)
-
-
-def _translate_table(firsts, d):
-    """The translate table of a radius-0 table of first centres by 1-slice:
-    the dst symbol at each one, 255 at every other id."""
-    table = bytearray(b"\xff" * 256)
-    for (sym,), c in firsts.items():
-        table[sym] = d[c]
-    return bytes(table)
-
+# --- the probe's rows and its first clash, by definition -----------------------
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(conjugate_canonical_pairs())
 def test_one_stretch_probe_matches_the_two_stretch_probe(pair):
+    # the probe reads the left periodic stretch only; its rows are still
+    # those of every centre, in both directions
     x, y = pair
-    _assert_probes_agree(x, y)
-    _assert_probes_agree(y, x)
+    _assert_least_radius_code(x, y)
+    _assert_least_radius_code(y, x)
 
 
 def test_one_stretch_probe_matches_on_reciprocal_skews_and_raised_endpoints():
+    # reciprocal skews of N up to 60, and up to 30 over 257 symbols: the
+    # radius-0 probe over at most 32 centres and over more, as bytes and as
+    # tuples
     for q, p in verify.coprime_pairs(60):
         x, y = canonical(skew(TYPE_S, q, p)), canonical(skew(TYPE_SPRIME, p, q))
-        _assert_probes_agree(x, y)
-        _assert_probes_agree(y, x)
+        pairs = [(x, y)]
+        if p + q <= 30:  # and the pair over 257 symbols, 1 written as 256
+            pairs.append(tuple(make_ep(*(Word(tuple(256 * s for s in w.symbols), SIZED[257])
+                                         for w in (z.period_word, z.anomaly))) for z in (x, y)))
+        for src, dst in pairs:
+            _assert_least_radius_code(src, dst)
+            _assert_least_radius_code(dst, src)
     skews = [skew_sturmian(spec) for spec in verify._all_specs(6)]
     for x, y in itertools.combinations(skews, 2):
         (nx, ax), (ny, ay) = (least_period(x), anomaly_size(x)), (least_period(y), anomaly_size(y))
         n, a = max(nx, ny), max(ax, ay)
         end_x = canonical(_raise_moves(x, n - nx, a - ax)[1])
         end_y = canonical(_raise_moves(y, n - ny, a - ay)[1])
-        _assert_probes_agree(end_x, end_y)
-        _assert_probes_agree(end_y, end_x)
+        _assert_least_radius_code(end_x, end_y)
+        _assert_least_radius_code(end_y, end_x)
 
 
-def _radius_0_loop(s, d, centres):
-    """The radius-0 probe as a loop over the centres: the table of first
-    centres by symbol, or the first clash (first centre of s[c], c)."""
-    firsts = {}
-    for c in centres:
-        first = firsts.setdefault(s[c], c)
-        if d[first] != d[c]:
-            return None, (first, c)
-    return {(sym,): c for sym, c in firsts.items()}, None
+def _assert_first_clash(s, d, centres, k, clash):
+    """The probe's clash as a property of the centres: None when every
+    radius-k block of s at a centre meets one symbol of d, else (i, j), j
+    the first centre whose block met another d symbol at an earlier
+    centre, and i the first centre with that block."""
+    def block(c):
+        return tuple(s[c - k:c + k + 1])
+
+    def consistent(cs):
+        return len({block(c) for c in cs}) == len({(block(c), d[c]) for c in cs})
+
+    if clash is None:
+        assert consistent(centres)
+        return
+    i, j = clash
+    assert centres.start <= i < j < centres.stop
+    assert block(i) == block(j) and d[i] != d[j]
+    assert all(block(c) != block(j) for c in range(centres.start, i))
+    assert consistent(range(centres.start, j))
 
 
 def test_bytes_radius_0_probe_matches_the_loop():
     # random buffers over 2 to 256 symbols, d a function of s with some
-    # centres changed; d also over 257 symbols, where no byte table fits;
-    # probes of at most 32 centres, which the general loop reads at radius 0,
-    # and of more, which the bytes route reads per symbol
+    # centres changed, d also over 257 symbols, where no byte table fits;
+    # radius 0 over at most 32 centres and over more, which the bytes route
+    # reads per symbol, and radius 1 and 2: each reports the first clash,
+    # the same on bytes and on tuples, and a table exactly when none
     rng = random.Random(33)
-    outcomes = {"table": 0, "clash": 0, "few": 0, "many": 0}
+    outcomes = dict.fromkeys(["table", "clash", "few", "many", "wider"], 0)
     for _ in range(600):
         syms, n, a = rng.choice([2, 3, 7, 256]), rng.randint(1, 9), rng.randint(0, 5)
+        k = rng.choice([0, 0, 0, 1, 2])
         lu = lv = rng.choice([rng.randint(0, 31 - n), rng.randint(0, 40), rng.randint(40, 300)])
-        lo = -1 - n - a  # the centres are [a, a + n + 1 + lu)
-        size = a + n + 1 + lu + rng.randint(0, 3)
+        lo = -2 * k - 1 - n - a  # the centres are [a + k, a + 3k + n + 1 + lu)
+        centres = range(a + k, a + 3 * k + n + 1 + lu)
+        size = centres.stop + k + rng.randint(0, 3)
         s = bytes(rng.randrange(syms) for _ in range(size))
         f = [rng.randrange(256) for _ in range(256)]
         d = [f[x] for x in s]
         for _ in range(rng.choice([0, 0, 1, 3])):
             d[rng.randrange(size)] = rng.randrange(256)
-        centres = range(a, a + n + 1 + lu)
-        want = _radius_0_loop(s, d, centres)
-        outcomes["clash" if want[0] is None else "table"] += 1
-        outcomes["few" if len(centres) <= 32 else "many"] += 1
+        clashes = set()
         for bs, bd in ((s, bytes(d)), (tuple(s), tuple(d)), (s, tuple(x + 1 for x in d))):
-            table, clash = classify._build_block_map(bs, bd, lo, n, lu, lv, 0)
-            ref_table, ref_clash = _radius_0_loop(bs, bd, centres)
-            assert clash == ref_clash and clash == want[1], (s, d, a, n, lu)
-            # the same table: on the bytes route the translate table of the
-            # first centres' dst symbols, on the loop those symbols by slice
-            # of the buffer, in first-centre order
-            if isinstance(table, bytes):
-                assert isinstance(bd, bytes) and len(centres) > 32, (s, d, a, n, lu)
-                assert table == _translate_table(ref_table, bd), (s, d, a, n, lu)
-            else:
-                assert (table is None and ref_table is None
-                        or [(tuple(b), out) for b, out in table.items()]
-                        == [(b, bd[c]) for b, c in ref_table.items()]), \
-                    (s, d, a, n, lu)
-    assert min(outcomes.values()) > 150, outcomes
+            table, clash = classify._build_block_map(bs, bd, lo, n, lu, lv, k)
+            assert (table is None) == (clash is not None), (s, d, a, n, lu, k)
+            _assert_first_clash(bs, bd, centres, k, clash)
+            clashes.add(clash)
+        assert len(clashes) == 1, (s, d, a, n, lu, k)
+        outcomes["table" if clash is None else "clash"] += 1
+        outcomes["wider" if k else "few" if len(centres) <= 32 else "many"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_reciprocal_skew_witness_is_the_symbol_swap_at_large_n():
@@ -655,21 +627,6 @@ def test_reciprocal_skew_witness_is_the_symbol_swap_at_large_n():
 MERGING_PAIR = (make_ep(Word((0,), ABC), Word((1, 2), ABC)), ep("0", "11"))
 
 
-def _table_rows(code):
-    """A code's table read back as a dict of (block ids) -> output id:
-    outputs by source id, 255 or -1 unmapped, or a dict by packed block."""
-    table = code._table
-    if isinstance(table, dict):
-        return {tuple(block): out for block, out in table.items()}
-    mark = 255 if isinstance(table, bytes) else -1
-    return {(sym,): out for sym, out in enumerate(table[:len(code.source_alphabet)]) if out != mark}
-
-
-def _block_kinds(code):
-    """The types of a wider code's dict keys; none for a 1-block code."""
-    return {type(block) for block in code._table} if isinstance(code._table, dict) else set()
-
-
 def _criterion_5_pairs():
     """Criterion 5's pairs at small bounds: each family member with its
     invariant class's first member, and S(q/p), S'(p/q) for p + q <= 14."""
@@ -683,13 +640,12 @@ def _criterion_5_pairs():
 
 def _inverse_matches_the_search(x, y):
     """Assert that conjugacy_witness's inverse is the code the search from
-    canonical(y) to canonical(x) returns, table kind, block kind and all;
+    canonical(y) to canonical(x) returns, in ==, hash, repr and entries;
     returns whether the forward code is a 1-block bijection."""
     fwd, inv = conjugacy_witness(x, y)
     searched = _witness_code(canonical(y), canonical(x))
-    assert inv == searched and type(inv._table) is type(searched._table), (x, y)
-    assert _block_kinds(inv) == _block_kinds(searched), (x, y)
-    assert _table_rows(inv) == _table_rows(searched) == dict(searched.entries), (x, y)
+    assert inv == searched and hash(inv) == hash(searched), (x, y)
+    assert repr(inv) == repr(searched) and inv.entries == searched.entries, (x, y)
     outs = [out for _, out in fwd.entries]
     return fwd.memory == 0 and len(set(outs)) == len(outs)
 
@@ -784,8 +740,6 @@ def test_apply_longer_shift_codes_match_shift():
 
 
 def _all_blocks(n):
-    import itertools
-
     return list(itertools.product((0, 1), repeat=n))
 
 
@@ -809,53 +763,73 @@ def test_apply_code_missing_block():
         partial.read((1,))
 
 
-def test_one_block_read_matches_a_lookup_per_position():
-    rng = random.Random(23)
-    code = SlidingBlockCode(0, 0, (((0,), 2), ((1,), 0), ((2,), 1)), ABC, ABC)
-    outputs = dict(code.entries)
-    for _ in range(300):
-        buf = tuple(rng.randrange(3) for _ in range(rng.randrange(31)))
-        assert tuple(code.read(buf)) == tuple(outputs[(b,)] for b in buf)
-    for absent in range(3):
-        partial = SlidingBlockCode(0, 0, tuple(((s,), s) for s in range(3) if s != absent), ABC, ABC)
-        present = tuple(s for s in range(3) if s != absent)
-        buf = tuple(rng.choice(present) for _ in range(20))
-        assert tuple(partial.read(buf)) == buf
-        with pytest.raises(MissingBlock) as e:
-            partial.read(buf[:7] + (absent,) + buf[7:])
-        assert str(e.value) == f"block ({absent},) not in code table"
+def _read_cases(rng, src, dst):
+    """(codes, partials, buffers) for groups of equal codes from src to dst:
+    1-block rows on ids at both ends of src and some at random, onto
+    outputs at both ends of dst, spread or merged, checked and built;
+    radius-1 rows on the ids at the ends, checked; the radius-1 code the
+    search finds from a sequence over src.  The partials drop one row,
+    checked and parsed from JSON (with 65537 symbols, in one group only: a
+    parse reads every label).  The buffers splice that row's block in."""
+    n, m = len(src), len(dst)
+    ids = sorted({0, 1, n // 2, n - 2, n - 1, *rng.sample(range(n), min(n, 40))})
+    ends = sorted({0, 1, n - 2, n - 1})
+    outs = sorted({0, 1, m // 2, m - 1})
+    x = make_ep(Word((0, 0, n - 1), src), Word((n - 1,), src))
+    searched = conjugacy_witness(x, make_ep(Word((0, 0, m - 1), dst), Word((0,), dst)))[0]
+    spread = tuple(((s,), outs[i % len(outs)]) for i, s in enumerate(ids))
+    merged = tuple(((s,), outs[0] if i % 3 else outs[-1]) for i, s in enumerate(ids))
+    groups = [((classify._one_block(one, src, dst), SlidingBlockCode(0, 0, one, src, dst)), ids)
+              for one in (spread, merged)]
+    wide = tuple((b, rng.choice(outs)) for b in itertools.product(ends, repeat=3))
+    groups += [((SlidingBlockCode(1, 1, wide, src, dst),), ends),
+               ((searched,), [x.symbol_id_at(i) for i in range(-6, 8)])]
+    cases = []
+    for codes, symbols in groups:
+        entries = codes[0].entries
+        h = len(entries) // 2
+        absent = list(entries[h][0])
+        partial = SlidingBlockCode(codes[0].memory, codes[0].anticipation,
+                                   entries[:h] + entries[h + 1:], src, dst)
+        partials = [partial]
+        if n + m <= 514 or (n + m <= 65539 and not cases):
+            partials.append(jsonio.parse_code(json.loads(json.dumps(jsonio.emit_code(partial)))))
+        base = [rng.choice(symbols) for _ in range(9)]
+        buffers = [symbols, [], absent, *(base[:at] + absent + base[at:] for at in (0, 4, 9))]
+        buffers += [[rng.choice(symbols) for _ in range(rng.randrange(40))] for _ in range(5)]
+        cases.append((codes, partials, [packed(buf, src) for buf in buffers]))
+    return cases
 
 
-def test_one_block_codes_read_as_parsed_and_as_built():
-    # a code from the search (trusted, its table the probe's), a mark code
-    # built checked, and a final link: each reads as the same code parsed
-    # from JSON
-    x, y = skew(TYPE_S, 3, 5), skew(TYPE_SPRIME, 5, 3)
-    marked = _raise_moves(x, 1, 1)[0][0].code
-    final = flow_witness(skew(TYPE_SPRIME, 1, 2), skew(TYPE_S, 3, 2)).final[0][0]
-    rng = random.Random(29)
-    for code in (_witness_code(canonical(x), canonical(y)), marked, final):
-        assert code.block_length == 1
-        parsed = jsonio.parse_code(json.loads(json.dumps(jsonio.emit_code(code))))
-        outputs = {block[0]: out for block, out in code.entries}
-        keys = sorted(outputs)
-        for _ in range(50):
-            buf = tuple(rng.choice(keys) for _ in range(rng.randrange(40)))
-            expected = tuple(outputs[b] for b in buf)
-            assert tuple(code.read(buf)) == tuple(parsed.read(buf)) == expected
-        # drop one row: the absent symbol at the first, a middle and the last position
-        absent, rest = code.entries[-1][0][0], code.entries[:-1]
-        src, dst = code.source_alphabet, code.target_alphabet
-        partials = (SlidingBlockCode(0, 0, rest, src, dst), classify._one_block(rest, src, dst))
-        present = tuple(block[0] for block, _ in rest)
-        buf = tuple(rng.choice(present) for _ in range(9))
-        for at in (0, 4, 9):
-            spiked = buf[:at] + (absent,) + buf[at:]
-            for partial in partials:
-                assert tuple(partial.read(buf[:at])) == tuple(outputs[b] for b in buf[:at])
-                with pytest.raises(MissingBlock) as e:
-                    partial.read(spiked)
-                assert str(e.value) == f"block ({absent},) not in code table"
+@pytest.mark.parametrize("size", sorted(SIZED))
+def test_read_is_a_lookup_per_position(size):
+    # codes from `size` symbols onto alphabets on either side of the byte
+    # path's bounds, of radius 0 and 1, built, checked and parsed, whole
+    # and less a row: each reads a buffer as a lookup per position does,
+    # MissingBlock text included, and gives the target alphabet's Symbols
+    rng, src = random.Random(size), SIZED[size]
+    outcomes = set()
+    for dst in SIZED.values():
+        for codes, partials, buffers in _read_cases(rng, src, dst):
+            for group in (codes, partials):
+                assert all(c == group[0] and hash(c) == hash(group[0]) for c in group), group[0]
+            for code in codes + tuple(partials):
+                assert type(code.read(packed((), src))) is type(packed((), dst))
+                for buf in buffers:
+                    got = _outcome(lambda: tuple(code.read(buf)))
+                    assert got == _outcome(read_by_lookup, code, buf), (code, buf)
+                    outcomes.add(got[:1] == (MissingBlock,))
+    assert outcomes == {True, False}
+
+
+def test_a_code_from_one_symbol_reads_its_one_output():
+    # onto 256 symbols and more a 1-block code holds its outputs by source
+    # id in a tuple, here of one entry
+    one = Alphabet(("a",))
+    for dst in (SIZED[256], SIZED[65537]):
+        code = SlidingBlockCode(0, 0, (((0,), len(dst) - 1),), one, dst)
+        for buf in ((), (0,), (0, 0, 0)):
+            assert tuple(code.read(packed(buf, one))) == read_by_lookup(code, buf)
 
 
 def test_apply_code_degenerate_image():
@@ -873,55 +847,94 @@ def _uneven_codes():
             for mm, aa in ((0, 1), (2, 0), (1, 3)) for out in outs]
 
 
+# --- image scans, by definition --------------------------------------------------
+
+def _missing(code, blocks):
+    """The MissingBlock a read of these blocks raises, or None."""
+    first = next((b for b in blocks if b not in rows(code)), None)
+    return first and (MissingBlock, f"block {first} not in code table")
+
+
+def _blocks_read(code, x):
+    """The blocks an image of x reads, in the order that names a missing
+    one: the periodic orbit's at phases 0 ... N-1, then those of x at the
+    centres -aa ... |v|+mm-1 (memory mm, anticipation aa)."""
+    mm, aa = code.memory, code.anticipation
+    orbit = [block_at(remove_anomaly(x), i, mm, aa) for i in range(least_period(x))]
+    return orbit, [block_at(x, i, mm, aa) for i in range(-aa, len(x.anomaly) + mm)]
+
+
+def _root(o):
+    """The shortest prefix of the cyclic word o whose repetition is o."""
+    n = len(o)
+    p = next(p for p in range(1, n + 1) if all(o[i] == o[(i + p) % n] for i in range(n)))
+    return tuple(o[:p])
+
+
+def _scan_outcome(code, x):
+    """What an image scan of x gives, as `_scan_by_definition` states it, or
+    the error it raises."""
+    def read():
+        scan = classify._image_scan(code, x)
+        assert scan.period.alphabet == code.target_alphabet
+        return (tuple(scan.period.symbols), scan.defect, scan.start, scan.length,
+                *(tuple(map(tuple, scan.anchored_symbols(t))) for t in (scan.start, 0)))
+    return _outcome(read)
+
+
+def _scan_by_definition(code, x):
+    """An image scan of x from the code's rows alone: a missing block is the
+    first the rows lack in `_blocks_read` order.  The image y has the root
+    r of its periodic orbit's image, p = |r|; its defect d is the first i
+    with y_i != y_{i-p} and e the last with y_i != y_{i+p}.  The minimal
+    window has the least length L ≡ |v| (mod p) with L >= max(1, e+1-d),
+    and ends at e + 1.  Anchored at t <= d the period is r rotated by t,
+    and the anomaly the shortest run from y_t of a length ≡ L (mod p) that
+    reaches the window's end.  Returns r, d, the window's start and L, and
+    the anchored forms at the start and at min(0, d)."""
+    if x.alphabet != code.source_alphabet:
+        return IncompatibleAlphabets, "sequence alphabet differs from the code's source alphabet"
+    orbit, span = _blocks_read(code, x)
+    missing = _missing(code, orbit + span)
+    if missing:
+        return missing
+    r = _root([rows(code)[b] for b in orbit])
+    p, vl = len(r), len(x.anomaly)
+    lo, hi = -code.anticipation - p, vl + code.memory + p
+    y = {i: image_at(code, x, i) for i in range(lo - p, hi)}  # the window starts past lo - p
+    d = next((i for i in range(lo + p, hi) if y[i] != y[i - p]), None)
+    if d is None:
+        return DegenerateImage, "image of the sequence under the code is periodic"
+    e = max(i for i in range(lo, hi - p) if y[i] != y[i + p])
+    need = max(1, e + 1 - d)
+    length = need + (vl - need) % p
+    start = e + 1 - length
+
+    def anchored(t):
+        size = length + p * -(-max(0, start - t) // p)
+        return tuple(r[(t + j) % p] for j in range(p)), tuple(y[i] for i in range(t, t + size))
+
+    return r, d, start, length, anchored(start), anchored(min(0, d))
+
+
+def _ids(x):
+    """The period and anomaly of x as tuples of ids."""
+    return tuple(x.period_word.symbols), tuple(x.anomaly.symbols)
+
+
 def test_image_buffer_matches_the_code_read_block_by_block():
     # the image's tails are tiled from the image of one period; each must
-    # sit at its phase, so every block is read here from the source itself
+    # sit at its phase, so the scan and apply_code, the form anchored at
+    # min(0, d), are held to the blocks read from the source itself
     for code in _uneven_codes():
-        mm, aa, outputs = code.memory, code.anticipation, dict(code.entries)
-
-        def image(x, i):
-            return outputs[tuple(x.symbol_id_at(j) for j in range(i - mm, i + aa + 1))]
-
         for x in verify.exhaustive_family(3, 5) + [ep("0100", "100")]:
-            n, vl = least_period(x), len(x.anomaly)
-            span = range(-3 * n - aa - 2, vl + mm + 3 * n + 2)
-            try:
-                scan = classify._image_scan(code, x)
-            except DegenerateImage:
-                assert all(image(x, i) == image(x, i + n) for i in span), (code, x)
-                continue
-            assert scan.buf == bytes(image(x, scan.lo + i) for i in range(len(scan.buf)))
-            y, t = apply_code(code, x), min(0, scan.defect)
-            assert all(y.symbol_id_at(i) == image(x, i + t) for i in span), (code, x)
+            got = _scan_outcome(code, x)
+            assert got == _scan_by_definition(code, x), (code, x)
+            if got[0] is not DegenerateImage:
+                assert _ids(apply_code(code, x)) == got[5], (code, x)
 
 
 # --- the byte path of 1-block codes ---------------------------------------------
-
-# alphabets on either side of the byte path's bounds: at most 256 source
-# symbols and 255 target symbols, 255 being the table's unmapped mark
-SIZED = {k: Alphabet(tuple(f"s{i}" for i in range(k))) for k in (2, 3, 255, 256, 257)}
-RELABELLED = {k: Alphabet(tuple(f"t{i}" for i in range(k))) for k in SIZED}
-
-
-def _tuple_read(code, buf):
-    """`SlidingBlockCode.read` by the lookup route of every code, kept as
-    the oracle of the 1-block tables: a dict of the code's rows, and each
-    block a tuple zipped from block_length shifted slices of buf."""
-    lookup, n, size = dict(code.entries), code.block_length, len(buf)
-    blocks = zip(*(buf[i:size - n + 1 + i] for i in range(n)))
-    try:
-        return packed(map(lookup.__getitem__, blocks), code.target_alphabet)
-    except KeyError as e:
-        raise MissingBlock(f"block {e.args[0]} not in code table") from None
-
-
-def _tuple_route(code):
-    """An equal code whose image tests read through `_tuple_read`."""
-    twin = SlidingBlockCode(code.memory, code.anticipation, code.entries,
-                            code.source_alphabet, code.target_alphabet)
-    object.__setattr__(twin, "read", functools.partial(_tuple_read, twin))
-    return twin
-
 
 def _byte_path_case(src, dst, period, anomaly, table):
     a = SIZED[src]
@@ -935,7 +948,7 @@ def byte_path_cases(draw):
     """(x, code): a 1-block code between alphabets of 2 to 257 symbols, on
     the ids at either end of each, with outputs that may coincide and a
     table that may miss a symbol of x."""
-    src, dst = draw(st.sampled_from(sorted(SIZED))), draw(st.sampled_from(sorted(SIZED)))
+    src, dst = draw(st.sampled_from(BYTE_BOUNDS)), draw(st.sampled_from(BYTE_BOUNDS))
     ids = sorted({0, 1, src // 2, src - 2, src - 1})
     period = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6), label="period")
     anomaly = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12), label="anomaly")
@@ -949,13 +962,11 @@ def byte_path_cases(draw):
         assume(False)
 
 
-def _scan_outcome(code, x):
-    """Everything an image scan gives, or the error it raises."""
-    def read():
-        scan = classify._image_scan(code, x)
-        return (tuple(scan.buf), scan.lo, scan.period, scan.defect, scan.start, scan.length,
-                scan.anchored_symbols(scan.start), scan.anchored_symbols(0))
-    return _outcome(read)
+def _periodic_image_by_definition(code, p):
+    """The root of the image of the periodic sequence p, or the MissingBlock
+    naming the first block the rows lack at phases 0 ... N-1."""
+    orbit = [block_at(p, i, code.memory, code.anticipation) for i in range(least_period(p))]
+    return _missing(code, orbit) or _root([rows(code)[b] for b in orbit])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -972,19 +983,19 @@ def _scan_outcome(code, x):
 @example(_byte_path_case(257, 255, (256, 0), (1,), {0: 254, 1: 0, 256: 253}))
 @example(_byte_path_case(256, 256, (255, 0), (1,), {0: 255, 1: 0, 255: 253}))
 def test_byte_path_matches_the_tuple_route(case):
+    # a 1-block code on either side of the byte path's bounds scans the
+    # image its rows define, and its periodic image and image tests follow
     x, code = case
-    twin = _tuple_route(code)
-    on_bytes = len(code.source_alphabet) <= 256 and len(code.target_alphabet) <= 255
     got = _scan_outcome(code, x)
-    assert got == _scan_outcome(twin, x)
-    assert isinstance(code._table, bytes) == on_bytes and twin == code
+    assert got == _scan_by_definition(code, x)
     periodic = PeriodicSeq(x.period_word)
-    assert _outcome(apply_code_to_periodic, code, periodic) == _outcome(
-        apply_code_to_periodic, twin, periodic)
+    assert (_outcome(lambda: tuple(apply_code_to_periodic(code, periodic).period_word.symbols))
+            == _periodic_image_by_definition(code, periodic))
     if not isinstance(got[0], type):  # the image, a shift of it, and another sequence
-        img, b = apply_code(twin, x), code.target_alphabet
+        img, b = apply_code(code, x), code.target_alphabet
+        assert _ids(img) == got[5]
         for y in (img, shifted(img, -1), make_ep(Word((0,), b), Word((1,), b))):
-            assert _image_similar(code, x, y) == _image_similar(twin, x, y)
+            assert _image_similar(code, x, y) == (_ids(canonical(y)) == got[4])
     # mismatched alphabets: x's symbols over another alphabet of its size,
     # and a target sequence over another alphabet of the target's size
     size = len(x.alphabet)
@@ -992,102 +1003,64 @@ def test_byte_path_matches_the_tuple_route(case):
                     Word(x.anomaly.symbols, RELABELLED[size]))
     elsewhere = make_ep(Word((0,), RELABELLED[len(code.target_alphabet)]),
                         Word((1,), RELABELLED[len(code.target_alphabet)]))
-    for c in (code, twin):
-        assert _outcome(_image_similar, c, moved, elsewhere)[0] is IncompatibleAlphabets
-        if not isinstance(got[0], type):
-            assert _outcome(_image_similar, c, x, elsewhere)[0] is IncompatibleAlphabets
+    assert _outcome(_image_similar, code, moved, elsewhere)[0] is IncompatibleAlphabets
+    if not isinstance(got[0], type):
+        assert _outcome(_image_similar, code, x, elsewhere)[0] is IncompatibleAlphabets
 
 
 def test_byte_path_cuts_a_shorter_root_and_names_the_first_missing_symbol():
     x, code = _byte_path_case(3, 2, (0, 1), (2,), {0: 0, 1: 0, 2: 1})
     assert apply_code_to_periodic(code, PeriodicSeq(x.period_word)).period_word.symbols == b"\x00"
-    assert least_period(apply_code(code, x)) == 1 and isinstance(code._table, bytes)
+    assert least_period(apply_code(code, x)) == 1
     for period, anomaly, absent in (((255, 0), (1,), 255), ((0, 1), (1, 254, 255), 254)):
         x, code = _byte_path_case(256, 255, period, anomaly, {0: 254, 1: 0})
         with pytest.raises(MissingBlock, match=rf"^block \({absent},\) not in code table$"):
             apply_code(code, x)
 
 
-def test_1_block_image_tests_read_no_block_on_the_byte_path():
-    # a skew pair's witnesses read through their byte tables
-    for q, p in ((5, 8), (47, 53)):
-        x, y = skew(TYPE_S, q, p), skew(TYPE_SPRIME, p, q)
-        fwd, inv = conjugacy_witness(x, y)
-        assert fwd.block_length == inv.block_length == 1 and least_period(x) == p + q
-        assert isinstance(fwd._table, bytes) and isinstance(inv._table, bytes)
-    # a radius-1 code looks its blocks up; a 1-block code over 300 symbols
-    # indexes a tuple of its outputs
-    x, y = ep("001", "1"), ep("001", "0")
-    fwd, inv = conjugacy_witness(x, y)
-    assert fwd.memory == 1 and fwd._table == {bytes(b): out for b, out in fwd.entries}
-    assert _table_rows(fwd) == dict(fwd.entries) and _block_kinds(fwd) == {bytes}
-    z = make_ep(Word((0, 299), SYMBOLS_300), Word((1,), SYMBOLS_300))
-    fwd, inv = conjugacy_witness(z, z)  # the identity code, over all 300 symbols
-    assert fwd.block_length == 1 and set(vars(fwd)) == set(SlidingBlockCode._fields)
-    for code in (fwd, inv):
-        assert code._table == tuple(out for _, out in code.entries) and len(code._table) == 300
-
-
-# --- a wider code's one table: the dict its probe built ---------------------
-
 SYMBOLS_300 = Alphabet(tuple(f"s{i}" for i in range(300)))
 
 
-def _wider_codes():
-    """(code, source) for the searched codes of two pairs, each of radius
-    at least 1: one over {0, 1}, whose blocks are bytes, and one over 300
-    symbols, whose blocks are tuples."""
-    x = make_ep(Word((0, 1, 2), SYMBOLS_300), Word((0, 3, 299, 1), SYMBOLS_300))
-    y = make_ep(Word((0, 1, 2), SYMBOLS_300), Word((3,), SYMBOLS_300))
+def test_1_block_image_tests_read_no_block_on_the_byte_path():
+    # the one test of the route a code's table takes, which `read` alone
+    # picks by: a 1-block code from at most 256 symbols to at most 255
+    # holds a 256-byte translate table, any other 1-block code a tuple of
+    # its outputs by source id, and a wider code a dict by block, packed
+    # as its source alphabet's words; searched, built, checked and parsed
+    # codes alike
+    def route(code):
+        table = code._table
+        if code.block_length > 1:
+            return type(table), {type(block) for block in table}
+        return type(table), len(table)
+
+    def expected(code):
+        n, m = len(code.source_alphabet), len(code.target_alphabet)
+        if code.block_length > 1:
+            return dict, {bytes if n <= 256 else tuple}
+        return (bytes, 256) if n <= 256 and m <= 255 else (tuple, n)
+
     codes = []
-    for a, b in ((ep("001", "1"), ep("001", "0")), (x, y)):
-        fwd, inv = conjugacy_witness(a, b)
-        codes += [(fwd, a), (inv, b)]
-    return codes
+    for q, p in ((5, 8), (47, 53)):  # swaps, the second past the bytes probe's 32 centres
+        codes += conjugacy_witness(skew(TYPE_S, q, p), skew(TYPE_SPRIME, p, q))
+    codes += conjugacy_witness(ep("001", "1"), ep("001", "0"))  # radius 1
+    z = make_ep(Word((0, 299), SYMBOLS_300), Word((1,), SYMBOLS_300))
+    codes += conjugacy_witness(z, z)  # the identity code, over all 300 symbols
+    for n in BYTE_BOUNDS:
+        for m in BYTE_BOUNDS:
+            rows_ = (((0,), 0), ((n - 1,), m - 1))
+            codes += [SlidingBlockCode(0, 0, rows_, SIZED[n], SIZED[m]),
+                      classify._one_block(rows_, SIZED[n], SIZED[m])]
+    codes += [code for code, _ in _wide_links_257_and_65537()]
+    codes += [jsonio.parse_code(json.loads(json.dumps(jsonio.emit_code(c)))) for c in codes
+              if len(c.source_alphabet) + len(c.target_alphabet) < 1000]
+    for code in codes:
+        assert route(code) == expected(code), code
+    assert {route(code)[0] for code in codes} == {bytes, tuple, dict}
+    assert {tuple in route(code)[1] for code in codes if code.block_length > 1} == {True, False}
 
 
-def _reads_per_position(rows, buf, n):
-    """The outputs of the blocks of buf by a lookup per position in `rows`,
-    a dict by tuple block, and the first unmapped block or None."""
-    blocks = [tuple(buf[i:i + n]) for i in range(len(buf) - n + 1)]
-    absent = next((b for b in blocks if b not in rows), None)
-    return (None if absent else tuple(rows[b] for b in blocks)), absent
-
-
-def test_a_searched_wider_code_is_the_code_parsed_from_its_json():
-    rng = random.Random(43)
-    kinds = set()
-    for code, x in _wider_codes():
-        n, src = code.block_length, code.source_alphabet
-        assert code.memory >= 1 and isinstance(code._table, dict)
-        kinds |= _block_kinds(code)
-        parsed = jsonio.parse_code(json.loads(json.dumps(jsonio.emit_code(code))))
-        assert parsed == code and hash(parsed) == hash(code) and repr(parsed) == repr(code)
-        assert parsed.entries == code.entries and list(code.entries) == sorted(code.entries)
-        assert _table_rows(parsed) == _table_rows(code) == dict(code.entries)
-        assert _block_kinds(parsed) == _block_kinds(code) == {type(packed((), src))}
-        rows = dict(code.entries)
-        for _ in range(40):  # windows of the source, whose blocks are all in the table
-            lo = rng.randint(-20, 20)
-            buf = _symbols(x, lo, lo + rng.randint(n - 1, 40))
-            want, absent = _reads_per_position(rows, buf, n)
-            assert absent is None and tuple(code.read(buf)) == tuple(parsed.read(buf)) == want
-            assert type(code.read(buf)) is type(packed((), code.target_alphabet))
-        # a block the table lacks, spliced in at the start, middle and end:
-        # the first unmapped block is named, as a tuple, by both codes
-        missing = next(b for b in itertools.product(range(len(src)), repeat=n) if b not in rows)
-        buf = list(_symbols(x, 0, 12))
-        for at in (0, 6, 12):
-            spiked = packed(buf[:at] + list(missing) + buf[at:], src)
-            absent = _reads_per_position(rows, spiked, n)[1]
-            assert absent is not None
-            for c in (code, parsed):
-                with pytest.raises(MissingBlock) as e:
-                    c.read(spiked)
-                assert str(e.value) == f"block {absent} not in code table"
-                assert re.fullmatch(r"block \(\d+(, \d+)+\) not in code table", str(e.value))
-    assert kinds == {bytes, tuple}
-
+# --- memory ---------------------------------------------------------------------
 
 def test_conjugacy_witness_memory_stays_within_what_its_probe_and_image_tests_hold():
     # canonical forms warm; N = 10^6 and |u| = |v| = a.  The radius-0 probe
@@ -1095,8 +1068,8 @@ def test_conjugacy_witness_memory_stays_within_what_its_probe_and_image_tests_ho
     # strings over its N + 1 + a centres (the two stretches, the symbols
     # left to find and the translate) and, on a clash, their XOR: two ints
     # and the XOR int, each 16/15 of the bytes it reads.  Each image test
-    # holds the root (N) and the image over [-2N-1, a+2N+1), 4N + a + 2
-    # bytes, which the scan slices twice (3N + a + 2 bytes each) into two
+    # holds the root (N) and the image over [-2N-1, a+N), 3N + a + 1
+    # bytes, which the scan slices twice (2N + a + 1 bytes each) into two
     # ints it XORs, as in `canonical`; the code's own read is smaller.
     # The bound is the larger of the two.
     q, p = 399999, 600001
@@ -1106,7 +1079,7 @@ def test_conjugacy_witness_memory_stays_within_what_its_probe_and_image_tests_ho
     assert len(cy.anomaly) == len(x.anomaly) == len(y.anomaly) == a
     centres = n + 1 + a
     probe = (5 * n + a + 1) + (4 * n + a + 1) + 4 * centres + 3 * centres * 16 // 15
-    image = n + (4 * n + a + 2) + 2 * (3 * n + a + 2) + 3 * (3 * n + a + 2) * 16 // 15
+    image = n + (3 * n + a + 1) + 2 * (2 * n + a + 1) + 3 * (2 * n + a + 1) * 16 // 15
     tracemalloc.start()
     try:
         fwd, inv = conjugacy_witness(x, y)
@@ -1117,55 +1090,7 @@ def test_conjugacy_witness_memory_stays_within_what_its_probe_and_image_tests_ho
     assert peak < max(probe, image), (peak, probe, image)
 
 
-# --- 1-block tables against the tuple route and through JSON ------------------
-
-WIDE = {**{k: SIZED[k] for k in (2, 255, 256, 257)},
-        65537: Alphabet(tuple(f"s{i}" for i in range(65537)))}
-
-
-def _1_block_tables(rng, src, dst):
-    """Three (rows, absent) pairs on ids at both ends of src and some at
-    random, onto outputs at both ends of dst: rows spread over the outputs,
-    rows merging most ids into one output, and the first rows less one id,
-    `absent` (None for the other two)."""
-    n, m = len(src), len(dst)
-    ids = sorted({0, 1, n // 2, n - 2, n - 1, *rng.sample(range(n), min(n, 40))})
-    outs = sorted({0, 1, m // 2, m - 1})
-    spread = tuple(((s,), outs[i % len(outs)]) for i, s in enumerate(ids))
-    merged = tuple(((s,), outs[0] if i % 3 else outs[-1]) for i, s in enumerate(ids))
-    absent = ids[len(ids) // 2]
-    partial = tuple(row for row in spread if row[0] != (absent,))
-    return [(spread, None), (merged, None), (partial, absent)]
-
-
-@pytest.mark.parametrize("size", sorted(WIDE))
-def test_1_block_read_and_out_match_the_tuple_route(size):
-    rng = random.Random(size)
-    src = WIDE[size]
-    for dst in WIDE.values():
-        for rows, absent in _1_block_tables(rng, src, dst):
-            checked = SlidingBlockCode(0, 0, rows, src, dst)
-            built = classify._one_block(rows, src, dst)
-            assert built == checked and hash(built) == hash(checked)
-            assert checked.entries == tuple(sorted(rows))
-            assert isinstance(checked._table, bytes) == (size <= 256 and len(dst) <= 255)
-            mapped = [sym for (sym,), _ in rows]
-            for _ in range(5):
-                buf = packed((rng.choice(mapped) for _ in range(rng.randrange(60))), src)
-                got = checked.read(buf)
-                assert got == _tuple_read(checked, buf) and type(got) is type(packed((), dst))
-            if absent is None:
-                continue
-            buf = [rng.choice(mapped) for _ in range(9)]
-            for at in (0, 4, 9):
-                spiked = packed(buf[:at] + [absent] + buf[at:] + [absent], src)
-                for read in (checked.read, built.read, functools.partial(_tuple_read, checked)):
-                    with pytest.raises(MissingBlock) as e:
-                        read(spiked)
-                    assert str(e.value) == f"block ({absent},) not in code table"
-            lone = packed([absent], src)
-            assert _outcome(checked.read, lone) == _outcome(_tuple_read, checked, lone)
-
+# --- codes through JSON ---------------------------------------------------------
 
 def _links_with_sources(x, y, wit):
     """(code, sequence) for every code of the witness, with the sequence its
@@ -1222,10 +1147,14 @@ def _wide_links(a):
             (erase.code, erase.result), final]
 
 
+def _wide_links_257_and_65537():
+    return [link for size in (257, 65537) for link in _wide_links(SIZED[size])]
+
+
 def _assert_round_trips(code):
     parsed = jsonio.parse_code(json.loads(json.dumps(jsonio.emit_code(code))))
     assert parsed == code and hash(parsed) == hash(code), code
-    assert parsed.entries == code.entries and type(parsed._table) is type(code._table)
+    assert parsed.entries == code.entries and repr(parsed) == repr(code)
 
 
 def test_every_code_round_trips_through_json_on_capped_8_instances(capped_8_links):
@@ -1244,9 +1173,8 @@ def test_every_code_round_trips_through_json_on_capped_8_instances(capped_8_link
 
 @pytest.mark.parametrize("size", [257, 65537])
 def test_every_code_round_trips_through_json_over_wide_alphabets(size):
-    codes = [code for code, _ in _wide_links(WIDE[size])]
+    codes = [code for code, _ in _wide_links(SIZED[size])]
     assert [code.memory for code in codes] == [0, 0, 1, 1, 0, 0, 0]
-    assert all(type(code._table) is tuple for code in codes if code.block_length == 1)
     for code in codes:
         _assert_round_trips(code)
 
@@ -1254,90 +1182,58 @@ def test_every_code_round_trips_through_json_over_wide_alphabets(size):
 def test_a_1_block_witness_onto_256_symbols_holds_a_tuple_past_the_bytes_probe():
     # a relabelling s -> 255 - s probed over 42 centres: a byte table would
     # read the output 255 as an unmapped id
-    a = WIDE[256]
+    a = SIZED[256]
     x = make_ep(Word(tuple(range(40)), a), Word((40,), a))
     y = make_ep(Word(tuple(255 - s for s in range(40)), a), Word((215,), a))
     fwd, inv = conjugacy_witness(x, y)
-    assert (fwd.block_length, inv.block_length) == (1, 1) and type(fwd._table) is tuple
+    assert (fwd.block_length, inv.block_length) == (1, 1)
     f, g = dict(fwd.entries), dict(inv.entries)
     assert (f[(0,)], f[(40,)], g[(255,)], g[(215,)]) == (255, 215, 0, 40)
+    assert fwd.read(packed((0, 40, 0), a)) == packed((255, 215, 255), a)
     assert similar(apply_code(fwd, x), y) and similar(apply_code(inv, y), x)
     for code in (fwd, inv):
         _assert_round_trips(code)
 
 
-# --- the one-read image scan against the two-read construction ----------------
-
-def _two_read_scan(code, x):
-    """`classify._image_scan` by two reads, kept as its oracle: the code
-    reads the periodic orbit's phases 0 ... N-1, whose root `primitive_root`
-    cuts, and then the span; the guards around the span, from -aa-1-2N on
-    the left and of 2N + 1 symbols on the right, are tiled from the root."""
-    if x.alphabet != code.source_alphabet:
-        raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
-    mm, aa, bl = code.memory, code.anticipation, code.block_length
-    n, vl = least_period(x), len(x.anomaly)
-    orbit = code.read(_tiled(x.period_word.symbols, -mm, n + bl - 1))
-    root = primitive_root(Word._trusted(orbit, code.target_alphabet))[0]
-    span = code.read(_symbols(x, -aa - mm, vl + mm + aa))
-    lo = -aa - 1 - 2 * n
-    img = _tiled(root.symbols, lo, 2 * n + 1) + span + _tiled(root.symbols, mm, 2 * n + 1)
-    scan = _scan(img, lo, root, vl)
-    if scan is None:
-        raise DegenerateImage("image of the sequence under the code is periodic")
-    return scan
-
-
-def _wide_links_257_and_65537():
-    return [link for size in (257, 65537) for link in _wide_links(WIDE[size])]
-
+# --- the image scan on every code verify builds ----------------------------------
 
 def test_one_read_image_scan_matches_the_two_read_construction(capped_8_links):
+    # every code verify builds at --max-period-sum 8, and codes over 257 and
+    # 65537 symbols, scan the image their rows define
     links = capped_8_links + _wide_links_257_and_65537()
-    for code, x in links:
-        scan = classify._image_scan(code, x)
-        assert scan == _two_read_scan(code, x), (code, x)
-        assert type(scan.buf) is type(packed((), code.target_alphabet))
-    # criterion 5's searched inverses reach radius 9; 1-block codes hold
-    # byte tables and tuples
+    for code, x in dict.fromkeys(links):
+        assert _scan_outcome(code, x) == _scan_by_definition(code, x), (code, x)
+    # criterion 5's searched inverses reach radius 9; 1-block codes lie on
+    # both sides of the byte path's bounds
     assert max(code.memory for code, _ in links) == 9
-    assert {type(code._table) for code, _ in links if code.block_length == 1} == {bytes, tuple}
-
-
-def _orbit_and_span_blocks(code, x):
-    """The blocks the image test reads in the periodic orbit, by phase, and
-    those it reads only in the span, in the order of the span."""
-    bl, n = code.block_length, least_period(x)
-    mm, aa, vl = code.memory, code.anticipation, len(x.anomaly)
-
-    def blocks(syms):
-        return list(dict.fromkeys(tuple(syms[i:i + bl]) for i in range(len(syms) - bl + 1)))
-
-    orbit = blocks(_tiled(x.period_word.symbols, -mm, n + bl - 1))
-    return orbit, [b for b in blocks(_symbols(x, -aa - mm, vl + mm + aa)) if b not in orbit]
+    assert {len(code.source_alphabet) <= 256 and len(code.target_alphabet) <= 255
+            for code, _ in links if code.block_length == 1} == {True, False}
 
 
 def test_one_read_image_scan_names_the_missing_block_the_two_reads_named(capped_8_links):
     # check-witness trails name the first block missing from a code's table:
-    # a row of the periodic orbit (phases 0 ... N-1 first), else one of the span
+    # a block of the periodic orbit (phases 0 ... N-1 first), else one of the span
     checked = 0
     for code, x in capped_8_links[::5] + _wide_links_257_and_65537():
-        orbit, span = _orbit_and_span_blocks(code, x)
+        orbit, span = _blocks_read(code, x)
+        order = list(dict.fromkeys(orbit + span))
+        orbit, span = order[:len(set(orbit))], order[len(set(orbit)):]
         dropped = [[orbit[-1]], [orbit[0], orbit[-1]]]
         if span:
             dropped += [[span[0]], [span[-1], orbit[-1]]]
         for missing in dropped:
-            rows = tuple(row for row in code.entries if row[0] not in missing)
-            if not rows:
+            kept = tuple(row for row in code.entries if row[0] not in missing)
+            if not kept:
                 continue
-            partial = SlidingBlockCode(code.memory, code.anticipation, rows,
+            partial = SlidingBlockCode(code.memory, code.anticipation, kept,
                                        code.source_alphabet, code.target_alphabet)
-            got = _outcome(classify._image_scan, partial, x)
-            assert got == _outcome(_two_read_scan, partial, x), (code, x, missing)
-            first = min(missing, key=(orbit + span).index)
+            first = min(missing, key=order.index)
+            got = _scan_outcome(partial, x)
             assert got == (MissingBlock, f"block {first} not in code table"), (code, x, missing)
             checked += 1
     assert checked > 5000
+
+
 
 
 # --- symbol expansion --------------------------------------------------------

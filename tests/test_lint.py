@@ -242,18 +242,24 @@ def test_a_dict_read_is_found():
                                 "cls.__dict__ (line 11)", "code.__dict__ (line 14)"]
 
 
-def code_table_reads(tree: ast.Module) -> list[str]:
-    """The attribute reads of a sliding block code's table (`_table`: the
-    outputs by source id, or the dict by block), with their line numbers,
-    outside `class SlidingBlockCode`: `SlidingBlockCode.read` is the one
-    place that picks a code's route.  A `_table=` keyword reads none."""
-    inside = {id(node) for cls in ast.walk(tree)
-              if isinstance(cls, ast.ClassDef) and cls.name == "SlidingBlockCode"
-              for node in ast.walk(cls)}
+def attribute_reads(tree: ast.Module, attr: str, allowed: frozenset) -> list[str]:
+    """The reads of attribute `attr`, with their line numbers, outside the
+    classes and functions named in `allowed`.  An `attr=` keyword reads none."""
+    inside = {id(node) for scope in ast.walk(tree)
+              if isinstance(scope, (ast.ClassDef, ast.FunctionDef)) and scope.name in allowed
+              for node in ast.walk(scope)}
     found = sorted((node.lineno, node.col_offset, ast.unparse(node)) for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and id(node) not in inside
-                   and node.attr == "_table")
+                   and node.attr == attr)
     return [f"{text} (line {line})" for line, _, text in found]
+
+
+def code_table_reads(tree: ast.Module, allowed=frozenset({"SlidingBlockCode"})) -> list[str]:
+    """The attribute reads of a sliding block code's table (`_table`: the
+    outputs by source id, or the dict by block) outside `allowed`, by
+    default `class SlidingBlockCode`: `SlidingBlockCode.read` is the one
+    place that picks a code's route."""
+    return attribute_reads(tree, "_table", allowed)
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
@@ -270,6 +276,22 @@ def test_a_code_table_read_is_found():
                      "def built(table):\n    return SlidingBlockCode(_table=table)\n")
     assert code_table_reads(tree) == ["code._table (line 6)", "code._table (line 7)",
                                       "code._table (line 11)"]
+    assert code_table_reads(tree, frozenset({"image", "Other"})) == ["self._table (line 3)"]
+    tree = ast.parse("def test_scan(x):\n    scan = _normal_form(x)\n"
+                     "    return scan.buf, buf, _Scan(buf=b'')\n")
+    assert attribute_reads(tree, "buf", frozenset()) == ["scan.buf (line 3)"]
+    assert attribute_reads(tree, "buf", frozenset({"test_scan"})) == []
+
+
+# the one test that states which route a code's table takes; every other
+# test holds a code to its behaviour, and a scan to its window and defect
+ROUTE_TEST = frozenset({"test_1_block_image_tests_read_no_block_on_the_byte_path"})
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "tests").glob("*.py")))
+def test_no_test_reads_a_code_table_or_a_scan_buffer(module):
+    tree = ast.parse((ROOT / "tests" / module).read_text(), module)
+    assert code_table_reads(tree, ROUTE_TEST) + attribute_reads(tree, "buf", ROUTE_TEST) == []
 
 
 def trusted_constructors(tree: ast.Module) -> dict[str, list[str]]:

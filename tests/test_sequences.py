@@ -216,14 +216,14 @@ def test_canonical_minimizes_anomaly(small_family):
 
 
 def test_canonical_memory_stays_within_what_the_scan_holds():
-    # _normal_form scans w*2 + v + w*2, L = 4N + |v| bytes; _scan slices it
+    # _normal_form scans w*2 + v + w, L = 3N + |v| bytes; _scan slices it
     # twice (L - N bytes each) and XORs the two ints they read (a CPython int
     # spends 4 bytes per 30 bits, so each of the three is 16/15 as large),
     # and the anchored form holds a rotated period and an anomaly slice
     q, p = 399999, 600001
     x = skew_sturmian(SturmianSpec(Frequency.rational(q, p), TYPE_S))
     n, vl = least_period(x), len(x.anomaly)
-    size, rest = 4 * n + vl, 3 * n + vl
+    size, rest = 3 * n + vl, 2 * n + vl
     tracemalloc.start()
     try:
         c = canonical(x)
