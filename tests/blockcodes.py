@@ -1,8 +1,8 @@
 """Sliding block codes by their definitions, for the tests that hold the
-classify kernels to them: a code's output at one position, a read of a
-buffer, and whether one radius sends a sequence onto another.  Each reads
-symbols one at a time through `symbol_id_at` and a code through
-`entries`, never through the code's own table or `read`."""
+classify kernels to them: the blocks of a sequence, a code's image of it,
+a read of a buffer, and whether one radius sends a sequence onto another.
+Each reads symbols through `symbol_id_at` and a code through `entries`,
+never through the code's own table or `read`."""
 
 import weakref
 
@@ -12,7 +12,8 @@ _ROWS = {}  # id(code) -> (a weak reference to the code, its rows)
 
 
 def rows(code):
-    """dict(code.entries), built once per code object while it lives."""
+    """dict(code.entries), built once per code object while it lives: a
+    1-block code's entries walk its whole source alphabet."""
     hit = _ROWS.get(id(code))
     if hit is None or hit[0]() is not code:
         key = id(code)
@@ -20,15 +21,18 @@ def rows(code):
     return hit[1]
 
 
-def block_at(x, i, memory, anticipation):
-    """x_{i-memory} ... x_{i+anticipation} as a tuple of ids."""
-    return tuple(map(x.symbol_id_at, range(i - memory, i + anticipation + 1)))
+def blocks(x, lo, hi, memory, anticipation):
+    """The blocks x_{i-memory} ... x_{i+anticipation}, lo <= i < hi, as
+    tuples of ids."""
+    xs = list(map(x.symbol_id_at, range(lo - memory, hi + anticipation)))
+    return list(zip(*(xs[t:t + hi - lo] for t in range(memory + anticipation + 1))))
 
 
-def image_at(code, x, i):
-    """The code's output at position i of x: its row for the block centred
-    there.  A block the rows lack raises KeyError."""
-    return rows(code)[block_at(x, i, code.memory, code.anticipation)]
+def image(code, x, lo, hi):
+    """The code's outputs at positions lo ... hi-1 of x: its row for the
+    block centred at each.  A block the rows lack raises KeyError."""
+    table = rows(code)
+    return [table[b] for b in blocks(x, lo, hi, code.memory, code.anticipation)]
 
 
 def read_by_lookup(code, buf):
@@ -50,6 +54,5 @@ def pointwise_consistent(src, dst, k):
     position, read from a window far wider than the anomalies need: each
     block of src there meets one symbol of dst."""
     h = k + 4 * len(src.period_word) + len(src.anomaly) + len(dst.anomaly) + 8
-    xs = list(map(src.symbol_id_at, range(-h - k, h + k + 1)))
-    blocks = list(zip(*(xs[t:t + 2 * h + 1] for t in range(2 * k + 1))))  # centred at -h ... h
-    return len(set(zip(blocks, map(dst.symbol_id_at, range(-h, h + 1))))) == len(set(blocks))
+    bs = blocks(src, -h, h + 1, k, k)
+    return len(set(zip(bs, map(dst.symbol_id_at, range(-h, h + 1))))) == len(set(bs))

@@ -39,9 +39,7 @@ NEGATED = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.LtE: ast.Gt, ast.Gt: ast.LtE, a
            ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn,
            ast.NotIn: ast.In}
 # Mutants no test can kill, as (target, change, a fragment of the mutated
-# line) -> why the program's behaviour does not change.  `_normal_form`'s
-# right padding was `w * 2`, whose `2 -> 3` survived: `_scan` reads only N
-# entries of the right tail.  It is one `w` now, which no mutant changes.
+# line) -> why the program's behaviour does not change.
 EQUIVALENT = {
     ("classify._build_block_map", "32 -> 33", "len(centres) > 32"):
         "32 only picks the faster of two routes that give the same table and clash",
