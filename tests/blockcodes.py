@@ -1,24 +1,20 @@
 """Sliding block codes by their definitions, for the tests that hold the
 classify kernels to them: the blocks of a sequence, a code's image of it,
-a read of a buffer, and whether one radius sends a sequence onto another.
-Each reads symbols through `symbol_id_at` and a code through `entries`,
-never through the code's own table or `read`."""
+a read of a buffer, and whether one block map sends a sequence onto
+another.  Each reads symbols through `symbol_id_at` and a code through
+`entries`, never through the code's own table or `read`."""
 
-import weakref
+import functools
+import math
 
 from epshift.errors import MissingBlock
 
-_ROWS = {}  # id(code) -> (a weak reference to the code, its rows)
 
-
+@functools.lru_cache(maxsize=64)
 def rows(code):
-    """dict(code.entries), built once per code object while it lives: a
-    1-block code's entries walk its whole source alphabet."""
-    hit = _ROWS.get(id(code))
-    if hit is None or hit[0]() is not code:
-        key = id(code)
-        hit = _ROWS[key] = (weakref.ref(code, lambda _: _ROWS.pop(key, None)), dict(code.entries))
-    return hit[1]
+    """dict(code.entries), built once per code: a 1-block code's entries
+    walk its whole source alphabet.  Equal codes have equal entries."""
+    return dict(code.entries)
 
 
 def blocks(x, lo, hi, memory, anticipation):
@@ -49,10 +45,18 @@ def read_by_lookup(code, buf):
     return tuple(out)
 
 
-def pointwise_consistent(src, dst, k):
-    """Whether one radius-k block map sends src onto dst position by
-    position, read from a window far wider than the anomalies need: each
-    block of src there meets one symbol of dst."""
-    h = k + 4 * len(src.period_word) + len(src.anomaly) + len(dst.anomaly) + 8
-    bs = blocks(src, -h, h + 1, k, k)
-    return len(set(zip(bs, map(dst.symbol_id_at, range(-h, h + 1))))) == len(set(bs))
+def consistency_window(src, dst, k):
+    """Centres [lo, hi) at which every pair (radius-k block of src at i, dst
+    symbol at i) that occurs on Z occurs.  Left of -k the block and the
+    symbol lie in the left tails, and from max(|u| + k, |v|) on in the right
+    ones, u and v the anomalies; in each stretch the pair repeats with
+    period L, the lcm of the two periods.  So lo = -k-1-L and hi =
+    max(|u| + k, |v|) + L: the probe's centres, then L more."""
+    period = math.lcm(len(src.period_word), len(dst.period_word))
+    return -k - 1 - period, max(len(src.anomaly) + k, len(dst.anomaly)) + period
+
+
+def consistent(bs, ds):
+    """Whether one block map sends each block in bs to the symbol at the
+    same place in ds: no block meets two symbols."""
+    return len(set(zip(bs, ds))) == len(set(bs))

@@ -58,7 +58,7 @@ from epshift.sturmian import (
 )
 from epshift.verify import skew_conjugacy_class, symbol_reverse
 from epshift.words import Alphabet, BINARY, Word, packed, word
-from blockcodes import blocks, image, pointwise_consistent, read_by_lookup, rows
+from blockcodes import blocks, consistency_window, consistent, image, read_by_lookup, rows
 from shifts import brute_first_defect, rotate, shifted
 
 
@@ -401,12 +401,14 @@ def _assert_least_radius_code(src, dst):
     there.  Returns the code."""
     code = _witness_code(src, dst)
     k = code.memory  # consistency is monotone in the radius
-    assert code.anticipation == k and pointwise_consistent(src, dst, k), (src, dst)
-    assert k == 0 or not pointwise_consistent(src, dst, k - 1), (src, dst)
-    n, lu, lv = least_period(src), len(src.anomaly), len(dst.anomaly)
-    centres = range(-k - 1 - n, max(lu + k, lv))
-    probe = zip(blocks(src, centres.start, centres.stop, k, k), map(dst.symbol_id_at, centres))
-    assert rows(code) == dict(probe), (src, dst)
+    assert code.anticipation == k, (src, dst)
+    # one read of each side over radius k's window, which holds radius k - 1's
+    lo, hi = consistency_window(src, dst, k)
+    bs, ds = blocks(src, lo, hi, k, k), list(map(dst.symbol_id_at, range(lo, hi)))
+    assert consistent(bs, ds), (src, dst)
+    assert k == 0 or not consistent([b[1:-1] for b in bs], ds), (src, dst)
+    stop = max(len(src.anomaly) + k, len(dst.anomaly)) - lo
+    assert rows(code) == dict(zip(bs[:stop], ds)), (src, dst)
     return code
 
 
@@ -503,9 +505,7 @@ def test_witness_search_grows_its_buffers_to_the_least_radius(monkeypatch, pair,
         return search_buffers(src, dst, reach)
 
     monkeypatch.setattr(classify, "_search_buffers", recording)
-    code = _witness_code(x, y)
-    assert code.memory == code.anticipation == radius
-    assert pointwise_consistent(x, y, radius) and not pointwise_consistent(x, y, radius - 1)
+    assert _assert_least_radius_code(x, y).memory == radius
     # the buffers start at reach N and double, up to |u| + |v| + 4N, only
     # when a probe needs more
     n = least_period(x)
@@ -539,10 +539,10 @@ def test_one_stretch_probe_matches_the_two_stretch_probe(pair):
 
 
 def test_one_stretch_probe_matches_on_reciprocal_skews_and_raised_endpoints():
-    # reciprocal skews of N up to 40, and up to 30 over 257 symbols: the
+    # reciprocal skews of N up to 60, and up to 30 over 257 symbols: the
     # radius-0 probe over at most 32 centres and over more, as bytes and as
     # tuples
-    for q, p in verify.coprime_pairs(40):
+    for q, p in verify.coprime_pairs(60):
         x, y = canonical(skew(TYPE_S, q, p)), canonical(skew(TYPE_SPRIME, p, q))
         pairs = [(x, y)]
         if p + q <= 30:  # and the pair over 257 symbols, 1 written as 256
@@ -561,38 +561,45 @@ def test_one_stretch_probe_matches_on_reciprocal_skews_and_raised_endpoints():
         _assert_least_radius_code(end_y, end_x)
 
 
-def _assert_first_clash(s, d, centres, k, clash):
-    """The probe's clash as a property of the centres: None when every
-    radius-k block of s at a centre meets one symbol of d, else (i, j), j
-    the first centre whose block met another d symbol at an earlier
-    centre, and i the first centre with that block."""
+def _assert_probe(s, d, centres, k, table, clash):
+    """The probe's table and clash as properties of the centres.  With no
+    clash, each radius-k block of s at a centre meets one symbol of d, and
+    the table sends it there: a bytes table holds d[c] at s[c] and 255 at
+    every other id, a dict maps the block at c to d[c].  A clash (i, j) has
+    j the first centre whose block met another d symbol at an earlier
+    centre, and i the first centre with that block; it comes with no table."""
     def block(c):
         return tuple(s[c - k:c + k + 1])
 
-    def consistent(cs):
-        return len({block(c) for c in cs}) == len({(block(c), d[c]) for c in cs})
+    def consistent_on(cs):
+        return consistent([block(c) for c in cs], [d[c] for c in cs])
 
     if clash is None:
-        assert consistent(centres)
+        assert consistent_on(centres)
+        want = {block(c): d[c] for c in centres}
+        if isinstance(table, bytes):
+            assert table == bytes(want.get((i,), 255) for i in range(256))
+        else:
+            assert {tuple(b): out for b, out in table.items()} == want
         return
     i, j = clash
+    assert table is None
     assert centres.start <= i < j < centres.stop
     assert block(i) == block(j) and d[i] != d[j]
     assert all(block(c) != block(j) for c in range(centres.start, i))
-    assert consistent(range(centres.start, j))
+    assert consistent_on(range(centres.start, j))
 
 
 def test_bytes_radius_0_probe_matches_the_loop():
     # random buffers over 2 to 256 symbols, d a function of s with some
     # centres changed, d also over 257 symbols, where no byte table fits;
     # radius 0 over at most 32 centres and over more, which the bytes route
-    # reads per symbol, and radius 1 and 2: each reports the first clash,
-    # the same on bytes and on tuples, and a table exactly when none
+    # reads per symbol, then radius 1 and 2: on bytes and on tuples each
+    # gives the first clash, or else the table of the centres' rows
     rng = random.Random(33)
     outcomes = dict.fromkeys(["table", "clash", "few", "many", "wider"], 0)
-    for _ in range(600):
+    for k in [0] * 600 + [1, 2] * 100:
         syms, n, a = rng.choice([2, 3, 7, 256]), rng.randint(1, 9), rng.randint(0, 5)
-        k = rng.choice([0, 0, 0, 1, 2])
         lu = lv = rng.choice([rng.randint(0, 31 - n), rng.randint(0, 40), rng.randint(40, 300)])
         lo = -2 * k - 1 - n - a  # the centres are [a + k, a + 3k + n + 1 + lu)
         centres = range(a + k, a + 3 * k + n + 1 + lu)
@@ -602,16 +609,12 @@ def test_bytes_radius_0_probe_matches_the_loop():
         d = [f[x] for x in s]
         for _ in range(rng.choice([0, 0, 1, 3])):
             d[rng.randrange(size)] = rng.randrange(256)
-        clashes = set()
         for bs, bd in ((s, bytes(d)), (tuple(s), tuple(d)), (s, tuple(x + 1 for x in d))):
             table, clash = classify._build_block_map(bs, bd, lo, n, lu, lv, k)
-            assert (table is None) == (clash is not None), (s, d, a, n, lu, k)
-            _assert_first_clash(bs, bd, centres, k, clash)
-            clashes.add(clash)
-        assert len(clashes) == 1, (s, d, a, n, lu, k)
+            _assert_probe(bs, bd, centres, k, table, clash)
         outcomes["table" if clash is None else "clash"] += 1
         outcomes["wider" if k else "few" if len(centres) <= 32 else "many"] += 1
-    assert min(outcomes.values()) > 100, outcomes
+    assert min(outcomes.values()) > 150, outcomes
 
 
 def test_reciprocal_skew_witness_is_the_symbol_swap_at_large_n():

@@ -254,17 +254,14 @@ def attribute_reads(tree: ast.Module, attr: str, allowed: frozenset) -> list[str
     return [f"{text} (line {line})" for line, _, text in found]
 
 
-def code_table_reads(tree: ast.Module, allowed=frozenset({"SlidingBlockCode"})) -> list[str]:
-    """The attribute reads of a sliding block code's table (`_table`: the
-    outputs by source id, or the dict by block) outside `allowed`, by
-    default `class SlidingBlockCode`: `SlidingBlockCode.read` is the one
-    place that picks a code's route."""
-    return attribute_reads(tree, "_table", allowed)
+# a code's `_table` is read only in its class: `read` alone picks its route
+CODE_CLASS = frozenset({"SlidingBlockCode"})
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_code_table_is_read_outside_the_code_class(module):
-    assert code_table_reads(ast.parse((SRC / module).read_text(), module)) == []
+    tree = ast.parse((SRC / module).read_text(), module)
+    assert attribute_reads(tree, "_table", CODE_CLASS) == []
 
 
 def test_a_code_table_read_is_found():
@@ -274,9 +271,10 @@ def test_a_code_table_read_is_found():
                      "    return code._table[block], code.entries\n\n"
                      "class Other:\n    def f(self, code):\n        return code._table[0]\n\n"
                      "def built(table):\n    return SlidingBlockCode(_table=table)\n")
-    assert code_table_reads(tree) == ["code._table (line 6)", "code._table (line 7)",
-                                      "code._table (line 11)"]
-    assert code_table_reads(tree, frozenset({"image", "Other"})) == ["self._table (line 3)"]
+    assert attribute_reads(tree, "_table", CODE_CLASS) == [
+        "code._table (line 6)", "code._table (line 7)", "code._table (line 11)"]
+    assert attribute_reads(tree, "_table", frozenset({"image", "Other"})) == [
+        "self._table (line 3)"]
     tree = ast.parse("def test_scan(x):\n    scan = _normal_form(x)\n"
                      "    return scan.buf, buf, _Scan(buf=b'')\n")
     assert attribute_reads(tree, "buf", frozenset()) == ["scan.buf (line 3)"]
@@ -291,7 +289,8 @@ ROUTE_TEST = frozenset({"test_1_block_image_tests_read_no_block_on_the_byte_path
 @pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "tests").glob("*.py")))
 def test_no_test_reads_a_code_table_or_a_scan_buffer(module):
     tree = ast.parse((ROOT / "tests" / module).read_text(), module)
-    assert code_table_reads(tree, ROUTE_TEST) + attribute_reads(tree, "buf", ROUTE_TEST) == []
+    assert attribute_reads(tree, "_table", ROUTE_TEST) == []
+    assert attribute_reads(tree, "buf", ROUTE_TEST) == []
 
 
 def trusted_constructors(tree: ast.Module) -> dict[str, list[str]]:
