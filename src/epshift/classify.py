@@ -203,17 +203,16 @@ def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSe
 
 
 def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
-                     lv: int, k: int) -> tuple[Union[dict, bytes, None], Optional[tuple[int, int]]]:
+                     lv: int, k: int) -> tuple[Optional[dict], Optional[tuple[int, int]]]:
     """Probe radius k: map each radius-k block of src, a slice of s, to
-    the dst symbol at its first centre; return the table and None, or None
+    the dst symbol at its first centre; return that dict and None, or None
     and the two centres of the first block that needs two dst symbols (the
     first by a scan).  Centres index s and d, which hold src and dst from
     index lo on and must reach k symbols past every centre read (see
     `_search_buffers`).  Radius 0 past 32 centres over bytes loops per
-    symbol, not per centre: one find gives a symbol's first centre, src
-    translated through dst at those centres must equal dst, and the lowest
-    set bit of their XOR names the first clash.  Its table is that
-    translate table, 255 at every id src does not hold.
+    symbol, not per centre: one find gives a symbol's first centre and its
+    row, src translated through the rows must equal dst at the centres,
+    and the lowest set bit of their XOR names the first clash.
 
     It reads the centres [-k-1-N, max(|u|+k, |v|) - 1], u and v the
     anomalies of src and dst, both of least period N, with |u| ≡ |v|
@@ -229,17 +228,17 @@ def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,
     if k == 0 and len(centres) > 32 and isinstance(s, bytes) and isinstance(d, bytes):
         a = centres.start
         seg, want = s[a:centres.stop], d[a:centres.stop]
-        table, rest, at = bytearray(b"\xff" * 256), seg, 0  # rest: seg less the symbols found
+        table, rest, at = {}, seg, 0  # rest: seg less the symbols found
         while rest:
             at = seg.find(rest[0], at)
-            table[rest[0]] = want[at]
+            table[rest[:1]] = want[at]
             rest = rest.translate(None, rest[:1])
-        got = seg.translate(table)
+        got = seg.translate(bytes.maketrans(b"".join(table), bytes(table.values())))
         if got != want:
             diff = int.from_bytes(got, "little") ^ int.from_bytes(want, "little")
             c = ((diff & -diff).bit_length() - 1) // 8  # the first clashing centre
             return None, (a + seg.find(seg[c]), a + c)
-        return bytes(table), None
+        return table, None
     table: dict[Symbols, int] = {}
     for c in centres:
         if table.setdefault(block := s[c - k:c + k + 1], d[c]) != d[c]:
@@ -290,11 +289,10 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
         if k > reach:  # k = reach + 1 <= 2 * reach
             reach = min(2 * reach, cap)
             lo, s, d = _search_buffers(src, dst, reach)
-        # a byte table's 255 marks an unmapped id, so a 256-symbol d is probed as a tuple
-        table, clash = _build_block_map(s, d if len(da) < 256 else tuple(d), lo, n, lu, lv, k)
+        table, clash = _build_block_map(s, d, lo, n, lu, lv, k)
         if clash is None:  # a dict of 1-slices at radius 0 becomes outputs by source id
-            return (_one_block(table.items(), sa, da) if isinstance(table, dict) and not k
-                    else SlidingBlockCode._trusted(k, k, table, sa, da))
+            return (SlidingBlockCode._trusted(k, k, table, sa, da) if k
+                    else _one_block(table.items(), sa, da))
         i, j = clash
         k = next((r for r in range(k + 1, reach + 1)
                   if s[i - r] != s[j - r] or s[i + r] != s[j + r]), reach + 1)

@@ -106,12 +106,19 @@ class Alphabet(Value):
 
     def __post_init__(self) -> None:
         _set(self, "labels", tuple(self.labels))  # hashable and equal however given
-        if not self.labels:
+        labels = self.labels
+        if not labels:
             raise ValueError("alphabet must be non-empty")
-        for lbl in self.labels:
-            _check_label(lbl)
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate labels in alphabet: {self.labels}")
+        # all at once, in C (another type or an empty label fails as a "[" does),
+        # then one at a time, to name the first bad label
+        joined = "".join(labels) if set(map(type, labels)) == {str} and "" not in labels else "["
+        if "[" in joined or "]" in joined or "," in joined:
+            for lbl in labels:
+                if not isinstance(lbl, str) or not lbl or any(c in lbl for c in "[],"):
+                    raise ValueError(f"symbol label {lbl!r} is not a non-empty string "
+                                     "without '[', ']' or ','")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate labels in alphabet: {labels}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -180,12 +187,6 @@ def _plus_one(digits: str) -> str:
     head = digits.rstrip("9")
     zeros = "0" * (len(digits) - len(head))
     return head[:-1] + chr(ord(head[-1]) + 1) + zeros if head else "1" + zeros
-
-
-def _check_label(lbl: object) -> None:
-    if not isinstance(lbl, str) or not lbl or any(c in lbl for c in "[],"):
-        raise ValueError(f"symbol label {lbl!r} is not a non-empty string "
-                         "without '[', ']' or ','")
 
 
 BINARY = Alphabet(("0", "1"))

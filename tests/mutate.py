@@ -51,6 +51,8 @@ EQUIVALENT = {
         "map stops at the shorter of its two ranges, the unchanged one",
     ("classify.SlidingBlockCode.read", "1 -> 2", "map(slice, range(size - n + 1)"):
         "map stops at the shorter of its two ranges, the unchanged one",
+    ("words.primitive_root", "1 -> 2", "range(1, n // 2 + 1)"):
+        "the extra d = n // 2 + 1 divides n only when n = 2, where d = n is the no-root answer",
 }
 
 

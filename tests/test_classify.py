@@ -416,12 +416,13 @@ def _assert_least_radius_code(src, dst):
 @given(conjugate_canonical_pairs())
 @example((canonical(ep("0", "000001")), canonical(ep("0", "001001"))))
 def test_witness_code_has_the_least_consistent_radius(pair):
-    # and the probe's rows send x onto y far past its centres
-    x, y = pair
-    code = _assert_least_radius_code(x, y)
-    k = code.memory
-    lo, hi = -3 * least_period(x) - k, len(x.anomaly) + len(y.anomaly) + 3 * k + 8
-    assert image(code, x, lo, hi) == list(map(y.symbol_id_at, range(lo, hi)))
+    # in both directions, and the probe's rows send src onto dst far past
+    # its centres, though the probe reads the left periodic stretch only
+    for src, dst in (pair, pair[::-1]):
+        code = _assert_least_radius_code(src, dst)
+        k = code.memory
+        lo, hi = -3 * least_period(src) - k, len(src.anomaly) + len(dst.anomaly) + 3 * k + 8
+        assert image(code, src, lo, hi) == list(map(dst.symbol_id_at, range(lo, hi)))
 
 
 # alphabets on either side of the byte path's bounds: at most 256 source
@@ -442,8 +443,8 @@ SYMBOLS_130 = Alphabet(tuple(f"s{i}" for i in range(130)))
 def test_witness_code_has_the_least_radius_past_32_centres(ids, alphabet, draws):
     # x canonical with N from 20 to 40, y the canonical image of x under a
     # random radius-1 code: the radius-0 probe has more than 32 centres, so
-    # over bytes it takes the bytes route; onto 256 symbols dst is probed as
-    # a tuple, and over 257 both are
+    # over bytes it takes the bytes route, onto 256 symbols too, and over
+    # 257 the loop over tuples
     rng, pairs = random.Random(f"least radius/{len(ids)}"), 0
     for _ in range(draws):
         n = rng.randint(20, 40)
@@ -528,16 +529,6 @@ def test_witness_code_refuses_pairs_its_probe_range_does_not_serve(monkeypatch):
 
 # --- the probe's rows and its first clash, by definition -----------------------
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(conjugate_canonical_pairs())
-def test_one_stretch_probe_matches_the_two_stretch_probe(pair):
-    # the probe reads the left periodic stretch only; its rows are still
-    # those of every centre, in both directions
-    x, y = pair
-    _assert_least_radius_code(x, y)
-    _assert_least_radius_code(y, x)
-
-
 def test_one_stretch_probe_matches_on_reciprocal_skews_and_raised_endpoints():
     # reciprocal skews of N up to 60, and up to 30 over 257 symbols: the
     # radius-0 probe over at most 32 centres and over more, as bytes and as
@@ -564,8 +555,7 @@ def test_one_stretch_probe_matches_on_reciprocal_skews_and_raised_endpoints():
 def _assert_probe(s, d, centres, k, table, clash):
     """The probe's table and clash as properties of the centres.  With no
     clash, each radius-k block of s at a centre meets one symbol of d, and
-    the table sends it there: a bytes table holds d[c] at s[c] and 255 at
-    every other id, a dict maps the block at c to d[c].  A clash (i, j) has
+    the table is a dict that maps the block at c to d[c].  A clash (i, j) has
     j the first centre whose block met another d symbol at an earlier
     centre, and i the first centre with that block; it comes with no table."""
     def block(c):
@@ -576,11 +566,7 @@ def _assert_probe(s, d, centres, k, table, clash):
 
     if clash is None:
         assert consistent_on(centres)
-        want = {block(c): d[c] for c in centres}
-        if isinstance(table, bytes):
-            assert table == bytes(want.get((i,), 255) for i in range(256))
-        else:
-            assert {tuple(b): out for b, out in table.items()} == want
+        assert {tuple(b): out for b, out in table.items()} == {block(c): d[c] for c in centres}
         return
     i, j = clash
     assert table is None
@@ -592,10 +578,10 @@ def _assert_probe(s, d, centres, k, table, clash):
 
 def test_bytes_radius_0_probe_matches_the_loop():
     # random buffers over 2 to 256 symbols, d a function of s with some
-    # centres changed, d also over 257 symbols, where no byte table fits;
-    # radius 0 over at most 32 centres and over more, which the bytes route
-    # reads per symbol, then radius 1 and 2: on bytes and on tuples each
-    # gives the first clash, or else the table of the centres' rows
+    # centres changed, as bytes whose outputs reach 255, as tuples, and over
+    # 257 symbols; radius 0 over at most 32 centres and over more, which the
+    # bytes route reads per symbol, then radius 1 and 2: each gives the
+    # first clash, or else the dict of the centres' rows
     rng = random.Random(33)
     outcomes = dict.fromkeys(["table", "clash", "few", "many", "wider"], 0)
     for k in [0] * 600 + [1, 2] * 100:
@@ -1181,8 +1167,9 @@ def test_every_code_round_trips_through_json_over_wide_alphabets(size):
 
 
 def test_a_1_block_witness_onto_256_symbols_holds_a_tuple_past_the_bytes_probe():
-    # a relabelling s -> 255 - s probed over 42 centres: a byte table would
-    # read the output 255 as an unmapped id
+    # a relabelling s -> 255 - s probed over 42 centres, by the bytes route:
+    # the code holds a tuple, as a byte table would read the output 255 as
+    # an unmapped id
     a = SIZED[256]
     x = make_ep(Word(tuple(range(40)), a), Word((40,), a))
     y = make_ep(Word(tuple(255 - s for s in range(40)), a), Word((215,), a))

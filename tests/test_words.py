@@ -179,10 +179,22 @@ def test_alphabet_validation_and_minting():
     with pytest.raises(ValueError):
         Alphabet(("0", "0"))
     # "[a,b]" over ("a,b", "a", "b") would read back as two symbols, and a
-    # word over ("[", "]") would read back as a bracketed literal
-    for labels in (("a,b", "a", "b"), ("[", "]"), ("a]",), ("",), (0, 1), ("a", None)):
-        with pytest.raises(ValueError, match="label"):
+    # word over ("[", "]") would read back as a bracketed literal; the labels
+    # are checked all at once, and the message names the first bad one,
+    # whichever check it fails, as a check of one label at a time does
+    class Label(str):
+        pass
+
+    wide = tuple(f"s{i}" for i in range(65536))
+    for labels, bad in [(("a,b", "a", "b"), "a,b"), (("[", "]"), "["), (("a]",), "a]"), (("",), ""),
+                        ((0, 1), 0), (("a", None), None), (("a", "b,", "]", ""), "b,"),
+                        (("a", "", "[", 0), ""), (("a", 1, "]"), 1), ((Label("a"), Label("b]")), "b]"),
+                        ((*wide, "[", None), "["), ((*wide, b"a"), b"a")]:
+        with pytest.raises(ValueError) as err:
             Alphabet(labels)
+        assert str(err.value) == (f"symbol label {bad!r} is not a non-empty string "
+                                  "without '[', ']' or ','")
+    assert Alphabet((Label("a"), "b")).labels == ("a", "b") and len(Alphabet(wide)) == 65536
     a = BINARY
     assert a.mint_labels(1) == ("x0'",)
     b = Alphabet(a.labels + ("x0'",))
