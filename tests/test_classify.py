@@ -416,13 +416,12 @@ def _assert_least_radius_code(src, dst):
 @given(conjugate_canonical_pairs())
 @example((canonical(ep("0", "000001")), canonical(ep("0", "001001"))))
 def test_witness_code_has_the_least_consistent_radius(pair):
-    # in both directions, and the probe's rows send src onto dst far past
-    # its centres, though the probe reads the left periodic stretch only
-    for src, dst in (pair, pair[::-1]):
-        code = _assert_least_radius_code(src, dst)
-        k = code.memory
-        lo, hi = -3 * least_period(src) - k, len(src.anomaly) + len(dst.anomaly) + 3 * k + 8
-        assert image(code, src, lo, hi) == list(map(dst.symbol_id_at, range(lo, hi)))
+    # and the probe's rows send x onto y far past its centres
+    x, y = pair
+    code = _assert_least_radius_code(x, y)
+    k = code.memory
+    lo, hi = -3 * least_period(x) - k, len(x.anomaly) + len(y.anomaly) + 3 * k + 8
+    assert image(code, x, lo, hi) == list(map(y.symbol_id_at, range(lo, hi)))
 
 
 # alphabets on either side of the byte path's bounds: at most 256 source
@@ -528,6 +527,16 @@ def test_witness_code_refuses_pairs_its_probe_range_does_not_serve(monkeypatch):
 
 
 # --- the probe's rows and its first clash, by definition -----------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(conjugate_canonical_pairs())
+def test_one_stretch_probe_matches_the_two_stretch_probe(pair):
+    # the probe reads the left periodic stretch only; its rows are still
+    # those of every centre, in both directions
+    x, y = pair
+    _assert_least_radius_code(x, y)
+    _assert_least_radius_code(y, x)
+
 
 def test_one_stretch_probe_matches_on_reciprocal_skews_and_raised_endpoints():
     # reciprocal skews of N up to 60, and up to 30 over 257 symbols: the
