@@ -23,7 +23,6 @@ from .errors import (
 )
 from .sequences import (
     EPSeq,
-    PeriodicSeq,
     _Scan,
     _scan,
     _symbols,
@@ -158,24 +157,23 @@ def apply_code(code: SlidingBlockCode, x: EPSeq) -> EPSeq:
 def _image_scan(code: SlidingBlockCode, x: EPSeq) -> _Scan:
     """The kernel's reading of the image of x under the code (see `apply_code`).
 
-    The buffer is the image on [-aa-1-2N, |v|+mm+N); left of -aa and from
-    |v|+mm on it is the periodic orbit's, at phase i and i - |v|.  One read
-    gives the N blocks left of -aa, whose phase-0 rotation `primitive_root`
-    cuts to the root, and the span; the guards are tiled from the root.
-    The right guard's N symbols suffice: `_scan` needs N entries of the
-    right tail, the image departs from that tail last at e <= |v|+mm-1,
-    and a form anchored at 0 or at the window's start ends before e+1+N.
-    A missing block is named as a read of phases 0 ... N-1, then the span's."""
+    Left of -aa and from |v|+mm on the image is the periodic orbit's, at
+    phase i and i - |v|.  One read gives the image on [c, |v|+mm), c the
+    greatest multiple of N at most -aa-N: its first N outputs are the
+    orbit's at phases 0 ... N-1, which `primitive_root` cuts to the root,
+    so a missing block is named as the orbit's first in phase order, else
+    the span's.  The buffer is that read between guards tiled from the
+    root, on [c-1-N, |v|+mm+N).  The right guard's N symbols suffice:
+    `_scan` needs N entries of the right tail, the image departs from that
+    tail last at e <= |v|+mm-1, and a form anchored at 0 or at the window's
+    start ends before e+1+N."""
     if x.alphabet != code.source_alphabet:
         raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
     mm, aa, n, vl = code.memory, code.anticipation, least_period(x), len(x.anomaly)
-    lo = -aa - 1 - 2 * n
-    try:
-        img = code.read(_symbols(x, -aa - n - mm, vl + mm + aa))
-    except MissingBlock:  # the orbit's first missing block, if any, else the span's
-        apply_code_to_periodic(code, PeriodicSeq._trusted(x.period_word))
-        raise
-    root = primitive_root(Word._trusted(img[aa % n:n] + img[:aa % n], code.target_alphabet))[0]
+    c = (-aa - n) // n * n
+    img = code.read(_symbols(x, c - mm, vl + mm + aa))
+    root = primitive_root(Word._trusted(img[:n], code.target_alphabet))[0]
+    lo = c - 1 - n
     img = _tiled(root.symbols, lo, n + 1) + img + _tiled(root.symbols, mm, n)
     scan = _scan(img, lo, root, vl)
     if scan is None:
@@ -191,15 +189,6 @@ def _image_similar(code: SlidingBlockCode, x: EPSeq, y: EPSeq) -> bool:
     require_same_alphabet(scan.period, y.period_word)
     c = canonical(y)
     return scan.anchored_symbols(scan.start) == (c.period_word.symbols, c.anomaly.symbols)
-
-
-def apply_code_to_periodic(code: SlidingBlockCode, p: PeriodicSeq) -> PeriodicSeq:
-    """Image of a periodic sequence under the code (always periodic): its root."""
-    w = p.period_word
-    if w.alphabet != code.source_alphabet:
-        raise IncompatibleAlphabets("sequence alphabet differs from the code's source alphabet")
-    img = code.read(_tiled(w.symbols, -code.memory, len(w) + code.block_length - 1))
-    return PeriodicSeq._trusted(primitive_root(Word._trusted(img, code.target_alphabet))[0])
 
 
 def _build_block_map(s: Symbols, d: Symbols, lo: int, n: int, lu: int,

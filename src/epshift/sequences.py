@@ -105,12 +105,10 @@ class EPSeq(Value):
     _canonical = None  # the memo of canonical(); not a field
 
     @classmethod
-    def _trusted(cls, period_word: Word, anomaly: Word, *, _canonical=None) -> EPSeq:
+    def _trusted(cls, period_word: Word, anomaly: Word) -> EPSeq:
         self = _new(cls)
         _set(self, "period_word", period_word)
         _set(self, "anomaly", anomaly)
-        if _canonical is not None:
-            _set(self, "_canonical", _canonical)
         return self
 
     def __post_init__(self) -> None:

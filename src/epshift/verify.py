@@ -70,6 +70,7 @@ from .sequences import (
     PeriodicSeq,
     _scan,
     _symbols,
+    _tiled,
     anomaly_size,
     canonical,
     least_period,
@@ -88,7 +89,7 @@ from .sturmian import (
     expand_cells,
     skew_sturmian,
 )
-from .words import BINARY, Value, Word, is_primitive, word
+from .words import BINARY, Value, Word, is_primitive, primitive_root, word
 
 REPORT_FORMAT = "verifyreport/1"
 
@@ -458,7 +459,9 @@ def _witness_verifies(x: EPSeq, y: EPSeq, one_block: bool = False) -> Optional[s
     fwd, inv = classify.conjugacy_witness(x, y)
     if one_block and (fwd.block_length, inv.block_length) != (1, 1):
         return "witness is not a 1-block code in both directions"
-    img = classify.apply_code_to_periodic(fwd, remove_anomaly(x)).period_word
+    w = remove_anomaly(x).period_word.symbols
+    orbit = fwd.read(_tiled(w, -fwd.memory, len(w) + fwd.block_length - 1))  # phases 0 ... N-1
+    img = primitive_root(Word._trusted(orbit, fwd.target_alphabet))[0]
     target = remove_anomaly(y).period_word
     n = len(target)
     if len(img) != n:

@@ -16,9 +16,9 @@ from epshift import jsonio, sequences
 from epshift.classify import (
     ConjugacyMove,
     SlidingBlockCode,
+    _image_scan,
     _raise_moves,
     apply_code,
-    apply_code_to_periodic,
     conjugacy_witness,
     expand_symbol,
     flow_witness,
@@ -180,9 +180,8 @@ def test_trusted_paths_build_only_valid_values(parts, data):
     outs = data.draw(st.lists(st.integers(0, size - 1), min_size=len(blocks),
                               max_size=len(blocks)), label="outputs")
     code = SlidingBlockCode(mem, ant, tuple(zip(blocks, outs)), x.alphabet, x.alphabet)
-    values.append(apply_code_to_periodic(code, remove_anomaly(x)))
     try:
-        values.append(apply_code(code, x))
+        values += [_image_scan(code, x).period, apply_code(code, x)]
     except DegenerateImage:
         pass
     for v in values:
@@ -214,11 +213,12 @@ def test_trusted_takes_every_field_and_memos_no_comparison_sees():
             build()
     c = canonical(make_ep(word("01"), word("1")))
     bare = make_ep(c.period_word, c.anomaly)
-    marked = EPSeq._trusted(c.period_word, c.anomaly, _canonical=True)
+    marked = EPSeq._trusted(c.period_word, c.anomaly)
+    assert canonical(marked) is marked and marked._canonical is True  # the memo canonical() keeps
     assert marked._fields == bare._fields == ("period_word", "anomaly")
     assert marked == bare and hash(marked) == hash(bare) and repr(marked) == repr(bare)
     assert json.dumps(jsonio.emit_epseq(marked)) == json.dumps(jsonio.emit_epseq(bare))
-    assert canonical(marked) is marked and bare._canonical is None
+    assert bare._canonical is None
     # a 1-block code built trusted from its translate table equals the
     # checked code, which normalizes its rows into that table and keeps no
     # memo but the hash

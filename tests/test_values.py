@@ -22,7 +22,6 @@ from epshift.classify import (
     _raise_moves,
     _witness_code,
     apply_code,
-    apply_code_to_periodic,
     conjugacy_witness,
     expand_symbol,
 )
@@ -245,8 +244,9 @@ def test_every_word_holds_its_alphabet_kind(x):
     fwd, inv = conjugacy_witness(x, y)
     for code in (fwd, inv, _witness_code(canonical(x), y)):
         _assert_code(code)
-    for z in (apply_code(fwd, x), apply_code(inv, y), apply_code_to_periodic(fwd, PeriodicSeq(w))):
+    for z in (apply_code(fwd, x), apply_code(inv, y)):
         _assert_seq(z)
+    _assert_word(classify._image_scan(fwd, x).period)
     # minted alphabets, across the 256-symbol bound when x is near it
     for k in (1, 2):
         _assert_seq(expand_symbol(x, x.alphabet.labels[x.anomaly.symbols[0]], k)[0])

@@ -8,6 +8,7 @@ import pytest
 
 from epshift import classify, verify
 from epshift.bezout import restricted_bezout
+from epshift.classify import SlidingBlockCode
 from epshift.errors import DegeneratePeriodic, InternalMismatch
 from epshift.sequences import PeriodicSeq, make_ep
 from epshift.sturmian import TYPE_S, Frequency, SturmianSpec, cell_series, expand_cells
@@ -70,14 +71,21 @@ def test_orbit_check_rejects_an_image_that_is_no_rotation(monkeypatch):
     x = make_ep(word("00011"), word("1"))
 
     def verdict(img):
-        monkeypatch.setattr(classify, "apply_code_to_periodic", lambda code, p: PeriodicSeq(img))
+        # a witness whose forward code, of anticipation 4, sends the orbit's
+        # block at phase i (the i-th rotation of 00011) to img[i]
+        w = x.period_word.symbols
+        rows = tuple((tuple(w[i:] + w[:i]), img.symbols[i]) for i in range(5))
+        fwd = SlidingBlockCode(0, 4, rows, BINARY, img.alphabet)
+        monkeypatch.setattr(classify, "conjugacy_witness", lambda x, y: (fwd, fwd))
         return _witness_verifies(x, x)
 
     assert verdict(word("00101")) == "periodic orbit not mapped onto the target orbit"
     assert verdict(word("01100")) is None
     assert verdict(Word(word("01100").symbols, Alphabet(("a", "b")))) == (
         "periodic orbit not mapped onto the target orbit")
-    assert verdict(word("0011")) == "periodic orbit least period not preserved"
+    assert verdict(word("00000")) == "periodic orbit least period not preserved"
+    # the least period is checked before the alphabet
+    assert verdict(word("00000")) == verdict(Word(word("00000").symbols, Alphabet(("a", "b"))))
 
 
 def test_the_family_from_primitive_periods_is_the_full_product_of_words(small_family):
