@@ -21,8 +21,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _skew(stype, q, p):
