@@ -25,7 +25,6 @@ from .sturmian import (
     TYPE_S,
     TYPE_SPRIME,
     cell_series,
-    expand_cells,
     skew_sturmian,
 )
 from .words import word

@@ -242,7 +242,7 @@ def _search_buffers(src: EPSeq, dst: EPSeq, reach: int) -> tuple[int, Symbols, S
     symbols at them; a jump reads src up to reach from two such centres.
     The centres end below max(|u| + reach, |v|), as `_build_block_map`
     reads only the left periodic stretch (|u| ≡ |v| mod N)."""
-    n, lu, lv = least_period(src), len(src.anomaly), len(dst.anomaly)
+    n, lu, lv = least_period(src), len(src.anomaly.symbols), len(dst.anomaly.symbols)
     lo, hi = -2 * reach - 1 - n, max(lu + reach, lv)
     return lo, _symbols(src, lo, hi + reach), _symbols(dst, lo, hi)
 
@@ -267,7 +267,7 @@ def _witness_code(src: EPSeq, dst: EPSeq) -> SlidingBlockCode:
     (mod N); a pair without them raises NotConjugate.
     """
     n, m = least_period(src), least_period(dst)
-    (lu, sa), (lv, da) = (len(src.anomaly), src.alphabet), (len(dst.anomaly), dst.alphabet)
+    lu, lv, sa, da = len(src.anomaly.symbols), len(dst.anomaly.symbols), src.alphabet, dst.alphabet
     if n != m or (lu - lv) % n:
         raise NotConjugate(f"a block map search needs equal least periods and congruent "
                            f"anomalies: (N={n}, |u|={lu}) vs (N={m}, |v|={lv})")

@@ -24,7 +24,6 @@ from .sturmian import (
     TYPE_S,
     TYPE_SPRIME,
     cell_series,
-    expand_cells,
     skew_sturmian,
 )
 
@@ -109,11 +108,11 @@ def cmd_sturmian_gen(args) -> int:
     if freq.kind != "rational":
         raise InvalidSpec(f"--emit {args.emit} needs a rational frequency")
     half = args.cells if args.cells is not None else 2 * (freq.p + 1) + 2
-    cs = cell_series(spec, spec.m - half, spec.m + half)
+    cells = cell_series(spec, spec.m - half, spec.m + half)
     if args.emit == "cells":
-        _emit(["1" + "0" * z for z in cs.zeros])
+        _emit(["1" + "0" * len(z) for z in cells.symbols.split(b"\x01")[1:]])
     else:
-        _emit(expand_cells(cs).text)
+        _emit(cells.text)
     return 0
 
 

@@ -153,10 +153,10 @@ def make_ep(w: Word, v: Word) -> EPSeq:
     the denoted sequence).  Rejects periodic (degenerate) input.
     """
     require_same_alphabet(w, v)
-    if len(w) == 0 or len(v) == 0:
+    if not w.symbols or not v.symbols:
         raise ValueError("period word and anomaly must be non-empty")
     root, _ = primitive_root(w)
-    n = len(root)
+    n = len(root.symbols)
     vs = v.symbols
     if len(vs) % n == 0 and vs == root.symbols * (len(vs) // n):
         raise DegeneratePeriodic(
@@ -245,7 +245,7 @@ def _scan(buf: Symbols, lo: int, period: Word, delta: int) -> Optional[_Scan]:
     item, so the lowest set bit gives d, the highest e, and 0 means y is
     periodic.
     """
-    n, raw, width = len(period), buf, 1
+    n, raw, width = len(period.symbols), buf, 1
     if not isinstance(buf, bytes):
         from array import array  # only here: most alphabets fit a byte
         items = array("I", buf)  # 4 bytes; a larger id raises OverflowError
@@ -277,7 +277,7 @@ def _normal_form(x: EPSeq) -> _Scan:
 
 
 def least_period(x: EPSeq | PeriodicSeq) -> int:
-    return len(x.period_word)
+    return len(x.period_word.symbols)
 
 
 def anomaly_size(x: EPSeq) -> int:

@@ -11,7 +11,8 @@ three marker bytes, tiled from one Christoffel word built in O(log p)
 steps from the continued fraction; no Python loop runs per cell.  Both
 types read their period and anomaly blocks straight off the markers, at
 lengths given by the restricted Bézout pair; nothing is searched for, and
-only those two blocks are expanded into symbols.
+only those two blocks are expanded into symbols, by `_expand`, the one
+route from cells to symbols, which also gives `cell_series` its word.
 
 The cutting-sequence construction (a line of slope p/q crossing an integer
 lattice), an independent second route to the same sequences, lives in
@@ -155,17 +156,10 @@ def _expand(cells: bytes, k: int) -> Word:
     return Word._trusted(cells, BINARY)
 
 
-class CellSeries(Value):
-    """Cells B_n for n in [n_lo, n_lo + len(zeros)), each held as its zero
-    count: B_n is "1" followed by zeros[n - n_lo] symbols "0"."""
-
-    n_lo: int
-    zeros: tuple[int, ...] = ()
-
-
-def cell_series(spec: SturmianSpec, n_lo: int, n_hi: int) -> CellSeries:
-    """The cells B_n_lo .. B_n_hi.  Raises InputTooLarge, before any cell is
-    built, when p + q exceeds SUM_LIMIT or the window SYMBOL_LIMIT."""
+def cell_series(spec: SturmianSpec, n_lo: int, n_hi: int) -> Word:
+    """The cells B_n_lo .. B_n_hi as one word over BINARY, each cell a "1"
+    and its zeros.  Raises InputTooLarge, before any cell is built, when
+    p + q exceeds SUM_LIMIT or the window SYMBOL_LIMIT."""
     q, p = _require_rational(spec)
     if n_lo > n_hi:
         raise ValueError(f"need n_lo <= n_hi, got {n_lo} > {n_hi}")
@@ -174,14 +168,7 @@ def cell_series(spec: SturmianSpec, n_lo: int, n_hi: int) -> CellSeries:
     if (n_hi - n_lo + 1) * (p + q) > SYMBOL_LIMIT * p:
         raise InputTooLarge(f"{n_hi - n_lo + 1} cells of frequency {q}/{p} exceed "
                             f"the supported window of {SYMBOL_LIMIT} symbols")
-    return CellSeries(n_lo, tuple(map((q // p - 3).__add__, _zero_counts(spec, n_lo, n_hi))))
-
-
-def expand_cells(cs: CellSeries) -> Word:
-    # bytes.join holds an 80-byte buffer record per part, so it joins 4096 cells at a time
-    cell = {z: b"\x01" + bytes(z) for z in set(cs.zeros)}.__getitem__
-    return Word._trusted(b"".join([b"".join(map(cell, cs.zeros[i:i + 4096]))
-                                   for i in range(0, len(cs.zeros), 4096)]), BINARY)
+    return _expand(_zero_counts(spec, n_lo, n_hi), q // p)
 
 
 def skew_sturmian(spec: SturmianSpec) -> EPSeq:

@@ -23,7 +23,8 @@ the modules every command imports: the window search
 length), and the word a window spans (``window``) of criterion 4; the
 skew Sturmian class (``skew_conjugacy_class``) of criterion 6; the
 cutting sequence (``cutting_sequence``) and cell-chain tests
-(``is_balanced_chains``, ``chain_zero_counts``) of criterion 8; and
+(``is_balanced_chains``, ``chain_zero_counts``) of criterion 8, on the
+cells ``cell_zero_counts`` reads off the word ``cell_series`` returns; and
 symbol reversal (``symbol_reverse``) of criterion 9.
 
 Each criterion is an instance stream and a check of one instance, which
@@ -79,14 +80,12 @@ from .sequences import (
     similar,
 )
 from .sturmian import (
-    CellSeries,
     Frequency,
     SturmianSpec,
     TYPE_S,
     TYPE_SPRIME,
     _require_rational,
     cell_series,
-    expand_cells,
     skew_sturmian,
 )
 from .words import BINARY, Value, Word, is_primitive, primitive_root, word
@@ -319,7 +318,7 @@ def remove_window(x: EPSeq, win: tuple[int, int]) -> Union[PeriodicSeq, EPSeq]:
     s, length = win
     if length < 1:
         raise ValueError("window length must be >= 1")
-    n, vl = len(x.period_word), len(x.anomaly)
+    n, vl = len(x.period_word.symbols), len(x.anomaly.symbols)
     lo = min(0, s) - 2 * n
     buf = _symbols(x, lo, max(s + length, vl) + 2 * n)
     cut = s - lo
@@ -641,11 +640,17 @@ def is_balanced_chains(zeros: Sequence[int]) -> bool:
     return True
 
 
-def chain_zero_counts(cs: CellSeries, n: int) -> Counter:
+def cell_zero_counts(cells: Word) -> list[int]:
+    """The zero counts of the cells a word of cells holds, read off its
+    symbols: each cell is a "1" and the "0"s before the next "1"."""
+    return list(map(len, cells.symbols.split(b"\x01")[1:]))
+
+
+def chain_zero_counts(zeros: Sequence[int], n: int) -> Counter:
     """Multiset of zero counts over all contiguous n-cell chains."""
-    if not 1 <= n <= len(cs.zeros):
-        raise ValueError(f"chain length {n} out of range [1, {len(cs.zeros)}]")
-    prefix = [0, *accumulate(cs.zeros)]
+    if not 1 <= n <= len(zeros):
+        raise ValueError(f"chain length {n} out of range [1, {len(zeros)}]")
+    prefix = [0, *accumulate(zeros)]
     return Counter(map(sub, prefix[n:], prefix))
 
 
@@ -688,24 +693,23 @@ def cutting_sequence(spec: SturmianSpec, n_lo: int, n_hi: int) -> Word:
 
 def _crossval_one(spec: SturmianSpec, q: int, p: int, m: int) -> Optional[str]:
     half = 3 * (p + 1)
-    cs = cell_series(spec, m - half, m + half)
-    if not is_balanced_chains(cs.zeros):
+    zeros = cell_zero_counts(cell_series(spec, m - half, m + half))
+    if not is_balanced_chains(zeros):
         return "cell window is not balanced"
     # type S has a unique deficient p-chain (q-1 zeros); type S' a unique
     # surplus one (q+1 zeros); all other p-chains carry exactly q zeros
     special = q - 1 if spec.stype == TYPE_S else q + 1
-    counts = chain_zero_counts(cs, p)
+    counts = chain_zero_counts(zeros, p)
     wrong = {c: k for c, k in counts.items() if c not in (special, q)}
     if wrong or counts.get(special, 0) != 1:
         return f"p-chain zero counts {dict(counts)} are not one of {special} and rest {q}"
     n_lo, n_hi = m - (p + 2), m + (p + 2)
     cut = cutting_sequence(spec, n_lo, n_hi).text
-    wide_cs = cell_series(spec, n_lo - 1, n_hi + 1)
-    wide = expand_cells(wide_cs).text
-    core_len = len(expand_cells(cell_series(spec, n_lo, n_hi)))
+    wide = cell_series(spec, n_lo - 1, n_hi + 1).text
+    core_len = len(cell_series(spec, n_lo, n_hi).symbols)
     if abs(len(cut) - core_len) > 2:
         return f"cutting window length {len(cut)} vs expansion length {core_len}"
-    boundary = wide_cs.zeros[0] + 1  # the length of the cell B_{n_lo - 1}
+    boundary = wide.index("1", 1)  # the length of the cell B_{n_lo - 1}
     if any(wide.startswith(cut, boundary + e) for e in (-1, 0, 1)):
         return None
     return "cutting sequence does not occur at the cell-aligned offset"

@@ -6,7 +6,8 @@
 Each named workload runs in a fresh process with PYTHONHASHSEED=0, after
 its imports.  It counts every opcode run (`sys.settrace` with
 `f_trace_opcodes`) and every call, Python and C (`sys.setprofile`), and
-prints one JSON object per workload: the totals, the opcodes and Python
+prints one JSON object per workload: the Python version (`sys.version`;
+counts compare only within one version), the totals, the opcodes and Python
 calls of each `src/` function (module.qualname), and, for a verify
 workload, the totals of each criterion.  An opcode count weighs a
 comprehension step like a call and does not see the work inside one C
@@ -44,10 +45,15 @@ def _verify_cap8():
     return lambda: verify._suite(bounds, 7)
 
 
+# the frequencies (q, p) of x and y in each flow_witness S'(x) -> S(y)
+FLOWS = {
+    "flow-400": ((149, 251), (125, 226)),
+    "flow-1600": ((599, 1001), (500, 901)),
+    "flow-small": ((1, 2), (2, 5)),
+}
 WORKLOADS = {
     "verify-cap8": _verify_cap8,
-    "flow-1600": lambda: _flow((599, 1001), (500, 901)),
-    "flow-small": lambda: _flow((1, 2), (2, 5)),
+    **{name: lambda pair=pair: _flow(*pair) for name, pair in FLOWS.items()},
 }
 DEFAULT = ("verify-cap8", "flow-1600")
 
@@ -104,7 +110,7 @@ def count(name):
                 row = functions.setdefault(f"{path.stem}.{code.co_qualname}",
                                            {"opcodes": 0, "calls": 0})
                 row[kind] += n
-    return {"workload": name, **totals(), "criteria": criteria,
+    return {"workload": name, "python": sys.version, **totals(), "criteria": criteria,
             "functions": dict(sorted(functions.items(), key=lambda kv: -kv[1]["opcodes"]))}
 
 

@@ -39,13 +39,11 @@ from epshift.sequences import (
     remove_anomaly,
 )
 from epshift.sturmian import (
-    CellSeries,
     Frequency,
     SturmianSpec,
     TYPE_S,
     TYPE_SPRIME,
     cell_series,
-    expand_cells,
     skew_sturmian,
 )
 from epshift.verify import anomaly_windows, coprime_pairs, remove_window
@@ -78,11 +76,9 @@ def rebuilt_alphabet(a):
 
 def rebuilt(v):
     """The value built again through the public constructors, which check
-    every part; a cell series from the cells of its expansion."""
+    every part."""
     if isinstance(v, Alphabet):
         return rebuilt_alphabet(v)
-    if isinstance(v, CellSeries):
-        return CellSeries(v.n_lo, tuple(map(len, expand_cells(v).text.split("1")[1:])))
     if isinstance(v, Word):
         return Word(v.symbols, rebuilt_alphabet(v.alphabet))
     if isinstance(v, PeriodicSeq):

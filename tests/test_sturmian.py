@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -6,12 +7,11 @@ from math import ceil, floor, gcd
 
 import pytest
 
-from epshift import sturmian
+from epshift import cli, sturmian
 from epshift.bezout import restricted_bezout
-from epshift.errors import InternalMismatch, InvalidSpec, WrongAlphabet
+from epshift.errors import InputTooLarge, InternalMismatch, InvalidSpec, WrongAlphabet
 from epshift.sequences import anomaly_size, least_period, make_ep, similar
 from epshift.sturmian import (
-    CellSeries,
     _christoffel,
     _expand,
     _zero_counts,
@@ -20,10 +20,10 @@ from epshift.sturmian import (
     TYPE_S,
     TYPE_SPRIME,
     cell_series,
-    expand_cells,
     skew_sturmian,
 )
-from epshift.verify import chain_zero_counts, coprime_pairs, cutting_sequence, symbol_reverse
+from epshift.verify import (cell_zero_counts, chain_zero_counts, coprime_pairs, cutting_sequence,
+                            symbol_reverse)
 from epshift.words import word
 
 
@@ -94,8 +94,13 @@ def test_cell_zeros_matches_brute_force_count():
                     assert cell_zeros(spec, n) == brute_cell_zeros(spec, n), (spec, n)
 
 
-def cell_texts(cs):
-    return ["1" + "0" * z for z in cs.zeros]
+def cell_texts(cells):
+    """The cells of a word of cells, each a "1" and the "0"s up to the next."""
+    return ["1" + z for z in cells.text.split("1")[1:]]
+
+
+def zeros_of(cells):
+    return [len(t) - 1 for t in cell_texts(cells)]
 
 
 def test_cell_series_examples():
@@ -112,17 +117,18 @@ def test_cell_series_examples():
     (spec_S(5, 2, -1), -3, 3, ["100", "1000", "100", "100", "1000", "100", "1000"]),
 ])
 def test_cell_series_of_fixed_specs_is_unchanged(spec, lo, hi, texts):
-    cs = cell_series(spec, lo, hi)
-    assert cell_texts(cs) == texts
-    assert expand_cells(cs).text == "".join(texts)
-    assert cs == CellSeries(lo, tuple(cell_zeros(spec, n) for n in range(lo, hi + 1)))
+    cells = cell_series(spec, lo, hi)
+    assert cell_texts(cells) == texts
+    assert cells.text == "".join(texts)
+    assert cells == _cell_words(spec, lo, hi)
 
 
-def test_expand_cells():
-    cs = CellSeries(0, (1, 0, 1))
-    assert expand_cells(cs).text == "10110"
-    assert expand_cells(CellSeries(0, ())).text == ""
-    assert expand_cells(CellSeries(5, (2,))).text == "100"
+def test_expand_examples():
+    # k = 0: markers 3 and 4 stand for cells of no zeros and of one
+    assert _expand(b"\x04\x03\x04", 0).text == "10110"
+    assert _expand(b"", 0).text == _expand(b"", 5).text == ""
+    assert _expand(b"\x04", 1).text == "100"
+    assert _expand(b"\x02\x03\x04", 2).text == "10" + "100" + "1000"
 
 
 def test_cutting_sequence_junction_patterns():
@@ -176,24 +182,33 @@ def test_invalid_specs():
             build(spec_S(2, 3), 3, 2)
 
 
-def test_chain_zero_counts_examples():
-    cs = cell_series(spec_S(1, 1), -3, 3)
-    assert chain_zero_counts(cs, 1) == Counter({1: 6, 0: 1})
+def test_cell_zero_counts_reads_the_cells_off_the_word():
+    assert cell_zero_counts(word("10110100")) == [1, 0, 1, 2]
+    assert cell_zero_counts(word("")) == []
+    assert cell_zero_counts(word("1")) == [0]
+    for spec, lo, hi in ((spec_S(2, 5), -6, 6), (spec_Sp(7, 2, 1), -3, 5), (spec_S(1, 1), 0, 0)):
+        assert cell_zero_counts(cell_series(spec, lo, hi)) == \
+            [cell_zeros(spec, n) for n in range(lo, hi + 1)]
 
-    cs2 = cell_series(spec_S(2, 3), -6, 8)
-    counts = chain_zero_counts(cs2, 3)
+
+def test_chain_zero_counts_examples():
+    zs = cell_zero_counts(cell_series(spec_S(1, 1), -3, 3))
+    assert chain_zero_counts(zs, 1) == Counter({1: 6, 0: 1})
+
+    zs2 = cell_zero_counts(cell_series(spec_S(2, 3), -6, 8))
+    counts = chain_zero_counts(zs2, 3)
     assert counts[1] == 1 and set(counts) == {1, 2}
 
-    assert len(chain_zero_counts(cs, len(cs.zeros))) == 1
+    assert len(chain_zero_counts(zs, len(zs))) == 1
     with pytest.raises(ValueError):
-        chain_zero_counts(cs, 8)
+        chain_zero_counts(zs, 8)
     with pytest.raises(ValueError):
-        chain_zero_counts(cs, 0)
+        chain_zero_counts(zs, 0)
 
     # every chain length, against the sum of each chain's own counts
-    for n in range(1, len(cs2.zeros) + 1):
-        assert chain_zero_counts(cs2, n) == Counter(
-            sum(cs2.zeros[i:i + n]) for i in range(len(cs2.zeros) - n + 1))
+    for n in range(1, len(zs2) + 1):
+        assert chain_zero_counts(zs2, n) == Counter(
+            sum(zs2[i:i + n]) for i in range(len(zs2) - n + 1))
 
 
 def test_symbol_reverse():
@@ -219,7 +234,7 @@ def test_offset_translation_and_similarity():
         for stype, mk in ((TYPE_S, spec_S), (TYPE_SPRIME, spec_Sp)):
             base = cell_series(mk(q, p, 0), -6, 6)
             shifted = cell_series(mk(q, p, 3), -3, 9)
-            assert base.zeros == shifted.zeros
+            assert base == shifted
             assert skew_sturmian(mk(q, p, -2)) == skew_sturmian(mk(q, p, 0))
             assert similar(skew_sturmian(mk(q, p, 0)), skew_sturmian(mk(q, p, -2)))
 
@@ -237,10 +252,10 @@ def _realignment_offset(spec, p):
     """The first j >= 1 at which the cells B_{m+j} .. B_{m+j+p-1} repeat the
     period block B_{m-p} .. B_{m-1}, found by search (the oracle for the
     anomaly length j that skew_sturmian takes from the Bézout pair)."""
-    cs = cell_series(spec, spec.m - p, spec.m + 3 * p + 1)
-    period = cs.zeros[:p]
+    zeros = zeros_of(cell_series(spec, spec.m - p, spec.m + 3 * p + 1))
+    period = zeros[:p]
     for j in range(1, 2 * p + 3):
-        if cs.zeros[p + j:2 * p + j] == period:
+        if zeros[p + j:2 * p + j] == period:
             return j
     raise AssertionError(f"no realignment of the right beam of {spec}")
 
@@ -248,8 +263,7 @@ def _realignment_offset(spec, p):
 def _skew_by_realignment(spec):
     p, m = spec.freq.p, spec.m
     j = _realignment_offset(spec, p)
-    return make_ep(expand_cells(cell_series(spec, m - p, m - 1)),
-                   expand_cells(cell_series(spec, m, m + j - 1)))
+    return make_ep(cell_series(spec, m - p, m - 1), cell_series(spec, m, m + j - 1))
 
 
 @pytest.mark.parametrize("stype", [TYPE_S, TYPE_SPRIME])
@@ -376,9 +390,60 @@ def test_skew_sturmian_matches_the_per_cell_word_route_on_both_window_types(styp
     assert _zero_counts(spec_Sp(254, 1, 3), 3, 3) == b"\x04"  # k + 1 = 255 zeros
 
 
-def test_expand_of_markers_equals_expand_cells():
+def _windows(m, p):
+    """Windows left of B_m, around it, right of it, and B_m alone."""
+    return ((m - 2 * p - 3, m - 1), (m - p - 2, m + p + 2), (m + 1, m + 2 * p + 3), (m, m))
+
+
+@pytest.mark.parametrize("stype", [TYPE_S, TYPE_SPRIME])
+def test_cell_series_is_the_per_cell_word_on_any_window(stype):
+    for q, p in [*coprime_pairs(20), *_frequencies_near_byte_counts()]:
+        for m in (-1, 0, 2):
+            spec = SturmianSpec(Frequency.rational(q, p), stype, m)
+            for lo, hi in _windows(m, p):
+                assert cell_series(spec, lo, hi) == _cell_words(spec, lo, hi), (spec, lo, hi)
+
+
+@pytest.mark.parametrize("stype", ["S", "Sprime"])
+def test_cli_prints_the_per_cell_texts_and_their_join(capsys, stype):
+    # --emit cells prints each cell of the window [m - h, m + h], --emit
+    # symbols the word they make; h from --cells, else 2(p + 1) + 2
+    for q, p in [*coprime_pairs(9), (254, 1), (509, 2), (1, 255)]:
+        for m, h in ((-1, None), (0, 0), (2, 5)):
+            argv = ["sturmian", "gen", "--freq", f"{q}/{p}", "--type", stype, "--m", str(m)]
+            argv += [] if h is None else ["--cells", str(h)]
+            h = 2 * (p + 1) + 2 if h is None else h
+            spec = SturmianSpec(Frequency.rational(q, p), TYPE_S if stype == "S" else TYPE_SPRIME,
+                                m)
+            texts = ["1" + "0" * cell_zeros(spec, n) for n in range(m - h, m + h + 1)]
+            for emit, expected in (("cells", texts), ("symbols", "".join(texts))):
+                assert cli.main([*argv, "--emit", emit]) == 0
+                assert capsys.readouterr().out == json.dumps(expected) + "\n", (argv, emit)
+
+
+# (q, p): 2,400,013 cells of at most one zero, and 4,005 cells of about 1,000
+@pytest.mark.parametrize("q, p", [(399999, 600001), (999001, 999)])
+def test_cell_series_at_n_1e6_peaks_within_two_bytes_per_symbol(q, p):
+    # _expand holds the markers, one byte per cell, and, during a replace,
+    # the word before and after it: at most two bytes per symbol.  Building
+    # the markers holds them, each tiled Christoffel word and its slice
+    # beside the join, at most four bytes per cell in all
+    spec = spec_S(q, p)
+    half = 2 * (p + 1) + 2  # the CLI's default window
+    tracemalloc.start()
+    try:
+        cells = cell_series(spec, -half, half)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    symbols, count = len(cells.symbols), 2 * half + 1
+    assert cells.symbols.count(1) == count
+    assert peak < 2 * symbols + 4 * count + 4096, (peak, symbols, count)
+
+
+def test_expand_of_markers_is_the_join_of_their_cells():
     # one, two or all three markers (no marker 2 when k = 0, where it would
-    # stand for -1 zeros), on more cells than one 4096-cell chunk of expand_cells
+    # stand for -1 zeros), on up to 5000 cells
     rng = random.Random(34)
     for k in (0, 1, 2, 254, 255, 256, 600):
         kinds = [3, 4] if k == 0 else [2, 3, 4]
@@ -387,9 +452,8 @@ def test_expand_of_markers_equals_expand_cells():
             size = rng.choice([0, 1, 7, rng.randint(1, 5000)])
             cells = bytes(rng.choice(markers) for _ in range(size))
             counts = tuple(k - 3 + c for c in cells)
-            expanded = _expand(cells, k)
-            assert expanded == expand_cells(CellSeries(0, counts)), (k, markers)
-            assert expanded.symbols == b"".join(b"\x01" + bytes(z) for z in counts)
+            assert _expand(cells, k).symbols == b"".join(b"\x01" + bytes(z) for z in counts), \
+                (k, markers)
 
 
 # S(5/7, m=1): restricted Bézout pair (2, 3), so j = 3 anomaly cells; the
@@ -480,6 +544,22 @@ def test_skew_sturmian_at_n6400():
         size = bz.a + bz.b if spec.stype == TYPE_S else p + q - (bz.a + bz.b)
         x = skew_sturmian(spec)
         assert least_period(x) == 6400 and anomaly_size(x) == size, spec
+
+
+def test_cell_series_refuses_exactly_past_its_two_bounds(monkeypatch):
+    # at q/p = 15/1 a window of C cells spans C (p + q) / p = 16 C symbols
+    # by the bound's measure, so SUM_LIMIT cells reach SYMBOL_LIMIT exactly;
+    # no cell is built either way
+    def no_cells(*window):
+        raise OverflowError("a cell was about to be built")
+
+    monkeypatch.setattr(sturmian, "_zero_counts", no_cells)
+    with pytest.raises(OverflowError):
+        cell_series(spec_S(15, 1), 1, sturmian.SUM_LIMIT)
+    with pytest.raises(InputTooLarge, match=rf"^{sturmian.SUM_LIMIT + 1} cells of frequency 15/1 "):
+        cell_series(spec_S(15, 1), 0, sturmian.SUM_LIMIT)
+    with pytest.raises(InputTooLarge, match=rf"^p \+ q = {sturmian.SUM_LIMIT + 1} exceeds "):
+        cell_series(spec_Sp(1, sturmian.SUM_LIMIT), 0, 0)
 
 
 def test_an_unknown_frequency_kind_is_refused():

@@ -35,11 +35,9 @@ from epshift.sequences import (
 from epshift.sturmian import (
     TYPE_S,
     TYPE_SPRIME,
-    CellSeries,
     Frequency,
     SturmianSpec,
     cell_series,
-    expand_cells,
     skew_sturmian,
 )
 from epshift.verify import (anomaly_windows, cutting_sequence, remove_window, symbol_reverse,
@@ -103,7 +101,8 @@ def test_keyword_construction_and_defaults():
     zero = Frequency("zero")
     assert zero.q is None and zero.p is None and zero == Frequency.zero()
     assert SturmianSpec(Frequency.infinity(), TYPE_S).m == 0
-    assert CellSeries(4).zeros == () and CellSeries(n_lo=4) == CellSeries(4, ())
+    spec = SturmianSpec(stype=TYPE_SPRIME, freq=Frequency.zero())
+    assert spec.m == 0 and spec == SturmianSpec(Frequency.zero(), TYPE_SPRIME, 0)
 
 
 @pytest.mark.parametrize("build", [
@@ -113,7 +112,7 @@ def test_keyword_construction_and_defaults():
     lambda: BezoutPair(2, 5, 1, 3, 0),
     lambda: BezoutPair(2, 5, 1, 3, c=0),
     lambda: Window(1, start=1),
-    lambda: CellSeries(0, cell=()),
+    lambda: SturmianSpec(Frequency.zero(), TYPE_SPRIME, offset=0),
 ])
 def test_missing_unknown_and_repeated_fields_raise_type_error(build):
     with pytest.raises(TypeError):
@@ -127,8 +126,8 @@ def test_repr_is_the_field_list():
     assert repr(Frequency.zero()) == "Frequency(kind='zero', q=None, p=None)"
     assert repr(SturmianSpec(Frequency.rational(1, 2), TYPE_S)) == (
         "SturmianSpec(freq=Frequency(kind='rational', q=1, p=2), stype='S', m=0)")
-    assert repr(CellSeries(3)) == "CellSeries(n_lo=3, zeros=())"
-    assert repr(CellSeries(0, (1, 0))) == "CellSeries(n_lo=0, zeros=(1, 0))"
+    assert repr(SturmianSpec(Frequency.zero(), TYPE_SPRIME, m=-2)) == (
+        "SturmianSpec(freq=Frequency(kind='zero', q=None, p=None), stype='Sprime', m=-2)")
     # classes with their own repr keep it
     assert repr(make_ep(word("01"), word("1"))) == "EPSeq(period='01', anomaly='1')"
 
@@ -263,8 +262,7 @@ def test_the_generators_and_codes_between_sizes_hold_each_kind():
         y = skew_sturmian(SturmianSpec(Frequency.rational(p, q), TYPE_SPRIME))
         for z in (x, y, symbol_reverse(x)):
             _assert_seq(z)
-        _assert_word(expand_cells(cell_series(SturmianSpec(Frequency.rational(q, p), TYPE_S),
-                                              -3, 3)))
+        _assert_word(cell_series(SturmianSpec(Frequency.rational(q, p), TYPE_S), -3, 3))
         _assert_word(cutting_sequence(SturmianSpec(Frequency.rational(q, p), TYPE_S), -3, 3))
         for code in conjugacy_witness(x, y):
             _assert_code(code)

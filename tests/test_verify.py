@@ -11,7 +11,7 @@ from epshift.bezout import restricted_bezout
 from epshift.classify import SlidingBlockCode
 from epshift.errors import DegeneratePeriodic, InternalMismatch
 from epshift.sequences import PeriodicSeq, make_ep
-from epshift.sturmian import TYPE_S, Frequency, SturmianSpec, cell_series, expand_cells
+from epshift.sturmian import TYPE_S, Frequency, SturmianSpec, cell_series
 from epshift.verify import (
     TheoremCheck,
     VerifyBounds,
@@ -266,7 +266,7 @@ MUTANTS = [
                        "remove_window": lambda x, w: PeriodicSeq(word(str(w[0])))}, 19, 19,
      {"instance": EP_0_01, "reason": "removals differ pointwise"},
      {"instance": EP_LAST, "reason": "removals differ pointwise"}),
-    ("generator-crossval", {"chain_zero_counts": lambda cs, p: {}}, 18, 18,
+    ("generator-crossval", {"chain_zero_counts": lambda zeros, p: {}}, 18, 18,
      {"q": 1, "p": 1, "type": "S", "m": -1,
       "reason": "p-chain zero counts {} are not one of 0 and rest 1"},
      {"q": 2, "p": 1, "type": "Sprime", "m": 2,
@@ -306,9 +306,8 @@ def test_crossval_finds_the_cut_only_within_one_symbol_of_the_cell_offset(monkey
     q, p, m = 7, 3, 0
     spec = SturmianSpec(Frequency.rational(q, p), TYPE_S, m)
     n_lo, n_hi = m - (p + 2), m + (p + 2)
-    wide_cs = cell_series(spec, n_lo - 1, n_hi + 1)
-    wide, core = expand_cells(wide_cs).text, len(expand_cells(cell_series(spec, n_lo, n_hi)))
-    boundary = wide_cs.zeros[0] + 1
+    wide, core = cell_series(spec, n_lo - 1, n_hi + 1).text, len(cell_series(spec, n_lo, n_hi))
+    boundary = wide.index("1", 1)
     assert boundary >= 2
     for e in range(-2, 3):
         cut = wide[boundary + e:boundary + e + core]
