@@ -51,6 +51,20 @@ EQUIVALENT = {
         "map stops at the shorter of its two ranges, the unchanged one",
     ("classify.SlidingBlockCode.read", "1 -> 2", "map(slice, range(size - n + 1)"):
         "map stops at the shorter of its two ranges, the unchanged one",
+    ("verify.remove_window", "0 -> 1", "lo = min(0, s) - 2 * n"):
+        "the scan needs only its first N entries below 0, and min(1, s) - 2N + N - 1 < 0",
+    ("verify.remove_window", "2 -> 3", "lo = min(0, s) - 2 * n"):
+        "a buffer N entries longer on the left holds more of the left tail, and the scan "
+        "gives the same window",
+    ("verify.remove_window", "2 -> 3", "max(s + length, vl) + 2 * n"):
+        "a buffer N entries longer on the right holds more of the right tail, and the scan "
+        "gives the same window",
+    ("classify._search_buffers", "1 -> 2", "lo, hi = -2 * reach - 1 - n"):
+        "the probes read the centres from -k-1-N on, indexed from lo: a buffer that starts "
+        "further left holds only symbols no probe or jump reads",
+    ("classify._search_buffers", "2 -> 3", "lo, hi = -2 * reach - 1 - n"):
+        "the probes read the centres from -k-1-N on, indexed from lo: a buffer that starts "
+        "further left holds only symbols no probe or jump reads",
     ("words.primitive_root", "1 -> 2", "range(1, n // 2 + 1)"):
         "the extra d = n // 2 + 1 divides n only when n = 2, where d = n is the no-root answer",
 }

@@ -99,10 +99,6 @@ def cell_texts(cells):
     return ["1" + z for z in cells.text.split("1")[1:]]
 
 
-def zeros_of(cells):
-    return [len(t) - 1 for t in cell_texts(cells)]
-
-
 def test_cell_series_examples():
     assert cell_texts(cell_series(spec_S(1, 1), -2, 2)) == ["10", "10", "1", "10", "10"]
     assert cell_texts(cell_series(spec_S(1, 2), -4, 2)) == \
@@ -252,7 +248,7 @@ def _realignment_offset(spec, p):
     """The first j >= 1 at which the cells B_{m+j} .. B_{m+j+p-1} repeat the
     period block B_{m-p} .. B_{m-1}, found by search (the oracle for the
     anomaly length j that skew_sturmian takes from the Bézout pair)."""
-    zeros = zeros_of(cell_series(spec, spec.m - p, spec.m + 3 * p + 1))
+    zeros = cell_zero_counts(cell_series(spec, spec.m - p, spec.m + 3 * p + 1))
     period = zeros[:p]
     for j in range(1, 2 * p + 3):
         if zeros[p + j:2 * p + j] == period:
@@ -557,7 +553,7 @@ def test_cell_series_refuses_exactly_past_its_two_bounds(monkeypatch):
     with pytest.raises(OverflowError):
         cell_series(spec_S(15, 1), 1, sturmian.SUM_LIMIT)
     with pytest.raises(InputTooLarge, match=rf"^{sturmian.SUM_LIMIT + 1} cells of frequency 15/1 "):
-        cell_series(spec_S(15, 1), 0, sturmian.SUM_LIMIT)
+        cell_series(spec_S(15, 1), 1, sturmian.SUM_LIMIT + 1)
     with pytest.raises(InputTooLarge, match=rf"^p \+ q = {sturmian.SUM_LIMIT + 1} exceeds "):
         cell_series(spec_Sp(1, sturmian.SUM_LIMIT), 0, 0)
 
